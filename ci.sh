@@ -28,6 +28,13 @@ if ! diff -u /tmp/concord_ci_t1.log /tmp/concord_ci_t8.log; then
 fi
 cat /tmp/concord_ci_t8.log
 
+echo "==> repo benchmark crate: build + tests against the workspace crates"
+# benchmark/ is its own workspace (own lock file, own target dir), so
+# neither tier-1 nor `cargo clippy --workspace` compiles it; an API-moving
+# change to the product crates would otherwise break it unnoticed.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> serve loopback battery (CONCORD_HOST_THREADS=1 and =8, under timeout)"
 # The offload service must behave identically at any host fan-out, and a
 # wedged server must fail CI rather than hang it. The battery runs against

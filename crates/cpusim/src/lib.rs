@@ -21,10 +21,14 @@ pub use interp::{
 pub use predictor::Gshare;
 
 use concord_energy::CpuConfig;
+use concord_ir::analysis::uses_gated_ops;
 use concord_ir::eval::{Trap, Value};
 use concord_ir::types::AddrSpace;
 use concord_ir::{FuncId, Module};
-use concord_svm::{apply_log, CpuAddr, MemOp, ShadowRegion, SharedRegion, VtableArea};
+use concord_svm::{
+    apply_log, stage_reduce, CpuAddr, MemOp, RegionMem, ShadowRegion, SharedRegion, Span,
+    VtableArea, Work, WorkKind,
+};
 use concord_trace::{Tracer, Track};
 
 /// Split `[lo, hi)` into exactly `chunks.max(1)` contiguous ranges.
@@ -77,12 +81,13 @@ struct ChunkOut {
 
 /// An executed-but-uncommitted CPU launch: per-chunk core state, deferred
 /// LLC traffic, and shared-memory write logs. Produced by
-/// [`CpuSim::execute_for_span`] / [`CpuSim::execute_reduce_partials`]
-/// (which may fan chunks out over host threads) and merged back in fixed
-/// chunk order by [`CpuSim::commit`], so results are byte-identical for
-/// every host-thread count.
+/// [`CpuSim::execute`] (which may fan chunks out over host threads) and
+/// merged back in fixed chunk order by [`CpuSim::commit`], so results are
+/// byte-identical for every host-thread count.
 pub struct CpuPending {
     chunks: Vec<ChunkOut>,
+    /// The construct's trace name.
+    what: &'static str,
 }
 
 /// Multicore CPU simulator.
@@ -234,7 +239,7 @@ impl CpuSim {
     }
 
     /// Execute `parallel_for_hetero(n, body)` across all cores: iteration
-    /// `i` calls `func(body, i)`. Returns the timing report.
+    /// `i` calls `func(body, i)`. A convenience over [`CpuSim::launch`].
     ///
     /// # Errors
     ///
@@ -248,379 +253,16 @@ impl CpuSim {
         body: CpuAddr,
         n: u32,
     ) -> Result<CpuReport, Trap> {
-        self.parallel_for_span(region, vtables, module, func, body, 0, n, n)
-    }
-
-    /// Execute the sub-range `[lo, hi)` of a `parallel_for_hetero` whose
-    /// full iteration space is `[0, grid)`, statically chunked across all
-    /// cores. Work-item ids stay global (`i`), so a split construct
-    /// computes exactly what the unsplit one would.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] raised by the kernel.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_for_span(
-        &mut self,
-        region: &mut SharedRegion,
-        vtables: &VtableArea,
-        module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-    ) -> Result<CpuReport, Trap> {
-        if concord_ir::analysis::uses_gated_ops(module, &[func]) {
-            return self.serial_for_span(region, vtables, module, func, body, lo, hi, grid);
-        }
-        let pending = self.execute_for_span(region, vtables, module, func, body, lo, hi, grid);
-        self.commit(region, pending)?;
-        Ok(self.finish_launch("parallel_for"))
-    }
-
-    /// Execute one round of a `parallel_worklist_hetero` over the frontier
-    /// sub-range `[lo, hi)` of `[0, grid)`: iteration `i` calls
-    /// `func(body, items[i - lo])` (the kernel receives the frontier
-    /// *element*, not the index), and `push(item)` calls land in per-chunk
-    /// segments appended to `pushes` in chunk order at commit. Gated
-    /// kernels run chunks serially in order, like `parallel_for_span`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] raised by the kernel; nothing is appended to `pushes`
-    /// on a trap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items.len() != (hi - lo)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_worklist_span(
-        &mut self,
-        region: &mut SharedRegion,
-        vtables: &VtableArea,
-        module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-        items: &[i32],
-        pushes: &mut Vec<i32>,
-    ) -> Result<CpuReport, Trap> {
-        assert_eq!(items.len() as u32, hi - lo, "one frontier item per work item");
-        if concord_ir::analysis::uses_gated_ops(module, &[func]) {
-            self.serial_worklist_span(
-                region, vtables, module, func, body, lo, hi, grid, items, pushes,
-            )?;
-            return Ok(self.finish_launch("parallel_worklist"));
-        }
-        let spans = span_chunks(lo, hi, self.cfg.cores.max(1) as usize);
-        let arg0 = vec![body; spans.len()];
-        let pending = self.execute_chunks(
-            region,
-            vtables,
-            module,
-            func,
-            &arg0,
-            &spans,
-            grid,
-            Some((lo, items)),
-        );
-        self.commit_collect(region, pending, Some(pushes))?;
-        Ok(self.finish_launch("parallel_worklist"))
-    }
-
-    /// Serial worklist round for gated kernels: work items run in global
-    /// order against the live region, pushes append directly in program
-    /// order. On a trap, pushes gathered so far are discarded.
-    #[allow(clippy::too_many_arguments)]
-    fn serial_worklist_span(
-        &mut self,
-        region: &mut SharedRegion,
-        vtables: &VtableArea,
-        module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-        items: &[i32],
-        pushes: &mut Vec<i32>,
-    ) -> Result<(), Trap> {
-        self.reset_timing();
-        let spans = span_chunks(lo, hi, self.cfg.cores.max(1) as usize);
-        let mut seg = Vec::new();
-        for (core_idx, &(c_lo, c_hi)) in spans.iter().enumerate() {
-            for i in c_lo..c_hi {
-                let item = items[(i - lo) as usize];
-                let mut interp = Interp {
-                    module,
-                    region,
-                    vtables,
-                    private: &mut self.privates[core_idx],
-                    core: &mut self.cores[core_idx],
-                    cfg: &self.cfg,
-                    llc: LlcSink::Live(&mut self.llc),
-                    ids: WorkIds { global: i as i64, local: 0, group: i as i64, size: grid as i64 },
-                    step_budget: self.step_budget_per_item,
-                    max_depth: 64,
-                    wl: Some(&mut seg),
-                };
-                interp
-                    .call(
-                        &mut self.layouts,
-                        func,
-                        &[Value::Ptr(body.0, AddrSpace::Cpu), Value::I(item as i64)],
-                    )
-                    .map_err(|t| t.with_kernel(&module.function(func).name))?;
-            }
-        }
-        pushes.append(&mut seg);
-        Ok(())
-    }
-
-    /// Serial path for kernels with order-dependent operations
-    /// (`device_malloc`, compare-and-swap): executes chunks in order
-    /// directly against the live region and LLC.
-    #[allow(clippy::too_many_arguments)]
-    fn serial_for_span(
-        &mut self,
-        region: &mut SharedRegion,
-        vtables: &VtableArea,
-        module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-    ) -> Result<CpuReport, Trap> {
-        self.reset_timing();
-        let spans = span_chunks(lo, hi, self.cfg.cores.max(1) as usize);
-        for (core_idx, &(c_lo, c_hi)) in spans.iter().enumerate() {
-            for i in c_lo..c_hi {
-                let mut interp = Interp {
-                    module,
-                    region,
-                    vtables,
-                    private: &mut self.privates[core_idx],
-                    core: &mut self.cores[core_idx],
-                    cfg: &self.cfg,
-                    llc: LlcSink::Live(&mut self.llc),
-                    ids: WorkIds { global: i as i64, local: 0, group: i as i64, size: grid as i64 },
-                    step_budget: self.step_budget_per_item,
-                    max_depth: 64,
-                    wl: None,
-                };
-                interp
-                    .call(
-                        &mut self.layouts,
-                        func,
-                        &[Value::Ptr(body.0, AddrSpace::Cpu), Value::I(i as i64)],
-                    )
-                    .map_err(|t| t.with_kernel(&module.function(func).name))?;
-            }
-        }
-        Ok(self.finish_launch("parallel_for"))
-    }
-
-    /// Execute the chunks of a `parallel_for` span without committing:
-    /// each simulated core's chunk runs against a snapshot of `region`
-    /// with a private write-log, possibly on its own host thread.
-    /// [`CpuSim::commit`] merges the logs back in chunk order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_for_span(
-        &mut self,
-        region: &SharedRegion,
-        vtables: &VtableArea,
-        module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-    ) -> CpuPending {
-        let spans = span_chunks(lo, hi, self.cfg.cores.max(1) as usize);
-        let arg0 = vec![body; spans.len()];
-        self.execute_chunks(region, vtables, module, func, &arg0, &spans, grid, None)
-    }
-
-    /// Execute the accumulation chunks of a `parallel_reduce` without
-    /// committing. The caller must have staged the scratch slots first
-    /// (see [`CpuSim::stage_reduce`]); chunk `k` folds into `scratch[k]`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_reduce_partials(
-        &mut self,
-        region: &SharedRegion,
-        vtables: &VtableArea,
-        module: &Module,
-        func: FuncId,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-        scratch: &[CpuAddr],
-    ) -> CpuPending {
-        let slots = self.reduce_slots(scratch.len());
-        let spans = span_chunks(lo, hi, slots);
-        let arg0 = scratch[..slots].to_vec();
-        self.execute_chunks(region, vtables, module, func, &arg0, &spans, grid, None)
-    }
-
-    /// Shared chunk-execution engine. With `wl = Some((lo, items))` the
-    /// launch is a worklist round: work item `i` receives `items[i - lo]`
-    /// as its argument and `push` appends to the chunk's segment.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_chunks(
-        &mut self,
-        region: &SharedRegion,
-        vtables: &VtableArea,
-        module: &Module,
-        func: FuncId,
-        arg0: &[CpuAddr],
-        spans: &[(u32, u32)],
-        grid: u32,
-        wl: Option<(u32, &[i32])>,
-    ) -> CpuPending {
-        self.reset_timing();
-        let sim: &CpuSim = self;
-        let chunks = concord_pool::map(sim.host_threads, spans.len(), |idx| {
-            let mut core = sim.cores[idx].clone();
-            let mut private = sim.privates[idx].clone();
-            let mut shadow = ShadowRegion::new(region);
-            let mut llc_log = Vec::new();
-            let mut layouts = LayoutCache::new();
-            let (c_lo, c_hi) = spans[idx];
-            let mut trap = None;
-            let mut pushes = Vec::new();
-            for i in c_lo..c_hi {
-                let arg1 = match wl {
-                    Some((lo, items)) => items[(i - lo) as usize] as i64,
-                    None => i as i64,
-                };
-                let mut interp = Interp {
-                    module,
-                    region: &mut shadow,
-                    vtables,
-                    private: &mut private,
-                    core: &mut core,
-                    cfg: &sim.cfg,
-                    llc: LlcSink::Log(&mut llc_log),
-                    ids: WorkIds { global: i as i64, local: 0, group: i as i64, size: grid as i64 },
-                    step_budget: sim.step_budget_per_item,
-                    max_depth: 64,
-                    wl: if wl.is_some() { Some(&mut pushes) } else { None },
-                };
-                if let Err(t) = interp.call(
-                    &mut layouts,
-                    func,
-                    &[Value::Ptr(arg0[idx].0, AddrSpace::Cpu), Value::I(arg1)],
-                ) {
-                    trap = Some(t.with_kernel(&module.function(func).name));
-                    break;
-                }
-            }
-            ChunkOut { core, private, llc_log, mem_log: shadow.into_log(), pushes, trap }
-        });
-        CpuPending { chunks }
-    }
-
-    /// Merge an executed launch back into the live region, in fixed chunk
-    /// order: replay each chunk's deferred LLC traffic through the shared
-    /// LLC (charging the chunk's core), apply its write-log, and adopt its
-    /// core state. On a trap, chunks up to and including the lowest
-    /// trapped chunk are committed — matching what serial execution would
-    /// have left behind — and that chunk's trap is returned.
-    ///
-    /// # Errors
-    ///
-    /// The trap of the lowest trapped chunk, if any.
-    pub fn commit(&mut self, region: &mut SharedRegion, pending: CpuPending) -> Result<(), Trap> {
-        self.commit_collect(region, pending, None)
-    }
-
-    /// [`CpuSim::commit`] that additionally drains each chunk's worklist
-    /// push segment into `pushes` in chunk order (worklist rounds). On a
-    /// trap, nothing is appended — the round's frontier is poisoned.
-    ///
-    /// # Errors
-    ///
-    /// The trap of the lowest trapped chunk, if any.
-    pub fn commit_collect(
-        &mut self,
-        region: &mut SharedRegion,
-        pending: CpuPending,
-        pushes: Option<&mut Vec<i32>>,
-    ) -> Result<(), Trap> {
-        let mut trap: Option<Trap> = None;
-        let mut seg: Vec<i32> = Vec::new();
-        for (idx, mut chunk) in pending.chunks.into_iter().enumerate() {
-            if trap.is_some() {
-                break;
-            }
-            for &addr in &chunk.llc_log {
-                chunk.core.cycles += if self.llc.access(addr) {
-                    self.cfg.llc_hit_cycles
-                } else {
-                    self.cfg.mem_cycles
-                };
-            }
-            apply_log(region, &chunk.mem_log);
-            trap = chunk.trap.take();
-            seg.append(&mut chunk.pushes);
-            self.cores[idx] = chunk.core;
-            self.privates[idx] = chunk.private;
-        }
-        match trap {
-            Some(t) => Err(t),
-            None => {
-                if let Some(out) = pushes {
-                    out.append(&mut seg);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Build the launch report and record it on the trace, advancing the
-    /// simulated device clock. Call once per committed launch.
-    pub fn finish_launch(&mut self, what: &'static str) -> CpuReport {
-        // TBB-like fork/join overhead.
-        let r = self.report(5e-6);
-        self.trace_report(what, &r);
-        r
-    }
-
-    /// Number of scratch slots a reduction will actually use.
-    pub fn reduce_slots(&self, scratch_len: usize) -> usize {
-        (self.cfg.cores.max(1) as usize).min(scratch_len)
-    }
-
-    /// Copy the reduction body into each scratch slot (the serial staging
-    /// step that precedes [`CpuSim::execute_reduce_partials`]). Pass
-    /// exactly the `reduce_slots` slots that will be used.
-    ///
-    /// # Errors
-    ///
-    /// Region access faults on the body or a slot.
-    pub fn stage_reduce(
-        region: &mut SharedRegion,
-        body: CpuAddr,
-        body_size: u64,
-        scratch: &[CpuAddr],
-    ) -> Result<(), Trap> {
-        for &slot in scratch {
-            let bytes = region.read_bytes(body.0, AddrSpace::Cpu, body_size)?.to_vec();
-            region.write_bytes(slot.0, AddrSpace::Cpu, &bytes)?;
-        }
-        Ok(())
+        let gated = uses_gated_ops(module, &[func]);
+        let work = Work { func, body, kind: WorkKind::For, gated };
+        self.launch(region, vtables, module, &work, Span::full(n), &mut Vec::new())
     }
 
     /// Execute `parallel_reduce_hetero(n, body)`: each core accumulates its
-    /// chunk into a private copy of the body, then the copies are joined
-    /// into the original sequentially, exactly as TBB would.
-    ///
-    /// `body_size` is the byte size of the body object; `scratch` must
-    /// provide per-core body-sized slots in the shared region.
+    /// chunk into a private copy of the body in its `scratch` slot, then
+    /// the copies are joined into the original sequentially on core 0,
+    /// exactly as TBB would. A convenience over [`CpuSim::launch`]; the
+    /// report covers the accumulation phase.
     ///
     /// # Errors
     ///
@@ -642,126 +284,251 @@ impl CpuSim {
         n: u32,
         scratch: &[CpuAddr],
     ) -> Result<CpuReport, Trap> {
-        let slots = self.reduce_slots(scratch.len());
-        assert!(slots >= 1, "need at least one scratch slot");
-        if concord_ir::analysis::uses_gated_ops(module, &[func, join]) {
-            self.accumulate_partials(
-                region, vtables, module, func, body, body_size, 0, n, n, scratch,
-            )?;
-        } else {
-            Self::stage_reduce(region, body, body_size, &scratch[..slots])?;
-            let pending =
-                self.execute_reduce_partials(region, vtables, module, func, 0, n, n, scratch);
-            self.commit(region, pending)?;
+        let gated = uses_gated_ops(module, &[func, join]);
+        let kind = WorkKind::Reduce { join, body_size, slots: scratch };
+        let work = Work { func, body, kind, gated };
+        let report = self.launch(region, vtables, module, &work, Span::full(n), &mut Vec::new())?;
+        for &slot in &scratch[..self.reduce_slots(scratch.len())] {
+            let args = [Value::Ptr(body.0, AddrSpace::Cpu), Value::Ptr(slot.0, AddrSpace::Cpu)];
+            self.call(region, vtables, module, join, &args)?;
         }
-        // Sequential join on core 0: body.join(acc_k) for each core.
-        for &slot in scratch.iter().take(slots) {
-            self.call(
-                region,
-                vtables,
-                module,
-                join,
-                &[Value::Ptr(body.0, AddrSpace::Cpu), Value::Ptr(slot.0, AddrSpace::Cpu)],
-            )?;
-        }
-        Ok(self.finish_launch("parallel_reduce"))
+        Ok(report)
     }
 
-    /// The accumulation phase of `parallel_reduce_hetero` over the
-    /// sub-range `[lo, hi)` of a `[0, grid)` iteration space: each core
-    /// folds its chunk into a private copy of `body` held in its `scratch`
-    /// slot, and the partials are left there — the caller joins them
-    /// (possibly together with another device's partials).
+    /// Number of scratch slots a reduction will actually use.
+    pub fn reduce_slots(&self, scratch_len: usize) -> usize {
+        (self.cfg.cores.max(1) as usize).min(scratch_len)
+    }
+
+    /// The static tiling of `work` over `span`: one `(lo, hi, first kernel
+    /// argument)` per simulated core. A reduction tiles over its used
+    /// slots and hands chunk `k` slot `k` to accumulate into; every slot
+    /// gets a chunk, even an empty one, so the caller joins exactly
+    /// [`CpuSim::reduce_slots`] partials.
+    fn chunks(&self, work: &Work<'_>, span: Span) -> Vec<(u32, u32, CpuAddr)> {
+        let cores = self.cfg.cores.max(1) as usize;
+        let (count, slots) = match work.kind {
+            WorkKind::Reduce { slots, .. } => (self.reduce_slots(slots.len()), Some(slots)),
+            WorkKind::Worklist { items } => {
+                assert_eq!(items.len() as u32, span.grid, "one frontier item per work item");
+                (cores, None)
+            }
+            WorkKind::For => (cores, None),
+        };
+        assert!(count >= 1, "need at least one scratch slot");
+        let spans = span_chunks(span.lo, span.hi, count).into_iter().enumerate();
+        spans.map(|(k, (lo, hi))| (lo, hi, slots.map_or(work.body, |s| s[k]))).collect()
+    }
+
+    /// Run `work` over `span`, statically chunked across all cores, and
+    /// append a worklist round's pushes to `pushes` in chunk order. A
+    /// reduction leaves its per-core partials in the slots for the caller
+    /// to join (possibly together with another device's partials).
     ///
-    /// Every slot up to `min(cores, scratch.len())` receives a body copy,
-    /// even when its chunk is empty, so the caller must join exactly that
-    /// many slots.
+    /// Gated kernels (order-dependent operations) execute their chunks in
+    /// order directly against the live region and LLC; everything else is
+    /// [`CpuSim::execute`] followed by [`CpuSim::commit`].
     ///
     /// # Errors
     ///
-    /// Any [`Trap`] raised by the kernel.
+    /// Any [`Trap`] raised by the kernel; nothing is appended to `pushes`
+    /// on a trap.
     ///
     /// # Panics
     ///
-    /// Panics if `scratch` is empty.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_reduce_partials(
+    /// Panics on a reduction without scratch slots, or a worklist round
+    /// whose frontier is not `span.grid` long.
+    pub fn launch(
         &mut self,
         region: &mut SharedRegion,
         vtables: &VtableArea,
         module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        body_size: u64,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-        scratch: &[CpuAddr],
+        work: &Work<'_>,
+        span: Span,
+        pushes: &mut Vec<i32>,
     ) -> Result<CpuReport, Trap> {
-        let slots = self.reduce_slots(scratch.len());
-        assert!(slots >= 1, "need at least one scratch slot");
-        if concord_ir::analysis::uses_gated_ops(module, &[func]) {
-            self.accumulate_partials(
-                region, vtables, module, func, body, body_size, lo, hi, grid, scratch,
-            )?;
-        } else {
-            Self::stage_reduce(region, body, body_size, &scratch[..slots])?;
-            let pending =
-                self.execute_reduce_partials(region, vtables, module, func, lo, hi, grid, scratch);
-            self.commit(region, pending)?;
+        if let WorkKind::Reduce { body_size, slots, .. } = work.kind {
+            let used = self.reduce_slots(slots.len());
+            stage_reduce(region, work.body, body_size, &slots[..used])?;
         }
-        Ok(self.finish_launch("parallel_reduce"))
+        if !work.gated {
+            let pending = self.execute(region, vtables, module, work, span);
+            return self.commit(region, pending, pushes);
+        }
+        self.reset_timing();
+        let mut seg = Vec::new();
+        for (idx, chunk) in self.chunks(work, span).into_iter().enumerate() {
+            let mut env = ChunkEnv {
+                region: &mut *region,
+                core: &mut self.cores[idx],
+                private: &mut self.privates[idx],
+                llc: LlcSink::Live(&mut self.llc),
+                layouts: &mut self.layouts,
+                pushes: &mut seg,
+            };
+            let budget = self.step_budget_per_item;
+            run_chunk(&self.cfg, budget, module, vtables, work, span.grid, chunk, &mut env)?;
+        }
+        pushes.append(&mut seg);
+        Ok(self.finish_launch(work.kind.name()))
     }
 
-    /// Serial accumulation for gated kernels: chunks run in order against
-    /// the live region and LLC, exactly the pre-host-parallel semantics.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_partials(
+    /// Execute the chunks of `work` over `span` without committing: each
+    /// simulated core's chunk runs against a snapshot of `region` with a
+    /// private write-log, possibly on its own host thread.
+    /// [`CpuSim::commit`] merges the logs back in chunk order. A
+    /// reduction's slots must already hold body copies (see
+    /// [`stage_reduce`]).
+    pub fn execute(
         &mut self,
-        region: &mut SharedRegion,
+        region: &SharedRegion,
         vtables: &VtableArea,
         module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        body_size: u64,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-        scratch: &[CpuAddr],
-    ) -> Result<(), Trap> {
+        work: &Work<'_>,
+        span: Span,
+    ) -> CpuPending {
         self.reset_timing();
-        let slots = self.reduce_slots(scratch.len());
-        assert!(slots >= 1, "need at least one scratch slot");
-        Self::stage_reduce(region, body, body_size, &scratch[..slots])?;
-        let spans = span_chunks(lo, hi, slots);
-        for (core_idx, (&acc, &(c_lo, c_hi))) in
-            scratch.iter().take(slots).zip(spans.iter()).enumerate()
-        {
-            for i in c_lo..c_hi {
-                let mut interp = Interp {
-                    module,
-                    region,
-                    vtables,
-                    private: &mut self.privates[core_idx],
-                    core: &mut self.cores[core_idx],
-                    cfg: &self.cfg,
-                    llc: LlcSink::Live(&mut self.llc),
-                    ids: WorkIds { global: i as i64, local: 0, group: i as i64, size: grid as i64 },
-                    step_budget: self.step_budget_per_item,
-                    max_depth: 64,
-                    wl: None,
+        let chunks = self.chunks(work, span);
+        let sim: &CpuSim = self;
+        let outs = concord_pool::map(sim.host_threads, chunks.len(), |idx| {
+            let mut out = ChunkOut {
+                core: sim.cores[idx].clone(),
+                private: sim.privates[idx].clone(),
+                llc_log: Vec::new(),
+                mem_log: Vec::new(),
+                pushes: Vec::new(),
+                trap: None,
+            };
+            let mut shadow = ShadowRegion::new(region);
+            let mut env = ChunkEnv {
+                region: &mut shadow,
+                core: &mut out.core,
+                private: &mut out.private,
+                llc: LlcSink::Log(&mut out.llc_log),
+                layouts: &mut LayoutCache::new(),
+                pushes: &mut out.pushes,
+            };
+            let budget = sim.step_budget_per_item;
+            out.trap = run_chunk(
+                &sim.cfg,
+                budget,
+                module,
+                vtables,
+                work,
+                span.grid,
+                chunks[idx],
+                &mut env,
+            )
+            .err();
+            out.mem_log = shadow.into_log();
+            out
+        });
+        CpuPending { chunks: outs, what: work.kind.name() }
+    }
+
+    /// Merge an executed launch back into the live region, in fixed chunk
+    /// order: replay each chunk's deferred LLC traffic through the shared
+    /// LLC (charging the chunk's core), apply its write-log, adopt its
+    /// core state, and collect its push segment. On a trap, chunks up to
+    /// and including the lowest trapped chunk are committed — matching
+    /// what serial execution would have left behind — that chunk's trap
+    /// is returned, and nothing is appended to `pushes`.
+    ///
+    /// # Errors
+    ///
+    /// The trap of the lowest trapped chunk, if any.
+    pub fn commit(
+        &mut self,
+        region: &mut SharedRegion,
+        pending: CpuPending,
+        pushes: &mut Vec<i32>,
+    ) -> Result<CpuReport, Trap> {
+        let mut seg: Vec<i32> = Vec::new();
+        for (idx, mut chunk) in pending.chunks.into_iter().enumerate() {
+            for &addr in &chunk.llc_log {
+                chunk.core.cycles += if self.llc.access(addr) {
+                    self.cfg.llc_hit_cycles
+                } else {
+                    self.cfg.mem_cycles
                 };
-                interp
-                    .call(
-                        &mut self.layouts,
-                        func,
-                        &[Value::Ptr(acc.0, AddrSpace::Cpu), Value::I(i as i64)],
-                    )
-                    .map_err(|t| t.with_kernel(&module.function(func).name))?;
+            }
+            apply_log(region, &chunk.mem_log);
+            seg.append(&mut chunk.pushes);
+            self.cores[idx] = chunk.core;
+            self.privates[idx] = chunk.private;
+            if let Some(t) = chunk.trap {
+                return Err(t);
             }
         }
-        Ok(())
+        pushes.append(&mut seg);
+        Ok(self.finish_launch(pending.what))
     }
+
+    /// Build the launch report (with TBB-like fork/join overhead) and
+    /// record it on the trace, advancing the simulated device clock.
+    fn finish_launch(&mut self, what: &'static str) -> CpuReport {
+        let r = self.report(5e-6);
+        self.trace_report(what, &r);
+        r
+    }
+}
+
+/// The per-core state one chunk executes against: a live region, core and
+/// LLC on the serial path, or a snapshot with cloned core state and
+/// deferred LLC traffic under host parallelism.
+struct ChunkEnv<'a, M: RegionMem> {
+    region: &'a mut M,
+    core: &'a mut CoreCtx,
+    private: &'a mut PrivateMem,
+    llc: LlcSink<'a>,
+    layouts: &'a mut LayoutCache,
+    /// Worklist push segment, in (work-item, program) order.
+    pushes: &'a mut Vec<i32>,
+}
+
+/// Run work items `[lo, hi)` of one chunk in order, stopping at the first
+/// trap: item `i` calls `func(arg0, i)`, or `func(arg0, items[i])` in a
+/// worklist round.
+#[allow(clippy::too_many_arguments)]
+fn run_chunk<M: RegionMem>(
+    cfg: &CpuConfig,
+    step_budget: u64,
+    module: &Module,
+    vtables: &VtableArea,
+    work: &Work<'_>,
+    grid: u32,
+    (lo, hi, arg0): (u32, u32, CpuAddr),
+    env: &mut ChunkEnv<'_, M>,
+) -> Result<(), Trap> {
+    let items = match work.kind {
+        WorkKind::Worklist { items } => Some(items),
+        _ => None,
+    };
+    let mut interp = Interp {
+        module,
+        region: &mut *env.region,
+        vtables,
+        private: &mut *env.private,
+        core: &mut *env.core,
+        cfg,
+        llc: match &mut env.llc {
+            LlcSink::Live(llc) => LlcSink::Live(llc),
+            LlcSink::Log(log) => LlcSink::Log(log),
+        },
+        ids: WorkIds::default(),
+        step_budget,
+        max_depth: 64,
+        wl: items.map(|_| &mut *env.pushes),
+    };
+    for i in lo..hi {
+        interp.ids = WorkIds { global: i as i64, local: 0, group: i as i64, size: grid as i64 };
+        interp.step_budget = step_budget;
+        let arg1 = items.map_or(i as i64, |items| items[i as usize] as i64);
+        interp
+            .call(env.layouts, work.func, &[Value::Ptr(arg0.0, AddrSpace::Cpu), Value::I(arg1)])
+            .map_err(|t| t.with_kernel(&module.function(work.func).name))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

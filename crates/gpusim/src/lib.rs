@@ -22,10 +22,13 @@ pub use warp::{
 
 use concord_cpusim::interp::{PrivateMem, WorkIds};
 use concord_energy::GpuConfig;
+use concord_ir::analysis::uses_gated_ops;
 use concord_ir::eval::{Trap, Value};
 use concord_ir::types::AddrSpace;
 use concord_ir::{FuncId, Module};
-use concord_svm::{apply_log, CpuAddr, MemOp, RegionMem, ShadowRegion, SharedRegion};
+use concord_svm::{
+    apply_log, CpuAddr, MemOp, RegionMem, ShadowRegion, SharedRegion, Span, Work, WorkKind,
+};
 use concord_trace::{Tracer, Track};
 use std::sync::Mutex;
 use warp::sampled;
@@ -70,8 +73,7 @@ struct WarpOut {
 }
 
 /// An executed-but-uncommitted GPU launch: per-warp timing, L3/trace
-/// logs, and shared-memory write logs, produced by
-/// [`GpuSim::execute_for_span`] / [`GpuSim::execute_reduce_span`]
+/// logs, and shared-memory write logs, produced by [`GpuSim::execute`]
 /// (possibly on many host threads) and merged in fixed warp order by
 /// [`GpuSim::commit`], so results are byte-identical for every
 /// host-thread count.
@@ -187,7 +189,8 @@ impl GpuSim {
     }
 
     /// Launch `parallel_for_hetero(n, body)` on the GPU: work-item `i`
-    /// executes `func(body, i)` in a SIMD lane.
+    /// executes `func(body, i)` in a SIMD lane. A convenience over
+    /// [`GpuSim::launch`].
     ///
     /// # Errors
     ///
@@ -200,347 +203,203 @@ impl GpuSim {
         body: CpuAddr,
         n: u32,
     ) -> Result<GpuReport, Trap> {
-        self.parallel_for_span(region, module, func, body, 0, n, n)
+        let gated = uses_gated_ops(module, &[func]);
+        let work = Work { func, body, kind: WorkKind::For, gated };
+        self.launch(region, module, &work, Span::full(n), &mut Vec::new())
     }
 
-    /// Launch the sub-range `[lo, hi)` of a `parallel_for_hetero` whose
-    /// full iteration space is `[0, grid)`. Work-item ids stay global, so
-    /// a split construct computes exactly what the unsplit one would.
+    /// Launch `parallel_reduce_hetero(n, body)` on the GPU, leaving one
+    /// partial per warp in `scratch` for the caller to join on the host.
+    /// A convenience over [`GpuSim::launch`].
     ///
     /// # Errors
     ///
-    /// Any [`Trap`]: missing translations, faults, runaway loops.
+    /// Any [`Trap`].
     #[allow(clippy::too_many_arguments)]
-    pub fn parallel_for_span(
+    pub fn parallel_reduce(
         &mut self,
         region: &mut SharedRegion,
         module: &Module,
         func: FuncId,
+        join: FuncId,
         body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
+        body_size: u64,
+        n: u32,
+        scratch: &[CpuAddr],
     ) -> Result<GpuReport, Trap> {
-        if concord_ir::analysis::uses_gated_ops(module, &[func]) {
-            return self.serial_for_span(region, module, func, body, lo, hi, grid);
-        }
-        let pending = self.execute_for_span(region, module, func, body, lo, hi, grid);
-        self.commit(region, pending)
+        let gated = uses_gated_ops(module, &[func, join]);
+        let kind = WorkKind::Reduce { join, body_size, slots: scratch };
+        let work = Work { func, body, kind, gated };
+        self.launch(region, module, &work, Span::full(n), &mut Vec::new())
     }
 
-    /// Warp count and latency-hiding factor for a `[lo, hi)` span.
-    fn geometry(&self, lo: u32, hi: u32) -> (u64, f64) {
-        let warps = ((hi - lo) as u64).div_ceil(self.cfg.simd_width as u64);
+    /// Warp count and latency-hiding factor for `work` over `span`.
+    ///
+    /// # Panics
+    ///
+    /// On a reduction with fewer slots than warps or body copies that
+    /// exceed local memory, and on a worklist round whose frontier is not
+    /// `span.grid` long.
+    fn geometry(&self, work: &Work<'_>, span: Span) -> (u64, f64) {
+        let warps = u64::from(span.items()).div_ceil(self.cfg.simd_width as u64);
         let eus = self.cfg.eus as usize;
         let hiding = (warps as f64 / eus as f64).clamp(1.0, self.cfg.threads_per_eu as f64);
+        match work.kind {
+            WorkKind::Reduce { body_size, slots, .. } => {
+                assert!(
+                    slots.len() as u64 >= warps,
+                    "need one scratch slot per warp ({warps}), got {}",
+                    slots.len()
+                );
+                assert!(
+                    body_size * self.cfg.simd_width as u64 <= self.cfg.local_bytes,
+                    "body copies exceed local memory; the runtime should have fallen back"
+                );
+            }
+            WorkKind::Worklist { items } => {
+                assert_eq!(items.len() as u32, span.grid, "one frontier item per work-item");
+            }
+            WorkKind::For => {}
+        }
         (warps, hiding)
     }
 
-    /// Execute the warps of a `parallel_for` span without committing: each
-    /// warp runs against a snapshot of `region` with a private write-log,
-    /// possibly on its own host thread. [`GpuSim::commit`] merges the logs
-    /// back in warp order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_for_span(
-        &self,
-        region: &SharedRegion,
-        module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-    ) -> GpuPending {
-        let width = self.cfg.simd_width;
-        let eus = self.cfg.eus as u64;
-        let (warps, hiding) = self.geometry(lo, hi);
-        let meta = Mutex::new(MetaCache::new());
-        let trace_on = self.tracer.enabled();
-        let outs = concord_pool::map_dynamic(self.host_threads, warps as usize, |wi| {
-            let w = wi as u64;
-            let base = lo as u64 + w * width as u64;
-            let (lanes, mask) = self.make_lanes(w, base, hi, grid, width);
-            let mut shadow = ShadowRegion::new(region);
-            let mut warp = Warp {
-                module,
-                region: &mut shadow,
-                cfg: &self.cfg,
-                meta: &meta,
-                lanes,
-                local: vec![0; self.cfg.local_bytes as usize],
-                eu: (w % eus) as u32,
-                wave: (w / eus) as u32,
-                timing: WarpTiming::default(),
-                step_budget: self.step_budget_per_warp,
-                hiding,
-                trace_enabled: trace_on,
-                log: Vec::new(),
-                divergences: 0,
-                reconvergences: 0,
-                wl: None,
-            };
-            let args: Vec<Vec<Value>> = (0..width as usize)
-                .map(|l| {
-                    vec![Value::Ptr(body.0, AddrSpace::Cpu), Value::I((base + l as u64) as i64)]
-                })
-                .collect();
-            let trap = warp
-                .exec_function(mask, func, &args, 0)
-                .map_err(|t| t.with_kernel(&module.function(func).name))
-                .err();
-            WarpOut {
-                timing: warp.timing,
-                log: warp.log,
-                mem_log: shadow.into_log(),
-                trap,
-                pushes: Vec::new(),
-            }
-        });
-        GpuPending { warps: outs, hiding }
-    }
-
-    /// Serial path for kernels with order-dependent operations
-    /// (`device_malloc`, compare-and-swap): warps execute in order against
-    /// the live region, each committing its L3/trace log immediately.
-    #[allow(clippy::too_many_arguments)]
-    fn serial_for_span(
-        &mut self,
-        region: &mut SharedRegion,
-        module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-    ) -> Result<GpuReport, Trap> {
-        self.l3.flush();
-        let width = self.cfg.simd_width;
-        let eus = self.cfg.eus as usize;
-        let (warps, hiding) = self.geometry(lo, hi);
-        let mut eu_cycles = vec![0.0f64; eus];
-        let mut eu_issue = vec![0.0f64; eus];
-        let mut totals = WarpTiming::default();
-        let meta = Mutex::new(MetaCache::new());
-        for w in 0..warps {
-            let eu = (w % eus as u64) as u32;
-            let wave = (w / eus as u64) as u32;
-            let base = lo as u64 + w * width as u64;
-            let (lanes, mask) = self.make_lanes(w, base, hi, grid, width);
-            let mut warp = Warp {
-                module,
-                region: &mut *region,
-                cfg: &self.cfg,
-                meta: &meta,
-                lanes,
-                local: vec![0; self.cfg.local_bytes as usize],
-                eu,
-                wave,
-                timing: WarpTiming::default(),
-                step_budget: self.step_budget_per_warp,
-                hiding,
-                trace_enabled: self.tracer.enabled(),
-                log: Vec::new(),
-                divergences: 0,
-                reconvergences: 0,
-                wl: None,
-            };
-            let args: Vec<Vec<Value>> = (0..width as usize)
-                .map(|l| {
-                    vec![Value::Ptr(body.0, AddrSpace::Cpu), Value::I((base + l as u64) as i64)]
-                })
-                .collect();
-            let res = warp
-                .exec_function(mask, func, &args, 0)
-                .map_err(|t| t.with_kernel(&module.function(func).name));
-            let mut timing = warp.timing;
-            let log = warp.log;
-            self.replay_warp_log(log, &mut timing, eu, wave, hiding);
-            res?;
-            accumulate(&mut eu_cycles, &mut eu_issue, &mut totals, eu, timing);
-        }
-        Ok(self.finish_report(&eu_cycles, &eu_issue, totals, warps))
-    }
-
-    /// Launch one round of `parallel_worklist_hetero` over the frontier
-    /// sub-range `[lo, hi)` of a `[0, grid)` frontier: work-item `i`
-    /// executes `func(body, items[i - lo])` in a SIMD lane, and `push`ed
-    /// items are appended to `pushes` in fixed (warp, lane) order. The
-    /// caller merges the per-target segments into the next frontier by
-    /// sorting and deduplicating, so the contents are independent of the
-    /// warp schedule.
+    /// Run `work` over `span`: work-item `i` executes in a SIMD lane of
+    /// warp `(i - span.lo) / simd_width`, and a worklist round's pushes
+    /// are appended to `pushes` in fixed (warp, lane) order. A reduction
+    /// (§3.3) has each lane copy the body into private memory, run
+    /// `operator()` on the copy, move it to work-group local memory, and
+    /// tree-reduce the warp's copies with `join`; lane 0's result lands in
+    /// the warp's slot for the caller to join on the host.
+    ///
+    /// Gated kernels (order-dependent operations) run their warps in
+    /// order against the live region, each committing immediately;
+    /// everything else is [`GpuSim::execute`] followed by
+    /// [`GpuSim::commit`].
     ///
     /// # Errors
     ///
-    /// Any [`Trap`]; a trap discards the round's pushes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_worklist_span(
+    /// Any [`Trap`]: missing translations, faults, runaway loops. A trap
+    /// discards the round's pushes.
+    pub fn launch(
         &mut self,
         region: &mut SharedRegion,
         module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-        items: &[i32],
+        work: &Work<'_>,
+        span: Span,
         pushes: &mut Vec<i32>,
     ) -> Result<GpuReport, Trap> {
-        assert_eq!(items.len() as u32, hi - lo, "one frontier item per work-item");
-        if concord_ir::analysis::uses_gated_ops(module, &[func]) {
-            return self
-                .serial_worklist_span(region, module, func, body, lo, hi, grid, items, pushes);
+        if !work.gated {
+            let pending = self.execute(region, module, work, span);
+            return self.commit(region, pending, pushes);
         }
-        let pending = self.execute_worklist_span(region, module, func, body, lo, hi, grid, items);
-        self.commit_collect(region, pending, Some(pushes))
+        let (warps, hiding) = self.geometry(work, span);
+        let meta = Mutex::new(MetaCache::new());
+        let mut merge = Merge::new(self, hiding);
+        for w in 0..warps {
+            let out = self.run_warp(region, module, &meta, work, span, w, hiding);
+            merge.warp(self, region, w, out)?;
+        }
+        Ok(merge.finish(self, warps, pushes))
     }
 
-    /// Execute the warps of a worklist round without committing: like
-    /// [`GpuSim::execute_for_span`], but lane `i` receives frontier item
-    /// `items[i - lo]` as its argument and collects `push`es into a
-    /// per-warp segment.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_worklist_span(
+    /// Execute the warps of `work` over `span` without committing: each
+    /// warp runs against a snapshot of `region` with a private write-log,
+    /// possibly on its own host thread. [`GpuSim::commit`] merges the logs
+    /// back in warp order.
+    pub fn execute(
         &self,
         region: &SharedRegion,
         module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-        items: &[i32],
+        work: &Work<'_>,
+        span: Span,
     ) -> GpuPending {
-        let width = self.cfg.simd_width;
-        let eus = self.cfg.eus as u64;
-        let (warps, hiding) = self.geometry(lo, hi);
+        let (warps, hiding) = self.geometry(work, span);
         let meta = Mutex::new(MetaCache::new());
-        let trace_on = self.tracer.enabled();
-        let outs = concord_pool::map_dynamic(self.host_threads, warps as usize, |wi| {
-            let w = wi as u64;
-            let base = lo as u64 + w * width as u64;
-            let (lanes, mask) = self.make_lanes(w, base, hi, grid, width);
+        let outs = concord_pool::map_dynamic(self.host_threads, warps as usize, |w| {
             let mut shadow = ShadowRegion::new(region);
-            let mut warp = Warp {
-                module,
-                region: &mut shadow,
-                cfg: &self.cfg,
-                meta: &meta,
-                lanes,
-                local: vec![0; self.cfg.local_bytes as usize],
-                eu: (w % eus) as u32,
-                wave: (w / eus) as u32,
-                timing: WarpTiming::default(),
-                step_budget: self.step_budget_per_warp,
-                hiding,
-                trace_enabled: trace_on,
-                log: Vec::new(),
-                divergences: 0,
-                reconvergences: 0,
-                wl: Some(Vec::new()),
-            };
-            let args: Vec<Vec<Value>> = (0..width as usize)
-                .map(|l| {
-                    // Inactive lanes (beyond `hi`) are masked off; give
-                    // them a zero argument.
-                    let idx = (base + l as u64 - lo as u64) as usize;
-                    let item = items.get(idx).copied().unwrap_or(0);
-                    vec![Value::Ptr(body.0, AddrSpace::Cpu), Value::I(item as i64)]
-                })
-                .collect();
-            let trap = warp
-                .exec_function(mask, func, &args, 0)
-                .map_err(|t| t.with_kernel(&module.function(func).name))
-                .err();
-            let pushes = warp.wl.take().unwrap_or_default();
-            WarpOut { timing: warp.timing, log: warp.log, mem_log: shadow.into_log(), trap, pushes }
+            let mut out = self.run_warp(&mut shadow, module, &meta, work, span, w as u64, hiding);
+            out.mem_log = shadow.into_log();
+            out
         });
         GpuPending { warps: outs, hiding }
     }
 
-    /// Serial worklist path for gated kernels (see
-    /// [`GpuSim::serial_for_span`]): warps execute in order against the
-    /// live region, appending their push segments to `pushes` in warp
-    /// order. A trap discards the round's pushes.
+    /// Run warp `w` of `work` against `region` — live on the gated path, a
+    /// snapshot under host parallelism (the caller collects its write
+    /// log). L3 traffic and trace events are deferred to the returned log.
     #[allow(clippy::too_many_arguments)]
-    fn serial_worklist_span(
-        &mut self,
-        region: &mut SharedRegion,
+    fn run_warp<M: RegionMem>(
+        &self,
+        region: &mut M,
         module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-        items: &[i32],
-        pushes: &mut Vec<i32>,
-    ) -> Result<GpuReport, Trap> {
-        self.l3.flush();
+        meta: &Mutex<MetaCache>,
+        work: &Work<'_>,
+        span: Span,
+        w: u64,
+        hiding: f64,
+    ) -> WarpOut {
         let width = self.cfg.simd_width;
-        let eus = self.cfg.eus as usize;
-        let (warps, hiding) = self.geometry(lo, hi);
-        let mut eu_cycles = vec![0.0f64; eus];
-        let mut eu_issue = vec![0.0f64; eus];
-        let mut totals = WarpTiming::default();
-        let mut seg: Vec<i32> = Vec::new();
-        let meta = Mutex::new(MetaCache::new());
-        for w in 0..warps {
-            let eu = (w % eus as u64) as u32;
-            let wave = (w / eus as u64) as u32;
-            let base = lo as u64 + w * width as u64;
-            let (lanes, mask) = self.make_lanes(w, base, hi, grid, width);
-            let mut warp = Warp {
-                module,
-                region: &mut *region,
-                cfg: &self.cfg,
-                meta: &meta,
-                lanes,
-                local: vec![0; self.cfg.local_bytes as usize],
-                eu,
-                wave,
-                timing: WarpTiming::default(),
-                step_budget: self.step_budget_per_warp,
-                hiding,
-                trace_enabled: self.tracer.enabled(),
-                log: Vec::new(),
-                divergences: 0,
-                reconvergences: 0,
-                wl: Some(Vec::new()),
-            };
-            let args: Vec<Vec<Value>> = (0..width as usize)
-                .map(|l| {
-                    let idx = (base + l as u64 - lo as u64) as usize;
-                    let item = items.get(idx).copied().unwrap_or(0);
-                    vec![Value::Ptr(body.0, AddrSpace::Cpu), Value::I(item as i64)]
+        let eus = self.cfg.eus as u64;
+        let base = span.lo as u64 + w * width as u64;
+        let (lanes, mask) = self.make_lanes(w, base, span.hi, span.grid, width);
+        let items = match work.kind {
+            WorkKind::Worklist { items } => Some(items),
+            _ => None,
+        };
+        let mut warp = Warp {
+            module,
+            region,
+            cfg: &self.cfg,
+            meta,
+            lanes,
+            local: vec![0; self.cfg.local_bytes as usize],
+            eu: (w % eus) as u32,
+            wave: (w / eus) as u32,
+            timing: WarpTiming::default(),
+            step_budget: self.step_budget_per_warp,
+            hiding,
+            trace_enabled: self.tracer.enabled(),
+            log: Vec::new(),
+            divergences: 0,
+            reconvergences: 0,
+            wl: items.map(|_| Vec::new()),
+        };
+        let res = if let WorkKind::Reduce { join, body_size, slots } = work.kind {
+            let slot = slots[w as usize];
+            reduce_warp_steps(&mut warp, work, join, body_size, base, span.hi, mask, width, slot)
+        } else {
+            // Lane `l` receives its work-item id, or its frontier item in
+            // a worklist round; lanes beyond `hi` are masked off and get a
+            // zero argument.
+            let args: Vec<Vec<Value>> = (base..base + width as u64)
+                .map(|i| {
+                    let arg = items.map_or(i as i64, |items| {
+                        i64::from(items.get(i as usize).copied().unwrap_or(0))
+                    });
+                    vec![Value::Ptr(work.body.0, AddrSpace::Cpu), Value::I(arg)]
                 })
                 .collect();
-            // One lane at a time, ascending: gated worklist bodies read
-            // values their own round already wrote (cas-guarded pushes),
-            // so lanes must see each other's effects exactly as the
+            // A gated worklist body reads values its own round already
+            // wrote (cas-guarded pushes), so lanes run one at a time,
+            // ascending, and see each other's effects exactly as the
             // cpusim/native serial paths do — lockstep lane loads would
             // observe stale values and drop relaxations.
-            let mut res = Ok(());
-            for l in 0..width {
-                if mask & (1 << l) == 0 {
-                    continue;
-                }
-                res = warp
-                    .exec_function(1 << l, func, &args, 0)
-                    .map(|_| ())
-                    .map_err(|t| t.with_kernel(&module.function(func).name));
-                if res.is_err() {
-                    break;
-                }
-            }
-            let mut timing = warp.timing;
-            let wl_seg = warp.wl.take().unwrap_or_default();
-            let log = warp.log;
-            self.replay_warp_log(log, &mut timing, eu, wave, hiding);
-            res?;
-            seg.extend(wl_seg);
-            accumulate(&mut eu_cycles, &mut eu_issue, &mut totals, eu, timing);
+            let mut run = |m: Mask| warp.exec_function(m, work.func, &args, 0).map(|_| ());
+            let res = if work.gated && items.is_some() {
+                active(mask, width as usize).try_for_each(|l| run(1 << l))
+            } else {
+                run(mask)
+            };
+            res.map_err(|t| t.with_kernel(&module.function(work.func).name))
+        };
+        WarpOut {
+            timing: warp.timing,
+            pushes: warp.wl.take().unwrap_or_default(),
+            log: warp.log,
+            mem_log: Vec::new(),
+            trap: res.err(),
         }
-        pushes.append(&mut seg);
-        Ok(self.finish_report(&eu_cycles, &eu_issue, totals, warps))
     }
 
     /// Replay one warp's deferred L3 accesses and trace events against the
@@ -619,11 +478,13 @@ impl GpuSim {
     }
 
     /// Merge an executed launch back into the live region and the shared
-    /// L3, in fixed warp order. On a trap, warps up to and including the
-    /// lowest trapped warp are committed (their writes and L3 traffic —
-    /// matching what the serial path would have left behind) and that
-    /// warp's trap is returned, which is always the trap of the lowest
-    /// trapping global work-item id.
+    /// L3, in fixed warp order, appending each warp's push segment to
+    /// `pushes`. On a trap, warps up to and including the lowest trapped
+    /// warp are committed (their writes and L3 traffic — matching what
+    /// the serial path would have left behind), that warp's trap — always
+    /// the trap of the lowest trapping global work-item id — is returned,
+    /// and nothing is appended to `pushes`: the runtime aborts the
+    /// worklist round, so partial frontiers must not escape.
     ///
     /// # Errors
     ///
@@ -632,284 +493,72 @@ impl GpuSim {
         &mut self,
         region: &mut SharedRegion,
         pending: GpuPending,
+        pushes: &mut Vec<i32>,
     ) -> Result<GpuReport, Trap> {
-        self.commit_collect(region, pending, None)
-    }
-
-    /// [`GpuSim::commit`] that additionally drains each committed warp's
-    /// next-frontier push segment, in warp order, into `pushes`. Nothing
-    /// is appended when a warp trapped: the runtime aborts the worklist
-    /// round, so partial frontiers must not escape.
-    ///
-    /// # Errors
-    ///
-    /// The trap of the lowest trapped warp, if any.
-    pub fn commit_collect(
-        &mut self,
-        region: &mut SharedRegion,
-        pending: GpuPending,
-        pushes: Option<&mut Vec<i32>>,
-    ) -> Result<GpuReport, Trap> {
-        self.l3.flush();
-        let eus = self.cfg.eus as usize;
-        let GpuPending { warps, hiding } = pending;
-        let warp_count = warps.len() as u64;
-        let mut eu_cycles = vec![0.0f64; eus];
-        let mut eu_issue = vec![0.0f64; eus];
-        let mut totals = WarpTiming::default();
-        let mut seg: Vec<i32> = Vec::new();
-        for (w, out) in warps.into_iter().enumerate() {
-            let eu = (w % eus) as u32;
-            let wave = (w / eus) as u32;
-            apply_log(region, &out.mem_log);
-            let mut timing = out.timing;
-            self.replay_warp_log(out.log, &mut timing, eu, wave, hiding);
-            if let Some(t) = out.trap {
-                return Err(t);
-            }
-            seg.extend(out.pushes);
-            accumulate(&mut eu_cycles, &mut eu_issue, &mut totals, eu, timing);
+        let warps = pending.warps.len() as u64;
+        let mut merge = Merge::new(self, pending.hiding);
+        for (w, out) in pending.warps.into_iter().enumerate() {
+            merge.warp(self, region, w as u64, out)?;
         }
-        if let Some(p) = pushes {
-            p.append(&mut seg);
-        }
-        Ok(self.finish_report(&eu_cycles, &eu_issue, totals, warp_count))
-    }
-
-    /// Launch `parallel_reduce_hetero(n, body)` on the GPU (§3.3):
-    ///
-    /// 1. each lane copies the body into its private memory,
-    /// 2. runs `operator()` on its private copy,
-    /// 3. copies the private copy into work-group local memory,
-    /// 4. the warp tree-reduces the local copies with `join`, and
-    /// 5. lane 0's result is written to the warp's slot in `scratch`.
-    ///
-    /// The caller (runtime) joins the per-warp partials on the host.
-    ///
-    /// `scratch` must hold one body-sized shared slot per warp.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`]; also if `scratch` is shorter than the warp count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_reduce(
-        &mut self,
-        region: &mut SharedRegion,
-        module: &Module,
-        func: FuncId,
-        join: FuncId,
-        body: CpuAddr,
-        body_size: u64,
-        n: u32,
-        scratch: &[CpuAddr],
-    ) -> Result<GpuReport, Trap> {
-        self.parallel_reduce_span(region, module, func, join, body, body_size, 0, n, n, scratch)
-    }
-
-    /// The sub-range `[lo, hi)` variant of [`GpuSim::parallel_reduce`] over
-    /// a `[0, grid)` iteration space: per-warp partials for the sub-range
-    /// are left in `scratch` (one slot per sub-range warp) and the caller
-    /// joins them on the host.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`]; also if `scratch` is shorter than the warp count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_reduce_span(
-        &mut self,
-        region: &mut SharedRegion,
-        module: &Module,
-        func: FuncId,
-        join: FuncId,
-        body: CpuAddr,
-        body_size: u64,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-        scratch: &[CpuAddr],
-    ) -> Result<GpuReport, Trap> {
-        if concord_ir::analysis::uses_gated_ops(module, &[func, join]) {
-            return self.serial_reduce_span(
-                region, module, func, join, body, body_size, lo, hi, grid, scratch,
-            );
-        }
-        let pending = self.execute_reduce_span(
-            region, module, func, join, body, body_size, lo, hi, grid, scratch,
-        );
-        self.commit(region, pending)
-    }
-
-    fn check_reduce_geometry(&self, warps: u64, scratch_len: usize, body_size: u64) {
-        assert!(
-            scratch_len as u64 >= warps,
-            "need one scratch slot per warp ({warps}), got {scratch_len}"
-        );
-        assert!(
-            body_size * self.cfg.simd_width as u64 <= self.cfg.local_bytes,
-            "body copies exceed local memory; the runtime should have fallen back"
-        );
-    }
-
-    /// Execute the warps of a `parallel_reduce` span without committing;
-    /// each warp leaves its partial in its `scratch` slot via its write
-    /// log. See [`GpuSim::parallel_reduce`] for the per-warp steps.
-    ///
-    /// # Panics
-    ///
-    /// If `scratch` is shorter than the warp count, or body copies exceed
-    /// local memory.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_reduce_span(
-        &self,
-        region: &SharedRegion,
-        module: &Module,
-        func: FuncId,
-        join: FuncId,
-        body: CpuAddr,
-        body_size: u64,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-        scratch: &[CpuAddr],
-    ) -> GpuPending {
-        let width = self.cfg.simd_width;
-        let eus = self.cfg.eus as u64;
-        let (warps, hiding) = self.geometry(lo, hi);
-        self.check_reduce_geometry(warps, scratch.len(), body_size);
-        let meta = Mutex::new(MetaCache::new());
-        let trace_on = self.tracer.enabled();
-        let outs = concord_pool::map_dynamic(self.host_threads, warps as usize, |wi| {
-            let w = wi as u64;
-            let base = lo as u64 + w * width as u64;
-            let (lanes, mask) = self.make_lanes(w, base, hi, grid, width);
-            let mut shadow = ShadowRegion::new(region);
-            let mut warp = Warp {
-                module,
-                region: &mut shadow,
-                cfg: &self.cfg,
-                meta: &meta,
-                lanes,
-                local: vec![0; self.cfg.local_bytes as usize],
-                eu: (w % eus) as u32,
-                wave: (w / eus) as u32,
-                timing: WarpTiming::default(),
-                step_budget: self.step_budget_per_warp,
-                hiding,
-                trace_enabled: trace_on,
-                log: Vec::new(),
-                divergences: 0,
-                reconvergences: 0,
-                wl: None,
-            };
-            let trap = reduce_warp_steps(
-                &mut warp,
-                module,
-                func,
-                join,
-                body,
-                body_size,
-                base,
-                hi,
-                mask,
-                width,
-                scratch[wi],
-            )
-            .err();
-            WarpOut {
-                timing: warp.timing,
-                log: warp.log,
-                mem_log: shadow.into_log(),
-                trap,
-                pushes: Vec::new(),
-            }
-        });
-        GpuPending { warps: outs, hiding }
-    }
-
-    /// Serial reduce path for gated kernels (see [`GpuSim::serial_for_span`]).
-    #[allow(clippy::too_many_arguments)]
-    fn serial_reduce_span(
-        &mut self,
-        region: &mut SharedRegion,
-        module: &Module,
-        func: FuncId,
-        join: FuncId,
-        body: CpuAddr,
-        body_size: u64,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-        scratch: &[CpuAddr],
-    ) -> Result<GpuReport, Trap> {
-        self.l3.flush();
-        let width = self.cfg.simd_width;
-        let eus = self.cfg.eus as usize;
-        let (warps, hiding) = self.geometry(lo, hi);
-        self.check_reduce_geometry(warps, scratch.len(), body_size);
-        let mut eu_cycles = vec![0.0f64; eus];
-        let mut eu_issue = vec![0.0f64; eus];
-        let mut totals = WarpTiming::default();
-        let meta = Mutex::new(MetaCache::new());
-        for w in 0..warps {
-            let eu = (w % eus as u64) as u32;
-            let wave = (w / eus as u64) as u32;
-            let base = lo as u64 + w * width as u64;
-            let (lanes, mask) = self.make_lanes(w, base, hi, grid, width);
-            let mut warp = Warp {
-                module,
-                region: &mut *region,
-                cfg: &self.cfg,
-                meta: &meta,
-                lanes,
-                local: vec![0; self.cfg.local_bytes as usize],
-                eu,
-                wave,
-                timing: WarpTiming::default(),
-                step_budget: self.step_budget_per_warp,
-                hiding,
-                trace_enabled: self.tracer.enabled(),
-                log: Vec::new(),
-                divergences: 0,
-                reconvergences: 0,
-                wl: None,
-            };
-            let res = reduce_warp_steps(
-                &mut warp,
-                module,
-                func,
-                join,
-                body,
-                body_size,
-                base,
-                hi,
-                mask,
-                width,
-                scratch[w as usize],
-            );
-            let mut timing = warp.timing;
-            let log = warp.log;
-            self.replay_warp_log(log, &mut timing, eu, wave, hiding);
-            res?;
-            accumulate(&mut eu_cycles, &mut eu_issue, &mut totals, eu, timing);
-        }
-        Ok(self.finish_report(&eu_cycles, &eu_issue, totals, warps))
+        Ok(merge.finish(self, warps, pushes))
     }
 }
 
-/// Accumulate one committed warp's timing into the launch totals.
-fn accumulate(
-    eu_cycles: &mut [f64],
-    eu_issue: &mut [f64],
-    totals: &mut WarpTiming,
-    eu: u32,
-    t: WarpTiming,
-) {
-    eu_cycles[eu as usize] += t.issue + t.stall;
-    eu_issue[eu as usize] += t.issue;
-    totals.insts += t.insts;
-    totals.translations += t.translations;
-    totals.transactions += t.transactions;
-    totals.contended += t.contended;
+/// The in-warp-order merge of a launch's warps into the live region, the
+/// shared L3, and the launch totals — the commit half of both execution
+/// styles.
+struct Merge {
+    eu_cycles: Vec<f64>,
+    eu_issue: Vec<f64>,
+    totals: WarpTiming,
+    pushes: Vec<i32>,
+    hiding: f64,
+}
+
+impl Merge {
+    fn new(sim: &mut GpuSim, hiding: f64) -> Merge {
+        sim.l3.flush();
+        let eus = sim.cfg.eus as usize;
+        Merge {
+            eu_cycles: vec![0.0; eus],
+            eu_issue: vec![0.0; eus],
+            totals: WarpTiming::default(),
+            pushes: Vec::new(),
+            hiding,
+        }
+    }
+
+    /// Commit warp `w`: apply its write log, replay its L3 traffic and
+    /// trace events, then surface its trap or fold in its timing.
+    fn warp(
+        &mut self,
+        sim: &mut GpuSim,
+        region: &mut SharedRegion,
+        w: u64,
+        out: WarpOut,
+    ) -> Result<(), Trap> {
+        let eus = sim.cfg.eus as u64;
+        let (eu, wave) = ((w % eus) as u32, (w / eus) as u32);
+        apply_log(region, &out.mem_log);
+        let mut timing = out.timing;
+        sim.replay_warp_log(out.log, &mut timing, eu, wave, self.hiding);
+        if let Some(t) = out.trap {
+            return Err(t);
+        }
+        self.pushes.extend(out.pushes);
+        self.eu_cycles[eu as usize] += timing.issue + timing.stall;
+        self.eu_issue[eu as usize] += timing.issue;
+        self.totals.insts += timing.insts;
+        self.totals.translations += timing.translations;
+        self.totals.transactions += timing.transactions;
+        self.totals.contended += timing.contended;
+        Ok(())
+    }
+
+    fn finish(mut self, sim: &mut GpuSim, warps: u64, pushes: &mut Vec<i32>) -> GpuReport {
+        pushes.append(&mut self.pushes);
+        sim.finish_report(&self.eu_cycles, &self.eu_issue, self.totals, warps)
+    }
 }
 
 /// The per-warp reduction sequence (§3.3): private body copies, the
@@ -918,10 +567,8 @@ fn accumulate(
 #[allow(clippy::too_many_arguments)]
 fn reduce_warp_steps<M: RegionMem>(
     warp: &mut Warp<'_, M>,
-    module: &Module,
-    func: FuncId,
+    work: &Work<'_>,
     join: FuncId,
-    body: CpuAddr,
     body_size: u64,
     base: u64,
     hi: u32,
@@ -935,7 +582,7 @@ fn reduce_warp_steps<M: RegionMem>(
         let frame = warp.lanes[l].private.push_frame_public(body_size)?;
         let addr = concord_cpusim::PRIVATE_BASE + frame;
         priv_copy[l] = addr;
-        warp.lane_memcpy(l, addr, body.to_gpu().0, body_size)?;
+        warp.lane_memcpy(l, addr, work.body.to_gpu().0, body_size)?;
     }
     // 2. operator() on private copies.
     let args: Vec<Vec<Value>> = (0..width as usize)
@@ -943,8 +590,8 @@ fn reduce_warp_steps<M: RegionMem>(
             vec![Value::Ptr(priv_copy[l], AddrSpace::Private), Value::I((base + l as u64) as i64)]
         })
         .collect();
-    warp.exec_function(mask, func, &args, 0)
-        .map_err(|t| t.with_kernel(&module.function(func).name))?;
+    warp.exec_function(mask, work.func, &args, 0)
+        .map_err(|t| t.with_kernel(&warp.module.function(work.func).name))?;
     // 3. Private → local.
     for l in active(mask, width as usize) {
         let local_slot = LOCAL_BASE + l as u64 * body_size;
@@ -970,7 +617,7 @@ fn reduce_warp_steps<M: RegionMem>(
                 })
                 .collect();
             warp.exec_function(jmask, join, &jargs, 0)
-                .map_err(|t| t.with_kernel(&module.function(join).name))?;
+                .map_err(|t| t.with_kernel(&warp.module.function(join).name))?;
         }
         stride /= 2;
     }

@@ -7,8 +7,8 @@
 //! The executor reuses [`concord_cpusim::span_chunks`] with the same chunk
 //! count (the simulated core count), so chunk `k` covers exactly the same
 //! work-item ids as it would under `CpuSim`. Kernels with order-dependent
-//! operations (`device_malloc`, compare-and-swap — see
-//! [`concord_ir::analysis::uses_gated_ops`]) run chunks serially in order,
+//! operations (`device_malloc`, compare-and-swap — [`Work::gated`], decided
+//! by the caller) run chunks serially in order,
 //! like the simulator's serial path. Kernels `concord-analyze` classifies
 //! as **cross-item read hazards** (CA108: a work item may load bytes
 //! another item stores, so *intermediate* dynamics depend on the
@@ -29,11 +29,10 @@
 //! chunk logs up to the trapped chunk, native has already written live)
 //! — callers treat a trapped launch as poisoned either way.
 
-use concord_cpusim::{span_chunks, CpuSim};
-use concord_ir::analysis::uses_gated_ops;
+use concord_cpusim::span_chunks;
 use concord_ir::eval::Trap;
 use concord_ir::{FuncId, Module};
-use concord_svm::{CpuAddr, SharedRegion};
+use concord_svm::{stage_reduce, CpuAddr, SharedRegion, Span, Work, WorkKind};
 use std::collections::HashMap;
 
 use crate::env::{Env, PRIVATE_BYTES};
@@ -116,360 +115,168 @@ impl Executor {
         })
     }
 
-    /// Execute the sub-range `[lo, hi)` of a `parallel_for_hetero` whose
-    /// full iteration space is `[0, grid)`: iteration `i` calls
-    /// `func(body, i)` with global work-item id `i`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] raised by the kernel; under host parallelism the
-    /// lowest-work-item trap wins, as it would serially.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_for(
-        &mut self,
-        region: &mut SharedRegion,
-        nm: &NativeModule,
-        module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-    ) -> Result<LaunchStats, Trap> {
-        let name = &module.function(func).name;
-        let entry = jit(nm.code_ptrs[func.0 as usize]);
-        let spans = span_chunks(lo, hi, self.cores);
-        let gated = uses_gated_ops(module, &[func]);
-        let hazard = !gated && self.hazardous(module, func, false);
-        if gated || hazard {
-            if hazard {
-                self.hazard_serialized += 1;
-            }
-            let mut stats = LaunchStats::default();
-            for (core_idx, &(c_lo, c_hi)) in spans.iter().enumerate() {
-                let run = self.run_chunk(region, nm, entry, name, core_idx, c_lo, c_hi, grid, body);
-                stats.insts += run.1;
-                if let Some(t) = run.0 {
-                    return Err(t);
-                }
-            }
-            return Ok(stats);
-        }
-        let (rbase, rlen) = region.raw_parts_mut();
-        let arg0 = vec![body; spans.len()];
-        let out = self.run_chunks_parallel(rbase, rlen, nm, entry, name, &spans, &arg0, grid);
-        let mut stats = LaunchStats::default();
-        for (trap, insts) in out {
-            stats.insts += insts;
-            if let Some(t) = trap {
-                return Err(t);
-            }
-        }
-        Ok(stats)
-    }
-
-    /// Execute one round of `parallel_worklist_hetero` over the frontier
-    /// sub-range `[lo, hi)` of a `[0, grid)` frontier: work-item `i`
-    /// calls `func(body, items[i - lo])` with global work-item id `i`,
-    /// and `push`ed items are appended to `pushes` in fixed (chunk,
-    /// work-item, program) order. The caller merges segments into the
+    /// Run `work` over `span` with the CPU simulator's chunking: lane `k`
+    /// runs chunk `k`'s work items in order, item `i` calling
+    /// `func(body, i)` — or `func(body, items[i])` in a worklist round,
+    /// whose `push`ed items are appended to `pushes` in fixed (chunk,
+    /// work-item, program) order; the caller merges segments into the
     /// next frontier by sorting and deduplicating, so frontier contents
-    /// match the simulators' exactly.
+    /// match the simulators' exactly. A reduction folds chunk `k` into a
+    /// body copy in slot `k`, then joins the copies into the body
+    /// sequentially — the same schedule as `CpuSim` followed by the
+    /// runtime's host join, so float accumulation order (and hence the
+    /// bits of the total) is identical; it must cover the full iteration
+    /// space (native plans are never split).
+    ///
+    /// Gated kernels, and `for`/`reduce` kernels with a cross-item read
+    /// hazard (CA108), run their chunks serially in chunk order; all
+    /// others fan chunks out over host threads (see the module docs).
     ///
     /// # Errors
     ///
-    /// Any [`Trap`]; under host parallelism the lowest-work-item trap
-    /// wins, as it would serially, and a trap discards the round's
-    /// pushes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_worklist(
-        &mut self,
-        region: &mut SharedRegion,
-        nm: &NativeModule,
-        module: &Module,
-        func: FuncId,
-        body: CpuAddr,
-        lo: u32,
-        hi: u32,
-        grid: u32,
-        items: &[i32],
-        pushes: &mut Vec<i32>,
-    ) -> Result<LaunchStats, Trap> {
-        assert_eq!(items.len() as u32, hi - lo, "one frontier item per work-item");
-        let name = &module.function(func).name;
-        let entry = jit(nm.code_ptrs[func.0 as usize]);
-        let spans = span_chunks(lo, hi, self.cores);
-        let mut stats = LaunchStats::default();
-        let mut seg: Vec<i32> = Vec::new();
-        if uses_gated_ops(module, &[func]) {
-            for (core_idx, &(c_lo, c_hi)) in spans.iter().enumerate() {
-                let (rbase, rlen) = region.raw_parts_mut();
-                let privm = &mut self.privates[core_idx];
-                let mut env = Env::new(
-                    (rbase, rlen),
-                    (privm.as_mut_ptr(), privm.len()),
-                    nm.class_count,
-                    &nm.code_ptrs,
-                );
-                let (trap, insts) = run_span_wl(
-                    &mut env,
-                    entry,
-                    name,
-                    c_lo,
-                    c_hi,
-                    grid,
-                    body,
-                    self.step_budget,
-                    lo,
-                    items,
-                    &mut seg,
-                );
-                stats.insts += insts;
-                if let Some(t) = trap {
-                    return Err(t);
-                }
-            }
-        } else {
-            let (rbase, rlen) = region.raw_parts_mut();
-            let privs: Vec<(usize, usize)> =
-                self.privates.iter_mut().map(|p| (p.as_mut_ptr() as usize, p.len())).collect();
-            let region_base = rbase as usize;
-            let budget = self.step_budget;
-            let class_count = nm.class_count;
-            let code_ptrs = &nm.code_ptrs;
-            let out = concord_pool::map(self.host_threads, spans.len(), |idx| {
-                let (c_lo, c_hi) = spans[idx];
-                let (pbase, plen) = privs[idx];
-                let mut env = Env::new(
-                    (region_base as *mut u8, rlen),
-                    (pbase as *mut u8, plen),
-                    class_count,
-                    code_ptrs,
-                );
-                let mut cseg: Vec<i32> = Vec::new();
-                let (trap, insts) = run_span_wl(
-                    &mut env, entry, name, c_lo, c_hi, grid, body, budget, lo, items, &mut cseg,
-                );
-                (trap, insts, cseg)
-            });
-            for (trap, insts, mut cseg) in out {
-                stats.insts += insts;
-                if let Some(t) = trap {
-                    return Err(t);
-                }
-                seg.append(&mut cseg);
-            }
-        }
-        pushes.append(&mut seg);
-        Ok(stats)
-    }
-
-    /// Execute `parallel_reduce_hetero(n, body)`: each chunk lane folds
-    /// its range into a private copy of the body held in its `scratch`
-    /// slot, then the copies are joined into the original sequentially —
-    /// the same schedule as [`CpuSim::parallel_reduce`], so float
-    /// accumulation order (and hence the bits of the total) is identical.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] raised by the kernel or joins.
+    /// Any [`Trap`] raised by the kernel or joins; under host parallelism
+    /// the lowest-work-item trap wins, as it would serially, and a trap
+    /// discards the round's pushes.
     ///
     /// # Panics
     ///
-    /// Panics if `scratch` is empty.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_reduce(
+    /// Panics on a reduction without scratch slots, or a worklist round
+    /// whose frontier is not `span.grid` long.
+    pub fn launch(
         &mut self,
         region: &mut SharedRegion,
         nm: &NativeModule,
         module: &Module,
-        func: FuncId,
-        join: FuncId,
-        body: CpuAddr,
-        body_size: u64,
-        n: u32,
-        scratch: &[CpuAddr],
+        work: &Work<'_>,
+        span: Span,
+        pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
-        let slots = self.cores.min(scratch.len());
-        assert!(slots >= 1, "need at least one scratch slot");
-        let name = &module.function(func).name;
-        let entry = jit(nm.code_ptrs[func.0 as usize]);
-        let spans = span_chunks(0, n, slots);
-        CpuSim::stage_reduce(region, body, body_size, &scratch[..slots])?;
-        let mut stats = LaunchStats::default();
-        let gated = uses_gated_ops(module, &[func, join]);
-        let hazard = !gated && self.hazardous(module, func, true);
-        if hazard {
-            self.hazard_serialized += 1;
-        }
-        if gated || hazard {
-            for (core_idx, (&acc, &(c_lo, c_hi))) in
-                scratch.iter().take(slots).zip(spans.iter()).enumerate()
-            {
-                let run = self.run_chunk(region, nm, entry, name, core_idx, c_lo, c_hi, n, acc);
-                stats.insts += run.1;
-                if let Some(t) = run.0 {
-                    return Err(t);
-                }
+        let name = &module.function(work.func).name;
+        let entry = jit(nm.code_ptrs[work.func.0 as usize]);
+        let (lanes, slots) = match work.kind {
+            WorkKind::Reduce { body_size, slots, .. } => {
+                let used = self.cores.min(slots.len());
+                assert!(used >= 1, "need at least one scratch slot");
+                stage_reduce(region, work.body, body_size, &slots[..used])?;
+                (used, Some(slots))
             }
-        } else {
-            let (rbase, rlen) = region.raw_parts_mut();
-            let arg0 = scratch[..slots].to_vec();
-            let out = self.run_chunks_parallel(rbase, rlen, nm, entry, name, &spans, &arg0, n);
-            for (trap, insts) in out {
-                stats.insts += insts;
-                if let Some(t) = trap {
-                    return Err(t);
-                }
+            WorkKind::Worklist { items } => {
+                assert_eq!(items.len() as u32, span.grid, "one frontier item per work-item");
+                (self.cores, None)
             }
-        }
-        // Sequential join on lane 0: body.join(acc_k) for each slot, with
-        // the simulator's host-call work-item ids (all zero).
-        let join_name = &module.function(join).name;
-        let jfn = jit(nm.code_ptrs[join.0 as usize]);
-        let (rbase, rlen) = region.raw_parts_mut();
-        let privm = &mut self.privates[0];
-        let mut env = Env::new(
-            (rbase, rlen),
-            (privm.as_mut_ptr(), privm.len()),
-            nm.class_count,
-            &nm.code_ptrs,
-        );
-        for &slot in scratch.iter().take(slots) {
-            env.reset_item(0, 0, self.step_budget);
-            let args = [body.0, slot.0];
-            // SAFETY: `jfn` is a generated entry of `nm`; env and args obey
-            // the generated calling convention.
-            unsafe { jfn(&mut env, args.as_ptr()) };
-            stats.insts += (self.step_budget - env.steps.max(0)) as u64;
-            if let Some(t) = env.take_trap(join_name) {
-                return Err(t);
-            }
-        }
-        Ok(stats)
-    }
+            WorkKind::For => (self.cores, None),
+        };
+        let spans = span_chunks(span.lo, span.hi, lanes);
+        // Worklist rounds are exempt from the hazard gate (module docs).
+        let hazard = !work.gated
+            && match work.kind {
+                WorkKind::For => self.hazardous(module, work.func, false),
+                WorkKind::Reduce { .. } => self.hazardous(module, work.func, true),
+                WorkKind::Worklist { .. } => false,
+            };
+        self.hazard_serialized += u64::from(hazard);
 
-    /// Run one chunk in-order on lane `core_idx` against the live region
-    /// (the serial path for gated kernels, and the building block the
-    /// parallel path replicates per host thread).
-    #[allow(clippy::too_many_arguments)]
-    fn run_chunk(
-        &mut self,
-        region: &mut SharedRegion,
-        nm: &NativeModule,
-        entry: JitFn,
-        name: &str,
-        core_idx: usize,
-        c_lo: u32,
-        c_hi: u32,
-        grid: u32,
-        arg0: CpuAddr,
-    ) -> (Option<Trap>, u64) {
         let (rbase, rlen) = region.raw_parts_mut();
-        let privm = &mut self.privates[core_idx];
-        let mut env = Env::new(
-            (rbase, rlen),
-            (privm.as_mut_ptr(), privm.len()),
-            nm.class_count,
-            &nm.code_ptrs,
-        );
-        run_span(&mut env, entry, name, c_lo, c_hi, grid, arg0, self.step_budget)
-    }
-
-    /// Fan chunks out over host threads, each with its own lane's private
-    /// memory, all writing the live region. Returns per-chunk (trap,
-    /// insts) in chunk order.
-    #[allow(clippy::too_many_arguments)]
-    fn run_chunks_parallel(
-        &mut self,
-        rbase: *mut u8,
-        rlen: usize,
-        nm: &NativeModule,
-        entry: JitFn,
-        name: &str,
-        spans: &[(u32, u32)],
-        arg0: &[CpuAddr],
-        grid: u32,
-    ) -> Vec<(Option<Trap>, u64)> {
         let privs: Vec<(usize, usize)> =
             self.privates.iter_mut().map(|p| (p.as_mut_ptr() as usize, p.len())).collect();
         let region_base = rbase as usize;
         let budget = self.step_budget;
-        let class_count = nm.class_count;
-        let code_ptrs = &nm.code_ptrs;
-        concord_pool::map(self.host_threads, spans.len(), |idx| {
-            let (c_lo, c_hi) = spans[idx];
+        let run_chunk = |idx: usize| {
             let (pbase, plen) = privs[idx];
-            // Each chunk gets its own Env over its own private memory; the
-            // region pointer is shared, and cross-chunk shared writes are
-            // confined to generated code (same-value or lock-atomic — see
-            // the module docs).
+            // Each chunk gets its own Env over its own lane's private
+            // memory; the region pointer is shared, and cross-chunk shared
+            // writes are confined to generated code (same-value or
+            // lock-atomic — see the module docs).
             let mut env = Env::new(
                 (region_base as *mut u8, rlen),
                 (pbase as *mut u8, plen),
-                class_count,
-                code_ptrs,
+                nm.class_count,
+                &nm.code_ptrs,
             );
-            run_span(&mut env, entry, name, c_lo, c_hi, grid, arg0[idx], budget)
-        })
-    }
-}
-
-/// [`run_span`] with a worklist push sink bound: work-item `i` receives
-/// frontier item `items[i - lo]` as its argument (sign-extended, as the
-/// interpreter passes it) and `push`es land in `seg`.
-#[allow(clippy::too_many_arguments)]
-fn run_span_wl(
-    env: &mut Env,
-    entry: JitFn,
-    name: &str,
-    c_lo: u32,
-    c_hi: u32,
-    grid: u32,
-    arg0: CpuAddr,
-    budget: i64,
-    lo: u32,
-    items: &[i32],
-    seg: &mut Vec<i32>,
-) -> (Option<Trap>, u64) {
-    env.wl = seg as *mut Vec<i32>;
-    let mut insts = 0u64;
-    let mut trap = None;
-    for i in c_lo..c_hi {
-        env.reset_item(i as i64, grid as i64, budget);
-        let item = items[(i - lo) as usize];
-        let args = [arg0.0, item as i64 as u64];
-        // SAFETY: `entry` is a generated function of the module whose
-        // `code_ptrs` this env carries; the args array outlives the call
-        // and the generated code only reads `params.len() <= 2` words.
-        unsafe { entry(&mut *env, args.as_ptr()) };
-        insts += (budget - env.steps.max(0)) as u64;
-        if let Some(t) = env.take_trap(name) {
-            trap = Some(t);
-            break;
+            let arg0 = slots.map_or(work.body, |s| s[idx]);
+            let mut seg: Vec<i32> = Vec::new();
+            let (trap, insts) = if let WorkKind::Worklist { items } = work.kind {
+                // The frontier item is sign-extended, as the interpreter
+                // passes it; `push`es land in this chunk's segment.
+                env.wl = &mut seg as *mut Vec<i32>;
+                let arg1 = |i: u32| items[i as usize] as i64 as u64;
+                run_items(&mut env, entry, name, spans[idx], span.grid, arg0, budget, arg1)
+            } else {
+                run_items(&mut env, entry, name, spans[idx], span.grid, arg0, budget, u64::from)
+            };
+            (trap, insts, seg)
+        };
+        let outs = if work.gated || hazard {
+            // In chunk order on this thread; chunks after a trap never run.
+            let mut outs = Vec::with_capacity(spans.len());
+            for idx in 0..spans.len() {
+                outs.push(run_chunk(idx));
+                if outs[idx].0.is_some() {
+                    break;
+                }
+            }
+            outs
+        } else {
+            concord_pool::map(self.host_threads, spans.len(), run_chunk)
+        };
+        let mut stats = LaunchStats::default();
+        let mut seg: Vec<i32> = Vec::new();
+        for (trap, insts, mut chunk_seg) in outs {
+            stats.insts += insts;
+            if let Some(t) = trap {
+                return Err(t);
+            }
+            seg.append(&mut chunk_seg);
         }
+        pushes.append(&mut seg);
+
+        if let (WorkKind::Reduce { join, .. }, Some(slots)) = (work.kind, slots) {
+            // Sequential join on lane 0: body.join(acc_k) for each slot,
+            // with the simulator's host-call work-item ids (all zero).
+            let join_name = &module.function(join).name;
+            let jfn = jit(nm.code_ptrs[join.0 as usize]);
+            let (pbase, plen) = privs[0];
+            let mut env = Env::new(
+                (region_base as *mut u8, rlen),
+                (pbase as *mut u8, plen),
+                nm.class_count,
+                &nm.code_ptrs,
+            );
+            for &slot in &slots[..lanes] {
+                env.reset_item(0, 0, budget);
+                let args = [work.body.0, slot.0];
+                // SAFETY: `jfn` is a generated entry of `nm`; env and args
+                // obey the generated calling convention.
+                unsafe { jfn(&mut env, args.as_ptr()) };
+                stats.insts += (budget - env.steps.max(0)) as u64;
+                if let Some(t) = env.take_trap(join_name) {
+                    return Err(t);
+                }
+            }
+        }
+        Ok(stats)
     }
-    env.wl = std::ptr::null_mut();
-    (trap, insts)
 }
 
-/// Run work items `[c_lo, c_hi)` through `entry`, stopping at the first
-/// trap. Returns the trap (if any) and instructions charged.
+/// Run work items `[lo, hi)` through `entry` with `arg1(i)` as item `i`'s
+/// argument, stopping at the first trap. Returns the trap (if any) and
+/// instructions charged. Generic over `arg1` so the id-passing and the
+/// frontier-indexing loops are each monomorphized branch-free.
 #[allow(clippy::too_many_arguments)]
-fn run_span(
+fn run_items(
     env: &mut Env,
     entry: JitFn,
     name: &str,
-    c_lo: u32,
-    c_hi: u32,
+    (lo, hi): (u32, u32),
     grid: u32,
     arg0: CpuAddr,
     budget: i64,
+    arg1: impl Fn(u32) -> u64,
 ) -> (Option<Trap>, u64) {
     let mut insts = 0u64;
-    for i in c_lo..c_hi {
+    for i in lo..hi {
         env.reset_item(i as i64, grid as i64, budget);
-        let args = [arg0.0, i as u64];
+        let args = [arg0.0, arg1(i)];
         // SAFETY: `entry` is a generated function of the module whose
         // `code_ptrs` this env carries; the args array outlives the call
         // and the generated code only reads `params.len() <= 2` words.

@@ -138,7 +138,24 @@ mod tests {
     use super::*;
     use concord_cpusim::CpuSim;
     use concord_frontend::LoweredProgram;
-    use concord_svm::{CpuAddr, SharedAllocator, SharedRegion, VtableArea};
+    use concord_ir::analysis::uses_gated_ops;
+    use concord_ir::eval::Trap;
+    use concord_svm::{CpuAddr, SharedAllocator, SharedRegion, Span, VtableArea, Work, WorkKind};
+
+    /// `parallel_for` over `[0, n)` through [`Executor::launch`].
+    fn native_for(
+        ex: &mut Executor,
+        region: &mut SharedRegion,
+        nm: &NativeModule,
+        module: &concord_ir::Module,
+        func: concord_ir::FuncId,
+        body: CpuAddr,
+        n: u32,
+    ) -> Result<LaunchStats, Trap> {
+        let gated = uses_gated_ops(module, &[func]);
+        let work = Work { func, body, kind: WorkKind::For, gated };
+        ex.launch(region, nm, module, &work, Span::full(n), &mut Vec::new())
+    }
 
     fn build(src: &str) -> LoweredProgram {
         let mut lp = concord_frontend::compile(src).unwrap();
@@ -189,8 +206,7 @@ mod tests {
             let body2 = init(&mut r2, &mut h2);
             assert_eq!(body1, body2, "deterministic setup required for the diff");
             let mut ex = Executor::new(cfg.cores as usize, ht);
-            let got =
-                ex.parallel_for(&mut r2, &nm, &lp.module, k.operator_fn, body2, 0, n, n).err();
+            let got = native_for(&mut ex, &mut r2, &nm, &lp.module, k.operator_fn, body2, n).err();
             assert_eq!(got, want, "trap outcome must match interpreter (ht={ht})");
             if want.is_none() {
                 assert_eq!(region_bytes(&mut r2), want_bytes, "region bytes differ (ht={ht})");
@@ -443,7 +459,7 @@ mod tests {
         let mut ex = Executor::new(cfg.cores as usize, 8);
         ex.step_budget = 10_000;
         let got =
-            ex.parallel_for(&mut r2, &nm, &lp.module, k.operator_fn, body2, 0, 4, 4).unwrap_err();
+            native_for(&mut ex, &mut r2, &nm, &lp.module, k.operator_fn, body2, 4).unwrap_err();
         assert_eq!(got, want, "step-limit trap must carry the same kernel name and item id");
     }
 
@@ -500,18 +516,14 @@ mod tests {
             let (mut r2, mut h2, _vt) = setup(&lp, 1 << 20);
             let (body2, scratch2) = init(&mut r2, &mut h2);
             let mut ex = Executor::new(cfg.cores as usize, ht);
-            ex.parallel_reduce(
-                &mut r2,
-                &nm,
-                &lp.module,
-                k.operator_fn,
-                k.join_fn.unwrap(),
-                body2,
-                16,
-                n,
-                &scratch2,
-            )
-            .unwrap();
+            let join = k.join_fn.unwrap();
+            let work = Work {
+                func: k.operator_fn,
+                body: body2,
+                kind: WorkKind::Reduce { join, body_size: 16, slots: &scratch2 },
+                gated: uses_gated_ops(&lp.module, &[k.operator_fn, join]),
+            };
+            ex.launch(&mut r2, &nm, &lp.module, &work, Span::full(n), &mut Vec::new()).unwrap();
             let got_total = r2.read_f32(body2.offset(8)).unwrap();
             assert_eq!(got_total.to_bits(), want_total.to_bits(), "join order differs (ht={ht})");
             assert_eq!(region_bytes(&mut r2), want, "region bytes differ (ht={ht})");
@@ -574,7 +586,7 @@ mod tests {
         let (mut r2, mut h2, _vt) = setup(&lp, 1 << 20);
         let body2 = init(&mut r2, &mut h2);
         let mut ex = Executor::new(cfg.cores as usize, 2);
-        ex.parallel_for(&mut r2, &nm, &art.module, kf, body2, 0, 1, 1).unwrap();
+        native_for(&mut ex, &mut r2, &nm, &art.module, kf, body2, 1).unwrap();
         assert_eq!(region_bytes(&mut r2), want);
         assert_eq!(r2.read_i32(body2.offset(8)).unwrap(), 42);
     }

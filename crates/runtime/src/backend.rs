@@ -1,49 +1,29 @@
-//! The execution-device abstraction behind the runtime's generic offload
-//! path.
+//! The execution-device abstraction behind the runtime's offload
+//! pipeline.
 //!
 //! [`DeviceBackend`] is what a device must provide for the runtime to run
-//! `parallel_for_hetero` / `parallel_reduce_hetero` on it: consistency
-//! fences, one-time kernel preparation (JIT), a ranged `launch_for`, and a
-//! partials-producing `launch_reduce`. [`CpuBackend`] and [`GpuBackend`]
-//! wrap the two simulators; the runtime drives either — or both, for a
+//! a heterogeneous construct on it: consistency fences, one-time kernel
+//! preparation (JIT), a scratch-slot count for reductions, and one
+//! [`DeviceBackend::launch`] that takes the construct as a
+//! [`Work`] descriptor over a [`Span`]. [`CpuBackend`] and [`GpuBackend`]
+//! wrap the two simulators and additionally split `launch` into
+//! `execute` (against a snapshot, safe to run beside the other device)
+//! and `commit` (ordered merge); [`NativeBackend`] runs JIT-compiled
+//! machine code. The runtime drives any of them — or two at once, for a
 //! hybrid split — through the same code path, so fence/JIT/metering logic
 //! exists exactly once.
 
-use concord_cpusim::{CpuPending, CpuSim};
-use concord_energy::{Device, SystemConfig};
-use concord_gpusim::{GpuPending, GpuSim};
+use concord_cpusim::{CpuPending, CpuReport, CpuSim};
+use concord_energy::SystemConfig;
+use concord_gpusim::{GpuPending, GpuReport, GpuSim};
 use concord_ir::eval::{Trap, Value};
 use concord_ir::types::AddrSpace;
 use concord_ir::{FuncId, Module};
-use concord_svm::{AllocError, CpuAddr, SharedAllocator, SharedRegion, VtableArea};
-use concord_trace::{SpanGuard, Tracer, Track};
+use concord_svm::{AllocError, CpuAddr, SharedAllocator, SharedRegion, VtableArea, Work};
+use concord_trace::{Tracer, Track};
 use std::sync::Arc;
 
-/// A contiguous sub-range `[lo, hi)` of a construct's `[0, grid)`
-/// iteration space. A full (unsplit) launch is `Span::full(n)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    /// First work-item id (inclusive).
-    pub lo: u32,
-    /// Last work-item id (exclusive).
-    pub hi: u32,
-    /// Total size of the construct's iteration space.
-    pub grid: u32,
-}
-
-impl Span {
-    /// The whole iteration space `[0, n)`.
-    #[must_use]
-    pub fn full(n: u32) -> Self {
-        Span { lo: 0, hi: n, grid: n }
-    }
-
-    /// Work items in this sub-range.
-    #[must_use]
-    pub fn items(&self) -> u32 {
-        self.hi - self.lo
-    }
-}
+pub use concord_svm::Span;
 
 /// Borrowed execution state a backend needs for one launch: the shared
 /// region, vtables, both compiled modules, the platform description, and
@@ -84,16 +64,36 @@ pub struct LaunchStats {
     pub l3_hit_rate: f64,
 }
 
+impl From<CpuReport> for LaunchStats {
+    fn from(r: CpuReport) -> Self {
+        LaunchStats {
+            seconds: r.seconds,
+            busy_fraction: 1.0,
+            insts: r.counters.insts,
+            translations: r.counters.translations,
+            ..Default::default()
+        }
+    }
+}
+
+impl From<GpuReport> for LaunchStats {
+    fn from(r: GpuReport) -> Self {
+        LaunchStats {
+            seconds: r.seconds,
+            busy_fraction: r.busy_fraction,
+            insts: r.insts,
+            translations: r.translations,
+            transactions: r.transactions,
+            contended: r.contended,
+            l3_hit_rate: r.l3_hit_rate,
+        }
+    }
+}
+
 /// An execution device the runtime can offload heterogeneous constructs
-/// to. Implementations wrap a simulator; the runtime supplies everything
-/// else through [`ExecCtx`].
+/// to. Implementations wrap a simulator or the native executor; the
+/// runtime supplies everything else through [`ExecCtx`].
 pub trait DeviceBackend {
-    /// Which energy-model device this backend meters as.
-    fn device(&self) -> Device;
-
-    /// Short label for traces ("cpu" / "gpu").
-    fn label(&self) -> &'static str;
-
     /// Memory-consistency fence before this device touches the shared
     /// region (§2.3). No-op on the CPU; pins the region on the GPU.
     fn fence_in(&mut self, ctx: &mut ExecCtx<'_>);
@@ -106,69 +106,47 @@ pub trait DeviceBackend {
     /// caches it afterwards; the CPU runs pre-compiled code for free.
     fn prepare(&mut self, ctx: &mut ExecCtx<'_>, class: &str, func: FuncId) -> f64;
 
-    /// How many body-sized partial-accumulator slots `launch_reduce`
-    /// needs for `span` (per-warp on the GPU, per-core on the CPU).
+    /// How many body-sized partial-accumulator slots a reduction over
+    /// `span` needs (per-warp on the GPU, per-core on the CPU).
     fn reduce_slots(&self, ctx: &ExecCtx<'_>, span: Span) -> u64;
 
-    /// Run `func(body, i)` for every `i` in `span`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] raised by the kernel.
-    fn launch_for(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        func: FuncId,
-        body: CpuAddr,
-        span: Span,
-    ) -> Result<LaunchStats, Trap>;
-
-    /// Run one round of `parallel_worklist_hetero`: `func(body,
-    /// items[i - span.lo])` for every `i` in `span`, appending `push`ed
-    /// items to `pushes` in the backend's fixed commit order. The runtime
-    /// merges the per-span segments into the next frontier by sorting and
+    /// Run `work` over `span`, appending a worklist round's `push`ed items
+    /// to `pushes` in the backend's fixed commit order (the runtime merges
+    /// the per-span segments into the next frontier by sorting and
     /// deduplicating, so the frontier is identical on every backend at
-    /// any host-thread count.
+    /// any host-thread count).
+    ///
+    /// A reduction performs device-level joins only and leaves one partial
+    /// per slot (the GPU tree-reduces through local memory per warp,
+    /// §3.3); the runtime joins the partials into the body afterwards —
+    /// which is what lets a hybrid split join partials from both devices
+    /// with the same kernel `join`. The exception is [`NativeBackend`],
+    /// which performs that final join itself.
     ///
     /// # Errors
     ///
-    /// Any [`Trap`] raised by the kernel; a trap discards the round's
-    /// pushes.
-    fn launch_worklist(
+    /// Any [`Trap`] raised by the kernel or device-level joins; a trap
+    /// discards the round's pushes.
+    fn launch(
         &mut self,
         ctx: &mut ExecCtx<'_>,
-        func: FuncId,
-        body: CpuAddr,
+        work: &Work<'_>,
         span: Span,
-        items: &[i32],
         pushes: &mut Vec<i32>,
-    ) -> Result<LaunchStats, Trap>;
-
-    /// Accumulate `span` into per-worker copies of `body`, leaving one
-    /// partial per `scratch` slot. Device-level joins only (the GPU
-    /// tree-reduces through local memory per warp, §3.3); the runtime
-    /// joins the partials into `body` afterwards — which is what lets a
-    /// hybrid split join partials from both devices with the same kernel
-    /// `join`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] raised by the kernel or device-level joins.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_reduce(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        func: FuncId,
-        join: FuncId,
-        body: CpuAddr,
-        body_size: u64,
-        span: Span,
-        scratch: &[CpuAddr],
     ) -> Result<LaunchStats, Trap>;
 }
 
-/// Attach launch counters to the closing launch span.
-fn close_launch_span(mut sp: SpanGuard, span: Span, s: &LaunchStats) {
+/// Trace one launch (or the commit half of one) as a `name` span on
+/// `track` that closes with the launch's span bounds and counters.
+fn traced<R: Into<LaunchStats>>(
+    tracer: &Tracer,
+    track: Track,
+    name: &'static str,
+    span: Span,
+    run: impl FnOnce() -> Result<R, Trap>,
+) -> Result<LaunchStats, Trap> {
+    let mut sp = tracer.span(track, name);
+    let s: LaunchStats = run()?.into();
     sp.arg("lo", i64::from(span.lo));
     sp.arg("hi", i64::from(span.hi));
     sp.arg("seconds", s.seconds);
@@ -178,6 +156,7 @@ fn close_launch_span(mut sp: SpanGuard, span: Span, s: &LaunchStats) {
     sp.arg("contended", s.contended);
     sp.arg("l3_hit_rate", s.l3_hit_rate);
     sp.arg("busy_fraction", s.busy_fraction);
+    Ok(s)
 }
 
 /// The multicore-CPU backend: wraps [`CpuSim`].
@@ -190,42 +169,36 @@ impl CpuBackend {
         CpuBackend { sim }
     }
 
-    /// The wrapped simulator (concurrent-execute phase of a hybrid split).
-    pub(crate) fn sim(&self) -> &CpuSim {
-        &self.sim
+    /// Host OS threads the simulators fan chunks and warps across.
+    pub(crate) fn host_threads(&self) -> usize {
+        self.sim.host_threads
     }
 
-    /// Mutable simulator access for the concurrent-execute phase.
-    pub(crate) fn sim_mut(&mut self) -> &mut CpuSim {
-        &mut self.sim
+    /// The execute half of [`DeviceBackend::launch`]: run `work` against a
+    /// snapshot of the region, so it may overlap another device's execute
+    /// phase. A reduction's slots must already be staged
+    /// ([`concord_svm::stage_reduce`]).
+    pub(crate) fn execute(&mut self, ctx: &ExecCtx<'_>, work: &Work<'_>, span: Span) -> CpuPending {
+        self.sim.execute(ctx.region, ctx.vtables, ctx.cpu_module, work, span)
     }
 
-    /// Commit a concurrently-executed pending launch in plan order and
-    /// build its stats — the second half of `launch_for`/`launch_reduce`
-    /// when the execute phase ran overlapped with another device.
+    /// The commit half: merge a pending launch into the live region in
+    /// plan order and build its stats.
     ///
     /// # Errors
     ///
     /// The trap of the lowest trapped chunk, if any.
-    pub(crate) fn commit_pending(
+    pub(crate) fn commit(
         &mut self,
         ctx: &mut ExecCtx<'_>,
-        what: &'static str,
         span: Span,
         pending: CpuPending,
+        pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
-        let sp = ctx.tracer.span(Track::Runtime, "cpu_launch");
-        self.sim.commit(ctx.region, pending)?;
-        let r = self.sim.finish_launch(what);
-        let stats = LaunchStats {
-            seconds: r.seconds,
-            busy_fraction: 1.0,
-            insts: r.counters.insts,
-            translations: r.counters.translations,
-            ..Default::default()
-        };
-        close_launch_span(sp, span, &stats);
-        Ok(stats)
+        let (sim, region) = (&mut self.sim, &mut *ctx.region);
+        traced(ctx.tracer, Track::Runtime, "cpu_launch", span, || {
+            sim.commit(region, pending, pushes)
+        })
     }
 
     /// Sequentially join `slots` into `body` on core 0 with the
@@ -261,14 +234,6 @@ impl CpuBackend {
 }
 
 impl DeviceBackend for CpuBackend {
-    fn device(&self) -> Device {
-        Device::Cpu
-    }
-
-    fn label(&self) -> &'static str {
-        "cpu"
-    }
-
     fn fence_in(&mut self, _ctx: &mut ExecCtx<'_>) {}
 
     fn fence_out(&mut self, _ctx: &mut ExecCtx<'_>) {}
@@ -281,100 +246,17 @@ impl DeviceBackend for CpuBackend {
         u64::from(ctx.system.cpu.cores.max(1))
     }
 
-    fn launch_for(
+    fn launch(
         &mut self,
         ctx: &mut ExecCtx<'_>,
-        func: FuncId,
-        body: CpuAddr,
+        work: &Work<'_>,
         span: Span,
-    ) -> Result<LaunchStats, Trap> {
-        let sp = ctx.tracer.span(Track::Runtime, "cpu_launch");
-        let r = self.sim.parallel_for_span(
-            ctx.region,
-            ctx.vtables,
-            ctx.cpu_module,
-            func,
-            body,
-            span.lo,
-            span.hi,
-            span.grid,
-        )?;
-        let stats = LaunchStats {
-            seconds: r.seconds,
-            busy_fraction: 1.0,
-            insts: r.counters.insts,
-            translations: r.counters.translations,
-            ..Default::default()
-        };
-        close_launch_span(sp, span, &stats);
-        Ok(stats)
-    }
-
-    fn launch_worklist(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        func: FuncId,
-        body: CpuAddr,
-        span: Span,
-        items: &[i32],
         pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
-        let sp = ctx.tracer.span(Track::Runtime, "cpu_launch");
-        let r = self.sim.parallel_worklist_span(
-            ctx.region,
-            ctx.vtables,
-            ctx.cpu_module,
-            func,
-            body,
-            span.lo,
-            span.hi,
-            span.grid,
-            items,
-            pushes,
-        )?;
-        let stats = LaunchStats {
-            seconds: r.seconds,
-            busy_fraction: 1.0,
-            insts: r.counters.insts,
-            translations: r.counters.translations,
-            ..Default::default()
-        };
-        close_launch_span(sp, span, &stats);
-        Ok(stats)
-    }
-
-    fn launch_reduce(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        func: FuncId,
-        _join: FuncId,
-        body: CpuAddr,
-        body_size: u64,
-        span: Span,
-        scratch: &[CpuAddr],
-    ) -> Result<LaunchStats, Trap> {
-        let sp = ctx.tracer.span(Track::Runtime, "cpu_launch");
-        let r = self.sim.parallel_reduce_partials(
-            ctx.region,
-            ctx.vtables,
-            ctx.cpu_module,
-            func,
-            body,
-            body_size,
-            span.lo,
-            span.hi,
-            span.grid,
-            scratch,
-        )?;
-        let stats = LaunchStats {
-            seconds: r.seconds,
-            busy_fraction: 1.0,
-            insts: r.counters.insts,
-            translations: r.counters.translations,
-            ..Default::default()
-        };
-        close_launch_span(sp, span, &stats);
-        Ok(stats)
+        let (sim, region) = (&mut self.sim, &mut *ctx.region);
+        traced(ctx.tracer, Track::Runtime, "cpu_launch", span, || {
+            sim.launch(region, ctx.vtables, ctx.cpu_module, work, span, pushes)
+        })
     }
 }
 
@@ -392,48 +274,33 @@ impl GpuBackend {
         GpuBackend { sim, jitted }
     }
 
-    /// The wrapped simulator (concurrent-execute phase of a hybrid split).
-    pub(crate) fn sim(&self) -> &GpuSim {
-        &self.sim
+    /// The execute half of [`DeviceBackend::launch`] (see
+    /// [`CpuBackend::execute`]); takes `&self`, so it can run on a helper
+    /// thread beside the CPU's.
+    pub(crate) fn execute(&self, ctx: &ExecCtx<'_>, work: &Work<'_>, span: Span) -> GpuPending {
+        self.sim.execute(ctx.region, ctx.gpu_module, work, span)
     }
 
-    /// Commit a concurrently-executed pending launch in plan order and
-    /// build its stats (see [`CpuBackend::commit_pending`]).
+    /// The commit half (see [`CpuBackend::commit`]).
     ///
     /// # Errors
     ///
     /// The trap of the lowest trapped warp, if any.
-    pub(crate) fn commit_pending(
+    pub(crate) fn commit(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         span: Span,
         pending: GpuPending,
+        pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
-        let sp = ctx.tracer.span(Track::Runtime, "gpu_launch");
-        let r = self.sim.commit(ctx.region, pending)?;
-        let stats = LaunchStats {
-            seconds: r.seconds,
-            busy_fraction: r.busy_fraction,
-            insts: r.insts,
-            translations: r.translations,
-            transactions: r.transactions,
-            contended: r.contended,
-            l3_hit_rate: r.l3_hit_rate,
-        };
-        close_launch_span(sp, span, &stats);
-        Ok(stats)
+        let (sim, region) = (&mut self.sim, &mut *ctx.region);
+        traced(ctx.tracer, Track::Runtime, "gpu_launch", span, || {
+            sim.commit(region, pending, pushes)
+        })
     }
 }
 
 impl DeviceBackend for GpuBackend {
-    fn device(&self) -> Device {
-        Device::Gpu
-    }
-
-    fn label(&self) -> &'static str {
-        "gpu"
-    }
-
     fn fence_in(&mut self, ctx: &mut ExecCtx<'_>) {
         let _f = ctx.tracer.span(Track::Runtime, "fence_to_gpu");
         ctx.region.fence_to_gpu();
@@ -459,104 +326,17 @@ impl DeviceBackend for GpuBackend {
         u64::from(span.items()).div_ceil(u64::from(ctx.system.gpu.simd_width))
     }
 
-    fn launch_for(
+    fn launch(
         &mut self,
         ctx: &mut ExecCtx<'_>,
-        func: FuncId,
-        body: CpuAddr,
+        work: &Work<'_>,
         span: Span,
-    ) -> Result<LaunchStats, Trap> {
-        let sp = ctx.tracer.span(Track::Runtime, "gpu_launch");
-        let r = self.sim.parallel_for_span(
-            ctx.region,
-            ctx.gpu_module,
-            func,
-            body,
-            span.lo,
-            span.hi,
-            span.grid,
-        )?;
-        let stats = LaunchStats {
-            seconds: r.seconds,
-            busy_fraction: r.busy_fraction,
-            insts: r.insts,
-            translations: r.translations,
-            transactions: r.transactions,
-            contended: r.contended,
-            l3_hit_rate: r.l3_hit_rate,
-        };
-        close_launch_span(sp, span, &stats);
-        Ok(stats)
-    }
-
-    fn launch_worklist(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        func: FuncId,
-        body: CpuAddr,
-        span: Span,
-        items: &[i32],
         pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
-        let sp = ctx.tracer.span(Track::Runtime, "gpu_launch");
-        let r = self.sim.parallel_worklist_span(
-            ctx.region,
-            ctx.gpu_module,
-            func,
-            body,
-            span.lo,
-            span.hi,
-            span.grid,
-            items,
-            pushes,
-        )?;
-        let stats = LaunchStats {
-            seconds: r.seconds,
-            busy_fraction: r.busy_fraction,
-            insts: r.insts,
-            translations: r.translations,
-            transactions: r.transactions,
-            contended: r.contended,
-            l3_hit_rate: r.l3_hit_rate,
-        };
-        close_launch_span(sp, span, &stats);
-        Ok(stats)
-    }
-
-    fn launch_reduce(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        func: FuncId,
-        join: FuncId,
-        body: CpuAddr,
-        body_size: u64,
-        span: Span,
-        scratch: &[CpuAddr],
-    ) -> Result<LaunchStats, Trap> {
-        let sp = ctx.tracer.span(Track::Runtime, "gpu_launch");
-        let r = self.sim.parallel_reduce_span(
-            ctx.region,
-            ctx.gpu_module,
-            func,
-            join,
-            body,
-            body_size,
-            span.lo,
-            span.hi,
-            span.grid,
-            scratch,
-        )?;
-        let stats = LaunchStats {
-            seconds: r.seconds,
-            busy_fraction: r.busy_fraction,
-            insts: r.insts,
-            translations: r.translations,
-            transactions: r.transactions,
-            contended: r.contended,
-            l3_hit_rate: r.l3_hit_rate,
-        };
-        close_launch_span(sp, span, &stats);
-        Ok(stats)
+        let (sim, region) = (&mut self.sim, &mut *ctx.region);
+        traced(ctx.tracer, Track::Runtime, "gpu_launch", span, || {
+            sim.launch(region, ctx.gpu_module, work, span, pushes)
+        })
     }
 }
 
@@ -635,16 +415,6 @@ impl NativeBackend {
 }
 
 impl DeviceBackend for NativeBackend {
-    fn device(&self) -> Device {
-        // Native execution happens on the host CPU; it meters as the
-        // energy model's CPU device.
-        Device::Cpu
-    }
-
-    fn label(&self) -> &'static str {
-        "native"
-    }
-
     fn fence_in(&mut self, _ctx: &mut ExecCtx<'_>) {}
 
     fn fence_out(&mut self, _ctx: &mut ExecCtx<'_>) {}
@@ -660,107 +430,30 @@ impl DeviceBackend for NativeBackend {
         self.exec.cores() as u64
     }
 
-    fn launch_for(
+    /// Native plans are never split, so a reduction's span is the full
+    /// range — and unlike the simulator backends, the executor performs
+    /// the final sequential join into the body itself (same schedule the
+    /// runtime would use); the caller must skip its interpreter join.
+    fn launch(
         &mut self,
         ctx: &mut ExecCtx<'_>,
-        func: FuncId,
-        body: CpuAddr,
+        work: &Work<'_>,
         span: Span,
-    ) -> Result<LaunchStats, Trap> {
-        let sp = ctx.tracer.span(Track::Native, "native_launch");
-        let nm = self.module();
-        let start = std::time::Instant::now();
-        let r = self.exec.parallel_for(
-            ctx.region,
-            &nm,
-            ctx.cpu_module,
-            func,
-            body,
-            span.lo,
-            span.hi,
-            span.grid,
-        )?;
-        let stats = LaunchStats {
-            seconds: start.elapsed().as_secs_f64(),
-            busy_fraction: 1.0,
-            insts: r.insts,
-            ..Default::default()
-        };
-        close_launch_span(sp, span, &stats);
-        Ok(stats)
-    }
-
-    fn launch_worklist(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        func: FuncId,
-        body: CpuAddr,
-        span: Span,
-        items: &[i32],
         pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
-        let sp = ctx.tracer.span(Track::Native, "native_launch");
-        let nm = self.module();
-        let start = std::time::Instant::now();
-        let r = self.exec.parallel_worklist(
-            ctx.region,
-            &nm,
-            ctx.cpu_module,
-            func,
-            body,
-            span.lo,
-            span.hi,
-            span.grid,
-            items,
-            pushes,
-        )?;
-        let stats = LaunchStats {
-            seconds: start.elapsed().as_secs_f64(),
-            busy_fraction: 1.0,
-            insts: r.insts,
-            ..Default::default()
-        };
-        close_launch_span(sp, span, &stats);
-        Ok(stats)
-    }
-
-    fn launch_reduce(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        func: FuncId,
-        join: FuncId,
-        body: CpuAddr,
-        body_size: u64,
-        span: Span,
-        scratch: &[CpuAddr],
-    ) -> Result<LaunchStats, Trap> {
-        // Native plans are never split, so the span is the full range —
-        // and unlike the simulator backends, the executor performs the
-        // final sequential join into `body` itself (same schedule the
-        // runtime would use); the caller must skip its interpreter join.
         debug_assert_eq!(span.lo, 0, "native plans are single full spans");
-        let sp = ctx.tracer.span(Track::Native, "native_launch");
         let nm = self.module();
-        let start = std::time::Instant::now();
-        let r = self.exec.parallel_reduce(
-            ctx.region,
-            &nm,
-            ctx.cpu_module,
-            func,
-            join,
-            body,
-            body_size,
-            span.hi,
-            scratch,
-        )?;
-        let stats = LaunchStats {
-            seconds: start.elapsed().as_secs_f64(),
-            busy_fraction: 1.0,
-            insts: r.insts,
-            ..Default::default()
-        };
-        close_launch_span(sp, span, &stats);
-        Ok(stats)
+        let (exec, region) = (&mut self.exec, &mut *ctx.region);
+        traced(ctx.tracer, Track::Native, "native_launch", span, || {
+            let start = std::time::Instant::now();
+            let r = exec.launch(region, &nm, ctx.cpu_module, work, span, pushes)?;
+            Ok(LaunchStats {
+                seconds: start.elapsed().as_secs_f64(),
+                busy_fraction: 1.0,
+                insts: r.insts,
+                ..Default::default()
+            })
+        })
     }
 }
 

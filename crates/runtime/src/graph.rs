@@ -5,8 +5,8 @@
 //! pair and runs constructs strictly one after another. This module holds
 //! the bookkeeping that lets the runtime do better *without changing a
 //! single output byte*: every submitted launch carries a [`Footprint`] —
-//! the set of shared-region allocation blocks it may touch, each tagged
-//! with the strongest [`AccessMode`] the static summary inferred — and a
+//! the set of shared-region byte ranges it may touch, each tagged with
+//! the strongest [`AccessMode`] the static summary inferred — and a
 //! pairwise [`Conflict`] test decides what the drain loop may do:
 //!
 //! * [`Conflict::Independent`] — no byte one launch writes is read or
@@ -20,9 +20,12 @@
 //!   an accumulate: full serialization, own fence pairs, exactly the
 //!   serial path.
 //!
-//! Footprints are *block-granular*: the runtime widens every resolved
-//! access to the allocation that backs it, which makes the disjointness
-//! test sound without per-item range reasoning. A launch whose accesses
+//! Footprints are *range-granular*: an access whose per-item byte range
+//! the analyzer bounded symbolically (`stride * id + [lo, hi)`) is swept
+//! over the launch's `[0, n)` iteration space, anchored at the live base
+//! pointer and clamped to the allocation that backs it, so two launches
+//! over disjoint halves of one block prove independent; an unbounded
+//! access widens to its whole backing allocation. A launch whose accesses
 //! could not all be resolved (opaque summary, unresolvable field pointer,
 //! gated operations) gets an opaque footprint that conflicts with
 //! everything — it degrades to exactly the serial behaviour.
@@ -31,11 +34,11 @@
 
 use concord_analyze::AccessMode;
 use concord_ir::FuncId;
-use concord_svm::CpuAddr;
+use concord_svm::{CpuAddr, WorkKind};
 use std::collections::VecDeque;
 
 use crate::scheduler::Target;
-use crate::ConstructKind;
+use crate::Gated;
 
 /// Identifier of a submitted launch, in submission order. Returned by
 /// [`Concord::submit_for`](crate::Concord::submit_for) and redeemed at
@@ -150,20 +153,27 @@ pub struct GraphStats {
     pub fences_elided: u64,
 }
 
-/// A submitted-but-not-yet-executed launch: everything the drain loop
-/// needs to run it exactly as the serial path would have.
-pub(crate) struct PendingLaunch {
-    pub id: u64,
+/// One admitted construct invocation: everything the offload pipeline
+/// needs to run it. `kind` is a template — a reduction's scratch slots are
+/// filled in per device part when the launch executes.
+pub(crate) struct Launch<'a> {
     pub class: String,
     pub func: FuncId,
-    pub kind: ConstructKind,
+    pub kind: WorkKind<'a>,
     pub body: CpuAddr,
     pub n: u32,
     pub target: Target,
     pub gpu_allowed: bool,
-    /// Kernel uses order-dependent gated ops (`device_malloc`,
-    /// compare-and-swap): never wave with anything.
-    pub gated: bool,
+    /// Order-dependence verdicts; a launch gated on any device never
+    /// waves with anything.
+    pub gated: Gated,
+}
+
+/// A submitted-but-not-yet-executed launch, with the footprint the drain
+/// loop orders it by.
+pub(crate) struct PendingLaunch {
+    pub id: u64,
+    pub launch: Launch<'static>,
     pub footprint: Footprint,
 }
 
@@ -176,12 +186,11 @@ pub(crate) struct LaunchGraph {
 }
 
 impl LaunchGraph {
-    pub(crate) fn submit(&mut self, mut launch: PendingLaunch) -> LaunchId {
+    pub(crate) fn submit(&mut self, launch: Launch<'static>, footprint: Footprint) -> LaunchId {
         let id = self.next_id;
         self.next_id += 1;
-        launch.id = id;
         self.stats.submitted += 1;
-        self.pending.push_back(launch);
+        self.pending.push_back(PendingLaunch { id, launch, footprint });
         LaunchId(id)
     }
 

@@ -64,9 +64,12 @@ use concord_cpusim::CpuSim;
 use concord_energy::{Device, EnergyMeter, PhaseReport, SystemConfig};
 use concord_frontend::{CompileError, LoweredProgram};
 use concord_gpusim::GpuSim;
+use concord_ir::analysis::uses_gated_ops;
 use concord_ir::eval::Trap;
 use concord_ir::FuncId;
-use concord_svm::{AllocError, CpuAddr, SharedAllocator, SharedRegion, VtableArea};
+use concord_svm::{
+    stage_reduce, AllocError, CpuAddr, SharedAllocator, SharedRegion, VtableArea, Work, WorkKind,
+};
 use concord_trace::{TraceConfig, Tracer, Track};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -337,20 +340,43 @@ struct FrontierQueues {
     cur: usize,
 }
 
-/// What a construct does with its iteration space — the only difference
-/// between `parallel_for_hetero` and `parallel_reduce_hetero` once the
-/// generic offload path takes over.
-#[derive(Clone, Copy)]
-enum ConstructKind {
-    For,
-    Reduce { join: FuncId, body_size: u64 },
+/// The analyzer launch convention a construct runs under.
+fn analysis_mode(kind: WorkKind<'_>) -> AnalysisMode {
+    match kind {
+        WorkKind::Reduce { .. } => AnalysisMode::Reduce,
+        WorkKind::For | WorkKind::Worklist { .. } => AnalysisMode::For,
+    }
 }
 
-impl ConstructKind {
-    fn name(self) -> &'static str {
-        match self {
-            ConstructKind::For => "parallel_for",
-            ConstructKind::Reduce { .. } => "parallel_reduce",
+/// Order-dependence verdicts (`uses_gated_ops`: `device_malloc`,
+/// compare-and-swap) for one (kernel, construct), one per backend — each
+/// over the module and the functions that backend itself executes.
+/// Decided once at plan time and carried to the executors in
+/// [`Work::gated`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Gated {
+    /// CPU module, `operator()` only: `CpuBackend` leaves a reduction's
+    /// joins to the host.
+    cpu: bool,
+    /// CPU module, `operator()` plus a reduction's `join`.
+    native: bool,
+    /// GPU module, `operator()` plus a reduction's `join` (the per-warp
+    /// tree reduce runs it on the device).
+    gpu: bool,
+}
+
+impl Gated {
+    /// Gated on some device: the launch's parts run one after another,
+    /// and it never joins a wave.
+    fn any(self) -> bool {
+        self.native || self.gpu
+    }
+
+    fn on(self, device: DeviceClass) -> bool {
+        match device {
+            DeviceClass::Cpu => self.cpu,
+            DeviceClass::Gpu => self.gpu,
+            DeviceClass::Native => self.native,
         }
     }
 }
@@ -367,40 +393,118 @@ enum WavePlan {
     Batch { size: usize, coalesced: u64 },
 }
 
-/// Meter, profile, and package one wave member's launch stats exactly as
-/// the serial offload path does for a single-part plan.
-#[allow(clippy::too_many_arguments)]
-fn part_report(
-    system: &SystemConfig,
-    meter: &mut EnergyMeter,
-    profile: &mut ProfileHistory,
-    class: &str,
-    device: Device,
-    span: Span,
-    jit_seconds: f64,
-    stats: LaunchStats,
-) -> OffloadReport {
-    let phase = match device {
-        Device::Gpu => {
-            PhaseReport { seconds: stats.seconds + jit_seconds, busy_fraction: stats.busy_fraction }
+/// One device's share of a wave: which backend runs which work over
+/// which span.
+type Part<'a> = (DeviceClass, Work<'a>, Span);
+
+/// The launch-path state of a [`Concord`], split-borrowed once per wave:
+/// the execution context, the backends, and the meters every part
+/// reports into.
+struct Pipeline<'a> {
+    ctx: ExecCtx<'a>,
+    cpu: &'a mut CpuBackend,
+    gpu: &'a mut GpuBackend,
+    native: &'a mut NativeBackend,
+    meter: &'a mut EnergyMeter,
+    profile: &'a mut ProfileHistory,
+}
+
+impl<'a> Pipeline<'a> {
+    /// The backend that executes `device` parts, with the context it
+    /// runs in.
+    fn on(&mut self, device: DeviceClass) -> (&mut dyn DeviceBackend, &mut ExecCtx<'a>) {
+        let backend: &mut dyn DeviceBackend = match device {
+            DeviceClass::Cpu => self.cpu,
+            DeviceClass::Gpu => self.gpu,
+            DeviceClass::Native => self.native,
+        };
+        (backend, &mut self.ctx)
+    }
+
+    /// Execute `parts` — at most one per simulator — against one snapshot
+    /// of the region, the GPU's on a helper thread when host threads
+    /// allow, then commit their write-logs in list order, so the result
+    /// is byte-identical at any `host_threads` value. With `stop_at_trap`
+    /// the parts are one construct and nothing after its first trapped
+    /// part commits; otherwise they are independent launches and every
+    /// one commits, as for a serial caller that continues past a failure.
+    fn execute_then_commit(
+        &mut self,
+        parts: &[Part<'_>],
+        stop_at_trap: bool,
+    ) -> Vec<Result<LaunchStats, Trap>> {
+        let part_on = |device| parts.iter().find(|p| p.0 == device);
+        let (gpu_part, cpu_part) = (part_on(DeviceClass::Gpu), part_on(DeviceClass::Cpu));
+        let host_threads = self.cpu.host_threads();
+        let (mut gpu_pending, mut cpu_pending) = {
+            let (ctx, gpu, cpu) = (&self.ctx, &*self.gpu, &mut *self.cpu);
+            let run_gpu = move || gpu_part.map(|(_, work, span)| gpu.execute(ctx, work, *span));
+            let mut run_cpu = || cpu_part.map(|(_, work, span)| cpu.execute(ctx, work, *span));
+            if host_threads > 1 {
+                std::thread::scope(|s| {
+                    let h = s.spawn(run_gpu);
+                    let c = run_cpu();
+                    (h.join().expect("GPU execute thread panicked"), c)
+                })
+            } else {
+                (run_gpu(), run_cpu())
+            }
+        };
+        let mut committed = Vec::with_capacity(parts.len());
+        for &(device, _, span) in parts {
+            let no_pushes = &mut Vec::new();
+            let r = if device == DeviceClass::Gpu {
+                let pending = gpu_pending.take().expect("one GPU part");
+                self.gpu.commit(&mut self.ctx, span, pending, no_pushes)
+            } else {
+                let pending = cpu_pending.take().expect("one CPU part");
+                self.cpu.commit(&mut self.ctx, span, pending, no_pushes)
+            };
+            let trapped = r.is_err();
+            committed.push(r);
+            if trapped && stop_at_trap {
+                break;
+            }
         }
-        Device::Cpu => PhaseReport { seconds: stats.seconds, busy_fraction: 1.0 },
-    };
-    let before = meter.joules();
-    meter.record(system, device, phase);
-    profile.record(class, DeviceClass::from(device), u64::from(span.items()), stats.seconds);
-    OffloadReport {
-        jit_seconds,
-        exec_seconds: stats.seconds,
-        joules: meter.joules() - before,
-        on_gpu: device == Device::Gpu,
-        fell_back: false,
-        translations: stats.translations,
-        transactions: stats.transactions,
-        contended: stats.contended,
-        busy_fraction: stats.busy_fraction,
-        l3_hit_rate: stats.l3_hit_rate,
-        insts: stats.insts,
+        committed
+    }
+
+    /// The single place a part is metered, profiled, and turned into an
+    /// [`OffloadReport`]. Native parts meter as the energy model's CPU
+    /// but profile under their own device class: their wall-clock rates
+    /// must not contaminate the simulated-CPU history `Target::Auto`
+    /// splits by.
+    fn part_report(
+        &mut self,
+        class: &str,
+        device: DeviceClass,
+        span: Span,
+        jit_seconds: f64,
+        stats: LaunchStats,
+    ) -> OffloadReport {
+        let on_gpu = device == DeviceClass::Gpu;
+        let (meter_as, phase) = if on_gpu {
+            let seconds = stats.seconds + jit_seconds;
+            (Device::Gpu, PhaseReport { seconds, busy_fraction: stats.busy_fraction })
+        } else {
+            (Device::Cpu, PhaseReport { seconds: stats.seconds, busy_fraction: 1.0 })
+        };
+        let before = self.meter.joules();
+        self.meter.record(self.ctx.system, meter_as, phase);
+        self.profile.record(class, device, u64::from(span.items()), stats.seconds);
+        OffloadReport {
+            jit_seconds,
+            exec_seconds: stats.seconds,
+            joules: self.meter.joules() - before,
+            on_gpu,
+            fell_back: false,
+            translations: stats.translations,
+            transactions: stats.transactions,
+            contended: stats.contended,
+            busy_fraction: stats.busy_fraction,
+            l3_hit_rate: stats.l3_hit_rate,
+            insts: stats.insts,
+        }
     }
 }
 
@@ -425,6 +529,9 @@ pub struct Concord {
     /// Memoized analysis reports: the module is immutable after build, so
     /// one (kernel, mode) pair always produces the same report.
     analysis_cache: HashMap<(FuncId, AnalysisMode), AnalysisReport>,
+    /// Memoized order-dependence verdicts, decided once per (kernel,
+    /// construct) so no launch re-walks the call graph.
+    gated_cache: HashMap<(FuncId, AnalysisMode), Gated>,
     /// Memoized per-kernel access summaries (footprint inference).
     access_cache: HashMap<(FuncId, AnalysisMode), AccessSummary>,
     /// Pending launches submitted through [`Concord::submit_for`] /
@@ -568,6 +675,7 @@ impl Concord {
             tracer,
             analysis: opts.analysis,
             analysis_cache: HashMap::new(),
+            gated_cache: HashMap::new(),
             access_cache: HashMap::new(),
             launch_graph: graph::LaunchGraph::default(),
             finished: HashMap::new(),
@@ -743,6 +851,75 @@ impl Concord {
         Ok(())
     }
 
+    /// The memoized order-dependence verdicts for `func` run as `kind`:
+    /// per module, and with the roots each backend itself executes.
+    fn gated(&mut self, func: FuncId, kind: WorkKind<'_>) -> Gated {
+        *self.gated_cache.entry((func, analysis_mode(kind))).or_insert_with(|| {
+            let cpu = uses_gated_ops(&self.program.module, &[func]);
+            match kind {
+                WorkKind::Reduce { join, .. } => Gated {
+                    cpu,
+                    native: uses_gated_ops(&self.program.module, &[func, join]),
+                    gpu: uses_gated_ops(&self.gpu_artifact.module, &[func, join]),
+                },
+                _ => Gated {
+                    cpu,
+                    native: cpu,
+                    gpu: uses_gated_ops(&self.gpu_artifact.module, &[func]),
+                },
+            }
+        })
+    }
+
+    /// Turn one construct invocation into a [`graph::Launch`] — the one
+    /// place every entry point resolves the kernel, requires a
+    /// reduction's `join`, takes the pre-launch gate, and decides GPU
+    /// eligibility and the order-dependence verdicts.
+    fn admit(
+        &mut self,
+        class: &str,
+        body: CpuAddr,
+        n: u32,
+        target: Target,
+        reduce: bool,
+    ) -> Result<graph::Launch<'static>, RuntimeError> {
+        let k = self.kernel(class)?;
+        let mut gpu_allowed = !self.cpu_only.contains(class);
+        let kind = if reduce {
+            let join = k.join_fn.ok_or_else(|| RuntimeError::NoJoin(class.to_string()))?;
+            // Local memory must fit one body copy per lane; otherwise the
+            // runtime performs the reduction on the CPU (§3.3: "if local
+            // memory is insufficient").
+            gpu_allowed &=
+                k.body_size * u64::from(self.system.gpu.simd_width) <= self.system.gpu.local_bytes;
+            WorkKind::Reduce { join, body_size: k.body_size, slots: &[] }
+        } else {
+            WorkKind::For
+        };
+        self.gate_launch(class, k.operator_fn, analysis_mode(kind))?;
+        let gated = self.gated(k.operator_fn, kind);
+        let class = class.to_string();
+        Ok(graph::Launch { class, func: k.operator_fn, kind, body, n, target, gpu_allowed, gated })
+    }
+
+    /// The blocking path is submit, then complete: drain everything
+    /// already pending (submission order is commit order), then run the
+    /// launch as a solo wave — which needs no footprint, having nothing
+    /// to wave with.
+    fn blocking(
+        &mut self,
+        class: &str,
+        body: CpuAddr,
+        n: u32,
+        target: Target,
+        reduce: bool,
+    ) -> Result<OffloadReport, RuntimeError> {
+        let launch = self.admit(class, body, n, target, reduce)?;
+        self.complete_all();
+        self.record_op(|| SessionOp::Launch { class: class.to_string(), body, n, target, reduce });
+        self.offload(&launch, &mut Vec::new())
+    }
+
     /// `parallel_for_hetero(n, body, device)`: run the `operator()` of
     /// `class` over `[0, n)`.
     ///
@@ -756,17 +933,26 @@ impl Concord {
         n: u32,
         target: Target,
     ) -> Result<OffloadReport, RuntimeError> {
-        let k = self.kernel(class)?;
-        self.gate_launch(class, k.operator_fn, AnalysisMode::For)?;
-        let gpu_allowed = !self.cpu_only.contains(class);
-        self.record_op(|| SessionOp::Launch {
-            class: class.to_string(),
-            body,
-            n,
-            target,
-            reduce: false,
-        });
-        self.offload_logged(class, k.operator_fn, ConstructKind::For, body, n, target, gpu_allowed)
+        self.blocking(class, body, n, target, false)
+    }
+
+    /// `parallel_reduce_hetero(n, body, device)`: run `operator()` over
+    /// `[0, n)` accumulating into per-worker copies, then combine with
+    /// `join` (hierarchically through GPU local memory when on the GPU,
+    /// §3.3). Hybrid targets join the partials of both devices with the
+    /// same `join`.
+    ///
+    /// # Errors
+    ///
+    /// Unknown kernel class, missing `join`, or a runtime trap.
+    pub fn parallel_reduce_hetero(
+        &mut self,
+        class: &str,
+        body: CpuAddr,
+        n: u32,
+        target: Target,
+    ) -> Result<OffloadReport, RuntimeError> {
+        self.blocking(class, body, n, target, true)
     }
 
     /// `parallel_worklist_hetero(body, seed, device)`: drain a frontier
@@ -793,13 +979,11 @@ impl Concord {
         seed: &[i32],
         target: Target,
     ) -> Result<WorklistReport, RuntimeError> {
-        let k = self.kernel(class)?;
-        self.gate_launch(class, k.operator_fn, AnalysisMode::For)?;
+        let launch = self.admit(class, body, 0, target, false)?;
         // Rounds are serially dependent (each consumes the previous
         // round's pushes), so they drain as solo waves; order them after
         // any launches already submitted to the graph.
         self.complete_all();
-        let gpu_allowed = !self.cpu_only.contains(class);
         self.record_op(|| SessionOp::Worklist {
             class: class.to_string(),
             body,
@@ -814,15 +998,7 @@ impl Concord {
         // staging and device-side writes replay through the recorded
         // `Worklist` op, not as raw `Write` records.
         let saved = self.region.suspend_journal();
-        let res = self.run_worklist(
-            class,
-            k.operator_fn,
-            body,
-            target,
-            gpu_allowed,
-            frontier,
-            &mut queues,
-        );
+        let res = self.run_worklist(&launch, frontier, &mut queues);
         self.region.restore_journal(saved);
         if let Some(q) = queues {
             // Free on every exit path, trap included.
@@ -833,15 +1009,11 @@ impl Concord {
     }
 
     /// The iterate-until-empty loop behind
-    /// [`Concord::parallel_worklist_hetero`].
-    #[allow(clippy::too_many_arguments)]
+    /// [`Concord::parallel_worklist_hetero`]: each round is `launch` with
+    /// the frontier as its [`WorkKind::Worklist`] items.
     fn run_worklist(
         &mut self,
-        class: &str,
-        func: FuncId,
-        body: CpuAddr,
-        target: Target,
-        gpu_allowed: bool,
+        launch: &graph::Launch<'static>,
         mut frontier: Vec<i32>,
         queues: &mut Option<FrontierQueues>,
     ) -> Result<WorklistReport, RuntimeError> {
@@ -850,16 +1022,13 @@ impl Concord {
             report.frontier_sizes.push(frontier.len() as u32);
             self.stage_frontier(queues, &frontier)?;
             let mut pushes: Vec<i32> = Vec::new();
-            let round = self.offload_worklist_round(
-                class,
-                func,
-                body,
-                &frontier,
-                target,
-                gpu_allowed,
-                &mut pushes,
-            );
-            report.absorb(&round?);
+            let round = graph::Launch {
+                class: launch.class.clone(),
+                kind: WorkKind::Worklist { items: &frontier },
+                n: frontier.len() as u32,
+                ..*launch
+            };
+            report.absorb(&self.offload(&round, &mut pushes)?);
             // Ordered commit: the union of all chunk segments, sorted by
             // item and deduplicated — canonical ascending drain order.
             pushes.sort_unstable();
@@ -898,42 +1067,6 @@ impl Concord {
         Ok(())
     }
 
-    /// `parallel_reduce_hetero(n, body, device)`: run `operator()` over
-    /// `[0, n)` accumulating into per-worker copies, then combine with
-    /// `join` (hierarchically through GPU local memory when on the GPU,
-    /// §3.3). Hybrid targets join the partials of both devices with the
-    /// same `join`.
-    ///
-    /// # Errors
-    ///
-    /// Unknown kernel class, missing `join`, or a runtime trap.
-    pub fn parallel_reduce_hetero(
-        &mut self,
-        class: &str,
-        body: CpuAddr,
-        n: u32,
-        target: Target,
-    ) -> Result<OffloadReport, RuntimeError> {
-        let k = self.kernel(class)?;
-        let join = k.join_fn.ok_or_else(|| RuntimeError::NoJoin(class.to_string()))?;
-        self.gate_launch(class, k.operator_fn, AnalysisMode::Reduce)?;
-        // Local memory must fit one body copy per lane; otherwise the
-        // runtime performs the reduction on the CPU (§3.3: "if local
-        // memory is insufficient").
-        let fits_local =
-            k.body_size * u64::from(self.system.gpu.simd_width) <= self.system.gpu.local_bytes;
-        let gpu_allowed = !self.cpu_only.contains(class) && fits_local;
-        let kind = ConstructKind::Reduce { join, body_size: k.body_size };
-        self.record_op(|| SessionOp::Launch {
-            class: class.to_string(),
-            body,
-            n,
-            target,
-            reduce: true,
-        });
-        self.offload_logged(class, k.operator_fn, kind, body, n, target, gpu_allowed)
-    }
-
     /// Submit a `parallel_for_hetero` launch to the dependency-aware
     /// launch graph without waiting for it. The launch's shared-region
     /// footprint is resolved now (static access summary + live pointer
@@ -955,10 +1088,7 @@ impl Concord {
         n: u32,
         target: Target,
     ) -> Result<LaunchId, RuntimeError> {
-        let k = self.kernel(class)?;
-        self.gate_launch(class, k.operator_fn, AnalysisMode::For)?;
-        let gpu_allowed = !self.cpu_only.contains(class);
-        self.submit(class, k.operator_fn, ConstructKind::For, body, n, target, gpu_allowed)
+        self.submit(class, body, n, target, false)
     }
 
     /// Submit a `parallel_reduce_hetero` launch to the launch graph (see
@@ -976,47 +1106,24 @@ impl Concord {
         n: u32,
         target: Target,
     ) -> Result<LaunchId, RuntimeError> {
-        let k = self.kernel(class)?;
-        let join = k.join_fn.ok_or_else(|| RuntimeError::NoJoin(class.to_string()))?;
-        self.gate_launch(class, k.operator_fn, AnalysisMode::Reduce)?;
-        let fits_local =
-            k.body_size * u64::from(self.system.gpu.simd_width) <= self.system.gpu.local_bytes;
-        let gpu_allowed = !self.cpu_only.contains(class) && fits_local;
-        let kind = ConstructKind::Reduce { join, body_size: k.body_size };
-        self.submit(class, k.operator_fn, kind, body, n, target, gpu_allowed)
+        self.submit(class, body, n, target, true)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn submit(
         &mut self,
         class: &str,
-        func: FuncId,
-        kind: ConstructKind,
         body: CpuAddr,
         n: u32,
         target: Target,
-        gpu_allowed: bool,
+        reduce: bool,
     ) -> Result<LaunchId, RuntimeError> {
-        let roots = match kind {
-            ConstructKind::For => vec![func],
-            ConstructKind::Reduce { join, .. } => vec![func, join],
+        let launch = self.admit(class, body, n, target, reduce)?;
+        let footprint = if launch.gated.any() {
+            Footprint::opaque()
+        } else {
+            self.resolve_footprint(launch.func, launch.kind, body, n)
         };
-        let gated = concord_ir::analysis::uses_gated_ops(&self.program.module, &roots)
-            || concord_ir::analysis::uses_gated_ops(&self.gpu_artifact.module, &roots);
-        let footprint =
-            if gated { Footprint::opaque() } else { self.resolve_footprint(func, kind, body, n) };
-        let id = self.launch_graph.submit(graph::PendingLaunch {
-            id: 0,
-            class: class.to_string(),
-            func,
-            kind,
-            body,
-            n,
-            target,
-            gpu_allowed,
-            gated,
-            footprint,
-        });
+        let id = self.launch_graph.submit(launch, footprint);
         self.tracer.instant(
             Track::Sched,
             "submit",
@@ -1042,14 +1149,11 @@ impl Concord {
     fn resolve_footprint(
         &mut self,
         func: FuncId,
-        kind: ConstructKind,
+        kind: WorkKind<'_>,
         body: CpuAddr,
         n: u32,
     ) -> Footprint {
-        let mode = match kind {
-            ConstructKind::For => AnalysisMode::For,
-            ConstructKind::Reduce { .. } => AnalysisMode::Reduce,
-        };
+        let mode = analysis_mode(kind);
         let summary = self
             .access_cache
             .entry((func, mode))
@@ -1065,7 +1169,7 @@ impl Concord {
         // kernel); a reduction also stages copies from it and joins the
         // partials back into it.
         ranges.push(FootRange { lo: body_lo, hi: body_hi, mode: AccessMode::Read });
-        if matches!(kind, ConstructKind::Reduce { .. }) {
+        if mode == AnalysisMode::Reduce {
             ranges.push(FootRange { lo: body_lo, hi: body_hi, mode: AccessMode::Write });
         }
         for r in &summary.records {
@@ -1336,20 +1440,16 @@ impl Concord {
     /// Decide what the front of the queue may do, and how many conflict
     /// stalls the decision observed.
     fn plan_wave(&self) -> (WavePlan, u64) {
-        fn pair_ok(a: &graph::PendingLaunch, b: &graph::PendingLaunch) -> bool {
-            let one_each = (a.target == Target::Cpu && b.target == Target::Gpu && b.gpu_allowed)
-                || (b.target == Target::Cpu && a.target == Target::Gpu && a.gpu_allowed);
-            one_each
-                && matches!(a.kind, ConstructKind::For)
-                && matches!(b.kind, ConstructKind::For)
-                && !a.gated
-                && !b.gated
+        /// An ungated `parallel_for` explicitly targeted at `target`.
+        fn plain_for(p: &graph::PendingLaunch, target: Target) -> bool {
+            let l = &p.launch;
+            l.target == target && matches!(l.kind, WorkKind::For) && !l.gated.any()
         }
         fn batch_ok(p: &graph::PendingLaunch) -> bool {
-            p.target == Target::Gpu
-                && p.gpu_allowed
-                && matches!(p.kind, ConstructKind::For)
-                && !p.gated
+            plain_for(p, Target::Gpu) && p.launch.gpu_allowed
+        }
+        fn pair_ok(a: &graph::PendingLaunch, b: &graph::PendingLaunch) -> bool {
+            (plain_for(a, Target::Cpu) && batch_ok(b)) || (batch_ok(a) && plain_for(b, Target::Cpu))
         }
         let q = self.launch_graph.pending();
         let mut stalls = 0u64;
@@ -1408,281 +1508,31 @@ impl Concord {
     fn drain_one_wave(&mut self) {
         let (plan, stalls) = self.plan_wave();
         self.launch_graph.stats_mut().conflict_stalls += stalls;
-        match plan {
-            WavePlan::Solo => {
-                let Some(p) = self.launch_graph.pop() else { return };
-                let r = self.offload_logged(
-                    &p.class,
-                    p.func,
-                    p.kind,
-                    p.body,
-                    p.n,
-                    p.target,
-                    p.gpu_allowed,
-                );
-                self.finished.insert(p.id, r);
-            }
-            WavePlan::Pair => self.run_pair(),
-            WavePlan::Batch { size, coalesced } => self.run_batch(size, coalesced),
-        }
-    }
-
-    /// Overlap wave: one CPU-targeted and one GPU-targeted
-    /// `parallel_for` with disjoint footprints. Both execute against a
-    /// snapshot of the region (the GPU on a helper thread when host
-    /// threads allow) and the write-logs commit in submission order
-    /// under one fence pair — the same snapshot-and-log machinery the
-    /// hybrid split uses, so every byte, report, and trap matches serial
-    /// execution.
-    fn run_pair(&mut self) {
-        let first = self.launch_graph.pop().expect("pair wave has a first launch");
-        let second = self.launch_graph.pop().expect("pair wave has a second launch");
-        let saved = self.region.suspend_journal();
-        let gpu_is_first = first.target == Target::Gpu;
-        let (first_res, second_res) = {
-            let (gpu_l, cpu_l) = if gpu_is_first { (&first, &second) } else { (&second, &first) };
-            let Concord {
-                system,
-                program,
-                gpu_artifact,
-                region,
-                vtables,
-                cpu,
-                gpu,
-                meter,
-                profile,
-                tracer,
-                ..
-            } = self;
-            let mut sp = tracer.span_with(
-                Track::Sched,
-                "overlap",
-                vec![
-                    ("gpu_kernel", gpu_l.class.as_str().into()),
-                    ("cpu_kernel", cpu_l.class.as_str().into()),
-                    ("gpu_n", i64::from(gpu_l.n).into()),
-                    ("cpu_n", i64::from(cpu_l.n).into()),
-                ],
-            );
-            let mut ctx = ExecCtx {
-                region,
-                vtables,
-                cpu_module: &program.module,
-                gpu_module: &gpu_artifact.module,
-                system,
-                tracer,
-            };
-            let jit = gpu.prepare(&mut ctx, &gpu_l.class, gpu_l.func);
-            gpu.fence_in(&mut ctx);
-            let gspan = Span::full(gpu_l.n);
-            let cspan = Span::full(cpu_l.n);
-            let host_threads = cpu.sim().host_threads;
-            let (gpu_pending, cpu_pending) = {
-                let region: &SharedRegion = ctx.region;
-                let vtables: &VtableArea = ctx.vtables;
-                let cpu_module = ctx.cpu_module;
-                let gpu_module = ctx.gpu_module;
-                let gpu_sim = gpu.sim();
-                let (gfunc, gbody) = (gpu_l.func, gpu_l.body);
-                let run_gpu = move || {
-                    gpu_sim.execute_for_span(
-                        region, gpu_module, gfunc, gbody, gspan.lo, gspan.hi, gspan.grid,
-                    )
-                };
-                let (cfunc, cbody) = (cpu_l.func, cpu_l.body);
-                let run_cpu = |sim: &mut CpuSim| {
-                    sim.execute_for_span(
-                        region, vtables, cpu_module, cfunc, cbody, cspan.lo, cspan.hi, cspan.grid,
-                    )
-                };
-                if host_threads > 1 {
-                    std::thread::scope(|s| {
-                        let h = s.spawn(run_gpu);
-                        let c = run_cpu(cpu.sim_mut());
-                        (h.join().expect("GPU execute thread panicked"), c)
-                    })
-                } else {
-                    (run_gpu(), run_cpu(cpu.sim_mut()))
-                }
-            };
-            // Commit in submission order: the meter and profile history
-            // sequences — and any partial-commit trap state — match the
-            // serial path exactly.
-            let (first_r, second_r);
-            if gpu_is_first {
-                first_r = gpu
-                    .commit_pending(&mut ctx, gspan, gpu_pending)
-                    .map(|s| {
-                        part_report(
-                            system,
-                            meter,
-                            profile,
-                            &gpu_l.class,
-                            Device::Gpu,
-                            gspan,
-                            jit,
-                            s,
-                        )
-                    })
-                    .map_err(RuntimeError::Trap);
-                second_r = cpu
-                    .commit_pending(&mut ctx, "parallel_for", cspan, cpu_pending)
-                    .map(|s| {
-                        part_report(
-                            system,
-                            meter,
-                            profile,
-                            &cpu_l.class,
-                            Device::Cpu,
-                            cspan,
-                            0.0,
-                            s,
-                        )
-                    })
-                    .map_err(RuntimeError::Trap);
-            } else {
-                first_r = cpu
-                    .commit_pending(&mut ctx, "parallel_for", cspan, cpu_pending)
-                    .map(|s| {
-                        part_report(
-                            system,
-                            meter,
-                            profile,
-                            &cpu_l.class,
-                            Device::Cpu,
-                            cspan,
-                            0.0,
-                            s,
-                        )
-                    })
-                    .map_err(RuntimeError::Trap);
-                second_r = gpu
-                    .commit_pending(&mut ctx, gspan, gpu_pending)
-                    .map(|s| {
-                        part_report(
-                            system,
-                            meter,
-                            profile,
-                            &gpu_l.class,
-                            Device::Gpu,
-                            gspan,
-                            jit,
-                            s,
-                        )
-                    })
-                    .map_err(RuntimeError::Trap);
-            }
-            gpu.fence_out(&mut ctx);
-            sp.arg("overlapped", true);
-            (first_r, second_r)
+        let size = match plan {
+            WavePlan::Solo => 1,
+            WavePlan::Pair => 2,
+            WavePlan::Batch { size, .. } => size,
         };
-        self.region.restore_journal(saved);
-        self.launch_graph.stats_mut().overlapped += 1;
-        self.finished.insert(first.id, first_res);
-        self.finished.insert(second.id, second_res);
-    }
-
-    /// Batch wave: `size` consecutive GPU `parallel_for`s run back to
-    /// back (submission order) under a single fence pair. Later launches
-    /// than the batch still wait; a trapped member stores its trap and
-    /// the batch continues, matching a serial caller that continues past
-    /// a failed construct.
-    fn run_batch(&mut self, size: usize, coalesced: u64) {
-        let launches: Vec<graph::PendingLaunch> =
-            (0..size).map(|_| self.launch_graph.pop().expect("batch sized to queue")).collect();
-        let saved = self.region.suspend_journal();
-        let mut results: Vec<(u64, Result<OffloadReport, RuntimeError>)> = Vec::with_capacity(size);
-        {
-            let Concord {
-                system,
-                program,
-                gpu_artifact,
-                region,
-                vtables,
-                gpu,
-                meter,
-                profile,
-                tracer,
-                ..
-            } = self;
-            let mut sp = tracer.span_with(
-                Track::Sched,
-                "gpu_batch",
-                vec![("launches", (size as i64).into()), ("coalesced", (coalesced as i64).into())],
-            );
-            let mut ctx = ExecCtx {
-                region,
-                vtables,
-                cpu_module: &program.module,
-                gpu_module: &gpu_artifact.module,
-                system,
-                tracer,
-            };
-            gpu.fence_in(&mut ctx);
-            for p in &launches {
-                let jit = gpu.prepare(&mut ctx, &p.class, p.func);
-                let span = Span::full(p.n);
-                let r = gpu
-                    .launch_for(&mut ctx, p.func, p.body, span)
-                    .map(|s| {
-                        part_report(system, meter, profile, &p.class, Device::Gpu, span, jit, s)
-                    })
-                    .map_err(RuntimeError::Trap);
-                results.push((p.id, r));
+        let wave: Vec<graph::PendingLaunch> =
+            (0..size).map_while(|_| self.launch_graph.pop()).collect();
+        let results = match plan {
+            WavePlan::Solo => {
+                wave.iter().map(|p| self.offload(&p.launch, &mut Vec::new())).collect()
             }
-            gpu.fence_out(&mut ctx);
-            ctx.region.note_fences_elided(size as u64 - 1);
-            sp.arg("fences_elided", size as i64 - 1);
-        }
-        self.region.restore_journal(saved);
-        let st = self.launch_graph.stats_mut();
-        st.fences_elided += size as u64 - 1;
-        st.coalesced += coalesced;
-        for (id, r) in results {
-            self.finished.insert(id, r);
+            WavePlan::Pair => self.run_pair(&wave[0].launch, &wave[1].launch),
+            WavePlan::Batch { coalesced, .. } => self.run_batch(&wave, coalesced),
+        };
+        for (p, r) in wave.iter().zip(results) {
+            self.finished.insert(p.id, r);
         }
     }
 
-    /// [`Concord::offload`] with the region's write journal suspended:
-    /// simulator writes are launch effects, not host writes, and must
-    /// not be recorded as session ops.
-    #[allow(clippy::too_many_arguments)]
-    fn offload_logged(
-        &mut self,
-        class: &str,
-        func: FuncId,
-        kind: ConstructKind,
-        body: CpuAddr,
-        n: u32,
-        target: Target,
-        gpu_allowed: bool,
-    ) -> Result<OffloadReport, RuntimeError> {
+    /// Run `f` over the split-borrowed launch state (plus the heap, for
+    /// scratch) with the region's write journal suspended: simulator
+    /// writes are launch effects, not host writes, and must not be
+    /// recorded as session ops.
+    fn pipeline<R>(&mut self, f: impl FnOnce(&mut Pipeline<'_>, &mut SharedAllocator) -> R) -> R {
         let saved = self.region.suspend_journal();
-        let r = self.offload(class, func, kind, body, n, target, gpu_allowed);
-        self.region.restore_journal(saved);
-        r
-    }
-
-    /// The generic offload path every construct and every target runs
-    /// through: plan the device split, fence in, JIT-prepare and launch
-    /// each part, fence out, join reduction partials, meter energy,
-    /// record profile history, and merge the per-device reports.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    fn offload(
-        &mut self,
-        class: &str,
-        func: FuncId,
-        kind: ConstructKind,
-        body: CpuAddr,
-        n: u32,
-        target: Target,
-        gpu_allowed: bool,
-    ) -> Result<OffloadReport, RuntimeError> {
-        let plan = scheduler::plan(target, n, gpu_allowed, &self.profile, class);
-        let use_native = target == Target::Native;
-        // Disjoint field borrows: the backends, the heap (scratch), the
-        // meter, and the profile history are all threaded through this one
-        // function alongside the ExecCtx borrow of the region.
         let Concord {
             system,
             program,
@@ -1698,29 +1548,7 @@ impl Concord {
             tracer,
             ..
         } = self;
-        let label = match plan.parts.as_slice() {
-            [(Device::Gpu, _)] => "gpu",
-            [(Device::Cpu, _)] if use_native => "native",
-            [(Device::Cpu, _)] => "cpu",
-            _ => "hybrid",
-        };
-        let mut sp = tracer.span_with(
-            Track::Runtime,
-            kind.name(),
-            vec![("kernel", class.into()), ("n", i64::from(n).into()), ("device", label.into())],
-        );
-        tracer.instant(
-            Track::Sched,
-            "decision",
-            vec![
-                ("kernel", class.into()),
-                ("policy", plan.policy.into()),
-                ("gpu_fraction", plan.gpu_fraction.into()),
-                ("parts", (plan.parts.len() as i64).into()),
-                ("n", i64::from(n).into()),
-            ],
-        );
-        let mut ctx = ExecCtx {
+        let ctx = ExecCtx {
             region,
             vtables,
             cpu_module: &program.module,
@@ -1728,412 +1556,280 @@ impl Concord {
             system,
             tracer,
         };
+        let r = f(&mut Pipeline { ctx, cpu, gpu, native, meter, profile }, heap);
+        self.region.restore_journal(saved);
+        r
+    }
 
-        // The native module must exist before the generic launch loop (the
-        // trait's `prepare` cannot fail; this can — unsupported host,
-        // unlowerable module).
-        if use_native {
-            native
-                .ensure_prepared(&mut ctx, class)
-                .map_err(|e| RuntimeError::NativeUnsupported(e.to_string()))?;
-        }
+    /// Overlap wave: one CPU-targeted and one GPU-targeted
+    /// `parallel_for` with disjoint footprints, in submission order. Both
+    /// execute against a snapshot of the region and the write-logs commit
+    /// in submission order under one fence pair — the same
+    /// [`Pipeline::execute_then_commit`] the hybrid split uses, so every
+    /// byte, report, and trap matches serial execution.
+    fn run_pair(
+        &mut self,
+        first: &graph::Launch<'_>,
+        second: &graph::Launch<'_>,
+    ) -> Vec<Result<OffloadReport, RuntimeError>> {
+        let (gpu_l, cpu_l) =
+            if first.target == Target::Gpu { (first, second) } else { (second, first) };
+        let results = self.pipeline(|p, _| {
+            let mut sp = p.ctx.tracer.span_with(
+                Track::Sched,
+                "overlap",
+                vec![
+                    ("gpu_kernel", gpu_l.class.as_str().into()),
+                    ("cpu_kernel", cpu_l.class.as_str().into()),
+                    ("gpu_n", i64::from(gpu_l.n).into()),
+                    ("cpu_n", i64::from(cpu_l.n).into()),
+                ],
+            );
+            let jit = p.gpu.prepare(&mut p.ctx, &gpu_l.class, gpu_l.func);
+            p.gpu.fence_in(&mut p.ctx);
+            let parts = [first, second].map(|l| {
+                let device =
+                    if l.target == Target::Gpu { DeviceClass::Gpu } else { DeviceClass::Cpu };
+                let work = Work { func: l.func, body: l.body, kind: l.kind, gated: false };
+                (device, work, Span::full(l.n))
+            });
+            // Metered in submission order too: the meter and profile
+            // history sequences — and any partial-commit trap state —
+            // match the serial path exactly.
+            let committed = p.execute_then_commit(&parts, false);
+            let mut reports = Vec::with_capacity(2);
+            for ((l, &(device, _, span)), stats) in
+                [first, second].into_iter().zip(&parts).zip(committed)
+            {
+                let jit = if device == DeviceClass::Gpu { jit } else { 0.0 };
+                let report = stats.map(|s| p.part_report(&l.class, device, span, jit, s));
+                reports.push(report.map_err(RuntimeError::Trap));
+            }
+            p.gpu.fence_out(&mut p.ctx);
+            sp.arg("overlapped", true);
+            reports
+        });
+        self.launch_graph.stats_mut().overlapped += 1;
+        results
+    }
 
-        // One scratch guard covers every part's partial-accumulator slots;
-        // Drop releases them on all exit paths, trap included.
-        let mut slot_counts = Vec::new();
-        let guard = match kind {
-            ConstructKind::For => None,
-            ConstructKind::Reduce { body_size, .. } => {
-                for &(device, span) in &plan.parts {
-                    slot_counts.push(match device {
-                        Device::Cpu if use_native => native.reduce_slots(&ctx, span),
-                        Device::Cpu => cpu.reduce_slots(&ctx, span),
-                        Device::Gpu => gpu.reduce_slots(&ctx, span),
-                    });
+    /// Batch wave: consecutive GPU `parallel_for`s run back to back
+    /// (submission order) under a single fence pair. Later launches than
+    /// the batch still wait; a trapped member stores its trap and the
+    /// batch continues, matching a serial caller that continues past a
+    /// failed construct.
+    fn run_batch(
+        &mut self,
+        wave: &[graph::PendingLaunch],
+        coalesced: u64,
+    ) -> Vec<Result<OffloadReport, RuntimeError>> {
+        let elided = wave.len() as u64 - 1;
+        let results = self.pipeline(|p, _| {
+            let mut sp = p.ctx.tracer.span_with(
+                Track::Sched,
+                "gpu_batch",
+                vec![
+                    ("launches", (wave.len() as i64).into()),
+                    ("coalesced", (coalesced as i64).into()),
+                ],
+            );
+            p.gpu.fence_in(&mut p.ctx);
+            let mut results = Vec::with_capacity(wave.len());
+            for graph::PendingLaunch { launch: l, .. } in wave {
+                let jit = p.gpu.prepare(&mut p.ctx, &l.class, l.func);
+                let span = Span::full(l.n);
+                let work = Work { func: l.func, body: l.body, kind: l.kind, gated: false };
+                let stats = p.gpu.launch(&mut p.ctx, &work, span, &mut Vec::new());
+                let report = stats.map(|s| p.part_report(&l.class, DeviceClass::Gpu, span, jit, s));
+                results.push(report.map_err(RuntimeError::Trap));
+            }
+            p.gpu.fence_out(&mut p.ctx);
+            p.ctx.region.note_fences_elided(elided);
+            sp.arg("fences_elided", elided as i64);
+            results
+        });
+        let st = self.launch_graph.stats_mut();
+        st.fences_elided += elided;
+        st.coalesced += coalesced;
+        results
+    }
+
+    /// The offload pipeline every construct and every target runs
+    /// through as a solo wave: plan the device split, fence in,
+    /// JIT-prepare and launch each part, fence out, join reduction
+    /// partials, meter energy, record profile history, and merge the
+    /// per-device reports. A worklist round's pushes land in `pushes`,
+    /// every part's segment in plan order.
+    #[allow(clippy::too_many_lines)]
+    fn offload(
+        &mut self,
+        l: &graph::Launch<'_>,
+        pushes: &mut Vec<i32>,
+    ) -> Result<OffloadReport, RuntimeError> {
+        let plan = scheduler::plan(l.target, l.n, l.gpu_allowed, &self.profile, &l.class);
+        let native = l.target == Target::Native;
+        let label = match plan.parts.as_slice() {
+            [(Device::Gpu, _)] => "gpu",
+            [(Device::Cpu, _)] if native => "native",
+            [(Device::Cpu, _)] => "cpu",
+            _ => "hybrid",
+        };
+        self.pipeline(|p, heap| {
+            let tracer = p.ctx.tracer;
+            let mut sp = tracer.span_with(
+                Track::Runtime,
+                l.kind.name(),
+                vec![
+                    ("kernel", l.class.as_str().into()),
+                    ("n", i64::from(l.n).into()),
+                    ("device", label.into()),
+                ],
+            );
+            tracer.instant(
+                Track::Sched,
+                "decision",
+                vec![
+                    ("kernel", l.class.as_str().into()),
+                    ("policy", plan.policy.into()),
+                    ("gpu_fraction", plan.gpu_fraction.into()),
+                    ("parts", (plan.parts.len() as i64).into()),
+                    ("n", i64::from(l.n).into()),
+                ],
+            );
+            // The native module must exist before the launch loop (the
+            // trait's `prepare` cannot fail; this can — unsupported host,
+            // unlowerable module).
+            if native {
+                p.native
+                    .ensure_prepared(&mut p.ctx, &l.class)
+                    .map_err(|e| RuntimeError::NativeUnsupported(e.to_string()))?;
+            }
+            let class_of = |device: Device| {
+                if native {
+                    DeviceClass::Native
+                } else {
+                    DeviceClass::from(device)
                 }
-                let total: u64 = slot_counts.iter().sum();
-                Some(ScratchGuard::alloc(heap, total, body_size)?)
+            };
+
+            // One scratch guard covers every part's partial-accumulator
+            // slots; Drop releases them on all exit paths, trap included.
+            let mut slot_counts = vec![0usize; plan.parts.len()];
+            let guard = match l.kind {
+                WorkKind::Reduce { body_size, .. } => {
+                    for (count, &(device, span)) in slot_counts.iter_mut().zip(&plan.parts) {
+                        let (backend, ctx) = p.on(class_of(device));
+                        *count = backend.reduce_slots(ctx, span) as usize;
+                    }
+                    let total = slot_counts.iter().sum::<usize>() as u64;
+                    Some(ScratchGuard::alloc(heap, total, body_size)?)
+                }
+                _ => None,
+            };
+            let all_slots = guard.as_ref().map_or(&[][..], ScratchGuard::slots);
+            let mut free_slots = all_slots;
+            let parts = plan.parts.iter().zip(&slot_counts).map(|(&(device, span), &count)| {
+                let device = class_of(device);
+                let (slots, rest) = free_slots.split_at(count);
+                free_slots = rest;
+                let kind = match l.kind {
+                    WorkKind::Reduce { join, body_size, .. } => {
+                        WorkKind::Reduce { join, body_size, slots }
+                    }
+                    kind => kind,
+                };
+                (device, Work { func: l.func, body: l.body, kind, gated: l.gated.on(device) }, span)
+            });
+            let parts: Vec<Part<'_>> = parts.collect();
+
+            for &(device, ..) in &parts {
+                let (backend, ctx) = p.on(device);
+                backend.fence_in(ctx);
             }
-        };
-
-        for &(device, _) in &plan.parts {
-            match device {
-                Device::Cpu => cpu.fence_in(&mut ctx),
-                Device::Gpu => gpu.fence_in(&mut ctx),
-            }
-        }
-
-        // Kernels that need order-dependent operations (`device_malloc`,
-        // compare-and-swap) must run the simulators' serial paths; the
-        // runtime then also launches the parts one after another.
-        let roots = match kind {
-            ConstructKind::For => vec![func],
-            ConstructKind::Reduce { join, .. } => vec![func, join],
-        };
-        let gated = concord_ir::analysis::uses_gated_ops(&program.module, &roots)
-            || concord_ir::analysis::uses_gated_ops(&gpu_artifact.module, &roots);
-
-        let mut launch_error = None;
-        let mut subs: Vec<(Device, u32, f64, LaunchStats)> = Vec::new();
-        if plan.parts.len() > 1 && !gated {
-            // Multi-device plan: every part executes against a snapshot of
-            // the region — on a helper thread when host threads allow —
-            // and the write-logs commit in fixed plan order, so the result
-            // is byte-identical at any `host_threads` value.
-            let jits: Vec<f64> = plan
-                .parts
-                .iter()
-                .map(|&(device, _)| match device {
-                    Device::Cpu => cpu.prepare(&mut ctx, class, func),
-                    Device::Gpu => gpu.prepare(&mut ctx, class, func),
-                })
-                .collect();
-            let mut part_slots: Vec<Vec<CpuAddr>> = Vec::new();
-            let mut slot_base = 0usize;
-            for i in 0..plan.parts.len() {
-                let count = slot_counts.get(i).copied().unwrap_or(0) as usize;
-                part_slots.push(match guard.as_ref() {
-                    Some(g) => g.slots()[slot_base..slot_base + count].to_vec(),
-                    None => Vec::new(),
+            let prepare = |p: &mut Pipeline<'_>, device| {
+                let (backend, ctx) = p.on(device);
+                backend.prepare(ctx, &l.class, l.func)
+            };
+            let mut jits = Vec::with_capacity(parts.len());
+            let snapshot =
+                parts.len() > 1 && !l.gated.any() && !matches!(l.kind, WorkKind::Worklist { .. });
+            let launched = if snapshot {
+                // Multi-device plan: every part executes against a
+                // snapshot of the region and the write-logs commit in
+                // fixed plan order. The CPU accumulates into pre-staged
+                // body copies; stage them serially before the concurrent
+                // phase reads the region.
+                jits.extend(parts.iter().map(|&(device, ..)| prepare(p, device)));
+                let staged = parts.iter().try_for_each(|(device, work, _)| match work.kind {
+                    WorkKind::Reduce { body_size, slots, .. } if *device == DeviceClass::Cpu => {
+                        stage_reduce(p.ctx.region, l.body, body_size, slots)
+                    }
+                    _ => Ok(()),
                 });
-                slot_base += count;
-            }
-            // The CPU accumulates into pre-staged body copies; stage them
-            // serially before the concurrent phase reads the region.
-            if let ConstructKind::Reduce { body_size, .. } = kind {
-                for (i, &(device, _)) in plan.parts.iter().enumerate() {
-                    if device == Device::Cpu {
-                        let used = cpu.sim().reduce_slots(part_slots[i].len());
-                        if let Err(t) = CpuSim::stage_reduce(
-                            ctx.region,
-                            body,
-                            body_size,
-                            &part_slots[i][..used],
-                        ) {
-                            launch_error = Some(t);
-                        }
-                    }
+                match staged {
+                    Ok(()) => p.execute_then_commit(&parts, true),
+                    Err(trap) => vec![Err(trap)],
                 }
-            }
-            if launch_error.is_none() {
-                let gpu_i = plan
-                    .parts
-                    .iter()
-                    .position(|&(d, _)| d == Device::Gpu)
-                    .expect("multi-part plan has a GPU part");
-                let cpu_i = plan
-                    .parts
-                    .iter()
-                    .position(|&(d, _)| d == Device::Cpu)
-                    .expect("multi-part plan has a CPU part");
-                let (_, gspan) = plan.parts[gpu_i];
-                let (_, cspan) = plan.parts[cpu_i];
-                let host_threads = cpu.sim().host_threads;
-                let (gpu_pending, cpu_pending) = {
-                    let region: &SharedRegion = ctx.region;
-                    let vtables: &VtableArea = ctx.vtables;
-                    let cpu_module = ctx.cpu_module;
-                    let gpu_module = ctx.gpu_module;
-                    let gpu_sim = gpu.sim();
-                    let gslots = part_slots[gpu_i].clone();
-                    let run_gpu = move || match kind {
-                        ConstructKind::For => gpu_sim.execute_for_span(
-                            region, gpu_module, func, body, gspan.lo, gspan.hi, gspan.grid,
-                        ),
-                        ConstructKind::Reduce { join, body_size } => gpu_sim.execute_reduce_span(
-                            region, gpu_module, func, join, body, body_size, gspan.lo, gspan.hi,
-                            gspan.grid, &gslots,
-                        ),
-                    };
-                    let cslots = &part_slots[cpu_i];
-                    let run_cpu = |sim: &mut CpuSim| match kind {
-                        ConstructKind::For => sim.execute_for_span(
-                            region, vtables, cpu_module, func, body, cspan.lo, cspan.hi, cspan.grid,
-                        ),
-                        ConstructKind::Reduce { .. } => sim.execute_reduce_partials(
-                            region, vtables, cpu_module, func, cspan.lo, cspan.hi, cspan.grid,
-                            cslots,
-                        ),
-                    };
-                    if host_threads > 1 {
-                        std::thread::scope(|s| {
-                            let h = s.spawn(run_gpu);
-                            let c = run_cpu(cpu.sim_mut());
-                            (h.join().expect("GPU execute thread panicked"), c)
-                        })
-                    } else {
-                        (run_gpu(), run_cpu(cpu.sim_mut()))
-                    }
-                };
-                let mut gpu_pending = Some(gpu_pending);
-                let mut cpu_pending = Some(cpu_pending);
-                for (i, &(device, span)) in plan.parts.iter().enumerate() {
-                    let committed = match device {
-                        Device::Gpu => gpu.commit_pending(
-                            &mut ctx,
-                            span,
-                            gpu_pending.take().expect("one GPU part"),
-                        ),
-                        Device::Cpu => cpu.commit_pending(
-                            &mut ctx,
-                            kind.name(),
-                            span,
-                            cpu_pending.take().expect("one CPU part"),
-                        ),
-                    };
-                    match committed {
-                        Ok(stats) => subs.push((device, span.items(), jits[i], stats)),
-                        Err(trap) => {
-                            launch_error = Some(trap);
-                            break;
-                        }
-                    }
-                }
-            }
-        } else {
-            let mut slot_base = 0usize;
-            for (i, &(device, span)) in plan.parts.iter().enumerate() {
-                let backend: &mut dyn DeviceBackend = match device {
-                    Device::Cpu if use_native => native,
-                    Device::Cpu => cpu,
-                    Device::Gpu => gpu,
-                };
-                let jit_seconds = backend.prepare(&mut ctx, class, func);
-                let launched = match kind {
-                    ConstructKind::For => backend.launch_for(&mut ctx, func, body, span),
-                    ConstructKind::Reduce { join, body_size } => {
-                        let count = slot_counts[i] as usize;
-                        let slots = &guard.as_ref().expect("reduce has scratch").slots()
-                            [slot_base..slot_base + count];
-                        slot_base += count;
-                        backend.launch_reduce(&mut ctx, func, join, body, body_size, span, slots)
-                    }
-                };
-                match launched {
-                    Ok(stats) => subs.push((device, span.items(), jit_seconds, stats)),
-                    Err(trap) => {
-                        launch_error = Some(trap);
+            } else {
+                // Single-part plans, kernels that need order-dependent
+                // operations, and worklist rounds launch their parts one
+                // after another. (For a round that is enough: a later
+                // part observing an earlier part's committed writes can
+                // only suppress duplicate pushes of a guarded monotone
+                // body, and the caller's sort+dedup merge makes the next
+                // frontier independent of that visibility.)
+                let mut launched = Vec::with_capacity(parts.len());
+                for (device, work, span) in &parts {
+                    jits.push(prepare(p, *device));
+                    let (backend, ctx) = p.on(*device);
+                    launched.push(backend.launch(ctx, work, *span, pushes));
+                    if launched.last().is_some_and(Result::is_err) {
                         break;
                     }
                 }
-            }
-        }
-
-        // Unpin before propagating any trap so the region is never left
-        // fenced-for-GPU by a failed construct.
-        for &(device, _) in &plan.parts {
-            match device {
-                Device::Cpu => cpu.fence_out(&mut ctx),
-                Device::Gpu => gpu.fence_out(&mut ctx),
-            }
-        }
-        if let Some(trap) = launch_error {
-            return Err(RuntimeError::Trap(trap));
-        }
-
-        // Host-side final join of every part's partials (sequential, on
-        // core 0, using the CPU-compiled join) — this is what lets one
-        // construct combine per-warp GPU partials with per-core CPU ones.
-        let mut join_seconds = 0.0;
-        if let (ConstructKind::Reduce { join, .. }, Some(g)) = (kind, guard.as_ref()) {
-            // The native executor already joined its partials into `body`
-            // inside `launch_reduce` (same sequential schedule); joining
-            // again here would double-count them.
-            if !use_native {
-                join_seconds = cpu
-                    .join_partials(&mut ctx, join, body, g.slots())
-                    .map_err(RuntimeError::Trap)?;
-            }
-        }
-        drop(guard);
-
-        let mut parts_reports = Vec::new();
-        for &(device, items, jit_seconds, stats) in &subs {
-            let phase = match device {
-                Device::Gpu => PhaseReport {
-                    seconds: stats.seconds + jit_seconds,
-                    busy_fraction: stats.busy_fraction,
-                },
-                Device::Cpu => PhaseReport { seconds: stats.seconds, busy_fraction: 1.0 },
+                launched
             };
-            let before = meter.joules();
-            meter.record(system, device, phase);
-            // Native parts profile under their own device class: their
-            // wall-clock rates must not contaminate the simulated-CPU
-            // history `Target::Auto` splits by.
-            let profile_class =
-                if use_native { DeviceClass::Native } else { DeviceClass::from(device) };
-            profile.record(class, profile_class, u64::from(items), stats.seconds);
-            parts_reports.push(OffloadReport {
-                jit_seconds,
-                exec_seconds: stats.seconds,
-                joules: meter.joules() - before,
-                on_gpu: device == Device::Gpu,
-                fell_back: false,
-                translations: stats.translations,
-                transactions: stats.transactions,
-                contended: stats.contended,
-                busy_fraction: stats.busy_fraction,
-                l3_hit_rate: stats.l3_hit_rate,
-                insts: stats.insts,
+            // Unpin before propagating any trap so the region is never
+            // left fenced-for-GPU by a failed construct.
+            for &(device, ..) in &parts {
+                let (backend, ctx) = p.on(device);
+                backend.fence_out(ctx);
+            }
+            let launched: Vec<LaunchStats> = launched.into_iter().collect::<Result<_, Trap>>()?;
+
+            // Host-side final join of every part's partials (sequential,
+            // on core 0, using the CPU-compiled join) — this is what lets
+            // one construct combine per-warp GPU partials with per-core
+            // CPU ones. The native executor already joined its partials
+            // into the body inside `launch` (same sequential schedule);
+            // joining again here would double-count them.
+            let mut join_seconds = 0.0;
+            if let (WorkKind::Reduce { join, .. }, false) = (l.kind, native) {
+                join_seconds = p.cpu.join_partials(&mut p.ctx, join, l.body, all_slots)?;
+            }
+
+            let reports = parts.iter().zip(jits).zip(launched);
+            let reports = reports.map(|((&(device, _, span), jit), stats)| {
+                p.part_report(&l.class, device, span, jit, stats)
             });
-        }
-        let mut report = OffloadReport::merge_parallel(&parts_reports);
-        if matches!(kind, ConstructKind::Reduce { .. }) {
-            // The final join is a serial tail on one core after the
-            // concurrent parts finish.
-            let before = meter.joules();
-            let host_phase = PhaseReport {
-                seconds: join_seconds,
-                busy_fraction: 1.0 / f64::from(system.cpu.cores),
-            };
-            meter.record(system, Device::Cpu, host_phase);
-            report.joules += meter.joules() - before;
-            report.exec_seconds += join_seconds;
-        }
-        report.fell_back = plan.fell_back;
-        sp.arg("seconds", report.total_seconds());
-        Ok(report)
-    }
-
-    /// One frontier round of [`Concord::parallel_worklist_hetero`]:
-    /// split `items` across the plan's parts and launch each through
-    /// [`DeviceBackend::launch_worklist`], appending every part's push
-    /// segment to `pushes` in plan order.
-    ///
-    /// Parts always run one after another (unlike `parallel_for`'s
-    /// snapshot-concurrent hybrid path): a later part observing an
-    /// earlier part's committed writes can only suppress duplicate
-    /// pushes of a guarded monotone body, and the caller's sort+dedup
-    /// merge makes the next frontier independent of that visibility.
-    #[allow(clippy::too_many_arguments)]
-    fn offload_worklist_round(
-        &mut self,
-        class: &str,
-        func: FuncId,
-        body: CpuAddr,
-        items: &[i32],
-        target: Target,
-        gpu_allowed: bool,
-        pushes: &mut Vec<i32>,
-    ) -> Result<OffloadReport, RuntimeError> {
-        let n = items.len() as u32;
-        let plan = scheduler::plan(target, n, gpu_allowed, &self.profile, class);
-        let use_native = target == Target::Native;
-        let Concord {
-            system,
-            program,
-            gpu_artifact,
-            region,
-            vtables,
-            cpu,
-            gpu,
-            native,
-            meter,
-            profile,
-            tracer,
-            ..
-        } = self;
-        let label = match plan.parts.as_slice() {
-            [(Device::Gpu, _)] => "gpu",
-            [(Device::Cpu, _)] if use_native => "native",
-            [(Device::Cpu, _)] => "cpu",
-            _ => "hybrid",
-        };
-        let mut sp = tracer.span_with(
-            Track::Runtime,
-            "parallel_worklist",
-            vec![("kernel", class.into()), ("n", i64::from(n).into()), ("device", label.into())],
-        );
-        tracer.instant(
-            Track::Sched,
-            "decision",
-            vec![
-                ("kernel", class.into()),
-                ("policy", plan.policy.into()),
-                ("gpu_fraction", plan.gpu_fraction.into()),
-                ("parts", (plan.parts.len() as i64).into()),
-                ("n", i64::from(n).into()),
-            ],
-        );
-        let mut ctx = ExecCtx {
-            region,
-            vtables,
-            cpu_module: &program.module,
-            gpu_module: &gpu_artifact.module,
-            system,
-            tracer,
-        };
-        if use_native {
-            native
-                .ensure_prepared(&mut ctx, class)
-                .map_err(|e| RuntimeError::NativeUnsupported(e.to_string()))?;
-        }
-        for &(device, _) in &plan.parts {
-            match device {
-                Device::Cpu => cpu.fence_in(&mut ctx),
-                Device::Gpu => gpu.fence_in(&mut ctx),
+            let reports: Vec<OffloadReport> = reports.collect();
+            let mut report = OffloadReport::merge_parallel(&reports);
+            if matches!(l.kind, WorkKind::Reduce { .. }) {
+                // The final join is a serial tail on one core after the
+                // concurrent parts finish.
+                let before = p.meter.joules();
+                let host_phase = PhaseReport {
+                    seconds: join_seconds,
+                    busy_fraction: 1.0 / f64::from(p.ctx.system.cpu.cores),
+                };
+                p.meter.record(p.ctx.system, Device::Cpu, host_phase);
+                report.joules += p.meter.joules() - before;
+                report.exec_seconds += join_seconds;
             }
-        }
-        let mut launch_error = None;
-        let mut subs: Vec<(Device, u32, f64, LaunchStats)> = Vec::new();
-        for &(device, span) in &plan.parts {
-            let backend: &mut dyn DeviceBackend = match device {
-                Device::Cpu if use_native => native,
-                Device::Cpu => cpu,
-                Device::Gpu => gpu,
-            };
-            let jit_seconds = backend.prepare(&mut ctx, class, func);
-            let part_items = &items[span.lo as usize..span.hi as usize];
-            match backend.launch_worklist(&mut ctx, func, body, span, part_items, pushes) {
-                Ok(stats) => subs.push((device, span.items(), jit_seconds, stats)),
-                Err(trap) => {
-                    launch_error = Some(trap);
-                    break;
-                }
-            }
-        }
-        for &(device, _) in &plan.parts {
-            match device {
-                Device::Cpu => cpu.fence_out(&mut ctx),
-                Device::Gpu => gpu.fence_out(&mut ctx),
-            }
-        }
-        if let Some(trap) = launch_error {
-            return Err(RuntimeError::Trap(trap));
-        }
-        let mut parts_reports = Vec::new();
-        for &(device, part_n, jit_seconds, stats) in &subs {
-            let phase = match device {
-                Device::Gpu => PhaseReport {
-                    seconds: stats.seconds + jit_seconds,
-                    busy_fraction: stats.busy_fraction,
-                },
-                Device::Cpu => PhaseReport { seconds: stats.seconds, busy_fraction: 1.0 },
-            };
-            let before = meter.joules();
-            meter.record(system, device, phase);
-            let profile_class =
-                if use_native { DeviceClass::Native } else { DeviceClass::from(device) };
-            profile.record(class, profile_class, u64::from(part_n), stats.seconds);
-            parts_reports.push(OffloadReport {
-                jit_seconds,
-                exec_seconds: stats.seconds,
-                joules: meter.joules() - before,
-                on_gpu: device == Device::Gpu,
-                fell_back: false,
-                translations: stats.translations,
-                transactions: stats.transactions,
-                contended: stats.contended,
-                busy_fraction: stats.busy_fraction,
-                l3_hit_rate: stats.l3_hit_rate,
-                insts: stats.insts,
-            });
-        }
-        let mut report = OffloadReport::merge_parallel(&parts_reports);
-        report.fell_back = plan.fell_back;
-        sp.arg("seconds", report.total_seconds());
-        Ok(report)
+            report.fell_back = plan.fell_back;
+            sp.arg("seconds", report.total_seconds());
+            Ok(report)
+        })
     }
 }
 
@@ -2764,6 +2460,45 @@ mod tests {
             assert_eq!(st.submitted, 1);
             assert_eq!(st.completed, 1);
         }
+    }
+
+    #[test]
+    fn blocking_launch_orders_after_pending_submissions() {
+        // `Walk` reads the links `Link` writes, so a blocking `Walk` must
+        // not run ahead of a `Link` that is still pending in the graph.
+        const SRC: &str = r#"
+            struct Node { Node* next; int linked; };
+            class Link {
+            public:
+                Node* nodes;
+                void operator()(int i) { nodes[i].next = &(nodes[i+1]); }
+            };
+            class Walk {
+            public:
+                Node* nodes;
+                void operator()(int i) {
+                    if (nodes[i].next != nullptr) { nodes[i].linked = 1; }
+                }
+            };
+        "#;
+        let run = |submit_link: bool| {
+            let mut cc = Concord::new(SystemConfig::ultrabook(), SRC, Options::default()).unwrap();
+            let nodes = cc.malloc(101 * 16).unwrap();
+            let body = cc.malloc(8).unwrap();
+            cc.region_mut().write_ptr(body, nodes).unwrap();
+            if submit_link {
+                cc.submit_for("Link", body, 100, Target::Cpu).unwrap();
+            } else {
+                cc.parallel_for_hetero("Link", body, 100, Target::Cpu).unwrap();
+            }
+            cc.parallel_for_hetero("Walk", body, 100, Target::Cpu).unwrap();
+            cc.complete_all();
+            cc.region()
+                .read_bytes(nodes.0, concord_ir::types::AddrSpace::Cpu, 101 * 16)
+                .unwrap()
+                .to_vec()
+        };
+        assert_eq!(run(true), run(false), "blocking Walk ran ahead of the pending Link");
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   coalescing free-list allocator over the region.
 //! * [`vtable::VtableArea`] — vtables and RTTI placed in shared memory so
 //!   virtual dispatch works from both devices (§3.2).
+//! * [`work::Work`] — the launch descriptor the runtime hands every
+//!   executor, with the [`work::Span`] it covers.
 //!
 //! ## Example
 //!
@@ -36,6 +38,7 @@ pub mod alloc;
 pub mod region;
 pub mod shadow;
 pub mod vtable;
+pub mod work;
 
 pub use alloc::{AllocError, SharedAllocator};
 pub use region::{
@@ -44,3 +47,4 @@ pub use region::{
 };
 pub use shadow::{apply_log, apply_rmw, AtomicKind, MemOp, RegionMem, ShadowRegion};
 pub use vtable::{VtableArea, MAX_VTABLE_SLOTS, VTABLE_MAGIC, VTABLE_STRIDE};
+pub use work::{stage_reduce, Span, Work, WorkKind};

@@ -154,21 +154,29 @@ fn graph_replay_matches_serial_on_native() {
 }
 
 /// The graph path must reproduce the serial path's *trap choice*: when a
-/// recorded stream contains a trapping launch followed by a healthy one,
-/// both replays report the same trap identity in the same slot and the
-/// later launch still runs.
+/// recorded stream contains trapping launches among healthy ones, both
+/// replays report the same trap identity in the same slot and the later
+/// launches still run. Two fixtures: a null body field (opaque footprint,
+/// so every launch drains solo), and a kernel that traps at one item while
+/// its footprint stays resolvable, placed so the trap rides a Cpu+Gpu pair
+/// wave and a Gpu+Gpu batch wave (partial commit, later member still runs).
 #[test]
 fn graph_replay_preserves_trap_choice_and_order() {
-    const SRC: &str = r#"
+    const STORE: &str = r#"
         class Store {
         public:
             int* out; int n;
             void operator()(int i) { out[i] = i + 1; }
         };
     "#;
-    let ops = {
-        let mut cc = fresh(SRC, 1);
-        cc.record_session(true);
+    const DIV: &str = r#"
+        class Div {
+        public:
+            int* out; int k;
+            void operator()(int i) { out[i] = 100 / (i - k); }
+        };
+    "#;
+    fn record_store(cc: &mut Concord) {
         let out = cc.malloc(64 * 4).unwrap();
         let good = cc.malloc(16).unwrap();
         cc.region_mut().write_ptr(good, out).unwrap();
@@ -177,15 +185,47 @@ fn graph_replay_preserves_trap_choice_and_order() {
         let bad = cc.malloc(16).unwrap();
         let _ = cc.parallel_for_hetero("Store", bad, 64, Target::Cpu);
         cc.parallel_for_hetero("Store", good, 64, Target::Gpu).unwrap();
-        cc.take_session()
-    };
-    let mut serial = fresh(SRC, 1);
-    let s = serial.replay_serial(&ops).unwrap();
-    assert!(s[0].is_err() && s[1].is_ok(), "fixture shape: trap then success");
-    for ht in [1usize, 8] {
-        let mut graph = fresh(SRC, ht);
-        let g = graph.replay_graph(&ops).unwrap();
-        assert_results_eq("Store", Target::Cpu, ht, &s, &g);
-        assert_eq!(region_bytes(&serial), region_bytes(&graph), "bytes diverged (ht={ht})");
+    }
+    fn record_div(cc: &mut Concord) {
+        // Four launches over four disjoint arrays; `k` inside `[0, 64)`
+        // divides by zero at item `k`, `k = 64` never does. Cpu(trap) +
+        // Gpu(ok) pair up, then Gpu(trap) + Gpu(ok) batch.
+        let launches = [(Target::Cpu, 37), (Target::Gpu, 64), (Target::Gpu, 21), (Target::Gpu, 64)];
+        let bodies = launches.map(|(_, k)| {
+            let out = cc.malloc(64 * 4).unwrap();
+            let body = cc.malloc(16).unwrap();
+            cc.region_mut().write_ptr(body, out).unwrap();
+            cc.region_mut().write_i32(body.offset(8), k).unwrap();
+            body
+        });
+        for ((target, _), body) in launches.into_iter().zip(bodies) {
+            let _ = cc.parallel_for_hetero("Div", body, 64, target);
+        }
+    }
+    type Fixture = (&'static str, &'static str, fn(&mut Concord), &'static [bool], u64, u64);
+    let fixtures: [Fixture; 2] = [
+        ("Store", STORE, record_store, &[false, true], 0, 0),
+        ("Div", DIV, record_div, &[false, true, false, true], 1, 1),
+    ];
+    for (name, src, record, shape, overlapped, fences_elided) in fixtures {
+        let ops = {
+            let mut cc = fresh(src, 1);
+            cc.record_session(true);
+            record(&mut cc);
+            cc.take_session()
+        };
+        let mut serial = fresh(src, 1);
+        let s = serial.replay_serial(&ops).unwrap();
+        let ok: Vec<bool> = s.iter().map(Result::is_ok).collect();
+        assert_eq!(ok, shape, "{name}: fixture shape (which launches trap)");
+        for ht in [1usize, 8] {
+            let mut graph = fresh(src, ht);
+            let g = graph.replay_graph(&ops).unwrap();
+            assert_results_eq(name, Target::Cpu, ht, &s, &g);
+            assert_eq!(region_bytes(&serial), region_bytes(&graph), "{name}: bytes (ht={ht})");
+            let stats = graph.graph_stats();
+            assert!(stats.overlapped >= overlapped, "{name}: no pair wave formed (ht={ht})");
+            assert!(stats.fences_elided >= fences_elided, "{name}: no batch formed (ht={ht})");
+        }
     }
 }
