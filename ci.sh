@@ -47,9 +47,9 @@ timeout 600 env CONCORD_HOST_THREADS=8 cargo test -q -p concord-serve --test bat
 timeout 600 env CONCORD_HOST_THREADS=1 cargo test -q -p concord-serve --test soak
 timeout 600 env CONCORD_HOST_THREADS=8 cargo test -q -p concord-serve --test soak
 
-echo "==> serve fuzz battery (deterministic seeds, 1275 cases) and robustness suite"
+echo "==> serve fuzz battery (deterministic seeds, 1595 cases) and robustness suite"
 # The proptest shim seeds each property from its test name, so this is a
-# fixed, reproducible corpus: frame-codec round-trips, random bytes,
+# fixed, reproducible corpus: frame-codec and raw-tail round-trips, random bytes,
 # mutated frames, and pathological packetization against a live server.
 timeout 600 cargo test -q -p concord-serve --test fuzz
 timeout 600 cargo test -q -p concord-serve --test robustness
@@ -144,10 +144,13 @@ echo "==> bench_client loopback runs (CONCORD_HOST_THREADS=1 and =8, write BENCH
 # Host threads are pinned so the summaries land on deterministic
 # bench_gate config keys (schema in EXPERIMENTS.md); each summary embeds
 # the server's full metrics snapshot under `server`.
+# Every gated configuration below takes 1024 latency samples (clients x
+# iters), so the gated p99 has ten samples beyond it; at the 8-32 samples
+# these runs used to take, "p99" was the slowest request of the run.
 timeout 600 env CONCORD_HOST_THREADS=1 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-    --clients 4 --iters 8 --json BENCH_serve.json
+    --clients 4 --iters 256 --json BENCH_serve.json
 timeout 600 env CONCORD_HOST_THREADS=8 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-    --clients 4 --iters 8 --json BENCH_serve_ht8.json
+    --clients 4 --iters 256 --json BENCH_serve_ht8.json
 for summary in BENCH_serve.json BENCH_serve_ht8.json; do
     test -s "$summary" || { echo "!! bench_client did not write $summary" >&2; exit 1; }
     grep -q 'concord-bench_client/v1' "$summary" || {
@@ -166,9 +169,9 @@ echo "==> bench_client worklist runs (CONCORD_HOST_THREADS=1 and =8, write BENCH
 # `parallel_worklist` frontier through the server, and all clients must
 # observe the same deterministic drain shape (asserted in-process).
 timeout 600 env CONCORD_HOST_THREADS=1 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-    --workload worklist --clients 2 --iters 4 --json BENCH_worklist.json
+    --workload worklist --clients 2 --iters 512 --json BENCH_worklist.json
 timeout 600 env CONCORD_HOST_THREADS=8 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-    --workload worklist --clients 2 --iters 4 --json BENCH_worklist_ht8.json
+    --workload worklist --clients 2 --iters 512 --json BENCH_worklist_ht8.json
 for summary in BENCH_worklist.json BENCH_worklist_ht8.json; do
     grep -q '"worklist":' "$summary" || {
         echo "!! $summary is missing its worklist drain-shape object" >&2
@@ -181,9 +184,9 @@ echo "==> bench_client mixed-session runs (CONCORD_HOST_THREADS=1 and =8)"
 # records serialized-vs-batched percentiles plus the server's overlap
 # counters into its summary.
 timeout 600 env CONCORD_HOST_THREADS=1 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-    --mixed-session --clients 2 --iters 8 --json BENCH_mixed_ht1.json
+    --mixed-session --clients 2 --iters 512 --json BENCH_mixed_ht1.json
 timeout 600 env CONCORD_HOST_THREADS=8 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-    --mixed-session --clients 2 --iters 8 --json BENCH_mixed_ht8.json
+    --mixed-session --clients 2 --iters 512 --json BENCH_mixed_ht8.json
 
 echo "==> bench_gate: p99 latency regression gate (history in BENCH_history.jsonl)"
 # Each summary is judged against the best prior p99 of the same

@@ -60,9 +60,11 @@ pub fn source_hash(src: &str) -> u64 {
 
 /// One cached compilation: everything [`crate::Concord`] derives from
 /// source text that is independent of the session's region and simulators.
+/// The program and the GPU artifact are immutable once compiled, so every
+/// session opened on this entry shares them instead of cloning them.
 pub(crate) struct CachedArtifact {
-    pub(crate) program: LoweredProgram,
-    pub(crate) gpu_artifact: GpuArtifact,
+    pub(crate) program: Arc<LoweredProgram>,
+    pub(crate) gpu_artifact: Arc<GpuArtifact>,
     pub(crate) jitted: SharedJitSet,
     pub(crate) native: SharedNativeModule,
 }
@@ -189,8 +191,8 @@ impl ArtifactCache {
         }
         let (program, gpu_artifact) = compile()?;
         let entry = Arc::new(CachedArtifact {
-            program,
-            gpu_artifact,
+            program: Arc::new(program),
+            gpu_artifact: Arc::new(gpu_artifact),
             jitted: Arc::new(Mutex::new(HashSet::new())),
             native: Arc::new(Mutex::new(None)),
         });
@@ -252,8 +254,8 @@ impl ArtifactCache {
             return Err("trailing bytes after payload".into());
         }
         Ok(CachedArtifact {
-            program,
-            gpu_artifact,
+            program: Arc::new(program),
+            gpu_artifact: Arc::new(gpu_artifact),
             jitted: Arc::new(Mutex::new(HashSet::new())),
             native: Arc::new(Mutex::new(None)),
         })

@@ -511,8 +511,10 @@ impl<'a> Pipeline<'a> {
 /// The Concord runtime context.
 pub struct Concord {
     system: SystemConfig,
-    program: LoweredProgram,
-    gpu_artifact: GpuArtifact,
+    /// Immutable after build, and shared with the artifact cache (and so
+    /// with every other session on the same cache entry) rather than cloned.
+    program: Arc<LoweredProgram>,
+    gpu_artifact: Arc<GpuArtifact>,
     region: SharedRegion,
     heap: SharedAllocator,
     vtables: VtableArea,
@@ -621,8 +623,8 @@ impl Concord {
                     vec![("hit", hit.into()), ("source_hash", cache::source_hash(source).into())],
                 );
                 (
-                    entry.program.clone(),
-                    entry.gpu_artifact.clone(),
+                    Arc::clone(&entry.program),
+                    Arc::clone(&entry.gpu_artifact),
                     Arc::clone(&entry.jitted),
                     Arc::clone(&entry.native),
                 )
@@ -630,8 +632,8 @@ impl Concord {
             None => {
                 let (program, gpu_artifact) = compile()?;
                 (
-                    program,
-                    gpu_artifact,
+                    Arc::new(program),
+                    Arc::new(gpu_artifact),
                     Arc::new(Mutex::new(HashSet::new())),
                     Arc::new(Mutex::new(None)),
                 )
@@ -2291,6 +2293,11 @@ mod tests {
         assert_eq!(cache.entries(), 1);
         assert_eq!(rb.jit_seconds, 0.0, "JIT charge is shared process-wide through the cache");
         assert_eq!(bytes_a, bytes_b, "cached sessions produce identical results");
+        assert!(
+            std::ptr::eq(a.program(), b.program())
+                && std::ptr::eq(a.gpu_artifact(), b.gpu_artifact()),
+            "a warm open shares the compiled program and artifact instead of cloning them"
+        );
         assert_eq!(ra.exec_seconds, rb.exec_seconds);
         assert_eq!(ra.insts, rb.insts);
 

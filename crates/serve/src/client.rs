@@ -10,12 +10,16 @@
 //! fresh `id` and reads frames until the echoed `id` matches, so a handle
 //! is single-threaded by construction (it is still `Send`, and moving one
 //! into a worker thread is the intended fan-out pattern).
+//!
+//! The socket runs with `TCP_NODELAY` and every request leaves in one
+//! `write`; region bytes travel as raw payload tails in both directions
+//! (see [`crate::protocol`]), never as hex.
 
 use crate::json::{parse, Json};
-use crate::protocol::{from_hex, read_frame, send, to_hex};
+use crate::protocol::{frame_with_tail, read_frame, read_tail, send};
 use concord_runtime::OffloadReport;
 use std::fmt;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Why a client call failed.
@@ -119,23 +123,42 @@ impl Client {
     /// Socket errors.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        // A request is one small segment awaiting a reply: Nagle would hold
+        // it back for the peer's delayed ACK.
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader, next_id: 1 })
     }
 
     /// Send one request and wait for its response (matched by echoed id).
+    /// A raw tail on the response is read off the stream and dropped; use
+    /// [`Client::read`] to get region bytes.
     ///
     /// # Errors
     ///
     /// [`ClientError`] for transport failures, server-side errors,
     /// `overloaded` refusals, and protocol violations.
-    pub fn call(&mut self, mut request: Json) -> Result<Json, ClientError> {
+    pub fn call(&mut self, request: Json) -> Result<Json, ClientError> {
+        self.exchange(request, None).map(|(resp, _)| resp)
+    }
+
+    /// One request/response exchange: `request` (followed by `tail` as a
+    /// raw payload tail, when given) out in a single write, then frames in
+    /// until the echoed id matches. Returns the response and its tail.
+    fn exchange(
+        &mut self,
+        mut request: Json,
+        tail: Option<&[u8]>,
+    ) -> Result<(Json, Option<Vec<u8>>), ClientError> {
         let id = self.next_id;
         self.next_id += 1;
         if let Json::Obj(fields) = &mut request {
             fields.push(("id".to_string(), id.into()));
         }
-        send(&mut self.writer, &request)?;
+        match tail {
+            Some(tail) => self.writer.write_all(&frame_with_tail(request, tail)?)?,
+            None => send(&mut self.writer, &request)?,
+        }
         loop {
             let payload = read_frame(&mut self.reader)
                 .map_err(|e| ClientError::Protocol(e.to_string()))?
@@ -143,6 +166,9 @@ impl Client {
                     ClientError::Protocol("connection closed awaiting response".to_string())
                 })?;
             let resp = parse(&payload).map_err(ClientError::Protocol)?;
+            // The tail belongs to the byte stream whoever the frame is for.
+            let tail = read_tail(&mut self.reader, &resp)
+                .map_err(|e| ClientError::Protocol(e.to_string()))?;
             // Responses to this connection's earlier (pipelined or failed)
             // requests can still be in flight; skip anything not ours.
             if resp.get("id").and_then(Json::as_u64) != Some(id) {
@@ -158,7 +184,7 @@ impl Client {
                         .to_string(),
                 }),
                 Some("overloaded") => Err(ClientError::Overloaded),
-                Some(_) => Ok(resp),
+                Some(_) => Ok((resp, tail)),
                 None => Err(ClientError::Protocol("response missing `type`".to_string())),
             };
         }
@@ -247,13 +273,12 @@ impl Client {
     ///
     /// `region_fault` and transport failures; see [`Client::call`].
     pub fn write(&mut self, session: u64, addr: u64, bytes: &[u8]) -> Result<(), ClientError> {
-        self.call(Json::obj(vec![
+        let request = Json::obj(vec![
             ("type", Json::str("write")),
             ("session", session.into()),
             ("addr", addr.into()),
-            ("hex", to_hex(bytes).into()),
-        ]))
-        .map(|_| ())
+        ]);
+        self.exchange(request, Some(bytes)).map(|_| ())
     }
 
     /// Read `len` raw bytes from a shared-region address.
@@ -262,17 +287,15 @@ impl Client {
     ///
     /// `region_fault` and transport failures; see [`Client::call`].
     pub fn read(&mut self, session: u64, addr: u64, len: u64) -> Result<Vec<u8>, ClientError> {
-        let resp = self.call(Json::obj(vec![
+        let request = Json::obj(vec![
             ("type", Json::str("read")),
             ("session", session.into()),
             ("addr", addr.into()),
             ("len", len.into()),
-        ]))?;
-        let hex = resp
-            .get("hex")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ClientError::Protocol("data response missing `hex`".to_string()))?;
-        from_hex(hex).map_err(ClientError::Protocol)
+            ("raw", true.into()),
+        ]);
+        let (_, tail) = self.exchange(request, None)?;
+        tail.ok_or_else(|| ClientError::Protocol("data response carries no payload tail".into()))
     }
 
     /// Store a shared pointer (SVM representation) at `addr`.

@@ -10,8 +10,9 @@
 //!
 //! The moving parts:
 //!
-//! * [`protocol`] — length-prefixed JSON frames, error vocabulary, hex
-//!   payload encoding.
+//! * [`protocol`] — length-prefixed JSON frames sent as single writes,
+//!   raw payload tails for region bytes (hex as the compatibility form),
+//!   error vocabulary.
 //! * [`poll`] — hand-rolled readiness polling (epoll on Linux, `poll(2)`
 //!   fallback) plus a pipe-based cross-thread waker.
 //! * [`Server`] — TCP daemon: one event-loop thread owning every socket,

@@ -1,11 +1,43 @@
-//! Wire protocol: length-prefixed JSON frames plus the error vocabulary.
+//! Wire protocol: length-prefixed JSON frames, optional raw payload
+//! tails, and the error vocabulary.
 //!
-//! Every message — request or response — is one **frame**: a 4-byte
-//! big-endian `u32` payload length followed by that many bytes of UTF-8
-//! JSON. Frames larger than [`MAX_FRAME`] are rejected before the payload
-//! is read, so a hostile length prefix cannot make the server allocate
-//! 4 GiB. Region bytes travel as lowercase hex strings ([`to_hex`] /
-//! [`from_hex`]) — JSON-safe and endian-unambiguous.
+//! Every message — request or response — starts with one **frame**: a
+//! 4-byte big-endian `u32` payload length followed by that many bytes of
+//! UTF-8 JSON. Frames larger than [`MAX_FRAME`] are rejected before the
+//! payload is read, so a hostile length prefix cannot make the server
+//! allocate 4 GiB. A frame is always handed to the transport as one
+//! buffer (prefix and payload in a single `write`), and both ends run
+//! their sockets with `TCP_NODELAY`: a frame split across two small
+//! segments would sit in Nagle's algorithm until the peer's delayed ACK.
+//!
+//! # Raw payload tails
+//!
+//! Region bytes do not have to travel as text. A frame whose JSON object
+//! carries [`TAIL_FIELD`] (`"payload_bytes": n`) is followed on the wire
+//! by exactly `n` raw bytes — arbitrary bytes, not UTF-8, not
+//! length-prefixed again. The rules:
+//!
+//! * **Who may send one.** A client on `write` (the tail is the bytes to
+//!   store); the server on the `data` reply to a `read` that asked for
+//!   `"raw": true`. Any other request that announces a tail is answered
+//!   `bad_request`.
+//! * **Cap.** `n` is held to the same [`MAX_FRAME`] limit as a frame and
+//!   is checked off the parsed header, before a byte of the tail is
+//!   buffered or allocated for ([`tail_len`]). A non-integer
+//!   `payload_bytes` is a framing error like a bad length prefix: the
+//!   reader cannot know where the next frame starts, so it answers and
+//!   closes.
+//! * **Sync.** A reader that has parsed a header always consumes the
+//!   announced tail, whether or not the request is then refused, so the
+//!   next frame on the connection starts where it should. A connection
+//!   that ends inside a tail is [`FrameError::Truncated`].
+//!
+//! Lowercase hex strings ([`to_hex`] / [`from_hex`], a `"hex"` field)
+//! remain the compatibility form for peers that write JSON by hand: a
+//! `write` carries either `hex` or a tail, and a `read` without `raw`
+//! answers `{"type":"data","hex":...}` exactly as before.
+//!
+//! # Requests and responses
 //!
 //! Requests are JSON objects with a `"type"` field; an optional `"id"`
 //! field of any JSON shape is echoed verbatim on the matching response so
@@ -22,12 +54,17 @@ use std::io::{self, Read, Write};
 /// clients make, far below an allocation-of-death).
 pub const MAX_FRAME: u32 = 16 << 20;
 
+/// The header field announcing a raw tail: `"payload_bytes": n` means `n`
+/// raw bytes follow the frame (see the module docs).
+pub const TAIL_FIELD: &str = "payload_bytes";
+
 /// Error codes carried in `{"type":"error","code":...}` responses.
 ///
 /// Codes are stable protocol surface; messages are human-readable detail
 /// and may change.
 pub mod codes {
-    /// Frame length prefix exceeded [`super::MAX_FRAME`].
+    /// Frame length prefix, announced tail length, or a response the server
+    /// built exceeded [`super::MAX_FRAME`].
     pub const OVERSIZED_FRAME: &str = "oversized_frame";
     /// Connection ended mid-frame.
     pub const TRUNCATED_FRAME: &str = "truncated_frame";
@@ -75,13 +112,17 @@ pub mod codes {
 pub enum FrameError {
     /// Transport error underneath the framing.
     Io(io::Error),
-    /// The peer closed the connection mid-frame (inside the length prefix
-    /// or the payload).
+    /// The peer closed the connection mid-frame (inside the length prefix,
+    /// the payload, or an announced tail).
     Truncated,
-    /// The length prefix exceeded [`MAX_FRAME`].
+    /// The length prefix or the announced tail length exceeded
+    /// [`MAX_FRAME`] (lengths beyond `u32` saturate).
     Oversized(u32),
     /// The payload was not valid UTF-8.
     BadUtf8,
+    /// [`TAIL_FIELD`] was present but not a non-negative integer, so the
+    /// position of the next frame is unknown.
+    BadTail,
 }
 
 impl FrameError {
@@ -93,6 +134,7 @@ impl FrameError {
             FrameError::Io(_) | FrameError::Truncated => codes::TRUNCATED_FRAME,
             FrameError::Oversized(_) => codes::OVERSIZED_FRAME,
             FrameError::BadUtf8 => codes::BAD_UTF8,
+            FrameError::BadTail => codes::BAD_REQUEST,
         }
     }
 }
@@ -106,6 +148,7 @@ impl fmt::Display for FrameError {
                 write!(f, "frame of {len} bytes exceeds the {MAX_FRAME}-byte limit")
             }
             FrameError::BadUtf8 => f.write_str("frame payload is not valid UTF-8"),
+            FrameError::BadTail => write!(f, "`{TAIL_FIELD}` must be a non-negative integer"),
         }
     }
 }
@@ -151,28 +194,93 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, FrameError> {
     String::from_utf8(payload).map(Some).map_err(|_| FrameError::BadUtf8)
 }
 
-/// Write one frame (length prefix + payload). The caller flushes.
+/// The length of the raw tail that `head` announces, `None` when it
+/// announces none. Checked against [`MAX_FRAME`] here, off the parsed
+/// header, so no caller buffers or allocates for a length it has not seen
+/// pass.
+///
+/// # Errors
+///
+/// [`FrameError::Oversized`] over the cap, [`FrameError::BadTail`] when the
+/// field is not a non-negative integer.
+pub fn tail_len(head: &Json) -> Result<Option<usize>, FrameError> {
+    let Some(field) = head.get(TAIL_FIELD) else { return Ok(None) };
+    let n = field.as_u64().ok_or(FrameError::BadTail)?;
+    if n > u64::from(MAX_FRAME) {
+        return Err(FrameError::Oversized(u32::try_from(n).unwrap_or(u32::MAX)));
+    }
+    Ok(Some(n as usize))
+}
+
+/// Read the raw tail that `head` (a frame just read from `r` and parsed)
+/// announces; `None` when it announces none. Call it for every frame,
+/// wanted or not: the tail is part of the byte stream.
+///
+/// # Errors
+///
+/// See [`tail_len`]; [`FrameError::Truncated`] when the stream ends inside
+/// the tail.
+pub fn read_tail(r: &mut impl Read, head: &Json) -> Result<Option<Vec<u8>>, FrameError> {
+    let Some(n) = tail_len(head)? else { return Ok(None) };
+    let mut tail = vec![0u8; n];
+    r.read_exact(&mut tail)?;
+    Ok(Some(tail))
+}
+
+fn oversized(len: usize) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("{len} bytes exceed the {MAX_FRAME}-byte frame limit"),
+    )
+}
+
+/// The one frame builder: append a length prefix and `body`'s text to
+/// `buf`. The prefix is reserved first, the text is formatted straight
+/// behind it, then the length is patched in — prefix and payload are one
+/// contiguous buffer and reach the socket in one `write`. On error `buf`
+/// is left as it was.
+fn push_frame(buf: &mut Vec<u8>, body: &dyn fmt::Display) -> io::Result<()> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    write!(buf, "{body}")?;
+    let len = buf.len() - start - 4;
+    match u32::try_from(len).ok().filter(|&l| l <= MAX_FRAME) {
+        Some(l) => {
+            buf[start..start + 4].copy_from_slice(&l.to_be_bytes());
+            Ok(())
+        }
+        None => {
+            buf.truncate(start);
+            Err(oversized(len))
+        }
+    }
+}
+
+/// Write one frame (length prefix + payload) with a single `write_all`.
+/// The caller flushes.
 ///
 /// # Errors
 ///
 /// `InvalidInput` when the payload exceeds [`MAX_FRAME`]; otherwise
 /// transport errors.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l <= MAX_FRAME)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds MAX_FRAME"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload.as_bytes())
+    write_one(w, &payload)
 }
 
-/// Serialize and send one JSON message as a frame, flushing the stream.
+fn write_one(w: &mut impl Write, body: &dyn fmt::Display) -> io::Result<()> {
+    let mut buf = Vec::new();
+    push_frame(&mut buf, body)?;
+    w.write_all(&buf)
+}
+
+/// Serialize and send one JSON message as a frame (a single `write_all`),
+/// flushing the stream.
 ///
 /// # Errors
 ///
 /// See [`write_frame`].
 pub fn send(w: &mut impl Write, msg: &Json) -> io::Result<()> {
-    write_frame(w, &msg.to_string())?;
+    write_one(w, msg)?;
     w.flush()
 }
 
@@ -180,27 +288,67 @@ pub fn send(w: &mut impl Write, msg: &Json) -> io::Result<()> {
 ///
 /// The event-loop server stages responses in per-connection outboxes and
 /// writes them when the socket reports writable; this produces the exact
-/// bytes [`send`] would have written.
+/// bytes [`send`] would have written. A message over [`MAX_FRAME`] cannot
+/// be sent at all; it renders as an `oversized_frame` error response
+/// carrying the message's `id` instead, so the peer waiting on that id
+/// gets an answer rather than silence.
 #[must_use]
 pub fn frame_bytes(msg: &Json) -> Vec<u8> {
     let mut buf = Vec::new();
-    // Writing into a Vec cannot fail; the only other failure mode is a
-    // payload over MAX_FRAME, which the server's response-size caps rule
-    // out (reads are bounded to MAX_FRAME / 4 of raw bytes).
-    let ok = send(&mut buf, msg);
-    debug_assert!(ok.is_ok(), "server built an oversized response frame");
+    if let Err(e) = push_frame(&mut buf, msg) {
+        let refusal = error_response(
+            codes::OVERSIZED_FRAME,
+            &format!("response not sent: {e}"),
+            msg.get("id"),
+        );
+        push_frame(&mut buf, &refusal).expect("an error response fits a frame");
+    }
     buf
 }
+
+/// Render `head` plus a raw tail to on-wire bytes: [`TAIL_FIELD`] is added
+/// to `head` (which must be an object), and `tail` is copied once, behind
+/// the frame, into the same buffer.
+///
+/// # Errors
+///
+/// `InvalidInput` when the frame or the tail exceeds [`MAX_FRAME`].
+pub fn frame_with_tail(mut head: Json, tail: &[u8]) -> io::Result<Vec<u8>> {
+    if tail.len() > MAX_FRAME as usize {
+        return Err(oversized(tail.len()));
+    }
+    if let Json::Obj(fields) = &mut head {
+        fields.push((TAIL_FIELD.to_string(), tail.len().into()));
+    }
+    let mut buf = Vec::with_capacity(tail.len() + 128);
+    push_frame(&mut buf, &head)?;
+    buf.extend_from_slice(tail);
+    Ok(buf)
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Value of each byte as a hex digit, `0xff` for bytes that are not one.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xffu8; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
 
 /// Lowercase hex encoding of raw region bytes.
 #[must_use]
 pub fn to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(char::from_digit(u32::from(b >> 4), 16).expect("nibble"));
-        out.push(char::from_digit(u32::from(b & 0xf), 16).expect("nibble"));
+    let mut out = vec![0u8; bytes.len() * 2];
+    for (pair, &b) in out.chunks_exact_mut(2).zip(bytes) {
+        pair[0] = HEX_DIGITS[usize::from(b >> 4)];
+        pair[1] = HEX_DIGITS[usize::from(b & 0xf)];
     }
-    out
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 /// Decode a hex string produced by [`to_hex`] (case-insensitive).
@@ -212,20 +360,13 @@ pub fn from_hex(hex: &str) -> Result<Vec<u8>, String> {
     if !hex.len().is_multiple_of(2) {
         return Err("hex string has odd length".to_string());
     }
-    let digits = hex.as_bytes();
-    let mut out = Vec::with_capacity(hex.len() / 2);
-    for pair in digits.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16);
-        let lo = (pair[1] as char).to_digit(16);
-        match (hi, lo) {
-            (Some(hi), Some(lo)) => out.push((hi * 16 + lo) as u8),
-            _ => {
-                return Err(format!(
-                    "invalid hex digit in `{}{}`",
-                    pair[0] as char, pair[1] as char
-                ))
-            }
+    let mut out = vec![0u8; hex.len() / 2];
+    for (byte, pair) in out.iter_mut().zip(hex.as_bytes().chunks_exact(2)) {
+        let (hi, lo) = (HEX_VALUES[usize::from(pair[0])], HEX_VALUES[usize::from(pair[1])]);
+        if (hi | lo) == 0xff {
+            return Err(format!("invalid hex digit in `{}{}`", pair[0] as char, pair[1] as char));
         }
+        *byte = hi << 4 | lo;
     }
     Ok(out)
 }
@@ -274,6 +415,7 @@ pub fn with_id(mut response: Json, id: Option<&Json>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse;
 
     #[test]
     fn frames_round_trip() {
@@ -317,6 +459,102 @@ mod tests {
         assert!(matches!(read_frame(&mut r), Err(FrameError::BadUtf8)));
     }
 
+    /// A sink that counts `write` calls and takes whatever it is given.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_reaches_the_transport_in_one_write() {
+        // Prefix and payload in separate writes are separate TCP segments,
+        // and the second waits out the peer's delayed ACK of the first.
+        let mut w = CountingWriter { writes: 0, bytes: Vec::new() };
+        write_frame(&mut w, "{\"type\":\"ping\"}").unwrap();
+        assert_eq!(w.writes, 1, "write_frame");
+        let msg = Json::obj(vec![("type", Json::str("ping")), ("id", 7u64.into())]);
+        send(&mut w, &msg).unwrap();
+        assert_eq!(w.writes, 2, "send");
+        let mut r = &w.bytes[..];
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("{\"type\":\"ping\"}"));
+        assert_eq!(read_frame(&mut r).unwrap(), Some(msg.to_string()));
+        assert_eq!(frame_bytes(&msg), w.bytes[w.bytes.len() - 4 - msg.to_string().len()..]);
+    }
+
+    #[test]
+    fn oversized_response_becomes_an_error_frame_with_the_same_id() {
+        let id = Json::Num(41.0);
+        let huge = Json::obj(vec![
+            ("type", Json::str("data")),
+            ("hex", Json::Str("0".repeat(MAX_FRAME as usize + 1))),
+            ("id", id.clone()),
+        ]);
+        let frame = frame_bytes(&huge);
+        assert!(!frame.is_empty(), "an empty outbox entry leaves the client waiting forever");
+        let payload = read_frame(&mut &frame[..]).unwrap().expect("one whole frame");
+        let resp = parse(&payload).unwrap();
+        assert_eq!(resp.get("type").and_then(Json::as_str), Some("error"));
+        assert_eq!(resp.get("code").and_then(Json::as_str), Some(codes::OVERSIZED_FRAME));
+        assert_eq!(resp.get("id"), Some(&id));
+        // The fallible writers refuse instead, and write nothing.
+        let mut w = CountingWriter { writes: 0, bytes: Vec::new() };
+        assert!(send(&mut w, &huge).is_err());
+        assert_eq!(w.writes, 0);
+    }
+
+    #[test]
+    fn tails_round_trip_and_keep_the_stream_in_sync() {
+        let head = Json::obj(vec![("type", Json::str("write")), ("id", 1u64.into())]);
+        let tail = [0xff, 0x00, 0xfe, b'{', 0x80];
+        let mut wire = frame_with_tail(head, &tail).unwrap();
+        wire.extend_from_slice(&frame_with_tail(Json::obj(vec![]), &[]).unwrap());
+        write_frame(&mut wire, "{\"type\":\"ping\"}").unwrap();
+        let mut r = &wire[..];
+        let first = parse(&read_frame(&mut r).unwrap().unwrap()).unwrap();
+        assert_eq!(first.get(TAIL_FIELD).and_then(Json::as_u64), Some(5));
+        assert_eq!(read_tail(&mut r, &first).unwrap().as_deref(), Some(&tail[..]));
+        let empty = parse(&read_frame(&mut r).unwrap().unwrap()).unwrap();
+        assert_eq!(read_tail(&mut r, &empty).unwrap().as_deref(), Some(&[][..]), "zero-length");
+        let ping = parse(&read_frame(&mut r).unwrap().unwrap()).unwrap();
+        assert_eq!(read_tail(&mut r, &ping).unwrap(), None, "no tail announced");
+        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF at boundary");
+        // Cut inside the tail.
+        let mut r = &wire[..wire.len() - 30];
+        let first = parse(&read_frame(&mut r).unwrap().unwrap()).unwrap();
+        let mut cut = &r[..3];
+        assert!(matches!(read_tail(&mut cut, &first), Err(FrameError::Truncated)));
+    }
+
+    #[test]
+    fn announced_tail_length_is_checked_off_the_header() {
+        let announce = |v: Json| Json::obj(vec![(TAIL_FIELD, v)]);
+        assert_eq!(tail_len(&Json::obj(vec![])).unwrap(), None);
+        assert_eq!(tail_len(&announce(u64::from(MAX_FRAME).into())).unwrap(), Some(16 << 20));
+        for over in [u64::from(MAX_FRAME) + 1, 1 << 40] {
+            // Nothing is read (an empty reader would be `Truncated`).
+            let mut empty: &[u8] = &[];
+            assert!(matches!(
+                read_tail(&mut empty, &announce(over.into())),
+                Err(FrameError::Oversized(_))
+            ));
+        }
+        for bad in [Json::Num(-1.0), Json::Num(1.5), Json::str("9"), Json::Null] {
+            assert!(matches!(tail_len(&announce(bad)), Err(FrameError::BadTail)));
+        }
+        assert!(frame_with_tail(Json::obj(vec![]), &vec![0; MAX_FRAME as usize + 1]).is_err());
+    }
+
     #[test]
     fn hex_round_trips() {
         let bytes: Vec<u8> = (0..=255).collect();
@@ -324,6 +562,8 @@ mod tests {
         assert_eq!(to_hex(&[0x0f, 0xa0]), "0fa0");
         assert!(from_hex("abc").is_err(), "odd length");
         assert!(from_hex("zz").is_err(), "bad digit");
+        assert_eq!(from_hex("0Fa0").unwrap(), [0x0f, 0xa0], "case-insensitive");
+        assert!(from_hex("éé").is_err(), "non-ASCII bytes are not digits");
     }
 
     #[test]

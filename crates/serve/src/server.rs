@@ -21,6 +21,17 @@
 //! the loop nothing but its buffer: nothing blocks on a read or a write,
 //! so live traffic on other connections keeps flowing.
 //!
+//! # Data path
+//!
+//! Every accepted socket runs with `TCP_NODELAY` and every response is one
+//! outbox buffer, so a reply is never a split frame waiting on a delayed
+//! ACK. Bytes are copied once per hop: the loop reads into the connection
+//! buffer's spare capacity and parses requests from it in place; a raw
+//! payload tail (see [`crate::protocol`]) is split off into the `Vec` the
+//! worker gets with the request, which `write` stores from directly; a
+//! raw `read` is framed under the session lock, region to outbox buffer,
+//! and that buffer is what the socket is given.
+//!
 //! # Backpressure, quotas, and deadlines
 //!
 //! Admission is non-blocking: when the queue is at capacity the loop
@@ -49,8 +60,8 @@
 use crate::json::{parse, Json};
 use crate::poll::{Event, Interest, Poller, Waker};
 use crate::protocol::{
-    codes, error_response, error_response_detailed, frame_bytes, from_hex, to_hex, with_id,
-    FrameError, MAX_FRAME,
+    codes, error_response, error_response_detailed, frame_bytes, frame_with_tail, from_hex,
+    tail_len, to_hex, with_id, FrameError, MAX_FRAME, TAIL_FIELD,
 };
 use concord_energy::SystemConfig;
 use concord_pool::{SubmitError, TaskPool};
@@ -73,7 +84,8 @@ use std::time::{Duration, Instant};
 /// allocation-of-death.
 const MAX_REGION_BYTES: u64 = 1 << 30;
 
-/// Hard cap on one `read` request (the hex response must fit a frame).
+/// Hard cap on one `read` request (the hex response must fit a frame; a
+/// raw-tail response is held to the same limit).
 const MAX_READ_BYTES: u64 = (MAX_FRAME as u64) / 4;
 
 /// Cap on the diagnostic `sleep` request.
@@ -587,6 +599,10 @@ struct Conn {
     stream: TcpStream,
     token: u64,
     inbuf: Vec<u8>,
+    /// A parsed request whose announced raw tail has not fully arrived:
+    /// the request and the tail's length. Its header is already consumed
+    /// from `inbuf`, so a peer trickling a tail costs no re-parse.
+    awaiting_tail: Option<(Json, usize)>,
     outbox: VecDeque<Vec<u8>>,
     /// Bytes of `outbox.front()` already written.
     out_pos: usize,
@@ -609,6 +625,7 @@ impl Conn {
             stream,
             token,
             inbuf: Vec::new(),
+            awaiting_tail: None,
             outbox: VecDeque::new(),
             out_pos: 0,
             outstanding: 0,
@@ -710,7 +727,9 @@ impl EventLoop {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            if stream.set_nonblocking(true).is_err() {
+            // Replies are small segments the peer is waiting on; Nagle would
+            // hold each back for a delayed ACK.
+            if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                 continue;
             }
             let token = self.next_token;
@@ -848,36 +867,40 @@ fn flush_outbox(conn: &mut Conn) {
 /// Pull newly readable bytes into the buffer (bounded per event) and run
 /// the frame state machine over whatever is now complete.
 fn read_ready(conn: &mut Conn, shared: &Arc<Shared>) {
-    let mut read = 0;
-    let mut chunk = [0u8; 16 * 1024];
-    while read < READ_BUDGET {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.read_closed = true;
-                break;
-            }
-            Ok(n) => {
-                conn.inbuf.extend_from_slice(&chunk[..n]);
-                read += n;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.read_closed = true;
-                break;
-            }
-        }
+    // `read_to_end` reads straight into the buffer's spare capacity — no
+    // staging chunk, no second copy — and on a non-blocking socket stops
+    // with `WouldBlock` once the socket is drained, keeping what it read.
+    let budget = READ_BUDGET as u64;
+    match (&conn.stream).take(budget).read_to_end(&mut conn.inbuf) {
+        // Short of the budget, `Ok` means end of stream; at the budget the
+        // poller re-reports the fd after the other connections' turn.
+        Ok(n) => conn.read_closed = (n as u64) < budget,
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+        Err(_) => conn.read_closed = true,
     }
     process_frames(conn, shared);
 }
 
-/// The per-connection frame state machine: consume every complete frame in
-/// the buffer, refusing protocol violations exactly as the blocking
-/// [`crate::protocol::read_frame`] would — a structured error, then close.
+/// The per-connection frame state machine: consume every complete frame
+/// (and raw tail) in the buffer, refusing protocol violations exactly as
+/// the blocking [`crate::protocol::read_frame`] would — a structured
+/// error, then close.
 fn process_frames(conn: &mut Conn, shared: &Arc<Shared>) {
     let mut consumed = 0;
     while !conn.close_after_flush {
         let avail = conn.inbuf.len() - consumed;
+        if let Some((_, n)) = conn.awaiting_tail {
+            if avail < n {
+                break;
+            }
+            // The one copy of the tail on this hop: out of the connection
+            // buffer into the Vec the worker gets with the request.
+            let tail = conn.inbuf[consumed..consumed + n].to_vec();
+            consumed += n;
+            let (req, _) = conn.awaiting_tail.take().expect("checked above");
+            handle_request(req, Some(tail), conn, shared);
+            continue;
+        }
         if avail < 4 {
             break;
         }
@@ -893,23 +916,44 @@ fn process_frames(conn: &mut Conn, shared: &Arc<Shared>) {
         if avail < 4 + len {
             break;
         }
-        let payload = match std::str::from_utf8(&conn.inbuf[consumed + 4..consumed + 4 + len]) {
-            Ok(s) => s.to_string(),
+        // Parsed from the borrowed buffer; the payload is never copied.
+        let parsed = match std::str::from_utf8(&conn.inbuf[consumed + 4..consumed + 4 + len]) {
+            Ok(payload) => parse(payload),
             Err(_) => {
                 frame_violation(conn, &FrameError::BadUtf8);
                 break;
             }
         };
         consumed += 4 + len;
-        handle_frame(&payload, conn, shared);
+        let req = match parsed {
+            Ok(req) => req,
+            Err(e) => {
+                // Framing is intact; the connection stays usable.
+                conn.enqueue(&error_response(codes::BAD_JSON, &e, None));
+                continue;
+            }
+        };
+        match tail_len(&req) {
+            Ok(None) => handle_request(req, None, conn, shared),
+            // Nothing is reserved on the peer's say-so: the buffer grows
+            // as tail bytes actually arrive.
+            Ok(Some(n)) => conn.awaiting_tail = Some((req, n)),
+            // Over the cap, or not a length at all: refused off the header
+            // with nothing of the tail buffered, and the stream position
+            // is lost with it.
+            Err(e) => frame_violation(conn, &e),
+        }
     }
     if consumed > 0 {
         conn.inbuf.drain(..consumed);
     }
-    if conn.read_closed && !conn.inbuf.is_empty() && !conn.close_after_flush {
-        // The peer vanished mid-frame (inside the prefix or the payload).
+    let mid_frame = !conn.inbuf.is_empty() || conn.awaiting_tail.is_some();
+    if conn.read_closed && mid_frame && !conn.close_after_flush {
+        // The peer vanished mid-frame (inside the prefix, the payload or
+        // an announced tail).
         frame_violation(conn, &FrameError::Truncated);
         conn.inbuf.clear();
+        conn.awaiting_tail = None;
     }
 }
 
@@ -921,16 +965,9 @@ fn frame_violation(conn: &mut Conn, e: &FrameError) {
     conn.close_after_flush = true;
 }
 
-/// Handle one well-framed request payload.
-fn handle_frame(payload: &str, conn: &mut Conn, shared: &Arc<Shared>) {
-    let req = match parse(payload) {
-        Ok(v) => v,
-        Err(e) => {
-            // Framing is intact; the connection stays usable.
-            conn.enqueue(&error_response(codes::BAD_JSON, &e, None));
-            return;
-        }
-    };
+/// Handle one well-framed, parsed request and the raw tail it announced
+/// (already consumed from the stream, whatever happens to the request).
+fn handle_request(req: Json, tail: Option<Vec<u8>>, conn: &mut Conn, shared: &Arc<Shared>) {
     let id = req.get("id").cloned();
     let Some(ty) = req.get("type").and_then(Json::as_str).map(str::to_string) else {
         conn.enqueue(&error_response(
@@ -940,6 +977,14 @@ fn handle_frame(payload: &str, conn: &mut Conn, shared: &Arc<Shared>) {
         ));
         return;
     };
+    if tail.is_some() && ty != "write" {
+        conn.enqueue(&error_response(
+            codes::BAD_REQUEST,
+            &format!("`{ty}` takes no `{TAIL_FIELD}` tail"),
+            id.as_ref(),
+        ));
+        return;
+    }
     match ty.as_str() {
         // Control-plane requests answer inline, bypassing the queue: they
         // must work even when the queue is saturated.
@@ -963,7 +1008,7 @@ fn handle_frame(payload: &str, conn: &mut Conn, shared: &Arc<Shared>) {
         }
         "open_session" | "malloc" | "free" | "write" | "read" | "write_ptr" | "close"
         | "parallel_for" | "parallel_reduce" | "parallel_worklist" | "parallel_batch" | "sleep" => {
-            admit(req, ty, id, conn, shared);
+            admit(Request { body: req, tail, ty }, conn, shared);
         }
         other => {
             conn.enqueue(&error_response(
@@ -973,6 +1018,23 @@ fn handle_frame(payload: &str, conn: &mut Conn, shared: &Arc<Shared>) {
             ));
         }
     }
+}
+
+/// One data-plane request as the loop hands it to a worker.
+struct Request {
+    body: Json,
+    /// The raw payload tail that followed the frame, if it announced one.
+    tail: Option<Vec<u8>>,
+    ty: String,
+}
+
+/// What a worker produced for a request that did not fail.
+enum Reply {
+    /// A response object; the caller echoes the id and frames it.
+    Json(Json),
+    /// Finished wire bytes: a raw `read` frames its own reply, under the
+    /// session lock, so the region bytes are copied exactly once.
+    Framed(Vec<u8>),
 }
 
 /// The tenant a request counts against: its own `tenant` field, else the
@@ -992,9 +1054,11 @@ fn resolve_tenant(req: &Json, ty: &str, shared: &Shared) -> String {
 }
 
 /// Admit one data-plane request to the worker pool (or refuse it).
-fn admit(req: Json, ty: String, id: Option<Json>, conn: &mut Conn, shared: &Arc<Shared>) {
+fn admit(request: Request, conn: &mut Conn, shared: &Arc<Shared>) {
+    let req = &request.body;
+    let id = req.get("id");
     if shared.shutdown.load(Ordering::SeqCst) {
-        conn.enqueue(&error_response(codes::SHUTTING_DOWN, "server is draining", id.as_ref()));
+        conn.enqueue(&error_response(codes::SHUTTING_DOWN, "server is draining", id));
         return;
     }
     let deadline_ms = match req.get("deadline_ms") {
@@ -1005,13 +1069,13 @@ fn admit(req: Json, ty: String, id: Option<Json>, conn: &mut Conn, shared: &Arc<
                 conn.enqueue(&error_response(
                     codes::BAD_REQUEST,
                     "`deadline_ms` must be a non-negative integer",
-                    id.as_ref(),
+                    id,
                 ));
                 return;
             }
         },
     };
-    let tenant = resolve_tenant(&req, &ty, shared);
+    let tenant = resolve_tenant(req, &request.ty, shared);
     if let Err((pending, limit)) = shared.tenant_try_admit(&tenant) {
         shared.quota_rejected.fetch_add(1, Ordering::Relaxed);
         shared.tracer.instant(
@@ -1029,35 +1093,37 @@ fn admit(req: Json, ty: String, id: Option<Json>, conn: &mut Conn, shared: &Arc<
                 ("pending", pending.into()),
                 ("limit", limit.into()),
             ]),
-            id.as_ref(),
+            id,
         ));
         return;
     }
     let admitted_at = Instant::now();
-    let reject_id = id.clone();
+    let reject_id = id.cloned();
     let token = conn.token;
     let job = {
         let shared = Arc::clone(shared);
         let tenant = tenant.clone();
         move || {
-            let resp = if deadline_ms
+            let id = request.body.get("id");
+            let frame = if deadline_ms
                 .is_some_and(|ms| admitted_at.elapsed() >= Duration::from_millis(ms))
             {
                 shared.deadline_missed.fetch_add(1, Ordering::Relaxed);
                 shared.tracer.instant(
                     Track::Server,
                     "deadline_exceeded",
-                    vec![("request", ArgValue::Str(ty.clone()))],
+                    vec![("request", ArgValue::Str(request.ty.clone()))],
                 );
-                deadline_response("in the admission queue", admitted_at, id.as_ref())
+                frame_bytes(&deadline_response("in the admission queue", admitted_at, id))
             } else {
                 let deadline = Deadline { ms: deadline_ms, admitted_at };
-                match execute(&req, &ty, token, &tenant, &shared, deadline) {
-                    Ok(resp) => with_id(resp, id.as_ref()),
-                    Err(e) => e.into_response(id.as_ref()),
+                match execute(&request, token, &tenant, &shared, deadline) {
+                    Ok(Reply::Json(resp)) => frame_bytes(&with_id(resp, id)),
+                    Ok(Reply::Framed(frame)) => frame,
+                    Err(e) => frame_bytes(&e.into_response(id)),
                 }
             };
-            shared.push_completion(token, frame_bytes(&resp));
+            shared.push_completion(token, frame);
             shared.tenant_complete(&tenant);
             shared.completed.fetch_add(1, Ordering::Relaxed);
         }
@@ -1099,14 +1165,23 @@ fn admit(req: Json, ty: String, id: Option<Json>, conn: &mut Conn, shared: &Arc<
 
 /// Execute one admitted request on a worker thread.
 fn execute(
-    req: &Json,
-    ty: &str,
+    request: &Request,
     conn_id: u64,
     tenant: &str,
     shared: &Arc<Shared>,
     deadline: Deadline,
-) -> Result<Json, SrvError> {
-    match ty {
+) -> Result<Reply, SrvError> {
+    let req = &request.body;
+    let session_of = |sid: u64| {
+        shared
+            .sessions
+            .lock()
+            .unwrap()
+            .get(&sid)
+            .cloned()
+            .ok_or((codes::NO_SUCH_SESSION, format!("no session {sid}")))
+    };
+    let resp = match request.ty.as_str() {
         "sleep" => {
             let ms = field_u64(req, "ms")?.min(MAX_SLEEP_MS);
             // With a `session` field, the sleep holds that session's mutex
@@ -1115,21 +1190,13 @@ fn execute(
             // as the pre-launch deadline re-check.
             let locked = match req.get("session").and_then(Json::as_u64) {
                 None => None,
-                Some(sid) => Some(
-                    shared
-                        .sessions
-                        .lock()
-                        .unwrap()
-                        .get(&sid)
-                        .cloned()
-                        .ok_or((codes::NO_SUCH_SESSION, format!("no session {sid}")))?,
-                ),
+                Some(sid) => Some(session_of(sid)?),
             };
             let _guard = locked.as_ref().map(|s| s.lock().unwrap());
             thread::sleep(Duration::from_millis(ms));
-            Ok(Json::obj(vec![("type", Json::str("ok"))]))
+            Json::obj(vec![("type", Json::str("ok"))])
         }
-        "open_session" => open_session(req, conn_id, tenant, shared),
+        "open_session" => open_session(req, conn_id, tenant, shared)?,
         "close" => {
             let sid = field_u64(req, "session")?;
             let removed = shared.sessions.lock().unwrap().remove(&sid);
@@ -1142,21 +1209,53 @@ fn execute(
                 "session_close",
                 vec![("session", ArgValue::UInt(sid))],
             );
-            Ok(Json::obj(vec![("type", Json::str("closed"))]))
+            Json::obj(vec![("type", Json::str("closed"))])
+        }
+        "read" => {
+            let session = session_of(field_u64(req, "session")?)?;
+            let session = session.lock().unwrap();
+            return read_region(req, &session.cc, req.get("id"));
         }
         _ => {
-            let sid = field_u64(req, "session")?;
-            let session = shared
-                .sessions
-                .lock()
-                .unwrap()
-                .get(&sid)
-                .cloned()
-                .ok_or((codes::NO_SUCH_SESSION, format!("no session {sid}")))?;
+            let session = session_of(field_u64(req, "session")?)?;
             let mut session = session.lock().unwrap();
-            session_op(req, ty, &mut session, shared, deadline)
+            session_op(request, &mut session, shared, deadline)?
         }
+    };
+    Ok(Reply::Json(resp))
+}
+
+/// The one `read` handler. The region bytes leave either as the hex field
+/// of a `data` response or, when the request says `"raw": true`, as the
+/// raw tail of one — framed here, while the session is locked, so the
+/// borrowed region slice is copied once, into the bytes the socket gets.
+fn read_region(req: &Json, cc: &Concord, id: Option<&Json>) -> Result<Reply, SrvError> {
+    let addr = field_u64(req, "addr")?;
+    let len = field_u64(req, "len")?;
+    if len > MAX_READ_BYTES {
+        return Err((
+            codes::BAD_REQUEST,
+            format!("`len` exceeds the {MAX_READ_BYTES}-byte read limit"),
+        )
+            .into());
     }
+    let raw = match req.get("raw") {
+        None => false,
+        Some(v) => {
+            v.as_bool().ok_or((codes::BAD_REQUEST, "`raw` must be a boolean".to_string()))?
+        }
+    };
+    let bytes = cc
+        .region()
+        .read_bytes(addr, concord_ir::types::AddrSpace::Cpu, len)
+        .map_err(|t| (codes::REGION_FAULT, t.to_string()))?;
+    if raw {
+        let head = with_id(Json::obj(vec![("type", Json::str("data"))]), id);
+        return frame_with_tail(head, bytes)
+            .map(Reply::Framed)
+            .map_err(|e| (codes::OVERSIZED_FRAME, e.to_string()).into());
+    }
+    Ok(Reply::Json(Json::obj(vec![("type", Json::str("data")), ("hex", to_hex(bytes).into())])))
 }
 
 fn open_session(
@@ -1285,12 +1384,12 @@ fn open_session(
 
 /// Region and launch operations against one locked session.
 fn session_op(
-    req: &Json,
-    ty: &str,
+    request: &Request,
     session: &mut Session,
     shared: &Arc<Shared>,
     deadline: Deadline,
 ) -> Result<Json, SrvError> {
+    let (req, ty) = (&request.body, request.ty.as_str());
     let cc = &mut session.cc;
     match ty {
         "malloc" => {
@@ -1305,32 +1404,30 @@ fn session_op(
         }
         "write" => {
             let addr = field_u64(req, "addr")?;
-            let hex = req
-                .get("hex")
-                .and_then(Json::as_str)
-                .ok_or((codes::BAD_REQUEST, "missing string field `hex`".to_string()))?;
-            let bytes = from_hex(hex).map_err(|e| (codes::BAD_REQUEST, e))?;
+            // The one `write` handler: the bytes are the request's raw tail
+            // or, from a peer that writes JSON by hand, its `hex` field.
+            let decoded;
+            let bytes: &[u8] = match (&request.tail, req.get("hex")) {
+                (Some(tail), None) => tail,
+                (Some(_), Some(_)) => {
+                    return Err((
+                        codes::BAD_REQUEST,
+                        format!("`write` carries both `hex` and a `{TAIL_FIELD}` tail"),
+                    )
+                        .into())
+                }
+                (None, hex) => {
+                    let hex = hex
+                        .and_then(Json::as_str)
+                        .ok_or((codes::BAD_REQUEST, "missing string field `hex`".to_string()))?;
+                    decoded = from_hex(hex).map_err(|e| (codes::BAD_REQUEST, e))?;
+                    &decoded
+                }
+            };
             cc.region_mut()
-                .write_bytes(addr, concord_ir::types::AddrSpace::Cpu, &bytes)
+                .write_bytes(addr, concord_ir::types::AddrSpace::Cpu, bytes)
                 .map_err(|t| (codes::REGION_FAULT, t.to_string()))?;
             Ok(Json::obj(vec![("type", Json::str("ok"))]))
-        }
-        "read" => {
-            let addr = field_u64(req, "addr")?;
-            let len = field_u64(req, "len")?;
-            if len > MAX_READ_BYTES {
-                return Err((
-                    codes::BAD_REQUEST,
-                    format!("`len` exceeds the {MAX_READ_BYTES}-byte read limit"),
-                )
-                    .into());
-            }
-            let bytes = cc
-                .region()
-                .read_bytes(addr, concord_ir::types::AddrSpace::Cpu, len)
-                .map_err(|t| (codes::REGION_FAULT, t.to_string()))?;
-            let hex = to_hex(bytes);
-            Ok(Json::obj(vec![("type", Json::str("data")), ("hex", hex.into())]))
         }
         "write_ptr" => {
             let addr = field_u64(req, "addr")?;

@@ -1,7 +1,7 @@
 //! Shared fixtures for the serve integration tests.
 
 use concord_serve::json::{parse, Json};
-use concord_serve::protocol::{read_frame, write_frame};
+use concord_serve::protocol::{read_frame, read_tail, write_frame};
 use concord_serve::{ServeConfig, Server};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -72,11 +72,28 @@ impl RawConn {
         self.writer.flush().expect("flush");
     }
 
-    /// Receive one response frame as JSON; `None` on clean EOF.
+    /// Send one well-formed frame followed by raw tail bytes (the frame is
+    /// expected to announce them with `payload_bytes`), as one write.
+    #[allow(dead_code)] // each test target compiles this module independently
+    pub fn send_with_tail(&mut self, payload: &str, tail: &[u8]) {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, payload).expect("frame");
+        wire.extend_from_slice(tail);
+        self.send_bytes(&wire);
+    }
+
+    /// Receive one response frame as JSON; `None` on clean EOF. A raw tail
+    /// the frame announces is read off the stream and dropped.
     pub fn recv(&mut self) -> Option<Json> {
-        read_frame(&mut self.reader)
-            .expect("read frame")
-            .map(|payload| parse(&payload).expect("response is valid JSON"))
+        self.recv_tailed().map(|(resp, _)| resp)
+    }
+
+    /// Receive one response frame and the raw tail it announces, if any.
+    pub fn recv_tailed(&mut self) -> Option<(Json, Option<Vec<u8>>)> {
+        let payload = read_frame(&mut self.reader).expect("read frame")?;
+        let resp = parse(&payload).expect("response is valid JSON");
+        let tail = read_tail(&mut self.reader, &resp).expect("read tail");
+        Some((resp, tail))
     }
 
     /// Receive until a response with this integer `id` arrives, returning

@@ -269,6 +269,29 @@ fn one_connection_multiplexes_independent_sessions() {
 }
 
 #[test]
+fn small_requests_cost_no_transport_stall() {
+    // 300 sequential round trips on one connection. A frame split across
+    // two writes on a socket without TCP_NODELAY waits ~40 ms per round
+    // trip for the peer's delayed ACK (> 13 s here); without the stall the
+    // whole sequence is a few tens of milliseconds.
+    let server = start_server(1, 16);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let s = client.open_session(DOUBLE, &SessionOptions::default()).unwrap().session;
+    let slot = client.malloc(s, 4).unwrap();
+    let start = std::time::Instant::now();
+    for _ in 0..200 {
+        client.ping().unwrap();
+    }
+    for i in 0..50u32 {
+        client.write(s, slot, &i.to_le_bytes()).unwrap();
+        assert_eq!(client.read(s, slot, 4).unwrap(), i.to_le_bytes());
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < std::time::Duration::from_secs(2), "300 round trips took {elapsed:?}");
+    server.join();
+}
+
+#[test]
 fn disconnect_reaps_connection_scoped_sessions() {
     let server = start_server(1, 16);
     {
