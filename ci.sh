@@ -10,17 +10,19 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q --workspace (CONCORD_HOST_THREADS=1 and =8)"
+echo "==> cargo test -q --workspace (CONCORD_HOST_THREADS=1 and =8, under timeout)"
 # The differential gate of the host-parallel engine: the whole suite runs
 # once serially and once fanned across 8 OS threads, and the two outputs
 # must match byte for byte (modulo harness wall-clock lines) — simulated
-# results may never depend on host threading.
-# Strip harness wall-clock suffixes and cargo compile-progress lines (the
-# first invocation compiles, the second hits the cache).
+# results may never depend on host threading. Every battery runs in here,
+# once per fan-out; the timeout makes a wedged server fail CI rather than
+# hang it (the suite is built first, so it times the tests and not rustc).
+cargo test -q --workspace --no-run
+# Strip harness wall-clock suffixes and cargo compile-progress lines.
 strip_wallclock() { sed 's/; finished in [0-9.]*s//' | grep -vE '^[[:space:]]*(Compiling|Finished|Downloaded|Downloading) ' || true; }
-CONCORD_HOST_THREADS=1 cargo test -q --workspace 2>&1 | strip_wallclock > /tmp/concord_ci_t1.log \
+timeout 600 env CONCORD_HOST_THREADS=1 cargo test -q --workspace 2>&1 | strip_wallclock > /tmp/concord_ci_t1.log \
     || { cat /tmp/concord_ci_t1.log; exit 1; }
-CONCORD_HOST_THREADS=8 cargo test -q --workspace 2>&1 | strip_wallclock > /tmp/concord_ci_t8.log \
+timeout 600 env CONCORD_HOST_THREADS=8 cargo test -q --workspace 2>&1 | strip_wallclock > /tmp/concord_ci_t8.log \
     || { cat /tmp/concord_ci_t8.log; exit 1; }
 if ! diff -u /tmp/concord_ci_t1.log /tmp/concord_ci_t8.log; then
     echo "!! test output differs between CONCORD_HOST_THREADS=1 and =8" >&2
@@ -28,89 +30,34 @@ if ! diff -u /tmp/concord_ci_t1.log /tmp/concord_ci_t8.log; then
 fi
 cat /tmp/concord_ci_t8.log
 
-echo "==> repo benchmark crate: build + tests against the workspace crates"
-# benchmark/ is its own workspace (own lock file, own target dir), so
-# neither tier-1 nor `cargo clippy --workspace` compiles it; an API-moving
-# change to the product crates would otherwise break it unnoticed.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+echo "==> repo benchmark: unit tests, then six workloads untraced + traced vs BENCH_baseline.json"
+# The one measurement stack (its own workspace: nothing above compiles it),
+# run as BENCHMARK.json runs it. Gated: every op's output check, and the
+# simulated quantities against the checked-in baseline. Wall-clock is
+# recorded there, not gated: EXPERIMENTS.md "Baseline" says why.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-
-echo "==> serve loopback battery (CONCORD_HOST_THREADS=1 and =8, under timeout)"
-# The offload service must behave identically at any host fan-out, and a
-# wedged server must fail CI rather than hang it. The battery runs against
-# the epoll event-loop front end; soak covers slow-loris/half-open peers,
-# tenant quotas, and drain-under-load accounting.
-timeout 600 env CONCORD_HOST_THREADS=1 cargo test -q -p concord-serve --test loopback
-timeout 600 env CONCORD_HOST_THREADS=8 cargo test -q -p concord-serve --test loopback
-timeout 600 env CONCORD_HOST_THREADS=1 cargo test -q -p concord-serve --test batch
-timeout 600 env CONCORD_HOST_THREADS=8 cargo test -q -p concord-serve --test batch
-timeout 600 env CONCORD_HOST_THREADS=1 cargo test -q -p concord-serve --test soak
-timeout 600 env CONCORD_HOST_THREADS=8 cargo test -q -p concord-serve --test soak
-
-echo "==> serve fuzz battery (deterministic seeds, 1595 cases) and robustness suite"
-# The proptest shim seeds each property from its test name, so this is a
-# fixed, reproducible corpus: frame-codec and raw-tail round-trips, random bytes,
-# mutated frames, and pathological packetization against a live server.
-timeout 600 cargo test -q -p concord-serve --test fuzz
-timeout 600 cargo test -q -p concord-serve --test robustness
-
-echo "==> persistent artifact cache: in-process restart round-trip"
-timeout 600 cargo test -q -p concord-serve --test persist
-timeout 600 cargo test -q -p concord-runtime --test disk_cache
-
-echo "==> persistent artifact cache: cross-process daemon restart round-trip"
-# Two daemon processes over one cache directory: the first compiles and
-# spills, the restarted one must serve both kernels from disk with zero
-# recompiles (asserted from its drain summary).
-CACHE_DIR=$(mktemp -d /tmp/concord_ci_cache.XXXXXX)
-for round in 1 2; do
-    : > /tmp/concord_ci_serve.log
-    ./target/release/serve --addr 127.0.0.1:0 --workers 2 --cache-dir "$CACHE_DIR" \
-        > /tmp/concord_ci_serve.log &
-    SERVE_PID=$!
-    for _ in $(seq 1 100); do
-        grep -q 'listening on' /tmp/concord_ci_serve.log && break
-        sleep 0.1
-    done
-    SERVE_ADDR=$(sed -n 's/^concord-serve listening on \([0-9.:]*\) .*/\1/p' /tmp/concord_ci_serve.log)
-    test -n "$SERVE_ADDR" || {
-        echo "!! serve daemon (round $round) did not come up" >&2
-        kill "$SERVE_PID" 2>/dev/null || true
-        exit 1
-    }
-    timeout 600 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-        --addr "$SERVE_ADDR" --clients 4 --iters 2 --json /tmp/concord_ci_persist.json
-    kill -TERM "$SERVE_PID"
-    wait "$SERVE_PID"
+for trace in 0 1; do
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --seed 1 --trace "$trace"
 done
-grep -q 'disk: 2 hits, 0 compiles' /tmp/concord_ci_serve.log || {
-    echo "!! restarted daemon did not serve both kernels from disk with zero recompiles" >&2
-    cat /tmp/concord_ci_serve.log
-    exit 1
-}
-rm -rf "$CACHE_DIR"
-
-echo "==> native differential battery (CONCORD_HOST_THREADS=1 and =8, under timeout)"
-# The native JIT backend must agree byte-for-byte with the CPU
-# interpreter on all nine workloads, and report interpreter-identical
-# traps, at any host fan-out. (Self-skips on non-x86-64-Linux hosts.)
-timeout 600 env CONCORD_HOST_THREADS=1 cargo test -q -p concord-workloads --test native_diff
-timeout 600 env CONCORD_HOST_THREADS=8 cargo test -q -p concord-workloads --test native_diff
-
-echo "==> launch-graph differential battery (CONCORD_HOST_THREADS=1 and =8, under timeout)"
-# The dependency-aware launch graph must replay every workload's recorded
-# session byte-for-byte and report-for-report identically to the serial
-# fence-pair path, at any host fan-out.
-timeout 600 env CONCORD_HOST_THREADS=1 cargo test -q -p concord-workloads --test graph_diff
-timeout 600 env CONCORD_HOST_THREADS=8 cargo test -q -p concord-workloads --test graph_diff
-
-echo "==> worklist differential battery (CONCORD_HOST_THREADS=1 and =8, under timeout)"
-# The frontier construct (`parallel_worklist_hetero`) must drain
-# byte-identically on every target — cpu, gpu, hybrid, and native — with
-# identical per-round frontier schedules, at any host fan-out. The
-# battery also pins empty-seed, single-item, and mid-drain-trap behavior.
-timeout 600 env CONCORD_HOST_THREADS=1 cargo test -q -p concord-workloads --test worklist_diff
-timeout 600 env CONCORD_HOST_THREADS=8 cargo test -q -p concord-workloads --test worklist_diff
+python3 - <<'EOF'
+import json, sys
+# The quantities benchmark/check.sh holds exact between two runs.
+EXACT = ("cpusim.insts", "gpusim.insts", "gpusim.transactions", "gpusim.contended",
+         "gpusim.translations", "gpusim.busy_fraction", "gpusim.sim_speedup_geomean",
+         "energy.cpu_joules", "energy.gpu_joules", "energy.sim_savings_geomean")
+baseline, bad = json.load(open("BENCH_baseline.json")), []
+assert len(baseline) == 12, "six workloads x {untraced, traced}"
+for base in baseline:
+    run = f"{base['workload']}-trace{int(base['trace'])}"
+    doc = json.load(open(f"benchmark/out/result-{run}.json"))["result"]
+    if doc["correct"] is not True or doc["failed"] != 0:
+        bad.append(f"{run}: {doc['failed']} of {doc['attempted']} ops failed")
+    for name in EXACT if base["trace"] else ():
+        got, want = doc["metrics"][name]["value"], base["result"]["metrics"][name]["value"]
+        if abs(got - want) > 1e-9 * max(abs(got), abs(want)):
+            bad.append(f"{run} {name}: {got!r}, baseline {want!r}")
+sys.exit("\n".join(f"!! {b}" for b in bad) or 0)
+EOF
 
 echo "==> determinism soak: graph_diff + worklist_diff 10x at CONCORD_HOST_THREADS=8"
 # ROADMAP item 6 regression gate. Before the CA108 hazard gate, kernels
@@ -137,67 +84,6 @@ for round in $(seq 1 10); do
         echo "!! determinism soak: round $round output differs from round 1" >&2
         exit 1
     fi
-done
-
-echo "==> bench_client loopback runs (CONCORD_HOST_THREADS=1 and =8, write BENCH_serve*.json)"
-# The served-latency harness itself must stay runnable at both fan-outs.
-# Host threads are pinned so the summaries land on deterministic
-# bench_gate config keys (schema in EXPERIMENTS.md); each summary embeds
-# the server's full metrics snapshot under `server`.
-# Every gated configuration below takes 1024 latency samples (clients x
-# iters), so the gated p99 has ten samples beyond it; at the 8-32 samples
-# these runs used to take, "p99" was the slowest request of the run.
-timeout 600 env CONCORD_HOST_THREADS=1 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-    --clients 4 --iters 256 --json BENCH_serve.json
-timeout 600 env CONCORD_HOST_THREADS=8 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-    --clients 4 --iters 256 --json BENCH_serve_ht8.json
-for summary in BENCH_serve.json BENCH_serve_ht8.json; do
-    test -s "$summary" || { echo "!! bench_client did not write $summary" >&2; exit 1; }
-    grep -q 'concord-bench_client/v1' "$summary" || {
-        echo "!! $summary is missing its schema tag" >&2
-        exit 1
-    }
-    grep -q '"server":' "$summary" || {
-        echo "!! $summary is missing the server metrics snapshot" >&2
-        exit 1
-    }
-done
-
-echo "==> bench_client worklist runs (CONCORD_HOST_THREADS=1 and =8, write BENCH_worklist*.json)"
-# The served frontier drain must stay runnable and regression-gated at
-# both fan-outs: every client uploads a CSR road network and drains a
-# `parallel_worklist` frontier through the server, and all clients must
-# observe the same deterministic drain shape (asserted in-process).
-timeout 600 env CONCORD_HOST_THREADS=1 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-    --workload worklist --clients 2 --iters 512 --json BENCH_worklist.json
-timeout 600 env CONCORD_HOST_THREADS=8 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-    --workload worklist --clients 2 --iters 512 --json BENCH_worklist_ht8.json
-for summary in BENCH_worklist.json BENCH_worklist_ht8.json; do
-    grep -q '"worklist":' "$summary" || {
-        echo "!! $summary is missing its worklist drain-shape object" >&2
-        exit 1
-    }
-done
-
-echo "==> bench_client mixed-session runs (CONCORD_HOST_THREADS=1 and =8)"
-# The batched launch pair must beat two serialized round trips: each run
-# records serialized-vs-batched percentiles plus the server's overlap
-# counters into its summary.
-timeout 600 env CONCORD_HOST_THREADS=1 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-    --mixed-session --clients 2 --iters 512 --json BENCH_mixed_ht1.json
-timeout 600 env CONCORD_HOST_THREADS=8 cargo run --release --quiet -p concord-bench --bin bench_client -- \
-    --mixed-session --clients 2 --iters 512 --json BENCH_mixed_ht8.json
-
-echo "==> bench_gate: p99 latency regression gate (history in BENCH_history.jsonl)"
-# Each summary is judged against the best prior p99 of the same
-# configuration (>25% regression fails; a configuration with *no*
-# baseline fails loudly — seed new ones explicitly with --seed-baseline),
-# then appended to the history so future runs are judged against it too.
-for summary in BENCH_serve.json BENCH_serve_ht8.json BENCH_worklist.json BENCH_worklist_ht8.json \
-               BENCH_mixed_ht1.json BENCH_mixed_ht8.json; do
-    cargo run --release --quiet -p concord-bench --bin bench_gate -- \
-        --current "$summary" --history BENCH_history.jsonl
-    cat "$summary" >> BENCH_history.jsonl
 done
 
 echo "==> concord-lint: builtin workloads vs lint-expected.txt snapshot"

@@ -13,8 +13,8 @@
 //! * [`protocol`] — length-prefixed JSON frames sent as single writes,
 //!   raw payload tails for region bytes (hex as the compatibility form),
 //!   error vocabulary.
-//! * [`poll`] — hand-rolled readiness polling (epoll on Linux, `poll(2)`
-//!   fallback) plus a pipe-based cross-thread waker.
+//! * [`poll`] — hand-rolled readiness polling (Linux epoll) plus a
+//!   pipe-based cross-thread waker.
 //! * [`Server`] — TCP daemon: one event-loop thread owning every socket,
 //!   bounded admission queue with `overloaded` backpressure, per-tenant
 //!   quotas (`quota_exceeded`), per-request deadlines, worker pool, an

@@ -2,25 +2,21 @@
 //!
 //! The workspace is std-only, so — in the same spirit as [`crate::signal`] —
 //! this module talks to the OS through hand-rolled `extern "C"` declarations
-//! instead of an event-loop crate. Two backends implement one [`Poller`]
-//! surface:
-//!
-//! * **epoll** (Linux, the default): `epoll_create1`/`epoll_ctl`/
-//!   `epoll_wait`, level-triggered. Level triggering keeps the loop's state
-//!   machine simple — a connection with unread bytes or an unflushed outbox
-//!   stays ready until drained, so no readiness edge can be lost.
-//! * **poll(2)** (all Unix): the fallback, also selectable on Linux with
-//!   `CONCORD_POLLER=poll` so CI exercises both paths on one machine.
+//! instead of an event-loop crate. The [`Poller`] is Linux **epoll**
+//! (`epoll_create1`/`epoll_ctl`/`epoll_wait`), level-triggered. Level
+//! triggering keeps the loop's state machine simple — a connection with
+//! unread bytes or an unflushed outbox stays ready until drained, so no
+//! readiness edge can be lost.
 //!
 //! A [`Waker`] — a non-blocking pipe whose read end is registered like any
 //! connection — lets worker threads interrupt a blocked wait to hand
 //! completed responses back to the loop.
 //!
-//! On non-Unix targets the module still compiles but constructing a
-//! [`Poller`] returns `Unsupported`; the serving API surface stays portable
-//! the same way [`crate::signal::install`] degrades to a no-op.
-
-use std::io;
+//! Off Linux the module still compiles but constructing a [`Poller`]
+//! returns `Unsupported`; the serving API surface stays portable the same
+//! way [`crate::signal::install`] degrades to a no-op. (The constants
+//! below — `O_NONBLOCK`, the `epoll_event` layout — are Linux's; a second
+//! backend for another Unix needs its own, not a shared fallback.)
 
 /// Readiness interest for one registered file descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,40 +49,24 @@ pub struct Event {
 
 pub use imp::{Poller, Waker};
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 mod imp {
     use super::{Event, Interest};
     use std::io;
     use std::os::unix::io::RawFd;
 
-    // Shared libc surface (x86-64 and aarch64 Linux ABIs; the subset used
-    // here is identical on other 64-bit Unixes).
+    // libc surface (x86-64 and aarch64 Linux ABIs).
     extern "C" {
         fn close(fd: i32) -> i32;
         fn pipe(fds: *mut i32) -> i32;
         fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
         fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
     }
 
     const F_GETFL: i32 = 3;
     const F_SETFL: i32 = 4;
     const O_NONBLOCK: i32 = 0o4000;
-
-    const POLLIN: i16 = 0x1;
-    const POLLOUT: i16 = 0x4;
-    const POLLERR: i16 = 0x8;
-    const POLLHUP: i16 = 0x10;
-
-    /// `struct pollfd` from `poll(2)`.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
 
     /// Put `fd` into non-blocking mode.
     pub(crate) fn set_nonblocking(fd: RawFd) -> io::Result<()> {
@@ -165,26 +145,12 @@ mod imp {
         }
     }
 
-    /// Which kernel facility backs the poller.
-    #[derive(Debug)]
-    enum Backend {
-        #[cfg(target_os = "linux")]
-        Epoll {
-            epfd: RawFd,
-        },
-        Poll {
-            registered: Vec<(RawFd, u64, Interest)>,
-        },
-    }
-
-    /// Readiness poller over registered fds. See the module docs for the
-    /// backend selection rules.
+    /// Readiness poller over registered fds: one epoll instance.
     #[derive(Debug)]
     pub struct Poller {
-        backend: Backend,
+        epfd: RawFd,
     }
 
-    #[cfg(target_os = "linux")]
     mod epoll_sys {
         extern "C" {
             pub fn epoll_create1(flags: i32) -> i32;
@@ -216,90 +182,50 @@ mod imp {
     }
 
     impl Poller {
-        /// Create a poller using the best backend for this platform,
-        /// honoring `CONCORD_POLLER=poll` to force the `poll(2)` fallback.
+        /// Create the epoll instance.
         pub fn new() -> io::Result<Poller> {
-            let force_poll = std::env::var("CONCORD_POLLER").is_ok_and(|v| v == "poll");
-            #[cfg(target_os = "linux")]
-            if !force_poll {
-                let epfd = unsafe { epoll_sys::epoll_create1(0) };
-                if epfd < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                return Ok(Poller { backend: Backend::Epoll { epfd } });
+            // SAFETY: no pointers cross the call; the result is checked.
+            let epfd = unsafe { epoll_sys::epoll_create1(0) };
+            if epfd < 0 {
+                return Err(io::Error::last_os_error());
             }
-            let _ = force_poll;
-            Ok(Self::new_poll_fallback())
-        }
-
-        /// Construct the `poll(2)` fallback directly, regardless of
-        /// platform or `CONCORD_POLLER` (used by tests and benchmarks).
-        pub fn new_poll_fallback() -> Poller {
-            Poller { backend: Backend::Poll { registered: Vec::new() } }
+            Ok(Poller { epfd })
         }
 
         /// The backend's name, surfaced in server stats.
         pub fn backend_name(&self) -> &'static str {
-            match &self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll { .. } => "epoll",
-                Backend::Poll { .. } => "poll",
-            }
+            "epoll"
         }
 
         /// Register `fd` under `token` with the given interest.
         pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll { epfd } => {
-                    let mut ev =
-                        epoll_sys::EpollEvent { events: epoll_mask(interest), data: token };
-                    epoll_ctl_checked(*epfd, epoll_sys::EPOLL_CTL_ADD, fd, &mut ev)
-                }
-                Backend::Poll { registered } => {
-                    registered.retain(|(f, _, _)| *f != fd);
-                    registered.push((fd, token, interest));
-                    Ok(())
-                }
-            }
+            self.ctl(epoll_sys::EPOLL_CTL_ADD, fd, token, interest)
         }
 
         /// Change the interest of an already-registered fd.
         pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll { epfd } => {
-                    let mut ev =
-                        epoll_sys::EpollEvent { events: epoll_mask(interest), data: token };
-                    epoll_ctl_checked(*epfd, epoll_sys::EPOLL_CTL_MOD, fd, &mut ev)
-                }
-                Backend::Poll { registered } => {
-                    for (f, t, i) in registered.iter_mut() {
-                        if *f == fd {
-                            *t = token;
-                            *i = interest;
-                            return Ok(());
-                        }
-                    }
-                    Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-                }
+            self.ctl(epoll_sys::EPOLL_CTL_MOD, fd, token, interest)
+        }
+
+        fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            let mask = (if interest.readable { epoll_sys::EPOLLIN } else { 0 })
+                | (if interest.writable { epoll_sys::EPOLLOUT } else { 0 });
+            let mut ev = epoll_sys::EpollEvent { events: mask, data: token };
+            // SAFETY: `ev` is a live `epoll_event` for the duration of the
+            // call; the kernel validates both fds.
+            if unsafe { epoll_sys::epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
+                return Err(io::Error::last_os_error());
             }
+            Ok(())
         }
 
         /// Deregister an fd (idempotent — unknown fds are ignored, since
         /// closing an fd already removes it from an epoll set).
         pub fn deregister(&mut self, fd: RawFd) {
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll { epfd } => {
-                    let mut ev = epoll_sys::EpollEvent { events: 0, data: 0 };
-                    unsafe {
-                        let _ = epoll_sys::epoll_ctl(*epfd, epoll_sys::EPOLL_CTL_DEL, fd, &mut ev);
-                    }
-                }
-                Backend::Poll { registered } => {
-                    registered.retain(|(f, _, _)| *f != fd);
-                }
+            let mut ev = epoll_sys::EpollEvent { events: 0, data: 0 };
+            // SAFETY: as in `ctl`; an unknown fd is an ignored `ENOENT`.
+            unsafe {
+                let _ = epoll_sys::epoll_ctl(self.epfd, epoll_sys::EPOLL_CTL_DEL, fd, &mut ev);
             }
         }
 
@@ -308,104 +234,49 @@ mod imp {
         /// is reported as zero events, not an error.
         pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
             out.clear();
-            match &mut self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll { epfd } => {
-                    let mut buf = [epoll_sys::EpollEvent { events: 0, data: 0 }; 64];
-                    let n = unsafe {
-                        epoll_sys::epoll_wait(*epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
-                    };
-                    if n < 0 {
-                        let e = io::Error::last_os_error();
-                        if e.kind() == io::ErrorKind::Interrupted {
-                            return Ok(0);
-                        }
-                        return Err(e);
-                    }
-                    for ev in &buf[..n as usize] {
-                        let events = ev.events;
-                        let data = ev.data;
-                        out.push(Event {
-                            token: data,
-                            readable: events
-                                & (epoll_sys::EPOLLIN | epoll_sys::EPOLLERR | epoll_sys::EPOLLHUP)
-                                != 0,
-                            writable: events & epoll_sys::EPOLLOUT != 0,
-                        });
-                    }
-                    Ok(out.len())
+            let mut buf = [epoll_sys::EpollEvent { events: 0, data: 0 }; 64];
+            // SAFETY: the kernel writes at most `buf.len()` events into `buf`.
+            let n = unsafe {
+                epoll_sys::epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
+            };
+            if n < 0 {
+                let e = io::Error::last_os_error();
+                if e.kind() == io::ErrorKind::Interrupted {
+                    return Ok(0);
                 }
-                Backend::Poll { registered } => {
-                    let mut fds: Vec<PollFd> = registered
-                        .iter()
-                        .map(|(fd, _, interest)| PollFd {
-                            fd: *fd,
-                            events: (if interest.readable { POLLIN } else { 0 })
-                                | (if interest.writable { POLLOUT } else { 0 }),
-                            revents: 0,
-                        })
-                        .collect();
-                    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-                    if n < 0 {
-                        let e = io::Error::last_os_error();
-                        if e.kind() == io::ErrorKind::Interrupted {
-                            return Ok(0);
-                        }
-                        return Err(e);
-                    }
-                    for (slot, (_, token, _)) in fds.iter().zip(registered.iter()) {
-                        if slot.revents == 0 {
-                            continue;
-                        }
-                        out.push(Event {
-                            token: *token,
-                            readable: slot.revents & (POLLIN | POLLERR | POLLHUP) != 0,
-                            writable: slot.revents & POLLOUT != 0,
-                        });
-                    }
-                    Ok(out.len())
-                }
+                return Err(e);
             }
+            for ev in &buf[..n as usize] {
+                let events = ev.events;
+                let data = ev.data;
+                out.push(Event {
+                    token: data,
+                    readable: events
+                        & (epoll_sys::EPOLLIN | epoll_sys::EPOLLERR | epoll_sys::EPOLLHUP)
+                        != 0,
+                    writable: events & epoll_sys::EPOLLOUT != 0,
+                });
+            }
+            Ok(out.len())
         }
     }
 
     impl Drop for Poller {
         fn drop(&mut self) {
-            #[cfg(target_os = "linux")]
-            if let Backend::Epoll { epfd } = self.backend {
-                unsafe {
-                    close(epfd);
-                }
+            // SAFETY: `epfd` is owned by this poller and closed only here.
+            unsafe {
+                close(self.epfd);
             }
         }
     }
-
-    #[cfg(target_os = "linux")]
-    fn epoll_mask(interest: Interest) -> u32 {
-        (if interest.readable { epoll_sys::EPOLLIN } else { 0 })
-            | (if interest.writable { epoll_sys::EPOLLOUT } else { 0 })
-    }
-
-    #[cfg(target_os = "linux")]
-    fn epoll_ctl_checked(
-        epfd: RawFd,
-        op: i32,
-        fd: RawFd,
-        ev: &mut epoll_sys::EpollEvent,
-    ) -> io::Result<()> {
-        if unsafe { epoll_sys::epoll_ctl(epfd, op, fd, ev) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
 }
 
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 mod imp {
     use super::{Event, Interest};
     use std::io;
 
-    /// Non-Unix stub; construction fails with `Unsupported`.
+    /// Non-Linux stub; construction fails with `Unsupported`.
     #[derive(Debug)]
     pub struct Waker {}
 
@@ -420,16 +291,13 @@ mod imp {
         pub fn drain(&self) {}
     }
 
-    /// Non-Unix stub; construction fails with `Unsupported`.
+    /// Non-Linux stub; construction fails with `Unsupported`.
     #[derive(Debug)]
     pub struct Poller {}
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
             Err(io::Error::new(io::ErrorKind::Unsupported, "no poller on this platform"))
-        }
-        pub fn new_poll_fallback() -> Poller {
-            Poller {}
         }
         pub fn backend_name(&self) -> &'static str {
             "none"
@@ -447,19 +315,7 @@ mod imp {
     }
 }
 
-/// Whether the event-loop front end can run on this platform.
-#[must_use]
-pub fn supported() -> bool {
-    cfg!(unix)
-}
-
-/// Convenience: construct the platform poller, mapping the non-Unix stub's
-/// `Unsupported` error through unchanged.
-pub fn new_poller() -> io::Result<Poller> {
-    Poller::new()
-}
-
-#[cfg(all(test, unix))]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
@@ -531,22 +387,5 @@ mod tests {
         let mut events = Vec::new();
         assert!(poller.wait(&mut events, 1000).unwrap() >= 1);
         assert!(events[0].readable, "hangup must surface as readable (read -> 0)");
-    }
-
-    #[test]
-    fn poll_fallback_backend_delivers_events() {
-        // Constructed directly rather than via CONCORD_POLLER, so the test
-        // stays parallel-safe while still covering the fallback code path.
-        let mut poller = Poller::new_poll_fallback();
-        assert_eq!(poller.backend_name(), "poll");
-        let waker = Waker::new().unwrap();
-        poller.register(waker.fd(), 1, Interest::READ).unwrap();
-        waker.wake();
-        let mut events = Vec::new();
-        assert!(poller.wait(&mut events, 1000).unwrap() >= 1);
-        assert!(events[0].readable);
-        waker.drain();
-        assert_eq!(poller.wait(&mut events, 0).unwrap(), 0);
-        poller.deregister(waker.fd());
     }
 }

@@ -4,7 +4,7 @@
 //! # Threading model
 //!
 //! One loop thread owns the listener, every connection socket, and the
-//! [`crate::poll::Poller`] (epoll on Linux, `poll(2)` elsewhere; see the
+//! [`crate::poll::Poller`] (epoll on Linux, nothing elsewhere; see the
 //! module docs there). All sockets are non-blocking: the loop accepts,
 //! reads, runs each connection's frame state machine, and answers inline
 //! (`ping`, `stats`, `shutdown`, malformed input, admission refusals) or

@@ -31,13 +31,27 @@ const DOUBLE_INC: &str = r#"
     };
 "#;
 
-/// Allocate a `(out, body)` pair for an `N`-element launch.
-fn alloc_pair(s: &mut SessionHandle) -> (u64, u64) {
-    let out = s.malloc(u64::from(N) * 4).unwrap();
+/// Allocate a kernel body aimed at `out` for an `N`-element launch.
+fn body_at(s: &mut SessionHandle, out: u64) -> u64 {
     let body = s.malloc(16).unwrap();
     s.write_ptr(body, out).unwrap();
     s.write_i32(body + 8, N as i32).unwrap();
-    (out, body)
+    body
+}
+
+/// Allocate a `(out, body)` pair for an `N`-element launch.
+fn alloc_pair(s: &mut SessionHandle) -> (u64, u64) {
+    let out = s.malloc(u64::from(N) * 4).unwrap();
+    (out, body_at(s, out))
+}
+
+/// **One** `2 * N`-element output allocation with a body aimed at each
+/// half: `(out, body_lo, body_hi)`.
+fn alloc_halves(s: &mut SessionHandle) -> (u64, u64, u64) {
+    let out = s.malloc(u64::from(N) * 8).unwrap();
+    let body_lo = body_at(s, out);
+    let body_hi = body_at(s, out + u64::from(N) * 4);
+    (out, body_lo, body_hi)
 }
 
 fn report_fields(r: &concord_runtime::OffloadReport) -> String {
@@ -90,14 +104,54 @@ fn independent_batch_waves_and_matches_serial_launches() {
     assert_eq!(batch.read(out_a, u64::from(N) * 4).unwrap(), bytes_a_s);
     assert_eq!(batch.read(out_b, u64::from(N) * 4).unwrap(), bytes_b_s);
 
-    // The overlap surfaces on the server's stats frame.
+    // Range granularity: the same cpu + gpu pair over the two halves of
+    // **one** allocation. A block-granular footprint sees one block written
+    // twice and serializes the pair behind a conflict stall; the symbolic
+    // range pass proves the halves disjoint, so they still wave.
+    let (shared_s, lo_s, hi_s) = alloc_halves(&mut serial);
+    serial.parallel_for(&Launch::new("Double", lo_s, N).target("cpu")).unwrap();
+    serial.parallel_for(&Launch::new("Double", hi_s, N).target("gpu")).unwrap();
+    let shared_bytes_s = serial.read(shared_s, u64::from(N) * 8).unwrap();
+    let (shared, lo, hi) = alloc_halves(&mut batch);
+    let halves = batch
+        .parallel_batch(
+            &[
+                BatchEntry::new("Double", lo, N).target("cpu"),
+                BatchEntry::new("Double", hi, N).target("gpu"),
+            ],
+            None,
+        )
+        .unwrap();
+    assert!(halves.reports.iter().all(Result::is_ok));
+    assert_eq!(halves.overlapped, 1, "halves of one allocation are proven disjoint and wave");
+    assert_eq!(halves.conflict_stalls, 0, "a stall here means block-granular footprints");
+    assert_eq!(batch.read(shared, u64::from(N) * 8).unwrap(), shared_bytes_s);
+
+    // Same halves, both on the gpu: consecutive gpu launches share one
+    // fence pair only when their footprints are provably independent.
+    batch.write(shared, &vec![0u8; N as usize * 8]).unwrap();
+    let gpu_halves = batch
+        .parallel_batch(
+            &[
+                BatchEntry::new("Double", lo, N).target("gpu"),
+                BatchEntry::new("Double", hi, N).target("gpu"),
+            ],
+            None,
+        )
+        .unwrap();
+    assert!(gpu_halves.reports.iter().all(Result::is_ok));
+    assert!(gpu_halves.fences_elided >= 1, "disjoint gpu halves batch under one fence pair");
+    assert_eq!(gpu_halves.conflict_stalls, 0, "a stall here means block-granular footprints");
+    assert_eq!(batch.read(shared, u64::from(N) * 8).unwrap(), shared_bytes_s);
+
+    // The overlaps surface on the server's stats frame.
     let stats = batch_server.stats();
-    assert_eq!(stats.overlapped, 1, "graph overlap aggregated into server stats");
+    assert_eq!(stats.overlapped, 2, "graph overlaps aggregated into server stats");
     assert_eq!(stats.conflict_stalls, 0);
     assert_eq!(stats.inflight, 0, "nothing left running");
     let mut control = Client::connect(batch_server.addr()).unwrap();
     let frame = control.stats().unwrap();
-    assert_eq!(frame.get("overlapped").and_then(Json::as_u64), Some(1));
+    assert_eq!(frame.get("overlapped").and_then(Json::as_u64), Some(2));
     assert_eq!(frame.get("conflict_stalls").and_then(Json::as_u64), Some(0));
     assert_eq!(frame.get("inflight").and_then(Json::as_u64), Some(0));
     serial_server.join();
