@@ -157,6 +157,19 @@ grep -q 'CA109' /tmp/concord_ci_lint.log || {
     exit 1
 }
 
+echo "==> structural guard: no thread is created on the launch path"
+# Every launch fans out through concord_pool::map's parked workers. The only
+# spawn sites the launch-path crates may contain are the pool's own two:
+# the fan-out workers and TaskPool::new.
+spawn_sites=$(grep -rnE 'thread::(scope|spawn)|Builder::new\(\)' \
+    crates/{pool,runtime,native,cpusim,gpusim,svm}/src || true)
+if [ "$(grep -c '^crates/pool/src/lib.rs:.*thread::Builder::new()' <<<"$spawn_sites")" -ne 2 ] \
+    || [ "$(wc -l <<<"$spawn_sites")" -ne 2 ]; then
+    echo "!! a thread spawn outside the pool's two worker sites:" >&2
+    echo "$spawn_sites" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -61,8 +61,11 @@ impl CoreCtx {
     }
 }
 
-/// Private (stack) memory for one core.
+/// Private (stack) memory for one core. Aligned to its own cache lines:
+/// the cores' memories sit side by side in `CpuSim` and each chunk's host
+/// thread writes its `sp` at every simulated call and return.
 #[derive(Debug, Clone)]
+#[repr(align(128))]
 pub struct PrivateMem {
     data: Vec<u8>,
     sp: u64,
@@ -262,10 +265,20 @@ pub struct Interp<'a, M: RegionMem> {
     pub wl: Option<&'a mut Vec<i32>>,
 }
 
-/// Cached frame layouts for a module.
+/// Cached frame layouts for a module, and the buffers [`Interp::call`]
+/// reuses from one simulated call to the next: register files, argument
+/// lists and phi groups. Without them every simulated call is a handful
+/// of `malloc`/`free` pairs, and that is not only slow: a chunk now runs on
+/// the launching thread beside a pool helper, the allocator hands each of
+/// the two threads small blocks the other one freed, and two threads
+/// recycling neighbouring blocks share cache lines (`cpu.BarnesHut` ran
+/// 1.5× slower that way — EXPERIMENTS.md, "Launch fan-out").
 #[derive(Debug, Default, Clone)]
 pub struct LayoutCache {
     layouts: HashMap<FuncId, FrameLayout>,
+    regs: Vec<Vec<Option<Value>>>,
+    args: Vec<Vec<Value>>,
+    phis: Vec<Vec<(ValueId, Value)>>,
 }
 
 impl LayoutCache {
@@ -278,6 +291,13 @@ impl LayoutCache {
     pub fn get(&mut self, module: &Module, fid: FuncId) -> &FrameLayout {
         self.layouts.entry(fid).or_insert_with(|| frame_layout(module.function(fid)))
     }
+}
+
+/// An empty buffer from `pool`, keeping the capacity of its last use.
+fn recycled<T>(pool: &mut Vec<Vec<T>>) -> Vec<T> {
+    let mut buf = pool.pop().unwrap_or_default();
+    buf.clear();
+    buf
 }
 
 impl<'a, M: RegionMem> Interp<'a, M> {
@@ -368,10 +388,13 @@ impl<'a, M: RegionMem> Interp<'a, M> {
             return Err(Trap::StackOverflow);
         }
         let f = self.module.function(fid);
-        let layout = layouts.get(self.module, fid).clone();
-        let old_sp = self.private.push_frame(layout.size)?;
+        let frame_size = layouts.get(self.module, fid).size;
+        let old_sp = self.private.push_frame(frame_size)?;
         let frame_base = PRIVATE_BASE + (old_sp.div_ceil(16) * 16);
-        let mut regs: Vec<Option<Value>> = vec![None; f.insts.len()];
+        // A trap leaves through `?` and drops its buffers instead of
+        // returning them: the pools only have to be warm on the hot path.
+        let mut regs = recycled(&mut layouts.regs);
+        regs.resize(f.insts.len(), None);
         for (i, &a) in args.iter().enumerate() {
             if i < f.params.len() {
                 regs[i] = Some(a);
@@ -382,7 +405,7 @@ impl<'a, M: RegionMem> Interp<'a, M> {
         let result = 'outer: loop {
             // Phi group resolution (parallel reads).
             let insts = &f.block(block).insts;
-            let mut phi_vals: Vec<(ValueId, Value)> = Vec::new();
+            let mut phi_vals = recycled(&mut layouts.phis);
             for &id in insts {
                 if let Op::Phi(incoming) = &f.inst(id).op {
                     let p = prev.expect("phi in entry block");
@@ -397,7 +420,7 @@ impl<'a, M: RegionMem> Interp<'a, M> {
                 }
             }
             let phi_count = phi_vals.len();
-            for (id, v) in phi_vals {
+            for (id, v) in phi_vals.drain(..) {
                 regs[id.0 as usize] = Some(v);
                 self.core.counters.insts += 1;
                 self.core.cycles += 1.0 / self.cfg.ipc;
@@ -409,6 +432,7 @@ impl<'a, M: RegionMem> Interp<'a, M> {
                 }
                 self.step_budget -= 1;
             }
+            layouts.phis.push(phi_vals);
             for idx in phi_count..f.block(block).insts.len() {
                 let id = f.block(block).insts[idx];
                 if self.step_budget == 0 {
@@ -471,7 +495,7 @@ impl<'a, M: RegionMem> Interp<'a, M> {
                     }
                     Op::Alloca { .. } => {
                         self.core.cycles += 1.0 / self.cfg.ipc;
-                        let off = layout.offsets[&id];
+                        let off = layouts.get(self.module, fid).offsets[&id];
                         regs[id.0 as usize] =
                             Some(Value::Ptr(frame_base + off, AddrSpace::Private));
                     }
@@ -525,11 +549,12 @@ impl<'a, M: RegionMem> Interp<'a, M> {
                     Op::Call { callee, args: call_args } => {
                         self.core.counters.calls += 1;
                         self.core.cycles += 2.0;
-                        let mut vals = Vec::with_capacity(call_args.len());
+                        let mut vals = recycled(&mut layouts.args);
                         for a in call_args {
                             vals.push(get(&regs, *a)?);
                         }
                         let r = self.call_depth(layouts, *callee, &vals, depth + 1)?;
+                        layouts.args.push(vals);
                         if inst.ty != Type::Void {
                             regs[id.0 as usize] = Some(r.ok_or(Trap::Unreachable)?);
                         }
@@ -547,22 +572,24 @@ impl<'a, M: RegionMem> Interp<'a, M> {
                             *slot,
                         )?;
                         self.core.cycles += 3.0;
-                        let mut vals = Vec::with_capacity(call_args.len() + 1);
+                        let mut vals = recycled(&mut layouts.args);
                         vals.push(get(&regs, *obj)?);
                         for a in call_args {
                             vals.push(get(&regs, *a)?);
                         }
                         let r = self.call_depth(layouts, target, &vals, depth + 1)?;
+                        layouts.args.push(vals);
                         if inst.ty != Type::Void {
                             regs[id.0 as usize] = Some(r.ok_or(Trap::Unreachable)?);
                         }
                     }
                     Op::IntrinsicCall(intr, iargs) => {
-                        let mut vals = Vec::with_capacity(iargs.len());
+                        let mut vals = recycled(&mut layouts.args);
                         for a in iargs {
                             vals.push(get(&regs, *a)?);
                         }
                         let v = self.intrinsic(*intr, &vals)?;
+                        layouts.args.push(vals);
                         if inst.ty != Type::Void {
                             regs[id.0 as usize] = Some(v);
                         }
@@ -603,6 +630,7 @@ impl<'a, M: RegionMem> Interp<'a, M> {
             break 'outer Err(Trap::Unreachable);
         };
         self.private.pop_frame(old_sp);
+        layouts.regs.push(regs);
         result
     }
 

@@ -30,6 +30,7 @@ use concord_svm::{
     VtableArea, Work, WorkKind,
 };
 use concord_trace::{Tracer, Track};
+use std::sync::Mutex;
 
 /// Split `[lo, hi)` into exactly `chunks.max(1)` contiguous ranges.
 ///
@@ -69,7 +70,6 @@ pub struct CpuReport {
 /// Per-chunk outcome of host-parallel execution, merged at commit time.
 struct ChunkOut {
     core: CoreCtx,
-    private: PrivateMem,
     llc_log: Vec<u64>,
     mem_log: Vec<MemOp>,
     /// Worklist push segment: items this chunk pushed for the next
@@ -116,12 +116,11 @@ impl CpuSim {
     /// Build a simulator for a CPU configuration.
     pub fn new(cfg: CpuConfig) -> Self {
         let cores = (0..cfg.cores).map(|_| CoreCtx::new(&cfg)).collect();
-        let privates = (0..cfg.cores).map(|_| PrivateMem::new(1 << 20)).collect();
         CpuSim {
             llc: Cache::new(cfg.llc_bytes, 16),
             cfg,
             cores,
-            privates,
+            privates: Vec::new(),
             layouts: LayoutCache::new(),
             step_budget_per_item: 200_000_000,
             host_threads: 1,
@@ -146,6 +145,14 @@ impl CpuSim {
     /// such as the sequential join chain after a GPU reduction).
     pub fn core0_cycles(&self) -> f64 {
         self.cores[0].cycles
+    }
+
+    /// Allocate the per-core private memories on the first launch or
+    /// call: a session that never targets the CPU never pays for them.
+    fn ensure_privates(&mut self) {
+        if self.privates.is_empty() {
+            self.privates = (0..self.cfg.cores).map(|_| PrivateMem::new(1 << 20)).collect();
+        }
     }
 
     fn reset_timing(&mut self) {
@@ -222,6 +229,7 @@ impl CpuSim {
         func: FuncId,
         args: &[Value],
     ) -> Result<Option<Value>, Trap> {
+        self.ensure_privates();
         let mut interp = Interp {
             module,
             region,
@@ -356,6 +364,7 @@ impl CpuSim {
             return self.commit(region, pending, pushes);
         }
         self.reset_timing();
+        self.ensure_privates();
         let mut seg = Vec::new();
         for (idx, chunk) in self.chunks(work, span).into_iter().enumerate() {
             let mut env = ChunkEnv {
@@ -376,7 +385,12 @@ impl CpuSim {
     /// Execute the chunks of `work` over `span` without committing: each
     /// simulated core's chunk runs against a snapshot of `region` with a
     /// private write-log, possibly on its own host thread.
-    /// [`CpuSim::commit`] merges the logs back in chunk order. A
+    /// [`CpuSim::commit`] merges the logs back in chunk order. Private
+    /// (stack) memory is the one thing a chunk mutates in place: it
+    /// persists uncleared across launches either way, its contents never
+    /// feed timing, and copying every core's 1 MiB stack per launch was
+    /// most of a small launch's cost. So after a trap, or a pending launch
+    /// dropped uncommitted, the stacks hold post-execution bytes. A
     /// reduction's slots must already hold body copies (see
     /// [`stage_reduce`]).
     pub fn execute(
@@ -388,12 +402,20 @@ impl CpuSim {
         span: Span,
     ) -> CpuPending {
         self.reset_timing();
+        self.ensure_privates();
         let chunks = self.chunks(work, span);
-        let sim: &CpuSim = self;
-        let outs = concord_pool::map(sim.host_threads, chunks.len(), |idx| {
+        // Each chunk executes on its lane's private memory in place, by
+        // disjoint `&mut` (the lock is never contended: index `k` is
+        // claimed once). The memories stay in the simulator, so a pending
+        // launch that is dropped uncommitted takes no stack with it.
+        let CpuSim { cfg, cores, privates, step_budget_per_item: budget, .. } = self;
+        let privates: Vec<Mutex<&mut PrivateMem>> = privates.iter_mut().map(Mutex::new).collect();
+        // One non-empty chunk is a serial launch: run it on this thread.
+        let busy = chunks.iter().filter(|(lo, hi, _)| lo < hi).count();
+        let threads = if busy > 1 { self.host_threads } else { 1 };
+        let outs = concord_pool::map(threads, chunks.len(), |idx| {
             let mut out = ChunkOut {
-                core: sim.cores[idx].clone(),
-                private: sim.privates[idx].clone(),
+                core: cores[idx].clone(),
                 llc_log: Vec::new(),
                 mem_log: Vec::new(),
                 pushes: Vec::new(),
@@ -403,23 +425,14 @@ impl CpuSim {
             let mut env = ChunkEnv {
                 region: &mut shadow,
                 core: &mut out.core,
-                private: &mut out.private,
+                private: &mut privates[idx].lock().expect("a chunk's private memory lock"),
                 llc: LlcSink::Log(&mut out.llc_log),
                 layouts: &mut LayoutCache::new(),
                 pushes: &mut out.pushes,
             };
-            let budget = sim.step_budget_per_item;
-            out.trap = run_chunk(
-                &sim.cfg,
-                budget,
-                module,
-                vtables,
-                work,
-                span.grid,
-                chunks[idx],
-                &mut env,
-            )
-            .err();
+            let chunk = chunks[idx];
+            out.trap =
+                run_chunk(cfg, *budget, module, vtables, work, span.grid, chunk, &mut env).err();
             out.mem_log = shadow.into_log();
             out
         });
@@ -455,7 +468,6 @@ impl CpuSim {
             apply_log(region, &chunk.mem_log);
             seg.append(&mut chunk.pushes);
             self.cores[idx] = chunk.core;
-            self.privates[idx] = chunk.private;
             if let Some(t) = chunk.trap {
                 return Err(t);
             }
@@ -751,6 +763,59 @@ mod tests {
         let err =
             sim.parallel_for(&mut region, &vt, &lp.module, k.operator_fn, body, 1).unwrap_err();
         assert!(matches!(err, Trap::BadAddress { .. }));
+    }
+
+    #[test]
+    fn a_dropped_pending_launch_leaves_the_stacks_usable() {
+        // What `execute_then_commit` does after an earlier part traps: the
+        // later part's pending launch is dropped uncommitted. Its chunks
+        // ran on the simulator's own stacks, which must still be there.
+        let src = r#"
+            struct Node { Node* next; int v; };
+            class Bad {
+            public:
+                Node* head; int out;
+                void operator()(int i) {
+                    int tmp[8];
+                    for (int j = 0; j < 8; j++) { tmp[j] = i + j; }
+                    out = head->v + tmp[3];
+                }
+            };
+            class Good {
+            public:
+                int* out;
+                void operator()(int i) {
+                    int tmp[8];
+                    for (int j = 0; j < 8; j++) { tmp[j] = i * j + 3; }
+                    int s = 0;
+                    for (int j = 0; j < 8; j++) { s = s + tmp[j]; }
+                    out[i] = s;
+                }
+            };
+        "#;
+        let mut lp = compile(src).unwrap();
+        concord_compiler::optimize_for_cpu(&mut lp.module);
+        let (mut region, mut heap, vt) = setup(&lp, 1 << 16);
+        let bad_body = heap.malloc(16).unwrap();
+        region.write_ptr(bad_body, CpuAddr::NULL).unwrap();
+        let out = heap.malloc(16 * 4).unwrap();
+        let good_body = heap.malloc(8).unwrap();
+        region.write_ptr(good_body, out).unwrap();
+        let (bad, good) = (lp.kernel("Bad").unwrap(), lp.kernel("Good").unwrap());
+        let mut sim = CpuSim::new(concord_energy::SystemConfig::ultrabook().cpu);
+        sim.host_threads = 2;
+
+        let work =
+            Work { func: bad.operator_fn, body: bad_body, kind: WorkKind::For, gated: false };
+        let pending = sim.execute(&region, &vt, &lp.module, &work, Span::full(16));
+        assert!(pending.chunks.iter().all(|c| c.trap.is_some()), "every chunk trapped");
+        drop(pending);
+
+        sim.parallel_for(&mut region, &vt, &lp.module, good.operator_fn, good_body, 16).unwrap();
+        for i in 0..16i32 {
+            let got = region.read_i32(CpuAddr(out.0 + i as u64 * 4)).unwrap();
+            assert_eq!(got, (0..8).map(|j| i * j + 3).sum::<i32>(), "item {i}");
+        }
     }
 
     #[test]

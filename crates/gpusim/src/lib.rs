@@ -316,7 +316,7 @@ impl GpuSim {
     ) -> GpuPending {
         let (warps, hiding) = self.geometry(work, span);
         let meta = Mutex::new(MetaCache::new());
-        let outs = concord_pool::map_dynamic(self.host_threads, warps as usize, |w| {
+        let outs = concord_pool::map(self.host_threads, warps as usize, |w| {
             let mut shadow = ShadowRegion::new(region);
             let mut out = self.run_warp(&mut shadow, module, &meta, work, span, w as u64, hiding);
             out.mem_log = shadow.into_log();

@@ -15,9 +15,14 @@
 //! execution schedule even though the fixpoint does not) also run their
 //! chunks serially in chunk order — that pins the dynamics to the
 //! host_threads=1 schedule, so recorded sessions replay byte-identically
-//! (round counts included) at any host fan-out. All other kernels run
-//! chunks across host threads writing the live region directly: the
-//! per-workload commutativity audit in DESIGN.md shows this commits the
+//! (round counts included) at any host fan-out. A launch estimated too
+//! small to pay for a pool dispatch (`FAN_OUT_MIN_INSTS`) takes the
+//! same in-order path on the caller — the third reason, and like the
+//! other two decided from deterministic quantities only, so bytes,
+//! `insts`, push-segment order and trap identity cannot depend on it. All
+//! other kernels run chunks across host threads writing the live region
+//! directly: the per-workload commutativity audit in DESIGN.md shows this
+//! commits the
 //! same final bytes as the simulator's log-replay merge, and hardware
 //! `lock`-prefixed atomics match `apply_rmw` byte-for-byte. Worklist
 //! rounds are exempt from the hazard gate: per-chunk push segments merge
@@ -50,6 +55,18 @@ fn jit(addr: u64) -> JitFn {
     unsafe { std::mem::transmute::<usize, JitFn>(addr as usize) }
 }
 
+/// Estimated IR instructions a launch must execute before its chunks are
+/// worth a pool dispatch; below it they run in order on the caller.
+///
+/// Measured (release, `nproc` 2, EXPERIMENTS.md "Launch fan-out"): a parked
+/// helper starts 19 µs after `concord_pool::map` is called, and four
+/// chunks on two threads draw level with running them inline at 10 µs per
+/// chunk (45 vs 41 µs), ahead from 20 µs. Generated code retires an IR
+/// instruction in 0.5 (loops) to 1.3 ns (light kernels, which are the
+/// launches in question), so 32 768 instructions are about 40 µs — two
+/// wake-ups — of work: the point of parity, not a tuning knob.
+pub(crate) const FAN_OUT_MIN_INSTS: u64 = 32_768;
+
 /// Statistics from one native launch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LaunchStats {
@@ -60,8 +77,10 @@ pub struct LaunchStats {
 }
 
 /// Per-core private memories plus launch configuration: the native
-/// equivalent of `CpuSim`'s execution state. Private memories persist
-/// across launches (uncleared), exactly as the simulator's do.
+/// equivalent of `CpuSim`'s execution state. Private memories are
+/// allocated by the first launch (a session that never targets native
+/// never pays for them) and persist across launches (uncleared), exactly
+/// as the simulator's do.
 pub struct Executor {
     privates: Vec<Vec<u8>>,
     cores: usize,
@@ -76,6 +95,9 @@ pub struct Executor {
     /// Launches whose chunks ran serially because of a CA108 verdict
     /// (not counting gated-op serialization).
     hazard_serialized: u64,
+    /// IR instructions per work item of each kernel's previous completed
+    /// launch (see [`Executor::pays_for_dispatch`]).
+    insts_per_item: HashMap<FuncId, u64>,
 }
 
 impl Executor {
@@ -84,12 +106,13 @@ impl Executor {
     pub fn new(cores: usize, host_threads: usize) -> Executor {
         let cores = cores.max(1);
         Executor {
-            privates: (0..cores).map(|_| vec![0u8; PRIVATE_BYTES]).collect(),
+            privates: Vec::new(),
             cores,
             host_threads: host_threads.max(1),
             step_budget: 200_000_000,
             hazard_cache: HashMap::new(),
             hazard_serialized: 0,
+            insts_per_item: HashMap::new(),
         }
     }
 
@@ -102,6 +125,21 @@ impl Executor {
     /// analyzer flagged a cross-item read hazard (CA108).
     pub fn hazard_serialized(&self) -> u64 {
         self.hazard_serialized
+    }
+
+    /// Whether a launch of `items` work items of `func` is estimated to
+    /// execute at least [`FAN_OUT_MIN_INSTS`] IR instructions. The estimate
+    /// is `items` × the kernel's instructions per item in its previous
+    /// completed launch on this executor — exact counts, so the verdict is
+    /// a pure function of the launch history and never of wall-clock.
+    /// Before any, it is `items` × the kernel's static instruction count,
+    /// which counts a loop body once and no callee: it errs low exactly
+    /// for heavy kernels, costing them one inline launch, while a kernel
+    /// launched once over many items still fans out the first time.
+    pub(crate) fn pays_for_dispatch(&self, module: &Module, func: FuncId, items: u32) -> bool {
+        let per_item = self.insts_per_item.get(&func).copied();
+        let per_item = per_item.unwrap_or_else(|| module.function(func).placed_inst_count() as u64);
+        u64::from(items).saturating_mul(per_item) >= FAN_OUT_MIN_INSTS
     }
 
     /// Memoized cross-item read-hazard verdict for `func` under the
@@ -128,9 +166,10 @@ impl Executor {
     /// bits of the total) is identical; it must cover the full iteration
     /// space (native plans are never split).
     ///
-    /// Gated kernels, and `for`/`reduce` kernels with a cross-item read
-    /// hazard (CA108), run their chunks serially in chunk order; all
-    /// others fan chunks out over host threads (see the module docs).
+    /// Gated kernels, `for`/`reduce` kernels with a cross-item read
+    /// hazard (CA108), and launches too small to pay for a dispatch run
+    /// their chunks serially in chunk order on the caller; all others fan
+    /// chunks out over host threads (see the module docs).
     ///
     /// # Errors
     ///
@@ -176,6 +215,9 @@ impl Executor {
             };
         self.hazard_serialized += u64::from(hazard);
 
+        if self.privates.is_empty() {
+            self.privates = (0..self.cores).map(|_| vec![0u8; PRIVATE_BYTES]).collect();
+        }
         let (rbase, rlen) = region.raw_parts_mut();
         let privs: Vec<(usize, usize)> =
             self.privates.iter_mut().map(|p| (p.as_mut_ptr() as usize, p.len())).collect();
@@ -206,7 +248,8 @@ impl Executor {
             };
             (trap, insts, seg)
         };
-        let outs = if work.gated || hazard {
+        let inline = !self.pays_for_dispatch(module, work.func, span.items());
+        let outs = if work.gated || hazard || inline {
             // In chunk order on this thread; chunks after a trap never run.
             let mut outs = Vec::with_capacity(spans.len());
             for idx in 0..spans.len() {
@@ -253,6 +296,9 @@ impl Executor {
                     return Err(t);
                 }
             }
+        }
+        if span.items() > 0 {
+            self.insts_per_item.insert(work.func, stats.insts / u64::from(span.items()));
         }
         Ok(stats)
     }

@@ -463,6 +463,142 @@ mod tests {
         assert_eq!(got, want, "step-limit trap must carry the same kernel name and item id");
     }
 
+    const DOUBLE: &str = r#"
+        class Double {
+        public:
+            int* out; int add;
+            void operator()(int i) { out[i] = i * 2 + add; }
+        };
+    "#;
+
+    #[test]
+    fn fan_out_decision_uses_the_static_then_the_measured_count() {
+        if !supported() {
+            return;
+        }
+        use launch::FAN_OUT_MIN_INSTS;
+        let cfg = concord_energy::SystemConfig::ultrabook().cpu;
+
+        // A light kernel: the static count, then the measured one, each
+        // against the same threshold.
+        let light = r#"
+            class Light {
+            public:
+                int* out;
+                void operator()(int i) {
+                    int s = 0;
+                    for (int j = 0; j < 3; j++) { s = s + (j ^ i); }
+                    out[i] = s;
+                }
+            };
+        "#;
+        let lp = build(light);
+        let f = lp.kernel("Light").unwrap().operator_fn;
+        let nm = compile(&lp.module).unwrap();
+        let (mut region, mut heap, _vt) = setup(&lp, 1 << 20);
+        let out = heap.malloc(256 * 4).unwrap();
+        let body = heap.malloc(8).unwrap();
+        region.write_ptr(body, out).unwrap();
+        let mut ex = Executor::new(cfg.cores as usize, 8);
+        let edge = |per_item: u64| u32::try_from(FAN_OUT_MIN_INSTS.div_ceil(per_item)).unwrap();
+        let placed = lp.module.function(f).placed_inst_count() as u64;
+        assert!(!ex.pays_for_dispatch(&lp.module, f, edge(placed) - 1));
+        assert!(ex.pays_for_dispatch(&lp.module, f, edge(placed)));
+        let stats = native_for(&mut ex, &mut region, &nm, &lp.module, f, body, 256).unwrap();
+        let measured = stats.insts / 256;
+        assert!(measured > placed, "the loop makes the static count a strict lower bound");
+        assert!(!ex.pays_for_dispatch(&lp.module, f, edge(measured) - 1));
+        assert!(ex.pays_for_dispatch(&lp.module, f, edge(measured)));
+
+        // Four items of a long loop: nothing static says they are heavy,
+        // so the first launch runs inline and every later one fans out.
+        let heavy = r#"
+            class Heavy {
+            public:
+                int* out;
+                void operator()(int i) {
+                    int s = 0;
+                    for (int j = 0; j < 20000; j++) { s = s + (j ^ i); }
+                    out[i] = s;
+                }
+            };
+        "#;
+        let lp = build(heavy);
+        let f = lp.kernel("Heavy").unwrap().operator_fn;
+        let nm = compile(&lp.module).unwrap();
+        let (mut region, mut heap, _vt) = setup(&lp, 1 << 20);
+        let out = heap.malloc(4 * 4).unwrap();
+        let body = heap.malloc(8).unwrap();
+        region.write_ptr(body, out).unwrap();
+        let mut ex = Executor::new(cfg.cores as usize, 8);
+        assert!(!ex.pays_for_dispatch(&lp.module, f, 4));
+        native_for(&mut ex, &mut region, &nm, &lp.module, f, body, 4).unwrap();
+        assert!(ex.pays_for_dispatch(&lp.module, f, 4));
+    }
+
+    #[test]
+    fn launches_on_both_sides_of_the_inline_threshold_agree() {
+        if !supported() {
+            return;
+        }
+        let cfg = concord_energy::SystemConfig::ultrabook().cpu;
+        let lp = build(DOUBLE);
+        let f = lp.kernel("Double").unwrap().operator_fn;
+        let nm = compile(&lp.module).unwrap();
+        let placed = lp.module.function(f).placed_inst_count() as u64;
+        let edge = u32::try_from(launch::FAN_OUT_MIN_INSTS.div_ceil(placed)).unwrap();
+        // Two launches each: the second decides on the measured count.
+        let run = |n: u32, ht: usize| {
+            let (mut region, mut heap, _vt) = setup(&lp, 1 << 20);
+            let out = heap.malloc(u64::from(n) * 4).unwrap();
+            let body = heap.malloc(16).unwrap();
+            region.write_ptr(body, out).unwrap();
+            region.write_i32(body.offset(8), 7).unwrap();
+            let mut ex = Executor::new(cfg.cores as usize, ht);
+            let fanned = ex.pays_for_dispatch(&lp.module, f, n);
+            let first = native_for(&mut ex, &mut region, &nm, &lp.module, f, body, n).unwrap();
+            let again = native_for(&mut ex, &mut region, &nm, &lp.module, f, body, n).unwrap();
+            (fanned, first.insts, again.insts, region_bytes(&mut region))
+        };
+        for n in [edge - 1, edge, 4 * edge] {
+            let (serial, parallel) = (run(n, 1), run(n, 8));
+            assert_eq!(serial.0, n >= edge, "n = {n} is on the intended side");
+            assert!(serial == parallel, "n = {n}: insts or region bytes depend on host threads");
+            assert_eq!(serial.1, serial.2, "n = {n}: a relaunch executes the same instructions");
+        }
+
+        // Items 5, 1005, 2005, … store out of bounds: the lowest one's
+        // trap is reported, inline or fanned out.
+        let src = r#"
+            class Sparse {
+            public:
+                int* out;
+                void operator()(int i) {
+                    if (i % 1000 == 5) { out[i * 4000000] = 1; }
+                    out[i] = i;
+                }
+            };
+        "#;
+        let lp = build(src);
+        let f = lp.kernel("Sparse").unwrap().operator_fn;
+        let nm = compile(&lp.module).unwrap();
+        let trap = |n: u32, ht: usize| {
+            let (mut region, mut heap, _vt) = setup(&lp, 1 << 20);
+            let out = heap.malloc(u64::from(n) * 4).unwrap();
+            let body = heap.malloc(8).unwrap();
+            region.write_ptr(body, out).unwrap();
+            let mut ex = Executor::new(cfg.cores as usize, ht);
+            let fanned = ex.pays_for_dispatch(&lp.module, f, n);
+            (fanned, native_for(&mut ex, &mut region, &nm, &lp.module, f, body, n).unwrap_err())
+        };
+        let want = trap(8, 1);
+        assert!(matches!(want, (false, Trap::BadAddress { .. })), "{want:?}");
+        assert_eq!(trap(8, 8), want);
+        for ht in [1, 8] {
+            assert_eq!(trap(40_000, ht), (true, want.1.clone()), "ht = {ht}");
+        }
+    }
+
     #[test]
     fn reduce_total_is_bit_exact() {
         if !supported() {

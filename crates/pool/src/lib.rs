@@ -1,26 +1,40 @@
 //! # concord-pool
 //!
-//! A zero-dependency scoped host-thread fan-out for the simulators.
+//! Host threads for the whole workspace: two contracts and nothing else.
 //!
-//! Both device simulators chunk their iteration spaces deterministically
-//! (CPU chunks ↔ simulated cores, GPU warps ↔ SIMD groups) and then walk
-//! the chunks serially. This crate fans those already-independent chunks
-//! out across OS threads via [`std::thread::scope`], while keeping the
-//! *observable* result order fixed: results land in a `Vec` indexed by chunk
-//! id, so callers can merge them in chunk order and stay byte-identical
-//! for any host thread count.
+//! [`map`] is the **launch fan-out**: the simulators' chunks and warps, the
+//! native executor's chunks and the two halves of a pair/hybrid wave all
+//! go through it. It runs on lazily-spawned, process-wide workers that
+//! stay parked between calls and accept *borrowed* closures, so a launch
+//! creates no thread: a dispatch is a queue push and a condvar wake-up,
+//! not a spawn and a join. Results land in a `Vec` by index, so callers
+//! stay byte-identical for any host thread count and any schedule. Five
+//! rules make that safe and keep it cheap:
 //!
-//! The pool is not a persistent worker pool: scoped threads let workers
-//! borrow the launch's state without `Arc`, and every `map` pays a thread
-//! spawn and join. That cost is noise only for coarse launches (whole
-//! kernel chunks under an interpreter). It is not for small ones: the
-//! repo benchmark measures `pool.map_dispatch_us` at 89 µs against
-//! `runtime.worklist_round_us` 99.5 µs, so a small frontier round is
-//! mostly the spawn — see ROADMAP item 2.
+//! 1. **The caller claims indices itself** and only then waits, so a `map`
+//!    nested in another `map`'s index (gpusim's warps inside a pair wave's
+//!    GPU half, a serve worker's launch while another session's holds the
+//!    helpers) finishes with no free worker, and sessions share helpers.
+//! 2. **Nobody spins**: workers and callers park on a condvar at once
+//!    (what a spin costs here: EXPERIMENTS.md, "Launch fan-out").
+//! 3. **A helper takes a ticket before helping**, and a call issues
+//!    `min(threads, n) - 1`, so it never runs on more than `threads` OS
+//!    threads however large an earlier caller grew the pool.
+//! 4. **Every index runs under `catch_unwind`** and counts as done either
+//!    way; the first payload is re-raised on the caller, the worker lives.
+//! 5. **The borrowed closure is dereferenced only for a claimed index
+//!    `< n`, and the caller returns only when all `n` are done** — the
+//!    soundness argument of the `unsafe` code below.
+//!
+//! [`TaskPool`] is the other contract and stays separate on purpose: a
+//! bounded queue of `'static` jobs, a lossless drain, a lifetime tied to
+//! one `Server`. Its workers are *callers* of [`map`] under rule 1.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Name of the environment variable controlling host parallelism.
 pub const HOST_THREADS_ENV: &str = "CONCORD_HOST_THREADS";
@@ -36,111 +50,155 @@ pub fn host_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Run `f(0..n)` across at most `threads` OS threads and return the
-/// results in index order.
+/// Run `f(0..n)` on the calling thread plus at most `threads - 1` parked
+/// pool workers and return the results in index order.
 ///
-/// Work is dealt round-robin: worker `t` runs indices `t, t+threads, …`.
-/// The mapping from index to thread is fixed, but determinism does not
-/// rely on it — results are placed by index, so any schedule yields the
-/// same `Vec`. With `threads <= 1` or `n <= 1` the closure runs inline on
-/// the caller's thread.
+/// Indices are claimed one at a time, so skewed per-index cost (divergent
+/// warps) balances itself; results are placed by index, so any schedule
+/// yields the same `Vec`. With `threads <= 1` or `n <= 1`, `f` runs inline.
 ///
 /// # Panics
 ///
-/// Re-raises the first worker panic on the calling thread.
+/// Re-raises the first panic of `f` on the caller, after every index ran.
 pub fn map<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    if threads <= 1 || n <= 1 {
+    let helpers = threads.min(n).saturating_sub(1);
+    if helpers == 0 {
         return (0..n).map(f).collect();
     }
-    let workers = threads.min(n);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for chunk in round_robin_views(&mut slots, workers) {
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                for (slot, idx) in chunk {
-                    *slot = Some(f(idx));
-                }
-            }));
-        }
-        for h in handles {
-            if let Err(p) = h.join() {
-                panic.get_or_insert(p);
-            }
-        }
-    });
-    if let Some(p) = panic {
-        std::panic::resume_unwind(p);
-    }
-    slots.into_iter().map(|s| s.expect("worker filled every slot")).collect()
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    fan_out(helpers, n, &|idx| *lock(&slots[idx]) = Some(f(idx)));
+    slots.iter().map(|slot| lock(slot).take().expect("fan_out ran every index")).collect()
 }
 
-/// Split `slots` into `workers` disjoint views, worker `t` owning the
-/// mutable slots at indices `t, t+workers, …` (paired with their index).
-fn round_robin_views<R>(
-    slots: &mut [Option<R>],
-    workers: usize,
-) -> Vec<Vec<(&mut Option<R>, usize)>> {
-    let mut views: Vec<Vec<(&mut Option<R>, usize)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (idx, slot) in slots.iter_mut().enumerate() {
-        views[idx % workers].push((slot, idx));
-    }
-    views
+/// Lock a mutex whose every critical section is one push, pop, store or
+/// increment: poisoned data is still valid, and `fan_out` must not unwind.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Like [`map`], but workers pull the next unclaimed index from a shared
-/// counter instead of a fixed deal — better when per-index cost is skewed
-/// (e.g. divergent warps). Results are still placed by index, so the
-/// output is identical to [`map`]'s for the same `f`.
-///
-/// # Panics
-///
-/// Re-raises the first worker panic on the calling thread.
-pub fn map_dynamic<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let workers = threads.min(n);
-    let next = AtomicUsize::new(0);
-    let results = std::sync::Mutex::new(Vec::with_capacity(n));
-    let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (f, next, results) = (&f, &next, &results);
-            handles.push(scope.spawn(move || loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                let r = f(idx);
-                results.lock().unwrap().push((idx, r));
-            }));
-        }
-        for h in handles {
-            if let Err(p) = h.join() {
-                panic.get_or_insert(p);
+/// One in-flight [`map`]: all a helper touches once the last index is done.
+struct FanOut {
+    /// The caller's closure, lifetime erased (see `fan_out`).
+    run: *const (dyn Fn(usize) + Sync),
+    n: usize,
+    /// Next unclaimed index; results and the done-count go through mutexes.
+    next: AtomicUsize,
+    progress: Mutex<Progress>,
+    /// Signalled when `progress.done` reaches `n`; the caller parks here.
+    finished: Condvar,
+}
+
+#[derive(Default)]
+struct Progress {
+    done: usize,
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+// SAFETY: `run` points at a `Sync` closure, so calling it from several
+// threads is what its type allows, and `fan_out` argues it is alive whenever
+// dereferenced. Every other field is `Send + Sync` on its own.
+unsafe impl Send for FanOut {}
+// SAFETY: as above.
+unsafe impl Sync for FanOut {}
+
+impl FanOut {
+    /// Claim and run indices until none is left (rules 4 and 5).
+    fn work(&self) {
+        loop {
+            let idx = self.next.fetch_add(1, Ordering::Relaxed);
+            if idx >= self.n {
+                return;
+            }
+            // SAFETY: rule 5. `idx < n` is claimed and not yet counted done,
+            // so `done < n` until the increment below and `fan_out`, which
+            // borrows the closure, has not returned. The pointer reached
+            // this thread through the `WORKERS` mutex or is the caller's own.
+            let run = unsafe { &*self.run };
+            let outcome = catch_unwind(AssertUnwindSafe(|| run(idx)));
+            let mut progress = lock(&self.progress);
+            if let Err(payload) = outcome {
+                progress.panic.get_or_insert(payload);
+            }
+            progress.done += 1;
+            if progress.done == self.n {
+                self.finished.notify_one();
             }
         }
-    });
-    if let Some(p) = panic {
-        std::panic::resume_unwind(p);
     }
-    let mut pairs = results.into_inner().unwrap();
-    pairs.sort_by_key(|(idx, _)| *idx);
-    assert_eq!(pairs.len(), n, "every index produced exactly one result");
-    pairs.into_iter().map(|(_, r)| r).collect()
+}
+
+/// The process-wide fan-out workers: in-flight fan-outs, oldest first,
+/// each with the helper tickets it has left, and how many workers exist.
+struct Workers {
+    queue: VecDeque<(Arc<FanOut>, usize)>,
+    spawned: usize,
+}
+
+static WORKERS: Mutex<Workers> = Mutex::new(Workers { queue: VecDeque::new(), spawned: 0 });
+/// Where idle workers park; signalled once per ticket issued.
+static WORK: Condvar = Condvar::new();
+
+/// Run `run(0..n)` on this thread and up to `helpers` pool workers;
+/// returns once every index is done, re-raising the first panic.
+fn fan_out(helpers: usize, n: usize, run: &(dyn Fn(usize) + Sync)) {
+    // SAFETY: rule 5; only the lifetime is erased. `FanOut::work` dereferences
+    // the pointer for a claimed index `< n` only, this function returns only
+    // after all `n` are counted done, and nothing from here to that wait can
+    // unwind (`lock` ignores poison, `work` catches the closure's panics, a
+    // failed spawn is an `Err`): the closure outlives every dereference. What
+    // a helper touches afterwards (counters, condvar) lives in the `Arc`.
+    let run: *const (dyn Fn(usize) + Sync) = unsafe {
+        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(run)
+    };
+    let (next, progress, finished) = (AtomicUsize::new(0), Mutex::default(), Condvar::new());
+    let job = Arc::new(FanOut { run, n, next, progress, finished });
+    let mut state = lock(&WORKERS);
+    state.queue.push_back((Arc::clone(&job), helpers));
+    // Grow to the largest `threads - 1` asked for so far. Workers are
+    // detached: they park for the life of the process, so there is no point
+    // to join them at. A failed spawn only means fewer helpers.
+    while state.spawned < helpers {
+        let name = format!("concord-fanout-{}", state.spawned);
+        if std::thread::Builder::new().name(name).spawn(helper_loop).is_err() {
+            break;
+        }
+        state.spawned += 1;
+    }
+    drop(state);
+    (0..helpers).for_each(|_| WORK.notify_one());
+    job.work();
+    // Every index is claimed: take back the tickets nobody used.
+    lock(&WORKERS).queue.retain(|(queued, _)| !Arc::ptr_eq(queued, &job));
+    let unfinished = |progress: &mut Progress| progress.done < n;
+    let waited = job.finished.wait_while(lock(&job.progress), unfinished);
+    let mut progress = waited.unwrap_or_else(PoisonError::into_inner);
+    if let Some(payload) = progress.panic.take() {
+        resume_unwind(payload);
+    }
+}
+
+/// A fan-out worker: take a ticket of the oldest queued fan-out, help it
+/// until its indices run out, park when the queue is empty (rules 2, 3).
+fn helper_loop() {
+    let mut state = lock(&WORKERS);
+    loop {
+        let Some((job, tickets)) = state.queue.front_mut() else {
+            state = WORK.wait(state).unwrap_or_else(PoisonError::into_inner);
+            continue;
+        };
+        let job = Arc::clone(job);
+        *tickets -= 1;
+        if *tickets == 0 {
+            state.queue.pop_front();
+        }
+        drop(state);
+        job.work();
+        state = lock(&WORKERS);
+    }
 }
 
 /// Why [`TaskPool::try_submit`] rejected a job.
@@ -178,12 +236,12 @@ struct PoolShared {
     capacity: usize,
 }
 
-/// A persistent worker pool with a **bounded** admission queue — the
-/// serving-side counterpart to the scoped [`map`]/[`map_dynamic`] helpers.
+/// A worker pool with a **bounded** admission queue — the serving-side
+/// counterpart to [`map`].
 ///
-/// Unlike the scoped helpers, jobs are `'static` closures and workers live
-/// until [`TaskPool::close_and_drain`]. The queue bound is the backpressure
-/// mechanism: [`TaskPool::try_submit`] never blocks, returning
+/// Unlike a fan-out, jobs are `'static` closures nobody waits for, and
+/// workers live until [`TaskPool::close_and_drain`]. The queue bound is the
+/// backpressure mechanism: [`TaskPool::try_submit`] never blocks, returning
 /// [`SubmitError::Full`] when the queue is at capacity so callers can
 /// reply "overloaded" instead of hanging. Closing stops admission but
 /// *drains* everything already queued before the workers exit, which is
@@ -293,20 +351,9 @@ mod tests {
     }
 
     #[test]
-    fn map_dynamic_matches_map() {
-        for threads in [1, 2, 5, 8] {
-            let a = map(threads, 33, |i| i as u64 * 3 + 1);
-            let b = map_dynamic(threads, 33, |i| i as u64 * 3 + 1);
-            assert_eq!(a, b, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn empty_and_single_inputs() {
         assert!(map(8, 0, |i| i).is_empty());
         assert_eq!(map(8, 1, |i| i + 1), vec![1]);
-        assert!(map_dynamic(8, 0, |i| i).is_empty());
-        assert_eq!(map_dynamic(8, 1, |i| i + 1), vec![1]);
     }
 
     #[test]
@@ -331,9 +378,9 @@ mod tests {
             seen.lock().unwrap().insert(std::thread::current().id());
             std::thread::yield_now();
         });
-        // With 4 workers over 64 items at least 2 distinct threads must
-        // have participated (scheduling can merge but not to 1: the deal
-        // is fixed round-robin, every worker owns 16 items).
+        // With 3 helpers woken over 64 yielding items at least 2 distinct
+        // threads must have participated: every yield hands the core to a
+        // woken helper, which then claims indices of its own.
         assert!(seen.lock().unwrap().len() >= 2);
     }
 

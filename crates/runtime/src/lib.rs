@@ -422,8 +422,7 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Execute `parts` — at most one per simulator — against one snapshot
-    /// of the region, the GPU's on a helper thread when host threads
-    /// allow, then commit their write-logs in list order, so the result
+    /// of the region, as the two indices of one pool fan-out, then commit their write-logs in list order, so the result
     /// is byte-identical at any `host_threads` value. With `stop_at_trap`
     /// the parts are one construct and nothing after its first trapped
     /// part commits; otherwise they are independent launches and every
@@ -437,18 +436,22 @@ impl<'a> Pipeline<'a> {
         let (gpu_part, cpu_part) = (part_on(DeviceClass::Gpu), part_on(DeviceClass::Cpu));
         let host_threads = self.cpu.host_threads();
         let (mut gpu_pending, mut cpu_pending) = {
-            let (ctx, gpu, cpu) = (&self.ctx, &*self.gpu, &mut *self.cpu);
-            let run_gpu = move || gpu_part.map(|(_, work, span)| gpu.execute(ctx, work, *span));
-            let mut run_cpu = || cpu_part.map(|(_, work, span)| cpu.execute(ctx, work, *span));
-            if host_threads > 1 {
-                std::thread::scope(|s| {
-                    let h = s.spawn(run_gpu);
-                    let c = run_cpu();
-                    (h.join().expect("GPU execute thread panicked"), c)
-                })
-            } else {
-                (run_gpu(), run_cpu())
-            }
+            let (ctx, gpu) = (&self.ctx, &*self.gpu);
+            // Index 0 is the caller's first claim, so the CPU half (whose
+            // `execute` needs `&mut`) runs here and the GPU half on a pool
+            // helper when one is free; each half's own chunk or warp
+            // fan-out nests inside this one.
+            let cpu = Mutex::new(&mut *self.cpu);
+            let mut halves = concord_pool::map(host_threads, 2, |half| {
+                if half == 0 {
+                    let mut cpu = cpu.lock().expect("the CPU half runs once");
+                    (None, cpu_part.map(|(_, work, span)| cpu.execute(ctx, work, *span)))
+                } else {
+                    (gpu_part.map(|(_, work, span)| gpu.execute(ctx, work, *span)), None)
+                }
+            });
+            let (gpu_half, cpu_half) = (halves.pop(), halves.pop());
+            (gpu_half.and_then(|half| half.0), cpu_half.and_then(|half| half.1))
         };
         let mut committed = Vec::with_capacity(parts.len());
         for &(device, _, span) in parts {
