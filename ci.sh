@@ -170,6 +170,25 @@ if [ "$(grep -c '^crates/pool/src/lib.rs:.*thread::Builder::new()' <<<"$spawn_si
     exit 1
 fi
 
+echo "==> structural guard: one analyzer walk, in one place"
+# The runtime's fact table runs the analyzer, once per (kernel, mode), and
+# the native executor takes its chunk order from `Work::in_order`. A second
+# walk (a private summary pass, an executor-side verdict) fails here.
+if grep -rnE 'concord[_-]analyze' crates/native; then
+    echo "!! crates/native references the analyzer again" >&2
+    exit 1
+fi
+if grep -rn 'infer_access' crates; then
+    echo "!! a second access-summary walk (infer_access) is back" >&2
+    exit 1
+fi
+walks=$(for f in crates/runtime/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done \
+    | grep -c 'concord_analyze::analyze_kernel(' || true)
+if [ "$walks" -ne 1 ]; then
+    echo "!! crates/runtime/src calls concord_analyze::analyze_kernel at $walks non-test sites, want 1" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -1,9 +1,10 @@
-//! Per-kernel access-summary inference.
+//! Per-kernel access summaries.
 //!
-//! Where the lint pass ([`crate::analyze_kernel`]) asks "is this kernel
-//! *internally* race-free?", this module asks "what does this kernel
-//! *touch*?" — the question a launch scheduler needs to prove two launches
-//! independent. Following the access-mode-declaration line of work
+//! Where the lint findings of [`crate::analyze_kernel`] answer "is this
+//! kernel *internally* race-free?", its [`crate::Report::access`] answers
+//! "what does this kernel *touch*?" — the question a launch scheduler
+//! needs to prove two launches independent. Both come from the one
+//! interprocedural walk. Following the access-mode-declaration line of work
 //! (Henrio/Kessler/Li; StarPU's task-operand modes), every shared-memory
 //! access the abstract interpretation can root at a kernel operand is
 //! summarized as a *mode* (read / accumulate / write) on a *base* (the
@@ -23,17 +24,15 @@
 //! fall back to the whole backing allocation, which keeps the conflict
 //! test sound.
 //!
-//! Each summary also carries the **cross-item read-hazard verdict**: a
-//! kernel is hazardous when some rooted read may observe bytes a
-//! *different* work item writes on the same base, which makes its
-//! intermediate dynamics schedule-dependent. Parallel backends use the
-//! verdict to fix the chunk execution order (serial chunks on the native
-//! backend) so replays are deterministic at any host fan-out.
+//! Each summary also carries the **cross-item read-hazard verdict**: the
+//! walk attached a CA108 finding, i.e. some rooted read may observe bytes
+//! a *different* work item writes on the same base, which makes the
+//! kernel's intermediate dynamics schedule-dependent. The runtime uses the
+//! verdict to run the kernel's native chunks in order, so replays are
+//! deterministic at any host fan-out.
 
-use crate::affinity::{same_base, Aff, Analyzer, Origin, RawAccess};
+use crate::affinity::{Aff, Origin, RawAccess};
 use crate::range::RangeFootprint;
-use crate::Mode;
-use concord_ir::{FuncId, Module};
 
 /// How a launch uses a summarized base, ordered weakest → strongest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -125,25 +124,23 @@ pub struct AccessRecord {
     pub footprint: Option<RangeFootprint>,
 }
 
-/// The inferred access summary of one kernel under one launch convention.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The inferred access summary of one kernel under one launch convention
+/// ([`crate::Report::access`]).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AccessSummary {
-    /// Kernel entry function name.
-    pub kernel: String,
-    /// Launch convention the summary was inferred under.
-    pub mode: Mode,
     /// Deduplicated records, ordered by (base, mode).
     pub records: Vec<AccessRecord>,
     /// True when some access could not be rooted at a kernel operand (or
     /// the interprocedural walk degraded): the launch must be assumed to
     /// touch anything.
     pub opaque: bool,
-    /// True when some rooted read may observe bytes a *different* work
-    /// item writes on the same base (CA108): intermediate values are
-    /// schedule-dependent, so parallel backends must run this kernel's
-    /// chunks in a deterministic order. Independent of `opaque` — an
-    /// opaque summary (unrooted accesses) is *not* assumed hazardous;
-    /// unrooted reads are assumed non-aliasing with rooted written bases.
+    /// True when the walk produced a CA108 finding: some rooted read may
+    /// observe bytes a *different* work item writes on the same base, so
+    /// intermediate values are schedule-dependent and parallel backends
+    /// must run this kernel's chunks in a deterministic order. Independent
+    /// of `opaque` — an opaque summary (unrooted accesses) is *not* assumed
+    /// hazardous; unrooted reads are assumed non-aliasing with rooted
+    /// written bases.
     pub hazard: bool,
 }
 
@@ -154,68 +151,34 @@ impl AccessSummary {
         self.records.iter().filter(|r| r.base == base).map(|r| r.mode).max()
     }
 
-    /// Every distinct base the summary mentions, in order.
-    #[must_use]
-    pub fn bases(&self) -> Vec<AccessBase> {
-        let mut out: Vec<AccessBase> = self.records.iter().map(|r| r.base).collect();
-        out.dedup();
-        out
-    }
-}
-
-/// Infer the access summary of kernel `func` under launch convention
-/// `mode`, following calls (including virtual calls widened over the
-/// class hierarchy) transitively — the same interprocedural walk as
-/// [`crate::analyze_kernel`], with access collection enabled.
-#[must_use]
-pub fn infer_access(module: &Module, func: FuncId, mode: Mode) -> AccessSummary {
-    let mut an = Analyzer::new(module, mode);
-    an.collect_accesses();
-    an.run_kernel(func);
-    let opaque = an.access_opaque;
-    let hazard = raw_hazard(&an.accesses);
-    let mut records: Vec<AccessRecord> = an
-        .accesses
-        .iter()
-        .filter_map(|raw| {
-            let base = match raw.origin {
-                Origin::Body(_) => AccessBase::Body,
-                Origin::Field { field } => AccessBase::Field { offset: u64::try_from(field).ok()? },
-                Origin::Bottom | Origin::Other => return None,
-            };
-            let mode = match raw.mode {
-                0 => AccessMode::Read,
-                1 => AccessMode::Accumulate,
-                _ => AccessMode::Write,
-            };
-            Some(AccessRecord {
-                base,
-                mode,
-                pattern: AccessPattern::from_aff(raw.aff),
-                width: raw.width,
-                footprint: raw.footprint(),
+    /// Summarize the raw access set one analyzer walk collected; `opaque`
+    /// and `hazard` are that walk's verdicts.
+    pub(crate) fn from_walk(accesses: &[RawAccess], opaque: bool, hazard: bool) -> Self {
+        let mut records: Vec<AccessRecord> = accesses
+            .iter()
+            .filter_map(|raw| {
+                let base = match raw.origin {
+                    Origin::Body(_) => AccessBase::Body,
+                    Origin::Field { field } => {
+                        AccessBase::Field { offset: u64::try_from(field).ok()? }
+                    }
+                    Origin::Bottom | Origin::Other => return None,
+                };
+                Some(AccessRecord {
+                    base,
+                    mode: raw.mode,
+                    pattern: AccessPattern::from_aff(raw.aff),
+                    width: raw.width,
+                    footprint: raw.footprint(),
+                })
             })
-        })
-        .collect();
-    records
-        .sort_by_key(|r| (r.base, r.mode, pattern_key(r.pattern), r.width, foot_key(r.footprint)));
-    records.dedup();
-    AccessSummary { kernel: module.function(func).name.clone(), mode, records, opaque, hazard }
-}
-
-/// The cross-item read-hazard verdict over the raw access set: some
-/// rooted read pairs with a rooted write/accumulate on the same base
-/// whose per-item byte ranges can collide across distinct work items.
-fn raw_hazard(accesses: &[RawAccess]) -> bool {
-    accesses.iter().filter(|a| a.mode == 0).any(|r| {
-        accesses.iter().filter(|a| a.mode >= 1).any(|w| {
-            same_base(r.origin, w.origin)
-                && match (r.footprint(), w.footprint()) {
-                    (Some(fr), Some(fw)) => fr.may_alias_cross_item(&fw),
-                    _ => true,
-                }
-        })
-    })
+            .collect();
+        records.sort_by_key(|r| {
+            (r.base, r.mode, pattern_key(r.pattern), r.width, foot_key(r.footprint))
+        });
+        records.dedup();
+        AccessSummary { records, opaque, hazard }
+    }
 }
 
 fn pattern_key(p: AccessPattern) -> (u8, i64) {

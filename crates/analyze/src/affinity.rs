@@ -283,10 +283,9 @@ pub(crate) struct Analyzer<'m> {
     depth: usize,
     /// Accumulated findings across all analyzed functions.
     pub(crate) diags: Vec<Diagnostic>,
-    /// When set, the check pass also collects raw shared-memory accesses
-    /// for [`crate::access::AccessSummary`] inference.
-    collect: bool,
-    /// Raw accesses collected across all analyzed functions.
+    /// Raw shared-memory accesses collected across all analyzed functions
+    /// (the input of the CA108/CA109 post-pass and of
+    /// [`crate::access::AccessSummary`]).
     pub(crate) accesses: Vec<RawAccess>,
     /// Set when some access could not be rooted at a kernel operand (or
     /// analysis degraded): the summary must be treated as touching
@@ -306,8 +305,8 @@ pub(crate) struct RawAccess {
     pub(crate) rng: Rng,
     /// Access width in bytes.
     pub(crate) width: u64,
-    /// 0 = read, 1 = accumulate, 2 = write (ordered weakest → strongest).
-    pub(crate) mode: u8,
+    /// Read, accumulate or write.
+    pub(crate) mode: AccessMode,
     /// Function containing the access (diagnostic anchoring).
     pub(crate) func: FuncId,
     /// Block containing the access.
@@ -319,12 +318,7 @@ pub(crate) struct RawAccess {
 impl RawAccess {
     /// The per-item byte footprint, when the range analysis bounded it.
     pub(crate) fn footprint(&self) -> Option<RangeFootprint> {
-        let mode = match self.mode {
-            0 => AccessMode::Read,
-            1 => AccessMode::Accumulate,
-            _ => AccessMode::Write,
-        };
-        RangeFootprint::from_rng(self.rng, self.width, mode)
+        RangeFootprint::from_rng(self.rng, self.width, self.mode)
     }
 }
 
@@ -337,15 +331,9 @@ impl<'m> Analyzer<'m> {
             in_progress: HashSet::new(),
             depth: 0,
             diags: Vec::new(),
-            collect: false,
             accesses: Vec::new(),
             access_opaque: false,
         }
-    }
-
-    /// Enable access collection (see [`crate::access::infer_access`]).
-    pub(crate) fn collect_accesses(&mut self) {
-        self.collect = true;
     }
 
     /// Analyze the kernel entry function with the launch-convention
@@ -384,9 +372,7 @@ impl<'m> Analyzer<'m> {
         }
         if self.depth >= MAX_CALL_DEPTH || self.in_progress.contains(&key) {
             // Degraded analysis: the callee's accesses are not visible.
-            if self.collect {
-                self.access_opaque = true;
-            }
+            self.access_opaque = true;
             return AbsVal::UNKNOWN;
         }
         self.in_progress.insert(key.clone());
@@ -592,11 +578,9 @@ impl<'m> Analyzer<'m> {
                 if any {
                     out
                 } else {
-                    if self.collect {
-                        // No reachable override: the dynamic target's
-                        // accesses are not visible.
-                        self.access_opaque = true;
-                    }
+                    // No reachable override: the dynamic target's
+                    // accesses are not visible.
+                    self.access_opaque = true;
                     AbsVal::UNKNOWN
                 }
             }
@@ -678,7 +662,7 @@ impl<'m> Analyzer<'m> {
         &mut self,
         pv: AbsVal,
         width: u64,
-        mode: u8,
+        mode: AccessMode,
         func: FuncId,
         block: BlockId,
         inst: ValueId,
@@ -723,20 +707,20 @@ impl<'m> Analyzer<'m> {
             Op::Store { ptr, val } => {
                 let ty = f.inst(*val).ty;
                 let width = if ty == Type::Void { 1 } else { ty.size() };
-                self.note_access(vals[ptr.0 as usize], width, 2, func, b, v);
+                self.note_access(vals[ptr.0 as usize], width, AccessMode::Write, func, b, v);
             }
             Op::Load(p) => {
                 let width = if inst.ty == Type::Void { 1 } else { inst.ty.size() };
-                self.note_access(vals[p.0 as usize], width, 0, func, b, v);
+                self.note_access(vals[p.0 as usize], width, AccessMode::Read, func, b, v);
             }
             Op::IntrinsicCall(Intrinsic::AtomicAddI32 | Intrinsic::AtomicMinI32, args) => {
                 if let Some(&p) = args.first() {
-                    self.note_access(vals[p.0 as usize], 4, 1, func, b, v);
+                    self.note_access(vals[p.0 as usize], 4, AccessMode::Accumulate, func, b, v);
                     if value_used(f, v) {
                         // The old value the RMW returns is observed: that
                         // is a read of the same cell for hazard purposes
                         // (Gauss–Seidel relaxations hang off exactly this).
-                        self.note_access(vals[p.0 as usize], 4, 0, func, b, v);
+                        self.note_access(vals[p.0 as usize], 4, AccessMode::Read, func, b, v);
                     }
                 }
             }
@@ -759,9 +743,7 @@ impl<'m> Analyzer<'m> {
     fn check(&mut self, func: FuncId, f: &Function, vals: &[AbsVal]) {
         for b in f.block_ids() {
             for &v in &f.block(b).insts {
-                if self.collect {
-                    self.collect_inst(func, f, b, v, vals);
-                }
+                self.collect_inst(func, f, b, v, vals);
                 match &f.inst(v).op {
                     Op::Store { ptr, val } => self.check_store(func, f, b, v, *ptr, *val, vals),
                     Op::Load(p) if vals[p.0 as usize].prov == Prov::Foreign => {
@@ -959,9 +941,9 @@ impl<'m> Analyzer<'m> {
     }
 
     /// Post-pass over the collected accesses: classify cross-item read
-    /// hazards (CA108) and redundant atomics (CA109). Requires
-    /// [`Analyzer::collect_accesses`] to have been enabled before the
-    /// kernel walk.
+    /// hazards (CA108) and redundant atomics (CA109). The one CA108
+    /// predicate: [`crate::AccessSummary::hazard`] is "this pass pushed a
+    /// CA108 finding".
     ///
     /// A *hazard* is a rooted read that may observe bytes a different
     /// work item writes (plain store or atomic accumulate) on the same
@@ -976,11 +958,11 @@ impl<'m> Analyzer<'m> {
         let module = self.module;
         let accesses = std::mem::take(&mut self.accesses);
         let mut flagged: HashSet<(FuncId, ValueId)> = HashSet::new();
-        for r in accesses.iter().filter(|a| a.mode == 0) {
+        for r in accesses.iter().filter(|a| a.mode == AccessMode::Read) {
             if flagged.contains(&(r.func, r.inst)) {
                 continue;
             }
-            for w in accesses.iter().filter(|a| a.mode >= 1) {
+            for w in accesses.iter().filter(|a| a.mode >= AccessMode::Accumulate) {
                 if !same_base(r.origin, w.origin) {
                     continue;
                 }
@@ -1010,7 +992,7 @@ impl<'m> Analyzer<'m> {
                 }
             }
         }
-        for w in accesses.iter().filter(|a| a.mode == 1) {
+        for w in accesses.iter().filter(|a| a.mode == AccessMode::Accumulate) {
             if let Some(fw) = w.footprint() {
                 if fw.injective_per_item() {
                     self.push(
@@ -1061,7 +1043,7 @@ impl<'m> Analyzer<'m> {
 /// collapse (offsets ride in the range component); field origins compare
 /// by the field slot. Distinct bases are assumed non-aliasing — the
 /// summary's restrict-style operand assumption.
-pub(crate) fn same_base(a: Origin, b: Origin) -> bool {
+fn same_base(a: Origin, b: Origin) -> bool {
     match (a, b) {
         (Origin::Body(_), Origin::Body(_)) => true,
         (Origin::Field { field: x }, Origin::Field { field: y }) => x == y,

@@ -5,6 +5,7 @@
 //! instruction), so tooling can map a diagnostic back to the offending
 //! `Store` or atomic without re-running the analysis.
 
+use crate::AccessSummary;
 use concord_ir::{BlockId, FuncId, ValueId};
 use std::fmt;
 
@@ -215,7 +216,8 @@ impl fmt::Display for Diagnostic {
 }
 
 /// The result of analyzing one kernel entry point: every finding in the
-/// kernel body and everything it (transitively, virtually) calls.
+/// kernel body and everything it (transitively, virtually) calls, and
+/// what the kernel touches.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Report {
     /// Name of the analyzed kernel entry function.
@@ -224,6 +226,9 @@ pub struct Report {
     pub mode: &'static str,
     /// All findings, ordered by (function, instruction).
     pub diagnostics: Vec<Diagnostic>,
+    /// The kernel's access summary, from the same walk; its `hazard` is
+    /// "`diagnostics` holds a CA108 finding".
+    pub access: AccessSummary,
 }
 
 impl Report {
@@ -341,7 +346,7 @@ mod tests {
 
     #[test]
     fn report_severity_and_text() {
-        let mut r = Report { kernel: "K".to_string(), mode: "for", diagnostics: vec![] };
+        let mut r = Report { kernel: "K".to_string(), mode: "for", ..Report::default() };
         assert_eq!(r.max_severity(), None);
         assert!(!r.has_errors());
         assert_eq!(r.to_text(), "");

@@ -10,17 +10,19 @@
 //! a function of the work-item id, a **symbolic value-range lattice**
 //! (see [`range`]) refines each classification into a per-item byte
 //! interval ([`RangeFootprint`], consumed by the launch graph for
-//! range-granular conflict detection, and by [`infer_access`]'s
-//! cross-item read-hazard verdict, which gates native chunk order), and
-//! a small lint catalog (CA101–CA109, see [`Lint`]) turns the
-//! classification into structured, located [`Diagnostic`]s.
+//! range-granular conflict detection, and by the CA108 cross-item
+//! read-hazard finding, which gates native chunk order), and a small lint
+//! catalog (CA101–CA109, see [`Lint`]) turns the classification into
+//! structured, located [`Diagnostic`]s.
 //!
 //! The entry point is [`analyze_kernel`]: give it a module (typically the
 //! CPU-optimized one — run CSE first so duplicate address computations
 //! are canonical), the kernel entry function, and the launch [`Mode`],
-//! and get back a [`Report`]. The runtime's pre-launch gate maps
-//! [`Gate`] onto the report: `Warn` surfaces findings, `Deny` refuses to
-//! launch kernels with [`Severity::Error`] findings.
+//! and get back a [`Report`]: the findings plus the kernel's
+//! [`AccessSummary`], both from one walk. The runtime's pre-launch gate
+//! maps [`Gate`] onto the findings: `Warn` surfaces them, `Deny` refuses
+//! to launch kernels with [`Severity::Error`] findings; its scheduler acts
+//! on the summary.
 //!
 //! ```
 //! use concord_ir::{FuncId, Module};
@@ -43,9 +45,7 @@ pub mod affinity;
 mod diag;
 pub mod range;
 
-pub use access::{
-    infer_access, AccessBase, AccessMode, AccessPattern, AccessRecord, AccessSummary,
-};
+pub use access::{AccessBase, AccessMode, AccessPattern, AccessRecord, AccessSummary};
 pub use affinity::{AbsVal, Aff, Origin, Prov};
 pub use diag::{Diagnostic, Lint, Report, Severity};
 pub use range::{RangeFootprint, Rng};
@@ -78,7 +78,8 @@ impl Mode {
 /// What the pre-launch gate does with analysis findings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Gate {
-    /// Skip analysis entirely.
+    /// Neither gate launches on findings nor trace them. (The runtime
+    /// still computes the access facts its scheduler needs on first need.)
     Off,
     /// Analyze and surface findings (trace + report), always launch.
     #[default]
@@ -113,13 +114,13 @@ impl Gate {
 /// Analyze one kernel entry point under launch convention `mode`,
 /// following calls (including virtual calls, widened over the class
 /// hierarchy) transitively. Findings are deduplicated per instruction and
-/// ordered by (function, instruction).
+/// ordered by (function, instruction); the same walk's access set becomes
+/// [`Report::access`].
 #[must_use]
 pub fn analyze_kernel(module: &Module, func: FuncId, mode: Mode) -> Report {
     let mut an = affinity::Analyzer::new(module, mode);
-    // CA108/CA109 classify the collected access set after the walk.
-    an.collect_accesses();
     an.run_kernel(func);
+    // CA108/CA109 classify the collected access set after the walk.
     an.check_hazards();
     let mut diags = an.diags;
     // The interprocedural walk can visit one function under several
@@ -133,5 +134,12 @@ pub fn analyze_kernel(module: &Module, func: FuncId, mode: Mode) -> Report {
         ))
     });
     diags.dedup_by_key(|d| (d.func, d.inst, d.lint));
-    Report { kernel: module.function(func).name.clone(), mode: mode.name(), diagnostics: diags }
+    let hazard = diags.iter().any(|d| d.lint == Lint::CrossItemReadHazard);
+    let access = AccessSummary::from_walk(&an.accesses, an.access_opaque, hazard);
+    Report {
+        kernel: module.function(func).name.clone(),
+        mode: mode.name(),
+        diagnostics: diags,
+        access,
+    }
 }

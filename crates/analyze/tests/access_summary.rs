@@ -1,8 +1,8 @@
-//! End-to-end access-summary inference tests: compile kernel-language
-//! sources through the real frontend + CPU pipeline, then assert the
-//! inferred per-operand read/write/accumulate summaries.
+//! End-to-end access-summary tests: compile kernel-language sources
+//! through the real frontend + CPU pipeline, then assert the per-operand
+//! read/write/accumulate summaries `analyze_kernel` reports.
 
-use concord_analyze::{infer_access, AccessBase, AccessMode, AccessPattern, Mode};
+use concord_analyze::{analyze_kernel, AccessBase, AccessMode, AccessPattern, Lint, Mode};
 use concord_ir::{FuncId, Module};
 
 fn compile(src: &str, class: &str) -> (Module, FuncId) {
@@ -23,7 +23,7 @@ fn elementwise_for_kernel_summarizes_affine_write() {
         };
     "#;
     let (module, op) = compile(src, "Double");
-    let s = infer_access(&module, op, Mode::For);
+    let s = analyze_kernel(&module, op, Mode::For).access;
     assert!(!s.opaque, "summary: {s:?}");
     // The store lands on the pointee of the field at +0, affine stride 4.
     let out = AccessBase::Field { offset: 0 };
@@ -46,7 +46,7 @@ fn reduce_kernel_reads_data_and_keeps_accumulator_private() {
         };
     "#;
     let (module, op) = compile(src, "Sum");
-    let s = infer_access(&module, op, Mode::Reduce);
+    let s = analyze_kernel(&module, op, Mode::Reduce).access;
     assert!(!s.opaque, "summary: {s:?}");
     let data = AccessBase::Field { offset: 0 };
     assert_eq!(s.mode_of(data), Some(AccessMode::Read), "summary: {s:?}");
@@ -71,7 +71,7 @@ fn data_dependent_indexing_is_opaque() {
         };
     "#;
     let (module, op) = compile(src, "Scatter");
-    let s = infer_access(&module, op, Mode::For);
+    let s = analyze_kernel(&module, op, Mode::For).access;
     // The *write address* depends on loaded data but is still rooted at
     // the `ranks` field; its pattern must be Unknown (whole allocation).
     let ranks = AccessBase::Field { offset: 8 };
@@ -97,7 +97,7 @@ fn pointer_chasing_is_opaque() {
         };
     "#;
     let (module, op) = compile(src, "Chase");
-    let s = infer_access(&module, op, Mode::For);
+    let s = analyze_kernel(&module, op, Mode::For).access;
     assert!(s.opaque, "double indirection must be opaque: {s:?}");
 }
 
@@ -111,7 +111,7 @@ fn atomic_updates_summarize_as_accumulate() {
         };
     "#;
     let (module, op) = compile(src, "Histogram");
-    let s = infer_access(&module, op, Mode::For);
+    let s = analyze_kernel(&module, op, Mode::For).access;
     assert!(!s.opaque, "summary: {s:?}");
     let bins = AccessBase::Field { offset: 0 };
     assert_eq!(s.mode_of(bins), Some(AccessMode::Accumulate), "summary: {s:?}");
@@ -134,8 +134,22 @@ fn accumulate_is_weaker_than_write() {
         };
     "#;
     let (module, op) = compile(src, "Mixed");
-    let s = infer_access(&module, op, Mode::For);
+    let s = analyze_kernel(&module, op, Mode::For).access;
     let out = AccessBase::Field { offset: 0 };
     assert_eq!(s.mode_of(out), Some(AccessMode::Write), "summary: {s:?}");
     assert!(s.records.iter().any(|r| r.base == out && r.mode == AccessMode::Accumulate));
+}
+
+#[test]
+fn hazard_is_exactly_a_ca108_finding() {
+    // The one CA108 predicate: the summary's verdict is the finding's
+    // presence, on the hazardous fixture and on a clean elementwise kernel.
+    let stencil = include_str!("../fixtures/cross_item_read.cc");
+    let clean = "class Double { public: int* out; void operator()(int i) { out[i] = i; } };";
+    for (src, class, want) in [(stencil, "StencilShift", true), (clean, "Double", false)] {
+        let (module, op) = compile(src, class);
+        let report = analyze_kernel(&module, op, Mode::For);
+        let ca108 = report.diagnostics.iter().any(|d| d.lint == Lint::CrossItemReadHazard);
+        assert_eq!((report.access.hazard, ca108), (want, want), "{class}: {}", report.to_text());
+    }
 }

@@ -20,7 +20,7 @@
 //! Exit status: 0 clean / snapshot match, 1 findings at `error` severity
 //! or snapshot mismatch or compile failure, 2 usage error.
 
-use concord_analyze::{analyze_kernel, infer_access, AccessPattern, AccessSummary, Mode, Severity};
+use concord_analyze::{analyze_kernel, AccessPattern, AccessSummary, Mode, Severity};
 use concord_bench::cli::{flag_present, or_usage, value_of};
 use std::process::ExitCode;
 
@@ -168,13 +168,12 @@ fn main() -> ExitCode {
             for d in &report.diagnostics {
                 lines.push(format!("{}/{}: {}", t.name, k.class_name, d.to_line()));
             }
-            let summary = infer_access(&module, k.operator_fn, mode);
             json_entries.push(format!(
                 "{{\"target\":\"{}\",\"class\":\"{}\",\"report\":{},\"access\":{}}}",
                 t.name,
                 k.class_name,
                 report.to_json(),
-                access_json(&summary)
+                access_json(&report.access)
             ));
         }
     }

@@ -261,8 +261,8 @@ impl CpuSim {
         body: CpuAddr,
         n: u32,
     ) -> Result<CpuReport, Trap> {
-        let gated = uses_gated_ops(module, &[func]);
-        let work = Work { func, body, kind: WorkKind::For, gated };
+        let in_order = uses_gated_ops(module, &[func]);
+        let work = Work { func, body, kind: WorkKind::For, in_order };
         self.launch(region, vtables, module, &work, Span::full(n), &mut Vec::new())
     }
 
@@ -292,9 +292,9 @@ impl CpuSim {
         n: u32,
         scratch: &[CpuAddr],
     ) -> Result<CpuReport, Trap> {
-        let gated = uses_gated_ops(module, &[func, join]);
+        let in_order = uses_gated_ops(module, &[func, join]);
         let kind = WorkKind::Reduce { join, body_size, slots: scratch };
-        let work = Work { func, body, kind, gated };
+        let work = Work { func, body, kind, in_order };
         let report = self.launch(region, vtables, module, &work, Span::full(n), &mut Vec::new())?;
         for &slot in &scratch[..self.reduce_slots(scratch.len())] {
             let args = [Value::Ptr(body.0, AddrSpace::Cpu), Value::Ptr(slot.0, AddrSpace::Cpu)];
@@ -359,7 +359,7 @@ impl CpuSim {
             let used = self.reduce_slots(slots.len());
             stage_reduce(region, work.body, body_size, &slots[..used])?;
         }
-        if !work.gated {
+        if !work.in_order {
             let pending = self.execute(region, vtables, module, work, span);
             return self.commit(region, pending, pushes);
         }
@@ -806,7 +806,7 @@ mod tests {
         sim.host_threads = 2;
 
         let work =
-            Work { func: bad.operator_fn, body: bad_body, kind: WorkKind::For, gated: false };
+            Work { func: bad.operator_fn, body: bad_body, kind: WorkKind::For, in_order: false };
         let pending = sim.execute(&region, &vt, &lp.module, &work, Span::full(16));
         assert!(pending.chunks.iter().all(|c| c.trap.is_some()), "every chunk trapped");
         drop(pending);

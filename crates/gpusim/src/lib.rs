@@ -203,8 +203,8 @@ impl GpuSim {
         body: CpuAddr,
         n: u32,
     ) -> Result<GpuReport, Trap> {
-        let gated = uses_gated_ops(module, &[func]);
-        let work = Work { func, body, kind: WorkKind::For, gated };
+        let in_order = uses_gated_ops(module, &[func]);
+        let work = Work { func, body, kind: WorkKind::For, in_order };
         self.launch(region, module, &work, Span::full(n), &mut Vec::new())
     }
 
@@ -227,9 +227,9 @@ impl GpuSim {
         n: u32,
         scratch: &[CpuAddr],
     ) -> Result<GpuReport, Trap> {
-        let gated = uses_gated_ops(module, &[func, join]);
+        let in_order = uses_gated_ops(module, &[func, join]);
         let kind = WorkKind::Reduce { join, body_size, slots: scratch };
-        let work = Work { func, body, kind, gated };
+        let work = Work { func, body, kind, in_order };
         self.launch(region, module, &work, Span::full(n), &mut Vec::new())
     }
 
@@ -289,7 +289,7 @@ impl GpuSim {
         span: Span,
         pushes: &mut Vec<i32>,
     ) -> Result<GpuReport, Trap> {
-        if !work.gated {
+        if !work.in_order {
             let pending = self.execute(region, module, work, span);
             return self.commit(region, pending, pushes);
         }
@@ -325,7 +325,7 @@ impl GpuSim {
         GpuPending { warps: outs, hiding }
     }
 
-    /// Run warp `w` of `work` against `region` — live on the gated path, a
+    /// Run warp `w` of `work` against `region` — live on the in-order path, a
     /// snapshot under host parallelism (the caller collects its write
     /// log). L3 traffic and trace events are deferred to the returned log.
     #[allow(clippy::too_many_arguments)]
@@ -386,7 +386,7 @@ impl GpuSim {
             // cpusim/native serial paths do — lockstep lane loads would
             // observe stale values and drop relaxations.
             let mut run = |m: Mask| warp.exec_function(m, work.func, &args, 0).map(|_| ());
-            let res = if work.gated && items.is_some() {
+            let res = if work.in_order && items.is_some() {
                 active(mask, width as usize).try_for_each(|l| run(1 << l))
             } else {
                 run(mask)

@@ -218,7 +218,7 @@ pub enum LogItem {
 /// One warp's execution context.
 ///
 /// Generic over the memory view `M`: a live `SharedRegion` for the serial
-/// (gated) path, or a `ShadowRegion` snapshot + write-log when warps fan
+/// (in-order) path, or a `ShadowRegion` snapshot + write-log when warps fan
 /// out over host threads. L3 traffic and trace events always go to
 /// [`Warp::log`] and are replayed in warp order at commit.
 pub struct Warp<'a, M: RegionMem> {

@@ -6,28 +6,23 @@
 //!
 //! The executor reuses [`concord_cpusim::span_chunks`] with the same chunk
 //! count (the simulated core count), so chunk `k` covers exactly the same
-//! work-item ids as it would under `CpuSim`. Kernels with order-dependent
-//! operations (`device_malloc`, compare-and-swap — [`Work::gated`], decided
-//! by the caller) run chunks serially in order,
-//! like the simulator's serial path. Kernels `concord-analyze` classifies
-//! as **cross-item read hazards** (CA108: a work item may load bytes
-//! another item stores, so *intermediate* dynamics depend on the
-//! execution schedule even though the fixpoint does not) also run their
-//! chunks serially in chunk order — that pins the dynamics to the
-//! host_threads=1 schedule, so recorded sessions replay byte-identically
-//! (round counts included) at any host fan-out. A launch estimated too
-//! small to pay for a pool dispatch (`FAN_OUT_MIN_INSTS`) takes the
-//! same in-order path on the caller — the third reason, and like the
-//! other two decided from deterministic quantities only, so bytes,
-//! `insts`, push-segment order and trap identity cannot depend on it. All
-//! other kernels run chunks across host threads writing the live region
-//! directly: the per-workload commutativity audit in DESIGN.md shows this
-//! commits the
+//! work-item ids as it would under `CpuSim`. Chunks run serially in chunk
+//! order on the calling thread for exactly two reasons. The caller sets
+//! [`Work::in_order`]: the runtime does so for kernels with order-dependent
+//! operations (`device_malloc`, compare-and-swap), like the simulator's
+//! serial path, and for **cross-item read hazards** outside worklist
+//! rounds (CA108: a work item may load bytes another item stores, so
+//! *intermediate* dynamics depend on the execution schedule even though
+//! the fixpoint does not) — that pins the dynamics to the host_threads=1
+//! schedule, so recorded sessions replay byte-identically (round counts
+//! included) at any host fan-out. Or the launch is estimated too small to
+//! pay for a pool dispatch (`FAN_OUT_MIN_INSTS`), decided from
+//! deterministic quantities only, so bytes, `insts`, push-segment order
+//! and trap identity cannot depend on it. All other launches run chunks
+//! across host threads writing the live region directly: the
+//! per-workload commutativity audit in DESIGN.md shows this commits the
 //! same final bytes as the simulator's log-replay merge, and hardware
-//! `lock`-prefixed atomics match `apply_rmw` byte-for-byte. Worklist
-//! rounds are exempt from the hazard gate: per-chunk push segments merge
-//! through a sort+dedup commit and guarded-monotone updates keep every
-//! drain deterministic (see DESIGN.md), so they stay parallel. On a
+//! `lock`-prefixed atomics match `apply_rmw` byte-for-byte. On a
 //! trap, the lowest-index trapped chunk's trap is reported
 //! (first-trap-wins), matching serial order; region bytes after a
 //! trapped *parallel* launch are unspecified (the simulator commits
@@ -84,17 +79,12 @@ pub struct LaunchStats {
 pub struct Executor {
     privates: Vec<Vec<u8>>,
     cores: usize,
-    /// OS threads used to execute chunks of non-gated kernels. Purely a
-    /// wall-clock knob: results are identical for every value.
+    /// OS threads used to execute chunks of launches not run in order.
+    /// Purely a wall-clock knob: results are identical for every value.
     pub host_threads: usize,
     /// Per-work-item instruction budget (runaway-loop guard), matching
     /// `CpuSim::step_budget_per_item`.
     pub step_budget: i64,
-    /// Memoized CA108 verdicts keyed by (kernel, reduce-convention).
-    hazard_cache: HashMap<(FuncId, bool), bool>,
-    /// Launches whose chunks ran serially because of a CA108 verdict
-    /// (not counting gated-op serialization).
-    hazard_serialized: u64,
     /// IR instructions per work item of each kernel's previous completed
     /// launch (see [`Executor::pays_for_dispatch`]).
     insts_per_item: HashMap<FuncId, u64>,
@@ -110,8 +100,6 @@ impl Executor {
             cores,
             host_threads: host_threads.max(1),
             step_budget: 200_000_000,
-            hazard_cache: HashMap::new(),
-            hazard_serialized: 0,
             insts_per_item: HashMap::new(),
         }
     }
@@ -119,12 +107,6 @@ impl Executor {
     /// The chunk-lane count this executor was built with.
     pub fn cores(&self) -> usize {
         self.cores
-    }
-
-    /// How many launches so far ran their chunks serially because the
-    /// analyzer flagged a cross-item read hazard (CA108).
-    pub fn hazard_serialized(&self) -> u64 {
-        self.hazard_serialized
     }
 
     /// Whether a launch of `items` work items of `func` is estimated to
@@ -142,17 +124,6 @@ impl Executor {
         u64::from(items).saturating_mul(per_item) >= FAN_OUT_MIN_INSTS
     }
 
-    /// Memoized cross-item read-hazard verdict for `func` under the
-    /// given launch convention: hazardous kernels read bytes other work
-    /// items may write, so their chunks must run in deterministic order.
-    fn hazardous(&mut self, module: &Module, func: FuncId, reduce: bool) -> bool {
-        *self.hazard_cache.entry((func, reduce)).or_insert_with(|| {
-            let mode =
-                if reduce { concord_analyze::Mode::Reduce } else { concord_analyze::Mode::For };
-            concord_analyze::infer_access(module, func, mode).hazard
-        })
-    }
-
     /// Run `work` over `span` with the CPU simulator's chunking: lane `k`
     /// runs chunk `k`'s work items in order, item `i` calling
     /// `func(body, i)` — or `func(body, items[i])` in a worklist round,
@@ -166,10 +137,9 @@ impl Executor {
     /// bits of the total) is identical; it must cover the full iteration
     /// space (native plans are never split).
     ///
-    /// Gated kernels, `for`/`reduce` kernels with a cross-item read
-    /// hazard (CA108), and launches too small to pay for a dispatch run
-    /// their chunks serially in chunk order on the caller; all others fan
-    /// chunks out over host threads (see the module docs).
+    /// [`Work::in_order`] launches and launches too small to pay for a
+    /// dispatch run their chunks serially in chunk order on the caller;
+    /// all others fan chunks out over host threads (see the module docs).
     ///
     /// # Errors
     ///
@@ -206,14 +176,6 @@ impl Executor {
             WorkKind::For => (self.cores, None),
         };
         let spans = span_chunks(span.lo, span.hi, lanes);
-        // Worklist rounds are exempt from the hazard gate (module docs).
-        let hazard = !work.gated
-            && match work.kind {
-                WorkKind::For => self.hazardous(module, work.func, false),
-                WorkKind::Reduce { .. } => self.hazardous(module, work.func, true),
-                WorkKind::Worklist { .. } => false,
-            };
-        self.hazard_serialized += u64::from(hazard);
 
         if self.privates.is_empty() {
             self.privates = (0..self.cores).map(|_| vec![0u8; PRIVATE_BYTES]).collect();
@@ -248,8 +210,7 @@ impl Executor {
             };
             (trap, insts, seg)
         };
-        let inline = !self.pays_for_dispatch(module, work.func, span.items());
-        let outs = if work.gated || hazard || inline {
+        let outs = if work.in_order || !self.pays_for_dispatch(module, work.func, span.items()) {
             // In chunk order on this thread; chunks after a trap never run.
             let mut outs = Vec::with_capacity(spans.len());
             for idx in 0..spans.len() {

@@ -18,8 +18,8 @@
 //! emission
 //! per function), seals the image in an executable W^X buffer, and
 //! resolves per-function entry addresses. [`Executor`] then drives
-//! launches, fanning non-gated kernels out over host threads via
-//! `concord-pool`.
+//! launches, fanning chunks out over host threads via `concord-pool`
+//! unless the caller asked for chunk order ([`concord_svm::Work::in_order`]).
 //!
 //! The backend only targets x86-64 Linux; everywhere else [`supported`]
 //! returns `false` and [`compile`] fails with
@@ -152,8 +152,8 @@ mod tests {
         body: CpuAddr,
         n: u32,
     ) -> Result<LaunchStats, Trap> {
-        let gated = uses_gated_ops(module, &[func]);
-        let work = Work { func, body, kind: WorkKind::For, gated };
+        let in_order = uses_gated_ops(module, &[func]);
+        let work = Work { func, body, kind: WorkKind::For, in_order };
         ex.launch(region, nm, module, &work, Span::full(n), &mut Vec::new())
     }
 
@@ -657,7 +657,7 @@ mod tests {
                 func: k.operator_fn,
                 body: body2,
                 kind: WorkKind::Reduce { join, body_size: 16, slots: &scratch2 },
-                gated: uses_gated_ops(&lp.module, &[k.operator_fn, join]),
+                in_order: uses_gated_ops(&lp.module, &[k.operator_fn, join]),
             };
             ex.launch(&mut r2, &nm, &lp.module, &work, Span::full(n), &mut Vec::new()).unwrap();
             let got_total = r2.read_f32(body2.offset(8)).unwrap();

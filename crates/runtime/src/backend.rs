@@ -406,12 +406,6 @@ impl NativeBackend {
     fn module(&self) -> Arc<concord_native::NativeModule> {
         Arc::clone(self.module.as_ref().expect("ensure_prepared runs before native launches"))
     }
-
-    /// Launches this backend ran with serial chunk order because the
-    /// kernel carries a cross-item read hazard (CA108).
-    pub(crate) fn hazard_serialized(&self) -> u64 {
-        self.exec.hazard_serialized()
-    }
 }
 
 impl DeviceBackend for NativeBackend {

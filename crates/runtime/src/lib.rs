@@ -182,15 +182,19 @@ pub struct Options {
     /// Tracing configuration (disabled by default; see [`concord_trace`]).
     pub trace: TraceConfig,
     /// Host OS threads the simulators may fan simulated cores and warps
-    /// across. `None` reads `CONCORD_HOST_THREADS` (default 1). Every
+    /// across. `None` reads `CONCORD_HOST_THREADS`, falling back to the
+    /// host's available parallelism (`concord_pool::host_threads`). Every
     /// report, trace, and byte of workload output is identical for any
     /// value — execution uses snapshot-and-log isolation with a fixed
     /// chunk-order merge.
     pub host_threads: Option<usize>,
-    /// Pre-launch static analysis gate (see `concord-analyze`): `Off`
-    /// skips the analyzer, `Warn` (the default) traces findings but
-    /// always launches, `Deny` refuses kernels with error-severity
-    /// findings with [`RuntimeError::AnalysisDenied`].
+    /// Pre-launch static analysis gate (see `concord-analyze`): `Warn`
+    /// (the default) traces findings but always launches, `Deny` refuses
+    /// kernels with error-severity findings with
+    /// [`RuntimeError::AnalysisDenied`], `Off` neither gates nor traces
+    /// findings. At every level the scheduler's facts (access summary,
+    /// CA108 verdict) are still computed on first need: by a submit's
+    /// footprint or a native launch.
     pub analysis: AnalysisGate,
 }
 
@@ -340,11 +344,14 @@ struct FrontierQueues {
     cur: usize,
 }
 
-/// The analyzer launch convention a construct runs under.
-fn analysis_mode(kind: WorkKind<'_>) -> AnalysisMode {
+/// The analyzer launch convention a construct runs under, and a
+/// reduction's `join`.
+type Convention = (AnalysisMode, Option<FuncId>);
+
+fn convention(kind: WorkKind<'_>) -> Convention {
     match kind {
-        WorkKind::Reduce { .. } => AnalysisMode::Reduce,
-        WorkKind::For | WorkKind::Worklist { .. } => AnalysisMode::For,
+        WorkKind::Reduce { join, .. } => (AnalysisMode::Reduce, Some(join)),
+        WorkKind::For | WorkKind::Worklist { .. } => (AnalysisMode::For, None),
     }
 }
 
@@ -352,7 +359,7 @@ fn analysis_mode(kind: WorkKind<'_>) -> AnalysisMode {
 /// compare-and-swap) for one (kernel, construct), one per backend — each
 /// over the module and the functions that backend itself executes.
 /// Decided once at plan time and carried to the executors in
-/// [`Work::gated`].
+/// [`Work::in_order`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Gated {
     /// CPU module, `operator()` only: `CpuBackend` leaves a reduction's
@@ -378,6 +385,52 @@ impl Gated {
             DeviceClass::Gpu => self.gpu,
             DeviceClass::Native => self.native,
         }
+    }
+}
+
+/// What the runtime knows statically about one kernel under one launch
+/// convention. The modules never change after build, so each fact is
+/// decided at most once per session.
+struct KernelFacts {
+    /// Computed (cheaply) with the entry.
+    gated: Gated,
+    /// Findings and access summary from one analyzer walk, run on first
+    /// need: the pre-launch gate, a submit's footprint, a native launch,
+    /// or [`Concord::analyze_kernel`].
+    report: Option<AnalysisReport>,
+}
+
+/// The one table of [`KernelFacts`], keyed by (kernel, convention). It
+/// holds the session's modules so a lookup borrows only the table.
+struct FactTable {
+    program: Arc<LoweredProgram>,
+    gpu_artifact: Arc<GpuArtifact>,
+    entries: HashMap<(FuncId, AnalysisMode), KernelFacts>,
+}
+
+impl FactTable {
+    /// The facts of `func` under `(mode, join)`, walking the analyzer
+    /// first when `walk` asks for the report and no earlier need ran it.
+    fn get(&mut self, func: FuncId, (mode, join): Convention, walk: bool) -> &KernelFacts {
+        let (cpu, gpu) = (&self.program.module, &self.gpu_artifact.module);
+        let facts = self.entries.entry((func, mode)).or_insert_with(|| {
+            let roots: Vec<FuncId> = std::iter::once(func).chain(join).collect();
+            let gated = Gated {
+                cpu: uses_gated_ops(cpu, &[func]),
+                native: uses_gated_ops(cpu, &roots),
+                gpu: uses_gated_ops(gpu, &roots),
+            };
+            KernelFacts { gated, report: None }
+        });
+        if walk && facts.report.is_none() {
+            facts.report = Some(concord_analyze::analyze_kernel(cpu, func, mode));
+        }
+        facts
+    }
+
+    /// The analyzer report of `func` under `conv` (see [`FactTable::get`]).
+    fn report(&mut self, func: FuncId, conv: Convention) -> &AnalysisReport {
+        self.get(func, conv, true).report.as_ref().expect("walked on request")
     }
 }
 
@@ -531,14 +584,11 @@ pub struct Concord {
     tracer: Tracer,
     /// The pre-launch gate level ([`Options::analysis`]).
     analysis: AnalysisGate,
-    /// Memoized analysis reports: the module is immutable after build, so
-    /// one (kernel, mode) pair always produces the same report.
-    analysis_cache: HashMap<(FuncId, AnalysisMode), AnalysisReport>,
-    /// Memoized order-dependence verdicts, decided once per (kernel,
-    /// construct) so no launch re-walks the call graph.
-    gated_cache: HashMap<(FuncId, AnalysisMode), Gated>,
-    /// Memoized per-kernel access summaries (footprint inference).
-    access_cache: HashMap<(FuncId, AnalysisMode), AccessSummary>,
+    /// Every per-(kernel, convention) fact the gate and the scheduler act on.
+    facts: FactTable,
+    /// Native launches whose chunks ran in order because of a CA108
+    /// verdict (see [`Concord::native_hazard_serialized`]).
+    hazard_serialized: u64,
     /// Pending launches submitted through [`Concord::submit_for`] /
     /// [`Concord::submit_reduce`], in submission order.
     launch_graph: graph::LaunchGraph,
@@ -664,6 +714,11 @@ impl Concord {
         let mut gpu = GpuSim::new(system.gpu);
         gpu.set_tracer(tracer.clone());
         gpu.host_threads = host_threads;
+        let facts = FactTable {
+            program: Arc::clone(&program),
+            gpu_artifact: Arc::clone(&gpu_artifact),
+            entries: HashMap::new(),
+        };
         Ok(Concord {
             cpu: CpuBackend::new(cpu),
             gpu: GpuBackend::new(gpu, jitted),
@@ -679,9 +734,8 @@ impl Concord {
             cpu_only,
             tracer,
             analysis: opts.analysis,
-            analysis_cache: HashMap::new(),
-            gated_cache: HashMap::new(),
-            access_cache: HashMap::new(),
+            facts,
+            hazard_serialized: 0,
             launch_graph: graph::LaunchGraph::default(),
             finished: HashMap::new(),
             session_log: None,
@@ -784,9 +838,11 @@ impl Concord {
 
     /// Run the static analyzer (see `concord-analyze`) for the operator
     /// of `class` under launch convention `mode`, independent of the
-    /// configured gate level. Reports are memoized per (kernel, mode) —
-    /// the module never changes after construction — so repeat calls and
-    /// repeat launches are free.
+    /// configured gate level: the findings, and in
+    /// [`AnalysisReport::access`] the access summary the scheduler acts
+    /// on. Reports are memoized per (kernel, mode) — the module never
+    /// changes after construction — so repeat calls and repeat launches
+    /// are free.
     ///
     /// # Errors
     ///
@@ -797,24 +853,23 @@ impl Concord {
         mode: AnalysisMode,
     ) -> Result<AnalysisReport, RuntimeError> {
         let k = self.kernel(class)?;
-        Ok(self.analysis_report(class, k.operator_fn, mode))
+        let join = k.join_fn.filter(|_| mode == AnalysisMode::Reduce);
+        Ok(self.traced_report(class, k.operator_fn, (mode, join)).clone())
     }
 
-    fn analysis_report(&mut self, class: &str, func: FuncId, mode: AnalysisMode) -> AnalysisReport {
-        if let Some(r) = self.analysis_cache.get(&(func, mode)) {
-            self.tracer.instant(
-                Track::Analysis,
-                "cache_hit",
-                vec![("kernel", class.into()), ("mode", mode.name().into())],
-            );
-            return r.clone();
+    /// The analyzer report as the gate and [`Concord::analyze_kernel`]
+    /// see it: traced as an `analyze` span plus one instant per finding
+    /// when this call runs the walk, as a `cache_hit` instant when an
+    /// earlier need already ran it. (The scheduler's lookups trace
+    /// nothing.)
+    fn traced_report(&mut self, class: &str, func: FuncId, conv: Convention) -> &AnalysisReport {
+        let args = vec![("kernel", class.into()), ("mode", conv.0.name().into())];
+        if self.facts.get(func, conv, false).report.is_some() {
+            self.tracer.instant(Track::Analysis, "cache_hit", args);
+            return self.facts.report(func, conv);
         }
-        let mut sp = self.tracer.span_with(
-            Track::Analysis,
-            "analyze",
-            vec![("kernel", class.into()), ("mode", mode.name().into())],
-        );
-        let report = concord_analyze::analyze_kernel(&self.program.module, func, mode);
+        let mut sp = self.tracer.span_with(Track::Analysis, "analyze", args);
+        let report = self.facts.report(func, conv);
         sp.arg("findings", report.diagnostics.len() as i64);
         sp.arg("errors", report.count_at(concord_analyze::Severity::Error) as i64);
         sp.end();
@@ -829,7 +884,6 @@ impl Concord {
                 ],
             );
         }
-        self.analysis_cache.insert((func, mode), report.clone());
         report
     }
 
@@ -839,41 +893,23 @@ impl Concord {
         &mut self,
         class: &str,
         func: FuncId,
-        mode: AnalysisMode,
+        conv: Convention,
     ) -> Result<(), RuntimeError> {
         if self.analysis == AnalysisGate::Off {
             return Ok(());
         }
-        let report = self.analysis_report(class, func, mode);
-        if self.analysis == AnalysisGate::Deny && report.has_errors() {
+        let deny = self.analysis == AnalysisGate::Deny;
+        let report = self.traced_report(class, func, conv);
+        if deny && report.has_errors() {
+            let report = report.clone();
             self.tracer.instant(
                 Track::Analysis,
                 "denied",
-                vec![("kernel", class.into()), ("mode", mode.name().into())],
+                vec![("kernel", class.into()), ("mode", conv.0.name().into())],
             );
             return Err(RuntimeError::AnalysisDenied { kernel: class.to_string(), report });
         }
         Ok(())
-    }
-
-    /// The memoized order-dependence verdicts for `func` run as `kind`:
-    /// per module, and with the roots each backend itself executes.
-    fn gated(&mut self, func: FuncId, kind: WorkKind<'_>) -> Gated {
-        *self.gated_cache.entry((func, analysis_mode(kind))).or_insert_with(|| {
-            let cpu = uses_gated_ops(&self.program.module, &[func]);
-            match kind {
-                WorkKind::Reduce { join, .. } => Gated {
-                    cpu,
-                    native: uses_gated_ops(&self.program.module, &[func, join]),
-                    gpu: uses_gated_ops(&self.gpu_artifact.module, &[func, join]),
-                },
-                _ => Gated {
-                    cpu,
-                    native: cpu,
-                    gpu: uses_gated_ops(&self.gpu_artifact.module, &[func]),
-                },
-            }
-        })
     }
 
     /// Turn one construct invocation into a [`graph::Launch`] — the one
@@ -901,8 +937,9 @@ impl Concord {
         } else {
             WorkKind::For
         };
-        self.gate_launch(class, k.operator_fn, analysis_mode(kind))?;
-        let gated = self.gated(k.operator_fn, kind);
+        let conv = convention(kind);
+        self.gate_launch(class, k.operator_fn, conv)?;
+        let gated = self.facts.get(k.operator_fn, conv, false).gated;
         let class = class.to_string();
         Ok(graph::Launch { class, func: k.operator_fn, kind, body, n, target, gpu_allowed, gated })
     }
@@ -1158,11 +1195,8 @@ impl Concord {
         body: CpuAddr,
         n: u32,
     ) -> Footprint {
-        let mode = analysis_mode(kind);
-        let summary = self
-            .access_cache
-            .entry((func, mode))
-            .or_insert_with(|| concord_analyze::infer_access(&self.program.module, func, mode));
+        let conv = convention(kind);
+        let summary = &self.facts.report(func, conv).access;
         if summary.opaque {
             return Footprint::opaque();
         }
@@ -1174,7 +1208,7 @@ impl Concord {
         // kernel); a reduction also stages copies from it and joins the
         // partials back into it.
         ranges.push(FootRange { lo: body_lo, hi: body_hi, mode: AccessMode::Read });
-        if mode == AnalysisMode::Reduce {
+        if conv.0 == AnalysisMode::Reduce {
             ranges.push(FootRange { lo: body_lo, hi: body_hi, mode: AccessMode::Write });
         }
         for r in &summary.records {
@@ -1259,32 +1293,13 @@ impl Concord {
     }
 
     /// Launches the native backend ran with serial chunk order because
-    /// the kernel carries a cross-item read hazard (CA108). Zero when
-    /// the session never executed through [`Target::Native`].
+    /// the kernel carries a cross-item read hazard (CA108). Gated kernels
+    /// (which run in order anyway) and worklist rounds (exempt) never
+    /// count. Zero when the session never executed through
+    /// [`Target::Native`].
     #[must_use]
     pub fn native_hazard_serialized(&self) -> u64 {
-        self.native.hazard_serialized()
-    }
-
-    /// The access summary footprint inference uses for `class` under
-    /// `mode`, memoized per kernel like the analysis reports.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::NoSuchKernel`].
-    pub fn access_summary(
-        &mut self,
-        class: &str,
-        mode: AnalysisMode,
-    ) -> Result<AccessSummary, RuntimeError> {
-        let k = self.kernel(class)?;
-        Ok(self
-            .access_cache
-            .entry((k.operator_fn, mode))
-            .or_insert_with(|| {
-                concord_analyze::infer_access(&self.program.module, k.operator_fn, mode)
-            })
-            .clone())
+        self.hazard_serialized
     }
 
     /// Start (or stop) journaling session operations: allocations,
@@ -1595,7 +1610,7 @@ impl Concord {
             let parts = [first, second].map(|l| {
                 let device =
                     if l.target == Target::Gpu { DeviceClass::Gpu } else { DeviceClass::Cpu };
-                let work = Work { func: l.func, body: l.body, kind: l.kind, gated: false };
+                let work = Work { func: l.func, body: l.body, kind: l.kind, in_order: false };
                 (device, work, Span::full(l.n))
             });
             // Metered in submission order too: the meter and profile
@@ -1643,7 +1658,7 @@ impl Concord {
             for graph::PendingLaunch { launch: l, .. } in wave {
                 let jit = p.gpu.prepare(&mut p.ctx, &l.class, l.func);
                 let span = Span::full(l.n);
-                let work = Work { func: l.func, body: l.body, kind: l.kind, gated: false };
+                let work = Work { func: l.func, body: l.body, kind: l.kind, in_order: false };
                 let stats = p.gpu.launch(&mut p.ctx, &work, span, &mut Vec::new());
                 let report = stats.map(|s| p.part_report(&l.class, DeviceClass::Gpu, span, jit, s));
                 results.push(report.map_err(RuntimeError::Trap));
@@ -1679,7 +1694,17 @@ impl Concord {
             [(Device::Cpu, _)] => "cpu",
             _ => "hybrid",
         };
-        self.pipeline(|p, heap| {
+        // A CA108 kernel runs its native chunks in order, pinning its
+        // intermediate dynamics to the one-thread schedule. Worklist rounds
+        // are exempt: per-chunk push segments merge through a sort+dedup
+        // commit and guarded-monotone updates keep every drain
+        // deterministic (DESIGN.md). Gated kernels run in order anyway.
+        let hazard = native
+            && !l.gated.native
+            && !matches!(l.kind, WorkKind::Worklist { .. })
+            && self.facts.report(l.func, convention(l.kind)).access.hazard;
+        let mut serialized = false;
+        let result = self.pipeline(|p, heap| {
             let tracer = p.ctx.tracer;
             let mut sp = tracer.span_with(
                 Track::Runtime,
@@ -1743,9 +1768,11 @@ impl Concord {
                     }
                     kind => kind,
                 };
-                (device, Work { func: l.func, body: l.body, kind, gated: l.gated.on(device) }, span)
+                let in_order = l.gated.on(device) || hazard;
+                (device, Work { func: l.func, body: l.body, kind, in_order }, span)
             });
             let parts: Vec<Part<'_>> = parts.collect();
+            serialized = hazard;
 
             for &(device, ..) in &parts {
                 let (backend, ctx) = p.on(device);
@@ -1834,7 +1861,9 @@ impl Concord {
             report.fell_back = plan.fell_back;
             sp.arg("seconds", report.total_seconds());
             Ok(report)
-        })
+        });
+        self.hazard_serialized += u64::from(serialized);
+        result
     }
 }
 
@@ -2892,15 +2921,14 @@ mod tests {
     }
 
     #[test]
-    fn access_summary_is_exposed_and_cached() {
+    fn analyze_kernel_reports_the_access_summary() {
         let mut cc = Concord::new(SystemConfig::ultrabook(), FIG1, Options::default()).unwrap();
-        let s = cc.access_summary("LoopBody", AnalysisMode::For).unwrap();
+        let s = cc.analyze_kernel("LoopBody", AnalysisMode::For).unwrap().access;
         assert!(!s.opaque);
         assert_eq!(
             s.mode_of(concord_analyze::AccessBase::Field { offset: 0 }),
             Some(AccessMode::Write)
         );
-        assert_eq!(s, cc.access_summary("LoopBody", AnalysisMode::For).unwrap());
-        assert!(cc.access_summary("Missing", AnalysisMode::For).is_err());
+        assert_eq!(s, cc.analyze_kernel("LoopBody", AnalysisMode::For).unwrap().access);
     }
 }

@@ -1311,13 +1311,7 @@ fn open_session(
     // still overrides it. An unsupported-arch `native` default is accepted
     // here and surfaces as `native_unsupported` on the first launch that
     // actually uses it.
-    let default_target = match req.get("target").and_then(Json::as_str) {
-        None => Target::Auto,
-        Some(s) => Target::parse(s).ok_or((
-            codes::BAD_REQUEST,
-            format!("bad target `{s}` (expected cpu|gpu|auto|native|hybrid[:f])"),
-        ))?,
-    };
+    let default_target = parse_target(req, Target::Auto)?;
     // Informational only (a concurrent open may racily insert between the
     // probe and the build); exact totals come from the cache counters.
     let cache_hit = shared.cache.contains(source, gpu_config);
@@ -1455,19 +1449,8 @@ fn session_op(
             Ok(Json::obj(vec![("type", Json::str("report")), ("report", report_json(&report))]))
         }
         "parallel_worklist" => {
-            let class = req
-                .get("class")
-                .and_then(Json::as_str)
-                .ok_or((codes::BAD_REQUEST, "missing string field `class`".to_string()))?
-                .to_string();
-            let body = CpuAddr(field_u64(req, "body")?);
-            let target = match req.get("target").and_then(Json::as_str) {
-                None => session.default_target,
-                Some(s) => Target::parse(s).ok_or((
-                    codes::BAD_REQUEST,
-                    format!("bad target `{s}` (expected cpu|gpu|auto|native|hybrid[:f])"),
-                ))?,
-            };
+            let (class, body) = parse_kernel(req)?;
+            let target = parse_target(req, session.default_target)?;
             let seed_json = req
                 .get("seed")
                 .and_then(Json::as_arr)
@@ -1601,23 +1584,33 @@ struct ParsedLaunch {
 }
 
 fn parse_launch(v: &Json, default_target: Target) -> Result<ParsedLaunch, SrvError> {
+    let (class, body) = parse_kernel(v)?;
+    let n = u32::try_from(field_u64(v, "n")?)
+        .map_err(|_| (codes::BAD_REQUEST, "`n` exceeds u32".to_string()))?;
+    let target = parse_target(v, default_target)?;
+    let reduce = v.get("reduce").and_then(Json::as_bool).unwrap_or(false);
+    Ok(ParsedLaunch { class, body, n, target, reduce })
+}
+
+/// The `class` and `body` fields every launch request carries.
+fn parse_kernel(v: &Json) -> Result<(String, CpuAddr), SrvError> {
     let class = v
         .get("class")
         .and_then(Json::as_str)
-        .ok_or((codes::BAD_REQUEST, "missing string field `class`".to_string()))?
-        .to_string();
-    let body = CpuAddr(field_u64(v, "body")?);
-    let n = u32::try_from(field_u64(v, "n")?)
-        .map_err(|_| (codes::BAD_REQUEST, "`n` exceeds u32".to_string()))?;
-    let target = match v.get("target").and_then(Json::as_str) {
-        None => default_target,
-        Some(s) => Target::parse(s).ok_or((
-            codes::BAD_REQUEST,
-            format!("bad target `{s}` (expected cpu|gpu|auto|native|hybrid[:f])"),
-        ))?,
+        .ok_or((codes::BAD_REQUEST, "missing string field `class`".to_string()))?;
+    Ok((class.to_string(), CpuAddr(field_u64(v, "body")?)))
+}
+
+/// The optional `target` field of a session open or a launch: absent
+/// means `default`.
+fn parse_target(v: &Json, default: Target) -> Result<Target, SrvError> {
+    let Some(s) = v.get("target").and_then(Json::as_str) else {
+        return Ok(default);
     };
-    let reduce = v.get("reduce").and_then(Json::as_bool).unwrap_or(false);
-    Ok(ParsedLaunch { class, body, n, target, reduce })
+    Target::parse(s).ok_or_else(|| {
+        let message = format!("bad target `{s}` (expected cpu|gpu|auto|native|hybrid[:f])");
+        (codes::BAD_REQUEST, message).into()
+    })
 }
 
 /// The pre-launch deadline re-check (satellite of the launch graph): the

@@ -103,11 +103,17 @@ fn session_and_launch_errors_come_back_typed() {
     let err = client
         .parallel_for(s.session, &Launch::new("Double", body, 4).target("warp9"))
         .unwrap_err();
-    assert_eq!(err.code(), Some("bad_request"));
+    assert_eq!(err.to_string(), BAD_TARGET);
+    let err = client.parallel_worklist(s.session, "Double", body, &[0], Some("warp9")).unwrap_err();
+    assert_eq!(err.to_string(), BAD_TARGET);
     // The connection survived every error.
     assert!(client.ping().is_ok());
     server.join();
 }
+
+/// The one bad-target error every launch field parser returns.
+const BAD_TARGET: &str =
+    "server error bad_request: bad target `warp9` (expected cpu|gpu|auto|native|hybrid[:f])";
 
 #[test]
 fn region_faults_and_bad_payloads_are_rejected() {
@@ -146,7 +152,7 @@ fn region_faults_and_bad_payloads_are_rejected() {
     assert_eq!(err.code(), Some("bad_request"));
     let opts = SessionOptions { target: Some("warp9".to_string()), ..SessionOptions::default() };
     let err = client.open_session(DOUBLE, &opts).unwrap_err();
-    assert_eq!(err.code(), Some("bad_request"), "bad session-default target is refused at open");
+    assert_eq!(err.to_string(), BAD_TARGET, "bad session-default target is refused at open");
     assert!(client.ping().is_ok());
     server.join();
 }

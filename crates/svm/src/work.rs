@@ -88,11 +88,16 @@ pub struct Work<'a> {
     pub body: CpuAddr,
     /// The construct.
     pub kind: WorkKind<'a>,
-    /// The kernel uses order-dependent operations (`device_malloc`,
-    /// compare-and-swap; see `concord_ir::analysis::uses_gated_ops`), so
-    /// it must execute serially against the live region instead of
-    /// snapshot-and-log.
-    pub gated: bool,
+    /// Run the launch's chunks one after another, in chunk order, against
+    /// the live region. The caller decides it: the runtime sets it on every
+    /// executor for kernels with order-dependent operations (`device_malloc`,
+    /// compare-and-swap; `concord_ir::analysis::uses_gated_ops`), and on
+    /// the native executor also for CA108 cross-item read hazards outside
+    /// worklist rounds. `CpuSim` and `GpuSim` then take their serial live
+    /// path instead of snapshot-and-log (a worklist round on `GpuSim` also
+    /// runs each warp's lanes one at a time); the native `Executor` runs its
+    /// chunks on the calling thread instead of fanning them out.
+    pub in_order: bool,
 }
 
 /// Copy a reduction's body into each of `slots` — the serial staging step
