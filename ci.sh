@@ -59,6 +59,18 @@ for base in baseline:
 sys.exit("\n".join(f"!! {b}" for b in bad) or 0)
 EOF
 
+echo "==> fig7_to_10 --small --system ultrabook vs fig7_to_10-expected.json"
+# The paper's Figures 7 and 8 at Scale::Small: every number in the file is
+# simulated, so it repeats byte for byte. The ten exact quantities above
+# are Scale::Tiny; this holds the simulators at the paper's scale. A change
+# that moves a figure on purpose regenerates the file with this command.
+cargo run --release --quiet -p concord-bench --bin fig7_to_10 -- \
+    --small --system ultrabook --json /tmp/concord_ci_fig7.json > /dev/null
+diff fig7_to_10-expected.json /tmp/concord_ci_fig7.json || {
+    echo "!! fig7_to_10 --small output differs from fig7_to_10-expected.json" >&2
+    exit 1
+}
+
 echo "==> determinism soak: graph_diff + worklist_diff 10x at CONCORD_HOST_THREADS=8"
 # ROADMAP item 6 regression gate. Before the CA108 hazard gate, kernels
 # whose items read bytes other items write (SSSP's relaxation pulls, flat

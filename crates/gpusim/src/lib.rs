@@ -10,17 +10,19 @@
 //! SVM pointer-translation lowering); dereferencing an untranslated
 //! CPU-space pointer faults, so compiler bugs surface as traps, exactly
 //! like on the real hardware.
+//!
+//! A launch runs a [`Program`]: the module's functions decoded once, the
+//! first time a launch reaches them.
 
 pub mod l3;
+mod program;
 pub mod warp;
 
 pub use l3::{GpuL3, L3Access};
-pub use warp::{
-    active, gpu_classify, GpuSpace, Lane, LogItem, Mask, MetaCache, Warp, WarpTiming, LOCAL_BASE,
-    TRACE_SAMPLE_EVERY,
-};
+pub use program::Program;
+pub use warp::{gpu_classify, GpuSpace, Mask, LOCAL_BASE, TRACE_SAMPLE_EVERY};
 
-use concord_cpusim::interp::{PrivateMem, WorkIds};
+use concord_cpusim::interp::{WorkIds, PRIVATE_BASE};
 use concord_energy::GpuConfig;
 use concord_ir::analysis::uses_gated_ops;
 use concord_ir::eval::{Trap, Value};
@@ -31,7 +33,7 @@ use concord_svm::{
 };
 use concord_trace::{Tracer, Track};
 use std::sync::Mutex;
-use warp::sampled;
+use warp::{lanes, sampled, LogItem, Warp, WarpState, WarpTiming, MAX_WIDTH};
 
 /// Result of one GPU kernel launch.
 #[derive(Debug, Clone, Copy, Default)]
@@ -63,6 +65,8 @@ struct WarpOut {
     timing: WarpTiming,
     /// Deferred L3 accesses and sampled trace events.
     log: Vec<LogItem>,
+    /// The logged accesses' line keys, access after access.
+    lines: Vec<u64>,
     /// Shared-memory write log (empty on the serial path).
     mem_log: Vec<MemOp>,
     /// First trap hit by this warp, if any.
@@ -95,6 +99,9 @@ pub struct GpuSim {
     /// Monotonic device clock: accumulates critical cycles across launches
     /// so trace timestamps from successive launches never overlap.
     device_clock: u64,
+    /// Warp states no warp is running on, recycled across warps and
+    /// launches (as many as warps ever ran at once).
+    idle: Mutex<Vec<WarpState>>,
 }
 
 impl GpuSim {
@@ -107,6 +114,7 @@ impl GpuSim {
             host_threads: 1,
             tracer: Tracer::disabled(),
             device_clock: 0,
+            idle: Mutex::new(Vec::new()),
         }
     }
 
@@ -119,29 +127,6 @@ impl GpuSim {
     /// launch records summary counters on [`Track::GpuSim`].
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Lanes for warp `w` covering global ids `base + lane` within the
-    /// active range `[.., hi)` of a `[0, grid)` iteration space.
-    fn make_lanes(&self, w: u64, base: u64, hi: u32, grid: u32, width: u32) -> (Vec<Lane>, Mask) {
-        let mut lanes = Vec::with_capacity(width as usize);
-        let mut mask: Mask = 0;
-        for l in 0..width {
-            let gid = base + l as u64;
-            if gid < hi as u64 {
-                mask |= 1 << l;
-            }
-            lanes.push(Lane {
-                private: PrivateMem::new(self.cfg.private_bytes),
-                ids: WorkIds {
-                    global: gid as i64,
-                    local: l as i64,
-                    group: w as i64,
-                    size: grid as i64,
-                },
-            });
-        }
-        (lanes, mask)
     }
 
     fn finish_report(
@@ -190,7 +175,7 @@ impl GpuSim {
 
     /// Launch `parallel_for_hetero(n, body)` on the GPU: work-item `i`
     /// executes `func(body, i)` in a SIMD lane. A convenience over
-    /// [`GpuSim::launch`].
+    /// [`GpuSim::launch`] that decodes `module` on the spot.
     ///
     /// # Errors
     ///
@@ -205,12 +190,15 @@ impl GpuSim {
     ) -> Result<GpuReport, Trap> {
         let in_order = uses_gated_ops(module, &[func]);
         let work = Work { func, body, kind: WorkKind::For, in_order };
-        self.launch(region, module, &work, Span::full(n), &mut Vec::new())
+        let mut program = Program::new();
+        program.decode(module, &work);
+        self.launch(region, &program, &work, Span::full(n), &mut Vec::new())
     }
 
     /// Launch `parallel_reduce_hetero(n, body)` on the GPU, leaving one
     /// partial per warp in `scratch` for the caller to join on the host.
-    /// A convenience over [`GpuSim::launch`].
+    /// A convenience over [`GpuSim::launch`] that decodes `module` on the
+    /// spot.
     ///
     /// # Errors
     ///
@@ -230,7 +218,9 @@ impl GpuSim {
         let in_order = uses_gated_ops(module, &[func, join]);
         let kind = WorkKind::Reduce { join, body_size, slots: scratch };
         let work = Work { func, body, kind, in_order };
-        self.launch(region, module, &work, Span::full(n), &mut Vec::new())
+        let mut program = Program::new();
+        program.decode(module, &work);
+        self.launch(region, &program, &work, Span::full(n), &mut Vec::new())
     }
 
     /// Warp count and latency-hiding factor for `work` over `span`.
@@ -281,23 +271,26 @@ impl GpuSim {
     ///
     /// Any [`Trap`]: missing translations, faults, runaway loops. A trap
     /// discards the round's pushes.
+    ///
+    /// # Panics
+    ///
+    /// If `program` was not decoded for `work` ([`Program::decode`]).
     pub fn launch(
         &mut self,
         region: &mut SharedRegion,
-        module: &Module,
+        program: &Program,
         work: &Work<'_>,
         span: Span,
         pushes: &mut Vec<i32>,
     ) -> Result<GpuReport, Trap> {
         if !work.in_order {
-            let pending = self.execute(region, module, work, span);
+            let pending = self.execute(region, program, work, span);
             return self.commit(region, pending, pushes);
         }
         let (warps, hiding) = self.geometry(work, span);
-        let meta = Mutex::new(MetaCache::new());
         let mut merge = Merge::new(self, hiding);
         for w in 0..warps {
-            let out = self.run_warp(region, module, &meta, work, span, w, hiding);
+            let out = self.run_warp(region, program, work, span, w, hiding);
             merge.warp(self, region, w, out)?;
         }
         Ok(merge.finish(self, warps, pushes))
@@ -307,18 +300,21 @@ impl GpuSim {
     /// warp runs against a snapshot of `region` with a private write-log,
     /// possibly on its own host thread. [`GpuSim::commit`] merges the logs
     /// back in warp order.
+    ///
+    /// # Panics
+    ///
+    /// If `program` was not decoded for `work` ([`Program::decode`]).
     pub fn execute(
         &self,
         region: &SharedRegion,
-        module: &Module,
+        program: &Program,
         work: &Work<'_>,
         span: Span,
     ) -> GpuPending {
         let (warps, hiding) = self.geometry(work, span);
-        let meta = Mutex::new(MetaCache::new());
         let outs = concord_pool::map(self.host_threads, warps as usize, |w| {
             let mut shadow = ShadowRegion::new(region);
-            let mut out = self.run_warp(&mut shadow, module, &meta, work, span, w as u64, hiding);
+            let mut out = self.run_warp(&mut shadow, program, work, span, w as u64, hiding);
             out.mem_log = shadow.into_log();
             out
         });
@@ -328,78 +324,90 @@ impl GpuSim {
     /// Run warp `w` of `work` against `region` — live on the in-order path, a
     /// snapshot under host parallelism (the caller collects its write
     /// log). L3 traffic and trace events are deferred to the returned log.
-    #[allow(clippy::too_many_arguments)]
     fn run_warp<M: RegionMem>(
         &self,
         region: &mut M,
-        module: &Module,
-        meta: &Mutex<MetaCache>,
+        program: &Program,
         work: &Work<'_>,
         span: Span,
         w: u64,
         hiding: f64,
     ) -> WarpOut {
-        let width = self.cfg.simd_width;
-        let eus = self.cfg.eus as u64;
+        let width = self.cfg.simd_width as usize;
         let base = span.lo as u64 + w * width as u64;
-        let (lanes, mask) = self.make_lanes(w, base, span.hi, span.grid, width);
+        let idle =
+            self.idle.lock().expect("nothing panics while holding the warp-state pool").pop();
+        let mut st = idle.unwrap_or_else(|| WarpState::new(&self.cfg));
+        st.reset();
+        // Lanes cover global ids `base + lane`; those at or beyond `hi` are
+        // masked off.
+        let mut mask: Mask = 0;
+        for (l, ids) in st.ids.iter_mut().enumerate() {
+            let gid = base + l as u64;
+            if gid < span.hi as u64 {
+                mask |= 1 << l;
+            }
+            let (global, local, group) = (gid as i64, l as i64, w as i64);
+            *ids = WorkIds { global, local, group, size: span.grid as i64 };
+        }
         let items = match work.kind {
             WorkKind::Worklist { items } => Some(items),
             _ => None,
         };
         let mut warp = Warp {
-            module,
+            program,
             region,
-            cfg: &self.cfg,
-            meta,
-            lanes,
-            local: vec![0; self.cfg.local_bytes as usize],
-            eu: (w % eus) as u32,
-            wave: (w / eus) as u32,
+            st: &mut st,
             timing: WarpTiming::default(),
             step_budget: self.step_budget_per_warp,
             hiding,
             trace_enabled: self.tracer.enabled(),
             log: Vec::new(),
+            lines: Vec::new(),
             divergences: 0,
             reconvergences: 0,
             wl: items.map(|_| Vec::new()),
         };
         let res = if let WorkKind::Reduce { join, body_size, slots } = work.kind {
             let slot = slots[w as usize];
-            reduce_warp_steps(&mut warp, work, join, body_size, base, span.hi, mask, width, slot)
+            reduce_warp_steps(&mut warp, work, join, body_size, base, span.hi, mask, slot)
         } else {
-            // Lane `l` receives its work-item id, or its frontier item in
-            // a worklist round; lanes beyond `hi` are masked off and get a
-            // zero argument.
-            let args: Vec<Vec<Value>> = (base..base + width as u64)
-                .map(|i| {
-                    let arg = items.map_or(i as i64, |items| {
-                        i64::from(items.get(i as usize).copied().unwrap_or(0))
-                    });
-                    vec![Value::Ptr(work.body.0, AddrSpace::Cpu), Value::I(arg)]
-                })
-                .collect();
+            // Lane `l` receives the body and its work-item id, or its
+            // frontier item in a worklist round; masked-off lanes get a
+            // zero item.
+            let mut args = [Value::I(0); 2 * MAX_WIDTH];
+            for l in 0..width {
+                let i = base + l as u64;
+                let arg = items.map_or(i as i64, |items| {
+                    i64::from(items.get(i as usize).copied().unwrap_or(0))
+                });
+                args[l] = Value::Ptr(work.body.0, AddrSpace::Cpu);
+                args[width + l] = Value::I(arg);
+            }
+            let args = &args[..2 * width];
             // A gated worklist body reads values its own round already
             // wrote (cas-guarded pushes), so lanes run one at a time,
             // ascending, and see each other's effects exactly as the
             // cpusim/native serial paths do — lockstep lane loads would
             // observe stale values and drop relaxations.
-            let mut run = |m: Mask| warp.exec_function(m, work.func, &args, 0).map(|_| ());
+            let mut run = |m: Mask| warp.exec(m, work.func, args, 0);
             let res = if work.in_order && items.is_some() {
-                active(mask, width as usize).try_for_each(|l| run(1 << l))
+                lanes(mask).try_for_each(|l| run(1 << l))
             } else {
                 run(mask)
             };
-            res.map_err(|t| t.with_kernel(&module.function(work.func).name))
+            res.map_err(|t| t.with_kernel(&program.func(work.func).name))
         };
-        WarpOut {
+        let out = WarpOut {
             timing: warp.timing,
             pushes: warp.wl.take().unwrap_or_default(),
             log: warp.log,
+            lines: warp.lines,
             mem_log: Vec::new(),
             trap: res.err(),
-        }
+        };
+        self.idle.lock().expect("nothing panics while holding the warp-state pool").push(st);
+        out
     }
 
     /// Replay one warp's deferred L3 accesses and trace events against the
@@ -409,6 +417,7 @@ impl GpuSim {
     fn replay_warp_log(
         &mut self,
         log: Vec<LogItem>,
+        lines: &[u64],
         timing: &mut WarpTiming,
         eu: u32,
         wave: u32,
@@ -420,11 +429,12 @@ impl GpuSim {
         let mut contentions = 0u64;
         let clock_base = self.device_clock;
         let trace_on = self.tracer.enabled();
+        let mut lines = lines.iter().copied();
         for item in log {
             match item {
-                LogItem::Access { lines, shared_lanes, ts_snap } => {
-                    let n_lines = lines.len();
-                    for line in lines {
+                LogItem::Access { lines: n_lines, shared_lanes, ts_snap } => {
+                    let (n_lines, shared_lanes) = (n_lines as usize, shared_lanes as usize);
+                    for line in lines.by_ref().take(n_lines) {
                         let a = self.l3.access(line << 6, eu, wave, seq);
                         seq += 1;
                         timing.transactions += 1;
@@ -541,7 +551,7 @@ impl Merge {
         let (eu, wave) = ((w % eus) as u32, (w / eus) as u32);
         apply_log(region, &out.mem_log);
         let mut timing = out.timing;
-        sim.replay_warp_log(out.log, &mut timing, eu, wave, self.hiding);
+        sim.replay_warp_log(out.log, &out.lines, &mut timing, eu, wave, self.hiding);
         if let Some(t) = out.trap {
             return Err(t);
         }
@@ -573,51 +583,45 @@ fn reduce_warp_steps<M: RegionMem>(
     base: u64,
     hi: u32,
     mask: Mask,
-    width: u32,
     scratch_slot: CpuAddr,
 ) -> Result<(), Trap> {
+    let width = warp.st.ids.len();
+    let program = warp.program;
+    let name = |f: FuncId| program.func(f).name.as_str();
     // 1. Private body copies. Reserve a pseudo-frame per lane.
-    let mut priv_copy = vec![0u64; width as usize];
-    for l in active(mask, width as usize) {
-        let frame = warp.lanes[l].private.push_frame_public(body_size)?;
-        let addr = concord_cpusim::PRIVATE_BASE + frame;
-        priv_copy[l] = addr;
-        warp.lane_memcpy(l, addr, work.body.to_gpu().0, body_size)?;
+    let mut priv_copy = [0u64; MAX_WIDTH];
+    for l in lanes(mask) {
+        priv_copy[l] = PRIVATE_BASE + warp.st.push_frame(l, body_size)?;
+        warp.lane_memcpy(l, priv_copy[l], work.body.to_gpu().0, body_size)?;
     }
     // 2. operator() on private copies.
-    let args: Vec<Vec<Value>> = (0..width as usize)
-        .map(|l| {
-            vec![Value::Ptr(priv_copy[l], AddrSpace::Private), Value::I((base + l as u64) as i64)]
-        })
-        .collect();
-    warp.exec_function(mask, work.func, &args, 0)
-        .map_err(|t| t.with_kernel(&warp.module.function(work.func).name))?;
+    let mut args = [Value::I(0); 2 * MAX_WIDTH];
+    for l in 0..width {
+        args[l] = Value::Ptr(priv_copy[l], AddrSpace::Private);
+        args[width + l] = Value::I((base + l as u64) as i64);
+    }
+    warp.exec(mask, work.func, &args[..2 * width], 0)
+        .map_err(|t| t.with_kernel(name(work.func)))?;
     // 3. Private → local.
-    for l in active(mask, width as usize) {
+    for l in lanes(mask) {
         let local_slot = LOCAL_BASE + l as u64 * body_size;
         warp.lane_memcpy(l, local_slot, priv_copy[l], body_size)?;
     }
     // 4. Tree reduction in local memory.
     let lane_count = (hi as u64 - base).min(width as u64) as usize;
-    let mut stride = (width / 2) as usize;
+    let local = |l: usize| Value::Ptr(LOCAL_BASE + l as u64 * body_size, AddrSpace::Local);
+    let mut stride = width / 2;
     while stride >= 1 {
         let mut jmask: Mask = 0;
-        for l in 0..width as usize {
+        for l in 0..width {
             if l < stride && l + stride < lane_count {
                 jmask |= 1 << l;
             }
+            args[l] = local(l);
+            args[width + l] = local(l + stride);
         }
         if jmask != 0 {
-            let jargs: Vec<Vec<Value>> = (0..width as usize)
-                .map(|l| {
-                    vec![
-                        Value::Ptr(LOCAL_BASE + l as u64 * body_size, AddrSpace::Local),
-                        Value::Ptr(LOCAL_BASE + (l + stride) as u64 * body_size, AddrSpace::Local),
-                    ]
-                })
-                .collect();
-            warp.exec_function(jmask, join, &jargs, 0)
-                .map_err(|t| t.with_kernel(&warp.module.function(join).name))?;
+            warp.exec(jmask, join, &args[..2 * width], 0).map_err(|t| t.with_kernel(name(join)))?;
         }
         stride /= 2;
     }
@@ -892,17 +896,18 @@ mod tests {
         );
     }
 
+    const SUM: &str = r#"
+        class Sum {
+        public:
+            float* data; float acc;
+            void operator()(int i) { acc += data[i]; }
+            void join(Sum* other) { acc += other->acc; }
+        };
+    "#;
+
     #[test]
     fn gpu_reduce_sums() {
-        let src = r#"
-            class Sum {
-            public:
-                float* data; float acc;
-                void operator()(int i) { acc += data[i]; }
-                void join(Sum* other) { acc += other->acc; }
-            };
-        "#;
-        let (module, kf, jf) = gpu_module(src, PipelineConfig::all(7));
+        let (module, kf, jf) = gpu_module(SUM, PipelineConfig::all(7));
         let (mut region, mut heap) = setup(&module, 1 << 20);
         let n = 100u32;
         let data = heap.malloc(n as u64 * 4).unwrap();
@@ -922,6 +927,99 @@ mod tests {
             total += region.read_f32(s.offset(8)).unwrap();
         }
         assert_eq!(total, 5050.0);
+    }
+
+    /// Kernels `probe(body, i)` and `dirty(body, i)` over the same 8-byte
+    /// private alloca and local-memory slot `i`: `dirty` first writes
+    /// both, `probe` only reads them. Each stores what it read to
+    /// `out[2i]` and `out[2i + 1]`, where `out` is the body's first field.
+    fn alloca_and_local_readers() -> Module {
+        use concord_ir::builder::FunctionBuilder;
+        use concord_ir::types::Type;
+        use concord_ir::{BinOp, CastOp};
+        let kernel = |name: &str, write: bool| {
+            let params = vec![Type::Ptr(AddrSpace::Cpu), Type::I32];
+            let mut b = FunctionBuilder::new(name, params, Type::Void);
+            let (body, i) = (b.param(0), b.param(1));
+            let slot = b.alloca(8, 8);
+            let i = b.cast(CastOp::Sext, i, Type::I64);
+            let eight = b.i64(8);
+            let off = b.bin(BinOp::Mul, i, eight);
+            let base = b.i64(LOCAL_BASE as i64);
+            let local = b.bin(BinOp::Add, base, off);
+            let local = b.cast(CastOp::IntToPtr, local, Type::Ptr(AddrSpace::Local));
+            if write {
+                let junk = b.i64(0x5a5a_5a5a_5a5a_5a5a);
+                b.store(slot, junk);
+                b.store(local, junk);
+            }
+            let private_word = b.load(slot, Type::I64);
+            let local_word = b.load(local, Type::I64);
+            let body = b.cpu_to_gpu(body);
+            let out = b.load(body, Type::Ptr(AddrSpace::Cpu));
+            let out = b.cpu_to_gpu(out);
+            let sixteen = b.i64(16);
+            let off = b.bin(BinOp::Mul, i, sixteen);
+            let at = b.gep(out, off);
+            b.store(at, private_word);
+            let at = b.gep_const(at, 8);
+            b.store(at, local_word);
+            b.ret(None);
+            let mut f = b.build();
+            f.kernel = Some(concord_ir::KernelKind::ForBody);
+            f
+        };
+        let mut module = Module::new();
+        module.add_function(kernel("probe", false));
+        module.add_function(kernel("dirty", true));
+        module
+    }
+
+    #[test]
+    fn recycled_warp_state_reads_as_fresh() {
+        let module = alloca_and_local_readers();
+        let (probe, dirty) = (FuncId(0), FuncId(1));
+        let n = 16u32;
+        // The probe's stored words and report, on `sim`. (The L3 hit rate
+        // counts every launch the simulator ever ran, so it is left out.)
+        let run_probe = |sim: &mut GpuSim| {
+            let (mut region, mut heap) = setup(&module, 1 << 20);
+            let out = heap.malloc(u64::from(n) * 16).unwrap();
+            let body = heap.malloc(8).unwrap();
+            region.write_ptr(body, out).unwrap();
+            let report = GpuReport {
+                l3_hit_rate: 0.0,
+                ..sim.parallel_for(&mut region, &module, probe, body, n).unwrap()
+            };
+            let words = region.read_bytes(out.0, AddrSpace::Cpu, u64::from(n) * 16).unwrap();
+            (words.to_vec(), format!("{report:?}"))
+        };
+        let fresh = run_probe(&mut GpuSim::new(concord_energy::SystemConfig::ultrabook().gpu));
+        assert!(fresh.0.iter().all(|&b| b == 0), "fresh private and local memory read as zero");
+
+        let mut sim = GpuSim::new(concord_energy::SystemConfig::ultrabook().gpu);
+        // A warp that wrote the same alloca and local slots.
+        let (mut region, mut heap) = setup(&module, 1 << 20);
+        let out = heap.malloc(u64::from(n) * 16).unwrap();
+        let body = heap.malloc(8).unwrap();
+        region.write_ptr(body, out).unwrap();
+        sim.parallel_for(&mut region, &module, dirty, body, n).unwrap();
+        assert_eq!(run_probe(&mut sim), fresh, "after a warp that wrote them");
+
+        // A whole reduction: body copies on every lane stack, and in local
+        // memory.
+        let (sum, kf, jf) = gpu_module(SUM, PipelineConfig::all(7));
+        let (mut region, mut heap) = setup(&sum, 1 << 20);
+        let data = heap.malloc(u64::from(n) * 4).unwrap();
+        for i in 0..n {
+            region.write_f32(CpuAddr(data.0 + u64::from(i) * 4), 1.5).unwrap();
+        }
+        let body = heap.malloc(16).unwrap();
+        region.write_ptr(body, data).unwrap();
+        let scratch = [heap.malloc(16).unwrap()];
+        sim.parallel_reduce(&mut region, &sum, kf, jf.unwrap(), body, 16, n, &scratch).unwrap();
+        assert_eq!(region.read_f32(scratch[0].offset(8)).unwrap(), 24.0);
+        assert_eq!(run_probe(&mut sim), fresh, "after a reduction");
     }
 
     #[test]

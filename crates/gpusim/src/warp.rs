@@ -11,24 +11,40 @@
 //! *whole warp*, so divergent regions pay for both paths — the
 //! fundamental SIMT penalty that makes FaceDetect's 22-stage early-exit
 //! cascade perform poorly on the GPU (§5.2.3).
+//!
+//! The interpreter runs the decoded functions of a [`Program`], never IR:
+//! blocks are already in priority order, so the next block to run is the
+//! lowest set bit of a bitset, and a block's phis are one parallel copy
+//! list per incoming edge. A call's registers are one slab, `[slot][lane]`,
+//! with a mask per slot of the lanes that defined it. An instruction checks
+//! its operands' masks once (an undefined operand traps
+//! [`Trap::Unreachable`]) and then runs one loop over the active lanes,
+//! evaluating arithmetic, compares and casts through `concord_ir::eval`,
+//! as the CPU simulator does.
+//!
+//! A warp's lane stacks, local memory and register slabs live in a
+//! `WarpState` the simulator recycles across warps and launches. Taking
+//! one zeroes the bytes its previous warp wrote and rewinds every stack,
+//! so each warp starts from exactly the bytes and stack pointers a fresh
+//! allocation would have.
 
-use concord_cpusim::interp::{frame_layout, FrameLayout, PrivateMem, WorkIds, PRIVATE_BASE};
+use crate::program::{Block, Func, Inst, Kind, Program, Slot, NO_EDGE, NO_SRC};
+use concord_cpusim::interp::{WorkIds, PRIVATE_BASE};
 use concord_energy::GpuConfig;
-use concord_ir::analysis::{find_loops, DomTree};
 use concord_ir::eval::{eval_bin, eval_cast, eval_fcmp, eval_icmp, Trap, Value};
-use concord_ir::inst::{BlockId, FuncId, Intrinsic, Op, ValueId};
+use concord_ir::inst::{BlockId, FuncId, Intrinsic};
 use concord_ir::types::{AddrSpace, Type};
-use concord_ir::Module;
-use concord_svm::{apply_rmw, AtomicKind, RegionMem, CPU_BASE, GPU_BASE};
+use concord_svm::{apply_rmw, AtomicKind, RegionMem, CPU_BASE, GPU_BASE, SVM_CONST};
 use concord_trace::Args;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Mutex;
 
 /// Base address of work-group local memory.
 pub const LOCAL_BASE: u64 = 0x2000_0000;
 
 /// Lane activity mask (bit per lane).
 pub type Mask = u32;
+
+/// The widest warp a [`Mask`] describes.
+pub(crate) const MAX_WIDTH: usize = Mask::BITS as usize;
 
 /// Where an address lives, from the GPU's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,100 +90,30 @@ fn classify_value(raw: u64) -> AddrSpace {
     }
 }
 
-/// Per-lane state.
-#[derive(Debug)]
-pub struct Lane {
-    /// Private memory (registers spill, allocas, reduction body copies).
-    pub private: PrivateMem,
-    /// Work-item ids for intrinsics.
-    pub ids: WorkIds,
+/// The lanes of `m`, lowest first.
+pub(crate) fn lanes(mut m: Mask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let l = m.trailing_zeros();
+        m &= m.wrapping_sub(1);
+        (l < Mask::BITS).then_some(l as usize)
+    })
 }
 
 /// Accumulated warp timing.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct WarpTiming {
+pub(crate) struct WarpTiming {
     /// Cycles the EU spent issuing this warp's instructions.
-    pub issue: f64,
+    pub(crate) issue: f64,
     /// Cycles stalled on memory (after latency hiding).
-    pub stall: f64,
+    pub(crate) stall: f64,
     /// Executed warp-instructions.
-    pub insts: u64,
+    pub(crate) insts: u64,
     /// Executed pointer translations (warp-wide).
-    pub translations: u64,
+    pub(crate) translations: u64,
     /// Shared-memory transactions (unique lines).
-    pub transactions: u64,
+    pub(crate) transactions: u64,
     /// Contended transactions.
-    pub contended: u64,
-}
-
-/// Per-function execution metadata: frame layout + block scheduling
-/// priorities.
-#[derive(Debug, Clone)]
-pub struct FuncMeta {
-    layout: FrameLayout,
-    /// Lower = execute earlier among pending blocks.
-    priority: Vec<u32>,
-}
-
-/// Shared cache of function metadata for one module.
-#[derive(Debug, Default)]
-pub struct MetaCache {
-    map: HashMap<FuncId, FuncMeta>,
-}
-
-impl MetaCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn get(&mut self, module: &Module, fid: FuncId) -> &FuncMeta {
-        self.map.entry(fid).or_insert_with(|| {
-            let f = module.function(fid);
-            FuncMeta { layout: frame_layout(f), priority: block_priorities(f) }
-        })
-    }
-}
-
-/// Forward-topological block priorities with deeper loops first.
-fn block_priorities(f: &concord_ir::Function) -> Vec<u32> {
-    let n = f.blocks.len();
-    let dom = DomTree::compute(f);
-    let loops = find_loops(f);
-    let depth_of =
-        |b: BlockId| -> u32 { loops.iter().filter(|l| l.blocks.contains(&b)).count() as u32 };
-    let rpo_index = |b: BlockId| dom.rpo_index(b).unwrap_or(usize::MAX);
-    // Forward edges only (drop back edges: target dominates source).
-    let mut indeg = vec![0u32; n];
-    let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for b in f.block_ids() {
-        for s in f.successors(b) {
-            if !dom.dominates(s, b) {
-                fwd[b.0 as usize].push(s.0 as usize);
-                indeg[s.0 as usize] += 1;
-            }
-        }
-    }
-    let mut order = vec![u32::MAX; n];
-    let mut avail: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut next = 0u32;
-    while !avail.is_empty() {
-        // Deeper loop first; tie-break on RPO for determinism.
-        avail.sort_by_key(|&i| {
-            (std::cmp::Reverse(depth_of(BlockId(i as u32))), rpo_index(BlockId(i as u32)))
-        });
-        let i = avail.remove(0);
-        order[i] = next;
-        next += 1;
-        for &s in &fwd[i] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                avail.push(s);
-            }
-        }
-    }
-    // Unreachable blocks keep MAX (never scheduled).
-    order
+    pub(crate) contended: u64,
 }
 
 /// Sampling period for warp trace events (1 in N occurrences recorded).
@@ -191,15 +137,15 @@ pub(crate) fn sampled(count: &mut u64) -> bool {
 /// time, warp by warp in launch order, so cache state, contention, and
 /// trace output are identical for every host-thread count.
 #[derive(Debug)]
-pub enum LogItem {
-    /// One coalesced shared-memory access: the unique line keys
-    /// (`addr >> 6`, ascending), how many lanes touched shared memory,
-    /// and the warp-relative cycle time when it was issued.
+pub(crate) enum LogItem {
+    /// One coalesced shared-memory access: its unique line keys are the
+    /// next `lines` entries of the warp's line log (`addr >> 6`,
+    /// ascending).
     Access {
-        /// Unique cache-line keys (address >> 6) in ascending order.
-        lines: Vec<u64>,
+        /// How many line keys the access has.
+        lines: u32,
         /// Number of lanes that touched shared memory.
-        shared_lanes: usize,
+        shared_lanes: u32,
         /// Warp-relative cycles (issue + local stall) at the access.
         ts_snap: f64,
     },
@@ -215,57 +161,359 @@ pub enum LogItem {
     },
 }
 
+/// One call's register file: `vals[slot * width + lane]`, and per slot the
+/// lanes that have defined it.
+#[derive(Debug, Default)]
+struct Regs {
+    width: usize,
+    vals: Vec<Value>,
+    defined: Vec<Mask>,
+}
+
+impl Regs {
+    fn reset(&mut self, width: usize, slots: usize) {
+        self.width = width;
+        if self.vals.len() < slots * width {
+            self.vals.resize(slots * width, Value::I(0));
+        }
+        self.defined.clear();
+        self.defined.resize(slots, 0);
+    }
+
+    /// [`Trap::Unreachable`] unless every lane of `m` has defined `s`.
+    #[inline]
+    fn need(&self, m: Mask, s: Slot) -> Result<(), Trap> {
+        if self.defined[s as usize] & m == m {
+            Ok(())
+        } else {
+            Err(Trap::Unreachable)
+        }
+    }
+
+    #[inline]
+    fn get(&self, s: Slot, l: usize) -> Value {
+        self.vals[s as usize * self.width + l]
+    }
+
+    #[inline]
+    fn set(&mut self, s: Slot, l: usize, v: Value) {
+        self.vals[s as usize * self.width + l] = v;
+    }
+
+    /// The addresses pointer `p` holds on the lanes of `m`, in lane order.
+    fn addresses(&self, m: Mask, p: Slot) -> ([u64; MAX_WIDTH], usize) {
+        let mut addrs = [0u64; MAX_WIDTH];
+        let mut n = 0;
+        for l in lanes(m) {
+            addrs[n] = self.get(p, l).as_ptr().0;
+            n += 1;
+        }
+        (addrs, n)
+    }
+
+    /// Define `d` on the lanes of `m`: a lane's value is `f(lane)`, and the
+    /// first lane to fail stops the op.
+    #[inline(always)]
+    fn define(
+        &mut self,
+        m: Mask,
+        d: Slot,
+        mut f: impl FnMut(&Self, usize) -> Result<Value, Trap>,
+    ) -> Result<(), Trap> {
+        for l in lanes(m) {
+            let v = f(self, l)?;
+            self.set(d, l, v);
+        }
+        self.defined[d as usize] |= m;
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn map1(
+        &mut self,
+        m: Mask,
+        d: Slot,
+        a: Slot,
+        f: impl Fn(Value) -> Result<Value, Trap>,
+    ) -> Result<(), Trap> {
+        self.need(m, a)?;
+        self.define(m, d, |r, l| f(r.get(a, l)))
+    }
+
+    #[inline(always)]
+    fn map2(
+        &mut self,
+        m: Mask,
+        d: Slot,
+        a: Slot,
+        b: Slot,
+        f: impl Fn(Value, Value) -> Result<Value, Trap>,
+    ) -> Result<(), Trap> {
+        self.need(m, a)?;
+        self.need(m, b)?;
+        self.define(m, d, |r, l| f(r.get(a, l), r.get(b, l)))
+    }
+
+    /// Run a register-only instruction — constant, arithmetic, compare,
+    /// cast, select or `Gep` — over the lanes of `m`.
+    fn alu(&mut self, inst: &Inst, m: Mask) -> Result<(), Trap> {
+        let d = inst.dst;
+        match inst.kind {
+            Kind::Const(v) => self.define(m, d, |_, _| Ok(v)),
+            Kind::Bin(op, ty, a, b) => self.map2(m, d, a, b, |x, y| eval_bin(op, x, y, ty)),
+            Kind::Icmp(p, a, b) => self.map2(m, d, a, b, |x, y| Ok(eval_icmp(p, x, y))),
+            Kind::Fcmp(p, a, b) => self.map2(m, d, a, b, |x, y| Ok(eval_fcmp(p, x, y))),
+            Kind::Cast(op, from, to, a) => self.map1(m, d, a, |v| Ok(eval_cast(op, v, from, to))),
+            Kind::Select(c, a, b) => {
+                self.need(m, c)?;
+                self.need(m, a)?;
+                self.need(m, b)?;
+                self.define(m, d, |r, l| Ok(r.get(if r.get(c, l).as_bool() { a } else { b }, l)))
+            }
+            Kind::Gep(base, off) => self.map2(m, d, base, off, |p, o| {
+                let (x, sp) = p.as_ptr();
+                Ok(Value::Ptr(x.wrapping_add(o.as_i() as u64), sp))
+            }),
+            _ => unreachable!("{:?} is not a register-only instruction", inst.kind),
+        }
+    }
+}
+
+/// One call's state: its registers, the lanes waiting at each block, and
+/// each lane's stack frame.
+#[derive(Debug, Default)]
+struct Frame {
+    regs: Regs,
+    /// Lanes waiting at each block.
+    pending: Vec<Mask>,
+    /// One bit per block with waiting lanes.
+    ready: Vec<u64>,
+    /// Lanes that took each phi edge since its block last ran.
+    arrived: Vec<Mask>,
+    /// Phi sources read before any phi is written: `[phi][lane]`.
+    staged: Vec<Value>,
+    /// Argument slab of a call this frame makes: `[argument][lane]`.
+    args: Vec<Value>,
+    /// Each lane's return value, and the lanes that returned.
+    rets: Vec<Value>,
+    returned: Mask,
+    /// Per lane: its frame's base address, and the stack pointer to restore.
+    frame_base: Vec<u64>,
+    saved_sp: Vec<u64>,
+}
+
+impl Frame {
+    /// Start `func` for the lanes of `mask`, with the argument slab `args`.
+    fn enter(&mut self, func: &Func, width: usize, mask: Mask, args: &[Value]) {
+        self.regs.reset(width, func.slots);
+        for i in 0..func.params.min(args.len() / width) {
+            for l in lanes(mask) {
+                self.regs.set(i as Slot, l, args[i * width + l]);
+            }
+            self.regs.defined[i] = mask;
+        }
+        let blocks = func.blocks.len();
+        self.pending.clear();
+        self.pending.resize(blocks, 0);
+        self.ready.clear();
+        self.ready.resize(blocks.div_ceil(64), 0);
+        self.arrived.clear();
+        self.arrived.resize(func.edges.len(), 0);
+        self.staged.resize(func.max_phis * width, Value::I(0));
+        self.rets.resize(width, Value::I(0));
+        self.returned = 0;
+        self.frame_base.resize(width, 0);
+        self.saved_sp.resize(width, 0);
+        self.wake(func.entry, func.entry_edge, mask);
+    }
+
+    /// The argument slab of a call passing `slots`, for the lanes of `m`.
+    fn gather(&mut self, slots: &[Slot], m: Mask) -> Result<&[Value], Trap> {
+        let width = self.regs.width;
+        for &a in slots {
+            self.regs.need(m, a)?;
+        }
+        self.args.resize(slots.len() * width, Value::I(0));
+        for (i, &a) in slots.iter().enumerate() {
+            for l in lanes(m) {
+                self.args[i * width + l] = self.regs.get(a, l);
+            }
+        }
+        Ok(&self.args)
+    }
+
+    /// Queue the lanes of `m` at block `b`, arriving over phi edge `edge`.
+    #[inline]
+    fn wake(&mut self, b: u32, edge: u32, m: Mask) {
+        if m == 0 {
+            return;
+        }
+        self.pending[b as usize] |= m;
+        self.ready[b as usize / 64] |= 1 << (b % 64);
+        if edge != NO_EDGE {
+            self.arrived[edge as usize] |= m;
+        }
+    }
+
+    /// Take the first block with waiting lanes, and those lanes.
+    #[inline]
+    fn next_block(&mut self) -> Option<(usize, Mask)> {
+        let w = self.ready.iter().position(|&bits| bits != 0)?;
+        let b = w * 64 + self.ready[w].trailing_zeros() as usize;
+        self.ready[w] &= self.ready[w] - 1;
+        Some((b, std::mem::take(&mut self.pending[b])))
+    }
+}
+
+/// A warp's recyclable memory: lane stacks, work-group local memory,
+/// work-item ids, and one register frame per call depth.
+#[derive(Debug)]
+pub(crate) struct WarpState {
+    width: usize,
+    stack_bytes: usize,
+    /// Lane `l`'s private memory is `stacks[l * stack_bytes..][..stack_bytes]`.
+    stacks: Vec<u8>,
+    sp: Vec<u64>,
+    /// Per lane: every byte written since the last reset lies below this.
+    stack_dirty: Vec<usize>,
+    local: Vec<u8>,
+    local_dirty: usize,
+    pub(crate) ids: Vec<WorkIds>,
+    frames: Vec<Frame>,
+}
+
+impl WarpState {
+    pub(crate) fn new(cfg: &GpuConfig) -> WarpState {
+        let width = cfg.simd_width as usize;
+        assert!(width <= MAX_WIDTH, "a warp has at most {MAX_WIDTH} lanes");
+        let stack_bytes = cfg.private_bytes as usize;
+        WarpState {
+            width,
+            stack_bytes,
+            stacks: vec![0; width * stack_bytes],
+            sp: vec![0; width],
+            stack_dirty: vec![0; width],
+            local: vec![0; cfg.local_bytes as usize],
+            local_dirty: 0,
+            ids: vec![WorkIds::default(); width],
+            frames: Vec::new(),
+        }
+    }
+
+    /// Zero what the last warp wrote and rewind every stack.
+    pub(crate) fn reset(&mut self) {
+        for l in 0..self.width {
+            let base = l * self.stack_bytes;
+            self.stacks[base..base + self.stack_dirty[l]].fill(0);
+            self.stack_dirty[l] = 0;
+            self.sp[l] = 0;
+        }
+        self.local[..self.local_dirty].fill(0);
+        self.local_dirty = 0;
+    }
+
+    /// Reserve a `size`-byte frame on lane `l`'s stack, 16-byte aligned;
+    /// returns its offset.
+    pub(crate) fn push_frame(&mut self, l: usize, size: u64) -> Result<u64, Trap> {
+        let base = self.sp[l].div_ceil(16) * 16;
+        if base + size > self.stack_bytes as u64 {
+            return Err(Trap::StackOverflow);
+        }
+        self.sp[l] = base + size;
+        Ok(base)
+    }
+
+    /// The byte range of `[addr, addr + len)` on lane `l`'s stack.
+    fn private(&self, l: usize, addr: u64, len: usize) -> Result<std::ops::Range<usize>, Trap> {
+        let off = addr.wrapping_sub(PRIVATE_BASE);
+        if off.checked_add(len as u64).is_none_or(|end| end > self.stack_bytes as u64) {
+            return Err(Trap::BadAddress { addr, space: AddrSpace::Private });
+        }
+        let start = l * self.stack_bytes + off as usize;
+        Ok(start..start + len)
+    }
+
+    /// The byte range of `[addr, addr + len)` in local memory.
+    fn local(&self, addr: u64, len: usize) -> Result<std::ops::Range<usize>, Trap> {
+        let off = (addr - LOCAL_BASE) as usize;
+        if off + len > self.local.len() {
+            return Err(Trap::BadAddress { addr, space: AddrSpace::Local });
+        }
+        Ok(off..off + len)
+    }
+}
+
+/// Decode a `ty` value stored in private or local memory; a pointer takes
+/// the space its address range names.
+fn load_value(b: &[u8], ty: Type) -> Value {
+    match ty {
+        Type::I1 | Type::I8 => Value::I(b[0] as i8 as i64),
+        Type::I16 => Value::I(i16::from_le_bytes([b[0], b[1]]) as i64),
+        Type::I32 => Value::I(i32::from_le_bytes(b.try_into().unwrap()) as i64),
+        Type::I64 => Value::I(i64::from_le_bytes(b.try_into().unwrap())),
+        Type::F32 => Value::F(f32::from_le_bytes(b.try_into().unwrap()) as f64),
+        Type::F64 => Value::F(f64::from_le_bytes(b.try_into().unwrap())),
+        Type::Ptr(_) => {
+            let raw = u64::from_le_bytes(b.try_into().unwrap());
+            Value::Ptr(raw, classify_value(raw))
+        }
+        Type::Void => unreachable!(),
+    }
+}
+
+/// Encode `v` as a stored `ty` into `out` (`ty.size()` bytes).
+fn store_value(v: Value, ty: Type, out: &mut [u8]) {
+    match ty {
+        Type::I1 | Type::I8 => out[0] = v.as_i() as u8,
+        Type::I16 => out.copy_from_slice(&(v.as_i() as i16).to_le_bytes()),
+        Type::I32 => out.copy_from_slice(&(v.as_i() as i32).to_le_bytes()),
+        Type::I64 => out.copy_from_slice(&v.as_i().to_le_bytes()),
+        Type::F32 => out.copy_from_slice(&(v.as_f() as f32).to_le_bytes()),
+        Type::F64 => out.copy_from_slice(&v.as_f().to_le_bytes()),
+        Type::Ptr(_) => out.copy_from_slice(&v.as_ptr().0.to_le_bytes()),
+        Type::Void => unreachable!(),
+    }
+}
+
 /// One warp's execution context.
 ///
 /// Generic over the memory view `M`: a live `SharedRegion` for the serial
 /// (in-order) path, or a `ShadowRegion` snapshot + write-log when warps fan
 /// out over host threads. L3 traffic and trace events always go to
 /// [`Warp::log`] and are replayed in warp order at commit.
-pub struct Warp<'a, M: RegionMem> {
-    /// Module to execute (GPU-lowered).
-    pub module: &'a Module,
+pub(crate) struct Warp<'a, M: RegionMem> {
+    /// The decoded GPU module.
+    pub(crate) program: &'a Program,
     /// Shared memory (live or shadowed).
-    pub region: &'a mut M,
-    /// Timing parameters.
-    pub cfg: &'a GpuConfig,
-    /// Function metadata cache (shared across warps of a launch).
-    pub meta: &'a Mutex<MetaCache>,
-    /// Lane states (length = simd width).
-    pub lanes: Vec<Lane>,
-    /// Work-group local memory.
-    pub local: Vec<u8>,
-    /// EU this warp runs on.
-    pub eu: u32,
-    /// Scheduling wave (concurrent warps across EUs share a wave).
-    pub wave: u32,
+    pub(crate) region: &'a mut M,
+    /// Lane stacks, local memory, work-item ids and register slabs.
+    pub(crate) st: &'a mut WarpState,
     /// Accumulated timing (issue + private/local stall; L3 stall is added
     /// at commit from the log).
-    pub timing: WarpTiming,
+    pub(crate) timing: WarpTiming,
     /// Remaining warp-instruction budget.
-    pub step_budget: u64,
+    pub(crate) step_budget: u64,
     /// Effective latency-hiding factor: how many warps are resident per EU
     /// (1 ≤ hiding ≤ threads_per_eu). Under-occupied launches hide little
     /// latency, which is what sinks small irregular kernels on real GPUs.
-    pub hiding: f64,
+    pub(crate) hiding: f64,
     /// Whether to record sampled trace events into the log.
-    pub trace_enabled: bool,
+    pub(crate) trace_enabled: bool,
     /// Deferred L3 accesses and trace events, replayed at commit.
-    pub log: Vec<LogItem>,
+    pub(crate) log: Vec<LogItem>,
+    /// The line keys of the logged accesses, access after access.
+    pub(crate) lines: Vec<u64>,
     /// Running divergence count (sampling state).
-    pub divergences: u64,
+    pub(crate) divergences: u64,
     /// Running reconvergence count (sampling state).
-    pub reconvergences: u64,
+    pub(crate) reconvergences: u64,
     /// Next-frontier push segment of the enclosing worklist round, if any.
     /// `push(item)` appends here per active lane in lane order; `None`
     /// outside `parallel_worklist_hetero` (where the intrinsic traps).
-    pub wl: Option<Vec<i32>>,
+    pub(crate) wl: Option<Vec<i32>>,
 }
 
 impl<'a, M: RegionMem> Warp<'a, M> {
-    fn width(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Warp-relative cycle snapshot for log timestamps.
     fn ts_snap(&self) -> f64 {
         self.timing.issue + self.timing.stall
@@ -321,66 +569,36 @@ impl<'a, M: RegionMem> Warp<'a, M> {
 
     // ---- memory routing ----
 
-    fn local_read(&self, addr: u64, ty: Type) -> Result<Value, Trap> {
-        let off = (addr - LOCAL_BASE) as usize;
-        let size = ty.size() as usize;
-        if off + size > self.local.len() {
-            return Err(Trap::BadAddress { addr, space: AddrSpace::Local });
-        }
-        let b = &self.local[off..off + size];
-        Ok(match ty {
-            Type::I1 | Type::I8 => Value::I(b[0] as i8 as i64),
-            Type::I16 => Value::I(i16::from_le_bytes(b.try_into().unwrap()) as i64),
-            Type::I32 => Value::I(i32::from_le_bytes(b.try_into().unwrap()) as i64),
-            Type::I64 => Value::I(i64::from_le_bytes(b.try_into().unwrap())),
-            Type::F32 => Value::F(f32::from_le_bytes(b.try_into().unwrap()) as f64),
-            Type::F64 => Value::F(f64::from_le_bytes(b.try_into().unwrap())),
-            Type::Ptr(_) => {
-                let raw = u64::from_le_bytes(b.try_into().unwrap());
-                Value::Ptr(raw, classify_value(raw))
-            }
-            Type::Void => unreachable!(),
-        })
-    }
-
-    fn local_write(&mut self, addr: u64, v: Value, ty: Type) -> Result<(), Trap> {
-        let off = (addr - LOCAL_BASE) as usize;
-        let size = ty.size() as usize;
-        if off + size > self.local.len() {
-            return Err(Trap::BadAddress { addr, space: AddrSpace::Local });
-        }
-        let bytes: Vec<u8> = match ty {
-            Type::I1 | Type::I8 => vec![v.as_i() as u8],
-            Type::I16 => (v.as_i() as i16).to_le_bytes().to_vec(),
-            Type::I32 => (v.as_i() as i32).to_le_bytes().to_vec(),
-            Type::I64 => v.as_i().to_le_bytes().to_vec(),
-            Type::F32 => (v.as_f() as f32).to_le_bytes().to_vec(),
-            Type::F64 => v.as_f().to_le_bytes().to_vec(),
-            Type::Ptr(_) => v.as_ptr().0.to_le_bytes().to_vec(),
-            Type::Void => unreachable!(),
-        };
-        self.local[off..off + bytes.len()].copy_from_slice(&bytes);
-        Ok(())
-    }
-
     fn lane_read(&mut self, lane: usize, addr: u64, ty: Type) -> Result<Value, Trap> {
+        let len = ty.size() as usize;
         match gpu_classify(addr)? {
             GpuSpace::Private => {
-                let v = self.lanes[lane].private.read(addr, ty)?;
-                Ok(retag(v, ty))
+                Ok(load_value(&self.st.stacks[self.st.private(lane, addr, len)?], ty))
             }
-            GpuSpace::Local => self.local_read(addr, ty),
-            GpuSpace::Shared => {
-                let v = self.region.read_val(addr, AddrSpace::Gpu, ty)?;
-                Ok(retag(v, ty))
-            }
+            GpuSpace::Local => Ok(load_value(&self.st.local[self.st.local(addr, len)?], ty)),
+            GpuSpace::Shared => match self.region.read_val(addr, AddrSpace::Gpu, ty)? {
+                Value::Ptr(raw, _) if ty.is_ptr() => Ok(Value::Ptr(raw, classify_value(raw))),
+                v => Ok(v),
+            },
         }
     }
 
     fn lane_write(&mut self, lane: usize, addr: u64, v: Value, ty: Type) -> Result<(), Trap> {
+        let len = ty.size() as usize;
         match gpu_classify(addr)? {
-            GpuSpace::Private => self.lanes[lane].private.write(addr, v, ty),
-            GpuSpace::Local => self.local_write(addr, v, ty),
+            GpuSpace::Private => {
+                let bytes = self.st.private(lane, addr, len)?;
+                let dirty = bytes.end - lane * self.st.stack_bytes;
+                store_value(v, ty, &mut self.st.stacks[bytes]);
+                self.st.stack_dirty[lane] = self.st.stack_dirty[lane].max(dirty);
+                Ok(())
+            }
+            GpuSpace::Local => {
+                let bytes = self.st.local(addr, len)?;
+                self.st.local_dirty = self.st.local_dirty.max(bytes.end);
+                store_value(v, ty, &mut self.st.local[bytes]);
+                Ok(())
+            }
             GpuSpace::Shared => self.region.write_val(addr, AddrSpace::Gpu, v, ty),
         }
     }
@@ -389,27 +607,34 @@ impl<'a, M: RegionMem> Warp<'a, M> {
     /// addresses; shared accesses coalesce to unique lines. Private/local
     /// cost is charged live; the coalesced line set is logged and charged
     /// against the shared L3 at commit, in warp order.
-    fn charge_access(&mut self, addrs: &[(usize, u64)]) {
-        let mut lines: BTreeSet<u64> = BTreeSet::new();
-        let mut cheap = 0usize;
-        for &(_, addr) in addrs {
-            match gpu_classify(addr) {
-                Ok(GpuSpace::Shared) => {
-                    lines.insert(addr >> 6);
-                }
-                _ => cheap += 1,
+    fn charge_access(&mut self, addrs: &[u64]) {
+        let mut lines = [0u64; MAX_WIDTH];
+        let mut shared = 0;
+        for &addr in addrs {
+            if addr >= GPU_BASE {
+                lines[shared] = addr >> 6;
+                shared += 1;
             }
         }
-        if cheap > 0 {
+        if shared < addrs.len() {
             // Private/local: on-chip, fast, no coalescing concerns.
             self.timing.stall += 1.0;
         }
-        if !lines.is_empty() {
-            let shared_lanes = addrs.len() - cheap;
+        if shared > 0 {
+            let lines = &mut lines[..shared];
+            lines.sort_unstable();
+            let mut unique = 1;
+            for i in 1..shared {
+                if lines[i] != lines[unique - 1] {
+                    lines[unique] = lines[i];
+                    unique += 1;
+                }
+            }
+            self.lines.extend_from_slice(&lines[..unique]);
             let ts_snap = self.ts_snap();
             self.log.push(LogItem::Access {
-                lines: lines.into_iter().collect(),
-                shared_lanes,
+                lines: unique as u32,
+                shared_lanes: shared as u32,
                 ts_snap,
             });
         }
@@ -417,481 +642,344 @@ impl<'a, M: RegionMem> Warp<'a, M> {
 
     // ---- execution ----
 
-    /// Execute `fid` in lockstep for the lanes in `mask`. `args[lane]` are
-    /// that lane's arguments. Returns per-lane return values.
+    /// Execute `fid` in lockstep for the lanes in `mask`. `args` is the
+    /// call's argument slab, `[argument][lane]`; afterwards the frame at
+    /// `depth` holds each lane's return value.
     ///
     /// # Errors
     ///
     /// Any [`Trap`], including CPU-space dereferences (missing SVM
     /// translations) and un-devirtualized virtual calls.
-    pub fn exec_function(
+    pub(crate) fn exec(
         &mut self,
         mask: Mask,
         fid: FuncId,
-        args: &[Vec<Value>],
+        args: &[Value],
         depth: u32,
-    ) -> Result<Vec<Option<Value>>, Trap> {
+    ) -> Result<(), Trap> {
         if depth > 48 {
             return Err(Trap::StackOverflow);
         }
-        let meta = self.meta.lock().expect("meta cache poisoned").get(self.module, fid).clone();
-        let f = self.module.function(fid);
-        let width = self.width();
-        let mut regs: Vec<Vec<Option<Value>>> = (0..width)
-            .map(|l| {
-                let mut r = vec![None; f.insts.len()];
-                if mask & (1 << l) != 0 {
-                    for (i, &a) in args[l].iter().enumerate() {
-                        if i < f.params.len() {
-                            r[i] = Some(a);
-                        }
-                    }
+        let program = self.program;
+        let func = program.func(fid);
+        let d = depth as usize;
+        if self.st.frames.len() <= d {
+            self.st.frames.resize_with(d + 1, Frame::default);
+        }
+        let mut fr = std::mem::take(&mut self.st.frames[d]);
+        fr.enter(func, self.st.width, mask, args);
+        // Per-lane stack frames (active lanes only), popped on every exit.
+        for l in lanes(mask) {
+            fr.saved_sp[l] = self.st.sp[l];
+        }
+        let mut result = Ok(());
+        for l in lanes(mask) {
+            match self.st.push_frame(l, func.frame_size) {
+                Ok(base) => fr.frame_base[l] = PRIVATE_BASE + base,
+                Err(t) => {
+                    result = Err(t);
+                    break;
                 }
-                r
-            })
-            .collect();
-        // Per-lane stack frames (active lanes only).
-        let mut frame_base = vec![0u64; width];
-        let mut saved_sp = vec![0u64; width];
-        for l in 0..width {
-            if mask & (1 << l) != 0 {
-                let sp = self.lanes[l].private.sp();
-                saved_sp[l] = sp;
-                let base = self.lanes[l].private.push_frame_public(meta.layout.size)?;
-                frame_base[l] = PRIVATE_BASE + (base.div_ceil(16) * 16);
             }
         }
-        let nblocks = f.blocks.len();
-        let mut pending: Vec<Mask> = vec![0; nblocks];
-        pending[f.entry().0 as usize] = mask;
-        let mut prev: Vec<BlockId> = vec![f.entry(); width];
-        let mut rets: Vec<Option<Value>> = vec![None; width];
+        if result.is_ok() {
+            result = self.run(&mut fr, func, args, depth);
+        }
+        for l in lanes(mask) {
+            self.st.sp[l] = fr.saved_sp[l];
+        }
+        self.st.frames[d] = fr;
+        result
+    }
+
+    /// Run `func`'s blocks until no lane waits at any of them.
+    fn run(&mut self, fr: &mut Frame, func: &Func, args: &[Value], depth: u32) -> Result<(), Trap> {
+        let width = self.st.width;
         // Active-lane count of the previously executed block; a jump back up
         // (more lanes than last time) means divergent paths rejoined here.
         let mut last_active: u32 = 0;
-
-        let result = 'run: loop {
-            // Pick the pending block with the lowest priority index.
-            let mut best: Option<usize> = None;
-            for (b, &waiting) in pending.iter().enumerate() {
-                if waiting != 0 {
-                    best = match best {
-                        None => Some(b),
-                        Some(cur) if meta.priority[b] < meta.priority[cur] => Some(b),
-                        keep => keep,
-                    };
-                }
-            }
-            let Some(bi) = best else { break 'run Ok(()) };
-            let block = BlockId(bi as u32);
-            let m = std::mem::take(&mut pending[bi]);
+        'blocks: while let Some((b, m)) = fr.next_block() {
+            let block = &func.blocks[b];
             let act = m.count_ones();
             if act > last_active && last_active > 0 {
-                self.note_reconverge(&f.name, block, last_active, act);
+                self.note_reconverge(&func.name, block.id, last_active, act);
             }
             last_active = act;
-
-            // Phi group: parallel per-lane reads.
-            let insts = f.block(block).insts.clone();
-            let mut phi_end = 0;
-            let mut phi_updates: Vec<(ValueId, usize, Value)> = Vec::new();
-            for &id in &insts {
-                let Op::Phi(incoming) = &f.inst(id).op else { break };
-                for l in 0..width {
-                    if m & (1 << l) == 0 {
-                        continue;
-                    }
-                    let (_, v) = incoming
-                        .iter()
-                        .find(|(pb, _)| *pb == prev[l])
-                        .expect("phi covers predecessor (verified IR)");
-                    let val = regs[l][v.0 as usize].ok_or(Trap::Unreachable)?;
-                    phi_updates.push((id, l, val));
-                }
-                phi_end += 1;
-                // Phis are register renames, not executed instructions.
-                self.issue(0.25);
+            if block.phis > 0 {
+                self.phis(fr, func, block)?;
             }
-            for (id, l, v) in phi_updates {
-                regs[l][id.0 as usize] = Some(v);
-            }
-
-            let mut terminated = false;
-            for &id in insts.iter().skip(phi_end) {
+            for inst in &func.ops[block.ops.0 as usize..block.ops.1 as usize] {
                 if self.step_budget == 0 {
-                    let lane = active(m, width).next().unwrap_or(0);
-                    break 'run Err(Trap::StepLimitExceeded {
-                        kernel: f.name.clone(),
-                        global_id: self.lanes[lane].ids.global,
+                    return Err(Trap::StepLimitExceeded {
+                        kernel: func.name.clone(),
+                        global_id: self.st.ids[m.trailing_zeros() as usize].global,
                     });
                 }
                 self.step_budget -= 1;
-                let inst = f.inst(id);
-                match &inst.op {
-                    Op::Param(i) => {
-                        self.issue(0.25);
-                        for l in active(m, width) {
-                            regs[l][id.0 as usize] = Some(args[l][*i as usize]);
-                        }
+                if let Some(cycles) = inst.issue {
+                    self.issue(cycles);
+                }
+                let d = inst.dst;
+                match inst.kind {
+                    Kind::Param(i) => {
+                        let i = i as usize * width;
+                        fr.regs.define(m, d, |_, l| Ok(args[i + l]))?;
                     }
-                    Op::ConstInt(v) => {
-                        self.issue(0.25);
-                        let val = match inst.ty {
-                            Type::Ptr(sp) => Value::Ptr(*v as u64, sp),
-                            _ => Value::I(*v),
-                        };
-                        for l in active(m, width) {
-                            regs[l][id.0 as usize] = Some(val);
-                        }
+                    Kind::Alloca(off) => {
+                        let base = &fr.frame_base;
+                        let ptr = |l: usize| Value::Ptr(base[l] + off, AddrSpace::Private);
+                        fr.regs.define(m, d, |_, l| Ok(ptr(l)))?;
                     }
-                    Op::ConstFloat(v) => {
-                        self.issue(0.25);
-                        let v = if inst.ty == Type::F32 { *v as f32 as f64 } else { *v };
-                        for l in active(m, width) {
-                            regs[l][id.0 as usize] = Some(Value::F(v));
-                        }
-                    }
-                    Op::ConstNull => {
-                        self.issue(0.25);
-                        let sp = inst.ty.addr_space().unwrap_or(AddrSpace::Cpu);
-                        for l in active(m, width) {
-                            regs[l][id.0 as usize] = Some(Value::Ptr(0, sp));
-                        }
-                    }
-                    Op::Bin(op, a, b) => {
-                        self.issue(bin_issue(*op));
-                        for l in active(m, width) {
-                            let av = regs[l][a.0 as usize].ok_or(Trap::Unreachable)?;
-                            let bv = regs[l][b.0 as usize].ok_or(Trap::Unreachable)?;
-                            regs[l][id.0 as usize] = Some(eval_bin(*op, av, bv, inst.ty)?);
-                        }
-                    }
-                    Op::Icmp(p, a, b) => {
-                        self.issue(1.0);
-                        for l in active(m, width) {
-                            let av = regs[l][a.0 as usize].ok_or(Trap::Unreachable)?;
-                            let bv = regs[l][b.0 as usize].ok_or(Trap::Unreachable)?;
-                            regs[l][id.0 as usize] = Some(eval_icmp(*p, av, bv));
-                        }
-                    }
-                    Op::Fcmp(p, a, b) => {
-                        self.issue(1.0);
-                        for l in active(m, width) {
-                            let av = regs[l][a.0 as usize].ok_or(Trap::Unreachable)?;
-                            let bv = regs[l][b.0 as usize].ok_or(Trap::Unreachable)?;
-                            regs[l][id.0 as usize] = Some(eval_fcmp(*p, av, bv));
-                        }
-                    }
-                    Op::Cast(op, a) => {
-                        self.issue(1.0);
-                        let from = f.inst(*a).ty;
-                        for l in active(m, width) {
-                            let av = regs[l][a.0 as usize].ok_or(Trap::Unreachable)?;
-                            regs[l][id.0 as usize] = Some(eval_cast(*op, av, from, inst.ty));
-                        }
-                    }
-                    Op::Select(c, a, b) => {
-                        self.issue(1.0);
-                        for l in active(m, width) {
-                            let cv = regs[l][c.0 as usize].ok_or(Trap::Unreachable)?;
-                            let pick = if cv.as_bool() { a } else { b };
-                            regs[l][id.0 as usize] =
-                                Some(regs[l][pick.0 as usize].ok_or(Trap::Unreachable)?);
-                        }
-                    }
-                    Op::Alloca { .. } => {
-                        self.issue(1.0);
-                        let off = meta.layout.offsets[&id];
-                        for l in active(m, width) {
-                            regs[l][id.0 as usize] =
-                                Some(Value::Ptr(frame_base[l] + off, AddrSpace::Private));
-                        }
-                    }
-                    Op::Load(p) => {
-                        self.issue(1.0);
-                        let mut addrs = Vec::new();
-                        for l in active(m, width) {
-                            let (addr, _) =
-                                regs[l][p.0 as usize].ok_or(Trap::Unreachable)?.as_ptr();
-                            addrs.push((l, addr));
-                        }
-                        self.charge_access(&addrs);
-                        for (l, addr) in addrs {
-                            let v = self.lane_read(l, addr, inst.ty)?;
-                            regs[l][id.0 as usize] = Some(v);
-                        }
-                    }
-                    Op::Store { ptr, val } => {
-                        self.issue(1.0);
-                        let ty = f.inst(*val).ty;
-                        let mut ops = Vec::new();
-                        for l in active(m, width) {
-                            let (addr, _) =
-                                regs[l][ptr.0 as usize].ok_or(Trap::Unreachable)?.as_ptr();
-                            let v = regs[l][val.0 as usize].ok_or(Trap::Unreachable)?;
-                            ops.push((l, addr, v));
-                        }
-                        let addrs: Vec<(usize, u64)> =
-                            ops.iter().map(|&(l, a, _)| (l, a)).collect();
-                        self.charge_access(&addrs);
-                        for (l, addr, v) in ops {
-                            self.lane_write(l, addr, v, ty)?;
-                        }
-                    }
-                    Op::Gep { base, offset } => {
-                        self.issue(1.0);
-                        for l in active(m, width) {
-                            let (addr, sp) =
-                                regs[l][base.0 as usize].ok_or(Trap::Unreachable)?.as_ptr();
-                            let off = regs[l][offset.0 as usize].ok_or(Trap::Unreachable)?.as_i();
-                            regs[l][id.0 as usize] =
-                                Some(Value::Ptr(addr.wrapping_add(off as u64), sp));
-                        }
-                    }
-                    Op::CpuToGpu(p) => {
-                        // §3.1: a software translation is a short arithmetic
-                        // sequence (binding-table base + offset add), not a
-                        // single op.
-                        self.issue(3.0);
+                    Kind::Load(ty, p) => self.load(fr, m, d, ty, p)?,
+                    Kind::Store(ty, p, v) => self.store(fr, m, ty, p, v)?,
+                    Kind::CpuToGpu(p) => {
                         self.timing.translations += 1;
-                        for l in active(m, width) {
-                            let (addr, sp) =
-                                regs[l][p.0 as usize].ok_or(Trap::Unreachable)?.as_ptr();
-                            let v = match sp {
-                                AddrSpace::Cpu if addr != 0 => Value::Ptr(
-                                    addr.wrapping_add(concord_svm::SVM_CONST),
-                                    AddrSpace::Gpu,
-                                ),
-                                _ => Value::Ptr(addr, sp),
-                            };
-                            regs[l][id.0 as usize] = Some(v);
-                        }
+                        fr.regs.map1(m, d, p, |v| {
+                            Ok(match v.as_ptr() {
+                                (addr, AddrSpace::Cpu) if addr != 0 => {
+                                    Value::Ptr(addr.wrapping_add(SVM_CONST), AddrSpace::Gpu)
+                                }
+                                (addr, sp) => Value::Ptr(addr, sp),
+                            })
+                        })?;
                     }
-                    Op::GpuToCpu(p) => {
-                        self.issue(3.0);
+                    Kind::GpuToCpu(p) => {
                         self.timing.translations += 1;
-                        for l in active(m, width) {
-                            let (addr, sp) =
-                                regs[l][p.0 as usize].ok_or(Trap::Unreachable)?.as_ptr();
-                            let v = match sp {
-                                AddrSpace::Gpu if addr != 0 => Value::Ptr(
-                                    addr.wrapping_sub(concord_svm::SVM_CONST),
-                                    AddrSpace::Cpu,
-                                ),
-                                _ => Value::Ptr(addr, sp),
-                            };
-                            regs[l][id.0 as usize] = Some(v);
+                        fr.regs.map1(m, d, p, |v| {
+                            Ok(match v.as_ptr() {
+                                (addr, AddrSpace::Gpu) if addr != 0 => {
+                                    Value::Ptr(addr.wrapping_sub(SVM_CONST), AddrSpace::Cpu)
+                                }
+                                (addr, sp) => Value::Ptr(addr, sp),
+                            })
+                        })?;
+                    }
+                    Kind::Call { callee, args, returns } => {
+                        let args =
+                            fr.gather(&func.operands[args.0 as usize..args.1 as usize], m)?;
+                        self.exec(m, callee, args, depth + 1)?;
+                        if returns {
+                            let callee = &self.st.frames[depth as usize + 1];
+                            if callee.returned & m != m {
+                                return Err(Trap::Unreachable);
+                            }
+                            fr.regs.define(m, d, |_, l| Ok(callee.rets[l]))?;
                         }
                     }
-                    Op::Phi(_) => unreachable!("phi group handled at block entry"),
-                    Op::Call { callee, args: cargs } => {
-                        self.issue(2.0);
-                        let mut call_args: Vec<Vec<Value>> = vec![Vec::new(); width];
-                        for l in active(m, width) {
-                            for a in cargs {
-                                call_args[l].push(regs[l][a.0 as usize].ok_or(Trap::Unreachable)?);
-                            }
-                        }
-                        let res = self.exec_function(m, *callee, &call_args, depth + 1)?;
-                        if inst.ty != Type::Void {
-                            for l in active(m, width) {
-                                regs[l][id.0 as usize] = Some(res[l].ok_or(Trap::Unreachable)?);
-                            }
-                        }
-                    }
-                    Op::CallVirtual { obj, .. } => {
+                    Kind::CallVirtual(obj) => {
                         // The GPU has no function pointers; reaching an
                         // un-devirtualized call is a pipeline bug.
-                        let l = active(m, width).next().ok_or(Trap::Unreachable)?;
-                        let (vaddr, _) = regs[l][obj.0 as usize].ok_or(Trap::Unreachable)?.as_ptr();
-                        break 'run Err(Trap::BadVirtualDispatch { vptr: vaddr });
+                        let l = m.trailing_zeros() as usize;
+                        fr.regs.need(1 << l, obj)?;
+                        let (vptr, _) = fr.regs.get(obj, l).as_ptr();
+                        return Err(Trap::BadVirtualDispatch { vptr });
                     }
-                    Op::IntrinsicCall(intr, iargs) => {
-                        self.exec_intrinsic(*intr, iargs, id, inst.ty, m, &mut regs, width)?;
+                    Kind::Intrinsic(intr, range, ty) => {
+                        let iargs = &func.operands[range.0 as usize..range.1 as usize];
+                        self.intrinsic(fr, intr, iargs, d, ty, m)?;
                     }
-                    Op::Br(t) => {
-                        self.issue(1.0);
-                        for l in active(m, width) {
-                            prev[l] = block;
-                        }
-                        pending[t.0 as usize] |= m;
-                        terminated = true;
-                        break;
+                    Kind::Br(t, edge) => {
+                        fr.wake(t, edge, m);
+                        continue 'blocks;
                     }
-                    Op::CondBr(c, t, e) => {
-                        self.issue(1.0);
+                    Kind::CondBr { cond, then, els } => {
+                        fr.regs.need(m, cond)?;
                         let mut mt: Mask = 0;
-                        let mut me: Mask = 0;
-                        for l in active(m, width) {
-                            let cv = regs[l][c.0 as usize].ok_or(Trap::Unreachable)?;
-                            if cv.as_bool() {
+                        for l in lanes(m) {
+                            if fr.regs.get(cond, l).as_bool() {
                                 mt |= 1 << l;
-                            } else {
-                                me |= 1 << l;
                             }
-                            prev[l] = block;
                         }
-                        if mt != 0 {
-                            pending[t.0 as usize] |= mt;
-                        }
-                        if me != 0 {
-                            pending[e.0 as usize] |= me;
-                        }
+                        let me = m & !mt;
+                        fr.wake(then.0, then.1, mt);
+                        fr.wake(els.0, els.1, me);
                         if mt != 0 && me != 0 {
-                            self.note_divergence(&f.name, block, mt, me);
+                            self.note_divergence(&func.name, block.id, mt, me);
                         }
-                        terminated = true;
-                        break;
+                        continue 'blocks;
                     }
-                    Op::Ret(v) => {
-                        self.issue(1.0);
-                        for l in active(m, width) {
-                            rets[l] = match v {
-                                Some(v) => Some(regs[l][v.0 as usize].ok_or(Trap::Unreachable)?),
-                                None => Some(Value::I(0)),
-                            };
+                    Kind::Ret(v) => {
+                        if let Some(v) = v {
+                            fr.regs.need(m, v)?;
                         }
-                        terminated = true;
-                        break;
+                        for l in lanes(m) {
+                            fr.rets[l] = v.map_or(Value::I(0), |v| fr.regs.get(v, l));
+                        }
+                        fr.returned |= m;
+                        continue 'blocks;
                     }
-                    Op::Unreachable => break 'run Err(Trap::Unreachable),
+                    Kind::Unreachable => return Err(Trap::Unreachable),
+                    Kind::StrayPhi => unreachable!("phi group handled at block entry"),
+                    _ => fr.regs.alu(inst, m)?,
                 }
             }
-            if !terminated {
-                break 'run Err(Trap::Unreachable);
-            }
-        };
-        // Pop frames.
-        for (l, &sp) in saved_sp.iter().enumerate() {
-            if mask & (1 << l) != 0 {
-                self.lanes[l].private.set_sp(sp);
-            }
-        }
-        result?;
-        Ok(rets)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exec_intrinsic(
-        &mut self,
-        intr: Intrinsic,
-        iargs: &[ValueId],
-        id: ValueId,
-        ty: Type,
-        m: Mask,
-        regs: &mut [Vec<Option<Value>>],
-        width: usize,
-    ) -> Result<(), Trap> {
-        let f32r = |x: f64| Value::F(x as f32 as f64);
-        let issue = match intr {
-            Intrinsic::Sqrt => 4.0,
-            Intrinsic::Exp => 8.0,
-            Intrinsic::Pow => 12.0,
-            Intrinsic::Barrier => 2.0,
-            Intrinsic::AtomicAddI32 | Intrinsic::AtomicMinI32 | Intrinsic::AtomicCasI32 => 2.0,
-            Intrinsic::WlPush => 2.0,
-            _ => 1.0,
-        };
-        self.issue(issue);
-        if intr == Intrinsic::WlPush {
-            // Per-lane append into the warp's next-frontier segment, in
-            // lane order. The ordered commit sorts and dedups the merged
-            // segments, so frontier contents don't depend on the warp
-            // schedule — shadowed execution is safe here.
-            for l in active(m, width) {
-                let item = regs[l][iargs[0].0 as usize].ok_or(Trap::Unreachable)?.as_i() as i32;
-                match &mut self.wl {
-                    Some(seg) => seg.push(item),
-                    None => {
-                        return Err(Trap::BadIntrinsic("push outside parallel_worklist_hetero"))
-                    }
-                }
-            }
-            return Ok(());
-        }
-        if intr == Intrinsic::DeviceMalloc {
-            // Serialized atomic bump per requesting lane. (Gated to the
-            // serial path, so `M` is always the live region here.)
-            let hiding = self.hiding;
-            for l in active(m, width) {
-                let size =
-                    regs[l][iargs[0].0 as usize].ok_or(Trap::Unreachable)?.as_i().max(0) as u64;
-                self.timing.stall += 20.0 / hiding;
-                let addr = self.region.device_alloc(size)?;
-                regs[l][id.0 as usize] = Some(Value::Ptr(addr.0, AddrSpace::Cpu));
-            }
-            return Ok(());
-        }
-        if matches!(
-            intr,
-            Intrinsic::AtomicAddI32 | Intrinsic::AtomicMinI32 | Intrinsic::AtomicCasI32
-        ) {
-            let kind = match intr {
-                Intrinsic::AtomicAddI32 => AtomicKind::Add,
-                Intrinsic::AtomicMinI32 => AtomicKind::Min,
-                Intrinsic::AtomicCasI32 => AtomicKind::Cas,
-                _ => unreachable!(),
-            };
-            // Atomics serialize across lanes.
-            let hiding = self.hiding;
-            for l in active(m, width) {
-                let (addr, _) = regs[l][iargs[0].0 as usize].ok_or(Trap::Unreachable)?.as_ptr();
-                let a1 = regs[l][iargs[1].0 as usize].ok_or(Trap::Unreachable)?.as_i();
-                let a2 = iargs
-                    .get(2)
-                    .map(|v| regs[l][v.0 as usize].ok_or(Trap::Unreachable).map(|x| x.as_i()))
-                    .transpose()?
-                    .unwrap_or(0);
-                self.timing.stall += 20.0 / hiding;
-                let old = match gpu_classify(addr)? {
-                    // Shared memory goes through the region view so
-                    // shadowed execution logs the *operation* and replays
-                    // it against committed state (global min/add stay
-                    // correct across warps).
-                    GpuSpace::Shared => {
-                        self.region.atomic_i32(addr, AddrSpace::Gpu, kind, a1, a2)?
-                    }
-                    _ => {
-                        let old = self.lane_read(l, addr, Type::I32)?.as_i();
-                        let new = apply_rmw(kind, old, a1, a2);
-                        self.lane_write(l, addr, Value::I(new), Type::I32)?;
-                        old
-                    }
-                };
-                regs[l][id.0 as usize] = Some(Value::I(old));
-            }
-            return Ok(());
-        }
-        for l in active(m, width) {
-            let arg = |k: usize| -> Result<Value, Trap> {
-                regs[l][iargs[k].0 as usize].ok_or(Trap::Unreachable)
-            };
-            let v = match intr {
-                Intrinsic::GlobalId => Value::I(self.lanes[l].ids.global),
-                Intrinsic::GlobalSize => Value::I(self.lanes[l].ids.size),
-                Intrinsic::LocalId => Value::I(self.lanes[l].ids.local),
-                Intrinsic::GroupId => Value::I(self.lanes[l].ids.group),
-                Intrinsic::Barrier => Value::I(0), // warp-synchronous
-                Intrinsic::Sqrt => f32r(arg(0)?.as_f().sqrt()),
-                Intrinsic::FAbs => f32r(arg(0)?.as_f().abs()),
-                Intrinsic::Floor => f32r(arg(0)?.as_f().floor()),
-                Intrinsic::Exp => f32r(arg(0)?.as_f().exp()),
-                Intrinsic::Pow => f32r(arg(0)?.as_f().powf(arg(1)?.as_f())),
-                Intrinsic::FMin => f32r(arg(0)?.as_f().min(arg(1)?.as_f())),
-                Intrinsic::FMax => f32r(arg(0)?.as_f().max(arg(1)?.as_f())),
-                Intrinsic::SMin => Value::I(arg(0)?.as_i().min(arg(1)?.as_i())),
-                Intrinsic::SMax => Value::I(arg(0)?.as_i().max(arg(1)?.as_i())),
-                Intrinsic::AtomicAddI32
-                | Intrinsic::AtomicMinI32
-                | Intrinsic::AtomicCasI32
-                | Intrinsic::DeviceMalloc
-                | Intrinsic::WlPush => unreachable!("handled above"),
-            };
-            if ty != Type::Void {
-                regs[l][id.0 as usize] = Some(v);
-            }
+            // The block fell off its end without a terminator.
+            return Err(Trap::Unreachable);
         }
         Ok(())
+    }
+
+    /// The block's phi group: per incoming edge, read every source for the
+    /// lanes that took it, then write every destination.
+    fn phis(&mut self, fr: &mut Frame, func: &Func, block: &Block) -> Result<(), Trap> {
+        let width = self.st.width;
+        for e in block.edges.0..block.edges.1 {
+            let m = std::mem::take(&mut fr.arrived[e as usize]);
+            if m == 0 {
+                continue;
+            }
+            let (start, end) = func.edges[e as usize];
+            let copies = &func.copies[start as usize..end as usize];
+            for (k, &(_, src)) in copies.iter().enumerate() {
+                assert!(src != NO_SRC, "phi covers predecessor (verified IR)");
+                fr.regs.need(m, src)?;
+                for l in lanes(m) {
+                    fr.staged[k * width + l] = fr.regs.get(src, l);
+                }
+            }
+            for (k, &(dst, _)) in copies.iter().enumerate() {
+                let staged = &fr.staged[k * width..];
+                fr.regs.define(m, dst, |_, l| Ok(staged[l]))?;
+            }
+        }
+        // Phis are register renames, not executed instructions.
+        for _ in 0..block.phis {
+            self.issue(0.25);
+        }
+        Ok(())
+    }
+
+    fn load(&mut self, fr: &mut Frame, m: Mask, d: Slot, ty: Type, p: Slot) -> Result<(), Trap> {
+        fr.regs.need(m, p)?;
+        let (addrs, n) = fr.regs.addresses(m, p);
+        self.charge_access(&addrs[..n]);
+        for (l, &addr) in lanes(m).zip(&addrs[..n]) {
+            let v = self.lane_read(l, addr, ty)?;
+            fr.regs.set(d, l, v);
+        }
+        fr.regs.defined[d as usize] |= m;
+        Ok(())
+    }
+
+    fn store(&mut self, fr: &Frame, m: Mask, ty: Type, p: Slot, v: Slot) -> Result<(), Trap> {
+        fr.regs.need(m, p)?;
+        fr.regs.need(m, v)?;
+        let (addrs, n) = fr.regs.addresses(m, p);
+        self.charge_access(&addrs[..n]);
+        for (l, &addr) in lanes(m).zip(&addrs[..n]) {
+            self.lane_write(l, addr, fr.regs.get(v, l), ty)?;
+        }
+        Ok(())
+    }
+
+    fn intrinsic(
+        &mut self,
+        fr: &mut Frame,
+        intr: Intrinsic,
+        iargs: &[Slot],
+        d: Slot,
+        ty: Type,
+        m: Mask,
+    ) -> Result<(), Trap> {
+        for &a in iargs {
+            fr.regs.need(m, a)?;
+        }
+        let arg = |regs: &Regs, k: usize, l: usize| regs.get(iargs[k], l);
+        let hiding = self.hiding;
+        match intr {
+            Intrinsic::WlPush => {
+                // Per-lane append into the warp's next-frontier segment, in
+                // lane order. The ordered commit sorts and dedups the merged
+                // segments, so frontier contents don't depend on the warp
+                // schedule — shadowed execution is safe here.
+                for l in lanes(m) {
+                    let item = arg(&fr.regs, 0, l).as_i() as i32;
+                    match &mut self.wl {
+                        Some(seg) => seg.push(item),
+                        None => {
+                            return Err(Trap::BadIntrinsic("push outside parallel_worklist_hetero"))
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Intrinsic::DeviceMalloc => {
+                // Serialized atomic bump per requesting lane. (Gated to the
+                // serial path, so `M` is always the live region here.)
+                for l in lanes(m) {
+                    let size = arg(&fr.regs, 0, l).as_i().max(0) as u64;
+                    self.timing.stall += 20.0 / hiding;
+                    let addr = self.region.device_alloc(size)?;
+                    fr.regs.set(d, l, Value::Ptr(addr.0, AddrSpace::Cpu));
+                }
+                fr.regs.defined[d as usize] |= m;
+                Ok(())
+            }
+            Intrinsic::AtomicAddI32 | Intrinsic::AtomicMinI32 | Intrinsic::AtomicCasI32 => {
+                let kind = match intr {
+                    Intrinsic::AtomicAddI32 => AtomicKind::Add,
+                    Intrinsic::AtomicMinI32 => AtomicKind::Min,
+                    _ => AtomicKind::Cas,
+                };
+                // Atomics serialize across lanes.
+                for l in lanes(m) {
+                    let (addr, _) = arg(&fr.regs, 0, l).as_ptr();
+                    let a1 = arg(&fr.regs, 1, l).as_i();
+                    let a2 = if iargs.len() > 2 { arg(&fr.regs, 2, l).as_i() } else { 0 };
+                    self.timing.stall += 20.0 / hiding;
+                    let old = match gpu_classify(addr)? {
+                        // Shared memory goes through the region view so
+                        // shadowed execution logs the *operation* and
+                        // replays it against committed state (global
+                        // min/add stay correct across warps).
+                        GpuSpace::Shared => {
+                            self.region.atomic_i32(addr, AddrSpace::Gpu, kind, a1, a2)?
+                        }
+                        _ => {
+                            let old = self.lane_read(l, addr, Type::I32)?.as_i();
+                            let new = apply_rmw(kind, old, a1, a2);
+                            self.lane_write(l, addr, Value::I(new), Type::I32)?;
+                            old
+                        }
+                    };
+                    fr.regs.set(d, l, Value::I(old));
+                }
+                fr.regs.defined[d as usize] |= m;
+                Ok(())
+            }
+            _ => {
+                let f32r = |x: f64| Value::F(x as f32 as f64);
+                let ids = &self.st.ids;
+                let value = |regs: &Regs, l: usize| {
+                    let a = |k| arg(regs, k, l);
+                    match intr {
+                        Intrinsic::GlobalId => Value::I(ids[l].global),
+                        Intrinsic::GlobalSize => Value::I(ids[l].size),
+                        Intrinsic::LocalId => Value::I(ids[l].local),
+                        Intrinsic::GroupId => Value::I(ids[l].group),
+                        Intrinsic::Barrier => Value::I(0), // warp-synchronous
+                        Intrinsic::Sqrt => f32r(a(0).as_f().sqrt()),
+                        Intrinsic::FAbs => f32r(a(0).as_f().abs()),
+                        Intrinsic::Floor => f32r(a(0).as_f().floor()),
+                        Intrinsic::Exp => f32r(a(0).as_f().exp()),
+                        Intrinsic::Pow => f32r(a(0).as_f().powf(a(1).as_f())),
+                        Intrinsic::FMin => f32r(a(0).as_f().min(a(1).as_f())),
+                        Intrinsic::FMax => f32r(a(0).as_f().max(a(1).as_f())),
+                        Intrinsic::SMin => Value::I(a(0).as_i().min(a(1).as_i())),
+                        Intrinsic::SMax => Value::I(a(0).as_i().max(a(1).as_i())),
+                        Intrinsic::AtomicAddI32
+                        | Intrinsic::AtomicMinI32
+                        | Intrinsic::AtomicCasI32
+                        | Intrinsic::DeviceMalloc
+                        | Intrinsic::WlPush => unreachable!("handled above"),
+                    }
+                };
+                if ty == Type::Void {
+                    return Ok(());
+                }
+                fr.regs.define(m, d, |regs, l| Ok(value(regs, l)))
+            }
+        }
     }
 
     /// Copy bytes between memory spaces on behalf of `lane`, charging the
@@ -900,12 +988,18 @@ impl<'a, M: RegionMem> Warp<'a, M> {
     /// # Errors
     ///
     /// Memory faults.
-    pub fn lane_memcpy(&mut self, lane: usize, dst: u64, src: u64, size: u64) -> Result<(), Trap> {
+    pub(crate) fn lane_memcpy(
+        &mut self,
+        lane: usize,
+        dst: u64,
+        src: u64,
+        size: u64,
+    ) -> Result<(), Trap> {
         debug_assert!(size.is_multiple_of(8));
         for off in (0..size).step_by(8) {
-            self.charge_access(&[(lane, src + off)]);
+            self.charge_access(&[src + off]);
             let v = self.lane_read(lane, src + off, Type::I64)?;
-            self.charge_access(&[(lane, dst + off)]);
+            self.charge_access(&[dst + off]);
             self.lane_write(lane, dst + off, v, Type::I64)?;
             self.issue(0.5);
         }
@@ -913,23 +1007,19 @@ impl<'a, M: RegionMem> Warp<'a, M> {
     }
 }
 
-fn retag(v: Value, ty: Type) -> Value {
-    match (v, ty) {
-        (Value::Ptr(raw, _), Type::Ptr(_)) => Value::Ptr(raw, classify_value(raw)),
-        _ => v,
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use concord_ir::inst::BinOp;
 
-fn bin_issue(op: concord_ir::BinOp) -> f64 {
-    use concord_ir::BinOp::*;
-    match op {
-        SDiv | UDiv | SRem | URem => 8.0,
-        FDiv => 4.0,
-        _ => 1.0,
+    #[test]
+    fn undefined_operands_trap_unreachable() {
+        let mut regs = Regs::default();
+        regs.reset(16, 3);
+        regs.defined[0] = 0b0111;
+        regs.defined[1] = Mask::MAX;
+        let add = Inst { dst: 2, issue: None, kind: Kind::Bin(BinOp::Add, Type::I32, 0, 1) };
+        assert_eq!(regs.alu(&add, 0b0011), Ok(()));
+        assert_eq!(regs.alu(&add, 0b1001), Err(Trap::Unreachable));
     }
-}
-
-/// Iterate the active lane indices of a mask.
-pub fn active(mask: Mask, width: usize) -> impl Iterator<Item = usize> {
-    (0..width).filter(move |l| mask & (1 << l) != 0)
 }

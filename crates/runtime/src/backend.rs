@@ -15,7 +15,7 @@
 
 use concord_cpusim::{CpuPending, CpuReport, CpuSim};
 use concord_energy::SystemConfig;
-use concord_gpusim::{GpuPending, GpuReport, GpuSim};
+use concord_gpusim::{GpuPending, GpuReport, GpuSim, Program};
 use concord_ir::eval::{Trap, Value};
 use concord_ir::types::AddrSpace;
 use concord_ir::{FuncId, Module};
@@ -101,10 +101,11 @@ pub trait DeviceBackend {
     /// Memory-consistency fence after the device is done (unpin).
     fn fence_out(&mut self, ctx: &mut ExecCtx<'_>);
 
-    /// One-time per-kernel preparation; returns the seconds charged.
-    /// The GPU JIT-compiles the kernel on its first launch (§3.4) and
-    /// caches it afterwards; the CPU runs pre-compiled code for free.
-    fn prepare(&mut self, ctx: &mut ExecCtx<'_>, class: &str, func: FuncId) -> f64;
+    /// One-time per-kernel preparation for `work`, run before it launches
+    /// or executes; returns the seconds charged. The GPU JIT-compiles the
+    /// kernel on its first launch (§3.4) and caches it afterwards; the CPU
+    /// runs pre-compiled code for free.
+    fn prepare(&mut self, ctx: &mut ExecCtx<'_>, class: &str, work: &Work<'_>) -> f64;
 
     /// How many body-sized partial-accumulator slots a reduction over
     /// `span` needs (per-warp on the GPU, per-core on the CPU).
@@ -238,7 +239,7 @@ impl DeviceBackend for CpuBackend {
 
     fn fence_out(&mut self, _ctx: &mut ExecCtx<'_>) {}
 
-    fn prepare(&mut self, _ctx: &mut ExecCtx<'_>, _class: &str, _func: FuncId) -> f64 {
+    fn prepare(&mut self, _ctx: &mut ExecCtx<'_>, _class: &str, _work: &Work<'_>) -> f64 {
         0.0
     }
 
@@ -260,25 +261,30 @@ impl DeviceBackend for CpuBackend {
     }
 }
 
-/// The integrated-GPU backend: wraps [`GpuSim`] plus the per-kernel JIT
-/// cache (§3.4). The JIT-charge set is behind an `Arc` so sessions built
-/// through [`crate::ArtifactCache`] share one set process-wide — a kernel
-/// JITted by any such session is free for all of them.
+/// The integrated-GPU backend: wraps [`GpuSim`], the [`Program`] decoded
+/// from the session's GPU module, and the per-kernel JIT cache (§3.4).
+/// `prepare` decodes what a launch will run from [`ExecCtx::gpu_module`],
+/// which is the same module for the whole session, so the program grows
+/// kernel by kernel and lasts as long as the session. The JIT-charge set
+/// is behind an `Arc` so sessions built through [`crate::ArtifactCache`]
+/// share one set process-wide — a kernel JITted by any such session is
+/// free for all of them.
 pub struct GpuBackend {
     sim: GpuSim,
+    program: Program,
     jitted: crate::SharedJitSet,
 }
 
 impl GpuBackend {
     pub(crate) fn new(sim: GpuSim, jitted: crate::SharedJitSet) -> Self {
-        GpuBackend { sim, jitted }
+        GpuBackend { sim, program: Program::new(), jitted }
     }
 
     /// The execute half of [`DeviceBackend::launch`] (see
     /// [`CpuBackend::execute`]); takes `&self`, so it can run on a helper
-    /// thread beside the CPU's.
+    /// thread beside the CPU's. `work` must have been prepared.
     pub(crate) fn execute(&self, ctx: &ExecCtx<'_>, work: &Work<'_>, span: Span) -> GpuPending {
-        self.sim.execute(ctx.region, ctx.gpu_module, work, span)
+        self.sim.execute(ctx.region, &self.program, work, span)
     }
 
     /// The commit half (see [`CpuBackend::commit`]).
@@ -311,8 +317,9 @@ impl DeviceBackend for GpuBackend {
         ctx.region.fence_to_cpu();
     }
 
-    fn prepare(&mut self, ctx: &mut ExecCtx<'_>, class: &str, func: FuncId) -> f64 {
-        if !self.jitted.lock().unwrap().insert(func) {
+    fn prepare(&mut self, ctx: &mut ExecCtx<'_>, class: &str, work: &Work<'_>) -> f64 {
+        self.program.decode(ctx.gpu_module, work);
+        if !self.jitted.lock().unwrap().insert(work.func) {
             return 0.0;
         }
         let jit_seconds = ctx.system.gpu.jit_ms * 1e-3;
@@ -335,7 +342,7 @@ impl DeviceBackend for GpuBackend {
     ) -> Result<LaunchStats, Trap> {
         let (sim, region) = (&mut self.sim, &mut *ctx.region);
         traced(ctx.tracer, Track::Runtime, "gpu_launch", span, || {
-            sim.launch(region, ctx.gpu_module, work, span, pushes)
+            sim.launch(region, &self.program, work, span, pushes)
         })
     }
 }
@@ -413,7 +420,7 @@ impl DeviceBackend for NativeBackend {
 
     fn fence_out(&mut self, _ctx: &mut ExecCtx<'_>) {}
 
-    fn prepare(&mut self, _ctx: &mut ExecCtx<'_>, _class: &str, _func: FuncId) -> f64 {
+    fn prepare(&mut self, _ctx: &mut ExecCtx<'_>, _class: &str, _work: &Work<'_>) -> f64 {
         std::mem::take(&mut self.pending_jit)
     }
 

@@ -1605,14 +1605,15 @@ impl Concord {
                     ("cpu_n", i64::from(cpu_l.n).into()),
                 ],
             );
-            let jit = p.gpu.prepare(&mut p.ctx, &gpu_l.class, gpu_l.func);
-            p.gpu.fence_in(&mut p.ctx);
             let parts = [first, second].map(|l| {
                 let device =
                     if l.target == Target::Gpu { DeviceClass::Gpu } else { DeviceClass::Cpu };
                 let work = Work { func: l.func, body: l.body, kind: l.kind, in_order: false };
                 (device, work, Span::full(l.n))
             });
+            let gpu_work = &parts.iter().find(|p| p.0 == DeviceClass::Gpu).expect("a GPU part").1;
+            let jit = p.gpu.prepare(&mut p.ctx, &gpu_l.class, gpu_work);
+            p.gpu.fence_in(&mut p.ctx);
             // Metered in submission order too: the meter and profile
             // history sequences — and any partial-commit trap state —
             // match the serial path exactly.
@@ -1656,9 +1657,9 @@ impl Concord {
             p.gpu.fence_in(&mut p.ctx);
             let mut results = Vec::with_capacity(wave.len());
             for graph::PendingLaunch { launch: l, .. } in wave {
-                let jit = p.gpu.prepare(&mut p.ctx, &l.class, l.func);
                 let span = Span::full(l.n);
                 let work = Work { func: l.func, body: l.body, kind: l.kind, in_order: false };
+                let jit = p.gpu.prepare(&mut p.ctx, &l.class, &work);
                 let stats = p.gpu.launch(&mut p.ctx, &work, span, &mut Vec::new());
                 let report = stats.map(|s| p.part_report(&l.class, DeviceClass::Gpu, span, jit, s));
                 results.push(report.map_err(RuntimeError::Trap));
@@ -1778,9 +1779,9 @@ impl Concord {
                 let (backend, ctx) = p.on(device);
                 backend.fence_in(ctx);
             }
-            let prepare = |p: &mut Pipeline<'_>, device| {
+            let prepare = |p: &mut Pipeline<'_>, device, work: &Work<'_>| {
                 let (backend, ctx) = p.on(device);
-                backend.prepare(ctx, &l.class, l.func)
+                backend.prepare(ctx, &l.class, work)
             };
             let mut jits = Vec::with_capacity(parts.len());
             let snapshot =
@@ -1791,7 +1792,7 @@ impl Concord {
                 // fixed plan order. The CPU accumulates into pre-staged
                 // body copies; stage them serially before the concurrent
                 // phase reads the region.
-                jits.extend(parts.iter().map(|&(device, ..)| prepare(p, device)));
+                jits.extend(parts.iter().map(|(device, work, _)| prepare(p, *device, work)));
                 let staged = parts.iter().try_for_each(|(device, work, _)| match work.kind {
                     WorkKind::Reduce { body_size, slots, .. } if *device == DeviceClass::Cpu => {
                         stage_reduce(p.ctx.region, l.body, body_size, slots)
@@ -1812,7 +1813,7 @@ impl Concord {
                 // frontier independent of that visibility.)
                 let mut launched = Vec::with_capacity(parts.len());
                 for (device, work, span) in &parts {
-                    jits.push(prepare(p, *device));
+                    jits.push(prepare(p, *device, work));
                     let (backend, ctx) = p.on(*device);
                     launched.push(backend.launch(ctx, work, *span, pushes));
                     if launched.last().is_some_and(Result::is_err) {

@@ -122,10 +122,12 @@ impl RegionMem for SharedRegion {
         self
     }
 
+    #[inline]
     fn read_val(&self, addr: u64, space: AddrSpace, ty: Type) -> Result<Value, Trap> {
         self.read_value(addr, space, ty)
     }
 
+    #[inline]
     fn write_val(&mut self, addr: u64, space: AddrSpace, v: Value, ty: Type) -> Result<(), Trap> {
         self.write_value(addr, space, v, ty)
     }
@@ -151,29 +153,51 @@ impl RegionMem for SharedRegion {
 
 /// Word-granularity write overlay: 8-byte-aligned words with a per-byte
 /// valid mask. Kernels touch a tiny fraction of the region, so a hash map
-/// beats any dense shadow copy.
+/// beats any dense shadow copy. An access of at most 8 bytes covers at
+/// most two words, and touches the map once per word it covers.
 #[derive(Debug, Default, Clone)]
 struct Overlay {
     /// word index (offset / 8) → (value bytes, per-byte valid mask).
     words: HashMap<u64, (u64, u8)>,
 }
 
+/// The words `[off, off + len)` covers: `(word index, first byte in the
+/// word, byte count, first byte of the access)` for each.
+fn word_pieces(off: u64, len: u64) -> impl Iterator<Item = (u64, u32, u32, usize)> {
+    let end = off + len;
+    (off / 8..end.div_ceil(8)).map(move |w| {
+        let lo = off.max(w * 8);
+        let hi = end.min(w * 8 + 8);
+        (w, (lo - w * 8) as u32, (hi - lo) as u32, (lo - off) as usize)
+    })
+}
+
 impl Overlay {
-    fn read_byte(&self, base: &SharedRegion, off: u64) -> u8 {
-        let (w, b) = (off / 8, (off % 8) as u32);
-        if let Some(&(bytes, mask)) = self.words.get(&w) {
-            if mask & (1 << b) != 0 {
-                return (bytes >> (8 * b)) as u8;
+    /// Overwrite `buf[..len]`, which holds the base bytes at `off`, with
+    /// whatever bytes of that range the overlay holds.
+    fn merge_into(&self, off: u64, len: u64, buf: &mut [u8; 8]) {
+        for (w, first, n, at) in word_pieces(off, len) {
+            let Some(&(bytes, mask)) = self.words.get(&w) else { continue };
+            for i in 0..n {
+                let b = first + i;
+                if mask & (1 << b) != 0 {
+                    buf[at + i as usize] = (bytes >> (8 * b)) as u8;
+                }
             }
         }
-        base.raw(off, 1)[0]
     }
 
-    fn write_byte(&mut self, off: u64, v: u8) {
-        let (w, b) = (off / 8, (off % 8) as u32);
-        let (bytes, mask) = self.words.entry(w).or_insert((0, 0));
-        *bytes = (*bytes & !(0xffu64 << (8 * b))) | ((v as u64) << (8 * b));
-        *mask |= 1 << b;
+    /// Record `bytes` at `off` (at most 8 bytes).
+    fn write(&mut self, off: u64, bytes: &[u8]) {
+        for (w, first, n, at) in word_pieces(off, bytes.len() as u64) {
+            let (word, mask) = self.words.entry(w).or_insert((0, 0));
+            for i in 0..n {
+                let b = first + i;
+                let v = u64::from(bytes[at + i as usize]);
+                *word = (*word & !(0xffu64 << (8 * b))) | (v << (8 * b));
+                *mask |= 1 << b;
+            }
+        }
     }
 }
 
@@ -200,12 +224,9 @@ impl<'r> ShadowRegion<'r> {
     /// Read `len` (≤ 8) bytes at resolved offset `off`, overlay over base.
     fn read_merged(&self, off: u64, len: u64) -> [u8; 8] {
         let mut buf = [0u8; 8];
-        if self.overlay.words.is_empty() {
-            buf[..len as usize].copy_from_slice(self.base.raw(off, len));
-        } else {
-            for i in 0..len {
-                buf[i as usize] = self.overlay.read_byte(self.base, off + i);
-            }
+        buf[..len as usize].copy_from_slice(self.base.raw(off, len));
+        if !self.overlay.words.is_empty() {
+            self.overlay.merge_into(off, len, &mut buf);
         }
         buf
     }
@@ -216,6 +237,7 @@ impl RegionMem for ShadowRegion<'_> {
         self.base
     }
 
+    #[inline]
     fn read_val(&self, addr: u64, space: AddrSpace, ty: Type) -> Result<Value, Trap> {
         let len = ty.size();
         let off = self.base.resolve(addr, space, len)?;
@@ -223,14 +245,13 @@ impl RegionMem for ShadowRegion<'_> {
         Ok(decode_value(&buf[..len as usize], ty))
     }
 
+    #[inline]
     fn write_val(&mut self, addr: u64, space: AddrSpace, v: Value, ty: Type) -> Result<(), Trap> {
         // Same fault order as the direct path: encode (pointer-space
         // validation) before resolution.
         let (bytes, len) = encode_value(v, ty)?;
         let off = self.base.resolve(addr, space, len as u64)?;
-        for i in 0..len {
-            self.overlay.write_byte(off + i as u64, bytes[i as usize]);
-        }
+        self.overlay.write(off, &bytes[..len as usize]);
         self.log.push(MemOp::Write { off, len, bytes });
         Ok(())
     }
@@ -247,9 +268,7 @@ impl RegionMem for ShadowRegion<'_> {
         let buf = self.read_merged(off, 4);
         let old = i32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as i64;
         let new = apply_rmw(kind, old, a1, a2) as i32;
-        for (i, b) in new.to_le_bytes().into_iter().enumerate() {
-            self.overlay.write_byte(off + i as u64, b);
-        }
+        self.overlay.write(off, &new.to_le_bytes());
         self.log.push(MemOp::Atomic { off, kind, a1, a2 });
         Ok(old)
     }
