@@ -415,6 +415,14 @@ impl Op {
 
     /// All SSA operands of this op.
     pub fn operands(&self) -> Vec<ValueId> {
+        let mut v = Vec::new();
+        self.for_each_operand(|u| v.push(u));
+        v
+    }
+
+    /// Call `f` on every SSA operand, in [`Op::operands`] order, without
+    /// allocating.
+    pub fn for_each_operand(&self, mut f: impl FnMut(ValueId)) {
         match self {
             Op::Param(_)
             | Op::ConstInt(_)
@@ -422,22 +430,33 @@ impl Op {
             | Op::ConstNull
             | Op::Alloca { .. }
             | Op::Br(_)
-            | Op::Unreachable => Vec::new(),
-            Op::Bin(_, a, b) | Op::Icmp(_, a, b) | Op::Fcmp(_, a, b) => vec![*a, *b],
-            Op::Cast(_, v) | Op::Load(v) | Op::CpuToGpu(v) | Op::GpuToCpu(v) => vec![*v],
-            Op::Select(c, a, b) => vec![*c, *a, *b],
-            Op::Store { ptr, val } => vec![*ptr, *val],
-            Op::Gep { base, offset } => vec![*base, *offset],
-            Op::Phi(incoming) => incoming.iter().map(|(_, v)| *v).collect(),
-            Op::Call { args, .. } => args.clone(),
-            Op::CallVirtual { obj, args, .. } => {
-                let mut v = vec![*obj];
-                v.extend_from_slice(args);
-                v
+            | Op::Unreachable => {}
+            Op::Bin(_, a, b) | Op::Icmp(_, a, b) | Op::Fcmp(_, a, b) => {
+                f(*a);
+                f(*b);
             }
-            Op::IntrinsicCall(_, args) => args.clone(),
-            Op::CondBr(c, ..) => vec![*c],
-            Op::Ret(v) => v.iter().copied().collect(),
+            Op::Cast(_, v) | Op::Load(v) | Op::CpuToGpu(v) | Op::GpuToCpu(v) => f(*v),
+            Op::Select(c, a, b) => {
+                f(*c);
+                f(*a);
+                f(*b);
+            }
+            Op::Store { ptr, val } => {
+                f(*ptr);
+                f(*val);
+            }
+            Op::Gep { base, offset } => {
+                f(*base);
+                f(*offset);
+            }
+            Op::Phi(incoming) => incoming.iter().for_each(|(_, v)| f(*v)),
+            Op::Call { args, .. } | Op::IntrinsicCall(_, args) => args.iter().for_each(|a| f(*a)),
+            Op::CallVirtual { obj, args, .. } => {
+                f(*obj);
+                args.iter().for_each(|a| f(*a));
+            }
+            Op::CondBr(c, ..) => f(*c),
+            Op::Ret(v) => v.iter().for_each(|v| f(*v)),
         }
     }
 

@@ -43,6 +43,7 @@ mod imp {
     pub struct ExecBuf {
         base: *mut u8,
         len: usize,
+        code_len: usize,
     }
 
     // The mapping is written once during construction and read/executed
@@ -85,7 +86,14 @@ mod imp {
                 unsafe { munmap(base.cast(), len) };
                 return None;
             }
-            Some(ExecBuf { base, len })
+            Some(ExecBuf { base, len, code_len: code.len() })
+        }
+
+        /// The code image, as copied in.
+        pub fn bytes(&self) -> &[u8] {
+            // SAFETY: the first `code_len` bytes of the live mapping were
+            // initialized by `new` and are never written again (R+X).
+            unsafe { std::slice::from_raw_parts(self.base, self.code_len) }
         }
 
         /// Absolute address of byte `off` of the image.
@@ -120,6 +128,11 @@ mod imp {
 
         /// Unreachable (the type is uninhabited).
         pub fn addr_at(&self, _off: usize) -> u64 {
+            match self.never {}
+        }
+
+        /// Unreachable (the type is uninhabited).
+        pub fn bytes(&self) -> &[u8] {
             match self.never {}
         }
     }

@@ -13,9 +13,8 @@
 //! hundreds of nanoseconds per instruction, the JIT executes it at
 //! native throughput, and both must agree bit-for-bit on every output.
 //!
-//! Pipeline: [`compile`] runs the lowering pass (linear-scan register
-//! allocation over a conservative liveness analysis, then one-pass code
-//! emission
+//! Pipeline: [`compile`] runs the lowering pass (two-class linear-scan
+//! register allocation over block liveness, then one-pass code emission
 //! per function), seals the image in an executable W^X buffer, and
 //! resolves per-function entry addresses. [`Executor`] then drives
 //! launches, fanning chunks out over host threads via `concord-pool`
@@ -32,6 +31,8 @@ pub mod env;
 pub mod launch;
 mod lower;
 mod regalloc;
+#[cfg(test)]
+mod testgen;
 
 use buffer::ExecBuf;
 use concord_ir::Module;
@@ -90,17 +91,20 @@ impl std::error::Error for CompileError {}
 #[derive(Debug)]
 pub struct NativeModule {
     /// Keeps the R+X mapping alive; `code_ptrs` point into it.
-    #[allow(dead_code)]
     buf: ExecBuf,
     pub(crate) code_ptrs: Vec<u64>,
     pub(crate) class_count: u64,
-    code_len: usize,
 }
 
 impl NativeModule {
     /// Generated machine-code size in bytes (for reporting).
     pub fn code_len(&self) -> usize {
-        self.code_len
+        self.code().len()
+    }
+
+    /// The generated machine code, every function in `FuncId` order.
+    pub fn code(&self) -> &[u8] {
+        self.buf.bytes()
     }
 }
 
@@ -121,12 +125,7 @@ pub fn compile(module: &Module) -> Result<NativeModule, CompileError> {
     let lowered = lower::lower_module(module)?;
     let buf = ExecBuf::new(&lowered.code).ok_or(CompileError::ExecMap)?;
     let code_ptrs = lowered.offsets.iter().map(|&o| buf.addr_at(o)).collect();
-    Ok(NativeModule {
-        buf,
-        code_ptrs,
-        class_count: module.classes.len() as u64,
-        code_len: lowered.code.len(),
-    })
+    Ok(NativeModule { buf, code_ptrs, class_count: module.classes.len() as u64 })
 }
 
 #[cfg(test)]
@@ -140,7 +139,11 @@ mod tests {
     use concord_frontend::LoweredProgram;
     use concord_ir::analysis::uses_gated_ops;
     use concord_ir::eval::Trap;
+    use concord_ir::FuncId;
     use concord_svm::{CpuAddr, SharedAllocator, SharedRegion, Span, VtableArea, Work, WorkKind};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// `parallel_for` over `[0, n)` through [`Executor::launch`].
     fn native_for(
@@ -148,7 +151,7 @@ mod tests {
         region: &mut SharedRegion,
         nm: &NativeModule,
         module: &concord_ir::Module,
-        func: concord_ir::FuncId,
+        func: FuncId,
         body: CpuAddr,
         n: u32,
     ) -> Result<LaunchStats, Trap> {
@@ -163,11 +166,11 @@ mod tests {
         lp
     }
 
-    fn setup(lp: &LoweredProgram, capacity: u64) -> (SharedRegion, SharedAllocator, VtableArea) {
-        let reserved = VtableArea::reserve_for(lp.module.classes.len());
+    fn setup(module: &Module, capacity: u64) -> (SharedRegion, SharedAllocator, VtableArea) {
+        let reserved = VtableArea::reserve_for(module.classes.len());
         let mut region = SharedRegion::new(capacity, reserved);
         let heap = SharedAllocator::new(&region);
-        let vt = VtableArea::install(&mut region, &lp.module).unwrap();
+        let vt = VtableArea::install(&mut region, module).unwrap();
         (region, heap, vt)
     }
 
@@ -187,26 +190,35 @@ mod tests {
         n: u32,
         init: impl Fn(&mut SharedRegion, &mut SharedAllocator) -> CpuAddr,
     ) {
+        let lp = build(src);
+        diff_module(&lp.module, lp.kernel(kernel).unwrap().operator_fn, n, init);
+    }
+
+    /// [`diff_for`] over an already-built module.
+    fn diff_module(
+        module: &Module,
+        func: FuncId,
+        n: u32,
+        init: impl Fn(&mut SharedRegion, &mut SharedAllocator) -> CpuAddr,
+    ) {
         if !supported() {
             return;
         }
-        let lp = build(src);
-        let k = lp.kernel(kernel).unwrap();
         let cfg = concord_energy::SystemConfig::ultrabook().cpu;
 
-        let (mut r1, mut h1, vt) = setup(&lp, 1 << 20);
+        let (mut r1, mut h1, vt) = setup(module, 1 << 20);
         let body1 = init(&mut r1, &mut h1);
         let mut sim = CpuSim::new(cfg);
-        let want = sim.parallel_for(&mut r1, &vt, &lp.module, k.operator_fn, body1, n).err();
+        let want = sim.parallel_for(&mut r1, &vt, module, func, body1, n).err();
         let want_bytes = region_bytes(&mut r1);
 
-        let nm = compile(&lp.module).unwrap();
+        let nm = compile(module).unwrap();
         for ht in [1usize, 8] {
-            let (mut r2, mut h2, _vt) = setup(&lp, 1 << 20);
+            let (mut r2, mut h2, _vt) = setup(module, 1 << 20);
             let body2 = init(&mut r2, &mut h2);
             assert_eq!(body1, body2, "deterministic setup required for the diff");
             let mut ex = Executor::new(cfg.cores as usize, ht);
-            let got = native_for(&mut ex, &mut r2, &nm, &lp.module, k.operator_fn, body2, n).err();
+            let got = native_for(&mut ex, &mut r2, &nm, module, func, body2, n).err();
             assert_eq!(got, want, "trap outcome must match interpreter (ht={ht})");
             if want.is_none() {
                 assert_eq!(region_bytes(&mut r2), want_bytes, "region bytes differ (ht={ht})");
@@ -447,14 +459,14 @@ mod tests {
         let k = lp.kernel("K").unwrap();
         let cfg = concord_energy::SystemConfig::ultrabook().cpu;
 
-        let (mut r1, mut h1, vt) = setup(&lp, 1 << 16);
+        let (mut r1, mut h1, vt) = setup(&lp.module, 1 << 16);
         let body1 = h1.malloc(8).unwrap();
         let mut sim = CpuSim::new(cfg);
         sim.step_budget_per_item = 10_000;
         let want = sim.parallel_for(&mut r1, &vt, &lp.module, k.operator_fn, body1, 4).unwrap_err();
 
         let nm = compile(&lp.module).unwrap();
-        let (mut r2, mut h2, _vt) = setup(&lp, 1 << 16);
+        let (mut r2, mut h2, _vt) = setup(&lp.module, 1 << 16);
         let body2 = h2.malloc(8).unwrap();
         let mut ex = Executor::new(cfg.cores as usize, 8);
         ex.step_budget = 10_000;
@@ -495,7 +507,7 @@ mod tests {
         let lp = build(light);
         let f = lp.kernel("Light").unwrap().operator_fn;
         let nm = compile(&lp.module).unwrap();
-        let (mut region, mut heap, _vt) = setup(&lp, 1 << 20);
+        let (mut region, mut heap, _vt) = setup(&lp.module, 1 << 20);
         let out = heap.malloc(256 * 4).unwrap();
         let body = heap.malloc(8).unwrap();
         region.write_ptr(body, out).unwrap();
@@ -526,7 +538,7 @@ mod tests {
         let lp = build(heavy);
         let f = lp.kernel("Heavy").unwrap().operator_fn;
         let nm = compile(&lp.module).unwrap();
-        let (mut region, mut heap, _vt) = setup(&lp, 1 << 20);
+        let (mut region, mut heap, _vt) = setup(&lp.module, 1 << 20);
         let out = heap.malloc(4 * 4).unwrap();
         let body = heap.malloc(8).unwrap();
         region.write_ptr(body, out).unwrap();
@@ -549,7 +561,7 @@ mod tests {
         let edge = u32::try_from(launch::FAN_OUT_MIN_INSTS.div_ceil(placed)).unwrap();
         // Two launches each: the second decides on the measured count.
         let run = |n: u32, ht: usize| {
-            let (mut region, mut heap, _vt) = setup(&lp, 1 << 20);
+            let (mut region, mut heap, _vt) = setup(&lp.module, 1 << 20);
             let out = heap.malloc(u64::from(n) * 4).unwrap();
             let body = heap.malloc(16).unwrap();
             region.write_ptr(body, out).unwrap();
@@ -583,7 +595,7 @@ mod tests {
         let f = lp.kernel("Sparse").unwrap().operator_fn;
         let nm = compile(&lp.module).unwrap();
         let trap = |n: u32, ht: usize| {
-            let (mut region, mut heap, _vt) = setup(&lp, 1 << 20);
+            let (mut region, mut heap, _vt) = setup(&lp.module, 1 << 20);
             let out = heap.malloc(u64::from(n) * 4).unwrap();
             let body = heap.malloc(8).unwrap();
             region.write_ptr(body, out).unwrap();
@@ -629,7 +641,7 @@ mod tests {
             (body, scratch)
         };
 
-        let (mut r1, mut h1, vt) = setup(&lp, 1 << 20);
+        let (mut r1, mut h1, vt) = setup(&lp.module, 1 << 20);
         let (body1, scratch1) = init(&mut r1, &mut h1);
         let mut sim = CpuSim::new(cfg);
         sim.parallel_reduce(
@@ -649,7 +661,7 @@ mod tests {
 
         let nm = compile(&lp.module).unwrap();
         for ht in [1usize, 8] {
-            let (mut r2, mut h2, _vt) = setup(&lp, 1 << 20);
+            let (mut r2, mut h2, _vt) = setup(&lp.module, 1 << 20);
             let (body2, scratch2) = init(&mut r2, &mut h2);
             let mut ex = Executor::new(cfg.cores as usize, ht);
             let join = k.join_fn.unwrap();
@@ -712,19 +724,252 @@ mod tests {
             body
         };
 
-        let (mut r1, mut h1, vt) = setup(&lp, 1 << 20);
+        let (mut r1, mut h1, vt) = setup(&lp.module, 1 << 20);
         let body1 = init(&mut r1, &mut h1);
         let mut sim = CpuSim::new(cfg);
         sim.parallel_for(&mut r1, &vt, &art.module, kf, body1, 1).unwrap();
         let want = region_bytes(&mut r1);
 
         let nm = compile(&art.module).unwrap();
-        let (mut r2, mut h2, _vt) = setup(&lp, 1 << 20);
+        let (mut r2, mut h2, _vt) = setup(&lp.module, 1 << 20);
         let body2 = init(&mut r2, &mut h2);
         let mut ex = Executor::new(cfg.cores as usize, 2);
         native_for(&mut ex, &mut r2, &nm, &art.module, kf, body2, 1).unwrap();
         assert_eq!(region_bytes(&mut r2), want);
         assert_eq!(r2.read_i32(body2.offset(8)).unwrap(), 42);
+    }
+
+    #[test]
+    fn loop_carried_swaps_match_interpreter() {
+        // Each trip swaps two ints and two floats: the back edge's phi
+        // move is two register cycles.
+        let src = r#"
+            class Swap {
+            public:
+                int* iout; float* fout;
+                void operator()(int i) {
+                    int a = i; int b = 100 - i * 3;
+                    float x = (float)i * 0.5f; float y = 1.0f / ((float)i + 0.25f);
+                    int s = 0; float t = 0.0f;
+                    for (int k = 0; k < i % 5 + 2; k++) {
+                        int ta = a; a = b; b = ta;
+                        float tx = x; x = y; y = tx;
+                        s = s + a * (k + 1); t = t + x * (float)k;
+                    }
+                    iout[3 * i] = a; iout[3 * i + 1] = b; iout[3 * i + 2] = s;
+                    fout[3 * i] = x; fout[3 * i + 1] = y; fout[3 * i + 2] = t;
+                }
+            };
+        "#;
+        let n = 40u32;
+        diff_for(src, "Swap", n, move |region, heap| {
+            let iout = heap.malloc(u64::from(n) * 12).unwrap();
+            let fout = heap.malloc(u64::from(n) * 12).unwrap();
+            let body = heap.malloc(16).unwrap();
+            region.write_ptr(body, iout).unwrap();
+            region.write_ptr(body.offset(8), fout).unwrap();
+            body
+        });
+    }
+
+    #[test]
+    fn floats_live_across_calls_match_interpreter() {
+        // `keep` is live across a virtual call, `powf` and `floorf`: every
+        // xmm register is caller-saved, so it must come back intact.
+        let src = r#"
+            class Shape {
+            public:
+                float r;
+                virtual float area() { return 0.0f; }
+            };
+            class Circle : public Shape {
+            public:
+                float area() { return 3.0f * r * r; }
+            };
+            class K {
+            public:
+                Shape* s; float* out;
+                void operator()(int i) {
+                    float keep = (float)i * 0.25f + 1.0f;
+                    float a = s->area();
+                    float p = powf(keep, 1.5f);
+                    float f = floorf(keep * 3.7f);
+                    out[i] = keep * a + p - f + keep;
+                }
+            };
+        "#;
+        let n = 24u32;
+        diff_for(src, "K", n, move |region, heap| {
+            let circle = heap.malloc(16).unwrap();
+            region.write_ptr(circle, VtableArea::addr_of(concord_ir::ClassId(1))).unwrap();
+            region.write_f32(circle.offset(8), 2.0).unwrap();
+            let out = heap.malloc(u64::from(n) * 4).unwrap();
+            let body = heap.malloc(16).unwrap();
+            region.write_ptr(body, circle).unwrap();
+            region.write_ptr(body.offset(8), out).unwrap();
+            body
+        });
+    }
+
+    #[test]
+    fn more_live_floats_than_xmm_registers_match_interpreter() {
+        // Twenty floats live at once (the pool has fourteen), rotated
+        // through one another every trip: spilled and registered values
+        // meet in one cyclic edge move.
+        const N: usize = 20;
+        let loads: String = (0..N).map(|k| format!("float a{k} = src[i * {N} + {k}];\n")).collect();
+        let rotate: String = (0..N)
+            .map(|k| format!("a{k} = a{} * 0.5f + a{};\n", k + 1, N - 1 - k))
+            .take(N - 1)
+            .collect();
+        let stores: String = (0..N)
+            .map(|k| format!("dst[i * {N} + {k}] = a{k} * a{} + a{};\n", N - 1 - k, (k + 1) % N))
+            .collect();
+        let src = format!(
+            "class Many {{ public: float* src; float* dst;
+                void operator()(int i) {{
+                    {loads}
+                    for (int r = 0; r < i % 3 + 1; r++) {{
+                        float t = a0;
+                        {rotate}
+                        a{last} = t + 1.0f;
+                    }}
+                    {stores}
+                }}
+            }};",
+            last = N - 1
+        );
+        let n = 16u32;
+        diff_for(&src, "Many", n, move |region, heap| {
+            let cells = u64::from(n) * N as u64;
+            let srcs = heap.malloc(cells * 4).unwrap();
+            for c in 0..cells {
+                let v = (c as f32) * 0.37 - 11.0 + if c % 7 == 0 { 1e20 } else { 0.0 };
+                region.write_f32(CpuAddr(srcs.0 + c * 4), v).unwrap();
+            }
+            let dst = heap.malloc(cells * 4).unwrap();
+            let body = heap.malloc(16).unwrap();
+            region.write_ptr(body, srcs).unwrap();
+            region.write_ptr(body.offset(8), dst).unwrap();
+            body
+        });
+    }
+
+    #[test]
+    fn special_floats_through_fused_branches_match_interpreter() {
+        // Every ordered/unordered outcome of each predicate: NaN, signed
+        // zeros, infinities, and values that only differ before `f32`
+        // rounding.
+        let src = r#"
+            class Cmp {
+            public:
+                float* xs; float* ys; int* out;
+                void operator()(int i) {
+                    float a = xs[i]; float b = ys[i];
+                    int r = 0;
+                    if (a == b) { r = r + 1; }
+                    if (a != b) { r = r + 2; }
+                    if (a < b) { r = r + 4; }
+                    if (a <= b) { r = r + 8; }
+                    if (a > b) { r = r + 16; }
+                    if (a >= b) { r = r + 32; }
+                    if (a * 3.0f == b * 3.0f) { r = r + 64; }
+                    if (a + 16777216.0f > b + 16777216.0f) { r = r + 128; }
+                    if (!(a < b)) { r = r + 256; }
+                    out[i] = r;
+                }
+            };
+        "#;
+        let vals =
+            [f32::NAN, -0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, 1.0, 1.000_000_1, 16_777_217.0];
+        let n = (vals.len() * vals.len()) as u32;
+        diff_for(src, "Cmp", n, move |region, heap| {
+            let xs = heap.malloc(u64::from(n) * 4).unwrap();
+            let ys = heap.malloc(u64::from(n) * 4).unwrap();
+            for i in 0..n as usize {
+                let at = |base: CpuAddr| CpuAddr(base.0 + i as u64 * 4);
+                region.write_f32(at(xs), vals[i / vals.len()]).unwrap();
+                region.write_f32(at(ys), vals[i % vals.len()]).unwrap();
+            }
+            let out = heap.malloc(u64::from(n) * 4).unwrap();
+            let body = heap.malloc(24).unwrap();
+            region.write_ptr(body, xs).unwrap();
+            region.write_ptr(body.offset(8), ys).unwrap();
+            region.write_ptr(body.offset(16), out).unwrap();
+            body
+        });
+    }
+
+    #[test]
+    fn self_operands_dying_into_the_result_match_interpreter() {
+        // `b = a` leaves `a op a` in the IR with `a` dying at the op, so
+        // the result takes `a`'s register and both operands name it.
+        let src = r#"
+            class Same {
+            public:
+                int* xs; float* fs; int* out; float* fout;
+                void operator()(int i) {
+                    int a = xs[i]; int b = a;
+                    out[4 * i] = a - b;
+                    int c = xs[i] * 3 + i; int d = c;
+                    out[4 * i + 1] = (c - d) + c;
+                    int e = xs[i] - 5; int g = e;
+                    out[4 * i + 2] = e * g;
+                    int h = xs[i] + i; int k = h;
+                    out[4 * i + 3] = (h ^ k) + (h & k);
+                    float x = fs[i]; float y = x;
+                    fout[2 * i] = x - y;
+                    float z = fs[i] * 0.5f; float w = z;
+                    fout[2 * i + 1] = z * w;
+                }
+            };
+        "#;
+        let ints = [i32::MIN, i32::MAX, -7, 0, 1, 12345];
+        let floats = [f32::NAN, f32::INFINITY, -0.0, 0.0, 1.5, -3e30];
+        let n = 24u32;
+        diff_for(src, "Same", n, move |region, heap| {
+            let xs = heap.malloc(u64::from(n) * 4).unwrap();
+            let fs = heap.malloc(u64::from(n) * 4).unwrap();
+            for i in 0..n as usize {
+                let at = |base: CpuAddr| CpuAddr(base.0 + i as u64 * 4);
+                region.write_i32(at(xs), ints[i % ints.len()]).unwrap();
+                region.write_f32(at(fs), floats[i % floats.len()]).unwrap();
+            }
+            let out = heap.malloc(u64::from(n) * 16).unwrap();
+            let fout = heap.malloc(u64::from(n) * 8).unwrap();
+            let body = heap.malloc(32).unwrap();
+            region.write_ptr(body, xs).unwrap();
+            region.write_ptr(body.offset(8), fs).unwrap();
+            region.write_ptr(body.offset(16), out).unwrap();
+            region.write_ptr(body.offset(24), fout).unwrap();
+            body
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn generated_kernels_match_interpreter(seed in any::<u64>()) {
+            use testgen::{FLOATS, INTS, STRIDE};
+            let n = 12u32;
+            diff_module(&testgen::module(seed), FuncId(0), n, |region, heap| {
+                let ints = [0, 1, -1, 5, i64::MAX, i64::MIN, 1 << 33, -7777];
+                let floats = [0.0, -0.0, 1.0, -3.5, 1e10, f64::INFINITY, f64::NEG_INFINITY, 0.1];
+                let mut rng = StdRng::seed_from_u64(seed);
+                let records = heap.malloc(u64::from(n) * STRIDE).unwrap();
+                for i in 0..u64::from(n) {
+                    let cell = |j: usize| CpuAddr(records.0 + i * STRIDE + 8 * j as u64);
+                    for j in (0..INTS).chain(INTS + FLOATS..INTS + FLOATS + 2) {
+                        region.write_i64(cell(j), ints[rng.gen_range(0..ints.len())]).unwrap();
+                    }
+                    for j in INTS..INTS + FLOATS {
+                        let v: f64 = floats[rng.gen_range(0..floats.len())];
+                        region.write_i64(cell(j), v.to_bits() as i64).unwrap();
+                    }
+                }
+                records
+            });
+        }
     }
 
     #[test]

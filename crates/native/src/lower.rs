@@ -11,14 +11,20 @@
 //! the raw bits of the result. Inside a function:
 //!
 //! * `r15` pins the [`Env`] pointer, `r14` pins `CPU_BASE`, `rbp` is the
-//!   frame pointer. `rbx`/`r12`/`r13` are the register-allocation pool
-//!   (see [`crate::regalloc`]); everything caller-saved is scratch.
-//! * Every SSA value owns an 8-byte frame slot holding its raw bits;
-//!   register-allocated values live in their register instead.
+//!   frame pointer. `rbx`/`r12`/`r13` and `xmm2`–`xmm15` are the
+//!   register-allocation pools (see [`crate::regalloc`]); the other
+//!   caller-saved registers are scratch.
+//! * Each value lives where [`crate::regalloc`] put it for its whole life:
+//!   a register of its class, a frame slot, or nowhere (constants are
+//!   immediates or RIP-relative literals at each use). Phi edges are one
+//!   sequentialized parallel move; a compare feeding only its block's
+//!   branch becomes `cmp`+`jcc`.
 //! * Traps never unwind: a trap stub records a code plus payload words in
 //!   the environment and returns through every active frame, each one
 //!   restoring the private stack pointer it saved on entry. The launch
 //!   driver turns the cells back into the interpreter's `Trap` value.
+//!   Trap stubs, address-classification slow paths and literals sit after
+//!   the function body, so hot paths run without taken jumps.
 //!
 //! Interpreter parity is the design center — the differential battery
 //! demands byte-identical region output and identical traps:
@@ -41,8 +47,10 @@
 //!   and NaN-sensitive intrinsics all mirror `concord_ir::eval` — the
 //!   NaN-asymmetric `FMin`/`FMax` and the saturating `FpToSi` go through
 //!   tiny Rust helpers so the semantics are identical by construction.
+//!   Float ops keep the interpreter's operand order, so a NaN result
+//!   carries the same payload.
 
-use crate::asm::{Alu, Asm, Cc, Label, Mem, Reg, Xmm};
+use crate::asm::{Alu, Asm, Cc, Label, Mem, Opnd, Reg, Sse, XOpnd, Xmm};
 use crate::env::{
     h_device_malloc, h_exp, h_f2i, h_floor, h_fmax, h_fmin, h_pow, h_wl_push, Env, MAX_DEPTH,
     OFF_CLASS_COUNT, OFF_CODE_PTRS, OFF_DEPTH, OFF_GLOBAL_ID, OFF_GLOBAL_SIZE, OFF_GPU_BASE,
@@ -51,23 +59,23 @@ use crate::env::{
     PRIVATE_BASE, TRAP_BAD_ADDRESS, TRAP_BAD_DISPATCH, TRAP_DIV_ZERO, TRAP_STACK_OVERFLOW,
     TRAP_STEP_LIMIT, TRAP_UNREACHABLE, TRAP_WRONG_SPACE,
 };
-use crate::regalloc::{allocate, Allocation};
+use crate::regalloc::{allocate, is_call, is_float, Loc};
 use crate::CompileError;
-use concord_ir::analysis::reverse_postorder;
 use concord_ir::inst::{BinOp, CastOp, FCmp, ICmp, Intrinsic, Op};
 use concord_ir::types::{AddrSpace, Type};
 use concord_ir::{BlockId, Function, Module, ValueId};
 use concord_svm::{CPU_BASE, SVM_CONST, VTABLE_MAGIC};
-use std::collections::HashMap;
-
-/// Registers backing [`crate::regalloc`] assignments, in index order.
-const ALLOC_REGS: [Reg; 3] = [Reg::Rbx, Reg::R12, Reg::R13];
 
 /// Space payload codes shared with [`Env::take_trap`].
 const SPACE_CPU: i64 = 0;
 const SPACE_GPU: i64 = 1;
 const SPACE_PRIVATE: i64 = 2;
 const SPACE_LOCAL: i64 = 3;
+
+/// Frame slot `i` is `[rbp - SLOT_BASE - 8i]`, below the five saved
+/// registers and three fixed cells (`rbp-48` saved private sp, `rbp-56`
+/// private frame base, `rbp-64` virtual-call target).
+const SLOT_BASE: i32 = 72;
 
 /// A lowered module: one flat code image plus the entry offset of every
 /// function, indexed by `FuncId`.
@@ -83,7 +91,7 @@ pub(crate) fn lower_module(module: &Module) -> Result<Lowered, CompileError> {
     let mut a = Asm::new();
     let mut offsets = Vec::with_capacity(module.functions.len());
     for f in &module.functions {
-        a.align16();
+        a.align(16);
         offsets.push(a.here());
         FnLower::new(&mut a, f)?.emit()?;
     }
@@ -91,15 +99,16 @@ pub(crate) fn lower_module(module: &Module) -> Result<Lowered, CompileError> {
 }
 
 /// The interpreter's `frame_layout`, byte for byte: allocas packed in
-/// block order with per-alloca alignment, total rounded to 16.
-fn frame_layout(f: &Function) -> (HashMap<ValueId, u64>, u64) {
-    let mut offsets = HashMap::new();
+/// block order with per-alloca alignment, total rounded to 16. Returns
+/// each alloca's offset, indexed by value id.
+fn frame_layout(f: &Function) -> (Vec<u64>, u64) {
+    let mut offsets = vec![0; f.insts.len()];
     let mut size = 0u64;
-    for b in f.block_ids() {
-        for &id in &f.block(b).insts {
+    for b in &f.blocks {
+        for &id in &b.insts {
             if let Op::Alloca { size: s, align } = f.inst(id).op {
                 size = size.div_ceil(align) * align;
-                offsets.insert(id, size);
+                offsets[id.0 as usize] = size;
                 size += s;
             }
         }
@@ -116,21 +125,58 @@ fn log2_size(ty: Type) -> i32 {
     }
 }
 
+fn slot(i: u32) -> Mem {
+    Mem::b(Reg::Rbp, -(SLOT_BASE + 8 * i as i32))
+}
+
+/// When a branch is taken, after a compare.
+#[derive(Debug, Clone, Copy)]
+enum Jcc {
+    If(Cc),
+    /// Ordered and equal: ZF set, PF clear.
+    OrdEq,
+    /// Unordered or unequal: the complement of [`Jcc::OrdEq`].
+    UnordNe,
+}
+
+impl Jcc {
+    fn not(self) -> Jcc {
+        match self {
+            Jcc::If(cc) => Jcc::If(cc.not()),
+            Jcc::OrdEq => Jcc::UnordNe,
+            Jcc::UnordNe => Jcc::OrdEq,
+        }
+    }
+}
+
+/// The out-of-line half of one access's address classification.
+struct SlowPath {
+    entry: Label,
+    resume: Label,
+    addr: Reg,
+    lg: i32,
+}
+
 /// Per-function lowering state.
 struct FnLower<'a> {
     a: &'a mut Asm,
     f: &'a Function,
-    alloc: Allocation,
-    alloca_off: HashMap<ValueId, u64>,
+    loc: Vec<Loc>,
+    order: Vec<BlockId>,
+    alloca_off: Vec<u64>,
     frame_size: u64,
-    labels: HashMap<BlockId, Label>,
-    rpo: Vec<BlockId>,
-    /// `-(tmp_base + 8j)` is phi-copy temp `j`.
-    tmp_base: i32,
+    labels: Vec<Label>,
+    /// The block laid out after the one being emitted.
+    next: Option<BlockId>,
+    /// The instruction being emitted.
+    cur: ValueId,
     /// `-arg_base + 8j` is outgoing call argument `j`.
     arg_base: i32,
     /// `sub rsp, frame` amount (keeps `rsp % 16 == 0` in the body).
     frame: i32,
+    slow: Vec<SlowPath>,
+    /// RIP-relative literals: raw bits and their labels, in first-use order.
+    lits: Vec<(i64, Label)>,
     t_div: Label,
     t_bad: Label,
     t_was: Label,
@@ -143,39 +189,33 @@ struct FnLower<'a> {
 
 impl<'a> FnLower<'a> {
     fn new(a: &'a mut Asm, f: &'a Function) -> Result<Self, CompileError> {
-        let rpo = reverse_postorder(f);
         let alloc = allocate(f);
         let (alloca_off, frame_size) = frame_layout(f);
-        let nvals = f.insts.len() as i32;
-
-        let mut ntmp = 0i32;
-        let mut nargs = 0i32;
-        for b in f.block_ids() {
-            let phis =
-                f.block(b).insts.iter().filter(|&&id| matches!(f.inst(id).op, Op::Phi(_))).count();
-            ntmp = ntmp.max(phis as i32);
-            for &id in &f.block(b).insts {
-                match &f.inst(id).op {
-                    Op::Call { args, .. } => nargs = nargs.max(args.len() as i32),
-                    Op::CallVirtual { args, .. } => nargs = nargs.max(args.len() as i32 + 1),
-                    _ => {}
-                }
-            }
-        }
-        let tmp_base = 80 + 8 * nvals;
-        let arg_base = tmp_base + 8 * ntmp + 8 * nargs;
+        let nargs = f
+            .insts
+            .iter()
+            .map(|inst| match &inst.op {
+                Op::Call { args, .. } => args.len(),
+                Op::CallVirtual { args, .. } => args.len() + 1,
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0);
+        let arg_base = i64::from(SLOT_BASE) + 8 * i64::from(alloc.slots) + 8 * nargs as i64;
         // Usable frame bytes start at rbp-48 (below the 5 pushed registers);
         // keep rsp 16-aligned in the body: frame ≡ 8 (mod 16).
         let mut frame = arg_base - 40;
         if frame % 16 != 8 {
             frame += 8;
         }
-        if frame < 0 || arg_base < 0 || frame_size > i32::MAX as u64 {
+        let (Ok(arg_base), Ok(frame)) = (i32::try_from(arg_base), i32::try_from(frame)) else {
+            return Err(CompileError::TooLarge(f.name.clone()));
+        };
+        if frame_size > i32::MAX as u64 {
             return Err(CompileError::TooLarge(f.name.clone()));
         }
-
-        let labels = rpo.iter().map(|&b| (b, a.label())).collect();
         Ok(FnLower {
+            labels: f.blocks.iter().map(|_| a.label()).collect(),
             t_div: a.label(),
             t_bad: a.label(),
             t_was: a.label(),
@@ -186,75 +226,184 @@ impl<'a> FnLower<'a> {
             bail: a.label(),
             a,
             f,
-            alloc,
+            loc: alloc.loc,
+            order: alloc.order,
             alloca_off,
             frame_size,
-            labels,
-            rpo,
-            tmp_base,
+            next: None,
+            cur: ValueId(0),
             arg_base,
             frame,
+            slow: Vec::new(),
+            lits: Vec::new(),
         })
     }
 
     // ---- value access ----
 
-    fn slot(&self, v: ValueId) -> Mem {
-        Mem::b(Reg::Rbp, -(80 + 8 * v.0 as i32))
+    fn loc(&self, v: ValueId) -> Loc {
+        self.loc[v.0 as usize]
     }
 
-    fn tmp(&self, j: i32) -> Mem {
-        Mem::b(Reg::Rbp, -(self.tmp_base + 8 * j))
+    fn argslot(&self, j: usize) -> Mem {
+        Mem::b(Reg::Rbp, -self.arg_base + 8 * j as i32)
     }
 
-    fn argslot(&self, j: i32) -> Mem {
-        Mem::b(Reg::Rbp, -self.arg_base + 8 * j)
-    }
-
-    fn reg_of(&self, v: ValueId) -> Option<Reg> {
-        self.alloc.reg_of[v.0 as usize].map(|i| ALLOC_REGS[i as usize])
-    }
-
-    /// The register currently holding `v`: its allocated register, or
-    /// `want` after a load from the slot. The caller must not clobber the
-    /// result unless it equals `want`.
-    fn read(&mut self, v: ValueId, want: Reg) -> Reg {
-        match self.reg_of(v) {
-            Some(r) => r,
+    /// A RIP-relative literal holding `bits`.
+    fn lit(&mut self, bits: i64) -> Mem {
+        let l = match self.lits.iter().find(|&&(b, _)| b == bits) {
+            Some(&(_, l)) => l,
             None => {
-                self.a.mov_rm(want, self.slot(v));
+                let l = self.a.label();
+                self.lits.push((bits, l));
+                l
+            }
+        };
+        Mem::lit(l)
+    }
+
+    /// The raw bits at `at` in a general register: its own, or `want`
+    /// after a load. The caller must not clobber the result unless it
+    /// equals `want`.
+    fn gpr_at(&mut self, at: Loc, want: Reg) -> Reg {
+        match at {
+            Loc::Gpr(r) => r,
+            Loc::Xmm(x) => {
+                self.a.movq_rx(want, x);
                 want
             }
+            Loc::Slot(i) => {
+                self.a.mov_rm(want, slot(i));
+                want
+            }
+            Loc::Const(c) => {
+                self.a.mov_ri(want, c);
+                want
+            }
+            Loc::None | Loc::Fused => panic!("{} reads a value with no home", self.cur),
         }
     }
 
-    /// Force `v` into `dst` (a scratch register the caller may clobber).
-    fn read_into(&mut self, v: ValueId, dst: Reg) {
-        let r = self.read(v, dst);
+    fn gpr(&mut self, v: ValueId, want: Reg) -> Reg {
+        self.gpr_at(self.loc(v), want)
+    }
+
+    /// Force `v` into `dst` (a register the caller may clobber).
+    fn gpr_into(&mut self, v: ValueId, dst: Reg) {
+        let r = self.gpr(v, dst);
         if r != dst {
             self.a.mov_rr(dst, r);
         }
     }
 
-    /// Store `src` as the value of `v`.
-    fn write(&mut self, v: ValueId, src: Reg) {
-        match self.reg_of(v) {
-            Some(r) => {
-                if r != src {
-                    self.a.mov_rr(r, src);
-                }
-            }
-            None => self.a.mov_mr(self.slot(v), src),
+    /// `v` as the second operand of an integer op: its register, its
+    /// slot, an imm32, or `want` holding a wide constant.
+    fn opnd(&mut self, v: ValueId, want: Reg) -> Opnd {
+        match self.loc(v) {
+            Loc::Slot(i) => Opnd::M(slot(i)),
+            Loc::Const(c) if i32::try_from(c).is_ok() => Opnd::I(c as i32),
+            at => Opnd::R(self.gpr_at(at, want)),
         }
     }
 
-    /// Load float value `v` into `x` (floats are never register-allocated).
-    fn read_f(&mut self, v: ValueId, x: Xmm) {
-        self.a.movsd_xm(x, self.slot(v));
+    /// The float at `at` as an SSE source operand.
+    fn xopnd_at(&mut self, at: Loc) -> XOpnd {
+        match at {
+            Loc::Xmm(x) => XOpnd::X(x),
+            Loc::Slot(i) => XOpnd::M(slot(i)),
+            Loc::Const(c) => XOpnd::M(self.lit(c)),
+            _ => panic!("{} reads a float with no float home", self.cur),
+        }
     }
 
-    fn write_f(&mut self, v: ValueId, x: Xmm) {
-        self.a.movsd_mx(self.slot(v), x);
+    fn xopnd(&mut self, v: ValueId) -> XOpnd {
+        self.xopnd_at(self.loc(v))
+    }
+
+    /// Float `v` in an xmm register: its own, or `want` after a load.
+    fn xmm(&mut self, v: ValueId, want: Xmm) -> Xmm {
+        match self.xopnd(v) {
+            XOpnd::X(x) => x,
+            m => {
+                self.a.sse(Sse::MovSd, want, m);
+                want
+            }
+        }
+    }
+
+    fn xmm_into(&mut self, v: ValueId, dst: Xmm) {
+        let x = self.xmm(v, dst);
+        if x != dst {
+            self.a.sse(Sse::MovApd, dst, XOpnd::X(x));
+        }
+    }
+
+    /// The register to compute `id` into: its own, or `scratch`. It may
+    /// be the register of an operand that dies at `id`.
+    fn dst(&self, id: ValueId, scratch: Reg) -> Reg {
+        match self.loc(id) {
+            Loc::Gpr(r) => r,
+            _ => scratch,
+        }
+    }
+
+    fn xdst(&self, id: ValueId, scratch: Xmm) -> Xmm {
+        match self.loc(id) {
+            Loc::Xmm(x) => x,
+            _ => scratch,
+        }
+    }
+
+    /// Move raw bits between two homes (`rax` is the temporary for a
+    /// memory-to-memory move).
+    fn mov(&mut self, dst: Loc, src: Loc) {
+        match dst {
+            Loc::Gpr(d) => {
+                let r = self.gpr_at(src, d);
+                if r != d {
+                    self.a.mov_rr(d, r);
+                }
+            }
+            Loc::Xmm(d) => match src {
+                Loc::Gpr(r) => self.a.movq_xr(d, r),
+                Loc::Xmm(x) if x == d => {}
+                _ => {
+                    let s = self.xopnd_at(src);
+                    let op = if matches!(s, XOpnd::X(_)) { Sse::MovApd } else { Sse::MovSd };
+                    self.a.sse(op, d, s);
+                }
+            },
+            Loc::Slot(i) => self.store(slot(i), src),
+            Loc::None | Loc::Const(_) | Loc::Fused => unreachable!("not a destination"),
+        }
+    }
+
+    /// Store the raw bits at `src` to memory.
+    fn store(&mut self, m: Mem, src: Loc) {
+        match src {
+            Loc::Xmm(x) => self.a.movsd_mx(m, x),
+            Loc::Const(c) if i32::try_from(c).is_ok() => self.a.mov_mi(m, c as i32),
+            _ => {
+                let r = self.gpr_at(src, Reg::Rax);
+                self.a.mov_mr(m, r);
+            }
+        }
+    }
+
+    /// Store the raw bits of `id`, computed in `r`, to `id`'s home.
+    fn put(&mut self, id: ValueId, r: Reg) {
+        match self.loc(id) {
+            Loc::None => {}
+            at => self.mov(at, Loc::Gpr(r)),
+        }
+    }
+
+    /// Store float `id`, computed in `x`, to `id`'s home.
+    fn xput(&mut self, id: ValueId, x: Xmm) {
+        match self.loc(id) {
+            Loc::None => {}
+            at => self.mov(at, Loc::Xmm(x)),
+        }
     }
 
     /// `wrap_int`: sign-extend the low `ty` bits (and mask to one bit for
@@ -284,8 +433,8 @@ impl<'a> FnLower<'a> {
     /// Round-through-`f32` when the result type demands it.
     fn round_f32(&mut self, ty: Type, x: Xmm) {
         if ty == Type::F32 {
-            self.a.cvtsd2ss(x, x);
-            self.a.cvtss2sd(x, x);
+            self.a.sse(Sse::Sd2Ss, x, XOpnd::X(x));
+            self.a.sse(Sse::Ss2Sd, x, XOpnd::X(x));
         }
     }
 
@@ -297,18 +446,20 @@ impl<'a> FnLower<'a> {
 
     fn emit(mut self) -> Result<(), CompileError> {
         self.prologue();
-        for (i, &b) in self.rpo.clone().iter().enumerate() {
-            let l = self.labels[&b];
-            self.a.bind(l);
-            let insts = self.f.block(b).insts.clone();
+        let f = self.f;
+        let order = std::mem::take(&mut self.order);
+        for (i, &b) in order.iter().enumerate() {
+            self.next = order.get(i + 1).copied();
+            self.a.bind(self.labels[b.0 as usize]);
+            let insts = &f.block(b).insts;
             // Pre-charge the whole block against the step budget; traps on
             // exactly the launches where the interpreter's per-instruction
             // `budget == 0` check fires.
             self.a.alu_mi(Alu::Sub, self.env(OFF_STEPS), insts.len() as i32);
             self.a.jcc(Cc::S, self.t_steps);
-            let entry_params = i == 0;
-            for &id in &insts {
-                self.emit_inst(b, id, entry_params)?;
+            for &id in insts {
+                self.cur = id;
+                self.emit_inst(b, id)?;
             }
         }
         self.stubs();
@@ -344,18 +495,30 @@ impl<'a> FnLower<'a> {
         a.alu_rm(Alu::Cmp, Reg::Rax, Mem::b(Reg::R15, OFF_PRIV_LEN));
         a.jcc(Cc::A, self.t_so);
         a.mov_mr(Mem::b(Reg::R15, OFF_PRIV_SP), Reg::Rax);
-        // Copy parameters into their value homes.
+        // Load parameters into their homes.
         for i in 0..self.f.params.len() {
-            self.a.mov_rm(Reg::Rax, Mem::b(Reg::Rsi, 8 * i as i32));
-            self.write(ValueId(i as u32), Reg::Rax);
+            let m = Mem::b(Reg::Rsi, 8 * i as i32);
+            match self.loc(ValueId(i as u32)) {
+                Loc::Gpr(r) => self.a.mov_rm(r, m),
+                Loc::Xmm(x) => self.a.sse(Sse::MovSd, x, XOpnd::M(m)),
+                Loc::Slot(s) => {
+                    self.a.mov_rm(Reg::Rax, m);
+                    self.a.mov_mr(slot(s), Reg::Rax);
+                }
+                _ => {}
+            }
         }
     }
 
-    /// Trap stubs and the shared return path. Stubs expect their payload
-    /// in `rax` (+ `rcx` for the two-word traps).
+    /// Trap stubs, the shared return path, the slow paths and literals.
+    /// Trap stubs expect their payload in `rax` (+ `rcx` for the two-word
+    /// traps).
     fn stubs(&mut self) {
         let (code_cell, a_cell, b_cell) =
             (self.env(OFF_TRAP_CODE), self.env(OFF_TRAP_A), self.env(OFF_TRAP_B));
+        for sp in std::mem::take(&mut self.slow) {
+            self.slow_path(sp);
+        }
         let a = &mut *self.a;
         for (label, code) in [
             (self.t_div, TRAP_DIV_ZERO),
@@ -390,71 +553,133 @@ impl<'a> FnLower<'a> {
             a.pop(r);
         }
         a.ret();
+        if !self.lits.is_empty() {
+            a.align(8);
+            for &(bits, l) in &self.lits {
+                a.bind(l);
+                a.data64(bits as u64);
+            }
+        }
     }
 
     // ---- control flow ----
 
-    /// Parallel phi-copy for the edge `from -> to` (sources first into
-    /// temps, then all destinations — phi groups read their inputs
-    /// simultaneously).
-    fn emit_edge(&mut self, from: BlockId, to: BlockId) {
-        let mut pairs: Vec<(ValueId, ValueId)> = Vec::new();
-        for &id in &self.f.block(to).insts {
-            if let Op::Phi(incoming) = &self.f.inst(id).op {
-                let (_, src) = incoming
-                    .iter()
-                    .find(|(b, _)| *b == from)
-                    .expect("verifier guarantees an incoming value per predecessor");
-                pairs.push((id, *src));
-            } else {
-                break;
+    /// The parallel move of the edge `from -> to`: one `(destination,
+    /// source)` per live phi of `to` whose input is not already home.
+    fn edge(&self, from: BlockId, to: BlockId) -> Vec<(Loc, Loc)> {
+        let mut moves = Vec::new();
+        for &p in &self.f.block(to).insts {
+            let Op::Phi(incoming) = &self.f.inst(p).op else { break };
+            let dst = self.loc(p);
+            let (_, src) = incoming
+                .iter()
+                .find(|(b, _)| *b == from)
+                .expect("verifier guarantees an incoming value per predecessor");
+            if dst != Loc::None && self.loc(*src) != dst {
+                moves.push((dst, self.loc(*src)));
             }
         }
-        for (j, &(_, src)) in pairs.iter().enumerate() {
-            let r = self.read(src, Reg::Rax);
-            self.a.mov_mr(self.tmp(j as i32), r);
-        }
-        for (j, &(dst, _)) in pairs.iter().enumerate() {
-            self.a.mov_rm(Reg::Rax, self.tmp(j as i32));
-            self.write(dst, Reg::Rax);
+        moves
+    }
+
+    /// Sequentialize a parallel move: emit any move whose destination no
+    /// pending move still reads; when only cycles remain, park one
+    /// destination's value in a scratch (`xmm0` or `rcx`) and redirect
+    /// its readers. Destinations are distinct, so each cycle unwinds
+    /// completely before the next one needs the scratch.
+    fn emit_moves(&mut self, mut moves: Vec<(Loc, Loc)>) {
+        while !moves.is_empty() {
+            let free = (0..moves.len()).find(|&i| moves.iter().all(|&(_, s)| s != moves[i].0));
+            match free {
+                Some(i) => {
+                    let (d, s) = moves.remove(i);
+                    self.mov(d, s);
+                }
+                None => {
+                    let d = moves[0].0;
+                    let park = if matches!(d, Loc::Xmm(_)) {
+                        Loc::Xmm(Xmm::X0)
+                    } else {
+                        Loc::Gpr(Reg::Rcx)
+                    };
+                    self.mov(park, d);
+                    for m in &mut moves {
+                        if m.1 == d {
+                            m.1 = park;
+                        }
+                    }
+                }
+            }
         }
     }
 
-    // ---- instruction dispatch ----
+    /// `jmp` to `t` unless it is laid out next.
+    fn jump_to(&mut self, t: BlockId) {
+        if self.next != Some(t) {
+            self.a.jmp(self.labels[t.0 as usize]);
+        }
+    }
 
-    fn emit_inst(
-        &mut self,
-        b: BlockId,
-        id: ValueId,
-        entry_params: bool,
-    ) -> Result<(), CompileError> {
-        let inst = self.f.inst(id);
-        let ty = inst.ty;
-        match inst.op.clone() {
-            // Entry parameters were materialized by the prologue; phi
-            // destinations are written by predecessor edge copies.
-            Op::Param(_) | Op::Phi(_) => {
-                debug_assert!(entry_params || !matches!(inst.op, Op::Param(_)));
+    fn jump_if(&mut self, j: Jcc, l: Label) {
+        match j {
+            Jcc::If(cc) => self.a.jcc(cc, l),
+            Jcc::OrdEq => {
+                let skip = self.a.label();
+                self.a.jcc(Cc::P, skip);
+                self.a.jcc(Cc::E, l);
+                self.a.bind(skip);
             }
-            Op::ConstInt(v) => {
-                self.a.mov_ri(Reg::Rax, v);
-                self.write(id, Reg::Rax);
+            Jcc::UnordNe => {
+                self.a.jcc(Cc::P, l);
+                self.a.jcc(Cc::Ne, l);
             }
-            Op::ConstFloat(v) => {
-                let v = if ty == Type::F32 { v as f32 as f64 } else { v };
-                self.a.mov_ri(Reg::Rax, v.to_bits() as i64);
-                self.write(id, Reg::Rax);
+        }
+    }
+
+    fn emit_condbr(&mut self, b: BlockId, c: ValueId, t: BlockId, e: BlockId) {
+        let cond = if self.loc(c) == Loc::Fused {
+            self.compare(c)
+        } else {
+            match self.loc(c) {
+                Loc::Slot(i) => self.a.cmp_mi(slot(i), 0),
+                _ => {
+                    let r = self.gpr(c, Reg::Rax);
+                    self.a.test_rr(r, r);
+                }
             }
-            Op::ConstNull => {
-                self.a.mov_ri(Reg::Rax, 0);
-                self.write(id, Reg::Rax);
-            }
-            Op::Bin(op, l, r) => self.emit_bin(id, op, l, r, ty),
+            Jcc::If(Cc::Ne)
+        };
+        // The edge into the block laid out next goes last, so it falls
+        // through; the other one is a conditional jump, through its moves
+        // if it has any.
+        let (mut first, mut last) = ((t, cond), (e, cond.not()));
+        if self.next == Some(t) {
+            std::mem::swap(&mut first, &mut last);
+        }
+        let (to, when) = first;
+        let moves = self.edge(b, to);
+        if moves.is_empty() {
+            self.jump_if(when, self.labels[to.0 as usize]);
+        } else {
+            let skip = self.a.label();
+            self.jump_if(when.not(), skip);
+            self.emit_moves(moves);
+            self.a.jmp(self.labels[to.0 as usize]);
+            self.a.bind(skip);
+        }
+        let moves = self.edge(b, last.0);
+        self.emit_moves(moves);
+        self.jump_to(last.0);
+    }
+
+    /// Set the flags for compare `c` and say when it holds.
+    fn compare(&mut self, c: ValueId) -> Jcc {
+        match self.f.inst(c).op {
             Op::Icmp(p, l, r) => {
-                self.read_into(l, Reg::Rax);
-                let rr = self.read(r, Reg::Rcx);
-                self.a.alu_rr(Alu::Cmp, Reg::Rax, rr);
-                let cc = match p {
+                let lr = self.gpr(l, Reg::Rax);
+                let ro = self.opnd(r, Reg::Rcx);
+                self.a.alu(Alu::Cmp, lr, ro);
+                Jcc::If(match p {
                     ICmp::Eq => Cc::E,
                     ICmp::Ne => Cc::Ne,
                     ICmp::Slt => Cc::L,
@@ -465,59 +690,85 @@ impl<'a> FnLower<'a> {
                     ICmp::Ule => Cc::Be,
                     ICmp::Ugt => Cc::A,
                     ICmp::Uge => Cc::Ae,
-                };
-                self.a.setcc(cc, Reg::Rax);
-                self.a.movzx8_rr(Reg::Rax, Reg::Rax);
-                self.write(id, Reg::Rax);
+                })
             }
-            Op::Fcmp(p, l, r) => self.emit_fcmp(id, p, l, r),
-            Op::Cast(op, v) => self.emit_cast(id, op, v, ty),
-            Op::Select(c, t, e) => {
-                self.read_into(c, Reg::Rcx);
-                self.read_into(e, Reg::Rax);
-                let rt = self.read(t, Reg::Rdx);
+            Op::Fcmp(p, l, r) => {
+                // `ucomisd a, b` sets ZF/PF/CF (all three on unordered);
+                // swapping the operands turns Olt/Ole into the
+                // unordered-false `a`/`ae` conditions, exactly as
+                // `eval_fcmp` defines them.
+                let (first, second, j) = match p {
+                    FCmp::Oeq => (l, r, Jcc::OrdEq),
+                    FCmp::One => (l, r, Jcc::If(Cc::Ne)),
+                    FCmp::Olt => (r, l, Jcc::If(Cc::A)),
+                    FCmp::Ole => (r, l, Jcc::If(Cc::Ae)),
+                    FCmp::Ogt => (l, r, Jcc::If(Cc::A)),
+                    FCmp::Oge => (l, r, Jcc::If(Cc::Ae)),
+                };
+                let x = self.xmm(first, Xmm::X0);
+                let s = self.xopnd(second);
+                self.a.sse(Sse::UcomiSd, x, s);
+                j
+            }
+            _ => unreachable!("{c} is not a compare"),
+        }
+    }
+
+    // ---- instruction dispatch ----
+
+    fn emit_inst(&mut self, b: BlockId, id: ValueId) -> Result<(), CompileError> {
+        let f = self.f;
+        let inst = f.inst(id);
+        let ty = inst.ty;
+        match &inst.op {
+            // Entry parameters were loaded by the prologue; phi
+            // destinations are written by predecessor edge moves;
+            // constants are materialized where they are read.
+            Op::Param(_) | Op::Phi(_) | Op::ConstInt(_) | Op::ConstFloat(_) | Op::ConstNull => {}
+            &Op::Bin(op, l, r) => self.emit_bin(id, op, l, r, ty),
+            Op::Icmp(..) | Op::Fcmp(..) => {
+                if !matches!(self.loc(id), Loc::Fused | Loc::None) {
+                    let j = self.compare(id);
+                    self.set(id, j);
+                }
+            }
+            &Op::Cast(op, v) => self.emit_cast(id, op, v, ty),
+            &Op::Select(c, t, e) => {
+                self.gpr_into(c, Reg::Rcx);
+                self.gpr_into(e, Reg::Rax);
+                let rt = self.gpr(t, Reg::Rdx);
                 self.a.test_rr(Reg::Rcx, Reg::Rcx);
                 self.a.cmovcc(Cc::Ne, Reg::Rax, rt);
-                self.write(id, Reg::Rax);
+                self.put(id, Reg::Rax);
             }
             Op::Alloca { .. } => {
-                let off = self.alloca_off[&id];
-                self.a.mov_rm(Reg::Rax, Mem::b(Reg::Rbp, -56));
+                let off = self.alloca_off[id.0 as usize];
+                let d = self.dst(id, Reg::Rax);
+                self.a.mov_rm(d, Mem::b(Reg::Rbp, -56));
                 if off > 0 {
-                    self.a.alu_ri(Alu::Add, Reg::Rax, off as i32);
+                    self.a.alu_ri(Alu::Add, d, off as i32);
                 }
-                self.write(id, Reg::Rax);
+                self.put(id, d);
             }
-            Op::Load(p) => {
-                if self.static_local_trap(p) {
-                    return Ok(());
-                }
-                self.emit_mem_load(p, ty);
-                if matches!(ty, Type::F32 | Type::F64) {
-                    self.write_f(id, Xmm::X0);
-                } else {
-                    self.write(id, Reg::Rax);
+            &Op::Load(p) => {
+                if !self.static_local_trap(p) {
+                    self.emit_load(id, p, ty);
                 }
             }
-            Op::Store { ptr, val } => {
+            &Op::Store { ptr, val } => {
                 if self.static_local_trap(ptr) {
                     return Ok(());
                 }
-                let vty = self.f.inst(val).ty;
+                let vty = f.inst(val).ty;
                 if matches!(vty, Type::Ptr(_)) {
                     self.emit_store_ptr(ptr, val);
                 } else {
                     self.emit_store_plain(ptr, val, vty);
                 }
             }
-            Op::Gep { base, offset } => {
-                self.read_into(base, Reg::Rax);
-                let r = self.read(offset, Reg::Rcx);
-                self.a.alu_rr(Alu::Add, Reg::Rax, r);
-                self.write(id, Reg::Rax);
-            }
-            Op::CpuToGpu(p) => {
-                self.read_into(p, Reg::Rax);
+            &Op::Gep { base, offset } => self.emit_bin(id, BinOp::Add, base, offset, ty),
+            &Op::CpuToGpu(p) => {
+                self.gpr_into(p, Reg::Rax);
                 let done = self.a.label();
                 self.a.test_rr(Reg::Rax, Reg::Rax);
                 self.a.jcc(Cc::E, done);
@@ -528,54 +779,42 @@ impl<'a> FnLower<'a> {
                 self.a.mov_ri(Reg::Rcx, SVM_CONST as i64);
                 self.a.alu_rr(Alu::Add, Reg::Rax, Reg::Rcx);
                 self.a.bind(done);
-                self.write(id, Reg::Rax);
+                self.put(id, Reg::Rax);
             }
-            Op::GpuToCpu(p) => {
-                self.read_into(p, Reg::Rax);
+            &Op::GpuToCpu(p) => {
+                self.gpr_into(p, Reg::Rax);
                 let done = self.a.label();
                 self.a.alu_rm(Alu::Cmp, Reg::Rax, self.env(OFF_GPU_BASE));
                 self.a.jcc(Cc::B, done);
                 self.a.mov_ri(Reg::Rcx, SVM_CONST as i64);
                 self.a.alu_rr(Alu::Sub, Reg::Rax, Reg::Rcx);
                 self.a.bind(done);
-                self.write(id, Reg::Rax);
+                self.put(id, Reg::Rax);
             }
             Op::Call { callee, args } => {
                 for (j, &arg) in args.iter().enumerate() {
-                    let r = self.read(arg, Reg::Rax);
-                    self.a.mov_mr(self.argslot(j as i32), r);
+                    let m = self.argslot(j);
+                    self.store(m, self.loc(arg));
                 }
                 self.a.mov_rm(Reg::Rax, self.env(OFF_CODE_PTRS));
                 self.emit_call_common(Mem::b(Reg::Rax, 8 * callee.0 as i32));
                 if ty != Type::Void {
-                    self.write(id, Reg::Rax);
+                    self.put(id, Reg::Rax);
                 }
             }
-            Op::CallVirtual { slot, obj, args, .. } => {
-                self.emit_call_virtual(id, slot, obj, &args, ty);
+            Op::CallVirtual { slot: vslot, obj, args, .. } => {
+                self.emit_call_virtual(id, *vslot, *obj, args, ty);
             }
-            Op::IntrinsicCall(intr, args) => self.emit_intrinsic(id, intr, &args, ty)?,
-            Op::Br(t) => {
-                self.emit_edge(b, t);
-                let l = self.labels[&t];
-                self.a.jmp(l);
+            Op::IntrinsicCall(intr, args) => self.emit_intrinsic(id, *intr, args, ty)?,
+            &Op::Br(t) => {
+                let moves = self.edge(b, t);
+                self.emit_moves(moves);
+                self.jump_to(t);
             }
-            Op::CondBr(c, t, e) => {
-                self.read_into(c, Reg::Rdx);
-                self.a.test_rr(Reg::Rdx, Reg::Rdx);
-                let lelse = self.a.label();
-                self.a.jcc(Cc::E, lelse);
-                self.emit_edge(b, t);
-                let lt = self.labels[&t];
-                self.a.jmp(lt);
-                self.a.bind(lelse);
-                self.emit_edge(b, e);
-                let le = self.labels[&e];
-                self.a.jmp(le);
-            }
-            Op::Ret(v) => {
+            &Op::CondBr(c, t, e) => self.emit_condbr(b, c, t, e),
+            &Op::Ret(v) => {
                 if let Some(v) = v {
-                    self.read_into(v, Reg::Rax);
+                    self.gpr_into(v, Reg::Rax);
                 }
                 self.a.jmp(self.bail);
             }
@@ -584,40 +823,93 @@ impl<'a> FnLower<'a> {
         Ok(())
     }
 
+    /// Materialize the outcome of the compare just emitted as `id`'s
+    /// 0/1 value.
+    fn set(&mut self, id: ValueId, j: Jcc) {
+        match j {
+            Jcc::If(cc) => {
+                self.a.setcc(cc, Reg::Rax);
+                self.a.movzx8_rr(Reg::Rax, Reg::Rax);
+            }
+            Jcc::OrdEq => {
+                self.a.setcc(Cc::E, Reg::Rax);
+                self.a.movzx8_rr(Reg::Rax, Reg::Rax);
+                self.a.setcc(Cc::Np, Reg::Rcx);
+                self.a.movzx8_rr(Reg::Rcx, Reg::Rcx);
+                self.a.alu_rr(Alu::And, Reg::Rax, Reg::Rcx);
+            }
+            Jcc::UnordNe => unreachable!("no compare produces it"),
+        }
+        self.put(id, Reg::Rax);
+    }
+
     // ---- arithmetic ----
 
     fn emit_bin(&mut self, id: ValueId, op: BinOp, l: ValueId, r: ValueId, ty: Type) {
         use BinOp::*;
         match op {
             FAdd | FSub | FMul | FDiv => {
-                self.read_f(l, Xmm::X0);
-                self.read_f(r, Xmm::X1);
-                match op {
-                    FAdd => self.a.addsd(Xmm::X0, Xmm::X1),
-                    FSub => self.a.subsd(Xmm::X0, Xmm::X1),
-                    FMul => self.a.mulsd(Xmm::X0, Xmm::X1),
-                    _ => self.a.divsd(Xmm::X0, Xmm::X1),
+                let sse = match op {
+                    FAdd => Sse::AddSd,
+                    FSub => Sse::SubSd,
+                    FMul => Sse::MulSd,
+                    _ => Sse::DivSd,
+                };
+                // `l` is always the destination operand (NaN payloads
+                // follow it), so an `r` that dies into the result's
+                // register is read from there before the result is built
+                // in xmm0.
+                let mut d = self.xdst(id, Xmm::X0);
+                if self.loc(r) == Loc::Xmm(d) {
+                    d = Xmm::X0;
                 }
-                self.round_f32(ty, Xmm::X0);
-                self.write_f(id, Xmm::X0);
+                self.xmm_into(l, d);
+                let s = self.xopnd(r);
+                self.a.sse(sse, d, s);
+                self.round_f32(ty, d);
+                self.xput(id, d);
             }
             Add | Sub | Mul | And | Or | Xor => {
-                self.read_into(l, Reg::Rax);
-                let rr = self.read(r, Reg::Rcx);
-                match op {
-                    Add => self.a.alu_rr(Alu::Add, Reg::Rax, rr),
-                    Sub => self.a.alu_rr(Alu::Sub, Reg::Rax, rr),
-                    Mul => self.a.imul_rr(Reg::Rax, rr),
-                    And => self.a.alu_rr(Alu::And, Reg::Rax, rr),
-                    Or => self.a.alu_rr(Alu::Or, Reg::Rax, rr),
-                    _ => self.a.alu_rr(Alu::Xor, Reg::Rax, rr),
+                let d = self.dst(id, Reg::Rax);
+                let alu = |a: &mut Asm, d: Reg, s: Opnd| match op {
+                    Mul => a.imul(d, s),
+                    Add => a.alu(Alu::Add, d, s),
+                    Sub => a.alu(Alu::Sub, d, s),
+                    And => a.alu(Alu::And, d, s),
+                    Or => a.alu(Alu::Or, d, s),
+                    _ => a.alu(Alu::Xor, d, s),
+                };
+                let sum = match (op, self.loc(l), self.loc(r)) {
+                    (Add, Loc::Gpr(x), Loc::Gpr(y)) => Some(Mem::bi(x, y)),
+                    (Add, Loc::Gpr(x), Loc::Const(c)) | (Add, Loc::Const(c), Loc::Gpr(x)) => {
+                        i32::try_from(c).ok().map(|c| Mem::b(x, c))
+                    }
+                    _ => None,
+                };
+                if let Some(m) = sum {
+                    self.a.lea(d, m);
+                } else if self.loc(r) == Loc::Gpr(d) {
+                    // `r` dies into the result's register: `d = r op l`,
+                    // or `d = -r + l` for a subtraction of another value
+                    // (`l == r` reads `d` itself, so `sub d, d` is right).
+                    let s = self.opnd(l, Reg::Rcx);
+                    if op == Sub && l != r {
+                        self.a.neg(d);
+                        self.a.alu(Alu::Add, d, s);
+                    } else {
+                        alu(self.a, d, s);
+                    }
+                } else {
+                    let s = self.opnd(r, Reg::Rcx);
+                    self.gpr_into(l, d);
+                    alu(self.a, d, s);
                 }
-                self.wrap(Reg::Rax, ty);
-                self.write(id, Reg::Rax);
+                self.wrap(d, ty);
+                self.put(id, d);
             }
             SDiv | SRem => {
-                self.read_into(r, Reg::Rcx);
-                self.read_into(l, Reg::Rax);
+                self.gpr_into(r, Reg::Rcx);
+                self.gpr_into(l, Reg::Rax);
                 self.a.test_rr(Reg::Rcx, Reg::Rcx);
                 self.a.jcc(Cc::E, self.t_div);
                 // b == -1 bypasses idiv: `INT_MIN / -1` must wrap, not #DE.
@@ -639,11 +931,11 @@ impl<'a> FnLower<'a> {
                 }
                 self.a.bind(ldone);
                 self.wrap(Reg::Rax, ty);
-                self.write(id, Reg::Rax);
+                self.put(id, Reg::Rax);
             }
             UDiv | URem => {
-                self.read_into(r, Reg::Rcx);
-                self.read_into(l, Reg::Rax);
+                self.gpr_into(r, Reg::Rcx);
+                self.gpr_into(l, Reg::Rax);
                 self.a.test_rr(Reg::Rcx, Reg::Rcx);
                 self.a.jcc(Cc::E, self.t_div);
                 self.a.alu_rr(Alu::Xor, Reg::Rdx, Reg::Rdx);
@@ -652,94 +944,74 @@ impl<'a> FnLower<'a> {
                     self.a.mov_rr(Reg::Rax, Reg::Rdx);
                 }
                 self.wrap(Reg::Rax, ty);
-                self.write(id, Reg::Rax);
+                self.put(id, Reg::Rax);
             }
-            Shl => {
-                self.read_into(r, Reg::Rcx);
-                self.read_into(l, Reg::Rax);
-                self.a.shl_cl(Reg::Rax);
-                self.wrap(Reg::Rax, ty);
-                self.write(id, Reg::Rax);
-            }
-            LShr => {
-                self.read_into(r, Reg::Rcx);
-                self.read_into(l, Reg::Rax);
-                self.mask_low(Reg::Rax, ty);
-                self.a.shr_cl(Reg::Rax);
-                self.wrap(Reg::Rax, ty);
-                self.write(id, Reg::Rax);
-            }
-            AShr => {
-                self.read_into(r, Reg::Rcx);
-                self.read_into(l, Reg::Rax);
-                self.wrap(Reg::Rax, ty);
-                self.a.sar_cl(Reg::Rax);
-                self.wrap(Reg::Rax, ty);
-                self.write(id, Reg::Rax);
+            Shl | LShr | AShr => {
+                // The hardware masks a 64-bit shift count to its low six
+                // bits, as `wrapping_shl`/`wrapping_shr` do.
+                let count = match self.loc(r) {
+                    Loc::Const(c) => Some((c & 63) as u8),
+                    _ => None,
+                };
+                if count.is_none() {
+                    self.gpr_into(r, Reg::Rcx);
+                }
+                let d = self.dst(id, Reg::Rax);
+                self.gpr_into(l, d);
+                match op {
+                    LShr => self.mask_low(d, ty),
+                    AShr => self.wrap(d, ty),
+                    _ => {}
+                }
+                match (op, count) {
+                    (Shl, Some(n)) => self.a.shl_i(d, n),
+                    (Shl, None) => self.a.shl_cl(d),
+                    (LShr, Some(n)) => self.a.shr_i(d, n),
+                    (LShr, None) => self.a.shr_cl(d),
+                    (_, Some(n)) => self.a.sar_i(d, n),
+                    (_, None) => self.a.sar_cl(d),
+                }
+                self.wrap(d, ty);
+                self.put(id, d);
             }
         }
-    }
-
-    fn emit_fcmp(&mut self, id: ValueId, p: FCmp, l: ValueId, r: ValueId) {
-        // `ucomisd a, b` → ZF/PF/CF encode the ordered comparison; the
-        // swapped-operand trick turns Olt/Ole into unordered-safe
-        // `seta`/`setae` exactly as `eval_fcmp` defines them.
-        let (first, second, cc, parity) = match p {
-            FCmp::Oeq => (l, r, Cc::E, true),
-            FCmp::One => (l, r, Cc::Ne, false),
-            FCmp::Olt => (r, l, Cc::A, false),
-            FCmp::Ole => (r, l, Cc::Ae, false),
-            FCmp::Ogt => (l, r, Cc::A, false),
-            FCmp::Oge => (l, r, Cc::Ae, false),
-        };
-        self.read_f(first, Xmm::X0);
-        self.read_f(second, Xmm::X1);
-        self.a.ucomisd(Xmm::X0, Xmm::X1);
-        self.a.setcc(cc, Reg::Rax);
-        self.a.movzx8_rr(Reg::Rax, Reg::Rax);
-        if parity {
-            // Oeq must reject NaN (ZF is set on unordered).
-            self.a.setcc(Cc::Np, Reg::Rcx);
-            self.a.movzx8_rr(Reg::Rcx, Reg::Rcx);
-            self.a.alu_rr(Alu::And, Reg::Rax, Reg::Rcx);
-        }
-        self.write(id, Reg::Rax);
     }
 
     fn emit_cast(&mut self, id: ValueId, op: CastOp, v: ValueId, to: Type) {
         let from = self.f.inst(v).ty;
         match op {
-            CastOp::Zext => {
-                self.read_into(v, Reg::Rax);
-                self.mask_low(Reg::Rax, from);
-                self.wrap(Reg::Rax, to);
-                self.write(id, Reg::Rax);
-            }
-            CastOp::Sext | CastOp::Trunc | CastOp::PtrToInt => {
-                self.read_into(v, Reg::Rax);
-                self.wrap(Reg::Rax, to);
-                self.write(id, Reg::Rax);
+            CastOp::Zext | CastOp::Sext | CastOp::Trunc | CastOp::PtrToInt => {
+                let d = self.dst(id, Reg::Rax);
+                self.gpr_into(v, d);
+                if op == CastOp::Zext {
+                    self.mask_low(d, from);
+                }
+                self.wrap(d, to);
+                self.put(id, d);
             }
             CastOp::IntToPtr | CastOp::PtrCast => {
-                self.read_into(v, Reg::Rax);
-                self.write(id, Reg::Rax);
+                let d = self.dst(id, Reg::Rax);
+                self.gpr_into(v, d);
+                self.put(id, d);
             }
             CastOp::FpToSi => {
-                self.read_f(v, Xmm::X0);
+                self.xmm_into(v, Xmm::X0);
                 self.call_helper(h_f2i as extern "C" fn(f64) -> i64 as usize);
                 self.wrap(Reg::Rax, to);
-                self.write(id, Reg::Rax);
+                self.put(id, Reg::Rax);
             }
             CastOp::SiToFp => {
-                self.read_into(v, Reg::Rax);
-                self.a.cvtsi2sd(Xmm::X0, Reg::Rax);
-                self.round_f32(to, Xmm::X0);
-                self.write_f(id, Xmm::X0);
+                let r = self.gpr(v, Reg::Rax);
+                let d = self.xdst(id, Xmm::X0);
+                self.a.cvtsi2sd(d, r);
+                self.round_f32(to, d);
+                self.xput(id, d);
             }
             CastOp::FpCast => {
-                self.read_f(v, Xmm::X0);
-                self.round_f32(to, Xmm::X0);
-                self.write_f(id, Xmm::X0);
+                let d = self.xdst(id, Xmm::X0);
+                self.xmm_into(v, d);
+                self.round_f32(to, d);
+                self.xput(id, d);
             }
         }
     }
@@ -759,97 +1031,123 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    /// Range-classify the address in `rax` for a `size`-byte access and
-    /// leave `rdx` = host base, `rcx` = in-bounds offset, jumping to
-    /// `lop` for each classified branch. Out-of-bounds falls into
-    /// `t_bad` with the interpreter's space payload. Clobbers rcx/rdx.
-    fn classify(&mut self, lg: i32, lop: Label) {
+    /// Range-classify the address in `addr` for a `2^lg`-byte access,
+    /// leaving `rdx` = host base and `rcx` = in-bounds offset. The shared
+    /// CPU case falls straight through; private and GPU addresses take
+    /// the out-of-line [`SlowPath`], which returns here, and
+    /// out-of-bounds addresses trap there with the interpreter's space
+    /// payload. Clobbers rcx/rdx only.
+    fn classify(&mut self, addr: Reg, lg: i32) {
+        assert!(addr != Reg::Rcx && addr != Reg::Rdx, "classify clobbers rcx/rdx");
+        let (entry, resume) = (self.a.label(), self.a.label());
         let a = &mut *self.a;
-        let slow = a.label();
+        a.mov_rr(Reg::Rcx, addr);
+        a.alu_rr(Alu::Sub, Reg::Rcx, Reg::R14);
+        a.alu_rm(Alu::Cmp, Reg::Rcx, Mem::b(Reg::R15, OFF_LIMIT_CPU + 8 * lg));
+        a.jcc(Cc::A, entry);
+        a.mov_rm(Reg::Rdx, Mem::b(Reg::R15, OFF_REGION_BASE));
+        a.bind(resume);
+        self.slow.push(SlowPath { entry, resume, addr, lg });
+    }
+
+    fn slow_path(&mut self, sp: SlowPath) {
+        let SlowPath { entry, resume, addr, lg } = sp;
+        let a = &mut *self.a;
         let gpu = a.label();
         let bad_cpu = a.label();
         let bad_priv = a.label();
         let bad_gpu = a.label();
-        // Fast path: shared CPU range, fused range + bounds check.
-        a.mov_rr(Reg::Rcx, Reg::Rax);
-        a.alu_rr(Alu::Sub, Reg::Rcx, Reg::R14);
-        a.alu_rm(Alu::Cmp, Reg::Rcx, Mem::b(Reg::R15, OFF_LIMIT_CPU + 8 * lg));
-        a.jcc(Cc::A, slow);
-        a.mov_rm(Reg::Rdx, Mem::b(Reg::R15, OFF_REGION_BASE));
-        a.jmp(lop);
-        a.bind(slow);
-        a.alu_rm(Alu::Cmp, Reg::Rax, Mem::b(Reg::R15, OFF_GPU_BASE));
+        a.bind(entry);
+        a.alu_rm(Alu::Cmp, addr, Mem::b(Reg::R15, OFF_GPU_BASE));
         a.jcc(Cc::Ae, gpu);
-        a.alu_rr(Alu::Cmp, Reg::Rax, Reg::R14);
+        a.alu_rr(Alu::Cmp, addr, Reg::R14);
         a.jcc(Cc::Ae, bad_cpu);
         // Private space (everything below CPU_BASE, including null).
-        a.mov_rr(Reg::Rcx, Reg::Rax);
+        a.mov_rr(Reg::Rcx, addr);
         a.alu_ri(Alu::Sub, Reg::Rcx, PRIVATE_BASE as i32);
         a.alu_rm(Alu::Cmp, Reg::Rcx, Mem::b(Reg::R15, OFF_LIMIT_PRIV + 8 * lg));
         a.jcc(Cc::A, bad_priv);
         a.mov_rm(Reg::Rdx, Mem::b(Reg::R15, OFF_PRIV_BASE));
-        a.jmp(lop);
+        a.jmp(resume);
         a.bind(gpu);
-        a.mov_rr(Reg::Rcx, Reg::Rax);
+        a.mov_rr(Reg::Rcx, addr);
         a.alu_rm(Alu::Sub, Reg::Rcx, Mem::b(Reg::R15, OFF_GPU_BASE));
         a.alu_rm(Alu::Cmp, Reg::Rcx, Mem::b(Reg::R15, OFF_LIMIT_CPU + 8 * lg));
         a.jcc(Cc::A, bad_gpu);
         a.mov_rm(Reg::Rdx, Mem::b(Reg::R15, OFF_REGION_BASE));
-        a.jmp(lop);
-        a.bind(bad_cpu);
-        a.mov_ri(Reg::Rcx, SPACE_CPU);
-        a.jmp(self.t_bad);
-        a.bind(bad_priv);
-        a.mov_ri(Reg::Rcx, SPACE_PRIVATE);
-        a.jmp(self.t_bad);
-        a.bind(bad_gpu);
-        a.mov_ri(Reg::Rcx, SPACE_GPU);
-        a.jmp(self.t_bad);
+        a.jmp(resume);
+        for (label, space) in
+            [(bad_cpu, SPACE_CPU), (bad_priv, SPACE_PRIVATE), (bad_gpu, SPACE_GPU)]
+        {
+            a.bind(label);
+            if addr != Reg::Rax {
+                a.mov_rr(Reg::Rax, addr);
+            }
+            a.mov_ri(Reg::Rcx, space);
+            a.jmp(self.t_bad);
+        }
     }
 
-    /// Load `ty` from the pointer value `p` into rax (ints, sign-extended
-    /// like `mem_read`) or xmm0 (floats, widened to f64).
-    fn emit_mem_load(&mut self, p: ValueId, ty: Type) {
-        self.read_into(p, Reg::Rax);
-        let lop = self.a.label();
-        self.classify(log2_size(ty), lop);
-        self.a.bind(lop);
+    /// Load `ty` through `p` into `id`'s home: ints sign-extended like
+    /// `mem_read`, floats widened to f64.
+    fn emit_load(&mut self, id: ValueId, p: ValueId, ty: Type) {
+        let addr = self.gpr(p, Reg::Rax);
+        self.classify(addr, log2_size(ty));
         let m = Mem::bi(Reg::Rdx, Reg::Rcx);
-        match ty {
-            Type::I1 | Type::I8 => self.a.movsx8_rm(Reg::Rax, m),
-            Type::I16 => self.a.movsx16_rm(Reg::Rax, m),
-            Type::I32 => self.a.movsxd_rm(Reg::Rax, m),
-            Type::F32 => {
-                self.a.movss_xm(Xmm::X0, m);
-                self.a.cvtss2sd(Xmm::X0, Xmm::X0);
+        if is_float(ty) {
+            let d = self.xdst(id, Xmm::X0);
+            if ty == Type::F32 {
+                self.a.sse(Sse::MovSs, d, XOpnd::M(m));
+                self.a.sse(Sse::Ss2Sd, d, XOpnd::X(d));
+            } else {
+                self.a.sse(Sse::MovSd, d, XOpnd::M(m));
             }
-            Type::F64 => self.a.movsd_xm(Xmm::X0, m),
-            _ => self.a.mov_rm(Reg::Rax, m),
+            self.xput(id, d);
+        } else {
+            let d = self.dst(id, Reg::Rax);
+            match ty {
+                Type::I1 | Type::I8 => self.a.movsx8_rm(d, m),
+                Type::I16 => self.a.movsx16_rm(d, m),
+                Type::I32 => self.a.movsxd_rm(d, m),
+                _ => self.a.mov_rm(d, m),
+            }
+            self.put(id, d);
         }
     }
 
     fn emit_store_plain(&mut self, ptr: ValueId, val: ValueId, vty: Type) {
-        let float = matches!(vty, Type::F32 | Type::F64);
-        if float {
-            self.read_f(val, Xmm::X0);
-            if vty == Type::F32 {
-                self.a.cvtsd2ss(Xmm::X0, Xmm::X0);
-            }
-        } else {
-            self.read_into(val, Reg::R8);
+        enum Val {
+            R(Reg),
+            X(Xmm),
+            I(i64),
         }
-        self.read_into(ptr, Reg::Rax);
-        let lop = self.a.label();
-        self.classify(log2_size(vty), lop);
-        self.a.bind(lop);
+        let size = vty.size();
+        let v = match (self.loc(val), vty) {
+            (Loc::Const(c), Type::F32) => {
+                Val::I(i64::from((f64::from_bits(c as u64) as f32).to_bits()))
+            }
+            (Loc::Const(c), _) if size < 8 || i32::try_from(c).is_ok() => Val::I(c),
+            (_, Type::F32) => {
+                let x = self.xmm(val, Xmm::X0);
+                self.a.sse(Sse::Sd2Ss, Xmm::X0, XOpnd::X(x));
+                Val::X(Xmm::X0)
+            }
+            (_, Type::F64) => Val::X(self.xmm(val, Xmm::X0)),
+            _ => Val::R(self.gpr(val, Reg::R8)),
+        };
+        let addr = self.gpr(ptr, Reg::Rax);
+        self.classify(addr, log2_size(vty));
         let m = Mem::bi(Reg::Rdx, Reg::Rcx);
-        match vty {
-            Type::I1 | Type::I8 => self.a.mov_mr8(m, Reg::R8),
-            Type::I16 => self.a.mov_mr16(m, Reg::R8),
-            Type::I32 => self.a.mov_mr32(m, Reg::R8),
-            Type::F32 => self.a.movss_mx(m, Xmm::X0),
-            Type::F64 => self.a.movsd_mx(m, Xmm::X0),
-            _ => self.a.mov_mr(m, Reg::R8),
+        match v {
+            Val::I(c) => self.a.mov_mi_sized(m, c, size),
+            Val::X(x) if vty == Type::F32 => self.a.movss_mx(m, x),
+            Val::X(x) => self.a.movsd_mx(m, x),
+            Val::R(r) => match size {
+                1 => self.a.mov_mr8(m, r),
+                2 => self.a.mov_mr16(m, r),
+                4 => self.a.mov_mr32(m, r),
+                _ => self.a.mov_mr(m, r),
+            },
         }
     }
 
@@ -857,8 +1155,8 @@ impl<'a> FnLower<'a> {
     /// space before resolving the target address when the target is
     /// shared memory (private frames accept any pointer).
     fn emit_store_ptr(&mut self, ptr: ValueId, val: ValueId) {
-        self.read_into(val, Reg::R8);
-        self.read_into(ptr, Reg::Rax);
+        self.gpr_into(val, Reg::R8);
+        self.gpr_into(ptr, Reg::Rax);
         let a_gpu = self.a.label();
         let a_cpu = self.a.label();
         let val_priv = self.a.label();
@@ -943,6 +1241,7 @@ impl<'a> FnLower<'a> {
     /// through `target`, trap propagation. `target` must not involve
     /// rdi/rsi.
     fn emit_call_common(&mut self, target: Mem) {
+        debug_assert!(is_call(&self.f.inst(self.cur).op), "allocator missed call {}", self.cur);
         let a = &mut *self.a;
         a.mov_rr(Reg::Rdi, Reg::R15);
         a.lea(Reg::Rsi, Mem::b(Reg::Rbp, -self.arg_base));
@@ -956,7 +1255,7 @@ impl<'a> FnLower<'a> {
     fn emit_call_virtual(
         &mut self,
         id: ValueId,
-        slot: u32,
+        vslot: u32,
         obj: ValueId,
         args: &[ValueId],
         ty: Type,
@@ -966,10 +1265,12 @@ impl<'a> FnLower<'a> {
         if self.static_local_trap(obj) {
             return;
         }
-        self.emit_mem_load(obj, Type::I64);
+        let addr = self.gpr(obj, Reg::Rax);
+        self.classify(addr, 3);
+        self.a.mov_rm(Reg::Rax, Mem::bi(Reg::Rdx, Reg::Rcx));
         // Validate: region-offset aligned to the vtable stride, class in
         // range, magic word intact — else BadVirtualDispatch { vptr }.
-        let slot_disp = 16 + 8 * slot as i32;
+        let slot_disp = 16 + 8 * vslot as i32;
         let a = &mut *self.a;
         a.mov_rr(Reg::Rcx, Reg::Rax);
         a.alu_rr(Alu::Sub, Reg::Rcx, Reg::R14);
@@ -1008,23 +1309,22 @@ impl<'a> FnLower<'a> {
         a.jmp(self.t_bad);
         a.bind(after);
         // Stage `this` + declared arguments, then call through the table.
-        let r = self.read(obj, Reg::Rax);
-        self.a.mov_mr(self.argslot(0), r);
-        for (j, &arg) in args.iter().enumerate() {
-            let r = self.read(arg, Reg::Rax);
-            self.a.mov_mr(self.argslot(j as i32 + 1), r);
+        for (j, &arg) in std::iter::once(&obj).chain(args).enumerate() {
+            let m = self.argslot(j);
+            self.store(m, self.loc(arg));
         }
         self.a.mov_rm(Reg::Rax, self.env(OFF_CODE_PTRS));
         self.a.mov_rm(Reg::Rcx, Mem::b(Reg::Rbp, -64));
         self.emit_call_common(Mem::bi8(Reg::Rax, Reg::Rcx, 0));
         if ty != Type::Void {
-            self.write(id, Reg::Rax);
+            self.put(id, Reg::Rax);
         }
     }
 
     /// `movabs rax, helper; call rax` — process-static Rust helpers
     /// following the C ABI (args already staged in xmm0/xmm1 or rdi/rsi).
     fn call_helper(&mut self, addr: usize) {
+        debug_assert!(is_call(&self.f.inst(self.cur).op), "allocator missed call {}", self.cur);
         self.a.mov_ri(Reg::Rax, addr as i64);
         self.a.call_r(Reg::Rax);
     }
@@ -1050,62 +1350,64 @@ impl<'a> FnLower<'a> {
                     LocalId => OFF_LOCAL_ID,
                     _ => OFF_GROUP_ID,
                 };
-                self.a.mov_rm(Reg::Rax, self.env(off));
-                self.write(id, Reg::Rax);
+                let d = self.dst(id, Reg::Rax);
+                self.a.mov_rm(d, self.env(off));
+                self.put(id, d);
             }
             Barrier => {
                 if ty != Type::Void {
                     self.a.mov_ri(Reg::Rax, 0);
-                    self.write(id, Reg::Rax);
+                    self.put(id, Reg::Rax);
                 }
             }
             Sqrt => {
-                self.read_f(arg(0)?, Xmm::X0);
-                self.a.sqrtsd(Xmm::X0, Xmm::X0);
-                self.round_f32(Type::F32, Xmm::X0);
-                self.write_f(id, Xmm::X0);
+                let s = self.xopnd(arg(0)?);
+                let d = self.xdst(id, Xmm::X0);
+                self.a.sse(Sse::SqrtSd, d, s);
+                self.round_f32(Type::F32, d);
+                self.xput(id, d);
             }
             FAbs => {
-                self.read_f(arg(0)?, Xmm::X0);
-                self.a.movq_rx(Reg::Rax, Xmm::X0);
+                self.gpr_into(arg(0)?, Reg::Rax);
                 self.a.mov_ri(Reg::Rcx, i64::MAX);
                 self.a.alu_rr(Alu::And, Reg::Rax, Reg::Rcx);
-                self.a.movq_xr(Xmm::X0, Reg::Rax);
-                self.round_f32(Type::F32, Xmm::X0);
-                self.write_f(id, Xmm::X0);
+                let d = self.xdst(id, Xmm::X0);
+                self.a.movq_xr(d, Reg::Rax);
+                self.round_f32(Type::F32, d);
+                self.xput(id, d);
             }
             Floor | Exp => {
-                self.read_f(arg(0)?, Xmm::X0);
+                self.xmm_into(arg(0)?, Xmm::X0);
                 let h = if intr == Floor { h_floor } else { h_exp };
                 self.call_helper(h as extern "C" fn(f64) -> f64 as usize);
-                self.write_f(id, Xmm::X0);
+                self.xput(id, Xmm::X0);
             }
             Pow | FMin | FMax => {
-                self.read_f(arg(0)?, Xmm::X0);
-                self.read_f(arg(1)?, Xmm::X1);
+                self.xmm_into(arg(0)?, Xmm::X0);
+                self.xmm_into(arg(1)?, Xmm::X1);
                 let h = match intr {
                     Pow => h_pow,
                     FMin => h_fmin,
                     _ => h_fmax,
                 };
                 self.call_helper(h as extern "C" fn(f64, f64) -> f64 as usize);
-                self.write_f(id, Xmm::X0);
+                self.xput(id, Xmm::X0);
             }
             SMin | SMax => {
-                self.read_into(arg(0)?, Reg::Rax);
-                let r = self.read(arg(1)?, Reg::Rcx);
+                self.gpr_into(arg(0)?, Reg::Rax);
+                let r = self.gpr(arg(1)?, Reg::Rcx);
                 self.a.alu_rr(Alu::Cmp, Reg::Rax, r);
                 self.a.cmovcc(if intr == SMin { Cc::G } else { Cc::L }, Reg::Rax, r);
-                self.write(id, Reg::Rax);
+                self.put(id, Reg::Rax);
             }
             DeviceMalloc => {
-                self.read_into(arg(0)?, Reg::Rsi);
+                self.gpr_into(arg(0)?, Reg::Rsi);
                 self.a.mov_rr(Reg::Rdi, Reg::R15);
                 self.call_helper(h_device_malloc as extern "C" fn(*mut Env, i64) -> u64 as usize);
-                self.write(id, Reg::Rax);
+                self.put(id, Reg::Rax);
             }
             WlPush => {
-                self.read_into(arg(0)?, Reg::Rsi);
+                self.gpr_into(arg(0)?, Reg::Rsi);
                 self.a.mov_rr(Reg::Rdi, Reg::R15);
                 self.call_helper(h_wl_push as extern "C" fn(*mut Env, i64) as usize);
                 // A null sink records TRAP_WL_PUSH; bail like a trapped
@@ -1138,14 +1440,12 @@ impl<'a> FnLower<'a> {
         if self.static_local_trap(ptr) {
             return Ok(());
         }
-        self.read_into(arg(1)?, Reg::R9);
+        self.gpr_into(arg(1)?, Reg::R9);
         if intr == Intrinsic::AtomicCasI32 {
-            self.read_into(arg(2)?, Reg::R10);
+            self.gpr_into(arg(2)?, Reg::R10);
         }
-        self.read_into(ptr, Reg::Rax);
-        let lop = self.a.label();
-        self.classify(2, lop);
-        self.a.bind(lop);
+        let addr = self.gpr(ptr, Reg::Rax);
+        self.classify(addr, 2);
         let m = Mem::bi(Reg::Rdx, Reg::Rcx);
         let a = &mut *self.a;
         match intr {
@@ -1179,7 +1479,7 @@ impl<'a> FnLower<'a> {
                 a.bind(ldone);
             }
         }
-        self.write(id, Reg::Rax);
+        self.put(id, Reg::Rax);
         Ok(())
     }
 }

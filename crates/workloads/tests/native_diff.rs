@@ -12,7 +12,7 @@ use concord_energy::SystemConfig;
 use concord_ir::types::AddrSpace;
 use concord_runtime::{Concord, Options, RuntimeError, Target};
 use concord_svm::CPU_BASE;
-use concord_workloads::{all_workloads, Scale, Workload};
+use concord_workloads::{all_workloads, worklist_workloads, Scale, Workload};
 
 /// Full shared-region contents — sessions over the same source perform the
 /// same allocation sequence, so whole-region equality is well-defined.
@@ -102,5 +102,27 @@ fn trap_is_first_trap_wins_and_matches_interpreter() {
             native, reference,
             "native trap (host_threads={ht}) must match the interpreter's"
         );
+    }
+}
+
+/// Codegen is a pure function of its input: each of the 13 programs,
+/// compiled twice from source, yields identical code bytes. (The
+/// benchmark's `compile` workload checks only the length.)
+#[test]
+fn codegen_is_deterministic_for_every_program() {
+    if !concord_native::supported() {
+        return;
+    }
+    let worklists = worklist_workloads().into_iter().map(|w| w as Box<dyn Workload>);
+    let programs: Vec<Box<dyn Workload>> = all_workloads().into_iter().chain(worklists).collect();
+    assert_eq!(programs.len(), 13);
+    for w in programs {
+        let spec = w.spec();
+        let code = || {
+            let mut lp = concord_frontend::compile(spec.source).unwrap();
+            concord_compiler::optimize_for_cpu(&mut lp.module);
+            concord_native::compile(&lp.module).unwrap().code().to_vec()
+        };
+        assert!(code() == code(), "{}: two compiles produced different code", spec.name);
     }
 }
