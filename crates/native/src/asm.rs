@@ -205,6 +205,12 @@ impl Mem {
         Mem { base, index: Some((index, 0)), disp: 0, lit: None }
     }
 
+    /// `[base + index*4]`.
+    pub fn bi4(base: Reg, index: Reg) -> Mem {
+        assert!(index != Reg::Rsp, "rsp cannot be an index register");
+        Mem { base, index: Some((index, 2)), disp: 0, lit: None }
+    }
+
     /// `[base + index*8 + disp]`.
     pub fn bi8(base: Reg, index: Reg, disp: i32) -> Mem {
         assert!(index != Reg::Rsp, "rsp cannot be an index register");
@@ -532,6 +538,12 @@ impl Asm {
         self.op_m(&[], true, &[opc], dst.lo(), dst.hi(), &m);
     }
 
+    /// `op qword [m], src` (the `op r/m, reg` opcode sits two below).
+    pub fn alu_mr(&mut self, op: Alu, m: Mem, src: Reg) {
+        let (opc, _) = op.enc();
+        self.op_m(&[], true, &[opc - 2], src.lo(), src.hi(), &m);
+    }
+
     /// `op dst, imm32` (sign-extended).
     pub fn alu_ri(&mut self, op: Alu, dst: Reg, v: i32) {
         let (_, digit) = op.enc();
@@ -847,6 +859,11 @@ mod tests {
             vec![0x4E, 0x8D, 0x24, 0x2B]
         );
         assert_eq!(enc(|a| a.lea(Reg::Rbx, Mem::b(Reg::R13, 8))), vec![0x49, 0x8D, 0x5D, 0x08]);
+        // movsxd rax, dword [rcx+rax*4] => 48 63 04 81
+        assert_eq!(
+            enc(|a| a.movsxd_rm(Reg::Rax, Mem::bi4(Reg::Rcx, Reg::Rax))),
+            vec![0x48, 0x63, 0x04, 0x81]
+        );
     }
 
     #[test]
@@ -881,6 +898,11 @@ mod tests {
         assert_eq!(
             enc(|a| a.alu_mi(Alu::Sub, Mem::b(Reg::R15, 40), 7)),
             vec![0x49, 0x81, 0x6F, 0x28, 7, 0, 0, 0]
+        );
+        // add qword [r15+0x70], rax => 49 01 47 70
+        assert_eq!(
+            enc(|a| a.alu_mr(Alu::Add, Mem::b(Reg::R15, 0x70), Reg::Rax)),
+            vec![0x49, 0x01, 0x47, 0x70]
         );
     }
 

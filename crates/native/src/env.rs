@@ -1,15 +1,26 @@
-//! The per-work-item execution environment shared with generated code.
+//! The execution environment shared with generated code: one per chunk.
 //!
 //! Generated functions receive a pointer to an [`Env`] in `rdi` and pin it
 //! in `r15` for their whole lifetime. Every field the machine code touches
 //! is accessed at a fixed byte offset (the `OFF_*` constants), so the
 //! struct is `repr(C)` and the offsets are pinned by a unit test.
 //!
-//! The environment also carries the trap cell: generated code never
+//! The launch driver describes one chunk here — its first item in
+//! `global_id`, the end in `item_end`, the first kernel argument in `arg0`,
+//! a worklist round's frontier in `items` and the per-item step budget in
+//! `budget` — and makes one call to the kernel's chunk entry. The item
+//! loop in generated code (see `lower.rs`) then advances `global_id`,
+//! refills `steps` from `budget` before each item and adds what each
+//! completed item spent to `insts`. Every other field that loop
+//! touches lies in the first 128 bytes, where an `[r15 + disp8]` operand
+//! reaches it; fields generated code never or rarely reads come last.
+//!
+//! The environment also carries the trap cells: generated code never
 //! unwinds — on a fault it records a trap code plus payload words here and
 //! returns through every active frame (each one restoring its private
 //! stack pointer), and the launch driver reconstructs the interpreter's
-//! [`Trap`] value from the cells.
+//! [`Trap`] value from the cells. A trap ends the chunk, with `global_id`
+//! naming the trapped item.
 
 use concord_ir::eval::Trap;
 use concord_ir::types::AddrSpace;
@@ -37,14 +48,15 @@ pub(crate) const TRAP_WL_PUSH: u64 = 8;
 
 // Field offsets used by the code generator (see the layout test).
 pub(crate) const OFF_REGION_BASE: i32 = 0;
+pub(crate) const OFF_ARG0: i32 = 8;
 pub(crate) const OFF_PRIV_BASE: i32 = 16;
 pub(crate) const OFF_PRIV_LEN: i32 = 24;
 pub(crate) const OFF_PRIV_SP: i32 = 32;
 pub(crate) const OFF_STEPS: i32 = 40;
 pub(crate) const OFF_GLOBAL_ID: i32 = 48;
-pub(crate) const OFF_GLOBAL_SIZE: i32 = 56;
-pub(crate) const OFF_LOCAL_ID: i32 = 64;
-pub(crate) const OFF_GROUP_ID: i32 = 72;
+pub(crate) const OFF_ITEM_END: i32 = 56;
+pub(crate) const OFF_BUDGET: i32 = 64;
+pub(crate) const OFF_ITEMS: i32 = 72;
 pub(crate) const OFF_TRAP_CODE: i32 = 80;
 pub(crate) const OFF_TRAP_A: i32 = 88;
 pub(crate) const OFF_TRAP_B: i32 = 96;
@@ -63,32 +75,39 @@ pub(crate) const OFF_LIMIT_PRIV: i32 = 176;
 /// offset is pinned by the layout test alone.
 #[allow(dead_code)]
 pub(crate) const OFF_WL_SINK: i32 = 208;
+pub(crate) const OFF_INSTS: i32 = 216;
+pub(crate) const OFF_GLOBAL_SIZE: i32 = 224;
+pub(crate) const OFF_LOCAL_ID: i32 = 232;
 
-/// Execution environment handed to generated code (one per host core).
+/// Execution environment handed to generated code (one per chunk).
 #[repr(C)]
 #[derive(Debug)]
 pub struct Env {
     /// Host pointer to byte 0 of the shared region.
     pub region_base: *mut u8,
-    /// Shared region capacity in bytes.
-    pub region_len: u64,
+    /// First kernel argument of every item in the chunk: the body, or a
+    /// reduction's slot.
+    pub arg0: u64,
     /// Host pointer to this core's private memory.
     pub priv_base: *mut u8,
     /// Private memory capacity in bytes.
     pub priv_len: u64,
     /// Private stack pointer (byte offset, not an address).
     pub priv_sp: u64,
-    /// Remaining step budget; blocks pre-charge and trap when it would go
-    /// negative (signed so the over-subtraction is visible).
+    /// Remaining step budget of the current item; blocks pre-charge and
+    /// trap when it would go negative (signed so the over-subtraction is
+    /// visible).
     pub steps: i64,
-    /// Work-item ids (`global_id()` intrinsic family).
+    /// The current work item (`global_id()`, and `group_id()`, which is
+    /// the same on the CPU path); the chunk's first item on entry.
     pub global_id: i64,
-    /// Total work items in the launch.
-    pub global_size: i64,
-    /// Index within the work-group (always 0 on the CPU path).
-    pub local_id: i64,
-    /// Work-group index (== global id on the CPU path).
-    pub group_id: i64,
+    /// One past the chunk's last work item.
+    pub item_end: i64,
+    /// Step budget of each work item.
+    pub budget: i64,
+    /// A worklist round's frontier, indexed by work item: item `i`'s
+    /// argument is `items[i]`. Null otherwise, where it is `i` itself.
+    pub items: *const i32,
     /// 0 = no trap; otherwise one of the `TRAP_*` codes.
     pub trap_code: u64,
     /// First trap payload word (faulting address, vptr, or space code).
@@ -113,10 +132,20 @@ pub struct Env {
     /// Next-frontier push segment of the enclosing worklist round; null
     /// outside `parallel_worklist_hetero` (where `push` traps).
     pub wl: *mut Vec<i32>,
+    /// Instructions charged to the chunk's completed items (a trapped
+    /// item's are left in `budget - steps`).
+    pub insts: u64,
+    /// Total work items in the launch (`global_size()`).
+    pub global_size: i64,
+    /// Index within the work-group (always 0 on the CPU path).
+    pub local_id: i64,
+    /// Shared region capacity in bytes.
+    pub region_len: u64,
 }
 
 impl Env {
-    /// Build an environment over `region` and `private` memory.
+    /// Build an environment over `region` and `private` memory, with the
+    /// work-item ids of a host call (all zero) and no chunk.
     ///
     /// # Panics
     ///
@@ -135,15 +164,15 @@ impl Env {
         let limits = |len: u64| [len - 1, len - 2, len - 4, len - 8];
         Env {
             region_base,
-            region_len: region_len as u64,
+            arg0: 0,
             priv_base,
             priv_len: priv_len as u64,
             priv_sp: 0,
             steps: 0,
-            global_id: -1,
-            global_size: 0,
-            local_id: 0,
-            group_id: 0,
+            global_id: 0,
+            item_end: 0,
+            budget: 0,
+            items: std::ptr::null(),
             trap_code: 0,
             trap_a: 0,
             trap_b: 0,
@@ -155,21 +184,11 @@ impl Env {
             limit_cpu: limits(region_len as u64),
             limit_priv: limits(priv_len as u64),
             wl: std::ptr::null_mut(),
+            insts: 0,
+            global_size: 0,
+            local_id: 0,
+            region_len: region_len as u64,
         }
-    }
-
-    /// Reset the per-item mutable state before running one work item.
-    pub fn reset_item(&mut self, global_id: i64, global_size: i64, step_budget: i64) {
-        self.priv_sp = 0;
-        self.steps = step_budget;
-        self.global_id = global_id;
-        self.global_size = global_size;
-        self.local_id = 0;
-        self.group_id = global_id;
-        self.trap_code = 0;
-        self.trap_a = 0;
-        self.trap_b = 0;
-        self.depth = 0;
     }
 
     /// Reconstruct the interpreter-parity [`Trap`] from the trap cells.
@@ -299,14 +318,15 @@ mod tests {
     #[test]
     fn env_offsets_match_codegen_constants() {
         assert_eq!(offset_of!(Env, region_base), OFF_REGION_BASE as usize);
+        assert_eq!(offset_of!(Env, arg0), OFF_ARG0 as usize);
         assert_eq!(offset_of!(Env, priv_base), OFF_PRIV_BASE as usize);
         assert_eq!(offset_of!(Env, priv_len), OFF_PRIV_LEN as usize);
         assert_eq!(offset_of!(Env, priv_sp), OFF_PRIV_SP as usize);
         assert_eq!(offset_of!(Env, steps), OFF_STEPS as usize);
         assert_eq!(offset_of!(Env, global_id), OFF_GLOBAL_ID as usize);
-        assert_eq!(offset_of!(Env, global_size), OFF_GLOBAL_SIZE as usize);
-        assert_eq!(offset_of!(Env, local_id), OFF_LOCAL_ID as usize);
-        assert_eq!(offset_of!(Env, group_id), OFF_GROUP_ID as usize);
+        assert_eq!(offset_of!(Env, item_end), OFF_ITEM_END as usize);
+        assert_eq!(offset_of!(Env, budget), OFF_BUDGET as usize);
+        assert_eq!(offset_of!(Env, items), OFF_ITEMS as usize);
         assert_eq!(offset_of!(Env, trap_code), OFF_TRAP_CODE as usize);
         assert_eq!(offset_of!(Env, trap_a), OFF_TRAP_A as usize);
         assert_eq!(offset_of!(Env, trap_b), OFF_TRAP_B as usize);
@@ -318,6 +338,14 @@ mod tests {
         assert_eq!(offset_of!(Env, limit_cpu), OFF_LIMIT_CPU as usize);
         assert_eq!(offset_of!(Env, limit_priv), OFF_LIMIT_PRIV as usize);
         assert_eq!(offset_of!(Env, wl), OFF_WL_SINK as usize);
+        assert_eq!(offset_of!(Env, insts), OFF_INSTS as usize);
+        assert_eq!(offset_of!(Env, global_size), OFF_GLOBAL_SIZE as usize);
+        assert_eq!(offset_of!(Env, local_id), OFF_LOCAL_ID as usize);
+        // What the item loop touches per item (but `insts`) takes a
+        // one-byte displacement.
+        for off in [OFF_ARG0, OFF_STEPS, OFF_GLOBAL_ID, OFF_ITEM_END, OFF_BUDGET, OFF_ITEMS] {
+            assert!(off < 128, "item-loop field at {off}");
+        }
     }
 
     #[test]

@@ -2,6 +2,27 @@
 //! CPU simulator's iteration-space chunking, so shared-memory results and
 //! traps are bit-identical to the interpreter backend.
 //!
+//! One call per chunk
+//!
+//! Every launched function is a `ForBody` kernel, and every `ForBody`
+//! function has a chunk entry (see `lower.rs`): generated code that
+//! runs the kernel's prologue once and then loops over the chunk's work
+//! items itself, the way a TBB `parallel_for` inlines its body into the
+//! chunk loop. The driver describes the chunk in that chunk's [`Env`] —
+//! first item, end, first argument, frontier, step budget — makes one
+//! call, and reads the trap cells and the instruction count once, on exit.
+//! An empty chunk makes no call.
+//!
+//! Nothing is reset between items. A normal return restores the private
+//! stack pointer and the call depth and leaves the trap cells clear, so
+//! every item starts with the same private frame address, as in the
+//! interpreter (debug builds assert it at chunk exit); `global_size` and
+//! `local_id` are per launch. The first trap ends the chunk with
+//! `global_id` naming the trapped item. A trap in the prologue (a frame
+//! larger than private memory) is reported at the chunk's first item,
+//! where the interpreter reports it. `insts` counts the completed items
+//! plus what the trapped item was charged.
+//!
 //! Determinism model
 //!
 //! The executor reuses [`concord_cpusim::span_chunks`] with the same chunk
@@ -31,16 +52,21 @@
 
 use concord_cpusim::span_chunks;
 use concord_ir::eval::Trap;
-use concord_ir::{FuncId, Module};
-use concord_svm::{stage_reduce, CpuAddr, SharedRegion, Span, Work, WorkKind};
+use concord_ir::{FuncId, KernelKind, Module};
+use concord_svm::{stage_reduce, SharedRegion, Span, Work, WorkKind};
 use std::collections::HashMap;
 
 use crate::env::{Env, PRIVATE_BYTES};
 use crate::NativeModule;
 
-/// Signature of every generated function: `rdi` = environment, `rsi` =
-/// pointer to the raw (bit-pattern) argument words, returns raw bits.
+/// Signature of every generated function's entry: `rdi` = environment,
+/// `rsi` = pointer to the raw (bit-pattern) argument words, returns raw
+/// bits.
 type JitFn = unsafe extern "sysv64" fn(*mut Env, *const u64) -> u64;
+
+/// Signature of a `ForBody` function's chunk entry: `rdi` = the chunk's
+/// environment.
+type ChunkFn = unsafe extern "sysv64" fn(*mut Env);
 
 /// Reconstruct a callable entry from an absolute code address.
 fn jit(addr: u64) -> JitFn {
@@ -50,16 +76,29 @@ fn jit(addr: u64) -> JitFn {
     unsafe { std::mem::transmute::<usize, JitFn>(addr as usize) }
 }
 
+/// [`jit`] for an address from `NativeModule::chunk_ptrs`.
+fn chunk_jit(addr: u64) -> ChunkFn {
+    // SAFETY: as in `jit`.
+    unsafe { std::mem::transmute::<usize, ChunkFn>(addr as usize) }
+}
+
 /// Estimated IR instructions a launch must execute before its chunks are
 /// worth a pool dispatch; below it they run in order on the caller.
 ///
-/// Measured (release, `nproc` 2, EXPERIMENTS.md "Launch fan-out"): a parked
-/// helper starts 19 µs after `concord_pool::map` is called, and four
-/// chunks on two threads draw level with running them inline at 10 µs per
-/// chunk (45 vs 41 µs), ahead from 20 µs. Generated code retires an IR
-/// instruction in 0.5 (loops) to 1.3 ns (light kernels, which are the
-/// launches in question), so 32 768 instructions are about 40 µs — two
-/// wake-ups — of work: the point of parity, not a tuning knob.
+/// Derived when each item cost a Rust-side call (EXPERIMENTS.md "Launch
+/// fan-out"): a parked helper started 19 µs after `concord_pool::map` was
+/// called, four chunks on two threads drew level with running them inline
+/// at about 40 µs of work, and light kernels retired an IR instruction in
+/// 1.3 ns, so 32 768 instructions were that parity point.
+///
+/// Since the item loop is generated code, `Double` retires one in about
+/// 0.2 ns, and parity has moved up: on two host threads its two chunks
+/// fan out at a loss up to 8 192 items (139 k instructions), draw level
+/// around 16 384 (279 k) and win at 32 768 (557 k), with wide spread
+/// between runs. The constant stays anyway: launches between it and the
+/// new parity lose a few µs each, and raising it to 131 072 bought
+/// nothing attributable in alternating `small_launches` and `serve_bulk`
+/// pairs, whose launches are either far smaller, in order, or far larger.
 pub(crate) const FAN_OUT_MIN_INSTS: u64 = 32_768;
 
 /// Statistics from one native launch.
@@ -124,12 +163,12 @@ impl Executor {
         u64::from(items).saturating_mul(per_item) >= FAN_OUT_MIN_INSTS
     }
 
-    /// Run `work` over `span` with the CPU simulator's chunking: lane `k`
-    /// runs chunk `k`'s work items in order, item `i` calling
-    /// `func(body, i)` — or `func(body, items[i])` in a worklist round,
-    /// whose `push`ed items are appended to `pushes` in fixed (chunk,
-    /// work-item, program) order; the caller merges segments into the
-    /// next frontier by sorting and deduplicating, so frontier contents
+    /// Run `work` over `span` with the CPU simulator's chunking: one call
+    /// of the kernel's chunk entry runs chunk `k`'s work items in order,
+    /// item `i` as `func(body, i)` — or `func(body, items[i])` in a
+    /// worklist round, whose `push`ed items are appended to `pushes` in
+    /// fixed (chunk, work-item, program) order; the caller merges segments
+    /// into the next frontier by sorting and deduplicating, so frontier contents
     /// match the simulators' exactly. A reduction folds chunk `k` into a
     /// body copy in slot `k`, then joins the copies into the body
     /// sequentially — the same schedule as `CpuSim` followed by the
@@ -149,8 +188,9 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics on a reduction without scratch slots, or a worklist round
-    /// whose frontier is not `span.grid` long.
+    /// Panics if `work.func` is not a `ForBody` kernel, on a reduction
+    /// without scratch slots, or a worklist round whose frontier is not
+    /// `span.grid` long.
     pub fn launch(
         &mut self,
         region: &mut SharedRegion,
@@ -160,8 +200,10 @@ impl Executor {
         span: Span,
         pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
-        let name = &module.function(work.func).name;
-        let entry = jit(nm.code_ptrs[work.func.0 as usize]);
+        let kernel = module.function(work.func);
+        let name = &kernel.name;
+        assert_eq!(kernel.kernel, Some(KernelKind::ForBody), "launched `{name}` is not a ForBody");
+        let entry = chunk_jit(nm.chunk_ptrs[work.func.0 as usize].expect("a ForBody has one"));
         let (lanes, slots) = match work.kind {
             WorkKind::Reduce { body_size, slots, .. } => {
                 let used = self.cores.min(slots.len());
@@ -186,6 +228,11 @@ impl Executor {
         let region_base = rbase as usize;
         let budget = self.step_budget;
         let run_chunk = |idx: usize| {
+            let (lo, hi) = spans[idx];
+            let mut seg: Vec<i32> = Vec::new();
+            if lo == hi {
+                return (None, 0, seg);
+            }
             let (pbase, plen) = privs[idx];
             // Each chunk gets its own Env over its own lane's private
             // memory; the region pointer is shared, and cross-chunk shared
@@ -197,18 +244,27 @@ impl Executor {
                 nm.class_count,
                 &nm.code_ptrs,
             );
-            let arg0 = slots.map_or(work.body, |s| s[idx]);
-            let mut seg: Vec<i32> = Vec::new();
-            let (trap, insts) = if let WorkKind::Worklist { items } = work.kind {
-                // The frontier item is sign-extended, as the interpreter
-                // passes it; `push`es land in this chunk's segment.
+            env.arg0 = slots.map_or(work.body, |s| s[idx]).0;
+            env.global_id = i64::from(lo);
+            env.item_end = i64::from(hi);
+            env.global_size = i64::from(span.grid);
+            env.budget = budget;
+            env.steps = budget;
+            if let WorkKind::Worklist { items } = work.kind {
+                // `push`es land in this chunk's segment.
+                env.items = items.as_ptr();
                 env.wl = &mut seg as *mut Vec<i32>;
-                let arg1 = |i: u32| items[i as usize] as i64 as u64;
-                run_items(&mut env, entry, name, spans[idx], span.grid, arg0, budget, arg1)
-            } else {
-                run_items(&mut env, entry, name, spans[idx], span.grid, arg0, budget, u64::from)
-            };
-            (trap, insts, seg)
+            }
+            // SAFETY: `entry` is the chunk entry of a function of the
+            // module whose `code_ptrs` this env carries; the frontier, the
+            // segment and both memories outlive the call.
+            unsafe { entry(&mut env) };
+            let balanced = env.priv_sp == 0 && env.depth == 0;
+            debug_assert!(balanced, "a chunk of `{name}` left its private stack or depth behind");
+            let trap = env.take_trap(name);
+            // A trapped item's charge is still in `steps`.
+            let charged = trap.as_ref().map_or(0, |_| (budget - env.steps.max(0)) as u64);
+            (trap, env.insts + charged, seg)
         };
         let outs = if work.in_order || !self.pays_for_dispatch(module, work.func, span.items()) {
             // In chunk order on this thread; chunks after a trap never run.
@@ -235,8 +291,10 @@ impl Executor {
         pushes.append(&mut seg);
 
         if let (WorkKind::Reduce { join, .. }, Some(slots)) = (work.kind, slots) {
-            // Sequential join on lane 0: body.join(acc_k) for each slot,
-            // with the simulator's host-call work-item ids (all zero).
+            // Sequential join on lane 0 through the join's entry:
+            // body.join(acc_k) for each slot, with the simulator's host-call
+            // work-item ids (all zero). A returning join leaves the private
+            // stack, depth and trap cells as it found them.
             let join_name = &module.function(join).name;
             let jfn = jit(nm.code_ptrs[join.0 as usize]);
             let (pbase, plen) = privs[0];
@@ -247,7 +305,7 @@ impl Executor {
                 &nm.code_ptrs,
             );
             for &slot in &slots[..lanes] {
-                env.reset_item(0, 0, budget);
+                env.steps = budget;
                 let args = [work.body.0, slot.0];
                 // SAFETY: `jfn` is a generated entry of `nm`; env and args
                 // obey the generated calling convention.
@@ -263,35 +321,4 @@ impl Executor {
         }
         Ok(stats)
     }
-}
-
-/// Run work items `[lo, hi)` through `entry` with `arg1(i)` as item `i`'s
-/// argument, stopping at the first trap. Returns the trap (if any) and
-/// instructions charged. Generic over `arg1` so the id-passing and the
-/// frontier-indexing loops are each monomorphized branch-free.
-#[allow(clippy::too_many_arguments)]
-fn run_items(
-    env: &mut Env,
-    entry: JitFn,
-    name: &str,
-    (lo, hi): (u32, u32),
-    grid: u32,
-    arg0: CpuAddr,
-    budget: i64,
-    arg1: impl Fn(u32) -> u64,
-) -> (Option<Trap>, u64) {
-    let mut insts = 0u64;
-    for i in lo..hi {
-        env.reset_item(i as i64, grid as i64, budget);
-        let args = [arg0.0, arg1(i)];
-        // SAFETY: `entry` is a generated function of the module whose
-        // `code_ptrs` this env carries; the args array outlives the call
-        // and the generated code only reads `params.len() <= 2` words.
-        unsafe { entry(&mut *env, args.as_ptr()) };
-        insts += (budget - env.steps.max(0)) as u64;
-        if let Some(t) = env.take_trap(name) {
-            return (Some(t), insts);
-        }
-    }
-    (None, insts)
 }

@@ -83,16 +83,18 @@ impl std::fmt::Display for CompileError {
 impl std::error::Error for CompileError {}
 
 /// A module compiled to native code: the executable image plus the
-/// absolute entry address of every function, indexed by `FuncId`.
+/// absolute entry addresses of every function, indexed by `FuncId`.
 ///
 /// Compiled modules are immutable and process-wide (helper addresses are
 /// baked in, per-launch state lives in [`Env`]), so they are safely
 /// shareable — e.g. through the runtime's JIT artifact cache.
 #[derive(Debug)]
 pub struct NativeModule {
-    /// Keeps the R+X mapping alive; `code_ptrs` point into it.
+    /// Keeps the R+X mapping alive; the entry addresses point into it.
     buf: ExecBuf,
     pub(crate) code_ptrs: Vec<u64>,
+    /// The chunk entry of each `ForBody` function (see [`launch`]).
+    pub(crate) chunk_ptrs: Vec<Option<u64>>,
     pub(crate) class_count: u64,
 }
 
@@ -125,7 +127,9 @@ pub fn compile(module: &Module) -> Result<NativeModule, CompileError> {
     let lowered = lower::lower_module(module)?;
     let buf = ExecBuf::new(&lowered.code).ok_or(CompileError::ExecMap)?;
     let code_ptrs = lowered.offsets.iter().map(|&o| buf.addr_at(o)).collect();
-    Ok(NativeModule { buf, code_ptrs, class_count: module.classes.len() as u64 })
+    let chunk_ptrs = lowered.chunk_offsets.iter().map(|o| o.map(|o| buf.addr_at(o))).collect();
+    let class_count = module.classes.len() as u64;
+    Ok(NativeModule { buf, code_ptrs, chunk_ptrs, class_count })
 }
 
 #[cfg(test)]
@@ -942,6 +946,299 @@ mod tests {
             region.write_ptr(body.offset(8), fs).unwrap();
             region.write_ptr(body.offset(16), out).unwrap();
             region.write_ptr(body.offset(24), fout).unwrap();
+            body
+        });
+    }
+
+    /// The kernels of the trap and count parity fixtures. Every class has
+    /// the same leading fields, so one body layout serves all three:
+    /// `Probe` runs as a `parallel_for` or a worklist round (pushing
+    /// `v + 5000` for a negative item), `Total` as a reduction, and `Hog`'s
+    /// frame does not fit in private memory. Item `spin` never returns and
+    /// items `bad1`/`bad2` divide by `zero`.
+    const PARITY: &str = r#"
+        class Probe {
+        public:
+            int* out; int spin; int bad1; int bad2; int zero; int acc;
+            void operator()(int v) {
+                int x = v * 3 + 1;
+                if (v == spin) { while (true) { x = x + 1; } }
+                if (v == bad1 || v == bad2) { x = x / zero; }
+                out[v & 4095] = x;
+                if (v < 0) { push(v + 5000); }
+            }
+            void join(Probe* o) { acc = acc + o->acc; }
+        };
+        class Total {
+        public:
+            int* out; int spin; int bad1; int bad2; int zero; int acc;
+            void operator()(int v) {
+                int x = v * 3 + 1;
+                if (v == spin) { while (true) { x = x + 1; } }
+                if (v == bad1 || v == bad2) { x = x / zero; }
+                acc = acc + x;
+            }
+            void join(Total* o) { acc = acc + o->acc; }
+        };
+        class Hog {
+        public:
+            int* out; int spin; int bad1; int bad2; int zero; int acc;
+            void operator()(int v) {
+                int big[300000];
+                for (int j = 0; j < 8; j++) { big[j * 1000 + (v & 7)] = v + j; }
+                out[v & 4095] = big[7000 + (v & 7)];
+            }
+            void join(Hog* o) { acc = acc + o->acc; }
+        };
+    "#;
+
+    /// How a parity fixture launches its kernel.
+    #[derive(Debug, Clone, Copy)]
+    enum Kind {
+        For,
+        Reduce,
+        Worklist,
+    }
+
+    /// An argument no work item has: the fixture's trap is off.
+    const NO: i32 = i32::MIN;
+
+    /// Launch `class` of [`PARITY`] as `kind` over `items` (a worklist
+    /// round's frontier; `For` and `Reduce` run over `0..items.len()`),
+    /// with `[spin, bad1, bad2]` written to the body, under `CpuSim` and
+    /// natively at host threads 1 and 8 (desktop: four chunks). Asserts
+    /// the trap agrees everywhere and, without a trap, the region bytes
+    /// and pushes too; returns the trap and, without one, the native
+    /// `LaunchStats::insts`, which must not depend on host threads.
+    fn parity(class: &str, kind: Kind, items: &[i32], traps: [i32; 3]) -> (Option<Trap>, u64) {
+        const BUDGET: i64 = 10_000;
+        let lp = build(PARITY);
+        let k = lp.kernel(class).unwrap();
+        let (m, f, join) = (&lp.module, k.operator_fn, k.join_fn.unwrap());
+        let cfg = concord_energy::SystemConfig::desktop().cpu;
+        let n = items.len() as u32;
+        let init = |region: &mut SharedRegion, heap: &mut SharedAllocator| {
+            let out = heap.malloc(4096 * 4).unwrap();
+            let body = heap.malloc(k.body_size).unwrap();
+            region.write_ptr(body, out).unwrap();
+            for (j, v) in traps.into_iter().chain([0, 0]).enumerate() {
+                region.write_i32(body.offset(8 + 4 * j as u64), v).unwrap();
+            }
+            let slots: Vec<CpuAddr> = (0..4).map(|_| heap.malloc(k.body_size).unwrap()).collect();
+            (body, slots)
+        };
+
+        let (mut r1, mut h1, vt) = setup(m, 1 << 20);
+        let (body1, slots1) = init(&mut r1, &mut h1);
+        let work = Work {
+            func: f,
+            body: body1,
+            kind: match kind {
+                Kind::For => WorkKind::For,
+                Kind::Reduce => WorkKind::Reduce { join, body_size: k.body_size, slots: &slots1 },
+                Kind::Worklist => WorkKind::Worklist { items },
+            },
+            in_order: uses_gated_ops(m, &[f, join]),
+        };
+        let mut sim = CpuSim::new(cfg);
+        sim.step_budget_per_item = BUDGET as u64;
+        let mut want_pushes = Vec::new();
+        let want = match kind {
+            Kind::Reduce => {
+                sim.parallel_reduce(&mut r1, &vt, m, f, join, body1, k.body_size, n, &slots1).err()
+            }
+            _ => sim.launch(&mut r1, &vt, m, &work, Span::full(n), &mut want_pushes).err(),
+        };
+        let want_bytes = region_bytes(&mut r1);
+
+        let nm = compile(m).unwrap();
+        let mut counts = Vec::new();
+        for ht in [1usize, 8] {
+            let (mut r2, mut h2, _vt) = setup(m, 1 << 20);
+            assert_eq!(init(&mut r2, &mut h2), (body1, slots1.clone()), "deterministic setup");
+            let mut ex = Executor::new(cfg.cores as usize, ht);
+            ex.step_budget = BUDGET;
+            let mut pushes = Vec::new();
+            let got = ex.launch(&mut r2, &nm, m, &work, Span::full(n), &mut pushes);
+            let what = format!("{class} as {kind:?} over {n} items, traps {traps:?}, ht {ht}");
+            assert_eq!(got.as_ref().err(), want.as_ref(), "trap differs: {what}");
+            if let Ok(stats) = got {
+                assert_eq!(region_bytes(&mut r2), want_bytes, "region bytes differ: {what}");
+                assert_eq!(pushes, want_pushes, "pushes differ: {what}");
+                counts.push(stats.insts);
+            }
+        }
+        assert!(counts.is_empty() || counts[0] == counts[1], "insts depend on host threads");
+        (want, counts.first().copied().unwrap_or(0))
+    }
+
+    #[test]
+    fn chunk_traps_match_interpreter() {
+        if !supported() {
+            return;
+        }
+        let ids: Vec<i32> = (0..4000).collect();
+        let frontier: Vec<i32> = (0..4000).map(|i| i - 2000).collect();
+        for kind in [Kind::For, Kind::Reduce, Kind::Worklist] {
+            let (class, items) = match kind {
+                Kind::For => ("Probe", &ids),
+                Kind::Reduce => ("Total", &ids),
+                Kind::Worklist => ("Probe", &frontier),
+            };
+            // The argument of work item `i`; chunks are 1000 items long.
+            let arg = |i: usize| items[i];
+            let step_limit = |trap: Option<Trap>, at: i64| {
+                let named = format!("{class}::operator()");
+                let want = Trap::StepLimitExceeded { kernel: named, global_id: at };
+                assert_eq!(trap, Some(want), "{kind:?}");
+            };
+            // A runaway item in the middle of a chunk names the kernel
+            // and itself; so does the first of two traps in one chunk.
+            step_limit(parity(class, kind, items, [arg(1500), NO, NO]).0, 1500);
+            step_limit(parity(class, kind, items, [arg(1500), arg(1600), NO]).0, 1500);
+            // Traps in two chunks: the lower item wins, whichever it is.
+            let (trap, _) = parity(class, kind, items, [NO, arg(2600), arg(1700)]);
+            assert_eq!(trap, Some(Trap::DivideByZero), "{kind:?}");
+            let (trap, _) = parity(class, kind, items, [arg(2600), arg(1700), NO]);
+            assert_eq!(trap, Some(Trap::DivideByZero), "{kind:?}");
+            step_limit(parity(class, kind, items, [arg(1700), arg(2600), NO]).0, 1700);
+            // A frame too large for private memory traps in the prologue.
+            let (trap, _) = parity("Hog", kind, items, [NO; 3]);
+            assert_eq!(trap, Some(Trap::StackOverflow), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn chunk_instruction_counts_are_pinned() {
+        if !supported() {
+            return;
+        }
+        // Fewer items than chunks leaves chunks empty; a frontier may hold
+        // negative items. The counts are the per-item driver's.
+        let ids = |n: i32| (0..n).collect::<Vec<i32>>();
+        let wave: Vec<i32> = vec![-9, -3, 0, 4, 7, -4000, 12, 40, -1, 5];
+        for (class, kind, items, want) in [
+            ("Probe", Kind::For, ids(0), 0),
+            ("Probe", Kind::For, ids(1), 44),
+            ("Probe", Kind::For, ids(3), 132),
+            ("Probe", Kind::For, ids(4000), 176_000),
+            ("Total", Kind::Reduce, ids(0), 40),
+            ("Total", Kind::Reduce, ids(1), 75),
+            ("Total", Kind::Reduce, ids(3), 145),
+            ("Total", Kind::Reduce, ids(4000), 140_040),
+            ("Probe", Kind::Worklist, vec![], 0),
+            ("Probe", Kind::Worklist, vec![-7], 47),
+            ("Probe", Kind::Worklist, vec![-7, 2, -3], 138),
+            ("Probe", Kind::Worklist, wave, 452),
+        ] {
+            let (trap, insts) = parity(class, kind, &items, [NO; 3]);
+            let what = format!("{class} as {kind:?} over {items:?}");
+            assert_eq!((trap, insts), (None, want), "{what}");
+        }
+    }
+
+    /// Three ForBody kernels over a body whose first field is `int* out`:
+    /// `outer` (function 0) calls `inner` (function 1) directly, and
+    /// `countdown` (function 2) calls itself on `i - 1` down to zero. Each
+    /// value stored depends only on the cell it lands in, so items that
+    /// overlap store the same bytes.
+    fn calling_kernels() -> Module {
+        use concord_ir::builder::FunctionBuilder;
+        use concord_ir::inst::{BinOp, CastOp, ICmp};
+        use concord_ir::types::{AddrSpace, Type};
+        let params = vec![Type::Ptr(AddrSpace::Cpu), Type::I32];
+        // `out[cell(i)] = value(i)`, both affine in the item argument.
+        let store = |fb: &mut FunctionBuilder, (cm, ca): (i64, i64), (vm, va): (i32, i32)| {
+            let (body, i) = (fb.param(0), fb.param(1));
+            let out = fb.load(body, Type::Ptr(AddrSpace::Cpu));
+            let wide = fb.cast(CastOp::Sext, i, Type::I64);
+            let (cm, ca) = (fb.i64(4 * cm), fb.i64(4 * ca));
+            let off = fb.bin(BinOp::Mul, wide, cm);
+            let off = fb.bin(BinOp::Add, off, ca);
+            let at = fb.gep(out, off);
+            let (vm, va) = (fb.i32(vm), fb.i32(va));
+            let v = fb.bin(BinOp::Mul, i, vm);
+            let v = fb.bin(BinOp::Add, v, va);
+            fb.store(at, v);
+        };
+        let mut m = Module::new();
+        let mut outer = FunctionBuilder::new("outer", params.clone(), Type::Void);
+        let args = vec![outer.param(0), outer.param(1)];
+        outer.call(FuncId(1), args, Type::Void);
+        store(&mut outer, (2, 1), (1, 100));
+        outer.ret(None);
+        let mut inner = FunctionBuilder::new("inner", params.clone(), Type::Void);
+        store(&mut inner, (2, 0), (2, 0));
+        inner.ret(None);
+        let mut down = FunctionBuilder::new("countdown", params, Type::Void);
+        let (body, i) = (down.param(0), down.param(1));
+        let zero = down.i32(0);
+        let more = down.icmp(ICmp::Sgt, i, zero);
+        let (again, done) = (down.new_block(), down.new_block());
+        down.cond_br(more, again, done);
+        down.switch_to(again);
+        let one = down.i32(1);
+        let less = down.bin(BinOp::Sub, i, one);
+        down.call(FuncId(2), vec![body, less], Type::Void);
+        down.br(done);
+        down.switch_to(done);
+        store(&mut down, (1, 0), (5, 1));
+        down.ret(None);
+        for fb in [outer, inner, down] {
+            let mut f = fb.build();
+            f.kernel = Some(concord_ir::KernelKind::ForBody);
+            m.add_function(f);
+        }
+        m
+    }
+
+    #[test]
+    fn kernels_reached_by_ordinary_calls_return_to_their_caller() {
+        let m = calling_kernels();
+        for f in &m.functions {
+            concord_ir::verify::verify_function(f).unwrap();
+        }
+        for (func, n) in [(FuncId(0), 40), (FuncId(2), 24)] {
+            diff_module(&m, func, n, |region, heap| {
+                let out = heap.malloc(4 * 80).unwrap();
+                let body = heap.malloc(8).unwrap();
+                region.write_ptr(body, out).unwrap();
+                body
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "launched `inner` is not a ForBody")]
+    fn only_for_bodies_are_launched() {
+        if !supported() {
+            panic!("launched `inner` is not a ForBody");
+        }
+        let mut m = calling_kernels();
+        m.functions[1].kernel = None;
+        let nm = compile(&m).unwrap();
+        let (mut region, mut heap, _vt) = setup(&m, 1 << 16);
+        let body = heap.malloc(8).unwrap();
+        let mut ex = Executor::new(2, 1);
+        let _ = native_for(&mut ex, &mut region, &nm, &m, FuncId(1), body, 1);
+    }
+
+    #[test]
+    fn a_kernel_calling_itself_from_source_matches_interpreter() {
+        let src = r#"
+            class Down {
+            public:
+                int* out;
+                void operator()(int i) {
+                    if (i > 0) { this->operator()(i - 1); }
+                    out[i] = i * 5 + 1;
+                }
+            };
+        "#;
+        diff_for(src, "Down", 24, |region, heap| {
+            let out = heap.malloc(4 * 24).unwrap();
+            let body = heap.malloc(8).unwrap();
+            region.write_ptr(body, out).unwrap();
             body
         });
     }

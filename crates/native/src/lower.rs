@@ -26,6 +26,29 @@
 //!   Trap stubs, address-classification slow paths and literals sit after
 //!   the function body, so hot paths run without taken jumps.
 //!
+//! A `ForBody` kernel has a second entry, the **chunk entry**, which the
+//! launch driver calls once per chunk with no arguments: the function's
+//! body is emitted once, and the chunk entry runs it for every work item
+//! of the chunk described in the [`Env`].
+//!
+//! * The chunk entry is `xor rsi, rsi` three bytes before the normal entry
+//!   (so it, not the normal entry, is the 16-aligned one): the prologue
+//!   runs once per chunk. A kernel's prologue keeps `rsi` in a frame cell,
+//!   the **return cell**; null sends it to the item loop, anything else is
+//!   a caller's argument pointer.
+//! * The loop head sets the parameters — `arg0`, and the item id or its
+//!   frontier entry — refills `steps` from `budget` and falls into the
+//!   entry block. A kernel's `ret` tests the return cell: non-null returns
+//!   to the caller (a kernel reached by a direct, virtual or recursive
+//!   call), null goes to the **latch**, which adds the item's instructions
+//!   to `insts`, advances `global_id` and loops until `item_end`, then
+//!   leaves through the shared exit.
+//! * Per-item state needs no reset: an item that returns has restored the
+//!   private stack pointer and the call depth and set no trap, so every
+//!   item gets the same private frame. A trap leaves through the shared
+//!   exit as always, ending the chunk at the trapped item; a trap in the
+//!   prologue happens before the first item.
+//!
 //! Interpreter parity is the design center — the differential battery
 //! demands byte-identical region output and identical traps:
 //!
@@ -53,17 +76,18 @@
 use crate::asm::{Alu, Asm, Cc, Label, Mem, Opnd, Reg, Sse, XOpnd, Xmm};
 use crate::env::{
     h_device_malloc, h_exp, h_f2i, h_floor, h_fmax, h_fmin, h_pow, h_wl_push, Env, MAX_DEPTH,
-    OFF_CLASS_COUNT, OFF_CODE_PTRS, OFF_DEPTH, OFF_GLOBAL_ID, OFF_GLOBAL_SIZE, OFF_GPU_BASE,
-    OFF_GROUP_ID, OFF_LIMIT_CPU, OFF_LIMIT_PRIV, OFF_LOCAL_ID, OFF_NFUNCS, OFF_PRIV_BASE,
-    OFF_PRIV_LEN, OFF_PRIV_SP, OFF_REGION_BASE, OFF_STEPS, OFF_TRAP_A, OFF_TRAP_B, OFF_TRAP_CODE,
-    PRIVATE_BASE, TRAP_BAD_ADDRESS, TRAP_BAD_DISPATCH, TRAP_DIV_ZERO, TRAP_STACK_OVERFLOW,
-    TRAP_STEP_LIMIT, TRAP_UNREACHABLE, TRAP_WRONG_SPACE,
+    OFF_ARG0, OFF_BUDGET, OFF_CLASS_COUNT, OFF_CODE_PTRS, OFF_DEPTH, OFF_GLOBAL_ID,
+    OFF_GLOBAL_SIZE, OFF_GPU_BASE, OFF_INSTS, OFF_ITEMS, OFF_ITEM_END, OFF_LIMIT_CPU,
+    OFF_LIMIT_PRIV, OFF_LOCAL_ID, OFF_NFUNCS, OFF_PRIV_BASE, OFF_PRIV_LEN, OFF_PRIV_SP,
+    OFF_REGION_BASE, OFF_STEPS, OFF_TRAP_A, OFF_TRAP_B, OFF_TRAP_CODE, PRIVATE_BASE,
+    TRAP_BAD_ADDRESS, TRAP_BAD_DISPATCH, TRAP_DIV_ZERO, TRAP_STACK_OVERFLOW, TRAP_STEP_LIMIT,
+    TRAP_UNREACHABLE, TRAP_WRONG_SPACE,
 };
 use crate::regalloc::{allocate, is_call, is_float, Loc};
 use crate::CompileError;
 use concord_ir::inst::{BinOp, CastOp, FCmp, ICmp, Intrinsic, Op};
 use concord_ir::types::{AddrSpace, Type};
-use concord_ir::{BlockId, Function, Module, ValueId};
+use concord_ir::{BlockId, Function, KernelKind, Module, ValueId};
 use concord_svm::{CPU_BASE, SVM_CONST, VTABLE_MAGIC};
 
 /// Space payload codes shared with [`Env::take_trap`].
@@ -77,25 +101,29 @@ const SPACE_LOCAL: i64 = 3;
 /// private frame base, `rbp-64` virtual-call target).
 const SLOT_BASE: i32 = 72;
 
-/// A lowered module: one flat code image plus the entry offset of every
+/// A lowered module: one flat code image plus the entry offsets of every
 /// function, indexed by `FuncId`.
 pub(crate) struct Lowered {
     /// Machine code for all functions.
     pub code: Vec<u8>,
     /// Byte offset of each function's entry point.
     pub offsets: Vec<usize>,
+    /// Byte offset of each `ForBody` function's chunk entry.
+    pub chunk_offsets: Vec<Option<usize>>,
 }
 
 /// Lower every function in `module`.
 pub(crate) fn lower_module(module: &Module) -> Result<Lowered, CompileError> {
     let mut a = Asm::new();
     let mut offsets = Vec::with_capacity(module.functions.len());
+    let mut chunk_offsets = Vec::with_capacity(module.functions.len());
     for f in &module.functions {
         a.align(16);
-        offsets.push(a.here());
-        FnLower::new(&mut a, f)?.emit()?;
+        let (entry, chunk) = FnLower::new(&mut a, f)?.emit()?;
+        offsets.push(entry);
+        chunk_offsets.push(chunk);
     }
-    Ok(Lowered { code: a.finish(), offsets })
+    Ok(Lowered { code: a.finish(), offsets, chunk_offsets })
 }
 
 /// The interpreter's `frame_layout`, byte for byte: allocas packed in
@@ -177,6 +205,12 @@ struct FnLower<'a> {
     slow: Vec<SlowPath>,
     /// RIP-relative literals: raw bits and their labels, in first-use order.
     lits: Vec<(i64, Label)>,
+    /// A `ForBody` function's frame cell holding the argument pointer it
+    /// was entered with: null means a chunk, so `ret` goes to `latch`.
+    ret_cell: Option<Mem>,
+    /// The item loop: start the next work item, and finish one.
+    item: Label,
+    latch: Label,
     t_div: Label,
     t_bad: Label,
     t_was: Label,
@@ -190,6 +224,8 @@ struct FnLower<'a> {
 impl<'a> FnLower<'a> {
     fn new(a: &'a mut Asm, f: &'a Function) -> Result<Self, CompileError> {
         let alloc = allocate(f);
+        let kernel = f.kernel == Some(KernelKind::ForBody);
+        let slots = alloc.slots + u32::from(kernel);
         let (alloca_off, frame_size) = frame_layout(f);
         let nargs = f
             .insts
@@ -201,7 +237,7 @@ impl<'a> FnLower<'a> {
             })
             .max()
             .unwrap_or(0);
-        let arg_base = i64::from(SLOT_BASE) + 8 * i64::from(alloc.slots) + 8 * nargs as i64;
+        let arg_base = i64::from(SLOT_BASE) + 8 * i64::from(slots) + 8 * nargs as i64;
         // Usable frame bytes start at rbp-48 (below the 5 pushed registers);
         // keep rsp 16-aligned in the body: frame ≡ 8 (mod 16).
         let mut frame = arg_base - 40;
@@ -224,6 +260,9 @@ impl<'a> FnLower<'a> {
             t_so: a.label(),
             t_steps: a.label(),
             bail: a.label(),
+            item: a.label(),
+            latch: a.label(),
+            ret_cell: kernel.then(|| slot(alloc.slots)),
             a,
             f,
             loc: alloc.loc,
@@ -444,7 +483,16 @@ impl<'a> FnLower<'a> {
 
     // ---- function skeleton ----
 
-    fn emit(mut self) -> Result<(), CompileError> {
+    /// Emit the function; returns the offsets of its entry and, for a
+    /// kernel, of its chunk entry.
+    fn emit(mut self) -> Result<(usize, Option<usize>), CompileError> {
+        let chunk = self.ret_cell.map(|_| {
+            let at = self.a.here();
+            // The chunk entry: no argument pointer, then the entry proper.
+            self.a.alu_rr(Alu::Xor, Reg::Rsi, Reg::Rsi);
+            at
+        });
+        let entry = self.a.here();
         self.prologue();
         let f = self.f;
         let order = std::mem::take(&mut self.order);
@@ -463,7 +511,7 @@ impl<'a> FnLower<'a> {
             }
         }
         self.stubs();
-        Ok(())
+        Ok((entry, chunk))
     }
 
     fn prologue(&mut self) {
@@ -495,18 +543,57 @@ impl<'a> FnLower<'a> {
         a.alu_rm(Alu::Cmp, Reg::Rax, Mem::b(Reg::R15, OFF_PRIV_LEN));
         a.jcc(Cc::A, self.t_so);
         a.mov_mr(Mem::b(Reg::R15, OFF_PRIV_SP), Reg::Rax);
-        // Load parameters into their homes.
-        for i in 0..self.f.params.len() {
-            let m = Mem::b(Reg::Rsi, 8 * i as i32);
-            match self.loc(ValueId(i as u32)) {
-                Loc::Gpr(r) => self.a.mov_rm(r, m),
-                Loc::Xmm(x) => self.a.sse(Sse::MovSd, x, XOpnd::M(m)),
-                Loc::Slot(s) => {
-                    self.a.mov_rm(Reg::Rax, m);
-                    self.a.mov_mr(slot(s), Reg::Rax);
-                }
-                _ => {}
+        let params = self.f.params.len();
+        let Some(cell) = self.ret_cell else {
+            (0..params).for_each(|i| self.load_param(i, Mem::b(Reg::Rsi, 8 * i as i32), Reg::Rax));
+            return;
+        };
+        // A kernel keeps its argument pointer; null means a chunk.
+        let chunk = a.label();
+        a.mov_mr(cell, Reg::Rsi);
+        a.test_rr(Reg::Rsi, Reg::Rsi);
+        a.jcc(Cc::E, chunk);
+        (0..params).for_each(|i| self.load_param(i, Mem::b(Reg::Rsi, 8 * i as i32), Reg::Rax));
+        self.a.jmp(self.labels[self.f.entry().0 as usize]);
+        self.a.bind(chunk);
+        self.a.mov_rm(Reg::Rax, self.env(OFF_GLOBAL_ID));
+        self.item_start();
+    }
+
+    /// Load parameter `i`'s raw bits from `m` into its home; `tmp` carries
+    /// them to a frame slot.
+    fn load_param(&mut self, i: usize, m: Mem, tmp: Reg) {
+        match self.loc(ValueId(i as u32)) {
+            Loc::Gpr(r) => self.a.mov_rm(r, m),
+            Loc::Xmm(x) => self.a.sse(Sse::MovSd, x, XOpnd::M(m)),
+            Loc::Slot(s) => {
+                self.a.mov_rm(tmp, m);
+                self.a.mov_mr(slot(s), tmp);
             }
+            _ => {}
+        }
+    }
+
+    /// The head of a chunk's item loop, entered with the item in `rax` and
+    /// falling through into the entry block: refill the step budget, then
+    /// load the parameters — `arg0`, and the item's own id or, in a
+    /// worklist round, its frontier entry sign-extended.
+    fn item_start(&mut self) {
+        let have = self.a.label();
+        let a = &mut *self.a;
+        a.bind(self.item);
+        a.mov_rm(Reg::Rcx, Mem::b(Reg::R15, OFF_BUDGET));
+        a.mov_mr(Mem::b(Reg::R15, OFF_STEPS), Reg::Rcx);
+        a.mov_rm(Reg::Rcx, Mem::b(Reg::R15, OFF_ITEMS));
+        a.test_rr(Reg::Rcx, Reg::Rcx);
+        a.jcc(Cc::E, have);
+        a.movsxd_rm(Reg::Rax, Mem::bi4(Reg::Rcx, Reg::Rax));
+        a.bind(have);
+        if !self.f.params.is_empty() {
+            self.load_param(0, self.env(OFF_ARG0), Reg::Rcx);
+        }
+        if self.f.params.len() > 1 && self.loc(ValueId(1)) != Loc::None {
+            self.mov(self.loc(ValueId(1)), Loc::Gpr(Reg::Rax));
         }
     }
 
@@ -544,6 +631,20 @@ impl<'a> FnLower<'a> {
         a.mov_mr(a_cell, Reg::Rax);
         a.mov_mi(code_cell, TRAP_BAD_DISPATCH as i32);
         a.jmp(self.bail);
+        if self.ret_cell.is_some() {
+            // The item loop's latch: charge the finished item's
+            // instructions, then start the next item or leave the chunk.
+            let env = |off| Mem::b(Reg::R15, off);
+            a.bind(self.latch);
+            a.mov_rm(Reg::Rax, env(OFF_BUDGET));
+            a.alu_rm(Alu::Sub, Reg::Rax, env(OFF_STEPS));
+            a.alu_mr(Alu::Add, env(OFF_INSTS), Reg::Rax);
+            a.mov_rm(Reg::Rax, env(OFF_GLOBAL_ID));
+            a.lea(Reg::Rax, Mem::b(Reg::Rax, 1));
+            a.mov_mr(env(OFF_GLOBAL_ID), Reg::Rax);
+            a.alu_rm(Alu::Cmp, Reg::Rax, env(OFF_ITEM_END));
+            a.jcc(Cc::L, self.item);
+        }
         // Shared exit: pop the private frame, restore saved registers.
         a.bind(self.bail);
         a.mov_rm(Reg::Rcx, Mem::b(Reg::Rbp, -48));
@@ -815,6 +916,13 @@ impl<'a> FnLower<'a> {
             &Op::Ret(v) => {
                 if let Some(v) = v {
                     self.gpr_into(v, Reg::Rax);
+                }
+                if let Some(cell) = self.ret_cell {
+                    // Entered per chunk: there is no caller, only the next
+                    // item.
+                    self.a.mov_rm(Reg::Rcx, cell);
+                    self.a.test_rr(Reg::Rcx, Reg::Rcx);
+                    self.a.jcc(Cc::E, self.latch);
                 }
                 self.a.jmp(self.bail);
             }
@@ -1344,11 +1452,11 @@ impl<'a> FnLower<'a> {
         };
         match intr {
             GlobalId | GlobalSize | LocalId | GroupId => {
+                // The work-group index is the global id on the CPU path.
                 let off = match intr {
-                    GlobalId => OFF_GLOBAL_ID,
+                    GlobalId | GroupId => OFF_GLOBAL_ID,
                     GlobalSize => OFF_GLOBAL_SIZE,
-                    LocalId => OFF_LOCAL_ID,
-                    _ => OFF_GROUP_ID,
+                    _ => OFF_LOCAL_ID,
                 };
                 let d = self.dst(id, Reg::Rax);
                 self.a.mov_rm(d, self.env(off));
@@ -1518,8 +1626,28 @@ mod tests {
             m.add_function(fb.build());
         }
         let lowered = lower_module(&m).unwrap();
+        assert_eq!(lowered.chunk_offsets, vec![None; 3], "no ForBody, no chunk entry");
         for off in lowered.offsets {
             assert_eq!(off % 16, 0);
         }
+    }
+
+    #[test]
+    fn a_kernel_has_one_body_behind_two_entries() {
+        let mut m = Module::new();
+        let ptr = Type::Ptr(AddrSpace::Cpu);
+        for name in ["helper", "kernel"] {
+            let mut fb = FunctionBuilder::new(name, vec![ptr, Type::I32], Type::Void);
+            fb.ret(None);
+            m.add_function(fb.build());
+        }
+        m.functions[1].kernel = Some(KernelKind::ForBody);
+        let lowered = lower_module(&m).unwrap();
+        let chunk = lowered.chunk_offsets[1].expect("a ForBody has a chunk entry");
+        assert_eq!(lowered.chunk_offsets[0], None);
+        assert_eq!(chunk % 16, 0);
+        // `xor rsi, rsi`, then the entry proper: `push rbp`.
+        assert_eq!(lowered.code[chunk..chunk + 4], [0x48, 0x33, 0xF6, 0x55]);
+        assert_eq!(lowered.offsets[1], chunk + 3);
     }
 }

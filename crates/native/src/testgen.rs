@@ -19,7 +19,7 @@
 use concord_ir::builder::FunctionBuilder;
 use concord_ir::inst::{BinOp, CastOp, FCmp, ICmp, Intrinsic};
 use concord_ir::types::{AddrSpace, Type};
-use concord_ir::{FuncId, Module, Op, ValueId};
+use concord_ir::{FuncId, KernelKind, Module, Op, ValueId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -198,8 +198,8 @@ fn helper() -> concord_ir::Function {
     fb.build()
 }
 
-/// A module of `kernel` (function 0, a `parallel_for` body taking the
-/// record array and the item id) and `helper` (function 1).
+/// A module of `kernel` (function 0, a `ForBody` kernel taking the record
+/// array and the item id) and `helper` (function 1).
 pub(crate) fn module(seed: u64) -> Module {
     let mut g = Gen {
         rng: StdRng::seed_from_u64(seed),
@@ -312,6 +312,7 @@ pub(crate) fn module(seed: u64) -> Module {
     g.fb.ret(None);
 
     let mut kernel = g.fb.build();
+    kernel.kernel = Some(KernelKind::ForBody);
     let phi = |init: ValueId, next: ValueId| Op::Phi(vec![(entry, init), (latch, next)]);
     kernel.inst_mut(count).op = phi(zero, count2);
     kernel.inst_mut(dead).op = phi(zero, dead);

@@ -372,16 +372,22 @@ mod tests {
     #[test]
     fn threads_are_actually_used() {
         use std::collections::HashSet;
-        use std::sync::Mutex;
-        let seen = Mutex::new(HashSet::new());
-        map(4, 64, |_| {
-            seen.lock().unwrap().insert(std::thread::current().id());
-            std::thread::yield_now();
+        use std::time::Duration;
+        // Item 0 holds its thread until another thread has claimed an
+        // index: whoever runs it, caller or helper, is parked in it, so
+        // the next index must go to someone else. The guard only bounds a
+        // broken pool's hang; the assertion below is what fails.
+        let (seen, claimed) = (Mutex::new(HashSet::new()), Condvar::new());
+        map(4, 64, |i| {
+            let mut ids = seen.lock().unwrap();
+            ids.insert(std::thread::current().id());
+            claimed.notify_all();
+            if i == 0 {
+                let guard = Duration::from_secs(10);
+                drop(claimed.wait_timeout_while(ids, guard, |ids| ids.len() < 2).unwrap());
+            }
         });
-        // With 3 helpers woken over 64 yielding items at least 2 distinct
-        // threads must have participated: every yield hands the core to a
-        // woken helper, which then claims indices of its own.
-        assert!(seen.lock().unwrap().len() >= 2);
+        assert!(seen.lock().unwrap().len() >= 2, "one thread ran all 64 items");
     }
 
     #[test]
