@@ -561,17 +561,41 @@ mod tests {
         (region, heap, vt)
     }
 
+    const FIG1_SRC: &str = r#"
+        struct Node { Node* next; };
+        class LoopBody {
+        public:
+            Node* nodes;
+            void operator()(int i) { nodes[i].next = &(nodes[i+1]); }
+        };
+    "#;
+
+    const SUM_SRC: &str = r#"
+        class Sum {
+        public:
+            float* data; float acc;
+            void operator()(int i) { acc += data[i]; }
+            void join(Sum* other) { acc += other->acc; }
+        };
+    "#;
+
+    const LIST_SRC: &str = r#"
+        struct Node { Node* next; int v; };
+        class K {
+        public:
+            Node* head; int out;
+            void operator()(int i) {
+                int s = 0;
+                Node* p = head;
+                while (p != nullptr) { s += p->v; p = p->next; }
+                out = s;
+            }
+        };
+    "#;
+
     #[test]
     fn figure1_builds_a_linked_list() {
-        let src = r#"
-            struct Node { Node* next; };
-            class LoopBody {
-            public:
-                Node* nodes;
-                void operator()(int i) { nodes[i].next = &(nodes[i+1]); }
-            };
-        "#;
-        let mut lp = compile(src).unwrap();
+        let mut lp = compile(FIG1_SRC).unwrap();
         concord_compiler::optimize_for_cpu(&mut lp.module);
         let (mut region, mut heap, vt) = setup(&lp, 1 << 20);
         let n = 100u32;
@@ -627,15 +651,7 @@ mod tests {
 
     #[test]
     fn parallel_reduce_sums() {
-        let src = r#"
-            class Sum {
-            public:
-                float* data; float acc;
-                void operator()(int i) { acc += data[i]; }
-                void join(Sum* other) { acc += other->acc; }
-            };
-        "#;
-        let mut lp = compile(src).unwrap();
+        let mut lp = compile(SUM_SRC).unwrap();
         concord_compiler::optimize_for_cpu(&mut lp.module);
         let (mut region, mut heap, vt) = setup(&lp, 1 << 20);
         let n = 1000u32;
@@ -669,20 +685,7 @@ mod tests {
     fn gpu_lowered_code_runs_identically() {
         // Differential check: the GPU-lowered module (with translations)
         // interpreted scalar must compute the same result.
-        let src = r#"
-            struct Node { Node* next; int v; };
-            class K {
-            public:
-                Node* head; int out;
-                void operator()(int i) {
-                    int s = 0;
-                    Node* p = head;
-                    while (p != nullptr) { s += p->v; p = p->next; }
-                    out = s;
-                }
-            };
-        "#;
-        let lp = compile(src).unwrap();
+        let lp = compile(LIST_SRC).unwrap();
         for strategy in [
             concord_compiler::GpuConfig::baseline(7),
             concord_compiler::GpuConfig::ptropt(7),
@@ -847,6 +850,277 @@ mod tests {
             t.push(r.critical_cycles);
         }
         assert!(t[1] > t[0] * 4.0, "10x inner work must cost visibly more: {t:?}");
+    }
+
+    /// One line per report: the exact bits of every quantity a
+    /// `CpuReport` carries.
+    fn pin(name: &str, r: &CpuReport) -> String {
+        let c = r.counters;
+        format!(
+            "{name}: cycles={:#x} insts={} loads={} stores={} branches={} calls={} \
+             translations={} miss={:#x} l1={:#x}",
+            r.critical_cycles.to_bits(),
+            c.insts,
+            c.loads,
+            c.stores,
+            c.branches,
+            c.calls,
+            c.translations,
+            r.branch_miss_rate.to_bits(),
+            r.l1_hit_rate.to_bits(),
+        )
+    }
+
+    /// Every simulated quantity of the kernels above, plus a phi rotation,
+    /// direct, virtual and recursive calls and all three atomics, at one
+    /// and at eight host threads. The values were recorded on the
+    /// IR-walking interpreter; running the decoded program must not move
+    /// a single bit.
+    #[test]
+    fn cpusim_reports_are_pinned() {
+        const MIXED: &str = r#"
+            class Shape {
+            public:
+                float r;
+                virtual float area() { return r; }
+            };
+            class Circle : public Shape {
+            public:
+                float area() { return 3.0f * r * r; }
+            };
+            class Square : public Shape {
+            public:
+                float area() { return 4.0f * r * r; }
+            };
+            int fib(int n) {
+                if (n < 2) { return n; }
+                return fib(n - 1) + fib(n - 2);
+            }
+            int twice_fib(int n) { return fib(n) * 2; }
+            class Mixed {
+            public:
+                Shape** shapes; float* areas; int* fibs; int* hist;
+                void operator()(int i) {
+                    areas[i] = shapes[i]->area();
+                    fibs[i] = twice_fib(i % 9);
+                    int a = 0; int b = 1; int c = 2;
+                    for (int j = 0; j < i % 13; j++) { int t = a; a = b; b = c; c = t + j; }
+                    int loc[4];
+                    loc[1] = a;
+                    atomic_add(&loc[1], b);
+                    atomic_add(&hist[i % 4], loc[1] + c);
+                }
+            };
+            class Virt {
+            public:
+                Shape** shapes; float* areas;
+                void operator()(int i) {
+                    float s = 0.0f;
+                    for (int j = 0; j < i + 3; j++) { s += shapes[(i + j) % 3]->area(); }
+                    areas[i] = s;
+                }
+            };
+            class Cas {
+            public:
+                int* cells;
+                void operator()(int i) {
+                    atomic_cas(&cells[i % 8], 0, i);
+                    atomic_min(&cells[8 + i % 8], i);
+                }
+            };
+            class Frames {
+            public:
+                int* out;
+                void operator()(int i) {
+                    int tmp[8];
+                    for (int j = 0; j < 8; j++) { tmp[j] = i * j + 3; }
+                    int s = 0;
+                    for (int j = 0; j < 8; j++) { s = s + tmp[j]; }
+                    out[i] = s;
+                }
+            };
+            class Loop {
+            public:
+                float* a; int n;
+                void operator()(int i) {
+                    float s = 0.0f;
+                    for (int j = 0; j < n; j++) { s += (float)j; }
+                    a[i] = s;
+                }
+            };
+        "#;
+        // The shipped systems charge whole cycles for memory, and a sum of
+        // integers rounds the same in any order. The skewed system's odd
+        // latencies make every charge's position show in the bits.
+        let skewed = CpuConfig {
+            ipc: 3.7,
+            branch_miss_penalty: 13.3,
+            l1_hit_cycles: 1.3,
+            llc_hit_cycles: 10.7,
+            mem_cycles: 70.9,
+            ..concord_energy::SystemConfig::desktop().cpu
+        };
+        let systems =
+            [("ultrabook", concord_energy::SystemConfig::ultrabook().cpu), ("skewed", skewed)];
+        let mut got = Vec::new();
+        for (ht, (system, cfg)) in [1, 8].into_iter().flat_map(|ht| systems.map(|s| (ht, s))) {
+            let sim = || {
+                let mut s = CpuSim::new(cfg);
+                s.host_threads = ht;
+                s
+            };
+            let pin = |name: &str, r: &CpuReport| pin(&format!("{system} {name}"), r);
+
+            let mut lp = compile(FIG1_SRC).unwrap();
+            concord_compiler::optimize_for_cpu(&mut lp.module);
+            let (mut region, mut heap, vt) = setup(&lp, 1 << 20);
+            let nodes = heap.malloc(101 * 8).unwrap();
+            let body = heap.malloc(8).unwrap();
+            region.write_ptr(body, nodes).unwrap();
+            let k = lp.kernel("LoopBody").unwrap().operator_fn;
+            let r = sim().parallel_for(&mut region, &vt, &lp.module, k, body, 100);
+            got.push(pin("figure1", &r.unwrap()));
+
+            let mut lp = compile(SUM_SRC).unwrap();
+            concord_compiler::optimize_for_cpu(&mut lp.module);
+            let (mut region, mut heap, vt) = setup(&lp, 1 << 20);
+            let data = heap.malloc(1000 * 4).unwrap();
+            for i in 0..1000u64 {
+                region.write_f32(CpuAddr(data.0 + i * 4), i as f32 * 0.5).unwrap();
+            }
+            let body = heap.malloc(16).unwrap();
+            region.write_ptr(body, data).unwrap();
+            let scratch: Vec<CpuAddr> = (0..4).map(|_| heap.malloc(16).unwrap()).collect();
+            let k = lp.kernel("Sum").unwrap();
+            let (f, j) = (k.operator_fn, k.join_fn.unwrap());
+            let r =
+                sim().parallel_reduce(&mut region, &vt, &lp.module, f, j, body, 16, 1000, &scratch);
+            got.push(pin("reduce", &r.unwrap()));
+
+            let lp = compile(LIST_SRC).unwrap();
+            for (s, strategy) in [
+                concord_compiler::GpuConfig::baseline(7),
+                concord_compiler::GpuConfig::ptropt(7),
+                concord_compiler::GpuConfig::all(7),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let art = concord_compiler::lower_for_gpu(&lp.module, strategy);
+                let (mut region, mut heap, vt) = setup(&lp, 1 << 20);
+                let nodes = heap.malloc(3 * 16).unwrap();
+                for (i, v) in [5, 7, 30].iter().enumerate() {
+                    let a = CpuAddr(nodes.0 + i as u64 * 16);
+                    let next = if i < 2 { a.offset(16) } else { CpuAddr::NULL };
+                    region.write_ptr(a, next).unwrap();
+                    region.write_i32(a.offset(8), *v).unwrap();
+                }
+                let body = heap.malloc(16).unwrap();
+                region.write_ptr(body, nodes).unwrap();
+                let kf = art
+                    .module
+                    .functions
+                    .iter()
+                    .position(|f| f.kernel == Some(concord_ir::KernelKind::ForBody))
+                    .map(|i| FuncId(i as u32))
+                    .unwrap();
+                let r = sim().parallel_for(&mut region, &vt, &art.module, kf, body, 4);
+                got.push(pin(&format!("gpu_lowered{s}"), &r.unwrap()));
+            }
+
+            let mut lp = compile(MIXED).unwrap();
+            concord_compiler::optimize_for_cpu(&mut lp.module);
+            let ops = |pred: fn(&concord_ir::inst::Op) -> bool| {
+                lp.module.functions.iter().flat_map(|f| &f.insts).any(|i| pred(&i.op))
+            };
+            assert!(ops(|o| matches!(o, concord_ir::inst::Op::Call { .. })), "a direct call");
+            assert!(
+                ops(|o| matches!(o, concord_ir::inst::Op::CallVirtual { .. })),
+                "a virtual call"
+            );
+            assert!(ops(|o| matches!(o, concord_ir::inst::Op::Phi(_))), "phis");
+            let (mut region, mut heap, vt) = setup(&lp, 1 << 20);
+            let class = |name: &str| {
+                let c = lp.module.classes.iter().position(|c| c.name == name).unwrap();
+                VtableArea::addr_of(concord_ir::ClassId(c as u32))
+            };
+            let n = 64u32;
+            let shapes = heap.malloc(u64::from(n) * 8).unwrap();
+            for i in 0..u64::from(n) {
+                let obj = heap.malloc(16).unwrap();
+                let cls = class(["Shape", "Circle", "Square"][(i % 3) as usize]);
+                region.write_ptr(obj, cls).unwrap();
+                region.write_f32(obj.offset(8), 1.0 + i as f32 * 0.25).unwrap();
+                region.write_ptr(CpuAddr(shapes.0 + i * 8), obj).unwrap();
+            }
+            let body = heap.malloc(32).unwrap();
+            region.write_ptr(body, shapes).unwrap();
+            region.write_ptr(body.offset(8), heap.malloc(u64::from(n) * 4).unwrap()).unwrap();
+            region.write_ptr(body.offset(16), heap.malloc(u64::from(n) * 4).unwrap()).unwrap();
+            region.write_ptr(body.offset(24), heap.malloc(16).unwrap()).unwrap();
+            let k = lp.kernel("Mixed").unwrap().operator_fn;
+            let r = sim().parallel_for(&mut region, &vt, &lp.module, k, body, n);
+            got.push(pin("mixed", &r.unwrap()));
+
+            // Sixty-four short launches put a virtual call's two charges
+            // astride many powers of two, where their order shows in the
+            // rounding; the line folds every launch's cycle bits.
+            let k = lp.kernel("Virt").unwrap().operator_fn;
+            let mut virt = sim();
+            let folded = (1..=64).fold(0u64, |h, n| {
+                let r = virt.parallel_for(&mut region, &vt, &lp.module, k, body, n).unwrap();
+                h.rotate_left(7) ^ r.critical_cycles.to_bits()
+            });
+            got.push(format!("{system} virt: folded cycles={folded:#x}"));
+
+            let cells = heap.malloc(16 * 4).unwrap();
+            let body = heap.malloc(8).unwrap();
+            region.write_ptr(body, cells).unwrap();
+            let k = lp.kernel("Cas").unwrap().operator_fn;
+            assert!(uses_gated_ops(&lp.module, &[k]), "Cas runs on the in-order path");
+            let r = sim().parallel_for(&mut region, &vt, &lp.module, k, body, 40);
+            got.push(pin("cas", &r.unwrap()));
+
+            let out = heap.malloc(48 * 4).unwrap();
+            let body = heap.malloc(8).unwrap();
+            region.write_ptr(body, out).unwrap();
+            let k = lp.kernel("Frames").unwrap().operator_fn;
+            let r = sim().parallel_for(&mut region, &vt, &lp.module, k, body, 48);
+            got.push(pin("frames", &r.unwrap()));
+
+            let a = heap.malloc(64 * 4).unwrap();
+            let body = heap.malloc(16).unwrap();
+            region.write_ptr(body, a).unwrap();
+            region.write_i32(body.offset(8), 37).unwrap();
+            let k = lp.kernel("Loop").unwrap().operator_fn;
+            let r = sim().parallel_for(&mut region, &vt, &lp.module, k, body, 64);
+            got.push(pin("loop", &r.unwrap()));
+        }
+        let want = [
+            "ultrabook figure1: cycles=0x4091240000000000 insts=1700 loads=100 stores=100 branches=0 calls=0 translations=0 miss=0x0 l1=0x3fed99999999999a",
+            "ultrabook reduce: cycles=0x40b9480000000000 insts=16000 loads=3000 stores=1000 branches=0 calls=0 translations=0 miss=0x0 l1=0x3fef78d4fdf3b646",
+            "ultrabook gpu_lowered0: cycles=0x406ca00000000000 insts=240 loads=28 stores=4 branches=16 calls=0 translations=32 miss=0x3fe8000000000000 l1=0x3fee000000000000",
+            "ultrabook gpu_lowered1: cycles=0x406c700000000000 insts=228 loads=28 stores=4 branches=16 calls=0 translations=20 miss=0x3fe8000000000000 l1=0x3fee000000000000",
+            "ultrabook gpu_lowered2: cycles=0x406c700000000000 insts=228 loads=28 stores=4 branches=16 calls=0 translations=20 miss=0x3fe8000000000000 l1=0x3fee000000000000",
+            "ultrabook mixed: cycles=0x40c6b0c000000000 insts=17526 loads=490 stores=192 branches=1612 calls=1298 translations=0 miss=0x3fcba1fc3047257b l1=0x3fee5eb69020f196",
+            "ultrabook virt: folded cycles=0xbb4b7f061c28dde4",
+            "ultrabook cas: cycles=0x408f580000000000 insts=760 loads=40 stores=0 branches=0 calls=0 translations=0 miss=0x0 l1=0x3fef5c28f5c28f5c",
+            "ultrabook frames: cycles=0x40a0fa0000000000 insts=11856 loads=432 stores=432 branches=864 calls=0 translations=0 miss=0x3faed097b425ed09 l1=0x3fee000000000000",
+            "ultrabook loop: cycles=0x40ad780000000000 insts=22656 loads=128 stores=64 branches=2432 calls=0 translations=0 miss=0x3fa79435e50d7943 l1=0x3feed55555555555",
+            "skewed figure1: cycles=0x407e0914c1bacf9a insts=1700 loads=100 stores=100 branches=0 calls=0 translations=0 miss=0x0 l1=0x3fecf5c28f5c28f6",
+            "skewed reduce: cycles=0x40a72b255cb6a855 insts=16000 loads=3000 stores=1000 branches=0 calls=0 translations=0 miss=0x0 l1=0x3fef70a3d70a3d71",
+            "skewed gpu_lowered0: cycles=0x406056bef650426e insts=240 loads=28 stores=4 branches=16 calls=0 translations=32 miss=0x3fe8000000000000 l1=0x3fec000000000000",
+            "skewed gpu_lowered1: cycles=0x40603ccccccccccf insts=228 loads=28 stores=4 branches=16 calls=0 translations=20 miss=0x3fe8000000000000 l1=0x3fec000000000000",
+            "skewed gpu_lowered2: cycles=0x40603ccccccccccf insts=228 loads=28 stores=4 branches=16 calls=0 translations=20 miss=0x3fe8000000000000 l1=0x3fec000000000000",
+            "skewed mixed: cycles=0x40b8182770162309 insts=17526 loads=490 stores=192 branches=1612 calls=1298 translations=0 miss=0x3fd32d1a0b6f2a90 l1=0x3fee06dcff504cde",
+            "skewed virt: folded cycles=0x6482305858230e05",
+            "skewed cas: cycles=0x40812431d0f38bc2 insts=760 loads=40 stores=0 branches=0 calls=0 translations=0 miss=0x0 l1=0x3feeb851eb851eb8",
+            "skewed frames: cycles=0x4094d57863a1e76f insts=11856 loads=432 stores=432 branches=864 calls=0 translations=0 miss=0x3fbed097b425ed09 l1=0x3fecaaaaaaaaaaab",
+            "skewed loop: cycles=0x40a0a588fe9dbf4c insts=22656 loads=128 stores=64 branches=2432 calls=0 translations=0 miss=0x3fb0d79435e50d79 l1=0x3fee2aaaaaaaaaab",
+        ];
+        let (serial, parallel) = got.split_at(got.len() / 2);
+        assert_eq!(serial, parallel, "host threads 1 and 8 must report the same bits");
+        assert_eq!(serial, want);
     }
 
     mod span_chunk_properties {
