@@ -201,6 +201,27 @@ if [ "$walks" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> structural guard: one decoder"
+# Both simulators execute the decoded form of crates/cpusim/src/program.rs,
+# and only that file reads IR opcodes. An interpreter that walks `Op`s again,
+# or a second copy of the frame layout (native lowers from IR on its own and
+# takes the layout from there too), fails here.
+ir_walks=$(for f in crates/{cpusim,gpusim}/src/*.rs; do
+    [ "$f" = crates/cpusim/src/program.rs ] && continue
+    sed '/^#\[cfg(test)\]/,$d' "$f" | { grep -nE '\bOp::' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$ir_walks" ]; then
+    echo "!! simulator code outside crates/cpusim/src/program.rs matches IR opcodes:" >&2
+    echo "$ir_walks" >&2
+    exit 1
+fi
+layouts=$(grep -rn 'fn frame_layout' crates | wc -l)
+if [ "$layouts" -ne 1 ]; then
+    echo "!! fn frame_layout is defined $layouts times under crates/, want 1:" >&2
+    grep -rn 'fn frame_layout' crates >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -1,19 +1,21 @@
-//! Scalar IR interpreter with CPU timing hooks.
+//! Scalar interpreter with CPU timing hooks.
 //!
 //! Executes one work-item (or host-side call) at a time against the shared
-//! region, charging cycles to a [`CoreCtx`] according to the CPU timing
-//! model: superscalar issue, a gshare branch predictor, and an L1 + shared
-//! LLC cache hierarchy.
+//! region, running the decoded functions of a [`Program`] — the same ones
+//! gpusim runs in SIMT fashion — and charging cycles to a [`CoreCtx`]
+//! according to the CPU timing model: superscalar issue, a gshare branch
+//! predictor, and an L1 + shared LLC cache hierarchy. Each instruction's
+//! charges sit in its match arm, in the order they are made: `cycles` is
+//! an `f64` sum, so moving a charge changes its bits.
 
 use crate::cache::Cache;
 use crate::predictor::Gshare;
+use crate::program::{Func, Kind, Program, Slot, NO_SRC};
 use concord_energy::CpuConfig;
 use concord_ir::eval::{eval_bin, eval_cast, eval_fcmp, eval_icmp, Trap, Value};
-use concord_ir::inst::{BlockId, FuncId, Intrinsic, Op, ValueId};
+use concord_ir::inst::{FuncId, Intrinsic};
 use concord_ir::types::{AddrSpace, Type};
-use concord_ir::{Function, Module};
-use concord_svm::{AtomicKind, RegionMem, VtableArea, SVM_CONST};
-use std::collections::HashMap;
+use concord_svm::{AtomicKind, CpuAddr, RegionMem, VtableArea, SVM_CONST};
 
 /// Base address of per-core private (stack) memory.
 pub const PRIVATE_BASE: u64 = 0x1000_0000;
@@ -38,20 +40,20 @@ pub struct Counters {
 
 /// Per-core microarchitectural state.
 #[derive(Debug, Clone)]
-pub struct CoreCtx {
+pub(crate) struct CoreCtx {
     /// Accumulated cycles.
-    pub cycles: f64,
+    pub(crate) cycles: f64,
     /// L1 data cache.
-    pub l1: Cache,
+    pub(crate) l1: Cache,
     /// Branch predictor.
-    pub predictor: Gshare,
+    pub(crate) predictor: Gshare,
     /// Event counters.
-    pub counters: Counters,
+    pub(crate) counters: Counters,
 }
 
 impl CoreCtx {
     /// Fresh core state for a CPU configuration.
-    pub fn new(cfg: &CpuConfig) -> Self {
+    pub(crate) fn new(cfg: &CpuConfig) -> Self {
         CoreCtx {
             cycles: 0.0,
             l1: Cache::new(cfg.l1_bytes, 8),
@@ -66,14 +68,14 @@ impl CoreCtx {
 /// thread writes its `sp` at every simulated call and return.
 #[derive(Debug, Clone)]
 #[repr(align(128))]
-pub struct PrivateMem {
+pub(crate) struct PrivateMem {
     data: Vec<u8>,
     sp: u64,
 }
 
 impl PrivateMem {
     /// A private memory of `bytes` capacity.
-    pub fn new(bytes: u64) -> Self {
+    pub(crate) fn new(bytes: u64) -> Self {
         PrivateMem { data: vec![0; bytes as usize], sp: 0 }
     }
 
@@ -91,87 +93,63 @@ impl PrivateMem {
         self.sp = old_sp;
     }
 
-    /// Current stack pointer (bytes used).
-    pub fn sp(&self) -> u64 {
-        self.sp
-    }
-
-    /// Restore the stack pointer (frame pop for external drivers).
-    pub fn set_sp(&mut self, sp: u64) {
-        self.sp = sp;
-    }
-
-    /// Reserve a frame of `size` bytes; returns the aligned frame base
-    /// offset (add [`PRIVATE_BASE`] for the address).
-    ///
-    /// # Errors
-    ///
-    /// [`Trap::StackOverflow`] when private memory is exhausted.
-    pub fn push_frame_public(&mut self, size: u64) -> Result<u64, Trap> {
-        let base = self.sp.div_ceil(16) * 16;
-        self.push_frame(size)?;
-        Ok(base)
-    }
-
-    fn check(&self, addr: u64, len: u64) -> Result<u64, Trap> {
+    /// The bytes of `[addr, addr + len)`.
+    fn bytes(&self, addr: u64, len: u64) -> Result<std::ops::Range<usize>, Trap> {
         let off = addr.wrapping_sub(PRIVATE_BASE);
         if off.checked_add(len).is_none_or(|e| e > self.data.len() as u64) {
             return Err(Trap::BadAddress { addr, space: AddrSpace::Private });
         }
-        Ok(off)
+        Ok(off as usize..(off + len) as usize)
     }
 
-    /// Read a typed value from private memory.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range addresses.
-    pub fn read(&self, addr: u64, ty: Type) -> Result<Value, Trap> {
-        let off = self.check(addr, ty.size())? as usize;
-        let b = &self.data[off..off + ty.size() as usize];
-        Ok(match ty {
-            Type::I1 | Type::I8 => Value::I(b[0] as i8 as i64),
-            Type::I16 => Value::I(i16::from_le_bytes([b[0], b[1]]) as i64),
-            Type::I32 => Value::I(i32::from_le_bytes(b.try_into().unwrap()) as i64),
-            Type::I64 => Value::I(i64::from_le_bytes(b.try_into().unwrap())),
-            Type::F32 => Value::F(f32::from_le_bytes(b.try_into().unwrap()) as f64),
-            Type::F64 => Value::F(f64::from_le_bytes(b.try_into().unwrap())),
-            // Pointers in memory are CPU-representation (or private/local
-            // addresses, which resolve by range); tag as Cpu and let the
-            // memory router re-classify by address range.
-            Type::Ptr(_) => {
-                let raw = u64::from_le_bytes(b.try_into().unwrap());
-                Value::Ptr(raw, classify_raw(raw))
-            }
-            Type::Void => unreachable!(),
-        })
+    fn read(&self, addr: u64, ty: Type) -> Result<Value, Trap> {
+        // Pointers in private memory resolve by address range: it can hold
+        // pointers to shared and to private data.
+        Ok(load_value(&self.data[self.bytes(addr, ty.size())?], ty, classify_raw))
     }
 
-    /// Write a typed value to private memory.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range addresses.
-    pub fn write(&mut self, addr: u64, v: Value, ty: Type) -> Result<(), Trap> {
-        let off = self.check(addr, ty.size())? as usize;
-        let bytes: Vec<u8> = match ty {
-            Type::I1 | Type::I8 => vec![v.as_i() as u8],
-            Type::I16 => (v.as_i() as i16).to_le_bytes().to_vec(),
-            Type::I32 => (v.as_i() as i32).to_le_bytes().to_vec(),
-            Type::I64 => v.as_i().to_le_bytes().to_vec(),
-            Type::F32 => (v.as_f() as f32).to_le_bytes().to_vec(),
-            Type::F64 => v.as_f().to_le_bytes().to_vec(),
-            Type::Ptr(_) => v.as_ptr().0.to_le_bytes().to_vec(),
-            Type::Void => unreachable!(),
-        };
-        self.data[off..off + bytes.len()].copy_from_slice(&bytes);
+    fn write(&mut self, addr: u64, v: Value, ty: Type) -> Result<(), Trap> {
+        let bytes = self.bytes(addr, ty.size())?;
+        store_value(v, ty, &mut self.data[bytes]);
         Ok(())
+    }
+}
+
+/// Decode a `ty` value stored in simulated private or local memory; a
+/// pointer takes the space `classify` names for its address.
+pub fn load_value(b: &[u8], ty: Type, classify: fn(u64) -> AddrSpace) -> Value {
+    match ty {
+        Type::I1 | Type::I8 => Value::I(b[0] as i8 as i64),
+        Type::I16 => Value::I(i16::from_le_bytes([b[0], b[1]]) as i64),
+        Type::I32 => Value::I(i32::from_le_bytes(b.try_into().unwrap()) as i64),
+        Type::I64 => Value::I(i64::from_le_bytes(b.try_into().unwrap())),
+        Type::F32 => Value::F(f32::from_le_bytes(b.try_into().unwrap()) as f64),
+        Type::F64 => Value::F(f64::from_le_bytes(b.try_into().unwrap())),
+        Type::Ptr(_) => {
+            let raw = u64::from_le_bytes(b.try_into().unwrap());
+            Value::Ptr(raw, classify(raw))
+        }
+        Type::Void => unreachable!(),
+    }
+}
+
+/// Encode `v` as a stored `ty` into `out` (`ty.size()` bytes).
+pub fn store_value(v: Value, ty: Type, out: &mut [u8]) {
+    match ty {
+        Type::I1 | Type::I8 => out[0] = v.as_i() as u8,
+        Type::I16 => out.copy_from_slice(&(v.as_i() as i16).to_le_bytes()),
+        Type::I32 => out.copy_from_slice(&(v.as_i() as i32).to_le_bytes()),
+        Type::I64 => out.copy_from_slice(&v.as_i().to_le_bytes()),
+        Type::F32 => out.copy_from_slice(&(v.as_f() as f32).to_le_bytes()),
+        Type::F64 => out.copy_from_slice(&v.as_f().to_le_bytes()),
+        Type::Ptr(_) => out.copy_from_slice(&v.as_ptr().0.to_le_bytes()),
+        Type::Void => unreachable!(),
     }
 }
 
 /// Classify a raw pointer bit pattern by address range. Needed because
 /// private memory can hold pointers to both shared and private data.
-pub fn classify_raw(raw: u64) -> AddrSpace {
+pub(crate) fn classify_raw(raw: u64) -> AddrSpace {
     if raw >= concord_svm::GPU_BASE {
         AddrSpace::Gpu
     } else if raw >= concord_svm::CPU_BASE {
@@ -179,31 +157,6 @@ pub fn classify_raw(raw: u64) -> AddrSpace {
     } else {
         AddrSpace::Private
     }
-}
-
-/// Static per-function frame layout: fixed offsets for each alloca.
-#[derive(Debug, Clone, Default)]
-pub struct FrameLayout {
-    /// Alloca instruction → byte offset within the frame.
-    pub offsets: HashMap<ValueId, u64>,
-    /// Total frame size in bytes.
-    pub size: u64,
-}
-
-/// Compute the frame layout of a function.
-pub fn frame_layout(f: &Function) -> FrameLayout {
-    let mut offsets = HashMap::new();
-    let mut size = 0u64;
-    for b in f.block_ids() {
-        for &id in &f.block(b).insts {
-            if let Op::Alloca { size: s, align } = f.inst(id).op {
-                size = size.div_ceil(align) * align;
-                offsets.insert(id, size);
-                size += s;
-            }
-        }
-    }
-    FrameLayout { offsets, size: size.div_ceil(16) * 16 }
 }
 
 /// IDs identifying the current work item (for `global_id()` etc.).
@@ -226,78 +179,75 @@ pub struct WorkIds {
 /// chunk can be replayed through the shared LLC at commit time, in fixed
 /// chunk order, keeping cache state — and therefore timing — independent
 /// of how many OS threads executed the chunks.
-pub enum LlcSink<'a> {
+pub(crate) enum LlcSink<'a> {
     /// Charge LLC/memory cycles immediately against this shared cache.
     Live(&'a mut Cache),
     /// Defer: record L1-miss addresses; cycles are charged at commit.
     Log(&'a mut Vec<u64>),
 }
 
-/// The scalar interpreter.
+/// The scalar interpreter: runs the decoded functions of a [`Program`]
+/// one work-item at a time.
 ///
 /// Generic over the memory view `M`: a live [`concord_svm::SharedRegion`] for serial
 /// execution, or a [`concord_svm::ShadowRegion`] snapshot + write-log when
 /// chunks execute concurrently on host threads.
-pub struct Interp<'a, M: RegionMem> {
-    /// Module being executed.
-    pub module: &'a Module,
+pub(crate) struct Interp<'a, M: RegionMem> {
+    /// The decoded module being executed.
+    pub(crate) program: &'a Program,
     /// Shared virtual memory (live or shadowed).
-    pub region: &'a mut M,
+    pub(crate) region: &'a mut M,
     /// Installed vtables (for CPU-side dynamic dispatch).
-    pub vtables: &'a VtableArea,
+    pub(crate) vtables: &'a VtableArea,
     /// Private memory of the executing core.
-    pub private: &'a mut PrivateMem,
+    pub(crate) private: &'a mut PrivateMem,
     /// Timing state of the executing core.
-    pub core: &'a mut CoreCtx,
+    pub(crate) core: &'a mut CoreCtx,
     /// Timing parameters.
-    pub cfg: &'a CpuConfig,
+    pub(crate) cfg: &'a CpuConfig,
     /// Shared last-level cache (live or deferred to commit).
-    pub llc: LlcSink<'a>,
+    pub(crate) llc: LlcSink<'a>,
     /// Current work-item ids.
-    pub ids: WorkIds,
+    pub(crate) ids: WorkIds,
     /// Remaining instruction budget (runaway-loop guard).
-    pub step_budget: u64,
-    /// Maximum call depth.
-    pub max_depth: u32,
+    pub(crate) step_budget: u64,
     /// Next-frontier push segment of the enclosing worklist round, if any.
     /// `push(item)` appends here; `None` outside `parallel_worklist_hetero`
     /// (where the intrinsic traps).
-    pub wl: Option<&'a mut Vec<i32>>,
+    pub(crate) wl: Option<&'a mut Vec<i32>>,
+    /// Buffers reused from one simulated call to the next: register
+    /// files, argument lists and the phi group being copied. Without them
+    /// every simulated call is a handful of `malloc`/`free` pairs, and that
+    /// is not only slow: a chunk runs on the launching thread beside a
+    /// pool helper, the allocator hands each of the two threads small
+    /// blocks the other one freed, and two threads recycling neighbouring
+    /// blocks share cache lines (`cpu.BarnesHut` ran 1.5× slower that way
+    /// — EXPERIMENTS.md, "Launch fan-out").
+    pub(crate) bufs: Buffers,
 }
 
-/// Cached frame layouts for a module, and the buffers [`Interp::call`]
-/// reuses from one simulated call to the next: register files, argument
-/// lists and phi groups. Without them every simulated call is a handful
-/// of `malloc`/`free` pairs, and that is not only slow: a chunk now runs on
-/// the launching thread beside a pool helper, the allocator hands each of
-/// the two threads small blocks the other one freed, and two threads
-/// recycling neighbouring blocks share cache lines (`cpu.BarnesHut` ran
-/// 1.5× slower that way — EXPERIMENTS.md, "Launch fan-out").
-#[derive(Debug, Default, Clone)]
-pub struct LayoutCache {
-    layouts: HashMap<FuncId, FrameLayout>,
+/// See [`Interp::bufs`].
+#[derive(Debug, Default)]
+pub(crate) struct Buffers {
     regs: Vec<Vec<Option<Value>>>,
     args: Vec<Vec<Value>>,
-    phis: Vec<Vec<(ValueId, Value)>>,
+    staged: Vec<Value>,
 }
 
-impl LayoutCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Layout for `fid`, computing it on first use.
-    pub fn get(&mut self, module: &Module, fid: FuncId) -> &FrameLayout {
-        self.layouts.entry(fid).or_insert_with(|| frame_layout(module.function(fid)))
-    }
-}
+/// Deepest simulated call.
+const MAX_DEPTH: u32 = 64;
 
 /// An empty buffer from `pool`, keeping the capacity of its last use.
 fn recycled<T>(pool: &mut Vec<Vec<T>>) -> Vec<T> {
     let mut buf = pool.pop().unwrap_or_default();
     buf.clear();
     buf
+}
+
+/// The value in slot `s`; reading a slot no executed instruction defined
+/// traps.
+fn get(regs: &[Option<Value>], s: Slot) -> Result<Value, Trap> {
+    regs[s as usize].ok_or(Trap::Unreachable)
 }
 
 impl<'a, M: RegionMem> Interp<'a, M> {
@@ -368,270 +318,222 @@ impl<'a, M: RegionMem> Interp<'a, M> {
     /// # Errors
     ///
     /// Any [`Trap`] raised during execution.
-    pub fn call(
-        &mut self,
-        layouts: &mut LayoutCache,
-        fid: FuncId,
-        args: &[Value],
-    ) -> Result<Option<Value>, Trap> {
-        self.call_depth(layouts, fid, args, 0)
+    pub(crate) fn call(&mut self, fid: FuncId, args: &[Value]) -> Result<Option<Value>, Trap> {
+        self.call_depth(fid, args, 0)
     }
 
     fn call_depth(
         &mut self,
-        layouts: &mut LayoutCache,
         fid: FuncId,
         args: &[Value],
         depth: u32,
     ) -> Result<Option<Value>, Trap> {
-        if depth > self.max_depth {
+        if depth > MAX_DEPTH {
             return Err(Trap::StackOverflow);
         }
-        let f = self.module.function(fid);
-        let frame_size = layouts.get(self.module, fid).size;
-        let old_sp = self.private.push_frame(frame_size)?;
+        let program = self.program;
+        let func = program.func(fid);
+        let old_sp = self.private.push_frame(func.frame_size)?;
         let frame_base = PRIVATE_BASE + (old_sp.div_ceil(16) * 16);
-        // A trap leaves through `?` and drops its buffers instead of
-        // returning them: the pools only have to be warm on the hot path.
-        let mut regs = recycled(&mut layouts.regs);
-        regs.resize(f.insts.len(), None);
-        for (i, &a) in args.iter().enumerate() {
-            if i < f.params.len() {
-                regs[i] = Some(a);
-            }
+        let mut regs = recycled(&mut self.bufs.regs);
+        regs.resize(func.slots, None);
+        for (r, &a) in regs.iter_mut().zip(args).take(func.params) {
+            *r = Some(a);
         }
-        let mut block = f.entry();
-        let mut prev: Option<BlockId> = None;
-        let result = 'outer: loop {
-            // Phi group resolution (parallel reads).
-            let insts = &f.block(block).insts;
-            let mut phi_vals = recycled(&mut layouts.phis);
-            for &id in insts {
-                if let Op::Phi(incoming) = &f.inst(id).op {
-                    let p = prev.expect("phi in entry block");
-                    let (_, v) = incoming
-                        .iter()
-                        .find(|(pb, _)| *pb == p)
-                        .expect("phi covers predecessor (verified IR)");
-                    let val = regs[v.0 as usize].ok_or(Trap::Unreachable)?;
-                    phi_vals.push((id, val));
-                } else {
-                    break;
-                }
+        let result = self.run(fid, func, &mut regs, args, frame_base, depth);
+        self.private.pop_frame(old_sp);
+        self.bufs.regs.push(regs);
+        result
+    }
+
+    fn step_limit(&self, func: &Func) -> Trap {
+        Trap::StepLimitExceeded { kernel: func.name.clone(), global_id: self.ids.global }
+    }
+
+    /// Run `func`'s blocks from its entry until it returns.
+    fn run(
+        &mut self,
+        fid: FuncId,
+        func: &Func,
+        regs: &mut [Option<Value>],
+        args: &[Value],
+        frame_base: u64,
+        depth: u32,
+    ) -> Result<Option<Value>, Trap> {
+        let (mut b, mut edge) = (func.entry, func.entry_edge);
+        'blocks: loop {
+            let block = &func.blocks[b as usize];
+            if block.phis > 0 {
+                self.phis(func, regs, edge)?;
             }
-            let phi_count = phi_vals.len();
-            for (id, v) in phi_vals.drain(..) {
-                regs[id.0 as usize] = Some(v);
-                self.core.counters.insts += 1;
-                self.core.cycles += 1.0 / self.cfg.ipc;
+            for inst in &func.ops[block.ops.0 as usize..block.ops.1 as usize] {
                 if self.step_budget == 0 {
-                    break 'outer Err(Trap::StepLimitExceeded {
-                        kernel: f.name.clone(),
-                        global_id: self.ids.global,
-                    });
-                }
-                self.step_budget -= 1;
-            }
-            layouts.phis.push(phi_vals);
-            for idx in phi_count..f.block(block).insts.len() {
-                let id = f.block(block).insts[idx];
-                if self.step_budget == 0 {
-                    break 'outer Err(Trap::StepLimitExceeded {
-                        kernel: f.name.clone(),
-                        global_id: self.ids.global,
-                    });
+                    return Err(self.step_limit(func));
                 }
                 self.step_budget -= 1;
                 self.core.counters.insts += 1;
-                let inst = f.inst(id);
-                let get = |regs: &Vec<Option<Value>>, v: ValueId| -> Result<Value, Trap> {
-                    regs[v.0 as usize].ok_or(Trap::Unreachable)
-                };
-                match &inst.op {
-                    Op::Param(i) => {
-                        regs[id.0 as usize] = Some(args[*i as usize]);
+                let d = inst.dst as usize;
+                match inst.kind {
+                    Kind::Param(i) => regs[d] = Some(args[i as usize]),
+                    Kind::Const(v) => regs[d] = Some(v),
+                    Kind::Bin(op, ty, a, b) => {
+                        self.core.cycles += bin_cost(op, self.cfg);
+                        regs[d] = Some(eval_bin(op, get(regs, a)?, get(regs, b)?, ty)?);
                     }
-                    Op::ConstInt(v) => {
-                        let val = match inst.ty {
-                            Type::Ptr(sp) => Value::Ptr(*v as u64, sp),
-                            _ => Value::I(*v),
-                        };
-                        regs[id.0 as usize] = Some(val);
-                    }
-                    Op::ConstFloat(v) => {
-                        let v = if inst.ty == Type::F32 { *v as f32 as f64 } else { *v };
-                        regs[id.0 as usize] = Some(Value::F(v));
-                    }
-                    Op::ConstNull => {
-                        let sp = inst.ty.addr_space().unwrap_or(AddrSpace::Cpu);
-                        regs[id.0 as usize] = Some(Value::Ptr(0, sp));
-                    }
-                    Op::Bin(op, a, b) => {
-                        self.core.cycles += bin_cost(*op, self.cfg);
-                        let r = eval_bin(*op, get(&regs, *a)?, get(&regs, *b)?, inst.ty)?;
-                        regs[id.0 as usize] = Some(r);
-                    }
-                    Op::Icmp(p, a, b) => {
+                    Kind::Icmp(p, a, b) => {
                         self.core.cycles += 1.0 / self.cfg.ipc;
-                        regs[id.0 as usize] = Some(eval_icmp(*p, get(&regs, *a)?, get(&regs, *b)?));
+                        regs[d] = Some(eval_icmp(p, get(regs, a)?, get(regs, b)?));
                     }
-                    Op::Fcmp(p, a, b) => {
+                    Kind::Fcmp(p, a, b) => {
                         self.core.cycles += 1.0 / self.cfg.ipc;
-                        regs[id.0 as usize] = Some(eval_fcmp(*p, get(&regs, *a)?, get(&regs, *b)?));
+                        regs[d] = Some(eval_fcmp(p, get(regs, a)?, get(regs, b)?));
                     }
-                    Op::Cast(op, a) => {
+                    Kind::Cast(op, from, to, a) => {
                         self.core.cycles += 1.0 / self.cfg.ipc;
-                        let from = f.inst(*a).ty;
-                        regs[id.0 as usize] = Some(eval_cast(*op, get(&regs, *a)?, from, inst.ty));
+                        regs[d] = Some(eval_cast(op, get(regs, a)?, from, to));
                     }
-                    Op::Select(c, a, b) => {
+                    Kind::Select(c, a, b) => {
                         self.core.cycles += 1.0 / self.cfg.ipc;
-                        let v = if get(&regs, *c)?.as_bool() {
-                            get(&regs, *a)?
-                        } else {
-                            get(&regs, *b)?
-                        };
-                        regs[id.0 as usize] = Some(v);
+                        let pick = if get(regs, c)?.as_bool() { a } else { b };
+                        regs[d] = Some(get(regs, pick)?);
                     }
-                    Op::Alloca { .. } => {
+                    Kind::Alloca(off) => {
                         self.core.cycles += 1.0 / self.cfg.ipc;
-                        let off = layouts.get(self.module, fid).offsets[&id];
-                        regs[id.0 as usize] =
-                            Some(Value::Ptr(frame_base + off, AddrSpace::Private));
+                        regs[d] = Some(Value::Ptr(frame_base + off, AddrSpace::Private));
                     }
-                    Op::Load(p) => {
+                    Kind::Load(ty, p) => {
                         self.core.counters.loads += 1;
-                        let (addr, sp) = get(&regs, *p)?.as_ptr();
-                        let sp = reclassify(addr, sp);
-                        let v = self.mem_read(addr, sp, inst.ty)?;
-                        regs[id.0 as usize] = Some(v);
+                        let (addr, sp) = get(regs, p)?.as_ptr();
+                        regs[d] = Some(self.mem_read(addr, reclassify(addr, sp), ty)?);
                     }
-                    Op::Store { ptr, val } => {
+                    Kind::Store(ty, p, v) => {
                         self.core.counters.stores += 1;
-                        let (addr, sp) = get(&regs, *ptr)?.as_ptr();
-                        let sp = reclassify(addr, sp);
-                        let v = get(&regs, *val)?;
-                        let ty = f.inst(*val).ty;
-                        self.mem_write(addr, sp, v, ty)?;
+                        let (addr, sp) = get(regs, p)?.as_ptr();
+                        let v = get(regs, v)?;
+                        self.mem_write(addr, reclassify(addr, sp), v, ty)?;
                     }
-                    Op::Gep { base, offset } => {
+                    Kind::Gep(base, off) => {
                         self.core.cycles += 1.0 / self.cfg.ipc;
-                        let (addr, sp) = get(&regs, *base)?.as_ptr();
-                        let off = get(&regs, *offset)?.as_i();
-                        regs[id.0 as usize] = Some(Value::Ptr(addr.wrapping_add(off as u64), sp));
+                        let (addr, sp) = get(regs, base)?.as_ptr();
+                        let off = get(regs, off)?.as_i();
+                        regs[d] = Some(Value::Ptr(addr.wrapping_add(off as u64), sp));
                     }
-                    Op::CpuToGpu(p) => {
+                    Kind::CpuToGpu(p) => {
                         self.core.cycles += 1.0 / self.cfg.ipc;
                         self.core.counters.translations += 1;
-                        let (addr, sp) = get(&regs, *p)?.as_ptr();
-                        let v = match sp {
-                            AddrSpace::Cpu if addr != 0 => {
+                        regs[d] = Some(match get(regs, p)?.as_ptr() {
+                            (addr, AddrSpace::Cpu) if addr != 0 => {
                                 Value::Ptr(addr.wrapping_add(SVM_CONST), AddrSpace::Gpu)
                             }
                             // Generic-pointer pass-through (private/local/null).
-                            _ => Value::Ptr(addr, sp),
-                        };
-                        regs[id.0 as usize] = Some(v);
+                            (addr, sp) => Value::Ptr(addr, sp),
+                        });
                     }
-                    Op::GpuToCpu(p) => {
+                    Kind::GpuToCpu(p) => {
                         self.core.cycles += 1.0 / self.cfg.ipc;
                         self.core.counters.translations += 1;
-                        let (addr, sp) = get(&regs, *p)?.as_ptr();
-                        let v = match sp {
-                            AddrSpace::Gpu if addr != 0 => {
+                        regs[d] = Some(match get(regs, p)?.as_ptr() {
+                            (addr, AddrSpace::Gpu) if addr != 0 => {
                                 Value::Ptr(addr.wrapping_sub(SVM_CONST), AddrSpace::Cpu)
                             }
-                            _ => Value::Ptr(addr, sp),
-                        };
-                        regs[id.0 as usize] = Some(v);
+                            (addr, sp) => Value::Ptr(addr, sp),
+                        });
                     }
-                    Op::Phi(_) => unreachable!("phi group handled at block entry"),
-                    Op::Call { callee, args: call_args } => {
+                    Kind::Call { callee, args: range, returns } => {
                         self.core.counters.calls += 1;
                         self.core.cycles += 2.0;
-                        let mut vals = recycled(&mut layouts.args);
-                        for a in call_args {
-                            vals.push(get(&regs, *a)?);
+                        let mut vals = recycled(&mut self.bufs.args);
+                        for &a in &func.operands[range.0 as usize..range.1 as usize] {
+                            vals.push(get(regs, a)?);
                         }
-                        let r = self.call_depth(layouts, *callee, &vals, depth + 1)?;
-                        layouts.args.push(vals);
-                        if inst.ty != Type::Void {
-                            regs[id.0 as usize] = Some(r.ok_or(Trap::Unreachable)?);
+                        let r = self.call_depth(callee, &vals, depth + 1)?;
+                        self.bufs.args.push(vals);
+                        if returns {
+                            regs[d] = Some(r.ok_or(Trap::Unreachable)?);
                         }
                     }
-                    Op::CallVirtual { obj, args: call_args, slot, .. } => {
+                    Kind::CallVirtual { obj, slot, args: range, returns } => {
                         self.core.counters.calls += 1;
                         // vtable load + indirect call overhead.
-                        let (obj_addr, obj_sp) = get(&regs, *obj)?.as_ptr();
+                        let (obj_addr, obj_sp) = get(regs, obj)?.as_ptr();
                         let obj_sp = reclassify(obj_addr, obj_sp);
                         let vptr = self.mem_read(obj_addr, obj_sp, Type::Ptr(AddrSpace::Cpu))?;
                         let (vaddr, _) = vptr.as_ptr();
-                        let target = self.vtables.dispatch(
-                            self.region.snapshot(),
-                            concord_svm::CpuAddr(vaddr),
-                            *slot,
-                        )?;
+                        let target =
+                            self.vtables.dispatch(self.region.snapshot(), CpuAddr(vaddr), slot)?;
                         self.core.cycles += 3.0;
-                        let mut vals = recycled(&mut layouts.args);
-                        vals.push(get(&regs, *obj)?);
-                        for a in call_args {
-                            vals.push(get(&regs, *a)?);
+                        let mut vals = recycled(&mut self.bufs.args);
+                        vals.push(get(regs, obj)?);
+                        for &a in &func.operands[range.0 as usize..range.1 as usize] {
+                            vals.push(get(regs, a)?);
                         }
-                        let r = self.call_depth(layouts, target, &vals, depth + 1)?;
-                        layouts.args.push(vals);
-                        if inst.ty != Type::Void {
-                            regs[id.0 as usize] = Some(r.ok_or(Trap::Unreachable)?);
-                        }
-                    }
-                    Op::IntrinsicCall(intr, iargs) => {
-                        let mut vals = recycled(&mut layouts.args);
-                        for a in iargs {
-                            vals.push(get(&regs, *a)?);
-                        }
-                        let v = self.intrinsic(*intr, &vals)?;
-                        layouts.args.push(vals);
-                        if inst.ty != Type::Void {
-                            regs[id.0 as usize] = Some(v);
+                        let r = self.call_depth(target, &vals, depth + 1)?;
+                        self.bufs.args.push(vals);
+                        if returns {
+                            regs[d] = Some(r.ok_or(Trap::Unreachable)?);
                         }
                     }
-                    Op::Br(t) => {
+                    Kind::Intrinsic(intr, range, ty) => {
+                        let mut vals = recycled(&mut self.bufs.args);
+                        for &a in &func.operands[range.0 as usize..range.1 as usize] {
+                            vals.push(get(regs, a)?);
+                        }
+                        let v = self.intrinsic(intr, &vals)?;
+                        self.bufs.args.push(vals);
+                        if ty != Type::Void {
+                            regs[d] = Some(v);
+                        }
+                    }
+                    Kind::Br(t, e) => {
                         self.core.cycles += 1.0 / self.cfg.ipc;
-                        prev = Some(block);
-                        block = *t;
-                        continue 'outer;
+                        (b, edge) = (t, e);
+                        continue 'blocks;
                     }
-                    Op::CondBr(c, t, e) => {
+                    Kind::CondBr { cond, then, els } => {
                         self.core.counters.branches += 1;
-                        let taken = get(&regs, *c)?.as_bool();
-                        let correct = self
-                            .core
-                            .predictor
-                            .predict_and_update(id.0 as u64 ^ ((fid.0 as u64) << 32), taken);
+                        let taken = get(regs, cond)?.as_bool();
+                        let key = u64::from(inst.dst) ^ (u64::from(fid.0) << 32);
+                        let correct = self.core.predictor.predict_and_update(key, taken);
                         self.core.cycles += 1.0 / self.cfg.ipc;
                         if !correct {
                             self.core.cycles += self.cfg.branch_miss_penalty;
                         }
-                        prev = Some(block);
-                        block = if taken { *t } else { *e };
-                        continue 'outer;
+                        (b, edge) = if taken { then } else { els };
+                        continue 'blocks;
                     }
-                    Op::Ret(v) => {
+                    Kind::Ret(v) => {
                         self.core.cycles += 1.0 / self.cfg.ipc;
-                        let out = match v {
-                            Some(v) => Some(get(&regs, *v)?),
-                            None => None,
-                        };
-                        break 'outer Ok(out);
+                        return v.map(|v| get(regs, v)).transpose();
                     }
-                    Op::Unreachable => break 'outer Err(Trap::Unreachable),
+                    Kind::Unreachable => return Err(Trap::Unreachable),
+                    Kind::StrayPhi => unreachable!("phi group handled at block entry"),
                 }
             }
             // Fell off a block without a terminator: verifier prevents this.
-            break 'outer Err(Trap::Unreachable);
-        };
-        self.private.pop_frame(old_sp);
-        layouts.regs.push(regs);
-        result
+            return Err(Trap::Unreachable);
+        }
+    }
+
+    /// Enter a block over phi `edge`: read every source of its phi group,
+    /// then write every destination, each a counted instruction.
+    fn phis(&mut self, func: &Func, regs: &mut [Option<Value>], edge: u32) -> Result<(), Trap> {
+        let (start, end) = func.edges[edge as usize];
+        let copies = &func.copies[start as usize..end as usize];
+        self.bufs.staged.clear();
+        for &(_, src) in copies {
+            assert!(src != NO_SRC, "phi covers predecessor (verified IR)");
+            self.bufs.staged.push(get(regs, src)?);
+        }
+        for (&(dst, _), &v) in copies.iter().zip(&self.bufs.staged) {
+            regs[dst as usize] = Some(v);
+            self.core.counters.insts += 1;
+            self.core.cycles += 1.0 / self.cfg.ipc;
+            if self.step_budget == 0 {
+                return Err(self.step_limit(func));
+            }
+            self.step_budget -= 1;
+        }
+        Ok(())
     }
 
     fn intrinsic(&mut self, intr: Intrinsic, vals: &[Value]) -> Result<Value, Trap> {

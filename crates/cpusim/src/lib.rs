@@ -7,18 +7,19 @@
 //!
 //! The same IR that the GPU simulator runs in SIMT fashion runs here
 //! scalar, one work-item at a time per core — the "same C++ code on either
-//! device" property of Concord.
+//! device" property of Concord. Both simulators execute it in one decoded
+//! form, a [`Program`], which lives here.
 
-pub mod cache;
-pub mod interp;
-pub mod predictor;
+mod cache;
+mod interp;
+mod predictor;
+pub mod program;
 
 pub use cache::Cache;
-pub use interp::{
-    classify_raw, CoreCtx, Counters, Interp, LayoutCache, LlcSink, PrivateMem, WorkIds,
-    PRIVATE_BASE,
-};
-pub use predictor::Gshare;
+pub use interp::{load_value, store_value, Counters, WorkIds, PRIVATE_BASE};
+pub use program::Program;
+
+use interp::{Buffers, CoreCtx, Interp, LlcSink, PrivateMem};
 
 use concord_energy::CpuConfig;
 use concord_ir::analysis::uses_gated_ops;
@@ -99,7 +100,6 @@ pub struct CpuSim {
     cores: Vec<CoreCtx>,
     privates: Vec<PrivateMem>,
     llc: Cache,
-    layouts: LayoutCache,
     /// Per-work-item instruction budget (runaway-loop guard).
     pub step_budget_per_item: u64,
     /// OS threads used to execute simulated-core chunks. Purely a
@@ -121,7 +121,6 @@ impl CpuSim {
             cfg,
             cores,
             privates: Vec::new(),
-            layouts: LayoutCache::new(),
             step_budget_per_item: 200_000_000,
             host_threads: 1,
             tracer: Tracer::disabled(),
@@ -221,17 +220,21 @@ impl CpuSim {
     /// # Errors
     ///
     /// Any [`Trap`] raised by the callee.
+    ///
+    /// # Panics
+    ///
+    /// If `program` was not decoded for `func` ([`Program::decode_from`]).
     pub fn call(
         &mut self,
         region: &mut SharedRegion,
         vtables: &VtableArea,
-        module: &Module,
+        program: &Program,
         func: FuncId,
         args: &[Value],
     ) -> Result<Option<Value>, Trap> {
         self.ensure_privates();
         let mut interp = Interp {
-            module,
+            program,
             region,
             vtables,
             private: &mut self.privates[0],
@@ -240,14 +243,15 @@ impl CpuSim {
             llc: LlcSink::Live(&mut self.llc),
             ids: WorkIds::default(),
             step_budget: self.step_budget_per_item,
-            max_depth: 64,
             wl: None,
+            bufs: Buffers::default(),
         };
-        interp.call(&mut self.layouts, func, args)
+        interp.call(func, args)
     }
 
     /// Execute `parallel_for_hetero(n, body)` across all cores: iteration
-    /// `i` calls `func(body, i)`. A convenience over [`CpuSim::launch`].
+    /// `i` calls `func(body, i)`. A convenience over [`CpuSim::launch`]
+    /// that decodes `module` on the spot.
     ///
     /// # Errors
     ///
@@ -263,14 +267,17 @@ impl CpuSim {
     ) -> Result<CpuReport, Trap> {
         let in_order = uses_gated_ops(module, &[func]);
         let work = Work { func, body, kind: WorkKind::For, in_order };
-        self.launch(region, vtables, module, &work, Span::full(n), &mut Vec::new())
+        let mut program = Program::new();
+        program.decode(module, &work);
+        self.launch(region, vtables, &program, &work, Span::full(n), &mut Vec::new())
     }
 
     /// Execute `parallel_reduce_hetero(n, body)`: each core accumulates its
     /// chunk into a private copy of the body in its `scratch` slot, then
     /// the copies are joined into the original sequentially on core 0,
-    /// exactly as TBB would. A convenience over [`CpuSim::launch`]; the
-    /// report covers the accumulation phase.
+    /// exactly as TBB would. A convenience over [`CpuSim::launch`] that
+    /// decodes `module` on the spot; the report covers the accumulation
+    /// phase.
     ///
     /// # Errors
     ///
@@ -295,10 +302,13 @@ impl CpuSim {
         let in_order = uses_gated_ops(module, &[func, join]);
         let kind = WorkKind::Reduce { join, body_size, slots: scratch };
         let work = Work { func, body, kind, in_order };
-        let report = self.launch(region, vtables, module, &work, Span::full(n), &mut Vec::new())?;
+        let mut program = Program::new();
+        program.decode(module, &work);
+        let report =
+            self.launch(region, vtables, &program, &work, Span::full(n), &mut Vec::new())?;
         for &slot in &scratch[..self.reduce_slots(scratch.len())] {
             let args = [Value::Ptr(body.0, AddrSpace::Cpu), Value::Ptr(slot.0, AddrSpace::Cpu)];
-            self.call(region, vtables, module, join, &args)?;
+            self.call(region, vtables, &program, join, &args)?;
         }
         Ok(report)
     }
@@ -344,13 +354,14 @@ impl CpuSim {
     ///
     /// # Panics
     ///
-    /// Panics on a reduction without scratch slots, or a worklist round
-    /// whose frontier is not `span.grid` long.
+    /// Panics on a reduction without scratch slots, a worklist round
+    /// whose frontier is not `span.grid` long, or a `program` not decoded
+    /// for `work` ([`Program::decode`]).
     pub fn launch(
         &mut self,
         region: &mut SharedRegion,
         vtables: &VtableArea,
-        module: &Module,
+        program: &Program,
         work: &Work<'_>,
         span: Span,
         pushes: &mut Vec<i32>,
@@ -360,7 +371,7 @@ impl CpuSim {
             stage_reduce(region, work.body, body_size, &slots[..used])?;
         }
         if !work.in_order {
-            let pending = self.execute(region, vtables, module, work, span);
+            let pending = self.execute(region, vtables, program, work, span);
             return self.commit(region, pending, pushes);
         }
         self.reset_timing();
@@ -372,11 +383,10 @@ impl CpuSim {
                 core: &mut self.cores[idx],
                 private: &mut self.privates[idx],
                 llc: LlcSink::Live(&mut self.llc),
-                layouts: &mut self.layouts,
                 pushes: &mut seg,
             };
             let budget = self.step_budget_per_item;
-            run_chunk(&self.cfg, budget, module, vtables, work, span.grid, chunk, &mut env)?;
+            run_chunk(&self.cfg, budget, program, vtables, work, span.grid, chunk, &mut env)?;
         }
         pushes.append(&mut seg);
         Ok(self.finish_launch(work.kind.name()))
@@ -392,12 +402,16 @@ impl CpuSim {
     /// most of a small launch's cost. So after a trap, or a pending launch
     /// dropped uncommitted, the stacks hold post-execution bytes. A
     /// reduction's slots must already hold body copies (see
-    /// [`stage_reduce`]).
+    /// [`stage_reduce`]). The chunks share `program` read-only.
+    ///
+    /// # Panics
+    ///
+    /// If `program` was not decoded for `work` ([`Program::decode`]).
     pub fn execute(
         &mut self,
         region: &SharedRegion,
         vtables: &VtableArea,
-        module: &Module,
+        program: &Program,
         work: &Work<'_>,
         span: Span,
     ) -> CpuPending {
@@ -427,12 +441,11 @@ impl CpuSim {
                 core: &mut out.core,
                 private: &mut privates[idx].lock().expect("a chunk's private memory lock"),
                 llc: LlcSink::Log(&mut out.llc_log),
-                layouts: &mut LayoutCache::new(),
                 pushes: &mut out.pushes,
             };
             let chunk = chunks[idx];
             out.trap =
-                run_chunk(cfg, *budget, module, vtables, work, span.grid, chunk, &mut env).err();
+                run_chunk(cfg, *budget, program, vtables, work, span.grid, chunk, &mut env).err();
             out.mem_log = shadow.into_log();
             out
         });
@@ -493,7 +506,6 @@ struct ChunkEnv<'a, M: RegionMem> {
     core: &'a mut CoreCtx,
     private: &'a mut PrivateMem,
     llc: LlcSink<'a>,
-    layouts: &'a mut LayoutCache,
     /// Worklist push segment, in (work-item, program) order.
     pushes: &'a mut Vec<i32>,
 }
@@ -505,7 +517,7 @@ struct ChunkEnv<'a, M: RegionMem> {
 fn run_chunk<M: RegionMem>(
     cfg: &CpuConfig,
     step_budget: u64,
-    module: &Module,
+    program: &Program,
     vtables: &VtableArea,
     work: &Work<'_>,
     grid: u32,
@@ -517,7 +529,7 @@ fn run_chunk<M: RegionMem>(
         _ => None,
     };
     let mut interp = Interp {
-        module,
+        program,
         region: &mut *env.region,
         vtables,
         private: &mut *env.private,
@@ -529,16 +541,16 @@ fn run_chunk<M: RegionMem>(
         },
         ids: WorkIds::default(),
         step_budget,
-        max_depth: 64,
         wl: items.map(|_| &mut *env.pushes),
+        bufs: Buffers::default(),
     };
     for i in lo..hi {
         interp.ids = WorkIds { global: i as i64, local: 0, group: i as i64, size: grid as i64 };
         interp.step_budget = step_budget;
         let arg1 = items.map_or(i as i64, |items| items[i as usize] as i64);
         interp
-            .call(env.layouts, work.func, &[Value::Ptr(arg0.0, AddrSpace::Cpu), Value::I(arg1)])
-            .map_err(|t| t.with_kernel(&module.function(work.func).name))?;
+            .call(work.func, &[Value::Ptr(arg0.0, AddrSpace::Cpu), Value::I(arg1)])
+            .map_err(|t| t.with_kernel(&program.func(work.func).name))?;
     }
     Ok(())
 }
@@ -810,7 +822,9 @@ mod tests {
 
         let work =
             Work { func: bad.operator_fn, body: bad_body, kind: WorkKind::For, in_order: false };
-        let pending = sim.execute(&region, &vt, &lp.module, &work, Span::full(16));
+        let mut program = Program::new();
+        program.decode(&lp.module, &work);
+        let pending = sim.execute(&region, &vt, &program, &work, Span::full(16));
         assert!(pending.chunks.iter().all(|c| c.trap.is_some()), "every chunk trapped");
         drop(pending);
 
@@ -850,6 +864,51 @@ mod tests {
             t.push(r.critical_cycles);
         }
         assert!(t[1] > t[0] * 4.0, "10x inner work must cost visibly more: {t:?}");
+    }
+
+    /// A slot no executed instruction defined reads as a trap, never as a
+    /// stale value, in an instruction and in a phi group alike: the twin
+    /// of gpusim's `undefined_operands_trap_unreachable`.
+    #[test]
+    fn undefined_operands_trap_unreachable() {
+        use concord_ir::builder::FunctionBuilder;
+        use concord_ir::inst::{BinOp, ICmp};
+        use concord_ir::types::Type;
+        // `x` is defined only when `i > 0`, and read after the paths join:
+        // by an add, or by a phi on the edge that skipped it.
+        let mut m = Module::new();
+        for phi in [false, true] {
+            let mut fb =
+                FunctionBuilder::new("k", vec![Type::Ptr(AddrSpace::Cpu), Type::I32], Type::I32);
+            let i = fb.param(1);
+            let zero = fb.i32(0);
+            let pos = fb.icmp(ICmp::Sgt, i, zero);
+            let (def, skip, join) = (fb.new_block(), fb.new_block(), fb.new_block());
+            fb.cond_br(pos, def, skip);
+            fb.switch_to(def);
+            let x = fb.i32(7);
+            fb.br(join);
+            fb.switch_to(skip);
+            fb.br(join);
+            fb.switch_to(join);
+            let x = if phi { fb.phi(Type::I32, vec![(def, x), (skip, x)]) } else { x };
+            let y = fb.bin(BinOp::Add, x, i);
+            fb.ret(Some(y));
+            m.add_function(fb.build());
+        }
+        let mut region = SharedRegion::new(1 << 16, 0);
+        let vt = VtableArea::install(&mut region, &m).unwrap();
+        let mut sim = CpuSim::new(concord_energy::SystemConfig::ultrabook().cpu);
+        for f in [FuncId(0), FuncId(1)] {
+            let mut program = Program::new();
+            program.decode_from(&m, f);
+            let mut call = |i| {
+                let args = [Value::Ptr(0, AddrSpace::Cpu), Value::I(i)];
+                sim.call(&mut region, &vt, &program, f, &args)
+            };
+            assert_eq!(call(3), Ok(Some(Value::I(10))));
+            assert_eq!(call(0), Err(Trap::Unreachable));
+        }
     }
 
     /// One line per report: the exact bits of every quantity a
@@ -918,6 +977,26 @@ mod tests {
                     float s = 0.0f;
                     for (int j = 0; j < i + 3; j++) { s += shapes[(i + j) % 3]->area(); }
                     areas[i] = s;
+                }
+            };
+            class Atomics {
+            public:
+                int* cells;
+                void operator()(int i) {
+                    int loc[2];
+                    loc[0] = i;
+                    for (int j = 0; j < i + 3; j++) {
+                        atomic_add(&cells[j % 4], j);
+                        atomic_min(&loc[0], j);
+                    }
+                    cells[4 + i] = loc[0];
+                }
+            };
+            class CasLoop {
+            public:
+                int* cells;
+                void operator()(int i) {
+                    for (int j = 0; j < i + 3; j++) { atomic_cas(&cells[j % 4], j, i); }
                 }
             };
             class Cas {
@@ -1062,16 +1141,22 @@ mod tests {
             let r = sim().parallel_for(&mut region, &vt, &lp.module, k, body, n);
             got.push(pin("mixed", &r.unwrap()));
 
-            // Sixty-four short launches put a virtual call's two charges
-            // astride many powers of two, where their order shows in the
-            // rounding; the line folds every launch's cycle bits.
-            let k = lp.kernel("Virt").unwrap().operator_fn;
-            let mut virt = sim();
-            let folded = (1..=64).fold(0u64, |h, n| {
-                let r = virt.parallel_for(&mut region, &vt, &lp.module, k, body, n).unwrap();
-                h.rotate_left(7) ^ r.critical_cycles.to_bits()
-            });
-            got.push(format!("{system} virt: folded cycles={folded:#x}"));
+            // Sixty-four short launches each put a virtual call's or an
+            // atomic's charges astride many powers of two, where their order
+            // shows in the rounding; each line folds every launch's bits.
+            let cells = heap.malloc(68 * 4).unwrap();
+            let cells_body = heap.malloc(8).unwrap();
+            region.write_ptr(cells_body, cells).unwrap();
+            for (kernel, body) in [("Virt", body), ("Atomics", cells_body), ("CasLoop", cells_body)]
+            {
+                let k = lp.kernel(kernel).unwrap().operator_fn;
+                let mut sim = sim();
+                let folded = (1..=64).fold(0u64, |h, n| {
+                    let r = sim.parallel_for(&mut region, &vt, &lp.module, k, body, n).unwrap();
+                    h.rotate_left(7) ^ r.critical_cycles.to_bits()
+                });
+                got.push(format!("{system} {kernel}: folded cycles={folded:#x}"));
+            }
 
             let cells = heap.malloc(16 * 4).unwrap();
             let body = heap.malloc(8).unwrap();
@@ -1103,9 +1188,11 @@ mod tests {
             "ultrabook gpu_lowered1: cycles=0x406c700000000000 insts=228 loads=28 stores=4 branches=16 calls=0 translations=20 miss=0x3fe8000000000000 l1=0x3fee000000000000",
             "ultrabook gpu_lowered2: cycles=0x406c700000000000 insts=228 loads=28 stores=4 branches=16 calls=0 translations=20 miss=0x3fe8000000000000 l1=0x3fee000000000000",
             "ultrabook mixed: cycles=0x40c6b0c000000000 insts=17526 loads=490 stores=192 branches=1612 calls=1298 translations=0 miss=0x3fcba1fc3047257b l1=0x3fee5eb69020f196",
-            "ultrabook virt: folded cycles=0xbb4b7f061c28dde4",
+            "ultrabook Virt: folded cycles=0xbb4b7f061c28dde4",
+            "ultrabook Atomics: folded cycles=0x961264658f724980",
+            "ultrabook CasLoop: folded cycles=0xd2838e21630b3500",
             "ultrabook cas: cycles=0x408f580000000000 insts=760 loads=40 stores=0 branches=0 calls=0 translations=0 miss=0x0 l1=0x3fef5c28f5c28f5c",
-            "ultrabook frames: cycles=0x40a0fa0000000000 insts=11856 loads=432 stores=432 branches=864 calls=0 translations=0 miss=0x3faed097b425ed09 l1=0x3fee000000000000",
+            "ultrabook frames: cycles=0x40a0fa0000000000 insts=11856 loads=432 stores=432 branches=864 calls=0 translations=0 miss=0x3faed097b425ed09 l1=0x3fee555555555555",
             "ultrabook loop: cycles=0x40ad780000000000 insts=22656 loads=128 stores=64 branches=2432 calls=0 translations=0 miss=0x3fa79435e50d7943 l1=0x3feed55555555555",
             "skewed figure1: cycles=0x407e0914c1bacf9a insts=1700 loads=100 stores=100 branches=0 calls=0 translations=0 miss=0x0 l1=0x3fecf5c28f5c28f6",
             "skewed reduce: cycles=0x40a72b255cb6a855 insts=16000 loads=3000 stores=1000 branches=0 calls=0 translations=0 miss=0x0 l1=0x3fef70a3d70a3d71",
@@ -1113,10 +1200,12 @@ mod tests {
             "skewed gpu_lowered1: cycles=0x40603ccccccccccf insts=228 loads=28 stores=4 branches=16 calls=0 translations=20 miss=0x3fe8000000000000 l1=0x3fec000000000000",
             "skewed gpu_lowered2: cycles=0x40603ccccccccccf insts=228 loads=28 stores=4 branches=16 calls=0 translations=20 miss=0x3fe8000000000000 l1=0x3fec000000000000",
             "skewed mixed: cycles=0x40b8182770162309 insts=17526 loads=490 stores=192 branches=1612 calls=1298 translations=0 miss=0x3fd32d1a0b6f2a90 l1=0x3fee06dcff504cde",
-            "skewed virt: folded cycles=0x6482305858230e05",
+            "skewed Virt: folded cycles=0x6482305858230e05",
+            "skewed Atomics: folded cycles=0xe6f5bc0a584bdd94",
+            "skewed CasLoop: folded cycles=0x329042dacdcb73dd",
             "skewed cas: cycles=0x40812431d0f38bc2 insts=760 loads=40 stores=0 branches=0 calls=0 translations=0 miss=0x0 l1=0x3feeb851eb851eb8",
-            "skewed frames: cycles=0x4094d57863a1e76f insts=11856 loads=432 stores=432 branches=864 calls=0 translations=0 miss=0x3fbed097b425ed09 l1=0x3fecaaaaaaaaaaab",
-            "skewed loop: cycles=0x40a0a588fe9dbf4c insts=22656 loads=128 stores=64 branches=2432 calls=0 translations=0 miss=0x3fb0d79435e50d79 l1=0x3fee2aaaaaaaaaab",
+            "skewed frames: cycles=0x4095ebdeca084dd8 insts=11856 loads=432 stores=432 branches=864 calls=0 translations=0 miss=0x3fbed097b425ed09 l1=0x3fed000000000000",
+            "skewed loop: cycles=0x40a0a588fe9dbf4d insts=22656 loads=128 stores=64 branches=2432 calls=0 translations=0 miss=0x3fb0d79435e50d79 l1=0x3fee2aaaaaaaaaab",
         ];
         let (serial, parallel) = got.split_at(got.len() / 2);
         assert_eq!(serial, parallel, "host threads 1 and 8 must report the same bits");

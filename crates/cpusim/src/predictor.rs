@@ -66,7 +66,8 @@ impl Gshare {
     }
 
     /// Misprediction rate in [0, 1].
-    pub fn miss_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn miss_rate(&self) -> f64 {
         if self.predictions == 0 {
             0.0
         } else {

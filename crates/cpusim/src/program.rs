@@ -1,18 +1,19 @@
-//! gpusim's decoded form of a GPU module.
+//! The decoded form of a module: what both simulators execute.
 //!
-//! The warp interpreter never walks IR. A [`Program`] holds, for each
-//! function a launch can reach, one [`Func`]: a flat array of [`Inst`]s
-//! whose operands are register slots, laid out block by block in the
-//! order the warp scheduler prefers them, with each block's phis turned
-//! into one parallel copy list per incoming edge and each alloca's frame
-//! offset resolved. Decoding happens the first time a launch reaches a
-//! kernel and covers its whole static call graph (GPU code has no
-//! function pointers), so execution only reads. A `Program` belongs to
-//! the module it was decoded from: the runtime keeps one beside each
-//! session's GPU module, and the `GpuSim` conveniences decode a fresh one
-//! per call.
+//! Neither interpreter walks IR. A [`Program`] holds, for each function a
+//! launch can reach, one [`Func`]: a flat array of [`Inst`]s whose
+//! operands are register slots, laid out block by block in the order the
+//! GPU's warp scheduler prefers them, with each block's phis turned into
+//! one parallel copy list per incoming edge and each alloca's frame offset
+//! resolved. The decoded form carries no timing: cpusim charges its
+//! scalar costs and gpusim its warp issue cycles, each in its own
+//! interpreter. Decoding happens the first time a launch reaches a kernel
+//! and covers its whole static call graph, so execution only reads. A
+//! virtual call can reach any function a vtable names, so a function with
+//! one pulls in the whole module. A `Program` belongs to the module it was
+//! decoded from: the runtime keeps one beside each session's CPU and GPU
+//! module, and the simulators' conveniences decode a fresh one per call.
 
-use concord_cpusim::interp::frame_layout;
 use concord_ir::analysis::{find_loops, DomTree};
 use concord_ir::eval::Value;
 use concord_ir::inst::{BinOp, BlockId, CastOp, FCmp, FuncId, ICmp, Intrinsic, Op, ValueId};
@@ -21,15 +22,15 @@ use concord_ir::{Function, Module};
 use concord_svm::{Work, WorkKind};
 
 /// A register slot: the index of the defining instruction.
-pub(crate) type Slot = u32;
+pub type Slot = u32;
 
 /// The edge index of a branch whose target has no phis.
-pub(crate) const NO_EDGE: u32 = u32::MAX;
+pub const NO_EDGE: u32 = u32::MAX;
 
 /// The source slot of a phi with no incoming value for an edge.
-pub(crate) const NO_SRC: Slot = u32::MAX;
+pub const NO_SRC: Slot = u32::MAX;
 
-/// Decoded functions of one GPU module, filled in as launches reach them.
+/// Decoded functions of one module, filled in as launches reach them.
 #[derive(Debug, Default)]
 pub struct Program {
     funcs: Vec<Option<Func>>,
@@ -41,14 +42,19 @@ impl Program {
         Program::default()
     }
 
-    /// Decode `work`'s kernel (and its `join`, for a reduction) plus every
-    /// function they can call, skipping what is already decoded. `module`
-    /// must be the module every earlier call decoded from.
+    /// Decode `work`'s kernel (and its `join`, for a reduction) and
+    /// everything they can call, skipping what is already decoded.
+    /// `module` must be the module every earlier call decoded from.
     pub fn decode(&mut self, module: &Module, work: &Work<'_>) {
-        let mut todo = vec![work.func];
+        self.decode_from(module, work.func);
         if let WorkKind::Reduce { join, .. } = work.kind {
-            todo.push(join);
+            self.decode_from(module, join);
         }
+    }
+
+    /// Decode `root` and every function it can call.
+    pub fn decode_from(&mut self, module: &Module, root: FuncId) {
+        let mut todo = vec![root];
         while let Some(fid) = todo.pop() {
             let i = fid.0 as usize;
             if self.funcs.len() <= i {
@@ -58,10 +64,15 @@ impl Program {
                 continue;
             }
             let func = Func::decode(module.function(fid));
-            todo.extend(func.ops.iter().filter_map(|inst| match inst.kind {
-                Kind::Call { callee, .. } => Some(callee),
-                _ => None,
-            }));
+            for inst in &func.ops {
+                match inst.kind {
+                    Kind::Call { callee, .. } => todo.push(callee),
+                    Kind::CallVirtual { .. } => {
+                        todo.extend((0..module.functions.len() as u32).map(FuncId));
+                    }
+                    _ => {}
+                }
+            }
             self.funcs[i] = Some(func);
         }
     }
@@ -71,7 +82,7 @@ impl Program {
     /// # Panics
     ///
     /// If no [`Program::decode`] call reached `fid`.
-    pub(crate) fn func(&self, fid: FuncId) -> &Func {
+    pub fn func(&self, fid: FuncId) -> &Func {
         self.funcs
             .get(fid.0 as usize)
             .and_then(Option::as_ref)
@@ -81,59 +92,59 @@ impl Program {
 
 /// One decoded function.
 #[derive(Debug)]
-pub(crate) struct Func {
-    pub(crate) name: String,
+pub struct Func {
+    /// The IR function's name (for traps and trace events).
+    pub name: String,
     /// Register slots (the IR function's instruction count).
-    pub(crate) slots: usize,
+    pub slots: usize,
     /// Parameters.
-    pub(crate) params: usize,
+    pub params: usize,
     /// Private-memory frame size.
-    pub(crate) frame_size: u64,
+    pub frame_size: u64,
     /// Blocks in scheduling order: among the blocks with waiting lanes the
     /// warp always runs the first.
-    pub(crate) blocks: Vec<Block>,
+    pub blocks: Vec<Block>,
     /// Index of the entry block in `blocks`.
-    pub(crate) entry: u32,
+    pub entry: u32,
     /// The edge lanes enter the entry block through, if it has phis.
-    pub(crate) entry_edge: u32,
+    pub entry_edge: u32,
     /// Every block's non-phi instructions, block after block.
-    pub(crate) ops: Vec<Inst>,
+    pub ops: Vec<Inst>,
     /// Call and intrinsic argument slots.
-    pub(crate) operands: Vec<Slot>,
+    pub operands: Vec<Slot>,
     /// Per phi edge, its range of `copies`.
-    pub(crate) edges: Vec<(u32, u32)>,
+    pub edges: Vec<(u32, u32)>,
     /// Phi copies `(destination, source)`, one per phi of the edge's block.
-    pub(crate) copies: Vec<(Slot, Slot)>,
+    pub copies: Vec<(Slot, Slot)>,
     /// The largest phi group.
-    pub(crate) max_phis: usize,
+    pub max_phis: usize,
 }
 
 /// One basic block.
 #[derive(Debug)]
-pub(crate) struct Block {
+pub struct Block {
     /// The IR block id (for trace events).
-    pub(crate) id: BlockId,
+    pub id: BlockId,
     /// Range of `Func::ops`.
-    pub(crate) ops: (u32, u32),
-    /// Leading phis (each issues as a register rename).
-    pub(crate) phis: u32,
+    pub ops: (u32, u32),
+    /// Leading phis.
+    pub phis: u32,
     /// Range of `Func::edges`: one per predecessor, empty without phis.
-    pub(crate) edges: (u32, u32),
+    pub edges: (u32, u32),
 }
 
 /// One decoded instruction.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Inst {
-    /// The result slot.
-    pub(crate) dst: Slot,
-    /// Issue cycles charged before it executes; `None` charges nothing.
-    pub(crate) issue: Option<f64>,
-    pub(crate) kind: Kind,
+pub struct Inst {
+    /// The result slot, which is also the IR value id.
+    pub dst: Slot,
+    /// What it does.
+    pub kind: Kind,
 }
 
 /// What an instruction does.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Kind {
+pub enum Kind {
     Param(u32),
     /// A constant, already typed.
     Const(Value),
@@ -158,7 +169,14 @@ pub(crate) enum Kind {
         args: (u32, u32),
         returns: bool,
     },
-    CallVirtual(Slot),
+    /// `args` is a range of `Func::operands`; the receiver `obj` is
+    /// passed first.
+    CallVirtual {
+        obj: Slot,
+        slot: u32,
+        args: (u32, u32),
+        returns: bool,
+    },
     Intrinsic(Intrinsic, (u32, u32), Type),
     /// `(target block, phi edge)`.
     Br(u32, u32),
@@ -171,30 +189,6 @@ pub(crate) enum Kind {
     Unreachable,
     /// A phi after the leading phi group: malformed IR.
     StrayPhi,
-}
-
-/// Issue cycles of a binary op.
-fn bin_issue(op: BinOp) -> f64 {
-    match op {
-        BinOp::SDiv | BinOp::UDiv | BinOp::SRem | BinOp::URem => 8.0,
-        BinOp::FDiv => 4.0,
-        _ => 1.0,
-    }
-}
-
-/// Issue cycles of an intrinsic call.
-fn intrinsic_issue(intr: Intrinsic) -> f64 {
-    match intr {
-        Intrinsic::Sqrt => 4.0,
-        Intrinsic::Exp => 8.0,
-        Intrinsic::Pow => 12.0,
-        Intrinsic::Barrier
-        | Intrinsic::AtomicAddI32
-        | Intrinsic::AtomicMinI32
-        | Intrinsic::AtomicCasI32
-        | Intrinsic::WlPush => 2.0,
-        _ => 1.0,
-    }
 }
 
 impl Func {
@@ -255,7 +249,7 @@ impl Func {
             }
         };
 
-        let layout = frame_layout(f);
+        let (alloca_off, frame_size) = frame_layout(f);
         let mut blocks = Vec::with_capacity(n);
         let mut ops = Vec::new();
         let mut operands = Vec::new();
@@ -271,59 +265,55 @@ impl Func {
             for &id in &f.block(block).insts[phis..] {
                 let inst = f.inst(id);
                 let target = |t: BlockId| (position[t.0 as usize], edge(block, t));
-                let (issue, kind) = match &inst.op {
-                    Op::Param(i) => (Some(0.25), Kind::Param(*i)),
-                    Op::ConstInt(v) => {
-                        let val = match inst.ty {
-                            Type::Ptr(sp) => Value::Ptr(*v as u64, sp),
-                            _ => Value::I(*v),
-                        };
-                        (Some(0.25), Kind::Const(val))
-                    }
-                    Op::ConstFloat(v) => {
-                        let v = if inst.ty == Type::F32 { *v as f32 as f64 } else { *v };
-                        (Some(0.25), Kind::Const(Value::F(v)))
-                    }
+                let kind = match &inst.op {
+                    Op::Param(i) => Kind::Param(*i),
+                    Op::ConstInt(v) => Kind::Const(match inst.ty {
+                        Type::Ptr(sp) => Value::Ptr(*v as u64, sp),
+                        _ => Value::I(*v),
+                    }),
+                    Op::ConstFloat(v) => Kind::Const(Value::F(if inst.ty == Type::F32 {
+                        *v as f32 as f64
+                    } else {
+                        *v
+                    })),
                     Op::ConstNull => {
-                        let sp = inst.ty.addr_space().unwrap_or(AddrSpace::Cpu);
-                        (Some(0.25), Kind::Const(Value::Ptr(0, sp)))
+                        Kind::Const(Value::Ptr(0, inst.ty.addr_space().unwrap_or(AddrSpace::Cpu)))
                     }
-                    Op::Bin(op, a, b) => (Some(bin_issue(*op)), Kind::Bin(*op, inst.ty, a.0, b.0)),
-                    Op::Icmp(p, a, b) => (Some(1.0), Kind::Icmp(*p, a.0, b.0)),
-                    Op::Fcmp(p, a, b) => (Some(1.0), Kind::Fcmp(*p, a.0, b.0)),
-                    Op::Cast(op, a) => (Some(1.0), Kind::Cast(*op, f.inst(*a).ty, inst.ty, a.0)),
-                    Op::Select(c, a, b) => (Some(1.0), Kind::Select(c.0, a.0, b.0)),
-                    Op::Alloca { .. } => (Some(1.0), Kind::Alloca(layout.offsets[&id])),
-                    Op::Load(p) => (Some(1.0), Kind::Load(inst.ty, p.0)),
-                    Op::Store { ptr, val } => {
-                        (Some(1.0), Kind::Store(f.inst(*val).ty, ptr.0, val.0))
-                    }
-                    Op::Gep { base, offset } => (Some(1.0), Kind::Gep(base.0, offset.0)),
-                    // §3.1: a software translation is a short arithmetic
-                    // sequence (binding-table base + offset add), not a
-                    // single op.
-                    Op::CpuToGpu(p) => (Some(3.0), Kind::CpuToGpu(p.0)),
-                    Op::GpuToCpu(p) => (Some(3.0), Kind::GpuToCpu(p.0)),
-                    Op::Call { callee, args } => {
-                        let returns = inst.ty != Type::Void;
-                        (Some(2.0), Kind::Call { callee: *callee, args: range(args), returns })
-                    }
-                    Op::IntrinsicCall(intr, args) => {
-                        (Some(intrinsic_issue(*intr)), Kind::Intrinsic(*intr, range(args), inst.ty))
-                    }
+                    Op::Bin(op, a, b) => Kind::Bin(*op, inst.ty, a.0, b.0),
+                    Op::Icmp(p, a, b) => Kind::Icmp(*p, a.0, b.0),
+                    Op::Fcmp(p, a, b) => Kind::Fcmp(*p, a.0, b.0),
+                    Op::Cast(op, a) => Kind::Cast(*op, f.inst(*a).ty, inst.ty, a.0),
+                    Op::Select(c, a, b) => Kind::Select(c.0, a.0, b.0),
+                    Op::Alloca { .. } => Kind::Alloca(alloca_off[id.0 as usize]),
+                    Op::Load(p) => Kind::Load(inst.ty, p.0),
+                    Op::Store { ptr, val } => Kind::Store(f.inst(*val).ty, ptr.0, val.0),
+                    Op::Gep { base, offset } => Kind::Gep(base.0, offset.0),
+                    Op::CpuToGpu(p) => Kind::CpuToGpu(p.0),
+                    Op::GpuToCpu(p) => Kind::GpuToCpu(p.0),
+                    Op::Call { callee, args } => Kind::Call {
+                        callee: *callee,
+                        args: range(args),
+                        returns: inst.ty != Type::Void,
+                    },
+                    Op::CallVirtual { obj, slot, args, .. } => Kind::CallVirtual {
+                        obj: obj.0,
+                        slot: *slot,
+                        args: range(args),
+                        returns: inst.ty != Type::Void,
+                    },
+                    Op::IntrinsicCall(intr, args) => Kind::Intrinsic(*intr, range(args), inst.ty),
                     Op::Br(t) => {
                         let (t, e) = target(*t);
-                        (Some(1.0), Kind::Br(t, e))
+                        Kind::Br(t, e)
                     }
                     Op::CondBr(c, t, e) => {
-                        (Some(1.0), Kind::CondBr { cond: c.0, then: target(*t), els: target(*e) })
+                        Kind::CondBr { cond: c.0, then: target(*t), els: target(*e) }
                     }
-                    Op::Ret(v) => (Some(1.0), Kind::Ret(v.map(|v| v.0))),
-                    Op::CallVirtual { obj, .. } => (None, Kind::CallVirtual(obj.0)),
-                    Op::Unreachable => (None, Kind::Unreachable),
-                    Op::Phi(_) => (None, Kind::StrayPhi),
+                    Op::Ret(v) => Kind::Ret(v.map(|v| v.0)),
+                    Op::Unreachable => Kind::Unreachable,
+                    Op::Phi(_) => Kind::StrayPhi,
                 };
-                ops.push(Inst { dst: id.0, issue, kind });
+                ops.push(Inst { dst: id.0, kind });
             }
             let edges = match edge_base[b] {
                 NO_EDGE => (0, 0),
@@ -340,7 +330,7 @@ impl Func {
             name: f.name.clone(),
             slots: f.insts.len(),
             params: f.params.len(),
-            frame_size: layout.size,
+            frame_size,
             entry: position[entry.0 as usize],
             entry_edge: edge(entry, entry),
             blocks,
@@ -392,4 +382,22 @@ fn block_priorities(f: &Function) -> Vec<u32> {
     }
     // Unreachable blocks keep MAX (never scheduled).
     order
+}
+
+/// A function's private-memory frame: allocas packed in block order, each
+/// at its own alignment, the total rounded up to 16. Returns each alloca's
+/// offset, indexed by value id, and the frame size.
+pub fn frame_layout(f: &Function) -> (Vec<u64>, u64) {
+    let mut offsets = vec![0; f.insts.len()];
+    let mut size = 0u64;
+    for b in &f.blocks {
+        for &id in &b.insts {
+            if let Op::Alloca { size: s, align } = f.inst(id).op {
+                size = size.div_ceil(align) * align;
+                offsets[id.0 as usize] = size;
+                size += s;
+            }
+        }
+    }
+    (offsets, size.div_ceil(16) * 16)
 }

@@ -12,17 +12,16 @@
 //! like on the real hardware.
 //!
 //! A launch runs a [`Program`]: the module's functions decoded once, the
-//! first time a launch reaches them.
+//! first time a launch reaches them, by the decoder the CPU simulator
+//! runs too.
 
 pub mod l3;
-mod program;
 pub mod warp;
 
 pub use l3::{GpuL3, L3Access};
-pub use program::Program;
 pub use warp::{gpu_classify, GpuSpace, Mask, LOCAL_BASE, TRACE_SAMPLE_EVERY};
 
-use concord_cpusim::interp::{WorkIds, PRIVATE_BASE};
+use concord_cpusim::{Program, WorkIds, PRIVATE_BASE};
 use concord_energy::GpuConfig;
 use concord_ir::analysis::uses_gated_ops;
 use concord_ir::eval::{Trap, Value};

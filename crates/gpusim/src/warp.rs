@@ -28,11 +28,11 @@
 //! so each warp starts from exactly the bytes and stack pointers a fresh
 //! allocation would have.
 
-use crate::program::{Block, Func, Inst, Kind, Program, Slot, NO_EDGE, NO_SRC};
-use concord_cpusim::interp::{WorkIds, PRIVATE_BASE};
+use concord_cpusim::program::{Block, Func, Inst, Kind, Program, Slot, NO_EDGE, NO_SRC};
+use concord_cpusim::{load_value, store_value, WorkIds, PRIVATE_BASE};
 use concord_energy::GpuConfig;
 use concord_ir::eval::{eval_bin, eval_cast, eval_fcmp, eval_icmp, Trap, Value};
-use concord_ir::inst::{BlockId, FuncId, Intrinsic};
+use concord_ir::inst::{BinOp, BlockId, FuncId, Intrinsic};
 use concord_ir::types::{AddrSpace, Type};
 use concord_svm::{apply_rmw, AtomicKind, RegionMem, CPU_BASE, GPU_BASE, SVM_CONST};
 use concord_trace::Args;
@@ -443,36 +443,31 @@ impl WarpState {
     }
 }
 
-/// Decode a `ty` value stored in private or local memory; a pointer takes
-/// the space its address range names.
-fn load_value(b: &[u8], ty: Type) -> Value {
-    match ty {
-        Type::I1 | Type::I8 => Value::I(b[0] as i8 as i64),
-        Type::I16 => Value::I(i16::from_le_bytes([b[0], b[1]]) as i64),
-        Type::I32 => Value::I(i32::from_le_bytes(b.try_into().unwrap()) as i64),
-        Type::I64 => Value::I(i64::from_le_bytes(b.try_into().unwrap())),
-        Type::F32 => Value::F(f32::from_le_bytes(b.try_into().unwrap()) as f64),
-        Type::F64 => Value::F(f64::from_le_bytes(b.try_into().unwrap())),
-        Type::Ptr(_) => {
-            let raw = u64::from_le_bytes(b.try_into().unwrap());
-            Value::Ptr(raw, classify_value(raw))
-        }
-        Type::Void => unreachable!(),
-    }
-}
-
-/// Encode `v` as a stored `ty` into `out` (`ty.size()` bytes).
-fn store_value(v: Value, ty: Type, out: &mut [u8]) {
-    match ty {
-        Type::I1 | Type::I8 => out[0] = v.as_i() as u8,
-        Type::I16 => out.copy_from_slice(&(v.as_i() as i16).to_le_bytes()),
-        Type::I32 => out.copy_from_slice(&(v.as_i() as i32).to_le_bytes()),
-        Type::I64 => out.copy_from_slice(&v.as_i().to_le_bytes()),
-        Type::F32 => out.copy_from_slice(&(v.as_f() as f32).to_le_bytes()),
-        Type::F64 => out.copy_from_slice(&v.as_f().to_le_bytes()),
-        Type::Ptr(_) => out.copy_from_slice(&v.as_ptr().0.to_le_bytes()),
-        Type::Void => unreachable!(),
-    }
+/// Issue cycles of one instruction, charged before it executes; `None`
+/// charges nothing.
+fn issue_cycles(kind: &Kind) -> Option<f64> {
+    Some(match kind {
+        Kind::Param(_) | Kind::Const(_) => 0.25,
+        Kind::Bin(BinOp::SDiv | BinOp::UDiv | BinOp::SRem | BinOp::URem, ..) => 8.0,
+        Kind::Bin(BinOp::FDiv, ..) => 4.0,
+        // §3.1: a software translation is a short arithmetic sequence
+        // (binding-table base + offset add), not a single op.
+        Kind::CpuToGpu(_) | Kind::GpuToCpu(_) => 3.0,
+        Kind::Call { .. } => 2.0,
+        Kind::Intrinsic(intr, ..) => match intr {
+            Intrinsic::Sqrt => 4.0,
+            Intrinsic::Exp => 8.0,
+            Intrinsic::Pow => 12.0,
+            Intrinsic::Barrier
+            | Intrinsic::AtomicAddI32
+            | Intrinsic::AtomicMinI32
+            | Intrinsic::AtomicCasI32
+            | Intrinsic::WlPush => 2.0,
+            _ => 1.0,
+        },
+        Kind::CallVirtual { .. } | Kind::Unreachable | Kind::StrayPhi => return None,
+        _ => 1.0,
+    })
 }
 
 /// One warp's execution context.
@@ -571,16 +566,17 @@ impl<'a, M: RegionMem> Warp<'a, M> {
 
     fn lane_read(&mut self, lane: usize, addr: u64, ty: Type) -> Result<Value, Trap> {
         let len = ty.size() as usize;
-        match gpu_classify(addr)? {
-            GpuSpace::Private => {
-                Ok(load_value(&self.st.stacks[self.st.private(lane, addr, len)?], ty))
+        let bytes = match gpu_classify(addr)? {
+            GpuSpace::Private => &self.st.stacks[self.st.private(lane, addr, len)?],
+            GpuSpace::Local => &self.st.local[self.st.local(addr, len)?],
+            GpuSpace::Shared => {
+                return match self.region.read_val(addr, AddrSpace::Gpu, ty)? {
+                    Value::Ptr(raw, _) if ty.is_ptr() => Ok(Value::Ptr(raw, classify_value(raw))),
+                    v => Ok(v),
+                }
             }
-            GpuSpace::Local => Ok(load_value(&self.st.local[self.st.local(addr, len)?], ty)),
-            GpuSpace::Shared => match self.region.read_val(addr, AddrSpace::Gpu, ty)? {
-                Value::Ptr(raw, _) if ty.is_ptr() => Ok(Value::Ptr(raw, classify_value(raw))),
-                v => Ok(v),
-            },
-        }
+        };
+        Ok(load_value(bytes, ty, classify_value))
     }
 
     fn lane_write(&mut self, lane: usize, addr: u64, v: Value, ty: Type) -> Result<(), Trap> {
@@ -716,7 +712,7 @@ impl<'a, M: RegionMem> Warp<'a, M> {
                     });
                 }
                 self.step_budget -= 1;
-                if let Some(cycles) = inst.issue {
+                if let Some(cycles) = issue_cycles(&inst.kind) {
                     self.issue(cycles);
                 }
                 let d = inst.dst;
@@ -766,7 +762,7 @@ impl<'a, M: RegionMem> Warp<'a, M> {
                             fr.regs.define(m, d, |_, l| Ok(callee.rets[l]))?;
                         }
                     }
-                    Kind::CallVirtual(obj) => {
+                    Kind::CallVirtual { obj, .. } => {
                         // The GPU has no function pointers; reaching an
                         // un-devirtualized call is a pipeline bug.
                         let l = m.trailing_zeros() as usize;
@@ -1010,7 +1006,6 @@ impl<'a, M: RegionMem> Warp<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use concord_ir::inst::BinOp;
 
     #[test]
     fn undefined_operands_trap_unreachable() {
@@ -1018,7 +1013,7 @@ mod tests {
         regs.reset(16, 3);
         regs.defined[0] = 0b0111;
         regs.defined[1] = Mask::MAX;
-        let add = Inst { dst: 2, issue: None, kind: Kind::Bin(BinOp::Add, Type::I32, 0, 1) };
+        let add = Inst { dst: 2, kind: Kind::Bin(BinOp::Add, Type::I32, 0, 1) };
         assert_eq!(regs.alu(&add, 0b0011), Ok(()));
         assert_eq!(regs.alu(&add, 0b1001), Err(Trap::Unreachable));
     }

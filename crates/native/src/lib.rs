@@ -1047,7 +1047,11 @@ mod tests {
             Kind::Reduce => {
                 sim.parallel_reduce(&mut r1, &vt, m, f, join, body1, k.body_size, n, &slots1).err()
             }
-            _ => sim.launch(&mut r1, &vt, m, &work, Span::full(n), &mut want_pushes).err(),
+            _ => {
+                let mut program = concord_cpusim::Program::new();
+                program.decode(m, &work);
+                sim.launch(&mut r1, &vt, &program, &work, Span::full(n), &mut want_pushes).err()
+            }
         };
         let want_bytes = region_bytes(&mut r1);
 

@@ -55,10 +55,10 @@
 //! * The step budget is pre-charged per block (`sub [env.steps], len`;
 //!   trap when negative), which traps on exactly the same launches as the
 //!   interpreter's per-instruction check.
-//! * Address-space classification is by range, exactly like the
-//!   interpreter's `reclassify`/`classify_raw`: below `CPU_BASE` is
-//!   private, `[CPU_BASE, GPU_BASE)` is shared CPU space, above is GPU
-//!   space. The fused check `addr - CPU_BASE <= region_len - size`
+//! * Address-space classification is by range, exactly as the
+//!   interpreter classifies every pointer it dereferences: below
+//!   `CPU_BASE` is private, `[CPU_BASE, GPU_BASE)` is shared CPU space,
+//!   above is GPU space. The fused check `addr - CPU_BASE <= region_len - size`
 //!   dispatches the hot shared-CPU case in two instructions. (Pointer
 //!   *tags* exist only in the interpreter; IR that manufactures a
 //!   mistagged pointer via `inttoptr` could diverge, but the frontend
@@ -85,6 +85,7 @@ use crate::env::{
 };
 use crate::regalloc::{allocate, is_call, is_float, Loc};
 use crate::CompileError;
+use concord_cpusim::program::frame_layout;
 use concord_ir::inst::{BinOp, CastOp, FCmp, ICmp, Intrinsic, Op};
 use concord_ir::types::{AddrSpace, Type};
 use concord_ir::{BlockId, Function, KernelKind, Module, ValueId};
@@ -124,24 +125,6 @@ pub(crate) fn lower_module(module: &Module) -> Result<Lowered, CompileError> {
         chunk_offsets.push(chunk);
     }
     Ok(Lowered { code: a.finish(), offsets, chunk_offsets })
-}
-
-/// The interpreter's `frame_layout`, byte for byte: allocas packed in
-/// block order with per-alloca alignment, total rounded to 16. Returns
-/// each alloca's offset, indexed by value id.
-fn frame_layout(f: &Function) -> (Vec<u64>, u64) {
-    let mut offsets = vec![0; f.insts.len()];
-    let mut size = 0u64;
-    for b in &f.blocks {
-        for &id in &b.insts {
-            if let Op::Alloca { size: s, align } = f.inst(id).op {
-                size = size.div_ceil(align) * align;
-                offsets[id.0 as usize] = size;
-                size += s;
-            }
-        }
-    }
-    (offsets, size.div_ceil(16) * 16)
 }
 
 fn log2_size(ty: Type) -> i32 {

@@ -13,9 +13,9 @@
 //! hybrid split — through the same code path, so fence/JIT/metering logic
 //! exists exactly once.
 
-use concord_cpusim::{CpuPending, CpuReport, CpuSim};
+use concord_cpusim::{CpuPending, CpuReport, CpuSim, Program};
 use concord_energy::SystemConfig;
-use concord_gpusim::{GpuPending, GpuReport, GpuSim, Program};
+use concord_gpusim::{GpuPending, GpuReport, GpuSim};
 use concord_ir::eval::{Trap, Value};
 use concord_ir::types::AddrSpace;
 use concord_ir::{FuncId, Module};
@@ -160,14 +160,17 @@ fn traced<R: Into<LaunchStats>>(
     Ok(s)
 }
 
-/// The multicore-CPU backend: wraps [`CpuSim`].
+/// The multicore-CPU backend: wraps [`CpuSim`] and the [`Program`]
+/// decoded from the session's CPU module, which grows kernel by kernel
+/// exactly as [`GpuBackend`]'s does.
 pub struct CpuBackend {
     sim: CpuSim,
+    program: Program,
 }
 
 impl CpuBackend {
     pub(crate) fn new(sim: CpuSim) -> Self {
-        CpuBackend { sim }
+        CpuBackend { sim, program: Program::new() }
     }
 
     /// Host OS threads the simulators fan chunks and warps across.
@@ -178,9 +181,9 @@ impl CpuBackend {
     /// The execute half of [`DeviceBackend::launch`]: run `work` against a
     /// snapshot of the region, so it may overlap another device's execute
     /// phase. A reduction's slots must already be staged
-    /// ([`concord_svm::stage_reduce`]).
+    /// ([`concord_svm::stage_reduce`]), and `work` must have been prepared.
     pub(crate) fn execute(&mut self, ctx: &ExecCtx<'_>, work: &Work<'_>, span: Span) -> CpuPending {
-        self.sim.execute(ctx.region, ctx.vtables, ctx.cpu_module, work, span)
+        self.sim.execute(ctx.region, ctx.vtables, &self.program, work, span)
     }
 
     /// The commit half: merge a pending launch into the live region in
@@ -218,12 +221,14 @@ impl CpuBackend {
     ) -> Result<f64, Trap> {
         let mut sp = ctx.tracer.span(Track::Runtime, "reduce_join");
         sp.arg("partials", slots.len() as i64);
+        // A GPU-only construct reaches the CPU `join` without a CPU launch.
+        self.program.decode_from(ctx.cpu_module, join);
         let before = self.sim.core0_cycles();
         for &slot in slots {
             self.sim.call(
                 ctx.region,
                 ctx.vtables,
-                ctx.cpu_module,
+                &self.program,
                 join,
                 &[Value::Ptr(body.0, AddrSpace::Cpu), Value::Ptr(slot.0, AddrSpace::Cpu)],
             )?;
@@ -239,7 +244,9 @@ impl DeviceBackend for CpuBackend {
 
     fn fence_out(&mut self, _ctx: &mut ExecCtx<'_>) {}
 
-    fn prepare(&mut self, _ctx: &mut ExecCtx<'_>, _class: &str, _work: &Work<'_>) -> f64 {
+    /// Decodes the kernel; the CPU runs pre-compiled code, so it is free.
+    fn prepare(&mut self, ctx: &mut ExecCtx<'_>, _class: &str, work: &Work<'_>) -> f64 {
+        self.program.decode(ctx.cpu_module, work);
         0.0
     }
 
@@ -256,7 +263,7 @@ impl DeviceBackend for CpuBackend {
     ) -> Result<LaunchStats, Trap> {
         let (sim, region) = (&mut self.sim, &mut *ctx.region);
         traced(ctx.tracer, Track::Runtime, "cpu_launch", span, || {
-            sim.launch(region, ctx.vtables, ctx.cpu_module, work, span, pushes)
+            sim.launch(region, ctx.vtables, &self.program, work, span, pushes)
         })
     }
 }

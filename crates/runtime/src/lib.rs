@@ -1611,18 +1611,23 @@ impl Concord {
                 let work = Work { func: l.func, body: l.body, kind: l.kind, in_order: false };
                 (device, work, Span::full(l.n))
             });
-            let gpu_work = &parts.iter().find(|p| p.0 == DeviceClass::Gpu).expect("a GPU part").1;
-            let jit = p.gpu.prepare(&mut p.ctx, &gpu_l.class, gpu_work);
+            let jits: Vec<f64> = [first, second]
+                .iter()
+                .zip(&parts)
+                .map(|(l, (device, work, _))| {
+                    let (backend, ctx) = p.on(*device);
+                    backend.prepare(ctx, &l.class, work)
+                })
+                .collect();
             p.gpu.fence_in(&mut p.ctx);
             // Metered in submission order too: the meter and profile
             // history sequences — and any partial-commit trap state —
             // match the serial path exactly.
             let committed = p.execute_then_commit(&parts, false);
             let mut reports = Vec::with_capacity(2);
-            for ((l, &(device, _, span)), stats) in
-                [first, second].into_iter().zip(&parts).zip(committed)
+            for (((l, &(device, _, span)), stats), jit) in
+                [first, second].into_iter().zip(&parts).zip(committed).zip(jits)
             {
-                let jit = if device == DeviceClass::Gpu { jit } else { 0.0 };
                 let report = stats.map(|s| p.part_report(&l.class, device, span, jit, s));
                 reports.push(report.map_err(RuntimeError::Trap));
             }
