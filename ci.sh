@@ -59,15 +59,18 @@ for base in baseline:
 sys.exit("\n".join(f"!! {b}" for b in bad) or 0)
 EOF
 
-echo "==> fig7_to_10 --small --system ultrabook vs fig7_to_10-expected.json"
-# The paper's Figures 7 and 8 at Scale::Small: every number in the file is
-# simulated, so it repeats byte for byte. The ten exact quantities above
-# are Scale::Tiny; this holds the simulators at the paper's scale. A change
-# that moves a figure on purpose regenerates the file with this command.
-cargo run --release --quiet -p concord-bench --bin fig7_to_10 -- \
-    --small --system ultrabook --json /tmp/concord_ci_fig7.json > /dev/null
-diff fig7_to_10-expected.json /tmp/concord_ci_fig7.json || {
-    echo "!! fig7_to_10 --small output differs from fig7_to_10-expected.json" >&2
+echo "==> paper vs paper-expected.json (every simulated table of §5)"
+# Table 1, Figure 6, Figures 7-10 on both systems at Scale::Small and the
+# §5.4 SVM-overhead study, one row per line. Every number is simulated, so
+# it repeats byte for byte and a diff names the row that moved. The ten
+# exact quantities above are Scale::Tiny; this holds the simulators at the
+# paper's scale. About 20 s on two host threads (nproc 2: Ultrabook 10 s,
+# desktop 9 s, §5.4 1.4 s, Table 1 and Figure 6 under 0.1 s).
+cargo run --release --quiet -p concord-bench --bin paper -- /tmp/concord_ci_paper.json > /dev/null
+diff paper-expected.json /tmp/concord_ci_paper.json || {
+    echo "!! paper output differs from paper-expected.json. A change that moves a" >&2
+    echo "!! simulated number on purpose regenerates the file with:" >&2
+    echo "!!   cargo run --release -p concord-bench --bin paper -- paper-expected.json" >&2
     exit 1
 }
 

@@ -1,8 +1,11 @@
 //! Structured profiling of one workload run via `concord-trace`.
 //!
-//! Runs a paper workload with tracing enabled, writes the collected events
+//! Runs one of the thirteen programs (the Table 1 nine and the four
+//! frontier workloads) with tracing enabled, writes the collected events
 //! as a Chrome trace-event JSON file (load it at `chrome://tracing` or
 //! <https://ui.perfetto.dev>), and prints the deterministic text summary.
+//! Exits 1 after writing the trace when the run's output fails
+//! verification.
 //!
 //! ```text
 //! cargo run -p concord-bench --bin profile -- --workload raytracer
@@ -13,7 +16,7 @@
 use concord_bench::cli::{or_usage, parse_scale, parse_target};
 use concord_runtime::{Concord, Options, Target};
 use concord_trace::TraceConfig;
-use concord_workloads::{all_workloads, Scale, Workload};
+use concord_workloads::{all_workloads, worklist_workloads, Scale, Workload};
 
 struct Cli {
     workload: String,
@@ -23,12 +26,18 @@ struct Cli {
     wall_clock: bool,
 }
 
+/// Every program: the Table 1 nine and the four frontier workloads.
+fn workloads() -> Vec<Box<dyn Workload>> {
+    let frontier = worklist_workloads().into_iter().map(|w| w as Box<dyn Workload>);
+    all_workloads().into_iter().chain(frontier).collect()
+}
+
 fn usage_text() -> String {
     format!(
         "usage: profile [--workload NAME] [--scale tiny|small|medium] \
          [--target cpu|gpu|native|hybrid|hybrid:<fraction>|auto] [--out FILE] [--wall-clock]\n\
          workloads: {}",
-        all_workloads().iter().map(|w| w.spec().name.to_lowercase()).collect::<Vec<_>>().join(", ")
+        workloads().iter().map(|w| w.spec().name.to_lowercase()).collect::<Vec<_>>().join(", ")
     )
 }
 
@@ -65,12 +74,10 @@ fn parse_args() -> Cli {
 }
 
 fn find_workload(name: &str) -> Box<dyn Workload> {
-    all_workloads().into_iter().find(|w| w.spec().name.to_lowercase() == name).unwrap_or_else(
-        || {
-            eprintln!("unknown workload `{name}`");
-            usage()
-        },
-    )
+    workloads().into_iter().find(|w| w.spec().name.to_lowercase() == name).unwrap_or_else(|| {
+        eprintln!("unknown workload `{name}`");
+        usage()
+    })
 }
 
 fn main() {
@@ -122,4 +129,8 @@ fn main() {
         cc.tracer().events().len(),
     );
     print!("{}", cc.tracer().summary());
+    if !verified {
+        eprintln!("profile: {} on {} produced wrong output", spec.name, cli.target);
+        std::process::exit(1);
+    }
 }

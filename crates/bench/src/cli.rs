@@ -1,13 +1,9 @@
 //! Shared command-line parsing for the bench binaries.
 //!
-//! Every binary used to hand-roll its own `--target`/`--scale`/`--system`
-//! handling, with subtly different diagnostics (and one silently treating
-//! a typo as a default). The flag *vocabulary* lives here instead, parsed
-//! with uniform error messages, so `--target warp9` fails the same way in
-//! every tool. The binaries keep their own flag *loops* — which flags a
-//! tool accepts is still its business.
+//! The flag *vocabulary* lives here, parsed with uniform error messages,
+//! so a bad value fails the same way in every tool. The binaries keep
+//! their own flag *loops* — which flags a tool accepts is its business.
 
-use concord_energy::SystemConfig;
 use concord_runtime::Target;
 use concord_workloads::Scale;
 use std::fmt;
@@ -49,21 +45,6 @@ pub fn parse_target(s: &str) -> Result<Target, ArgError> {
             "unknown target `{s}` (expected cpu|gpu|auto|native|hybrid|hybrid:<fraction>)"
         ))
     })
-}
-
-/// Parse a `--system` value; `both` yields Ultrabook then desktop (paper
-/// figure order).
-///
-/// # Errors
-///
-/// Names the bad value and the accepted set.
-pub fn parse_systems(s: &str) -> Result<Vec<SystemConfig>, ArgError> {
-    match s {
-        "ultrabook" => Ok(vec![SystemConfig::ultrabook()]),
-        "desktop" => Ok(vec![SystemConfig::desktop()]),
-        "both" => Ok(vec![SystemConfig::ultrabook(), SystemConfig::desktop()]),
-        _ => Err(ArgError(format!("unknown system `{s}` (expected ultrabook|desktop|both)"))),
-    }
 }
 
 /// The value following `flag` in `args`. `Ok(None)` when the flag is
@@ -140,23 +121,6 @@ mod tests {
         assert!(e.0.contains("cpu|gpu|auto|native|hybrid"), "message lists the accepted set");
         // A malformed hybrid fraction is a bad value too, not a panic.
         assert!(parse_target("hybrid:fast").is_err());
-    }
-
-    #[test]
-    fn systems_parse_in_paper_order() {
-        assert_eq!(parse_systems("ultrabook").unwrap().len(), 1);
-        assert_eq!(parse_systems("desktop").unwrap().len(), 1);
-        let both = parse_systems("both").unwrap();
-        assert_eq!(both.len(), 2);
-        assert_eq!(both[0].name, "ultrabook", "figures 7+8 come first");
-        assert_eq!(both[1].name, "desktop");
-    }
-
-    #[test]
-    fn bad_system_is_diagnosed_not_defaulted() {
-        // The old fig7_to_10 parser silently ran `both` on a typo.
-        let e = parse_systems("mainframe").unwrap_err();
-        assert_eq!(e.0, "unknown system `mainframe` (expected ultrabook|desktop|both)");
     }
 
     #[test]

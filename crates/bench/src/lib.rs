@@ -1,15 +1,12 @@
 //! # concord-bench
 //!
-//! Harness that regenerates every table and figure of the Concord paper's
-//! evaluation (§5) on the simulated systems:
-//!
-//! * `table1` — workload origins and static characteristics.
-//! * `fig6` — percentage of control-flow and memory IR operations.
-//! * `fig7_to_10` — speedup and energy savings vs multicore CPU for the
-//!   four configurations (`GPU`, `GPU+PTROPT`, `GPU+L3OPT`, `GPU+ALL`) on
-//!   both systems.
-//! * `svm_overhead` — §5.4: Concord's software SVM vs a hand-flattened
-//!   OpenCL-1.2-style port of the Raytracer.
+//! Harness that regenerates every simulated table of the Concord paper's
+//! evaluation (§5). The `paper` binary prints Table 1, Figure 6, Figures
+//! 7–10 (speedup and energy savings vs multicore CPU for the four
+//! configurations `GPU`, `GPU+PTROPT`, `GPU+L3OPT`, `GPU+ALL` on both
+//! systems), the §5.3 optimisation study and the §5.4 SVM-overhead study,
+//! and writes them as one JSON document; `paper-expected.json` at the repo
+//! root is its checked-in output.
 //!
 //! Absolute numbers come from the simulators and cannot match the paper's
 //! Haswell silicon; the harness targets the *shape* of the results.
@@ -17,7 +14,7 @@
 use concord_compiler::GpuConfig;
 use concord_energy::SystemConfig;
 use concord_runtime::{RuntimeError, Target};
-use concord_workloads::{all_workloads, measure, Measurement, Scale, Workload};
+use concord_workloads::{measure, Measurement, Scale, Workload};
 
 pub mod cli;
 
@@ -38,8 +35,7 @@ pub struct FigureRow {
     pub name: &'static str,
     /// Multicore CPU measurement (the baseline).
     pub cpu: Measurement,
-    /// `(config name, measurement)` for the four GPU configurations,
-    /// each run under the row's device target (GPU, hybrid, or auto).
+    /// `(config name, measurement)` for the four GPU configurations.
     pub gpu: Vec<(&'static str, Measurement)>,
 }
 
@@ -61,10 +57,7 @@ impl FigureRow {
 }
 
 /// Run one workload through the CPU baseline and all four GPU
-/// configurations on `system`. `target` is the device policy the four
-/// configured runs use — `Target::Gpu` for the paper's figures, or
-/// `Target::Hybrid`/`Target::Auto` to evaluate the work-partitioning
-/// scheduler against the same CPU baseline.
+/// configurations on `system`.
 ///
 /// # Errors
 ///
@@ -73,48 +66,16 @@ pub fn figure_row(
     workload: &dyn Workload,
     system: SystemConfig,
     scale: Scale,
-    target: Target,
 ) -> Result<FigureRow, RuntimeError> {
     let name = workload.spec().name;
     // The CPU baseline is independent of the GPU config; use ALL.
     let cpu = measure(workload, system, GpuConfig::all(system.gpu.eus), scale, Target::Cpu)?;
     let mut gpu = Vec::new();
     for (label, cfg) in configurations(system.gpu.eus) {
-        let m = measure(workload, system, cfg, scale, target)?;
+        let m = measure(workload, system, cfg, scale, Target::Gpu)?;
         gpu.push((label, m));
     }
     Ok(FigureRow { name, cpu, gpu })
-}
-
-/// Run all nine workloads on `system` (Figures 7+8 for the Ultrabook,
-/// 9+10 for the desktop) under `target`.
-///
-/// # Errors
-///
-/// Propagates the first failing workload run.
-pub fn figure_rows(
-    system: SystemConfig,
-    scale: Scale,
-    target: Target,
-) -> Result<Vec<FigureRow>, RuntimeError> {
-    figure_rows_for(&all_workloads(), system, scale, target)
-}
-
-/// [`figure_rows`] over an explicit workload set — the `--workload`
-/// selector's entry point, which lets the figure harness measure the
-/// frontier (`parallel_worklist_hetero`) workloads with the same CPU
-/// baseline and GPU configurations as the Table 1 nine.
-///
-/// # Errors
-///
-/// Propagates the first failing workload run.
-pub fn figure_rows_for(
-    workloads: &[Box<dyn Workload>],
-    system: SystemConfig,
-    scale: Scale,
-    target: Target,
-) -> Result<Vec<FigureRow>, RuntimeError> {
-    workloads.iter().map(|w| figure_row(w.as_ref(), system, scale, target)).collect()
 }
 
 /// Geometric mean helper for figure summaries.
@@ -194,20 +155,11 @@ mod tests {
     fn one_figure_row_end_to_end() {
         // Smoke test: BFS through all five measurements on the Ultrabook.
         let w = concord_workloads::bfs::Bfs;
-        let row = figure_row(&w, SystemConfig::ultrabook(), Scale::Tiny, Target::Gpu).unwrap();
+        let row = figure_row(&w, SystemConfig::ultrabook(), Scale::Tiny).unwrap();
         assert!(row.all_verified(), "all configurations must verify");
         for i in 0..4 {
             assert!(row.speedup(i) > 0.0);
             assert!(row.energy_savings(i) > 0.0);
-        }
-    }
-
-    #[test]
-    fn hybrid_and_auto_rows_verify() {
-        let w = concord_workloads::bfs::Bfs;
-        for target in [Target::Hybrid { gpu_fraction: 0.5 }, Target::Auto] {
-            let row = figure_row(&w, SystemConfig::ultrabook(), Scale::Tiny, target).unwrap();
-            assert!(row.all_verified(), "{target} row must verify");
         }
     }
 }

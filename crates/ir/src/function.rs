@@ -213,11 +213,6 @@ impl Module {
         &self.structs[s.0 as usize]
     }
 
-    /// Find a struct layout by source name.
-    pub fn struct_by_name(&self, name: &str) -> Option<StructId> {
-        self.structs.iter().position(|s| s.name == name).map(|i| StructId(i as u32))
-    }
-
     /// The class with id `c`.
     pub fn class(&self, c: ClassId) -> &ClassInfo {
         &self.classes[c.0 as usize]

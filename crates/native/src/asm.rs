@@ -715,12 +715,6 @@ impl Asm {
         self.op_m(&[0xF0], false, &[0x0F, 0xB1], src.lo(), src.hi(), &m);
     }
 
-    /// `mov dst32, dword [m]` (zero-extending plain load).
-    #[allow(dead_code)] // encoder completeness; exercised by the byte tests
-    pub fn mov_rm32(&mut self, dst: Reg, m: Mem) {
-        self.op_m(&[], false, &[0x8B], dst.lo(), dst.hi(), &m);
-    }
-
     // ---- SSE scalar ----
 
     /// `op dst, src` for a scalar SSE op.

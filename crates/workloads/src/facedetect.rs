@@ -240,58 +240,6 @@ fn reference_detect(
     hits
 }
 
-/// Debug helper: print per-stage survivor counts for the Small input.
-pub fn debug_stage_survival() {
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(0xFACE);
-    let (img_w, img_h) = (192usize, 144usize);
-    let stride = 4usize;
-    let tiles_x = img_w / 8 + 1;
-    let tiles_y = img_h / 8 + 1;
-    let tile_bright: Vec<i32> =
-        (0..tiles_x * tiles_y).map(|_| rand::Rng::gen_range(&mut rng, 0..120)).collect();
-    let mut img = vec![0i32; img_w * img_h];
-    for y in 0..img_h {
-        for x in 0..img_w {
-            let t = tile_bright[(y / 8) * tiles_x + (x / 8)];
-            img[y * img_w + x] =
-                t + ((x * 3 + y * 2) % 48) as i32 + rand::Rng::gen_range(&mut rng, 0..32);
-        }
-    }
-    for _ in 0..(img_w * img_h / 500).max(2) {
-        let cx = rand::Rng::gen_range(&mut rng, 0..img_w) as i32;
-        let cy = rand::Rng::gen_range(&mut rng, 0..img_h) as i32;
-        for dy in -4i32..=4 {
-            for dx in -4i32..=4 {
-                let (x, y) = (cx + dx, cy + dy);
-                if x >= 0
-                    && y >= 0
-                    && (x as usize) < img_w
-                    && (y as usize) < img_h
-                    && dx * dx + dy * dy <= 16
-                {
-                    img[y as usize * img_w + x as usize] += 120;
-                }
-            }
-        }
-    }
-    let ii = integral_image(&img, img_w, img_h);
-    let (mut stages, feats) = build_cascade(&mut rng);
-    let cols = (img_w - WIN) / stride;
-    let rows = (img_h - WIN) / stride;
-    calibrate_cascade(&mut stages, &feats, &ii, img_w, stride, cols, rows);
-    let mut survivors: Vec<usize> = (0..cols * rows).collect();
-    println!("windows: {}", survivors.len());
-    for (si, st) in stages.iter().enumerate() {
-        survivors.retain(|&i| {
-            let wx = (i % cols) * stride;
-            let wy = (i / cols) * stride;
-            stage_sum(st, &feats, &ii, img_w, wx, wy) >= st.thresh
-        });
-        println!("after stage {si}: {} survive (thresh {})", survivors.len(), st.thresh);
-    }
-}
-
 /// Built instance.
 pub struct FaceDetectInstance {
     body: CpuAddr,
