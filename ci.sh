@@ -204,6 +204,20 @@ if [ "$walks" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> structural guard: one wave routine"
+# Every wave (a solo construct, a hybrid split, a worklist round, an overlap
+# pair, a GPU batch) runs through `Concord::run_wave`, the one place that
+# fences each device once and counts the elided pairs. A second wave path
+# brings its own fence calls and fails here.
+for call in '.fence_in(' '.fence_out(' 'note_fences_elided('; do
+    sites=$(for f in crates/runtime/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done \
+        | grep -cF "$call" || true)
+    if [ "$sites" -ne 1 ]; then
+        echo "!! crates/runtime/src calls $call at $sites non-test sites, want 1" >&2
+        exit 1
+    fi
+done
+
 echo "==> structural guard: one decoder"
 # Both simulators execute the decoded form of crates/cpusim/src/program.rs,
 # and only that file reads IR opcodes. An interpreter that walks `Op`s again,

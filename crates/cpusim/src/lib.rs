@@ -782,8 +782,9 @@ mod tests {
 
     #[test]
     fn a_dropped_pending_launch_leaves_the_stacks_usable() {
-        // What `execute_then_commit` does after an earlier part traps: the
-        // later part's pending launch is dropped uncommitted. Its chunks
+        // What the runtime's wave routine does after an earlier part of the
+        // same launch traps: the later part's pending launch is dropped
+        // uncommitted. Its chunks
         // ran on the simulator's own stacks, which must still be there.
         let src = r#"
             struct Node { Node* next; int v; };

@@ -10,8 +10,8 @@
 //! `execute` (against a snapshot, safe to run beside the other device)
 //! and `commit` (ordered merge); [`NativeBackend`] runs JIT-compiled
 //! machine code. The runtime drives any of them — or two at once, for a
-//! hybrid split — through the same code path, so fence/JIT/metering logic
-//! exists exactly once.
+//! hybrid split or an overlap pair — through one wave routine, so
+//! fence/JIT/metering logic exists exactly once.
 
 use concord_cpusim::{CpuPending, CpuReport, CpuSim, Program};
 use concord_energy::SystemConfig;
@@ -465,34 +465,40 @@ impl DeviceBackend for NativeBackend {
     }
 }
 
-/// RAII guard for per-launch scratch allocations in the shared region.
+/// RAII guard for per-wave scratch allocations in the shared region.
 ///
 /// `parallel_reduce_hetero` needs per-warp / per-core partial slots that
-/// must not outlive the construct; freeing them through `Drop` guarantees
-/// they are released on *every* exit path — including a kernel [`Trap`]
-/// propagating out with `?`, which used to leak the slots permanently.
+/// must not outlive the wave; freeing them through `Drop` guarantees
+/// they are released on *every* exit path, a kernel [`Trap`] included.
 pub struct ScratchGuard<'a> {
     heap: &'a mut SharedAllocator,
     slots: Vec<CpuAddr>,
 }
 
 impl<'a> ScratchGuard<'a> {
-    /// Allocate `count` slots of `size` bytes. On a mid-way allocation
-    /// failure the already-allocated slots are freed before returning.
+    /// A guard that holds no slots yet.
+    pub fn new(heap: &'a mut SharedAllocator) -> Self {
+        ScratchGuard { heap, slots: Vec::new() }
+    }
+
+    /// Allocate `count` more slots of `size` bytes, appended to
+    /// [`ScratchGuard::slots`]. On a mid-way allocation failure the slots
+    /// this call allocated are freed before returning.
     ///
     /// # Errors
     ///
     /// [`AllocError`] when the region is exhausted.
-    pub fn alloc(heap: &'a mut SharedAllocator, count: u64, size: u64) -> Result<Self, AllocError> {
-        let mut guard = ScratchGuard { heap, slots: Vec::with_capacity(count as usize) };
+    pub fn alloc(&mut self, count: u64, size: u64) -> Result<(), AllocError> {
+        let mut more = ScratchGuard::new(&mut *self.heap);
         for _ in 0..count {
-            let slot = guard.heap.malloc(size)?;
-            guard.slots.push(slot);
+            let slot = more.heap.malloc(size)?;
+            more.slots.push(slot);
         }
-        Ok(guard)
+        self.slots.append(&mut more.slots);
+        Ok(())
     }
 
-    /// The allocated slots.
+    /// The allocated slots, in allocation order.
     #[must_use]
     pub fn slots(&self) -> &[CpuAddr] {
         &self.slots

@@ -215,9 +215,9 @@ impl LaunchGraph {
         self.pending.iter().any(|p| p.id == id)
     }
 
-    /// Index (from the front) of the last pending launch whose footprint
-    /// touches `[lo, hi)`, if any — everything up to and including it
-    /// must drain before a host write to that range.
+    /// Whether any pending launch's footprint touches `[lo, hi)`: while
+    /// one does, the queue must keep draining before a host write to that
+    /// range.
     pub(crate) fn touches(&self, lo: u64, hi: u64) -> bool {
         self.pending.iter().any(|p| p.footprint.touches(lo, hi))
     }

@@ -60,10 +60,10 @@ pub use scheduler::{DeviceClass, Plan, ProfileHistory, Target};
 pub use session::SessionOp;
 
 use concord_compiler::{lower_for_gpu_traced, GpuArtifact, GpuConfig};
-use concord_cpusim::CpuSim;
+use concord_cpusim::{CpuPending, CpuSim};
 use concord_energy::{Device, EnergyMeter, PhaseReport, SystemConfig};
 use concord_frontend::{CompileError, LoweredProgram};
-use concord_gpusim::GpuSim;
+use concord_gpusim::{GpuPending, GpuSim};
 use concord_ir::analysis::uses_gated_ops;
 use concord_ir::eval::Trap;
 use concord_ir::FuncId;
@@ -434,25 +434,50 @@ impl FactTable {
     }
 }
 
-/// What the drain loop decided to do with the front of the launch queue.
-enum WavePlan {
-    /// One launch through the full serial offload path.
-    Solo,
-    /// A CPU-targeted and a GPU-targeted `parallel_for` executing
-    /// concurrently (disjoint footprints, commit in submission order).
-    Pair,
-    /// `size` consecutive GPU `parallel_for`s under one fence pair, of
-    /// which `coalesced` joined through accumulate-mode overlap.
-    Batch { size: usize, coalesced: u64 },
+/// What the drain loop decided for the front of the launch queue.
+struct WavePlan {
+    /// Launches the wave takes from the front.
+    len: usize,
+    /// Conflict stalls the decision observed.
+    stalls: u64,
+    /// Members that joined through accumulate-mode overlap.
+    coalesced: u64,
 }
 
-/// One device's share of a wave: which backend runs which work over
-/// which span.
-type Part<'a> = (DeviceClass, Work<'a>, Span);
+/// One launch of a wave between setup and finish.
+struct Member<'a> {
+    plan: Plan,
+    /// One part per plan part, once setup succeeded.
+    parts: Vec<Part<'a>>,
+    /// Every part's reduction slots together, for the final join.
+    slots: &'a [CpuAddr],
+    /// The launch's setup error or first trap.
+    failed: Option<RuntimeError>,
+}
+
+/// One device's share of one launch of a wave: which backend runs which
+/// work over which span, the seconds preparing it charged, and what
+/// running it reported.
+struct Part<'a> {
+    device: DeviceClass,
+    work: Work<'a>,
+    span: Span,
+    jit: f64,
+    stats: LaunchStats,
+}
+
+/// The backend class a plan's `device` part of `l` runs on.
+fn device_class(l: &graph::Launch<'_>, device: Device) -> DeviceClass {
+    if l.target == Target::Native {
+        DeviceClass::Native
+    } else {
+        DeviceClass::from(device)
+    }
+}
 
 /// The launch-path state of a [`Concord`], split-borrowed once per wave:
-/// the execution context, the backends, and the meters every part
-/// reports into.
+/// the execution context, the backends, the meters every part reports
+/// into, and the kernel facts setup reads.
 struct Pipeline<'a> {
     ctx: ExecCtx<'a>,
     cpu: &'a mut CpuBackend,
@@ -460,6 +485,7 @@ struct Pipeline<'a> {
     native: &'a mut NativeBackend,
     meter: &'a mut EnergyMeter,
     profile: &'a mut ProfileHistory,
+    facts: &'a mut FactTable,
 }
 
 impl<'a> Pipeline<'a> {
@@ -474,93 +500,129 @@ impl<'a> Pipeline<'a> {
         (backend, &mut self.ctx)
     }
 
-    /// Execute `parts` — at most one per simulator — against one snapshot
-    /// of the region, as the two indices of one pool fan-out, then commit their write-logs in list order, so the result
-    /// is byte-identical at any `host_threads` value. With `stop_at_trap`
-    /// the parts are one construct and nothing after its first trapped
-    /// part commits; otherwise they are independent launches and every
-    /// one commits, as for a serial caller that continues past a failure.
-    fn execute_then_commit(
+    /// Per-launch setup after planning: the CA108 verdict, the native
+    /// module a native launch needs (the trait's `prepare` cannot fail;
+    /// this can — unsupported host, unlowerable module), and a reduction's
+    /// partial-accumulator slots, allocated in the wave's scratch guard.
+    /// Returns the verdict and each plan part's slot count.
+    fn setup(
         &mut self,
-        parts: &[Part<'_>],
-        stop_at_trap: bool,
-    ) -> Vec<Result<LaunchStats, Trap>> {
-        let part_on = |device| parts.iter().find(|p| p.0 == device);
-        let (gpu_part, cpu_part) = (part_on(DeviceClass::Gpu), part_on(DeviceClass::Cpu));
-        let host_threads = self.cpu.host_threads();
-        let (mut gpu_pending, mut cpu_pending) = {
-            let (ctx, gpu) = (&self.ctx, &*self.gpu);
-            // Index 0 is the caller's first claim, so the CPU half (whose
-            // `execute` needs `&mut`) runs here and the GPU half on a pool
-            // helper when one is free; each half's own chunk or warp
-            // fan-out nests inside this one.
-            let cpu = Mutex::new(&mut *self.cpu);
-            let mut halves = concord_pool::map(host_threads, 2, |half| {
-                if half == 0 {
-                    let mut cpu = cpu.lock().expect("the CPU half runs once");
-                    (None, cpu_part.map(|(_, work, span)| cpu.execute(ctx, work, *span)))
-                } else {
-                    (gpu_part.map(|(_, work, span)| gpu.execute(ctx, work, *span)), None)
-                }
-            });
-            let (gpu_half, cpu_half) = (halves.pop(), halves.pop());
-            (gpu_half.and_then(|half| half.0), cpu_half.and_then(|half| half.1))
-        };
-        let mut committed = Vec::with_capacity(parts.len());
-        for &(device, _, span) in parts {
-            let no_pushes = &mut Vec::new();
-            let r = if device == DeviceClass::Gpu {
-                let pending = gpu_pending.take().expect("one GPU part");
-                self.gpu.commit(&mut self.ctx, span, pending, no_pushes)
-            } else {
-                let pending = cpu_pending.take().expect("one CPU part");
-                self.cpu.commit(&mut self.ctx, span, pending, no_pushes)
-            };
-            let trapped = r.is_err();
-            committed.push(r);
-            if trapped && stop_at_trap {
-                break;
-            }
+        scratch: &mut ScratchGuard<'_>,
+        l: &graph::Launch<'_>,
+        plan: &Plan,
+    ) -> Result<(bool, Vec<usize>), RuntimeError> {
+        let native = l.target == Target::Native;
+        // A CA108 kernel runs its native chunks in order, pinning its
+        // intermediate dynamics to the one-thread schedule. Worklist rounds
+        // are exempt: per-chunk push segments merge through a sort+dedup
+        // commit and guarded-monotone updates keep every drain
+        // deterministic (DESIGN.md). Gated kernels run in order anyway.
+        let hazard = native
+            && !l.gated.native
+            && !matches!(l.kind, WorkKind::Worklist { .. })
+            && self.facts.report(l.func, convention(l.kind)).access.hazard;
+        if native {
+            self.native
+                .ensure_prepared(&mut self.ctx, &l.class)
+                .map_err(|e| RuntimeError::NativeUnsupported(e.to_string()))?;
         }
-        committed
+        let WorkKind::Reduce { body_size, .. } = l.kind else {
+            return Ok((hazard, vec![0; plan.parts.len()]));
+        };
+        let counts = plan.parts.iter().map(|&(device, span)| {
+            let (backend, ctx) = self.on(device_class(l, device));
+            backend.reduce_slots(ctx, span) as usize
+        });
+        let counts: Vec<usize> = counts.collect();
+        scratch.alloc(counts.iter().sum::<usize>() as u64, body_size)?;
+        Ok((hazard, counts))
     }
 
-    /// The single place a part is metered, profiled, and turned into an
-    /// [`OffloadReport`]. Native parts meter as the energy model's CPU
-    /// but profile under their own device class: their wall-clock rates
-    /// must not contaminate the simulated-CPU history `Target::Auto`
-    /// splits by.
-    fn part_report(
+    /// Execute a snapshot wave's CPU and GPU part against one snapshot of
+    /// the region, as the two indices of one pool fan-out. Index 0 is the
+    /// caller's first claim, so the CPU part (whose `execute` needs
+    /// `&mut`) runs here and the GPU part on a pool helper when one is
+    /// free; each part's own chunk or warp fan-out nests inside this one.
+    fn execute(&mut self, parts: &[&Part<'_>]) -> (Option<CpuPending>, Option<GpuPending>) {
+        let part_on = |device| parts.iter().find(|q| q.device == device);
+        let (cpu_part, gpu_part) = (part_on(DeviceClass::Cpu), part_on(DeviceClass::Gpu));
+        let host_threads = self.cpu.host_threads();
+        let (ctx, gpu) = (&self.ctx, &*self.gpu);
+        let cpu = Mutex::new(&mut *self.cpu);
+        let mut halves = concord_pool::map(host_threads, 2, |half| {
+            if half == 0 {
+                let mut cpu = cpu.lock().expect("the CPU half runs once");
+                (cpu_part.map(|q| cpu.execute(ctx, &q.work, q.span)), None)
+            } else {
+                (None, gpu_part.map(|q| gpu.execute(ctx, &q.work, q.span)))
+            }
+        });
+        let gpu_half = halves.pop().and_then(|half| half.1);
+        (halves.pop().and_then(|half| half.0), gpu_half)
+    }
+
+    /// Per-launch finish: the host-side final join of a reduction's
+    /// partials (sequential, on core 0, using the CPU-compiled join) —
+    /// what lets one construct combine per-warp GPU partials with per-core
+    /// CPU ones — then every part metered and profiled, then the merged
+    /// report. The native executor already joined its partials into the
+    /// body inside `launch` (same sequential schedule); joining again here
+    /// would double-count them. This is the single place a part is
+    /// metered, profiled, and turned into an [`OffloadReport`]. Native
+    /// parts meter as the energy model's CPU but profile under their own
+    /// device class: their wall-clock rates must not contaminate the
+    /// simulated-CPU history `Target::Auto` splits by.
+    fn finish(
         &mut self,
-        class: &str,
-        device: DeviceClass,
-        span: Span,
-        jit_seconds: f64,
-        stats: LaunchStats,
-    ) -> OffloadReport {
-        let on_gpu = device == DeviceClass::Gpu;
-        let (meter_as, phase) = if on_gpu {
-            let seconds = stats.seconds + jit_seconds;
-            (Device::Gpu, PhaseReport { seconds, busy_fraction: stats.busy_fraction })
-        } else {
-            (Device::Cpu, PhaseReport { seconds: stats.seconds, busy_fraction: 1.0 })
-        };
-        let before = self.meter.joules();
-        self.meter.record(self.ctx.system, meter_as, phase);
-        self.profile.record(class, device, u64::from(span.items()), stats.seconds);
-        OffloadReport {
-            jit_seconds,
-            exec_seconds: stats.seconds,
-            joules: self.meter.joules() - before,
-            on_gpu,
-            fell_back: false,
-            translations: stats.translations,
-            transactions: stats.transactions,
-            contended: stats.contended,
-            busy_fraction: stats.busy_fraction,
-            l3_hit_rate: stats.l3_hit_rate,
-            insts: stats.insts,
+        l: &graph::Launch<'_>,
+        m: &Member<'_>,
+    ) -> Result<OffloadReport, RuntimeError> {
+        let mut join_seconds = 0.0;
+        if let (WorkKind::Reduce { join, .. }, false) = (l.kind, l.target == Target::Native) {
+            join_seconds = self.cpu.join_partials(&mut self.ctx, join, l.body, m.slots)?;
         }
+        let mut reports = Vec::with_capacity(m.parts.len());
+        for q in &m.parts {
+            let stats = q.stats;
+            let on_gpu = q.device == DeviceClass::Gpu;
+            let (meter_as, phase) = if on_gpu {
+                let seconds = stats.seconds + q.jit;
+                (Device::Gpu, PhaseReport { seconds, busy_fraction: stats.busy_fraction })
+            } else {
+                (Device::Cpu, PhaseReport { seconds: stats.seconds, busy_fraction: 1.0 })
+            };
+            let before = self.meter.joules();
+            self.meter.record(self.ctx.system, meter_as, phase);
+            self.profile.record(&l.class, q.device, u64::from(q.span.items()), stats.seconds);
+            reports.push(OffloadReport {
+                jit_seconds: q.jit,
+                exec_seconds: stats.seconds,
+                joules: self.meter.joules() - before,
+                on_gpu,
+                fell_back: false,
+                translations: stats.translations,
+                transactions: stats.transactions,
+                contended: stats.contended,
+                busy_fraction: stats.busy_fraction,
+                l3_hit_rate: stats.l3_hit_rate,
+                insts: stats.insts,
+            });
+        }
+        let mut report = OffloadReport::merge_parallel(&reports);
+        if matches!(l.kind, WorkKind::Reduce { .. }) {
+            // The final join is a serial tail on one core after the
+            // concurrent parts finish.
+            let before = self.meter.joules();
+            let host_phase = PhaseReport {
+                seconds: join_seconds,
+                busy_fraction: 1.0 / f64::from(self.ctx.system.cpu.cores),
+            };
+            self.meter.record(self.ctx.system, Device::Cpu, host_phase);
+            report.joules += self.meter.joules() - before;
+            report.exec_seconds += join_seconds;
+        }
+        report.fell_back = m.plan.fell_back;
+        Ok(report)
     }
 }
 
@@ -959,7 +1021,7 @@ impl Concord {
         let launch = self.admit(class, body, n, target, reduce)?;
         self.complete_all();
         self.record_op(|| SessionOp::Launch { class: class.to_string(), body, n, target, reduce });
-        self.offload(&launch, &mut Vec::new())
+        self.run_wave(&[&launch], 0, &mut Vec::new()).pop().expect("one launch, one result")
     }
 
     /// `parallel_for_hetero(n, body, device)`: run the `operator()` of
@@ -1070,7 +1132,8 @@ impl Concord {
                 n: frontier.len() as u32,
                 ..*launch
             };
-            report.absorb(&self.offload(&round, &mut pushes)?);
+            let round = self.run_wave(&[&round], 0, &mut pushes).pop();
+            report.absorb(&round.expect("one launch, one result")?);
             // Ordered commit: the union of all chunk segments, sorted by
             // item and deduplicated — canonical ascending drain order.
             pushes.sort_unstable();
@@ -1457,9 +1520,10 @@ impl Concord {
         }
     }
 
-    /// Decide what the front of the queue may do, and how many conflict
-    /// stalls the decision observed.
-    fn plan_wave(&self) -> (WavePlan, u64) {
+    /// Decide how many launches from the front of the queue wave
+    /// together, and count the conflict stalls and coalesced members the
+    /// decision observed.
+    fn plan_wave(&self) -> WavePlan {
         /// An ungated `parallel_for` explicitly targeted at `target`.
         fn plain_for(p: &graph::PendingLaunch, target: Target) -> bool {
             let l = &p.launch;
@@ -1472,9 +1536,9 @@ impl Concord {
             (plain_for(a, Target::Cpu) && batch_ok(b)) || (batch_ok(a) && plain_for(b, Target::Cpu))
         }
         let q = self.launch_graph.pending();
-        let mut stalls = 0u64;
+        let mut wave = WavePlan { len: 1, stalls: 0, coalesced: 0 };
         let Some(p0) = q.front() else {
-            return (WavePlan::Solo, 0);
+            return wave;
         };
         // A CPU-targeted and a GPU-targeted `parallel_for` with provably
         // disjoint footprints execute concurrently. Only explicit
@@ -1484,8 +1548,11 @@ impl Concord {
         if let Some(p1) = q.get(1) {
             if pair_ok(p0, p1) {
                 match p0.footprint.conflict(&p1.footprint) {
-                    Conflict::Independent => return (WavePlan::Pair, stalls),
-                    Conflict::Coalesce | Conflict::Order => stalls += 1,
+                    Conflict::Independent => {
+                        wave.len = 2;
+                        return wave;
+                    }
+                    Conflict::Coalesce | Conflict::Order => wave.stalls += 1,
                 }
             }
         }
@@ -1495,53 +1562,36 @@ impl Concord {
         // batch is trivially byte-identical; only fence accounting
         // changes (counted as elisions).
         if batch_ok(p0) {
-            let mut coalesced = 0u64;
-            let mut size = 1usize;
-            'grow: while let Some(pk) = q.get(size) {
+            'grow: while let Some(pk) = q.get(wave.len) {
                 if !batch_ok(pk) {
                     break;
                 }
                 let mut saw_coalesce = false;
-                for member in q.iter().take(size) {
+                for member in q.iter().take(wave.len) {
                     match member.footprint.conflict(&pk.footprint) {
                         Conflict::Order => {
-                            stalls += 1;
+                            wave.stalls += 1;
                             break 'grow;
                         }
                         Conflict::Coalesce => saw_coalesce = true,
                         Conflict::Independent => {}
                     }
                 }
-                if saw_coalesce {
-                    coalesced += 1;
-                }
-                size += 1;
-            }
-            if size >= 2 {
-                return (WavePlan::Batch { size, coalesced }, stalls);
+                wave.coalesced += u64::from(saw_coalesce);
+                wave.len += 1;
             }
         }
-        (WavePlan::Solo, stalls)
+        wave
     }
 
     /// Execute the next wave from the queue front and store its results.
     fn drain_one_wave(&mut self) {
-        let (plan, stalls) = self.plan_wave();
-        self.launch_graph.stats_mut().conflict_stalls += stalls;
-        let size = match plan {
-            WavePlan::Solo => 1,
-            WavePlan::Pair => 2,
-            WavePlan::Batch { size, .. } => size,
-        };
+        let plan = self.plan_wave();
+        self.launch_graph.stats_mut().conflict_stalls += plan.stalls;
         let wave: Vec<graph::PendingLaunch> =
-            (0..size).map_while(|_| self.launch_graph.pop()).collect();
-        let results = match plan {
-            WavePlan::Solo => {
-                wave.iter().map(|p| self.offload(&p.launch, &mut Vec::new())).collect()
-            }
-            WavePlan::Pair => self.run_pair(&wave[0].launch, &wave[1].launch),
-            WavePlan::Batch { coalesced, .. } => self.run_batch(&wave, coalesced),
-        };
+            (0..plan.len).map_while(|_| self.launch_graph.pop()).collect();
+        let launches: Vec<&graph::Launch<'_>> = wave.iter().map(|p| &p.launch).collect();
+        let results = self.run_wave(&launches, plan.coalesced, &mut Vec::new());
         for (p, r) in wave.iter().zip(results) {
             self.finished.insert(p.id, r);
         }
@@ -1566,6 +1616,7 @@ impl Concord {
             meter,
             profile,
             tracer,
+            facts,
             ..
         } = self;
         let ctx = ExecCtx {
@@ -1576,300 +1627,225 @@ impl Concord {
             system,
             tracer,
         };
-        let r = f(&mut Pipeline { ctx, cpu, gpu, native, meter, profile }, heap);
+        let r = f(&mut Pipeline { ctx, cpu, gpu, native, meter, profile, facts }, heap);
         self.region.restore_journal(saved);
         r
     }
 
-    /// Overlap wave: one CPU-targeted and one GPU-targeted
-    /// `parallel_for` with disjoint footprints, in submission order. Both
-    /// execute against a snapshot of the region and the write-logs commit
-    /// in submission order under one fence pair — the same
-    /// [`Pipeline::execute_then_commit`] the hybrid split uses, so every
-    /// byte, report, and trap matches serial execution.
-    fn run_pair(
+    /// The one routine that runs a wave — a solo construct on any
+    /// target, a hybrid split, a worklist round, an overlap pair, or a GPU
+    /// batch — returning one result per launch, in wave order.
+    ///
+    /// * Per launch, setup: plan the device split, then
+    ///   [`Pipeline::setup`] (CA108 verdict, native module, a reduction's
+    ///   partial slots in the wave's one [`ScratchGuard`]).
+    /// * Per wave: fence each device in once, prepare every part, execute
+    ///   the parts, fence each device out once.
+    /// * Per launch, finish: [`Pipeline::finish`].
+    ///
+    /// Three rules live here and nowhere else. *Fences:* a wave takes one
+    /// fence pair per device, and every GPU-touching launch after the
+    /// first counts one elided pair. *Snapshot:* the parts execute
+    /// against one snapshot of the region and commit in list order
+    /// exactly when they span two devices and no member is gated or a
+    /// worklist round; otherwise they run one after another. *Traps:* a
+    /// trapped part stops the later parts of its own launch only — a
+    /// serial caller continues past a failed construct too. A worklist
+    /// round's pushes land in `pushes`, every part's segment in list
+    /// order.
+    #[allow(clippy::too_many_lines)]
+    fn run_wave(
         &mut self,
-        first: &graph::Launch<'_>,
-        second: &graph::Launch<'_>,
+        wave: &[&graph::Launch<'_>],
+        coalesced: u64,
+        pushes: &mut Vec<i32>,
     ) -> Vec<Result<OffloadReport, RuntimeError>> {
-        let (gpu_l, cpu_l) =
-            if first.target == Target::Gpu { (first, second) } else { (second, first) };
-        let results = self.pipeline(|p, _| {
-            let mut sp = p.ctx.tracer.span_with(
-                Track::Sched,
-                "overlap",
-                vec![
-                    ("gpu_kernel", gpu_l.class.as_str().into()),
-                    ("cpu_kernel", cpu_l.class.as_str().into()),
-                    ("gpu_n", i64::from(gpu_l.n).into()),
-                    ("cpu_n", i64::from(cpu_l.n).into()),
-                ],
-            );
-            let parts = [first, second].map(|l| {
-                let device =
-                    if l.target == Target::Gpu { DeviceClass::Gpu } else { DeviceClass::Cpu };
-                let work = Work { func: l.func, body: l.body, kind: l.kind, in_order: false };
-                (device, work, Span::full(l.n))
-            });
-            let jits: Vec<f64> = [first, second]
+        let (results, serialized, overlapped, elided) = self.pipeline(|p, heap| {
+            let mut members: Vec<Member<'_>> = wave
                 .iter()
-                .zip(&parts)
-                .map(|(l, (device, work, _))| {
-                    let (backend, ctx) = p.on(*device);
-                    backend.prepare(ctx, &l.class, work)
+                .map(|l| {
+                    let plan = scheduler::plan(l.target, l.n, l.gpu_allowed, p.profile, &l.class);
+                    Member { plan, parts: Vec::new(), slots: &[], failed: None }
                 })
                 .collect();
-            p.gpu.fence_in(&mut p.ctx);
-            // Metered in submission order too: the meter and profile
-            // history sequences — and any partial-commit trap state —
-            // match the serial path exactly.
-            let committed = p.execute_then_commit(&parts, false);
-            let mut reports = Vec::with_capacity(2);
-            for (((l, &(device, _, span)), stats), jit) in
-                [first, second].into_iter().zip(&parts).zip(committed).zip(jits)
-            {
-                let report = stats.map(|s| p.part_report(&l.class, device, span, jit, s));
-                reports.push(report.map_err(RuntimeError::Trap));
-            }
-            p.gpu.fence_out(&mut p.ctx);
-            sp.arg("overlapped", true);
-            reports
-        });
-        self.launch_graph.stats_mut().overlapped += 1;
-        results
-    }
-
-    /// Batch wave: consecutive GPU `parallel_for`s run back to back
-    /// (submission order) under a single fence pair. Later launches than
-    /// the batch still wait; a trapped member stores its trap and the
-    /// batch continues, matching a serial caller that continues past a
-    /// failed construct.
-    fn run_batch(
-        &mut self,
-        wave: &[graph::PendingLaunch],
-        coalesced: u64,
-    ) -> Vec<Result<OffloadReport, RuntimeError>> {
-        let elided = wave.len() as u64 - 1;
-        let results = self.pipeline(|p, _| {
-            let mut sp = p.ctx.tracer.span_with(
-                Track::Sched,
-                "gpu_batch",
-                vec![
-                    ("launches", (wave.len() as i64).into()),
-                    ("coalesced", (coalesced as i64).into()),
-                ],
-            );
-            p.gpu.fence_in(&mut p.ctx);
-            let mut results = Vec::with_capacity(wave.len());
-            for graph::PendingLaunch { launch: l, .. } in wave {
-                let span = Span::full(l.n);
-                let work = Work { func: l.func, body: l.body, kind: l.kind, in_order: false };
-                let jit = p.gpu.prepare(&mut p.ctx, &l.class, &work);
-                let stats = p.gpu.launch(&mut p.ctx, &work, span, &mut Vec::new());
-                let report = stats.map(|s| p.part_report(&l.class, DeviceClass::Gpu, span, jit, s));
-                results.push(report.map_err(RuntimeError::Trap));
-            }
-            p.gpu.fence_out(&mut p.ctx);
-            p.ctx.region.note_fences_elided(elided);
-            sp.arg("fences_elided", elided as i64);
-            results
-        });
-        let st = self.launch_graph.stats_mut();
-        st.fences_elided += elided;
-        st.coalesced += coalesced;
-        results
-    }
-
-    /// The offload pipeline every construct and every target runs
-    /// through as a solo wave: plan the device split, fence in,
-    /// JIT-prepare and launch each part, fence out, join reduction
-    /// partials, meter energy, record profile history, and merge the
-    /// per-device reports. A worklist round's pushes land in `pushes`,
-    /// every part's segment in plan order.
-    #[allow(clippy::too_many_lines)]
-    fn offload(
-        &mut self,
-        l: &graph::Launch<'_>,
-        pushes: &mut Vec<i32>,
-    ) -> Result<OffloadReport, RuntimeError> {
-        let plan = scheduler::plan(l.target, l.n, l.gpu_allowed, &self.profile, &l.class);
-        let native = l.target == Target::Native;
-        let label = match plan.parts.as_slice() {
-            [(Device::Gpu, _)] => "gpu",
-            [(Device::Cpu, _)] if native => "native",
-            [(Device::Cpu, _)] => "cpu",
-            _ => "hybrid",
-        };
-        // A CA108 kernel runs its native chunks in order, pinning its
-        // intermediate dynamics to the one-thread schedule. Worklist rounds
-        // are exempt: per-chunk push segments merge through a sort+dedup
-        // commit and guarded-monotone updates keep every drain
-        // deterministic (DESIGN.md). Gated kernels run in order anyway.
-        let hazard = native
-            && !l.gated.native
-            && !matches!(l.kind, WorkKind::Worklist { .. })
-            && self.facts.report(l.func, convention(l.kind)).access.hazard;
-        let mut serialized = false;
-        let result = self.pipeline(|p, heap| {
             let tracer = p.ctx.tracer;
-            let mut sp = tracer.span_with(
-                Track::Runtime,
-                l.kind.name(),
-                vec![
-                    ("kernel", l.class.as_str().into()),
-                    ("n", i64::from(l.n).into()),
-                    ("device", label.into()),
-                ],
-            );
-            tracer.instant(
-                Track::Sched,
-                "decision",
-                vec![
-                    ("kernel", l.class.as_str().into()),
-                    ("policy", plan.policy.into()),
-                    ("gpu_fraction", plan.gpu_fraction.into()),
-                    ("parts", (plan.parts.len() as i64).into()),
-                    ("n", i64::from(l.n).into()),
-                ],
-            );
-            // The native module must exist before the launch loop (the
-            // trait's `prepare` cannot fail; this can — unsupported host,
-            // unlowerable module).
-            if native {
-                p.native
-                    .ensure_prepared(&mut p.ctx, &l.class)
-                    .map_err(|e| RuntimeError::NativeUnsupported(e.to_string()))?;
-            }
-            let class_of = |device: Device| {
-                if native {
-                    DeviceClass::Native
-                } else {
-                    DeviceClass::from(device)
-                }
-            };
-
-            // One scratch guard covers every part's partial-accumulator
-            // slots; Drop releases them on all exit paths, trap included.
-            let mut slot_counts = vec![0usize; plan.parts.len()];
-            let guard = match l.kind {
-                WorkKind::Reduce { body_size, .. } => {
-                    for (count, &(device, span)) in slot_counts.iter_mut().zip(&plan.parts) {
-                        let (backend, ctx) = p.on(class_of(device));
-                        *count = backend.reduce_slots(ctx, span) as usize;
-                    }
-                    let total = slot_counts.iter().sum::<usize>() as u64;
-                    Some(ScratchGuard::alloc(heap, total, body_size)?)
-                }
-                _ => None,
-            };
-            let all_slots = guard.as_ref().map_or(&[][..], ScratchGuard::slots);
-            let mut free_slots = all_slots;
-            let parts = plan.parts.iter().zip(&slot_counts).map(|(&(device, span), &count)| {
-                let device = class_of(device);
-                let (slots, rest) = free_slots.split_at(count);
-                free_slots = rest;
-                let kind = match l.kind {
-                    WorkKind::Reduce { join, body_size, .. } => {
-                        WorkKind::Reduce { join, body_size, slots }
-                    }
-                    kind => kind,
+            let mut sp = if let ([l], [Member { plan, .. }]) = (wave, members.as_slice()) {
+                let label = match plan.parts.as_slice() {
+                    [(Device::Gpu, _)] => "gpu",
+                    [(Device::Cpu, _)] if l.target == Target::Native => "native",
+                    [(Device::Cpu, _)] => "cpu",
+                    _ => "hybrid",
                 };
-                let in_order = l.gated.on(device) || hazard;
-                (device, Work { func: l.func, body: l.body, kind, in_order }, span)
-            });
-            let parts: Vec<Part<'_>> = parts.collect();
-            serialized = hazard;
+                let sp = tracer.span_with(
+                    Track::Runtime,
+                    l.kind.name(),
+                    vec![
+                        ("kernel", l.class.as_str().into()),
+                        ("n", i64::from(l.n).into()),
+                        ("device", label.into()),
+                    ],
+                );
+                tracer.instant(
+                    Track::Sched,
+                    "decision",
+                    vec![
+                        ("kernel", l.class.as_str().into()),
+                        ("policy", plan.policy.into()),
+                        ("gpu_fraction", plan.gpu_fraction.into()),
+                        ("parts", (plan.parts.len() as i64).into()),
+                        ("n", i64::from(l.n).into()),
+                    ],
+                );
+                sp
+            } else {
+                tracer.span_with(
+                    Track::Sched,
+                    "wave",
+                    vec![
+                        ("launches", (wave.len() as i64).into()),
+                        ("coalesced", (coalesced as i64).into()),
+                    ],
+                )
+            };
 
-            for &(device, ..) in &parts {
+            // Per launch, setup; then each part takes its share of the
+            // wave's scratch.
+            let mut scratch = ScratchGuard::new(heap);
+            let setups: Vec<_> =
+                wave.iter().zip(&members).map(|(l, m)| p.setup(&mut scratch, l, &m.plan)).collect();
+            let (mut free, mut serialized) = (scratch.slots(), 0);
+            for ((l, m), setup) in wave.iter().zip(&mut members).zip(setups) {
+                let (hazard, counts) = match setup {
+                    Ok(setup) => setup,
+                    Err(e) => {
+                        m.failed = Some(e);
+                        continue;
+                    }
+                };
+                serialized += u64::from(hazard);
+                (m.slots, free) = free.split_at(counts.iter().sum());
+                let mut own = m.slots;
+                for (&(device, span), count) in m.plan.parts.iter().zip(counts) {
+                    let device = device_class(l, device);
+                    let kind = match l.kind {
+                        WorkKind::Reduce { join, body_size, .. } => {
+                            let (slots, rest) = own.split_at(count);
+                            own = rest;
+                            WorkKind::Reduce { join, body_size, slots }
+                        }
+                        kind => kind,
+                    };
+                    let in_order = l.gated.on(device) || hazard;
+                    let work = Work { func: l.func, body: l.body, kind, in_order };
+                    let stats = LaunchStats::default();
+                    m.parts.push(Part { device, work, span, jit: 0.0, stats });
+                }
+            }
+
+            // Per wave: fence each device in once, prepare every part.
+            let devices = [DeviceClass::Gpu, DeviceClass::Cpu, DeviceClass::Native]
+                .map(|d| members.iter().flat_map(|m| &m.parts).any(|q| q.device == d).then_some(d));
+            for &device in devices.iter().flatten() {
                 let (backend, ctx) = p.on(device);
                 backend.fence_in(ctx);
             }
-            let prepare = |p: &mut Pipeline<'_>, device, work: &Work<'_>| {
-                let (backend, ctx) = p.on(device);
-                backend.prepare(ctx, &l.class, work)
-            };
-            let mut jits = Vec::with_capacity(parts.len());
-            let snapshot =
-                parts.len() > 1 && !l.gated.any() && !matches!(l.kind, WorkKind::Worklist { .. });
-            let launched = if snapshot {
-                // Multi-device plan: every part executes against a
-                // snapshot of the region and the write-logs commit in
-                // fixed plan order. The CPU accumulates into pre-staged
-                // body copies; stage them serially before the concurrent
-                // phase reads the region.
-                jits.extend(parts.iter().map(|(device, work, _)| prepare(p, *device, work)));
-                let staged = parts.iter().try_for_each(|(device, work, _)| match work.kind {
-                    WorkKind::Reduce { body_size, slots, .. } if *device == DeviceClass::Cpu => {
-                        stage_reduce(p.ctx.region, l.body, body_size, slots)
-                    }
-                    _ => Ok(()),
-                });
-                match staged {
-                    Ok(()) => p.execute_then_commit(&parts, true),
-                    Err(trap) => vec![Err(trap)],
+            for (l, m) in wave.iter().zip(&mut members) {
+                for q in &mut m.parts {
+                    let (backend, ctx) = p.on(q.device);
+                    q.jit = backend.prepare(ctx, &l.class, &q.work);
                 }
-            } else {
-                // Single-part plans, kernels that need order-dependent
-                // operations, and worklist rounds launch their parts one
-                // after another. (For a round that is enough: a later
-                // part observing an earlier part's committed writes can
-                // only suppress duplicate pushes of a guarded monotone
-                // body, and the caller's sort+dedup merge makes the next
-                // frontier independent of that visibility.)
-                let mut launched = Vec::with_capacity(parts.len());
-                for (device, work, span) in &parts {
-                    jits.push(prepare(p, *device, work));
-                    let (backend, ctx) = p.on(*device);
-                    launched.push(backend.launch(ctx, work, *span, pushes));
-                    if launched.last().is_some_and(Result::is_err) {
+            }
+            let snapshot = devices.iter().flatten().count() == 2
+                && wave
+                    .iter()
+                    .all(|l| !l.gated.any() && !matches!(l.kind, WorkKind::Worklist { .. }));
+            let (mut cpu_pending, mut gpu_pending) = (None, None);
+            if snapshot {
+                // The CPU accumulates into pre-staged body copies; stage
+                // them serially before the concurrent phase reads the
+                // region.
+                for m in &mut members {
+                    for q in &m.parts {
+                        if let (DeviceClass::Cpu, WorkKind::Reduce { body_size, slots, .. }) =
+                            (q.device, q.work.kind)
+                        {
+                            if let Err(trap) =
+                                stage_reduce(p.ctx.region, q.work.body, body_size, slots)
+                            {
+                                m.failed = Some(trap.into());
+                            }
+                        }
+                    }
+                }
+                let live = members.iter().filter(|m| m.failed.is_none());
+                let live: Vec<&Part<'_>> = live.flat_map(|m| &m.parts).collect();
+                (cpu_pending, gpu_pending) = p.execute(&live);
+            }
+            // Commit each part in list order (or, without a snapshot,
+            // launch it). A trap ends its own launch's parts, and only
+            // those.
+            for m in &mut members {
+                for q in &mut m.parts {
+                    if m.failed.is_some() {
                         break;
                     }
+                    let r = match (snapshot, q.device) {
+                        (true, DeviceClass::Gpu) => {
+                            let pending = gpu_pending.take().expect("one GPU part");
+                            p.gpu.commit(&mut p.ctx, q.span, pending, pushes)
+                        }
+                        (true, _) => {
+                            let pending = cpu_pending.take().expect("one CPU part");
+                            p.cpu.commit(&mut p.ctx, q.span, pending, pushes)
+                        }
+                        (false, device) => {
+                            let (backend, ctx) = p.on(device);
+                            backend.launch(ctx, &q.work, q.span, pushes)
+                        }
+                    };
+                    match r {
+                        Ok(stats) => q.stats = stats,
+                        Err(trap) => m.failed = Some(trap.into()),
+                    }
                 }
-                launched
-            };
-            // Unpin before propagating any trap so the region is never
-            // left fenced-for-GPU by a failed construct.
-            for &(device, ..) in &parts {
+            }
+            // Unpin before reporting any trap, so the region is never left
+            // fenced-for-GPU by a failed construct.
+            for &device in devices.iter().flatten() {
                 let (backend, ctx) = p.on(device);
                 backend.fence_out(ctx);
             }
-            let launched: Vec<LaunchStats> = launched.into_iter().collect::<Result<_, Trap>>()?;
+            let parts = members.iter().flat_map(|m| &m.parts);
+            let gpu_launches = parts.filter(|q| q.device == DeviceClass::Gpu).count();
+            let elided = (gpu_launches as u64).saturating_sub(1);
+            p.ctx.region.note_fences_elided(elided);
 
-            // Host-side final join of every part's partials (sequential,
-            // on core 0, using the CPU-compiled join) — this is what lets
-            // one construct combine per-warp GPU partials with per-core
-            // CPU ones. The native executor already joined its partials
-            // into the body inside `launch` (same sequential schedule);
-            // joining again here would double-count them.
-            let mut join_seconds = 0.0;
-            if let (WorkKind::Reduce { join, .. }, false) = (l.kind, native) {
-                join_seconds = p.cpu.join_partials(&mut p.ctx, join, l.body, all_slots)?;
+            // Per launch, finish.
+            let results: Vec<_> = wave
+                .iter()
+                .zip(&mut members)
+                .map(|(l, m)| match m.failed.take() {
+                    Some(e) => Err(e),
+                    None => p.finish(l, m),
+                })
+                .collect();
+            let overlapped = u64::from(snapshot && wave.len() > 1);
+            match results.as_slice() {
+                [Ok(report)] => sp.arg("seconds", report.total_seconds()),
+                [_] => {}
+                _ => {
+                    sp.arg("overlapped", overlapped as i64);
+                    sp.arg("fences_elided", elided as i64);
+                }
             }
-
-            let reports = parts.iter().zip(jits).zip(launched);
-            let reports = reports.map(|((&(device, _, span), jit), stats)| {
-                p.part_report(&l.class, device, span, jit, stats)
-            });
-            let reports: Vec<OffloadReport> = reports.collect();
-            let mut report = OffloadReport::merge_parallel(&reports);
-            if matches!(l.kind, WorkKind::Reduce { .. }) {
-                // The final join is a serial tail on one core after the
-                // concurrent parts finish.
-                let before = p.meter.joules();
-                let host_phase = PhaseReport {
-                    seconds: join_seconds,
-                    busy_fraction: 1.0 / f64::from(p.ctx.system.cpu.cores),
-                };
-                p.meter.record(p.ctx.system, Device::Cpu, host_phase);
-                report.joules += p.meter.joules() - before;
-                report.exec_seconds += join_seconds;
-            }
-            report.fell_back = plan.fell_back;
-            sp.arg("seconds", report.total_seconds());
-            Ok(report)
+            (results, serialized, overlapped, elided)
         });
-        self.hazard_serialized += u64::from(serialized);
-        result
+        self.hazard_serialized += serialized;
+        let st = self.launch_graph.stats_mut();
+        st.overlapped += overlapped;
+        st.coalesced += coalesced;
+        st.fences_elided += elided;
+        results
     }
 }
 
@@ -2299,6 +2275,26 @@ mod tests {
     }
 
     #[test]
+    fn scratch_that_does_not_fit_fails_the_launch_and_frees_what_it_took() {
+        let opts = Options { region_bytes: 1 << 16, ..Options::default() };
+        let mut cc = Concord::new(SystemConfig::ultrabook(), SUM, opts).unwrap();
+        let data = cc.malloc(64 * 4).unwrap();
+        let body = cc.malloc(16).unwrap();
+        cc.region_mut().write_ptr(body, data).unwrap();
+        // Fill the heap with body-sized blocks, then give one back: the
+        // first per-core partial slot fits, the second does not.
+        let mut fill = Vec::new();
+        while let Ok(block) = cc.malloc(16) {
+            fill.push(block);
+        }
+        cc.free(fill.pop().unwrap()).unwrap();
+        let free_before = cc.heap_free_bytes();
+        let err = cc.parallel_reduce_hetero("Sum", body, 64, Target::Cpu).unwrap_err();
+        assert!(matches!(err, RuntimeError::Alloc(_)), "{err:?}");
+        assert_eq!(cc.heap_free_bytes(), free_before, "the slot that fitted leaked");
+    }
+
+    #[test]
     fn artifact_cache_shares_compile_and_jit_across_sessions() {
         let cache = ArtifactCache::new();
         let run = |cc: &mut Concord| {
@@ -2688,6 +2684,69 @@ mod tests {
         assert_eq!(got_err, want_err, "trap identity must match serial");
         assert_reports_eq(&cc.complete(good).unwrap(), &want_ok, "launch after trap");
         assert_eq!(nodes_bytes(&cc, b), want_bytes);
+    }
+
+    /// Traps with `DivideByZero` at exactly the items whose `data` is 0.
+    const DIV: &str = r#"
+        class Div {
+        public:
+            int* data; int* out;
+            void operator()(int i) { out[i] = 100 / data[i]; }
+        };
+    "#;
+
+    /// A `Div` body over 64 items whose `data` is 0 only at `zero`, with
+    /// every `out` byte preset to -1. Returns the body and `out`.
+    fn div_body(cc: &mut Concord, zero: Option<u64>) -> (CpuAddr, CpuAddr) {
+        let data = cc.malloc(64 * 4).unwrap();
+        let out = cc.malloc(64 * 4).unwrap();
+        for i in 0..64u64 {
+            let d = if Some(i) == zero { 0 } else { (i % 5 + 1) as i32 };
+            cc.region_mut().write_i32(CpuAddr(data.0 + i * 4), d).unwrap();
+            cc.region_mut().write_i32(CpuAddr(out.0 + i * 4), -1).unwrap();
+        }
+        let body = cc.malloc(16).unwrap();
+        cc.region_mut().write_ptr(body, data).unwrap();
+        cc.region_mut().write_ptr(body.offset(8), out).unwrap();
+        (body, out)
+    }
+
+    fn div_out(cc: &Concord, out: CpuAddr) -> Vec<i32> {
+        (0..64u64).map(|i| cc.region().read_i32(CpuAddr(out.0 + i * 4)).unwrap()).collect()
+    }
+
+    #[test]
+    fn a_trapped_part_stops_only_its_own_launch() {
+        let hybrid = Target::Hybrid { gpu_fraction: 0.5 };
+        let healthy: Vec<i32> = (0..64).map(|i| 100 / (i % 5 + 1)).collect();
+        let divide_by_zero = |r: Result<OffloadReport, RuntimeError>| {
+            matches!(r, Err(RuntimeError::Trap(Trap::DivideByZero)))
+        };
+        for ht in [1usize, 8] {
+            let opts = Options { host_threads: Some(ht), ..Options::default() };
+            let mut cc = Concord::new(SystemConfig::ultrabook(), DIV, opts).unwrap();
+            // (a) The GPU half [0, 32) commits first and traps: the CPU
+            // half of the same launch commits nothing.
+            let (body, out) = div_body(&mut cc, Some(5));
+            assert!(divide_by_zero(cc.parallel_for_hetero("Div", body, 64, hybrid)), "ht={ht}");
+            assert_eq!(div_out(&cc, out)[32..], [-1; 32], "(a) CPU half written, ht={ht}");
+            // (b) The CPU half [32, 64) traps: the GPU half keeps its bytes.
+            let (body, out) = div_body(&mut cc, Some(40));
+            assert!(divide_by_zero(cc.parallel_for_hetero("Div", body, 64, hybrid)), "ht={ht}");
+            assert_eq!(div_out(&cc, out)[..32], healthy[..32], "(b) GPU half lost, ht={ht}");
+            // (c) An overlap pair whose first launch traps: the second
+            // launch is another construct, so it still commits.
+            let (bad, _) = div_body(&mut cc, Some(3));
+            let (good, out) = div_body(&mut cc, None);
+            let bad = cc.submit_for("Div", bad, 64, Target::Cpu).unwrap();
+            let good = cc.submit_for("Div", good, 64, Target::Gpu).unwrap();
+            cc.complete_all();
+            assert_eq!(cc.graph_stats().overlapped, 1, "(c) the launches must pair, ht={ht}");
+            assert!(divide_by_zero(cc.complete(bad)), "ht={ht}");
+            assert!(cc.complete(good).is_ok(), "ht={ht}");
+            assert_eq!(div_out(&cc, out), healthy, "(c) second launch lost, ht={ht}");
+            assert!(!cc.region().consistency().pinned, "ht={ht}");
+        }
     }
 
     #[test]
