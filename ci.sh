@@ -239,6 +239,21 @@ if [ "$layouts" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> structural guard: one environment variable"
+# Outside tests the crates read exactly one environment variable: the pool's
+# CONCORD_HOST_THREADS. Every other choice is an `Options` field or a CLI
+# argument, so a second knob (a debug switch, a backend selector) fails here.
+env_reads=$(for f in $(find crates/*/src -name '*.rs' | sort); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | { grep -nE 'env::var|var_os' || true; } | sed "s|^|$f:|"
+done)
+if [ "$(wc -l <<<"$env_reads")" -ne 1 ] \
+    || ! grep -q '^crates/pool/src/lib.rs:.*env::var(HOST_THREADS_ENV)' <<<"$env_reads" \
+    || ! grep -q 'HOST_THREADS_ENV: &str = "CONCORD_HOST_THREADS";' crates/pool/src/lib.rs; then
+    echo "!! non-test crates/*/src must read only CONCORD_HOST_THREADS, in crates/pool; reads:" >&2
+    echo "$env_reads" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -138,26 +138,15 @@ fn live_insts(module: &Module) -> usize {
     module.functions.iter().map(|f| f.blocks.iter().map(|b| b.insts.len()).sum::<usize>()).sum()
 }
 
-/// Whether the pipeline re-verifies the module after every pass: always
-/// in debug builds, opt-in via `CONCORD_VERIFY_EACH=1` in release builds
-/// (where the end-of-pipeline check is normally compiled out).
-fn verify_each() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        cfg!(debug_assertions) || std::env::var_os("CONCORD_VERIFY_EACH").is_some_and(|v| v != "0")
-    })
-}
-
 /// Run one named pass over the module inside a compiler-track span whose
 /// End event carries the live-instruction-count delta. The closure returns
 /// the pass's own statistic (forwarded to the caller).
 ///
-/// Under [`verify_each`] the module is re-verified after the pass runs; a
-/// violation panics naming the offending pass, so a pipeline bug is
-/// pinned to the pass that introduced it rather than surfacing as a
-/// mystery at the end of the pipeline (or worse, as a miscompile on the
-/// device).
+/// In debug builds (every `cargo test`) the module is re-verified after
+/// the pass runs; a violation panics naming the offending pass, so a
+/// pipeline bug is pinned to the pass that introduced it rather than
+/// surfacing as a mystery at the end of the pipeline (or worse, as a
+/// miscompile on the device).
 fn traced_pass(
     tracer: &Tracer,
     module: &mut Module,
@@ -176,7 +165,7 @@ fn traced_pass(
     } else {
         pass(module)
     };
-    if verify_each() {
+    if cfg!(debug_assertions) {
         if let Err(e) = concord_ir::verify::verify_module(module) {
             panic!("pass `{name}` produced invalid IR: {e:?}");
         }
@@ -435,9 +424,8 @@ mod tests {
         assert_eq!(art.stats.l3_loops, 1);
     }
 
-    // Release builds compile the per-pass verifier out unless
-    // CONCORD_VERIFY_EACH is set, so the panic only fires under
-    // debug_assertions.
+    // Release builds compile the per-pass verifier out, so the panic only
+    // fires under debug_assertions.
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "pass `clobber` produced invalid IR")]

@@ -1,13 +1,16 @@
 //! Control-flow analyses: reverse postorder, dominators, postdominators,
-//! dominance frontiers, natural loops, and liveness.
+//! dominance frontiers, and natural loops, plus the order-dependence scan
+//! the executors gate on ([`uses_gated_ops`]).
 //!
 //! These feed the optimization passes (register promotion needs dominance
-//! frontiers; translation placement needs liveness; unrolling and the L3
-//! contention transform need loop structure) and the GPU simulator's SIMT
-//! reconvergence (immediate postdominators).
+//! frontiers, CSE needs dominators, the L3 contention transform needs loop
+//! structure), the simulators' decoded block priorities (dominators and
+//! loop depth order SIMT reconvergence), and the analyzer's divergence
+//! tainting (postdominators). The native register allocator computes its
+//! own liveness.
 
 use crate::function::Function;
-use crate::inst::{BlockId, Op, ValueId};
+use crate::inst::{BlockId, Op};
 use std::collections::{HashMap, HashSet};
 
 /// Blocks reachable from the entry, in reverse postorder.
@@ -331,80 +334,6 @@ pub fn find_loops(f: &Function) -> Vec<Loop> {
     result
 }
 
-/// Per-block liveness of SSA values: `live_in`/`live_out` sets.
-#[derive(Debug, Clone)]
-pub struct Liveness {
-    /// Values live at block entry.
-    pub live_in: HashMap<BlockId, HashSet<ValueId>>,
-    /// Values live at block exit.
-    pub live_out: HashMap<BlockId, HashSet<ValueId>>,
-}
-
-/// Compute per-block liveness with a standard backward fixpoint.
-///
-/// Phi inputs are treated as live-out of the corresponding predecessor
-/// (standard SSA liveness convention).
-pub fn liveness(f: &Function) -> Liveness {
-    let mut live_in: HashMap<BlockId, HashSet<ValueId>> = HashMap::new();
-    let mut live_out: HashMap<BlockId, HashSet<ValueId>> = HashMap::new();
-    for b in f.block_ids() {
-        live_in.insert(b, HashSet::new());
-        live_out.insert(b, HashSet::new());
-    }
-    // Per-block use/def, with phi handling.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let blocks: Vec<BlockId> = f.block_ids().collect();
-        for &b in blocks.iter().rev() {
-            // live_out = union over successors s of (live_in(s) minus s's phi
-            // defs, plus phi inputs from b). Each successor's contribution is
-            // built separately before the union: removing s's phi defs from
-            // the running union would also cancel values contributed by a
-            // sibling edge, making the result depend on successor order.
-            let mut out: HashSet<ValueId> = HashSet::new();
-            for s in f.successors(b) {
-                let mut contrib = live_in[&s].clone();
-                for &iid in &f.block(s).insts {
-                    if let Op::Phi(incoming) = &f.inst(iid).op {
-                        contrib.remove(&iid);
-                        for &(pred, v) in incoming {
-                            if pred == b {
-                                contrib.insert(v);
-                            }
-                        }
-                    }
-                }
-                out.extend(contrib);
-            }
-            // live_in = (live_out - defs) + uses, scanned backwards.
-            let mut inn = out.clone();
-            for &iid in f.block(b).insts.iter().rev() {
-                inn.remove(&iid);
-                if let Op::Phi(_) = &f.inst(iid).op {
-                    // Phi uses are attributed to predecessors; treat the phi
-                    // as a def at block entry only.
-                    continue;
-                }
-                for u in f.inst(iid).op.operands() {
-                    inn.insert(u);
-                }
-            }
-            // Phi defs are killed at entry but the phi itself is live-in if
-            // used later, which the scan above already handles.
-            if inn != live_in[&b] {
-                live_in.insert(b, inn);
-                changed = true;
-            }
-            if out != live_out[&b] {
-                live_out.insert(b, out);
-                changed = true;
-            }
-        }
-    }
-    Liveness { live_in, live_out }
-}
-
 /// Whether any function reachable from `roots` uses an operation whose
 /// result depends on cross-work-item execution *order*: `device_malloc`
 /// (a shared bump cursor) or `atomic_cas` (order-visible old values used
@@ -564,16 +493,6 @@ mod tests {
         assert_eq!(l.latches, vec![body]);
         assert_eq!(l.depth, 1);
         assert!(l.is_innermost(&loops));
-    }
-
-    #[test]
-    fn liveness_across_loop() {
-        let (f, header, body, _) = simple_loop();
-        let lv = liveness(&f);
-        // The parameter n (ValueId 0) is used in the header comparison every
-        // iteration, so it is live into both header and body.
-        assert!(lv.live_in[&header].contains(&ValueId(0)));
-        assert!(lv.live_in[&body].contains(&ValueId(0)));
     }
 
     #[test]

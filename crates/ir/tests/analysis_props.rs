@@ -1,18 +1,17 @@
-//! Property tests for the CFG analyses: [`DomTree`] and [`liveness`] are
-//! checked against naive reference implementations on randomly generated
-//! control-flow graphs (including unreachable blocks, self-loops, back
-//! edges into the entry, and duplicate-edge conditional branches).
+//! Property tests for the CFG analyses: [`DomTree`] is checked against a
+//! naive reference implementation on randomly generated control-flow
+//! graphs (including unreachable blocks, self-loops, back edges into the
+//! entry, and duplicate-edge conditional branches).
 //!
-//! The references use definitions, not algorithms: `a` dominates `b` iff
-//! removing `a` makes `b` unreachable from the entry, and a value is live
-//! at a point iff some path from that point reaches a use without passing
-//! the definition. The shipped analyses are iterative fixpoints — agreeing
-//! with the definitional versions on arbitrary graphs is the property.
+//! The reference uses the definition, not an algorithm: `a` dominates `b`
+//! iff removing `a` makes `b` unreachable from the entry. The shipped
+//! analysis is an iterative fixpoint — agreeing with the definitional
+//! version on arbitrary graphs is the property.
 
-use concord_ir::analysis::{liveness, DomTree};
+use concord_ir::analysis::DomTree;
 use concord_ir::{BinOp, Block, BlockId, Function, Op, Type, ValueId};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Shape of one random block: (terminator kind + phi toggle, target seed
 /// 1, target seed 2, filler-instruction count seed).
@@ -101,61 +100,6 @@ fn reachable_avoiding(f: &Function, avoid: Option<BlockId>) -> HashSet<BlockId> 
     seen
 }
 
-/// Definitional liveness: seed every use (phi inputs count as uses at the
-/// end of the matching predecessor), then walk backwards until a block
-/// that defines the value stops the propagation.
-fn naive_liveness(
-    f: &Function,
-) -> (HashMap<BlockId, HashSet<ValueId>>, HashMap<BlockId, HashSet<ValueId>>) {
-    let preds = f.predecessors();
-    let mut defb: HashMap<ValueId, BlockId> = HashMap::new();
-    for b in f.block_ids() {
-        for &v in &f.block(b).insts {
-            defb.insert(v, b);
-        }
-    }
-    let mut live_in: HashMap<BlockId, HashSet<ValueId>> =
-        f.block_ids().map(|b| (b, HashSet::new())).collect();
-    let mut live_out = live_in.clone();
-    // (block, value) pairs where the value is live at the block's entry.
-    let mut work: Vec<(BlockId, ValueId)> = Vec::new();
-    for b in f.block_ids() {
-        for &i in &f.block(b).insts {
-            match &f.inst(i).op {
-                Op::Phi(incoming) => {
-                    for &(p, v) in incoming {
-                        live_out.get_mut(&p).unwrap().insert(v);
-                        if defb.get(&v) != Some(&p) {
-                            work.push((p, v));
-                        }
-                    }
-                }
-                op => {
-                    for v in op.operands() {
-                        // The generator places defs before same-block
-                        // uses, so a same-block def means "not live-in".
-                        if defb.get(&v) != Some(&b) {
-                            work.push((b, v));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    while let Some((b, v)) = work.pop() {
-        if !live_in.get_mut(&b).unwrap().insert(v) {
-            continue;
-        }
-        for &p in &preds[&b] {
-            live_out.get_mut(&p).unwrap().insert(v);
-            if defb.get(&v) != Some(&p) {
-                work.push((p, v));
-            }
-        }
-    }
-    (live_in, live_out)
-}
-
 proptest! {
     /// `DomTree::dominates` agrees with the path definition: `a` dominates
     /// `b` iff `b` is reachable and deleting `a` cuts every entry path to
@@ -212,19 +156,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The backward-fixpoint liveness agrees with the definitional
-    /// use-to-def walk, including the SSA phi conventions (inputs live out
-    /// of the matching predecessor, phi defs killed at block entry).
-    #[test]
-    fn liveness_matches_naive_reference(
-        shape in collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..10)
-    ) {
-        let f = build_cfg(&shape);
-        let lv = liveness(&f);
-        let (live_in, live_out) = naive_liveness(&f);
-        prop_assert_eq!(&lv.live_in, &live_in, "live_in mismatch on {:?}", shape);
-        prop_assert_eq!(&lv.live_out, &live_out, "live_out mismatch on {:?}", shape);
     }
 }

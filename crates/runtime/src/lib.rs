@@ -330,20 +330,6 @@ impl WorklistReport {
     }
 }
 
-/// SVM-backed double-buffered frontier queues for
-/// `parallel_worklist_hetero`. Each round stages the current frontier
-/// into one buffer (the canonical shared-memory image the fences cover);
-/// the merged pushes become the next round's frontier in the other
-/// buffer, and the buffers swap roles. Capacity grows in powers of two,
-/// so the allocation sequence — and with it the allocator layout every
-/// later `malloc` sees — is a deterministic function of the frontier
-/// sizes alone.
-struct FrontierQueues {
-    bufs: [CpuAddr; 2],
-    capacity: u32,
-    cur: usize,
-}
-
 /// The analyzer launch convention a construct runs under, and a
 /// reduction's `join`.
 type Convention = (AnalysisMode, Option<FuncId>);
@@ -569,9 +555,9 @@ impl<'a> Pipeline<'a> {
     /// body inside `launch` (same sequential schedule); joining again here
     /// would double-count them. This is the single place a part is
     /// metered, profiled, and turned into an [`OffloadReport`]. Native
-    /// parts meter as the energy model's CPU but profile under their own
-    /// device class: their wall-clock rates must not contaminate the
-    /// simulated-CPU history `Target::Auto` splits by.
+    /// parts meter as the energy model's CPU but are not profiled: their
+    /// wall-clock rates must not contaminate the simulated-CPU history
+    /// `Target::Auto` splits by.
     fn finish(
         &mut self,
         l: &graph::Launch<'_>,
@@ -593,7 +579,9 @@ impl<'a> Pipeline<'a> {
             };
             let before = self.meter.joules();
             self.meter.record(self.ctx.system, meter_as, phase);
-            self.profile.record(&l.class, q.device, u64::from(q.span.items()), stats.seconds);
+            if q.device != DeviceClass::Native {
+                self.profile.record(&l.class, meter_as, u64::from(q.span.items()), stats.seconds);
+            }
             reports.push(OffloadReport {
                 jit_seconds: q.jit,
                 exec_seconds: stats.seconds,
@@ -1067,7 +1055,9 @@ impl Concord {
     /// merged into a sorted, deduplicated frontier between rounds, so
     /// frontier contents, drain order, and every output byte are
     /// identical on every target at any host-thread count. The construct
-    /// ends when a round pushes nothing.
+    /// ends when a round pushes nothing. The frontier stays on the host
+    /// (each round's [`WorkKind::Worklist`] items): a drain allocates
+    /// nothing in the shared region.
     ///
     /// The seed is canonicalized the same way (sorted, deduplicated);
     /// an empty seed runs zero rounds.
@@ -1094,82 +1084,29 @@ impl Concord {
             seed: seed.to_vec(),
             target,
         });
-        let mut frontier: Vec<i32> = seed.to_vec();
-        frontier.sort_unstable();
-        frontier.dedup();
-        let mut queues: Option<FrontierQueues> = None;
-        // Suspend session journaling across the whole construct: frontier
-        // staging and device-side writes replay through the recorded
-        // `Worklist` op, not as raw `Write` records.
-        let saved = self.region.suspend_journal();
-        let res = self.run_worklist(&launch, frontier, &mut queues);
-        self.region.restore_journal(saved);
-        if let Some(q) = queues {
-            // Free on every exit path, trap included.
-            let _ = self.heap.free(q.bufs[0]);
-            let _ = self.heap.free(q.bufs[1]);
-        }
-        res
-    }
-
-    /// The iterate-until-empty loop behind
-    /// [`Concord::parallel_worklist_hetero`]: each round is `launch` with
-    /// the frontier as its [`WorkKind::Worklist`] items.
-    fn run_worklist(
-        &mut self,
-        launch: &graph::Launch<'static>,
-        mut frontier: Vec<i32>,
-        queues: &mut Option<FrontierQueues>,
-    ) -> Result<WorklistReport, RuntimeError> {
         let mut report = WorklistReport::default();
-        while !frontier.is_empty() {
+        let mut frontier: Vec<i32> = seed.to_vec();
+        loop {
+            // Ordered merge: sorted by item and deduplicated — the
+            // canonical ascending drain order, for the seed and for the
+            // union of every round's chunk segments alike.
+            frontier.sort_unstable();
+            frontier.dedup();
+            if frontier.is_empty() {
+                return Ok(report);
+            }
             report.frontier_sizes.push(frontier.len() as u32);
-            self.stage_frontier(queues, &frontier)?;
             let mut pushes: Vec<i32> = Vec::new();
             let round = graph::Launch {
                 class: launch.class.clone(),
                 kind: WorkKind::Worklist { items: &frontier },
                 n: frontier.len() as u32,
-                ..*launch
+                ..launch
             };
             let round = self.run_wave(&[&round], 0, &mut pushes).pop();
             report.absorb(&round.expect("one launch, one result")?);
-            // Ordered commit: the union of all chunk segments, sorted by
-            // item and deduplicated — canonical ascending drain order.
-            pushes.sort_unstable();
-            pushes.dedup();
             frontier = pushes;
-            if let Some(q) = queues.as_mut() {
-                q.cur ^= 1;
-            }
         }
-        Ok(report)
-    }
-
-    /// Ensure queue capacity and write `items` into the current frontier
-    /// buffer (the shared-region image of the round's worklist).
-    fn stage_frontier(
-        &mut self,
-        queues: &mut Option<FrontierQueues>,
-        items: &[i32],
-    ) -> Result<(), RuntimeError> {
-        let needed = items.len() as u32;
-        if queues.as_ref().is_none_or(|q| q.capacity < needed) {
-            if let Some(q) = queues.take() {
-                self.heap.free(q.bufs[0])?;
-                self.heap.free(q.bufs[1])?;
-            }
-            let capacity = needed.next_power_of_two().max(16);
-            let a = self.heap.malloc(u64::from(capacity) * 4)?;
-            let b = self.heap.malloc(u64::from(capacity) * 4)?;
-            *queues = Some(FrontierQueues { bufs: [a, b], capacity, cur: 0 });
-        }
-        let q = queues.as_ref().expect("capacity just ensured");
-        let base = q.bufs[q.cur];
-        for (i, &item) in items.iter().enumerate() {
-            self.region.write_i32(CpuAddr(base.0 + i as u64 * 4), item)?;
-        }
-        Ok(())
     }
 
     /// Submit a `parallel_for_hetero` launch to the dependency-aware
@@ -2014,17 +1951,16 @@ mod tests {
                 .read_bytes(nodes.0, concord_ir::types::AddrSpace::Cpu, 101 * 8)
                 .unwrap()
                 .to_vec();
-            let native_rate = cc.profile().rate("LoopBody", DeviceClass::Native);
-            (r, bytes, native_rate)
+            (r, bytes, cc.profile().is_empty())
         };
-        let (rn, native_bytes, native_rate) = run(Target::Native);
+        let (rn, native_bytes, unprofiled) = run(Target::Native);
         let (_, cpu_bytes, _) = run(Target::Cpu);
         assert_eq!(native_bytes, cpu_bytes, "native must write the same region bytes");
         assert!(!rn.on_gpu);
         assert!(!rn.fell_back, "native never counts as a fallback");
         assert!(rn.insts > 0);
         assert!(rn.joules > 0.0, "native launches meter CPU energy");
-        assert!(native_rate.is_some(), "native launches profile under their own class");
+        assert!(unprofiled, "native launches leave the profile history empty");
     }
 
     #[test]
@@ -2901,11 +2837,27 @@ mod tests {
 
     #[test]
     fn worklist_queue_scratch_is_released() {
-        let (mut cc, _, body) = chain_context(8);
-        let before = cc.heap_free_bytes();
-        cc.parallel_worklist_hetero("Chain", body, &[0], Target::Hybrid { gpu_fraction: 0.5 })
-            .unwrap();
-        assert_eq!(cc.heap_free_bytes(), before);
+        // The frontier lives on the host: a drain allocates nothing in the
+        // region and writes nothing there but the kernel's own stores.
+        let region = |cc: &Concord| {
+            let len = cc.region().capacity();
+            cc.region()
+                .read_bytes(concord_svm::CPU_BASE, concord_ir::types::AddrSpace::Cpu, len)
+                .unwrap()
+                .to_vec()
+        };
+        for target in [Target::Hybrid { gpu_fraction: 0.5 }, Target::Native] {
+            let (mut cc, dist, body) = chain_context(8);
+            let (before, free) = (region(&cc), cc.heap_free_bytes());
+            cc.parallel_worklist_hetero("Chain", body, &[0], target).unwrap();
+            let after = region(&cc);
+            let lo = (dist.0 - concord_svm::CPU_BASE) as usize;
+            let hi = lo + 10 * 4;
+            assert!(before[..lo] == after[..lo], "{target}: a region byte below `dist` changed");
+            assert!(before[hi..] == after[hi..], "{target}: a region byte above `dist` changed");
+            assert_ne!(before[lo..hi], after[lo..hi], "{target}: the kernel wrote `dist`");
+            assert_eq!(cc.heap_free_bytes(), free, "{target}: the drain allocated");
+        }
     }
 
     #[test]
@@ -2962,8 +2914,8 @@ mod tests {
         };
         let (ops, expect) = record();
         assert!(ops.iter().any(|o| matches!(o, SessionOp::Worklist { .. })));
-        // Frontier staging must not leak into the journal as raw writes:
-        // the one recorded write is the host's own.
+        // Round writes must not leak into the journal as raw writes: the
+        // one recorded write is the host's own.
         assert_eq!(
             ops.iter().filter(|o| matches!(o, SessionOp::Write { .. })).count(),
             1,

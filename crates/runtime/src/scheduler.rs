@@ -83,10 +83,10 @@ impl DeviceRate {
     }
 }
 
-/// A device *class* the profile history tracks throughput for. Unlike
-/// [`Device`] (the energy model's two simulated devices), this also
-/// distinguishes the native JIT path, which runs on the CPU device but has
-/// a throughput profile of its own.
+/// The backend class a device part runs on. Unlike [`Device`] (the
+/// energy model's two simulated devices), this also distinguishes the
+/// native JIT path, which runs on the CPU device through a backend of its
+/// own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceClass {
     /// Interpreted multicore CPU (cycle-level simulator).
@@ -106,34 +106,26 @@ impl From<Device> for DeviceClass {
     }
 }
 
-/// Per-kernel record of observed per-device throughput, accumulated
-/// across every construct a [`crate::Concord`] executes. `Target::Auto`
-/// reads it to pick splits; all targets feed it.
+/// Per-kernel record of observed simulated throughput on each
+/// [`Device`], accumulated across every construct a [`crate::Concord`]
+/// executes on the simulators. `Target::Auto` reads it to pick splits;
+/// native launches, timed in wall-clock seconds, do not feed it.
 #[derive(Debug, Default)]
 pub struct ProfileHistory {
-    kernels: HashMap<String, [DeviceRate; 3]>,
+    kernels: HashMap<String, [DeviceRate; 2]>,
 }
 
-fn slot(class: DeviceClass) -> usize {
-    match class {
-        DeviceClass::Cpu => 0,
-        DeviceClass::Gpu => 1,
-        DeviceClass::Native => 2,
+fn slot(device: Device) -> usize {
+    match device {
+        Device::Cpu => 0,
+        Device::Gpu => 1,
     }
 }
 
 impl ProfileHistory {
-    /// Record `items` executed in `seconds` on a device class. Simulated
-    /// devices pass their [`Device`] (simulated seconds); the native
-    /// backend records wall-clock seconds under [`DeviceClass::Native`].
-    pub fn record(
-        &mut self,
-        kernel: &str,
-        class: impl Into<DeviceClass>,
-        items: u64,
-        seconds: f64,
-    ) {
-        let e = &mut self.kernels.entry(kernel.to_string()).or_default()[slot(class.into())];
+    /// Record `items` executed in `seconds` of simulated time on `device`.
+    pub fn record(&mut self, kernel: &str, device: Device, items: u64, seconds: f64) {
+        let e = &mut self.kernels.entry(kernel.to_string()).or_default()[slot(device)];
         e.items += items;
         e.seconds += seconds;
     }
@@ -143,15 +135,15 @@ impl ProfileHistory {
     #[must_use]
     pub fn gpu_share(&self, kernel: &str) -> Option<f64> {
         let rates = self.kernels.get(kernel)?;
-        let cpu = rates[slot(DeviceClass::Cpu)].rate()?;
-        let gpu = rates[slot(DeviceClass::Gpu)].rate()?;
+        let cpu = rates[slot(Device::Cpu)].rate()?;
+        let gpu = rates[slot(Device::Gpu)].rate()?;
         Some(gpu / (gpu + cpu))
     }
 
-    /// Observed items/sec for `kernel` on a device class, if recorded.
+    /// Whether nothing has been recorded for any kernel.
     #[must_use]
-    pub fn rate(&self, kernel: &str, class: DeviceClass) -> Option<f64> {
-        self.kernels.get(kernel)?[slot(class)].rate()
+    pub fn is_empty(&self) -> bool {
+        self.kernels.is_empty()
     }
 }
 
@@ -210,17 +202,12 @@ pub fn plan(
     history: &ProfileHistory,
     kernel: &str,
 ) -> Plan {
-    // Native runs on the host CPU, so GPU restrictions never apply to it
-    // and it never counts as a fallback.
-    if target == Target::Native {
-        return single(Device::Cpu, n, false, "native");
-    }
-    if !gpu_allowed {
-        return single(Device::Cpu, n, target != Target::Cpu, "fallback");
-    }
     match target {
-        Target::Cpu => single(Device::Cpu, n, false, "cpu"),
+        // Native runs on the host CPU, so GPU restrictions never apply to
+        // it and it never counts as a fallback.
         Target::Native => single(Device::Cpu, n, false, "native"),
+        _ if !gpu_allowed => single(Device::Cpu, n, target != Target::Cpu, "fallback"),
+        Target::Cpu => single(Device::Cpu, n, false, "cpu"),
         Target::Gpu => single(Device::Gpu, n, false, "gpu"),
         _ if n == 0 => single(Device::Cpu, n, false, "empty"),
         Target::Hybrid { gpu_fraction } => split(n, gpu_fraction, "hybrid"),
@@ -318,18 +305,6 @@ mod tests {
             assert!(!p.fell_back);
             assert_eq!(p.policy, "native");
         }
-    }
-
-    #[test]
-    fn profile_history_tracks_native_as_its_own_class() {
-        let mut h = ProfileHistory::default();
-        h.record("K", Device::Cpu, 100, 1.0);
-        h.record("K", DeviceClass::Native, 5000, 1.0);
-        assert_eq!(h.rate("K", DeviceClass::Native), Some(5000.0));
-        // Native observations are not GPU evidence for Auto splits.
-        assert_eq!(h.gpu_share("K"), None);
-        h.record("K", Device::Gpu, 300, 1.0);
-        assert!((h.gpu_share("K").unwrap() - 0.75).abs() < 1e-12);
     }
 
     #[test]

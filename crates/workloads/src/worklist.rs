@@ -53,7 +53,8 @@ pub trait WorklistWorkload: Workload {
 /// direct access to the frontier drain.
 pub trait WorklistInstance: Instance {
     /// Drain the frontier once on `target` and return the per-round
-    /// report.
+    /// report. The one drain path: [`Instance::run`] folds this report
+    /// into its totals.
     ///
     /// # Errors
     ///
@@ -81,6 +82,13 @@ fn read_all(cc: &Concord, base: CpuAddr, n: usize) -> Result<Vec<i32>, String> {
     (0..n as u64)
         .map(|i| cc.region().read_i32(CpuAddr(base.0 + i * 4)).map_err(|t| t.to_string()))
         .collect()
+}
+
+/// An [`Instance::run`]'s totals: the drain's merged report over all rounds.
+fn totals(r: &WorklistReport) -> RunTotals {
+    let mut totals = RunTotals::default();
+    totals.absorb(&r.offload);
+    totals
 }
 
 // ---------------------------------------------------------------------------
@@ -168,17 +176,9 @@ impl WorklistWorkload for FrontierBfs {
     }
 }
 
-impl FrontierBfsInstance {
+impl WorklistInstance for FrontierBfsInstance {
     /// Drain the BFS worklist from the source node.
-    ///
-    /// # Errors
-    ///
-    /// Runtime traps.
-    pub fn run_worklist(
-        &mut self,
-        cc: &mut Concord,
-        target: Target,
-    ) -> Result<WorklistReport, RuntimeError> {
+    fn drain(&mut self, cc: &mut Concord, target: Target) -> Result<WorklistReport, RuntimeError> {
         #[allow(clippy::cast_possible_wrap)]
         let seed = [self.source_node as i32];
         let r = cc.parallel_worklist_hetero("FrontierBFS", self.body, &seed, target)?;
@@ -187,18 +187,9 @@ impl FrontierBfsInstance {
     }
 }
 
-impl WorklistInstance for FrontierBfsInstance {
-    fn drain(&mut self, cc: &mut Concord, target: Target) -> Result<WorklistReport, RuntimeError> {
-        self.run_worklist(cc, target)
-    }
-}
-
 impl Instance for FrontierBfsInstance {
     fn run(&mut self, cc: &mut Concord, target: Target) -> Result<RunTotals, RuntimeError> {
-        let r = self.run_worklist(cc, target)?;
-        let mut totals = RunTotals::default();
-        totals.absorb(&r.offload);
-        Ok(totals)
+        Ok(totals(&self.drain(cc, target)?))
     }
 
     fn verify(&self, cc: &Concord) -> Result<(), String> {
@@ -306,17 +297,9 @@ impl WorklistWorkload for WorklistCc {
     }
 }
 
-impl WorklistCcInstance {
+impl WorklistInstance for WorklistCcInstance {
     /// Drain the label-propagation worklist (seeded with every node).
-    ///
-    /// # Errors
-    ///
-    /// Runtime traps.
-    pub fn run_worklist(
-        &mut self,
-        cc: &mut Concord,
-        target: Target,
-    ) -> Result<WorklistReport, RuntimeError> {
+    fn drain(&mut self, cc: &mut Concord, target: Target) -> Result<WorklistReport, RuntimeError> {
         #[allow(clippy::cast_possible_wrap)]
         let seed: Vec<i32> = (0..self.csr.n as i32).collect();
         let r = cc.parallel_worklist_hetero("WorklistCC", self.body, &seed, target)?;
@@ -325,18 +308,9 @@ impl WorklistCcInstance {
     }
 }
 
-impl WorklistInstance for WorklistCcInstance {
-    fn drain(&mut self, cc: &mut Concord, target: Target) -> Result<WorklistReport, RuntimeError> {
-        self.run_worklist(cc, target)
-    }
-}
-
 impl Instance for WorklistCcInstance {
     fn run(&mut self, cc: &mut Concord, target: Target) -> Result<RunTotals, RuntimeError> {
-        let r = self.run_worklist(cc, target)?;
-        let mut totals = RunTotals::default();
-        totals.absorb(&r.offload);
-        Ok(totals)
+        Ok(totals(&self.drain(cc, target)?))
     }
 
     fn verify(&self, cc: &Concord) -> Result<(), String> {
@@ -451,17 +425,9 @@ impl WorklistWorkload for DeltaSssp {
     }
 }
 
-impl DeltaSsspInstance {
+impl WorklistInstance for DeltaSsspInstance {
     /// Drain the relaxation worklist from the source node.
-    ///
-    /// # Errors
-    ///
-    /// Runtime traps.
-    pub fn run_worklist(
-        &mut self,
-        cc: &mut Concord,
-        target: Target,
-    ) -> Result<WorklistReport, RuntimeError> {
+    fn drain(&mut self, cc: &mut Concord, target: Target) -> Result<WorklistReport, RuntimeError> {
         #[allow(clippy::cast_possible_wrap)]
         let seed = [self.source_node as i32];
         let r = cc.parallel_worklist_hetero("DeltaSSSP", self.body, &seed, target)?;
@@ -470,18 +436,9 @@ impl DeltaSsspInstance {
     }
 }
 
-impl WorklistInstance for DeltaSsspInstance {
-    fn drain(&mut self, cc: &mut Concord, target: Target) -> Result<WorklistReport, RuntimeError> {
-        self.run_worklist(cc, target)
-    }
-}
-
 impl Instance for DeltaSsspInstance {
     fn run(&mut self, cc: &mut Concord, target: Target) -> Result<RunTotals, RuntimeError> {
-        let r = self.run_worklist(cc, target)?;
-        let mut totals = RunTotals::default();
-        totals.absorb(&r.offload);
-        Ok(totals)
+        Ok(totals(&self.drain(cc, target)?))
     }
 
     fn verify(&self, cc: &Concord) -> Result<(), String> {
@@ -608,17 +565,9 @@ impl WorklistWorkload for KCore {
     }
 }
 
-impl KCoreInstance {
+impl WorklistInstance for KCoreInstance {
     /// Peel the graph down to its `k`-core (seeded with every node).
-    ///
-    /// # Errors
-    ///
-    /// Runtime traps.
-    pub fn run_worklist(
-        &mut self,
-        cc: &mut Concord,
-        target: Target,
-    ) -> Result<WorklistReport, RuntimeError> {
+    fn drain(&mut self, cc: &mut Concord, target: Target) -> Result<WorklistReport, RuntimeError> {
         #[allow(clippy::cast_possible_wrap)]
         let seed: Vec<i32> = (0..self.csr.n as i32).collect();
         let r = cc.parallel_worklist_hetero("KCore", self.body, &seed, target)?;
@@ -627,18 +576,9 @@ impl KCoreInstance {
     }
 }
 
-impl WorklistInstance for KCoreInstance {
-    fn drain(&mut self, cc: &mut Concord, target: Target) -> Result<WorklistReport, RuntimeError> {
-        self.run_worklist(cc, target)
-    }
-}
-
 impl Instance for KCoreInstance {
     fn run(&mut self, cc: &mut Concord, target: Target) -> Result<RunTotals, RuntimeError> {
-        let r = self.run_worklist(cc, target)?;
-        let mut totals = RunTotals::default();
-        totals.absorb(&r.offload);
-        Ok(totals)
+        Ok(totals(&self.drain(cc, target)?))
     }
 
     fn verify(&self, cc: &Concord) -> Result<(), String> {
@@ -737,7 +677,7 @@ mod tests {
             frontier_sizes: Vec::new(),
         };
         inst.reset(&mut cc).unwrap();
-        inst.run_worklist(&mut cc, Target::Cpu).unwrap();
+        inst.drain(&mut cc, Target::Cpu).unwrap();
         inst.verify(&cc).unwrap();
         let expected = graph::reference_bfs(&graph, 0);
         // Frontier r holds exactly the nodes at BFS level r.

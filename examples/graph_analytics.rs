@@ -3,10 +3,11 @@
 //! Concord runtime directly.
 //!
 //! Shows the `parallel_worklist_hetero` pattern the frontier workloads
-//! use — the kernel `push`es discovered vertices and the runtime drains
-//! the double-buffered frontier until it is empty — and compares devices
-//! on rounds, time, and energy. The per-round frontier sizes are
-//! deterministic: every device prints the same schedule.
+//! use — the kernel `push`es discovered vertices, the runtime merges the
+//! pushes into the next round's frontier and drains until it is empty —
+//! and compares devices on rounds, time, and energy. The per-round
+//! frontier sizes are deterministic: every device prints the same
+//! schedule.
 //!
 //! ```sh
 //! cargo run --example graph_analytics
