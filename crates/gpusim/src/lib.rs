@@ -1083,4 +1083,308 @@ mod tests {
             rep2.busy_fraction
         );
     }
+
+    /// One line per report: the exact bits of every quantity a
+    /// `GpuReport` carries.
+    fn pin(name: &str, r: &GpuReport) -> String {
+        format!(
+            "{name}: seconds={:#x} cycles={:#x} busy={:#x} insts={} translations={} \
+             transactions={} contended={} l3={:#x} warps={}",
+            r.seconds.to_bits(),
+            r.critical_cycles.to_bits(),
+            r.busy_fraction.to_bits(),
+            r.insts,
+            r.translations,
+            r.transactions,
+            r.contended,
+            r.l3_hit_rate.to_bits(),
+            r.warps,
+        )
+    }
+
+    /// Every simulated quantity of coalesced, strided, same-line-contended
+    /// and §4.2-rotated streams, atomics on the shadowed and the in-order
+    /// path, a reduction and the rounds of two worklist drains, at one and
+    /// at eight host threads. Each fixture runs on a fresh simulator, so
+    /// the L3 hit rate (which counts every launch a simulator ran) is the
+    /// fixture's own. The L3 contention history and the shadow overlay are
+    /// on every one of these paths; their storage may change, these bits
+    /// may not.
+    #[test]
+    fn gpusim_reports_are_pinned() {
+        const STREAMS: &str = r#"
+            class K {
+            public:
+                float* a; float* b;
+                void operator()(int i) { b[i] = a[i] * 2.0f; }
+            };
+        "#;
+        const STRIDED: &str = r#"
+            class K {
+            public:
+                float* a; float* b;
+                void operator()(int i) { b[i] = a[i * 16] * 2.0f; }
+            };
+        "#;
+        const SHARED_ROW: &str = r#"
+            class K {
+            public:
+                float* a; int n; float* out;
+                void operator()(int i) {
+                    float s = 0.0f;
+                    for (int j = 0; j < n; j++) { s += a[j]; }
+                    out[i] = s;
+                }
+            };
+        "#;
+        const ATOMICS: &str = r#"
+            class K {
+            public:
+                int* cells;
+                void operator()(int i) {
+                    for (int j = 0; j < i % 5 + 1; j++) {
+                        atomic_add(&cells[j % 4], i);
+                        atomic_min(&cells[4 + i % 8], i - j);
+                    }
+                    cells[12 + i] = i * 3;
+                }
+            };
+        "#;
+        const CAS: &str = r#"
+            class K {
+            public:
+                int* cells;
+                void operator()(int i) {
+                    atomic_cas(&cells[i % 8], 0, i);
+                    atomic_add(&cells[8 + i % 4], i);
+                }
+            };
+        "#;
+        const BFS: &str = r#"
+            class K {
+            public:
+                int* row_off; int* cols; int* level;
+                void operator()(int v) {
+                    int next = level[v] + 1;
+                    for (int e = row_off[v]; e < row_off[v + 1]; e++) {
+                        int w = cols[e];
+                        if (level[w] < 0) { level[w] = next; push(w); }
+                    }
+                }
+            };
+        "#;
+        const CAS_BFS: &str = r#"
+            class K {
+            public:
+                int* row_off; int* cols; int* level;
+                void operator()(int v) {
+                    int next = level[v] + 1;
+                    for (int e = row_off[v]; e < row_off[v + 1]; e++) {
+                        int w = cols[e];
+                        if (atomic_cas(&level[w], -1, next) == -1) { push(w); }
+                    }
+                }
+            };
+        "#;
+        // The shipped systems charge whole cycles; the skewed one's odd
+        // latencies make the order of every stall charge show in the bits.
+        let skewed = GpuConfig {
+            freq_ghz: 1.13,
+            l3_hit_cycles: 47.3,
+            mem_cycles: 311.7,
+            contention_penalty: 9.3,
+            ..concord_energy::SystemConfig::ultrabook().gpu
+        };
+        let systems = [
+            ("ultrabook", concord_energy::SystemConfig::ultrabook().gpu),
+            ("desktop", concord_energy::SystemConfig::desktop().gpu),
+            ("skewed", skewed),
+        ];
+        let mut got = Vec::new();
+        for (ht, (system, cfg)) in [1, 8].into_iter().flat_map(|ht| systems.map(|s| (ht, s))) {
+            let sim = || {
+                let mut s = GpuSim::new(cfg);
+                s.host_threads = ht;
+                s
+            };
+            let pin = |name: &str, r: &GpuReport| pin(&format!("{system} {name}"), r);
+
+            for (name, src) in [("coalesced", STREAMS), ("strided", STRIDED)] {
+                let (module, kf, _) = gpu_module(src, PipelineConfig::all(7));
+                let (mut region, mut heap) = setup(&module, 1 << 22);
+                let n = 256u32;
+                let a = heap.malloc(u64::from(n) * 16 * 4).unwrap();
+                for i in 0..u64::from(n) * 16 {
+                    region.write_f32(CpuAddr(a.0 + i * 4), i as f32 * 0.25).unwrap();
+                }
+                let b = heap.malloc(u64::from(n) * 4).unwrap();
+                let body = heap.malloc(16).unwrap();
+                region.write_ptr(body, a).unwrap();
+                region.write_ptr(body.offset(8), b).unwrap();
+                let r = sim().parallel_for(&mut region, &module, kf, body, n);
+                got.push(pin(name, &r.unwrap()));
+            }
+
+            // Every EU streams the same row in the same order (contended);
+            // under L3OPT each starts at its own rotation (§4.2).
+            for (name, strategy) in
+                [("contended", PipelineConfig::ptropt(40)), ("rotated", PipelineConfig::all(40))]
+            {
+                let (module, kf, _) = gpu_module(SHARED_ROW, strategy);
+                let (mut region, mut heap) = setup(&module, 1 << 22);
+                let n = 40 * 16u32;
+                let inner = 512i32;
+                let a = heap.malloc(inner as u64 * 4).unwrap();
+                let out = heap.malloc(u64::from(n) * 4).unwrap();
+                let body = heap.malloc(24).unwrap();
+                region.write_ptr(body, a).unwrap();
+                region.write_i32(body.offset(8), inner).unwrap();
+                region.write_ptr(body.offset(16), out).unwrap();
+                let r = sim().parallel_for(&mut region, &module, kf, body, n);
+                got.push(pin(name, &r.unwrap()));
+            }
+
+            for (name, src, n) in [("atomics", ATOMICS, 200u32), ("cas", CAS, 40)] {
+                let (module, kf, _) = gpu_module(src, PipelineConfig::all(7));
+                assert_eq!(uses_gated_ops(&module, &[kf]), name == "cas", "{name}'s path");
+                let (mut region, mut heap) = setup(&module, 1 << 20);
+                let cells = heap.malloc((12 + u64::from(n)) * 4).unwrap();
+                let body = heap.malloc(8).unwrap();
+                region.write_ptr(body, cells).unwrap();
+                let r = sim().parallel_for(&mut region, &module, kf, body, n);
+                got.push(pin(name, &r.unwrap()));
+            }
+
+            let (module, kf, jf) = gpu_module(SUM, PipelineConfig::all(7));
+            let (mut region, mut heap) = setup(&module, 1 << 20);
+            let n = 1000u32;
+            let data = heap.malloc(u64::from(n) * 4).unwrap();
+            for i in 0..u64::from(n) {
+                region.write_f32(CpuAddr(data.0 + i * 4), i as f32 * 0.5).unwrap();
+            }
+            let body = heap.malloc(16).unwrap();
+            region.write_ptr(body, data).unwrap();
+            let scratch: Vec<CpuAddr> =
+                (0..u64::from(n).div_ceil(16)).map(|_| heap.malloc(16).unwrap()).collect();
+            let r =
+                sim().parallel_reduce(&mut region, &module, kf, jf.unwrap(), body, 16, n, &scratch);
+            got.push(pin("reduce", &r.unwrap()));
+
+            // A 300-node graph of out-degree 3 (deterministic LCG), drained
+            // from 24 seeds one round at a time as the runtime drains it.
+            for (name, src) in [("bfs", BFS), ("cas_bfs", CAS_BFS)] {
+                let (module, kf, _) = gpu_module(src, PipelineConfig::all(7));
+                let (mut region, mut heap) = setup(&module, 1 << 20);
+                let nodes = 300u64;
+                let row_off = heap.malloc((nodes + 1) * 4).unwrap();
+                let cols = heap.malloc(nodes * 3 * 4).unwrap();
+                let level = heap.malloc(nodes * 4).unwrap();
+                let mut x = 7u64;
+                for v in 0..nodes {
+                    region.write_i32(CpuAddr(row_off.0 + v * 4), (v * 3) as i32).unwrap();
+                    for e in 0..3 {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        let w = ((x >> 33) % nodes) as i32;
+                        region.write_i32(CpuAddr(cols.0 + (v * 3 + e) * 4), w).unwrap();
+                    }
+                    let seed = v % 12 == 0;
+                    region.write_i32(CpuAddr(level.0 + v * 4), if seed { 0 } else { -1 }).unwrap();
+                }
+                region.write_i32(CpuAddr(row_off.0 + nodes * 4), (nodes * 3) as i32).unwrap();
+                let body = heap.malloc(24).unwrap();
+                region.write_ptr(body, row_off).unwrap();
+                region.write_ptr(body.offset(8), cols).unwrap();
+                region.write_ptr(body.offset(16), level).unwrap();
+                let mut sim = sim();
+                let mut frontier: Vec<i32> = (0..nodes as i32).step_by(12).collect();
+                for round in 0.. {
+                    frontier.sort_unstable();
+                    frontier.dedup();
+                    if frontier.is_empty() {
+                        break;
+                    }
+                    let kind = WorkKind::Worklist { items: &frontier };
+                    let in_order = uses_gated_ops(&module, &[kf]);
+                    let work = Work { func: kf, body, kind, in_order };
+                    let mut program = Program::new();
+                    program.decode(&module, &work);
+                    let span = Span::full(frontier.len() as u32);
+                    let mut pushes = Vec::new();
+                    let r = sim.launch(&mut region, &program, &work, span, &mut pushes);
+                    let pushed = pushes.iter().map(|&p| i64::from(p)).sum::<i64>();
+                    let line = pin(&format!("{name} round {round}"), &r.unwrap());
+                    got.push(format!("{line} pushes={}/{pushed}", pushes.len()));
+                    frontier = pushes;
+                }
+            }
+        }
+        let want = [
+            "ultrabook coalesced: seconds=0x3ec56ed21abf73f4 cycles=0x40907c0000000000 busy=0x3fac137f514dcb5b insts=336 translations=48 transactions=64 contended=30 l3=0x3fdf000000000000 warps=16",
+            "ultrabook strided: seconds=0x3edee059b6438d37 cycles=0x40b6e58000000000 busy=0x3f82be55d01b3493 insts=400 translations=48 transactions=304 contended=30 l3=0x3fba1af286bca1af warps=16",
+            "ultrabook contended: seconds=0x3f08857f52bddf6c cycles=0x40e61ae000000000 busy=0x3fd0d739e5cdbdc5 insts=267320 translations=120 transactions=20640 contended=10101 l3=0x3fefe306bf4e306c warps=40",
+            "ultrabook rotated: seconds=0x3f0d5d4439fce225 cycles=0x40ea9d8000000000 busy=0x3fdaba351b6b2625 insts=308480 translations=120 transactions=20640 contended=3760 l3=0x3fefe306bf4e306c warps=40",
+            "ultrabook atomics: seconds=0x3ed487f75abfea10 cycles=0x40aa860000000000 busy=0x3fca406a6e928c2b insts=2093 translations=26 transactions=39 contended=25 l3=0x3fe4834834834835 warps=13",
+            "ultrabook cas: seconds=0x3ec544f1ddb99549 cycles=0x40902e0000000000 busy=0x3fb9954342ec2d68 insts=69 translations=6 transactions=3 contended=2 l3=0x3fe5555555555555 warps=3",
+            "ultrabook reduce: seconds=0x3ed5e3ca5801a70f cycles=0x40ad0ddf7df7df82 busy=0x3fbf3df3f669b404 insts=8272 translations=628 transactions=2189 contended=578 l3=0x3feed85ac07f3d66 warps=63",
+            "ultrabook bfs round 0: seconds=0x3ef967a77b7beeb0 cycles=0x40d6320000000000 busy=0x3f8a6a95246a0841 insts=212 translations=8 transactions=306 contended=48 l3=0x3fe94ea3f94ea3f9 warps=2 pushes=68/11095",
+            "ultrabook bfs round 1: seconds=0x3ef2362fdf382bb8 cycles=0x40cefe0000000000 busy=0x3f91f55a46a8e542 insts=428 translations=16 transactions=493 contended=206 l3=0x3fea2716bf9978ca warps=4 pushes=135/21331",
+            "ultrabook bfs round 2: seconds=0x3eec9f36d644b47e cycles=0x40c7ba0000000000 busy=0x3f998abd3e1d0663 insts=746 translations=28 transactions=629 contended=332 l3=0x3feab06742b06743 warps=7 pushes=104/14702",
+            "ultrabook bfs round 3: seconds=0x3ef07df3ee1b487d cycles=0x40cbca0000000000 busy=0x3f984a6ea53e7437 insts=535 translations=20 transactions=440 contended=180 l3=0x3fea9a9633876682 warps=5 pushes=33/4141",
+            "ultrabook bfs round 4: seconds=0x3ef561662172159c cycles=0x40d2728000000000 busy=0x3f908cc0f95f3de7 insts=205 translations=8 transactions=204 contended=30 l3=0x3fea4d18b5de64d2 warps=2 pushes=5/619",
+            "ultrabook bfs round 5: seconds=0x3ee3acec42effae0 cycles=0x40beca0000000000 busy=0x3f9a3e3ada2120ef insts=101 translations=4 transactions=51 contended=0 l3=0x3fea26d3fc9fa740 warps=1 pushes=1/199",
+            "ultrabook bfs round 6: seconds=0x3ed22d98d944184c cycles=0x40a6240000000000 busy=0x3fb1863b9e711864 insts=98 translations=4 transactions=15 contended=0 l3=0x3fea1682c1048cd0 warps=1 pushes=0/0",
+            "ultrabook cas_bfs round 0: seconds=0x3efbcc3954099783 cycles=0x40d86c8000000000 busy=0x3fc13040ba5dd908 insts=2563 translations=100 transactions=300 contended=24 l3=0x3fe92c5f92c5f92c warps=2 pushes=63/10189",
+            "ultrabook cas_bfs round 1: seconds=0x3ef6ae4248240619 cycles=0x40d3a88000000000 busy=0x3fc59465b0c6a6ba insts=6401 translations=252 transactions=756 contended=72 l3=0x3feb9364d9364d93 warps=4 pushes=101/15746",
+            "ultrabook cas_bfs round 2: seconds=0x3ef56860d6486563 cycles=0x40d2790000000000 busy=0x3fc742afb3e5efa6 insts=10167 translations=404 transactions=1212 contended=139 l3=0x3feca7f529fd4a7f warps=7 pushes=67/9160",
+            "ultrabook cas_bfs round 3: seconds=0x3ef6cd65bdb8cc7e cycles=0x40d3c58000000000 busy=0x3fc5c8e0193327ae insts=6722 translations=268 transactions=804 contended=81 l3=0x3fecb80000000000 warps=5 pushes=22/3049",
+            "ultrabook cas_bfs round 4: seconds=0x3ef9f08e6a5de42e cycles=0x40d6b18000000000 busy=0x3fc1d9121d051d91 insts=2204 translations=88 transactions=264 contended=18 l3=0x3fec870f59044c20 warps=2 pushes=4/467",
+            "ultrabook cas_bfs round 5: seconds=0x3ee1bcdaab20996c cycles=0x40bb2e0000000000 busy=0x3fbdba63a21b39e9 insts=401 translations=16 transactions=48 contended=0 l3=0x3fec7432d63dbb02 warps=1 pushes=1/199",
+            "ultrabook cas_bfs round 6: seconds=0x3eccdd7dc16e4149 cycles=0x409e540000000000 busy=0x3fba829266155dc6 insts=100 translations=4 transactions=12 contended=0 l3=0x3fec6dc1e2732f57 warps=1 pushes=0/0",
+            "desktop coalesced: seconds=0x3ec15305448f56b0 cycles=0x408f180000000000 busy=0x3fad8fe901d8fe90 insts=336 translations=48 transactions=64 contended=30 l3=0x3fdf000000000000 warps=16",
+            "desktop strided: seconds=0x3ed9192d7e234dfa cycles=0x40b57d8000000000 busy=0x3f83f41c36065515 insts=400 translations=48 transactions=304 contended=30 l3=0x3fba1af286bca1af warps=16",
+            "desktop contended: seconds=0x3f08401859c5849d cycles=0x40e94c8000000000 busy=0x3fd97313a8134c98 insts=267320 translations=120 transactions=20640 contended=9842 l3=0x3fefe306bf4e306c warps=40",
+            "desktop rotated: seconds=0x3f10188ae82b88cc cycles=0x40f0e6f000000000 busy=0x3fe29d2c07e570b3 insts=308480 translations=120 transactions=20640 contended=3661 l3=0x3fefe306bf4e306c warps=40",
+            "desktop atomics: seconds=0x3ed132576b20e04a cycles=0x40aa0e0000000000 busy=0x3fca72ae966109e2 insts=2093 translations=26 transactions=39 contended=25 l3=0x3fe4834834834835 warps=13",
+            "desktop cas: seconds=0x3ec1794d4343f003 cycles=0x408fbc0000000000 busy=0x3fb9cf91b10776cc insts=69 translations=6 transactions=3 contended=2 l3=0x3fe5555555555555 warps=3",
+            "desktop reduce: seconds=0x3ed55e9d537db380 cycles=0x40b17f2492492495 busy=0x3fc9772d698cb101 insts=8272 translations=628 transactions=2189 contended=558 l3=0x3feed85ac07f3d66 warps=63",
+            "desktop bfs round 0: seconds=0x3ef51b416ebe95a5 cycles=0x40d5420000000000 busy=0x3f8b774e3bd3e056 insts=212 translations=8 transactions=306 contended=48 l3=0x3fe94ea3f94ea3f9 warps=2 pushes=68/11095",
+            "desktop bfs round 1: seconds=0x3eee2d56c8ce2245 cycles=0x40cda00000000000 busy=0x3f92922935a85cf1 insts=428 translations=16 transactions=493 contended=206 l3=0x3fea2716bf9978ca warps=4 pushes=135/21331",
+            "desktop bfs round 2: seconds=0x3ee79cb31a9d349e cycles=0x40c6980000000000 busy=0x3f9a5450191d7ea9 insts=746 translations=28 transactions=629 contended=332 l3=0x3feab06742b06743 warps=7 pushes=104/14702",
+            "desktop bfs round 3: seconds=0x3eeb42635ef146de cycles=0x40ca800000000000 busy=0x3f9924f785bcfc99 insts=535 translations=20 transactions=440 contended=180 l3=0x3fea9a9633876682 warps=5 pushes=33/4141",
+            "desktop bfs round 4: seconds=0x3ef1ae0e22430e3a cycles=0x40d1968000000000 busy=0x3f914830a8751d68 insts=205 translations=8 transactions=204 contended=30 l3=0x3fea4d18b5de64d2 warps=2 pushes=5/619",
+            "desktop bfs round 5: seconds=0x3ee03282c4f35007 cycles=0x40bd4e0000000000 busy=0x3f9b92878a9cd5c1 insts=101 translations=4 transactions=51 contended=0 l3=0x3fea26d3fc9fa740 warps=1 pushes=1/199",
+            "desktop bfs round 6: seconds=0x3ecdb7b1ba0d44d5 cycles=0x40a50c0000000000 busy=0x3fb26f5ed5ff9eb2 insts=98 translations=4 transactions=15 contended=0 l3=0x3fea1682c1048cd0 warps=1 pushes=0/0",
+            "desktop cas_bfs round 0: seconds=0x3ef7509aa04f2f8b cycles=0x40d79f8000000000 busy=0x3fc1c467d5ed5203 insts=2563 translations=100 transactions=300 contended=24 l3=0x3fe92c5f92c5f92c warps=2 pushes=63/10189",
+            "desktop cas_bfs round 1: seconds=0x3ef331893460d33e cycles=0x40d3358000000000 busy=0x3fc60bd11fb5630c insts=6401 translations=252 transactions=756 contended=72 l3=0x3feb9364d9364d93 warps=4 pushes=101/15746",
+            "desktop cas_bfs round 2: seconds=0x3ef22d80f23ea8c8 cycles=0x40d21f0000000000 busy=0x3fc7a3ff8ca9859d insts=10167 translations=404 transactions=1212 contended=139 l3=0x3feca7f529fd4a7f warps=7 pushes=67/9160",
+            "desktop cas_bfs round 3: seconds=0x3ef34c9ce88926b7 cycles=0x40d3528000000000 busy=0x3fc6384a9e408da1 insts=6722 translations=268 transactions=804 contended=81 l3=0x3fecb80000000000 warps=5 pushes=22/3049",
+            "desktop cas_bfs round 4: seconds=0x3ef5cefd9a9e20d7 cycles=0x40d6028000000000 busy=0x3fc2641e7ff78359 insts=2204 translations=88 transactions=264 contended=18 l3=0x3fec870f59044c20 warps=2 pushes=4/467",
+            "desktop cas_bfs round 5: seconds=0x3edd765607305808 cycles=0x40ba2a0000000000 busy=0x3fbee1ce50434491 insts=401 translations=16 transactions=48 contended=0 l3=0x3fec7432d63dbb02 warps=1 pushes=1/199",
+            "desktop cas_bfs round 6: seconds=0x3ec7a42b4c500dda cycles=0x409d140000000000 busy=0x3fbba64f828b7c7e insts=100 translations=4 transactions=12 contended=0 l3=0x3fec6dc1e2732f57 warps=1 pushes=0/0",
+            "skewed coalesced: seconds=0x3ec435b9a721a715 cycles=0x40900d999999999a busy=0x3face8e6799f2d25 insts=336 translations=48 transactions=64 contended=30 l3=0x3fdf000000000000 warps=16",
+            "skewed strided: seconds=0x3edb7bc3bab74ca9 cycles=0x40b64d6666666665 busy=0x3f834017961be7a4 insts=400 translations=48 transactions=304 contended=30 l3=0x3fba1af286bca1af warps=16",
+            "skewed contended: seconds=0x3f050e5fbe6ab742 cycles=0x40e554ecccccccaf busy=0x3fd18cc12bbbc2c6 insts=267320 translations=120 transactions=20640 contended=10101 l3=0x3fefe306bf4e306c warps=40",
+            "skewed rotated: seconds=0x3f095783ccc231bd cycles=0x40e9d78cccccccaf busy=0x3fdb9829bca04d19 insts=308480 translations=120 transactions=20640 contended=3760 l3=0x3fefe306bf4e306c warps=40",
+            "skewed atomics: seconds=0x3ed2ccedcf9f8e17 cycles=0x40aa543333333333 busy=0x3fca6475b2941ea0 insts=2093 translations=26 transactions=39 contended=25 l3=0x3fe4834834834835 warps=13",
+            "skewed cas: seconds=0x3ec4355859d76b52 cycles=0x40900ccccccccccd busy=0x3fb9c1303064ca37 insts=69 translations=6 transactions=3 contended=2 l3=0x3fe5555555555555 warps=3",
+            "skewed reduce: seconds=0x3ed38e374f315770 cycles=0x40abeb0750750750 busy=0x3fc0485e5e657a3f insts=8272 translations=628 transactions=2189 contended=578 l3=0x3feed85ac07f3d66 warps=63",
+            "skewed bfs round 0: seconds=0x3ef5ef688ee98e11 cycles=0x40d56ddfffffffe9 busy=0x3f8b69d772a16195 insts=212 translations=8 transactions=306 contended=48 l3=0x3fe94ea3f94ea3f9 warps=2 pushes=68/11095",
+            "skewed bfs round 1: seconds=0x3eef9c1e12e099d6 cycles=0x40cdf4999999997d busy=0x3f92af759ddffb2e insts=428 translations=16 transactions=493 contended=206 l3=0x3fea2716bf9978ca warps=4 pushes=135/21331",
+            "skewed bfs round 2: seconds=0x3ee8fa8f66877a46 cycles=0x40c6fa199999998c busy=0x3f9a9be249657250 insts=746 translations=28 transactions=629 contended=332 l3=0x3feab06742b06743 warps=7 pushes=104/14702",
+            "skewed bfs round 3: seconds=0x3eecb27c0b4523f2 cycles=0x40cae3e666666651 busy=0x3f9940c10d8ffcfb insts=535 translations=20 transactions=440 contended=180 l3=0x3fea9a9633876682 warps=5 pushes=33/4141",
+            "skewed bfs round 4: seconds=0x3ef28846a71f238c cycles=0x40d1d9199999998d busy=0x3f91233467950834 insts=205 translations=8 transactions=204 contended=30 l3=0x3fea4d18b5de64d2 warps=2 pushes=5/619",
+            "skewed bfs round 5: seconds=0x3ee152204a80a5e3 cycles=0x40bdd5e66666666a busy=0x3f9b14f0280f41c5 insts=101 translations=4 transactions=51 contended=0 l3=0x3fea26d3fc9fa740 warps=1 pushes=1/199",
+            "skewed bfs round 6: seconds=0x3ed083c983b52aa2 cycles=0x40a584999999999a busy=0x3fb2080c90f53a44 insts=98 translations=4 transactions=15 contended=0 l3=0x3fea1682c1048cd0 warps=1 pushes=0/0",
+            "skewed cas_bfs round 0: seconds=0x3ef8162d1cea74d9 cycles=0x40d7b17ffffffff5 busy=0x3fc1b9178178c226 insts=2563 translations=100 transactions=300 contended=24 l3=0x3fe92c5f92c5f92c warps=2 pushes=63/10189",
+            "skewed cas_bfs round 1: seconds=0x3ef3a6dc4bc32806 cycles=0x40d306b333333326 busy=0x3fc650653c5c46e3 insts=6401 translations=252 transactions=756 contended=72 l3=0x3feb9364d9364d93 warps=4 pushes=101/15746",
+            "skewed cas_bfs round 2: seconds=0x3ef2892195062a06 cycles=0x40d1d9fffffffff6 busy=0x3fc816033c734189 insts=10167 translations=404 transactions=1212 contended=139 l3=0x3feca7f529fd4a7f warps=7 pushes=67/9160",
+            "skewed cas_bfs round 3: seconds=0x3ef3be6d03bda14a cycles=0x40d31f7ffffffffa busy=0x3fc689e411ad54d3 insts=6722 translations=268 transactions=804 contended=81 l3=0x3fecb80000000000 warps=5 pushes=22/3049",
+            "skewed cas_bfs round 4: seconds=0x3ef67936955bd18b cycles=0x40d5fee66666665d busy=0x3fc26b89e7d9bc47 insts=2204 translations=88 transactions=264 contended=18 l3=0x3fec870f59044c20 warps=2 pushes=4/467",
+            "skewed cas_bfs round 5: seconds=0x3edf5de0e2a4dff2 cycles=0x40ba63999999999d busy=0x3fbe9e66221ae3ce insts=401 translations=16 transactions=48 contended=0 l3=0x3fec7432d63dbb02 warps=1 pushes=1/199",
+            "skewed cas_bfs round 6: seconds=0x3eca95d0124810b6 cycles=0x409d78cccccccccc busy=0x3fbb47be33a0fe83 insts=100 translations=4 transactions=12 contended=0 l3=0x3fec6dc1e2732f57 warps=1 pushes=0/0",
+        ];
+        let (serial, parallel) = got.split_at(got.len() / 2);
+        assert_eq!(serial, parallel, "host threads 1 and 8 must report the same bits");
+        assert_eq!(serial, want);
+    }
 }
