@@ -64,8 +64,8 @@ echo "==> paper vs paper-expected.json (every simulated table of §5)"
 # §5.4 SVM-overhead study, one row per line. Every number is simulated, so
 # it repeats byte for byte and a diff names the row that moved. The ten
 # exact quantities above are Scale::Tiny; this holds the simulators at the
-# paper's scale. About 20 s on two host threads (nproc 2: Ultrabook 10 s,
-# desktop 9 s, §5.4 1.4 s, Table 1 and Figure 6 under 0.1 s).
+# paper's scale. About 15 s on two host threads (nproc 2: Ultrabook 7 s,
+# desktop 7 s, §5.4 0.9 s, Table 1 and Figure 6 under 0.1 s).
 cargo run --release --quiet -p concord-bench --bin paper -- /tmp/concord_ci_paper.json > /dev/null
 diff paper-expected.json /tmp/concord_ci_paper.json || {
     echo "!! paper output differs from paper-expected.json. A change that moves a" >&2
@@ -236,6 +236,27 @@ layouts=$(grep -rn 'fn frame_layout' crates | wc -l)
 if [ "$layouts" -ne 1 ]; then
     echo "!! fn frame_layout is defined $layouts times under crates/, want 1:" >&2
     grep -rn 'fn frame_layout' crates >&2
+    exit 1
+fi
+
+echo "==> structural guard: no hashing on the simulated access path"
+# The shadow overlay, the L3 contention history and the set-associative
+# cache model are reached on every simulated access. They index pages and
+# sets directly: a SipHash map there costs a hash per access, and a faster
+# hasher would let a served kernel pick keys that make lookups slow.
+# `Cache::access` finds its set with a mask (set counts are powers of two),
+# not a `%`.
+hashing=$(for f in crates/svm/src/shadow.rs crates/gpusim/src/l3.rs crates/cpusim/src/cache.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | { grep -nE 'HashMap|HashSet' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$hashing" ]; then
+    echo "!! a hash map or set on the simulated access path:" >&2
+    echo "$hashing" >&2
+    exit 1
+fi
+access=$(sed '/^#\[cfg(test)\]/,$d' crates/cpusim/src/cache.rs | sed -n '/ fn access(/,/^    }$/p')
+if [ -z "$access" ] || grep -F '%' <<<"$access" >&2; then
+    echo "!! Cache::access (crates/cpusim/src/cache.rs) is missing or divides to find its set" >&2
     exit 1
 fi
 

@@ -17,15 +17,19 @@ pub struct Cache {
 
 impl Cache {
     /// Build a cache of `bytes` capacity with `ways` associativity and
-    /// 64-byte lines.
+    /// 64-byte lines. The set count, `bytes / 64 / ways` (at least one),
+    /// must be a power of two, so a line's set is its low bits. Every
+    /// shipped cache has one: 64 and 4096 or 8192 sets for the CPU L1 and
+    /// LLC, 512 or 256 for the GPU L3.
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is smaller than one way of lines.
+    /// Panics if the set count is not a power of two.
     pub fn new(bytes: u64, ways: usize) -> Self {
         let line = 64u64;
         let lines = (bytes / line).max(1) as usize;
         let sets = (lines / ways).max(1);
+        assert!(sets.is_power_of_two(), "{sets} sets: the set count must be a power of two");
         Cache { line_shift: 6, sets, ways, tags: vec![u64::MAX; sets * ways], hits: 0, misses: 0 }
     }
 
@@ -35,9 +39,10 @@ impl Cache {
     }
 
     /// Access `addr`; returns true on hit. Misses fill the line.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = self.line_of(addr);
-        let set = (line as usize) % self.sets;
+        let set = line as usize & (self.sets - 1);
         let base = set * self.ways;
         let ways = &mut self.tags[base..base + self.ways];
         if let Some(pos) = ways.iter().position(|&t| t == line) {
@@ -118,6 +123,13 @@ mod tests {
             }
         }
         assert!(c.hit_rate() > 0.7);
+    }
+
+    #[test]
+    #[should_panic(expected = "the set count must be a power of two")]
+    fn sets_that_are_not_a_power_of_two_are_refused() {
+        // 48 lines in 8 ways: 6 sets.
+        Cache::new(48 * 64, 8);
     }
 
     #[test]

@@ -117,6 +117,7 @@ impl PrivateMem {
 
 /// Decode a `ty` value stored in simulated private or local memory; a
 /// pointer takes the space `classify` names for its address.
+#[inline]
 pub fn load_value(b: &[u8], ty: Type, classify: fn(u64) -> AddrSpace) -> Value {
     match ty {
         Type::I1 | Type::I8 => Value::I(b[0] as i8 as i64),
@@ -134,6 +135,7 @@ pub fn load_value(b: &[u8], ty: Type, classify: fn(u64) -> AddrSpace) -> Value {
 }
 
 /// Encode `v` as a stored `ty` into `out` (`ty.size()` bytes).
+#[inline]
 pub fn store_value(v: Value, ty: Type, out: &mut [u8]) {
     match ty {
         Type::I1 | Type::I8 => out[0] = v.as_i() as u8,

@@ -287,7 +287,7 @@ impl GpuSim {
             return self.commit(region, pending, pushes);
         }
         let (warps, hiding) = self.geometry(work, span);
-        let mut merge = Merge::new(self, hiding);
+        let mut merge = Merge::new(self, region, hiding);
         for w in 0..warps {
             let out = self.run_warp(region, program, work, span, w, hiding);
             merge.warp(self, region, w, out)?;
@@ -505,7 +505,7 @@ impl GpuSim {
         pushes: &mut Vec<i32>,
     ) -> Result<GpuReport, Trap> {
         let warps = pending.warps.len() as u64;
-        let mut merge = Merge::new(self, pending.hiding);
+        let mut merge = Merge::new(self, region, pending.hiding);
         for (w, out) in pending.warps.into_iter().enumerate() {
             merge.warp(self, region, w as u64, out)?;
         }
@@ -525,8 +525,8 @@ struct Merge {
 }
 
 impl Merge {
-    fn new(sim: &mut GpuSim, hiding: f64) -> Merge {
-        sim.l3.flush();
+    fn new(sim: &mut GpuSim, region: &SharedRegion, hiding: f64) -> Merge {
+        sim.l3.flush(region.capacity());
         let eus = sim.cfg.eus as usize;
         Merge {
             eu_cycles: vec![0.0; eus],
@@ -1082,6 +1082,65 @@ mod tests {
             rep1.busy_fraction,
             rep2.busy_fraction
         );
+    }
+
+    /// A launch that traps on a line past the region's end returns the
+    /// trap it always did, and the next launch on the same simulator sees
+    /// no contention history from it: its report equals a fresh
+    /// simulator's bit for bit, except the L3 hit rate, which counts every
+    /// launch a simulator ever ran.
+    #[test]
+    fn a_trap_past_the_region_leaves_no_l3_history() {
+        const PAST_END: &str = r#"
+            class K {
+            public:
+                float* a;
+                void operator()(int i) { a[i * 1024] = a[(i * 1024 + 512) % 4096] + 1.0f; }
+            };
+        "#;
+        const SHARED_ROW: &str = r#"
+            class K {
+            public:
+                float* a; int n; float* out;
+                void operator()(int i) {
+                    float s = 0.0f;
+                    for (int j = 0; j < n; j++) { s += a[j]; }
+                    out[i] = s;
+                }
+            };
+        "#;
+        let cfg = concord_energy::SystemConfig::ultrabook().gpu;
+        let row = |sim: &mut GpuSim| {
+            let (module, kf, _) = gpu_module(SHARED_ROW, PipelineConfig::ptropt(40));
+            let (mut region, mut heap) = setup(&module, 1 << 20);
+            let (n, inner) = (40 * 16u32, 256i32);
+            let a = heap.malloc(inner as u64 * 4).unwrap();
+            let out = heap.malloc(u64::from(n) * 4).unwrap();
+            let body = heap.malloc(24).unwrap();
+            region.write_ptr(body, a).unwrap();
+            region.write_i32(body.offset(8), inner).unwrap();
+            region.write_ptr(body.offset(16), out).unwrap();
+            let r = sim.parallel_for(&mut region, &module, kf, body, n).unwrap();
+            assert!(r.contended > 0, "the follow-up launch contends");
+            format!("{:?}", GpuReport { l3_hit_rate: 0.0, ..r })
+        };
+        for ht in [1, 8] {
+            let mut sim = GpuSim::new(cfg);
+            sim.host_threads = ht;
+            let (module, kf, _) = gpu_module(PAST_END, PipelineConfig::all(7));
+            let (mut region, mut heap) = setup(&module, 1 << 20);
+            let a = heap.malloc(4096 * 4).unwrap();
+            let body = heap.malloc(8).unwrap();
+            region.write_ptr(body, a).unwrap();
+            let trap = sim.parallel_for(&mut region, &module, kf, body, 512).unwrap_err();
+            // The first byte past the region.
+            let past = concord_svm::GPU_BASE + (1 << 20);
+            let want = Trap::BadAddress { addr: past, space: AddrSpace::Gpu };
+            assert_eq!(trap, want, "at {ht} host threads");
+            let mut fresh = GpuSim::new(cfg);
+            fresh.host_threads = ht;
+            assert_eq!(row(&mut sim), row(&mut fresh), "at {ht} host threads");
+        }
     }
 
     /// One line per report: the exact bits of every quantity a

@@ -25,6 +25,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics if the value is not an integer (a type-confusion bug).
+    #[inline]
     pub fn as_i(self) -> i64 {
         match self {
             Value::I(v) => v,
@@ -37,6 +38,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics if the value is not a float.
+    #[inline]
     pub fn as_f(self) -> f64 {
         match self {
             Value::F(v) => v,
@@ -49,6 +51,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics if the value is not a pointer.
+    #[inline]
     pub fn as_ptr(self) -> (u64, AddrSpace) {
         match self {
             Value::Ptr(a, sp) => (a, sp),
@@ -57,6 +60,7 @@ impl Value {
     }
 
     /// Truthiness for `i1` conditions.
+    #[inline]
     pub fn as_bool(self) -> bool {
         self.as_i() != 0
     }
@@ -169,6 +173,7 @@ impl Trap {
 
 impl std::error::Error for Trap {}
 
+#[inline]
 fn wrap_int(v: i64, ty: Type) -> i64 {
     match ty {
         Type::I1 => v & 1,
@@ -179,6 +184,7 @@ fn wrap_int(v: i64, ty: Type) -> i64 {
     }
 }
 
+#[inline]
 fn round_float(v: f64, ty: Type) -> f64 {
     if ty == Type::F32 {
         v as f32 as f64
@@ -194,6 +200,7 @@ fn round_float(v: f64, ty: Type) -> f64 {
 ///
 /// Returns [`Trap::DivideByZero`] for zero divisors in integer
 /// division/remainder.
+#[inline]
 pub fn eval_bin(op: BinOp, lhs: Value, rhs: Value, ty: Type) -> Result<Value, Trap> {
     if op.is_float() {
         let (a, b) = (lhs.as_f(), rhs.as_f());
@@ -262,6 +269,7 @@ pub fn eval_bin(op: BinOp, lhs: Value, rhs: Value, ty: Type) -> Result<Value, Tr
 
 /// Evaluate an integer comparison (also works for pointers of the same
 /// space, comparing addresses).
+#[inline]
 pub fn eval_icmp(pred: ICmp, lhs: Value, rhs: Value) -> Value {
     let (a, b) = match (lhs, rhs) {
         (Value::Ptr(a, _), Value::Ptr(b, _)) => (a as i64, b as i64),
@@ -285,6 +293,7 @@ pub fn eval_icmp(pred: ICmp, lhs: Value, rhs: Value) -> Value {
 }
 
 /// Evaluate a floating comparison with ordered semantics.
+#[inline]
 pub fn eval_fcmp(pred: FCmp, lhs: Value, rhs: Value) -> Value {
     let (a, b) = (lhs.as_f(), rhs.as_f());
     let r = match pred {
@@ -299,6 +308,7 @@ pub fn eval_fcmp(pred: FCmp, lhs: Value, rhs: Value) -> Value {
 }
 
 /// Evaluate a cast from a value of type `from` to type `to`.
+#[inline]
 pub fn eval_cast(op: CastOp, v: Value, from: Type, to: Type) -> Value {
     match op {
         CastOp::Zext => {

@@ -73,6 +73,7 @@ impl Type {
     /// # Panics
     ///
     /// Panics for [`Type::Void`], which has no storage size.
+    #[inline]
     pub fn size(self) -> u64 {
         match self {
             Type::Void => panic!("void has no size"),

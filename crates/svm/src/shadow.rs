@@ -20,7 +20,6 @@
 use crate::region::{decode_value, encode_value, CpuAddr, SharedRegion};
 use concord_ir::eval::{Trap, Value};
 use concord_ir::types::{AddrSpace, Type};
-use std::collections::HashMap;
 
 /// Which read-modify-write an atomic performs (i32 semantics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +34,7 @@ pub enum AtomicKind {
 
 /// The single shared definition of atomic semantics, used by both
 /// simulators and by log replay (i64 domain, i32 values sign-extended).
+#[inline]
 pub fn apply_rmw(kind: AtomicKind, old: i64, a1: i64, a2: i64) -> i64 {
     match kind {
         AtomicKind::Add => old.wrapping_add(a1),
@@ -151,14 +151,28 @@ impl RegionMem for SharedRegion {
     }
 }
 
+/// Words per overlay page: a page covers 4 KiB of the region.
+const PAGE_WORDS: usize = 512;
+
+/// One 4 KiB page of the overlay: each 8-byte word's value bytes and its
+/// per-byte valid mask.
+#[derive(Debug)]
+struct Page {
+    words: [u64; PAGE_WORDS],
+    masks: [u8; PAGE_WORDS],
+}
+
 /// Word-granularity write overlay: 8-byte-aligned words with a per-byte
-/// valid mask. Kernels touch a tiny fraction of the region, so a hash map
-/// beats any dense shadow copy. An access of at most 8 bytes covers at
-/// most two words, and touches the map once per word it covers.
-#[derive(Debug, Default, Clone)]
+/// valid mask, in 4 KiB pages found through a directory indexed by
+/// `offset / 4096`. A page exists once a byte in it was written, and the
+/// directory reaches only the highest page written, which
+/// [`SharedRegion::resolve`] bounds by the region's capacity. No key is
+/// hashed, so no choice of addresses makes a lookup slow. An access of at
+/// most 8 bytes covers at most two words, each found by two indexings.
+#[derive(Debug, Default)]
 struct Overlay {
-    /// word index (offset / 8) → (value bytes, per-byte valid mask).
-    words: HashMap<u64, (u64, u8)>,
+    /// page index (offset / 4096) → the page, once written.
+    pages: Vec<Option<Box<Page>>>,
 }
 
 /// The words `[off, off + len)` covers: `(word index, first byte in the
@@ -172,12 +186,19 @@ fn word_pieces(off: u64, len: u64) -> impl Iterator<Item = (u64, u32, u32, usize
     })
 }
 
+/// A word index's page and its position in the page.
+fn page_of(w: u64) -> (usize, usize) {
+    ((w / PAGE_WORDS as u64) as usize, (w % PAGE_WORDS as u64) as usize)
+}
+
 impl Overlay {
     /// Overwrite `buf[..len]`, which holds the base bytes at `off`, with
     /// whatever bytes of that range the overlay holds.
     fn merge_into(&self, off: u64, len: u64, buf: &mut [u8; 8]) {
         for (w, first, n, at) in word_pieces(off, len) {
-            let Some(&(bytes, mask)) = self.words.get(&w) else { continue };
+            let (page, slot) = page_of(w);
+            let Some(Some(page)) = self.pages.get(page) else { continue };
+            let (bytes, mask) = (page.words[slot], page.masks[slot]);
             for i in 0..n {
                 let b = first + i;
                 if mask & (1 << b) != 0 {
@@ -190,7 +211,14 @@ impl Overlay {
     /// Record `bytes` at `off` (at most 8 bytes).
     fn write(&mut self, off: u64, bytes: &[u8]) {
         for (w, first, n, at) in word_pieces(off, bytes.len() as u64) {
-            let (word, mask) = self.words.entry(w).or_insert((0, 0));
+            let (page, slot) = page_of(w);
+            if self.pages.len() <= page {
+                self.pages.resize_with(page + 1, || None);
+            }
+            let page = self.pages[page].get_or_insert_with(|| {
+                Box::new(Page { words: [0; PAGE_WORDS], masks: [0; PAGE_WORDS] })
+            });
+            let (word, mask) = (&mut page.words[slot], &mut page.masks[slot]);
             for i in 0..n {
                 let b = first + i;
                 let v = u64::from(bytes[at + i as usize]);
@@ -225,7 +253,7 @@ impl<'r> ShadowRegion<'r> {
     fn read_merged(&self, off: u64, len: u64) -> [u8; 8] {
         let mut buf = [0u8; 8];
         buf[..len as usize].copy_from_slice(self.base.raw(off, len));
-        if !self.overlay.words.is_empty() {
+        if !self.overlay.pages.is_empty() {
             self.overlay.merge_into(off, len, &mut buf);
         }
         buf
@@ -301,8 +329,9 @@ mod tests {
     use super::*;
     use crate::region::CPU_BASE;
 
+    /// Three 4 KiB overlay pages.
     fn region() -> SharedRegion {
-        SharedRegion::new(4096, 0)
+        SharedRegion::new(3 * 4096, 0)
     }
 
     #[test]
@@ -313,6 +342,14 @@ mod tests {
         assert_eq!(s.read_val(CPU_BASE + 8, AddrSpace::Cpu, Type::I32).unwrap(), Value::I(7));
         s.write_val(CPU_BASE + 8, AddrSpace::Cpu, Value::I(42), Type::I32).unwrap();
         assert_eq!(s.read_val(CPU_BASE + 8, AddrSpace::Cpu, Type::I32).unwrap(), Value::I(42));
+        // The middle page was never written: a read of it, at the offset
+        // written in the pages on either side, sees the base.
+        r.write_i64(CpuAddr(CPU_BASE + 4096 + 8), 0x1234).unwrap();
+        let mut s = ShadowRegion::new(&r);
+        s.write_val(CPU_BASE + 8, AddrSpace::Cpu, Value::I(42), Type::I32).unwrap();
+        s.write_val(CPU_BASE + 2 * 4096 + 8, AddrSpace::Cpu, Value::I(5), Type::I64).unwrap();
+        let middle = s.read_val(CPU_BASE + 4096 + 8, AddrSpace::Cpu, Type::I64).unwrap();
+        assert_eq!(middle, Value::I(0x1234));
         let log = s.into_log();
         assert_eq!(r.read_i32(CpuAddr(CPU_BASE + 8)).unwrap(), 7, "base untouched before commit");
         apply_log(&mut r, &log);
@@ -331,6 +368,22 @@ mod tests {
         // A write spanning a word boundary round-trips.
         s.write_val(CPU_BASE + 6, AddrSpace::Cpu, Value::I(-2), Type::I32).unwrap();
         assert_eq!(s.read_val(CPU_BASE + 6, AddrSpace::Cpu, Type::I32).unwrap(), Value::I(-2));
+        // So do an 8-byte write and an atomic that straddle the boundary of
+        // two overlay pages, and a write to the region's last word; the
+        // committed log leaves the same bytes in the region.
+        let straddle = CPU_BASE + 4096 - 3;
+        s.write_val(straddle, AddrSpace::Cpu, Value::I(0x1122_3344_5566_7788), Type::I64).unwrap();
+        let v = s.read_val(straddle, AddrSpace::Cpu, Type::I64).unwrap();
+        assert_eq!(v, Value::I(0x1122_3344_5566_7788));
+        let old = s.atomic_i32(CPU_BASE + 4096 - 2, AddrSpace::Cpu, AtomicKind::Add, 1, 0);
+        assert_eq!(old.unwrap(), 0x4455_6677);
+        let last = CPU_BASE + r.capacity() - 8;
+        s.write_val(last, AddrSpace::Cpu, Value::I(-9), Type::I64).unwrap();
+        assert_eq!(s.read_val(last, AddrSpace::Cpu, Type::I64).unwrap(), Value::I(-9));
+        let log = s.into_log();
+        apply_log(&mut r, &log);
+        assert_eq!(r.read_i64(CpuAddr(straddle)).unwrap(), 0x1122_3344_5566_7888);
+        assert_eq!(r.read_i64(CpuAddr(last)).unwrap(), -9);
     }
 
     #[test]
@@ -370,6 +423,22 @@ mod tests {
         let r = region();
         let mut s = ShadowRegion::new(&r);
         assert!(matches!(s.read_val(0, AddrSpace::Cpu, Type::I32), Err(Trap::BadAddress { .. })));
+        // The first byte past the region, alone and as the tail of an
+        // access.
+        for (back, ty) in [(0, Type::I8), (4, Type::I64), (3, Type::I32)] {
+            let addr = CPU_BASE + r.capacity() - back;
+            let direct = r.read_value(addr, AddrSpace::Cpu, ty).unwrap_err();
+            assert!(matches!(direct, Trap::BadAddress { .. }), "{direct:?}");
+            assert_eq!(s.read_val(addr, AddrSpace::Cpu, ty).unwrap_err(), direct);
+            let v = Value::zero(ty);
+            assert_eq!(s.write_val(addr, AddrSpace::Cpu, v, ty).unwrap_err(), direct);
+            if ty == Type::I32 {
+                let atomic = s.atomic_i32(addr, AddrSpace::Cpu, AtomicKind::Add, 1, 0);
+                assert_eq!(atomic.unwrap_err(), direct);
+            }
+        }
+        assert!(s.into_log().is_empty(), "a faulting access logs nothing");
+        let mut s = ShadowRegion::new(&r);
         assert!(matches!(
             s.write_val(
                 CPU_BASE + 8,

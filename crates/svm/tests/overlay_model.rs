@@ -1,9 +1,10 @@
 //! The shadow overlay against the simplest possible model: a plain byte
 //! array that every write and atomic lands in directly. Random interleavings
-//! of 1/2/4/8-byte writes at unaligned and word-straddling offsets, i32
-//! atomics, and reads through both the CPU and the GPU view must read back
-//! exactly what the model holds, and replaying the shadow's log must leave
-//! the region byte-equal to the model.
+//! of 1/2/4/8-byte writes at unaligned and word-straddling offsets around
+//! the boundary of two 4 KiB overlay pages, i32 atomics, and reads through
+//! both the CPU and the GPU view must read back exactly what the model
+//! holds, and replaying the shadow's log must leave the region byte-equal
+//! to the model.
 
 use concord_ir::eval::Value;
 use concord_ir::types::{AddrSpace, Type};
@@ -12,16 +13,20 @@ use concord_svm::{
 };
 use proptest::prelude::*;
 
-/// Region size; offsets stay below 48 so accesses pile onto a few words.
+/// Modelled bytes; offsets stay below 48 so accesses pile onto a few words.
 const BYTES: usize = 64;
+
+/// Where the modelled bytes start in the region: 24 bytes before the
+/// second 4 KiB overlay page, so accesses straddle the page boundary.
+const BASE: u64 = 4096 - 24;
 
 const WIDTHS: [Type; 4] = [Type::I8, Type::I16, Type::I32, Type::I64];
 
 fn addr(off: u64, gpu: bool) -> (u64, AddrSpace) {
     if gpu {
-        (GPU_BASE + off, AddrSpace::Gpu)
+        (GPU_BASE + BASE + off, AddrSpace::Gpu)
     } else {
-        (CPU_BASE + off, AddrSpace::Cpu)
+        (CPU_BASE + BASE + off, AddrSpace::Cpu)
     }
 }
 
@@ -47,8 +52,8 @@ proptest! {
         seed in collection::vec(any::<u8>(), BYTES..BYTES + 1),
         ops in collection::vec((0u8..4, 0u64..48, 0usize..4, any::<i64>(), any::<bool>()), 1..96),
     ) {
-        let mut region = SharedRegion::new(BYTES as u64, 0);
-        region.write_bytes(CPU_BASE, AddrSpace::Cpu, &seed).unwrap();
+        let mut region = SharedRegion::new(BASE + BYTES as u64, 0);
+        region.write_bytes(CPU_BASE + BASE, AddrSpace::Cpu, &seed).unwrap();
         let mut model = seed.clone();
         let mut shadow = ShadowRegion::new(&region);
         for &(kind, off, w, value, gpu) in &ops {
@@ -82,7 +87,7 @@ proptest! {
         }
         let log = shadow.into_log();
         apply_log(&mut region, &log);
-        let bytes = region.read_bytes(CPU_BASE, AddrSpace::Cpu, BYTES as u64).unwrap();
+        let bytes = region.read_bytes(CPU_BASE + BASE, AddrSpace::Cpu, BYTES as u64).unwrap();
         prop_assert_eq!(bytes, &model[..], "region after apply_log");
     }
 }
