@@ -103,8 +103,11 @@ done
 
 echo "==> concord-lint: builtin workloads vs lint-expected.txt snapshot"
 # Every shipped workload must analyze clean (or match the reviewed
-# snapshot of known benign warnings). Exit 1 means a new finding or an
-# error-severity diagnostic crept into the suite.
+# snapshot of known benign warnings), and every kernel's access summary
+# (the facts the runtime's scheduler acts on: modes, patterns, footprints,
+# the opaque and hazard verdicts) must match its pinned `access` line.
+# Exit 1 means a new finding, a moved fact or an error-severity
+# diagnostic crept into the suite.
 cargo run --release --quiet -p concord-bench --bin concord-lint -- \
     --builtin --snapshot lint-expected.txt
 

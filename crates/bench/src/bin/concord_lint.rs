@@ -14,8 +14,10 @@
 //!
 //! Findings print one canonical line each, sorted, so the output diffs
 //! cleanly. `--snapshot FILE` compares against a committed baseline of
-//! known findings (CI uses this: new or vanished findings fail the run);
-//! `--write-snapshot FILE` regenerates that baseline.
+//! known findings plus one `<program>/<class>: access {…}` line per kernel
+//! holding its inferred access summary (CI uses this: a new or vanished
+//! finding, or any moved access fact, fails the run); `--write-snapshot
+//! FILE` regenerates that baseline.
 //!
 //! Exit status: 0 clean / snapshot match, 1 findings at `error` severity
 //! or snapshot mismatch or compile failure, 2 usage error.
@@ -145,6 +147,7 @@ fn main() -> ExitCode {
     // Analyze every kernel of every target. Lines are the canonical,
     // sorted, snapshot-stable representation.
     let mut lines: Vec<String> = Vec::new();
+    let mut access_lines: Vec<String> = Vec::new();
     let mut json_entries: Vec<String> = Vec::new();
     let mut kernels = 0usize;
     let mut errors = 0usize;
@@ -168,23 +171,26 @@ fn main() -> ExitCode {
             for d in &report.diagnostics {
                 lines.push(format!("{}/{}: {}", t.name, k.class_name, d.to_line()));
             }
+            let access = access_json(&report.access);
+            access_lines.push(format!("{}/{}: access {access}", t.name, k.class_name));
             json_entries.push(format!(
-                "{{\"target\":\"{}\",\"class\":\"{}\",\"report\":{},\"access\":{}}}",
+                "{{\"target\":\"{}\",\"class\":\"{}\",\"report\":{},\"access\":{access}}}",
                 t.name,
                 k.class_name,
                 report.to_json(),
-                access_json(&report.access)
             ));
         }
     }
     lines.sort();
+    access_lines.sort();
 
     if let Some(path) = write_snapshot {
         let mut body = String::from(
-            "# concord-lint snapshot: known findings, one canonical line each.\n\
+            "# concord-lint snapshot: known findings, one canonical line each,\n\
+             # then one access-summary line per kernel.\n\
              # Regenerate with: concord-lint --builtin --write-snapshot <this file>\n",
         );
-        for l in &lines {
+        for l in lines.iter().chain(&access_lines) {
             body.push_str(l);
             body.push('\n');
         }
@@ -192,7 +198,11 @@ fn main() -> ExitCode {
             eprintln!("cannot write `{path}`: {e}");
             return ExitCode::from(2);
         }
-        println!("wrote {} finding(s) to {path}", lines.len());
+        println!(
+            "wrote {} finding(s) and {} access summary line(s) to {path}",
+            lines.len(),
+            access_lines.len()
+        );
         return ExitCode::SUCCESS;
     }
 
@@ -225,16 +235,17 @@ fn main() -> ExitCode {
             .filter(|l| !l.is_empty() && !l.starts_with('#'))
             .collect();
         expected.sort_unstable();
-        let actual: Vec<&str> = lines.iter().map(String::as_str).collect();
+        let mut actual: Vec<&str> = lines.iter().chain(&access_lines).map(String::as_str).collect();
+        actual.sort_unstable();
         if expected != actual {
             for l in &actual {
                 if !expected.contains(l) {
-                    eprintln!("new finding (not in snapshot): {l}");
+                    eprintln!("new line (not in snapshot): {l}");
                 }
             }
             for l in &expected {
                 if !actual.contains(l) {
-                    eprintln!("stale snapshot line (finding gone): {l}");
+                    eprintln!("stale snapshot line (gone): {l}");
                 }
             }
             eprintln!("snapshot mismatch against {path}");
