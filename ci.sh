@@ -207,6 +207,21 @@ if [ "$walks" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> structural guard: one abstract value in the analyzer"
+# Every analyzer value is one root plus one id-linear element
+# (crates/analyze/src/affinity.rs, range.rs), and the lints, the access
+# summary and CA108/CA109 read projections of it. A second lattice for the
+# same fact (an affinity next to the range, a provenance next to the root)
+# can disagree with the first, and fails here.
+lattices=$(for f in crates/analyze/src/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | { grep -nE 'enum (Aff|Origin|Prov)\b|from_aff' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$lattices" ]; then
+    echo "!! a second abstract lattice is back in crates/analyze/src:" >&2
+    echo "$lattices" >&2
+    exit 1
+fi
+
 echo "==> structural guard: one wave routine"
 # Every wave (a solo construct, a hybrid split, a worklist round, an overlap
 # pair, a GPU batch) runs through `Concord::run_wave`, the one place that

@@ -6,23 +6,23 @@
 //! needs to prove two launches independent. Both come from the one
 //! interprocedural walk. Following the access-mode-declaration line of work
 //! (Henrio/Kessler/Li; StarPU's task-operand modes), every shared-memory
-//! access the abstract interpretation can root at a kernel operand is
+//! access whose abstract address is rooted at a kernel operand is
 //! summarized as a *mode* (read / accumulate / write) on a *base* (the
 //! body object itself, or the pointee of a body field at a known byte
-//! offset) with an address *pattern* (constant, affine in the work-item id
-//! with a known stride, or unknown). Accesses that cannot be rooted —
-//! double indirection, data-dependent bases, `inttoptr` forgeries,
-//! compare-and-swap, `device_malloc` — make the whole summary **opaque**:
-//! an opaque launch conservatively conflicts with everything.
+//! offset). The rest of the record is read off the address's one id-linear
+//! element ([`crate::range::Rng`]): its *pattern* (constant, affine in the
+//! work-item id with a known stride, or unknown) and, when the element is
+//! bounded, its per-item [`RangeFootprint`]. Accesses that cannot be
+//! rooted — double indirection, data-dependent bases, `inttoptr`
+//! forgeries, compare-and-swap, `device_malloc` — make the whole summary
+//! **opaque**: an opaque launch conservatively conflicts with everything.
 //!
 //! The summary is deliberately *symbolic*: bases name operand slots, not
 //! addresses. The runtime resolves them against live pointer values and
-//! its allocator's block table at submit time. Records whose byte range
-//! the symbolic pass ([`crate::range`]) bounded carry a
-//! [`RangeFootprint`] — the runtime instantiates it with the launch's
-//! grid size for a range-granular span; records with unbounded ranges
-//! fall back to the whole backing allocation, which keeps the conflict
-//! test sound.
+//! its allocator's block table at submit time, instantiating a footprint
+//! with the launch's grid size for a range-granular span; records without
+//! one fall back to the whole backing allocation, which keeps the
+//! conflict test sound.
 //!
 //! Each summary also carries the **cross-item read-hazard verdict**: the
 //! walk attached a CA108 finding, i.e. some rooted read may observe bytes
@@ -31,7 +31,7 @@
 //! verdict to run the kernel's native chunks in order, so replays are
 //! deterministic at any host fan-out.
 
-use crate::affinity::{Aff, Origin, RawAccess};
+use crate::affinity::RawAccess;
 use crate::range::RangeFootprint;
 
 /// How a launch uses a summarized base, ordered weakest → strongest.
@@ -60,7 +60,7 @@ impl AccessMode {
 }
 
 /// How accessed addresses within a base relate to the work-item id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AccessPattern {
     /// Every work item touches the same address (known constant or
     /// work-item-uniform).
@@ -74,16 +74,6 @@ pub enum AccessPattern {
     /// No provable relation to the work-item id: the whole backing
     /// allocation must be assumed touched.
     Unknown,
-}
-
-impl AccessPattern {
-    fn from_aff(aff: Aff) -> AccessPattern {
-        match aff {
-            Aff::Bottom | Aff::Const(_) | Aff::Uniform => AccessPattern::Constant,
-            Aff::Affine(s) => AccessPattern::Affine { stride: s },
-            Aff::Unknown => AccessPattern::Unknown,
-        }
-    }
 }
 
 /// Which kernel operand an access is rooted at.
@@ -109,7 +99,8 @@ impl std::fmt::Display for AccessBase {
 }
 
 /// One summarized access: mode + pattern + width on an operand base.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Records order by their fields, in declaration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AccessRecord {
     /// Operand root of the access.
     pub base: AccessBase,
@@ -156,42 +147,20 @@ impl AccessSummary {
     pub(crate) fn from_walk(accesses: &[RawAccess], opaque: bool, hazard: bool) -> Self {
         let mut records: Vec<AccessRecord> = accesses
             .iter()
-            .filter_map(|raw| {
-                let base = match raw.origin {
-                    Origin::Body(_) => AccessBase::Body,
-                    Origin::Field { field } => {
-                        AccessBase::Field { offset: u64::try_from(field).ok()? }
-                    }
-                    Origin::Bottom | Origin::Other => return None,
-                };
-                Some(AccessRecord {
-                    base,
-                    mode: raw.mode,
-                    pattern: AccessPattern::from_aff(raw.aff),
-                    width: raw.width,
-                    footprint: raw.footprint(),
-                })
+            .map(|raw| AccessRecord {
+                base: raw.base,
+                mode: raw.mode,
+                pattern: match raw.lin.id_stride() {
+                    Some(0) => AccessPattern::Constant,
+                    Some(stride) => AccessPattern::Affine { stride },
+                    None => AccessPattern::Unknown,
+                },
+                width: raw.width,
+                footprint: raw.footprint(),
             })
             .collect();
-        records.sort_by_key(|r| {
-            (r.base, r.mode, pattern_key(r.pattern), r.width, foot_key(r.footprint))
-        });
+        records.sort_unstable();
         records.dedup();
         AccessSummary { records, opaque, hazard }
-    }
-}
-
-fn pattern_key(p: AccessPattern) -> (u8, i64) {
-    match p {
-        AccessPattern::Constant => (0, 0),
-        AccessPattern::Affine { stride } => (1, stride),
-        AccessPattern::Unknown => (2, 0),
-    }
-}
-
-fn foot_key(f: Option<RangeFootprint>) -> (u8, i64, i64, i64) {
-    match f {
-        None => (0, 0, 0, 0),
-        Some(f) => (1, f.lo, f.hi, f.stride),
     }
 }

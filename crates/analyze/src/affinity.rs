@@ -1,24 +1,30 @@
 //! Index-affinity abstract interpretation over Concord IR.
 //!
-//! The analysis classifies every SSA value by two facts:
+//! The analysis gives every SSA value one abstract value ([`AbsVal`]):
 //!
-//! * **Affinity** ([`Aff`]): how the value depends on the work-item id —
-//!   a known constant, uniform across work items, affine in the id with a
-//!   known byte stride, or unknown. Store addresses with affinity
-//!   `Affine(s)` where `|s| >=` the store width are provably disjoint
-//!   across work items; uniform addresses are provably *colliding*.
-//! * **Provenance** ([`Prov`]): where a pointer came from — the kernel
-//!   body object (`this`), shared SVM memory, a private `alloca`, or an
-//!   integer forged into a pointer (which SVM translation cannot adjust).
+//! * a **root** ([`Root`]): plain data, the kernel body object (`this`),
+//!   the pointee of a body pointer field, a private `alloca`, shared SVM
+//!   memory not rooted at a kernel operand, an integer forged into a
+//!   pointer (which SVM translation cannot adjust), or unknown;
+//! * one **id-linear element** ([`Rng`]) relative to that root:
+//!   `root + stride * id + c` with `c` in `[lo, hi]`, and whether
+//!   `root + c` is the same in every work item.
 //!
-//! Both lattices are tiny, so the per-function fixpoint converges in a
-//! handful of passes. Control-flow divergence is handled by tainting phi
-//! nodes in the postdominance join region of every branch whose condition
-//! is not work-item-uniform. Calls (including virtual calls, widened over
-//! the class hierarchy) are analyzed interprocedurally with memoization
-//! on the abstract argument tuple.
+//! Every fact the checks read is a projection of that one value. A store
+//! address whose element is invariant with `|stride| >=` the store width
+//! is provably disjoint across work items; an invariant stride-0 address
+//! is provably *colliding*. A pointer rooted at the body with a constant
+//! offset, or at a body field's pointee, is an access on a kernel operand
+//! ([`AccessBase`]); its element bounds the per-item footprint.
+//!
+//! The per-function fixpoint widens the element after a few passes, so it
+//! converges on any loop. Control-flow divergence is handled by tainting
+//! phi nodes in the postdominance join region of every branch whose
+//! condition is not work-item-uniform. Calls (including virtual calls,
+//! widened over the class hierarchy) are analyzed interprocedurally with
+//! memoization on the abstract argument tuple.
 
-use crate::access::AccessMode;
+use crate::access::{AccessBase, AccessMode};
 use crate::diag::{Diagnostic, Lint, Severity};
 use crate::range::{RangeFootprint, Rng};
 use crate::Mode;
@@ -26,237 +32,102 @@ use concord_ir::analysis::{reverse_postorder, PostDomTree};
 use concord_ir::{BinOp, BlockId, CastOp, FuncId, Function, Intrinsic, Module, Op, Type, ValueId};
 use std::collections::{HashMap, HashSet, VecDeque};
 
-/// How a value relates to the work-item id.
+/// What a value's id-linear element is relative to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Aff {
+pub enum Root {
     /// Optimistic initial state: no executions seen yet.
     Bottom,
-    /// Known compile-time integer constant.
-    Const(i64),
-    /// The same value in every work item (not a known constant).
-    Uniform,
-    /// `base + scale * id` for a uniform `base`; the payload is the scale.
-    Affine(i64),
-    /// No provable relation to the work-item id.
-    Unknown,
-}
-
-impl Aff {
-    /// Whether the value is provably identical across work items.
-    /// `Bottom` counts: it only labels unreached code.
-    #[must_use]
-    pub fn is_uniform(self) -> bool {
-        matches!(self, Aff::Bottom | Aff::Const(_) | Aff::Uniform)
-    }
-
-    /// Least upper bound.
-    #[must_use]
-    pub fn join(self, o: Aff) -> Aff {
-        use Aff::{Affine, Bottom, Const, Uniform, Unknown};
-        match (self, o) {
-            (Bottom, x) | (x, Bottom) => x,
-            (Unknown, _) | (_, Unknown) => Unknown,
-            (Const(a), Const(b)) if a == b => Const(a),
-            (Const(_) | Uniform, Const(_) | Uniform) => Uniform,
-            (Affine(a), Affine(b)) if a == b => Affine(a),
-            _ => Unknown,
-        }
-    }
-
-    fn add(self, o: Aff) -> Aff {
-        use Aff::{Affine, Bottom, Const, Uniform, Unknown};
-        match (self, o) {
-            (Bottom, _) | (_, Bottom) => Bottom,
-            (Const(a), Const(b)) => Const(a.wrapping_add(b)),
-            (Const(_) | Uniform, Const(_) | Uniform) => Uniform,
-            (Affine(s), x) | (x, Affine(s)) if x.is_uniform() => Affine(s),
-            (Affine(a), Affine(b)) => {
-                let s = a.wrapping_add(b);
-                if s == 0 {
-                    Uniform
-                } else {
-                    Affine(s)
-                }
-            }
-            _ => Unknown,
-        }
-    }
-
-    fn sub(self, o: Aff) -> Aff {
-        use Aff::{Affine, Const};
-        match (self, o) {
-            (Const(a), Const(b)) => Const(a.wrapping_sub(b)),
-            (a, Affine(s)) => a.add(Affine(s.wrapping_neg())),
-            _ => self.add(o),
-        }
-    }
-
-    fn mul(self, o: Aff) -> Aff {
-        use Aff::{Affine, Bottom, Const, Uniform, Unknown};
-        match (self, o) {
-            (Bottom, _) | (_, Bottom) => Bottom,
-            (Const(a), Const(b)) => Const(a.wrapping_mul(b)),
-            (Const(0), _) | (_, Const(0)) => Const(0),
-            (Const(k), Affine(s)) | (Affine(s), Const(k)) => Affine(k.wrapping_mul(s)),
-            (Const(_) | Uniform, Const(_) | Uniform) => Uniform,
-            _ => Unknown,
-        }
-    }
-
-    fn shl(self, o: Aff) -> Aff {
-        use Aff::{Affine, Bottom, Const, Uniform};
-        match (self, o) {
-            (Bottom, _) | (_, Bottom) => Bottom,
-            (Const(a), Const(k)) if (0..63).contains(&k) => Const(a.wrapping_shl(k as u32)),
-            (Affine(s), Const(k)) if (0..63).contains(&k) => Affine(s.wrapping_shl(k as u32)),
-            (a, b) if a.is_uniform() && b.is_uniform() => Uniform,
-            _ => Aff::Unknown,
-        }
-    }
-
-    /// Fallback for operations with no affine transfer: uniform inputs
-    /// give a uniform output, anything else is unknown.
-    fn opaque(self, o: Aff) -> Aff {
-        use Aff::{Bottom, Uniform, Unknown};
-        match (self, o) {
-            (Bottom, _) | (_, Bottom) => Bottom,
-            (a, b) if a.is_uniform() && b.is_uniform() => Uniform,
-            _ => Unknown,
-        }
-    }
-}
-
-/// Which *kernel operand* a pointer is rooted at — the third lattice,
-/// added for access-summary inference. Where [`Prov`] says a pointer is
-/// "shared memory", `Origin` says *which* shared object it reaches:
-/// the body object itself at a known byte offset, or the pointee of a
-/// body field loaded from a known byte offset. Anything else (double
-/// indirection, data-dependent bases) is [`Origin::Other`], which makes
-/// the enclosing access summary opaque.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Origin {
-    /// Optimistic initial state.
-    Bottom,
-    /// `this + offset` for a known constant byte offset.
-    Body(i64),
-    /// The pointer loaded from the body field at byte offset `field`
-    /// (possibly advanced by further arithmetic; the summary widens the
-    /// access to the allocation backing the field's pointee).
-    Field {
-        /// Byte offset of the pointer field within the body object.
-        field: i64,
-    },
-    /// Not rooted at a statically known kernel operand.
-    Other,
-}
-
-impl Origin {
-    /// Least upper bound: equal origins survive a merge, anything else
-    /// widens to [`Origin::Other`].
-    #[must_use]
-    pub fn join(self, o: Origin) -> Origin {
-        match (self, o) {
-            (Origin::Bottom, x) | (x, Origin::Bottom) => x,
-            (a, b) if a == b => a,
-            _ => Origin::Other,
-        }
-    }
-
-    /// Advance the origin by an offset with affinity `aff` (pointer
-    /// arithmetic). A known-constant offset keeps a body origin precise;
-    /// any offset keeps a field origin rooted at the same field (the
-    /// summary widens to the whole backing allocation anyway); a
-    /// non-constant offset from the body object itself is no longer a
-    /// provable operand access.
-    #[must_use]
-    fn advance(self, aff: Aff) -> Origin {
-        match (self, aff) {
-            (Origin::Bottom, _) => Origin::Bottom,
-            (Origin::Body(b), Aff::Const(k)) => Origin::Body(b.wrapping_add(k)),
-            (Origin::Body(_), Aff::Bottom | Aff::Uniform | Aff::Affine(_) | Aff::Unknown) => {
-                Origin::Other
-            }
-            (f @ Origin::Field { .. }, _) => f,
-            (Origin::Other, _) => Origin::Other,
-        }
-    }
-}
-
-/// Where a pointer came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Prov {
-    /// Optimistic initial state.
-    Bottom,
-    /// Not a pointer (plain data).
-    NotPtr,
-    /// The kernel body object (`this`) or a field address within it.
-    This,
-    /// Shared SVM memory: loaded from memory, allocated by the runtime.
-    Shared,
+    /// Not a pointer: the element is the value itself.
+    Data,
+    /// The kernel body object (`this`).
+    Body,
+    /// The allocation the body's pointer field at this byte offset points
+    /// into.
+    Field(u64),
     /// A private `alloca` (work-item-local scratch; never shared).
     Private,
-    /// Forged from a non-pointer integer via `inttoptr` — SVM pointer
+    /// Shared SVM memory not rooted at a kernel operand (loaded from
+    /// memory, allocated on the device, or a merge of two fields).
+    Shared,
+    /// Forged from a non-pointer integer via `inttoptr`: SVM pointer
     /// translation (PTROPT) cannot adjust such a value.
-    Foreign,
+    Forged,
     /// Could be anything.
     Unknown,
 }
 
-impl Prov {
-    /// Least upper bound.
-    #[must_use]
-    pub fn join(self, o: Prov) -> Prov {
-        match (self, o) {
-            (Prov::Bottom, x) | (x, Prov::Bottom) => x,
-            (a, b) if a == b => a,
-            _ => Prov::Unknown,
-        }
-    }
-
+impl Root {
     /// Whether the value carries pointer pedigree (so casting it to a
     /// pointer is not a forgery).
-    #[must_use]
-    pub fn is_pointerlike(self) -> bool {
-        matches!(self, Prov::This | Prov::Shared | Prov::Private | Prov::Foreign | Prov::Unknown)
+    fn is_pointer(self) -> bool {
+        !matches!(self, Root::Bottom | Root::Data)
+    }
+
+    /// The root of a value computed from this pointer by arithmetic that
+    /// loses its offset: a field's pointee becomes unrooted shared memory.
+    fn unrooted(self) -> Root {
+        match self {
+            Root::Field(_) => Root::Shared,
+            r => r,
+        }
     }
 }
 
-/// Abstract value: affinity plus provenance plus operand origin plus
-/// symbolic range. For pointers the range tracks the byte offset from
-/// the operand root named by `origin`; for integers it tracks the value
-/// itself.
+/// Abstract value: a root and one id-linear element relative to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AbsVal {
-    /// Work-item affinity.
-    pub aff: Aff,
-    /// Pointer provenance.
-    pub prov: Prov,
-    /// Which kernel operand the pointer is rooted at.
-    pub origin: Origin,
-    /// Symbolic range (value, or byte offset from the origin root).
-    pub rng: Rng,
+    /// What the element is relative to.
+    pub root: Root,
+    /// How the value moves with the work-item id.
+    pub lin: Rng,
 }
 
 impl AbsVal {
     /// Optimistic initial state.
-    pub const BOTTOM: AbsVal =
-        AbsVal { aff: Aff::Bottom, prov: Prov::Bottom, origin: Origin::Bottom, rng: Rng::Bottom };
+    pub const BOTTOM: AbsVal = AbsVal { root: Root::Bottom, lin: Rng::Bottom };
     /// Fully unknown.
-    pub const UNKNOWN: AbsVal =
-        AbsVal { aff: Aff::Unknown, prov: Prov::Unknown, origin: Origin::Other, rng: Rng::Top };
+    pub const UNKNOWN: AbsVal = AbsVal { root: Root::Unknown, lin: Rng::Top };
 
-    fn data(aff: Aff) -> AbsVal {
-        AbsVal { aff, prov: Prov::NotPtr, origin: Origin::Other, rng: Rng::from_aff(aff) }
+    fn data(lin: Rng) -> AbsVal {
+        AbsVal { root: Root::Data, lin }
     }
 
-    /// Least upper bound.
+    /// Least upper bound. Offsets from two different roots do not
+    /// compare, so a merge of roots keeps only how the value moves with
+    /// the id.
     #[must_use]
     pub fn join(self, o: AbsVal) -> AbsVal {
-        AbsVal {
-            aff: self.aff.join(o.aff),
-            prov: self.prov.join(o.prov),
-            origin: self.origin.join(o.origin),
-            rng: self.rng.join(o.rng),
+        let root = match (self.root, o.root) {
+            (Root::Bottom, _) => return o,
+            (_, Root::Bottom) => return self,
+            (a, b) if a == b => return AbsVal { root: a, lin: self.lin.join(o.lin) },
+            (Root::Field(_) | Root::Shared, Root::Field(_) | Root::Shared) => Root::Shared,
+            _ => Root::Unknown,
+        };
+        AbsVal { root, lin: self.lin.join(o.lin).unbounded() }
+    }
+
+    /// The kernel operand this pointer is rooted at: the body at a known
+    /// offset, or a body field's pointee at any offset (the summary widens
+    /// an unbounded one to the field's whole backing allocation).
+    #[must_use]
+    fn base(self) -> Option<AccessBase> {
+        match self.root {
+            Root::Body => self.lin.as_const().map(|_| AccessBase::Body),
+            Root::Field(offset) => Some(AccessBase::Field { offset }),
+            _ => None,
+        }
+    }
+
+    /// The value merged under work-item-divergent control flow: the
+    /// chosen arm differs per item, so only identical constants stay
+    /// invariant (an integer forged into a pointer still is its integer).
+    /// The element still covers both arms per item.
+    fn diverged(self) -> AbsVal {
+        if matches!(self.root, Root::Data | Root::Forged) && self.lin.as_const().is_some() {
+            self
+        } else {
+            AbsVal { lin: self.lin.varying(), ..self }
         }
     }
 }
@@ -297,12 +168,10 @@ pub(crate) struct Analyzer<'m> {
 /// terms (converted to the public summary form by `crate::access`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RawAccess {
-    /// Operand root of the accessed pointer.
-    pub(crate) origin: Origin,
-    /// Affinity of the accessed address.
-    pub(crate) aff: Aff,
-    /// Symbolic byte-offset range of the address from the origin root.
-    pub(crate) rng: Rng,
+    /// Kernel operand the accessed pointer is rooted at.
+    pub(crate) base: AccessBase,
+    /// The address's byte offset from that operand.
+    pub(crate) lin: Rng,
     /// Access width in bytes.
     pub(crate) width: u64,
     /// Read, accumulate or write.
@@ -318,7 +187,7 @@ pub(crate) struct RawAccess {
 impl RawAccess {
     /// The per-item byte footprint, when the range analysis bounded it.
     pub(crate) fn footprint(&self) -> Option<RangeFootprint> {
-        RangeFootprint::from_rng(self.rng, self.width, self.mode)
+        RangeFootprint::from_rng(self.lin, self.width, self.mode)
     }
 }
 
@@ -341,20 +210,13 @@ impl<'m> Analyzer<'m> {
     /// work-item index.
     pub(crate) fn run_kernel(&mut self, func: FuncId) {
         let f = self.module.function(func);
-        let this_aff = match self.mode {
-            // `parallel_for` shares one body object across all work items.
-            Mode::For => Aff::Uniform,
-            // `parallel_reduce` runs each worker on its own staged copy.
-            Mode::Reduce => Aff::Unknown,
-        };
-        let mut args = vec![AbsVal {
-            aff: this_aff,
-            prov: Prov::This,
-            origin: Origin::Body(0),
-            rng: Rng::ZERO,
-        }];
+        // `parallel_for` shares one body object across all work items;
+        // `parallel_reduce` runs each worker on its own staged copy.
+        let invariant = self.mode == Mode::For;
+        let mut args =
+            vec![AbsVal { root: Root::Body, lin: Rng::Lin { stride: 0, lo: 0, hi: 0, invariant } }];
         if f.params.len() > 1 {
-            args.push(AbsVal::data(Aff::Affine(1)));
+            args.push(AbsVal::data(Rng::ID));
         }
         while args.len() < f.params.len() {
             args.push(AbsVal::UNKNOWN);
@@ -399,7 +261,7 @@ impl<'m> Analyzer<'m> {
                     let cur = vals[v.0 as usize];
                     let mut next = cur.join(self.transfer(f, b, v, &vals, args, &tainted));
                     if iter >= WIDEN_AFTER {
-                        next.rng = cur.rng.widen(next.rng);
+                        next.lin = cur.lin.widen(next.lin);
                     }
                     if next != cur {
                         vals[v.0 as usize] = next;
@@ -443,104 +305,77 @@ impl<'m> Analyzer<'m> {
         let inst = f.inst(v);
         match &inst.op {
             Op::Param(i) => args.get(*i as usize).copied().unwrap_or(AbsVal::UNKNOWN),
-            Op::ConstInt(k) => AbsVal::data(Aff::Const(*k)),
-            Op::ConstFloat(_) => AbsVal::data(Aff::Uniform),
+            Op::ConstInt(k) => AbsVal::data(Rng::constant(*k)),
+            Op::ConstFloat(_) => AbsVal::data(Rng::UNIFORM),
             // Null is one fixed address; treat it as a (harmless) shared
             // pointer so guarded `p != null` paths analyze cleanly.
-            Op::ConstNull => AbsVal {
-                aff: Aff::Uniform,
-                prov: Prov::Shared,
-                origin: Origin::Other,
-                rng: Rng::Top,
-            },
+            Op::ConstNull => AbsVal { root: Root::Shared, lin: Rng::UNIFORM },
             Op::Bin(op, a, b) => {
                 let (va, vb) = (get(*a), get(*b));
-                let aff = match op {
-                    BinOp::Add | BinOp::FAdd => va.aff.add(vb.aff),
-                    BinOp::Sub | BinOp::FSub => va.aff.sub(vb.aff),
-                    BinOp::Mul | BinOp::FMul => va.aff.mul(vb.aff),
-                    BinOp::Shl => va.aff.shl(vb.aff),
-                    _ => va.aff.opaque(vb.aff),
+                if va.root == Root::Bottom || vb.root == Root::Bottom {
+                    return AbsVal::BOTTOM;
+                }
+                let lin = match op {
+                    BinOp::Add => va.lin.add(vb.lin),
+                    BinOp::Sub => va.lin.sub(vb.lin),
+                    BinOp::Mul => va.lin.mul(vb.lin),
+                    BinOp::Shl => va.lin.shl(vb.lin),
+                    _ => Rng::opaque([va.lin, vb.lin]),
                 };
-                let rng = match op {
-                    BinOp::Add => va.rng.add(vb.rng),
-                    BinOp::Sub => va.rng.sub(vb.rng),
-                    BinOp::Mul => va.rng.mul(vb.rng),
-                    BinOp::Shl => va.rng.shl(vb.rng),
-                    _ => Rng::Top,
-                };
-                // Pointer ± integer keeps the pointer operand's origin
-                // (advanced by the integer side); everything else loses it.
-                let origin = match op {
-                    BinOp::Add if va.prov.is_pointerlike() && !vb.prov.is_pointerlike() => {
-                        va.origin.advance(vb.aff)
+                match (va.root.is_pointer(), vb.root.is_pointer(), op) {
+                    (false, false, _) => AbsVal::data(lin),
+                    // Pointer ± integer moves the offset within the root.
+                    (true, false, BinOp::Add | BinOp::Sub) => AbsVal { root: va.root, lin },
+                    (false, true, BinOp::Add) => AbsVal { root: vb.root, lin },
+                    // Other arithmetic on a pointer keeps its pedigree but
+                    // loses the offset (and a field's pointee as the root);
+                    // pointer-pointer arithmetic is a plain integer.
+                    (true, false, _) => AbsVal { root: va.root.unrooted(), lin: lin.unbounded() },
+                    (false, true, _) => AbsVal { root: vb.root.unrooted(), lin: lin.unbounded() },
+                    // The distance between two pointers into one operand.
+                    (true, true, BinOp::Sub)
+                        if va.root == vb.root
+                            && matches!(va.root, Root::Body | Root::Field(_) | Root::Forged) =>
+                    {
+                        AbsVal::data(lin)
                     }
-                    BinOp::Add if vb.prov.is_pointerlike() && !va.prov.is_pointerlike() => {
-                        vb.origin.advance(va.aff)
-                    }
-                    BinOp::Sub if va.prov.is_pointerlike() && !vb.prov.is_pointerlike() => {
-                        match vb.aff {
-                            Aff::Const(k) => va.origin.advance(Aff::Const(k.wrapping_neg())),
-                            other => va.origin.advance(other),
-                        }
-                    }
-                    _ => Origin::Other,
-                };
-                AbsVal { aff, prov: bin_prov(va.prov, vb.prov), origin, rng }
+                    (true, true, _) => AbsVal::data(lin.unbounded()),
+                }
             }
-            Op::Icmp(_, a, b) | Op::Fcmp(_, a, b) => AbsVal::data(get(*a).aff.opaque(get(*b).aff)),
+            Op::Icmp(_, a, b) | Op::Fcmp(_, a, b) => {
+                AbsVal::data(Rng::opaque([get(*a).lin, get(*b).lin]))
+            }
             Op::Cast(op, x) => {
                 let vx = get(*x);
                 match op {
-                    // Width changes and pointer<->int punning preserve both
-                    // facts (provenance rides through integers so a
+                    // Width changes and pointer<->int punning preserve the
+                    // value (provenance rides through integers so a
                     // ptrtoint/inttoptr round trip is not a forgery).
-                    CastOp::Zext | CastOp::Sext | CastOp::Trunc | CastOp::PtrToInt => vx,
-                    CastOp::IntToPtr => AbsVal {
-                        aff: vx.aff,
-                        prov: if vx.prov.is_pointerlike() { vx.prov } else { Prov::Foreign },
-                        origin: vx.origin,
-                        rng: vx.rng,
-                    },
-                    CastOp::PtrCast => vx,
-                    CastOp::FpToSi | CastOp::SiToFp | CastOp::FpCast => {
-                        AbsVal::data(if vx.aff.is_uniform() { Aff::Uniform } else { Aff::Unknown })
+                    CastOp::IntToPtr if vx.root == Root::Data => {
+                        AbsVal { root: Root::Forged, ..vx }
                     }
+                    CastOp::FpToSi | CastOp::SiToFp | CastOp::FpCast => {
+                        AbsVal::data(Rng::opaque([vx.lin]))
+                    }
+                    _ => vx,
                 }
             }
             Op::Select(c, a, b) => {
                 let joined = get(*a).join(get(*b));
-                if get(*c).aff.is_uniform() {
+                if get(*c).lin.is_uniform() {
                     joined
                 } else {
-                    // Work-item-dependent selection of either arm. The
-                    // joined range still covers both arms per item.
-                    AbsVal {
-                        aff: match joined.aff {
-                            k @ Aff::Const(_) => k,
-                            _ => Aff::Unknown,
-                        },
-                        prov: joined.prov,
-                        origin: joined.origin,
-                        rng: joined.rng,
-                    }
+                    joined.diverged()
                 }
             }
-            Op::Alloca { .. } => AbsVal {
-                aff: Aff::Uniform,
-                prov: Prov::Private,
-                origin: Origin::Other,
-                rng: Rng::ZERO,
-            },
+            Op::Alloca { .. } => AbsVal { root: Root::Private, lin: Rng::ZERO },
             Op::Load(p) => self.load_result(inst.ty, get(*p)),
             Op::Gep { base, offset } => {
                 let (vb, vo) = (get(*base), get(*offset));
-                AbsVal {
-                    aff: vb.aff.add(vo.aff),
-                    prov: vb.prov,
-                    origin: vb.origin.advance(vo.aff),
-                    rng: vb.rng.add(vo.rng),
+                if vb.root == Root::Bottom || vo.root == Root::Bottom {
+                    return AbsVal::BOTTOM;
                 }
+                AbsVal { root: vb.root, lin: vb.lin.add(vo.lin) }
             }
             Op::CpuToGpu(x) | Op::GpuToCpu(x) => get(*x),
             Op::Phi(incoming) => {
@@ -549,12 +384,7 @@ impl<'m> Analyzer<'m> {
                     out = out.join(get(*x));
                 }
                 if tainted.contains(&block) {
-                    // Merged under divergent control flow: the chosen arm
-                    // differs per work item. Identical constants survive.
-                    out.aff = match out.aff {
-                        k @ (Aff::Const(_) | Aff::Bottom) => k,
-                        _ => Aff::Unknown,
-                    };
+                    out = out.diverged();
                 }
                 out
             }
@@ -585,72 +415,50 @@ impl<'m> Analyzer<'m> {
                 }
             }
             Op::IntrinsicCall(i, call_args) => match i {
-                Intrinsic::GlobalId => AbsVal::data(Aff::Affine(1)),
-                Intrinsic::GlobalSize => AbsVal::data(Aff::Uniform),
-                Intrinsic::LocalId | Intrinsic::GroupId => AbsVal::data(Aff::Unknown),
-                Intrinsic::AtomicAddI32 | Intrinsic::AtomicMinI32 | Intrinsic::AtomicCasI32 => {
-                    AbsVal::data(Aff::Unknown)
-                }
-                Intrinsic::DeviceMalloc => AbsVal {
-                    aff: Aff::Unknown,
-                    prov: Prov::Shared,
-                    origin: Origin::Other,
-                    rng: Rng::Top,
-                },
+                Intrinsic::GlobalId => AbsVal::data(Rng::ID),
+                Intrinsic::LocalId
+                | Intrinsic::GroupId
+                | Intrinsic::AtomicAddI32
+                | Intrinsic::AtomicMinI32
+                | Intrinsic::AtomicCasI32 => AbsVal::data(Rng::Top),
+                Intrinsic::DeviceMalloc => AbsVal { root: Root::Shared, lin: Rng::Top },
                 // `push(item)` appends to the runtime-owned frontier
                 // queue: an injective ordered append merged by sort+dedup,
                 // never an access to user-visible memory, so it carries no
                 // provenance of its own (void result).
-                Intrinsic::WlPush => AbsVal::data(Aff::Uniform),
-                Intrinsic::Barrier => AbsVal::data(Aff::Uniform),
-                _ => {
-                    // Pure math: uniform in, uniform out.
-                    let uniform = call_args.iter().all(|&a| get(a).aff.is_uniform());
-                    AbsVal::data(if uniform { Aff::Uniform } else { Aff::Unknown })
+                Intrinsic::GlobalSize | Intrinsic::WlPush | Intrinsic::Barrier => {
+                    AbsVal::data(Rng::UNIFORM)
                 }
+                // Pure math: uniform in, uniform out.
+                _ => AbsVal::data(Rng::opaque(call_args.iter().map(|&a| get(a).lin))),
             },
             Op::Store { .. } | Op::Br(_) | Op::CondBr(..) | Op::Ret(_) | Op::Unreachable => {
-                AbsVal::data(Aff::Uniform)
+                AbsVal::data(Rng::UNIFORM)
             }
         }
     }
 
     /// Abstract result of a load of type `ty` through pointer `p`.
     fn load_result(&self, ty: Type, p: AbsVal) -> AbsVal {
-        let prov = if ty.is_ptr() { Prov::Shared } else { Prov::NotPtr };
-        // A pointer loaded from a body field at a known offset is rooted at
-        // that field: the access-summary resolves it to the allocation the
-        // live field value points into. Double indirection loses the root.
-        let origin = match (ty.is_ptr(), p.origin) {
-            (true, Origin::Body(k)) if k >= 0 => Origin::Field { field: k },
-            _ => Origin::Other,
-        };
-        // The freshly loaded field pointer *is* the new root: offset zero.
-        // Any other loaded value has no provable range.
-        let rng = match origin {
-            Origin::Field { .. } => Rng::ZERO,
-            _ => Rng::Top,
-        };
-        let aff = if p.prov == Prov::This {
-            match self.mode {
-                // One shared body object: its fields read the same
-                // everywhere (cross-item field *writes* are flagged
-                // separately, so this stays precise for well-formed code).
-                Mode::For => Aff::Uniform,
-                // Staged per-worker copies: pointer fields mirror the
-                // original object, data fields accumulate per worker.
-                Mode::Reduce => {
-                    if ty.is_ptr() {
-                        Aff::Uniform
-                    } else {
-                        Aff::Unknown
-                    }
-                }
-            }
-        } else {
-            Aff::Unknown
-        };
-        AbsVal { aff, prov, origin, rng }
+        let via_body = p.root == Root::Body;
+        if !ty.is_ptr() {
+            // One shared body object: its fields read the same everywhere
+            // (cross-item field *writes* are flagged separately, so this
+            // stays precise for well-formed code). Staged per-worker
+            // copies accumulate their data fields per worker.
+            let uniform = via_body && self.mode == Mode::For;
+            return AbsVal::data(if uniform { Rng::UNIFORM } else { Rng::Top });
+        }
+        // A pointer loaded from a body field at a known offset is the root
+        // of its pointee, at offset zero: the access summary resolves it to
+        // the allocation the live field value points into. Pointer fields
+        // read the same in every item under both conventions (staged
+        // copies mirror the original's pointers). Double indirection loses
+        // the root.
+        match p.lin.as_const().and_then(|k| u64::try_from(k).ok()) {
+            Some(k) if via_body => AbsVal { root: Root::Field(k), lin: Rng::ZERO },
+            _ => AbsVal { root: Root::Shared, lin: if via_body { Rng::UNIFORM } else { Rng::Top } },
+        }
     }
 
     /// Record one shared-memory access for summary inference: accesses
@@ -667,29 +475,20 @@ impl<'m> Analyzer<'m> {
         block: BlockId,
         inst: ValueId,
     ) {
-        if pv.prov == Prov::Private {
+        if pv.root == Root::Private {
             return;
         }
-        if self.mode == Mode::Reduce && pv.prov == Prov::This {
+        if self.mode == Mode::Reduce && pv.root == Root::Body {
             // Per-worker staged copy: launch-private. The runtime accounts
             // the stage/join traffic on the body allocation itself.
             return;
         }
-        match pv.origin {
-            Origin::Bottom => {} // unreached code
-            o @ (Origin::Body(_) | Origin::Field { .. }) => {
-                self.accesses.push(RawAccess {
-                    origin: o,
-                    aff: pv.aff,
-                    rng: pv.rng,
-                    width,
-                    mode,
-                    func,
-                    block,
-                    inst,
-                });
+        match pv.base() {
+            Some(base) => {
+                self.accesses.push(RawAccess { base, lin: pv.lin, width, mode, func, block, inst });
             }
-            Origin::Other => self.access_opaque = true,
+            None if pv.root == Root::Bottom => {} // unreached code
+            None => self.access_opaque = true,
         }
     }
 
@@ -746,7 +545,7 @@ impl<'m> Analyzer<'m> {
                 self.collect_inst(func, f, b, v, vals);
                 match &f.inst(v).op {
                     Op::Store { ptr, val } => self.check_store(func, f, b, v, *ptr, *val, vals),
-                    Op::Load(p) if vals[p.0 as usize].prov == Prov::Foreign => {
+                    Op::Load(p) if vals[p.0 as usize].root == Root::Forged => {
                         self.push(
                             Lint::ForeignPointer,
                             Severity::Warning,
@@ -769,10 +568,8 @@ impl<'m> Analyzer<'m> {
                             // Definite pointer provenance only: `Unknown`
                             // (degraded analysis) must not hard-fail the
                             // `Deny` gate.
-                            if matches!(
-                                vals[a.0 as usize].prov,
-                                Prov::This | Prov::Shared | Prov::Private | Prov::Foreign
-                            ) {
+                            let root = vals[a.0 as usize].root;
+                            if root.is_pointer() && root != Root::Unknown {
                                 self.push(
                                     Lint::PointerPush,
                                     Severity::Error,
@@ -793,7 +590,7 @@ impl<'m> Analyzer<'m> {
                         args,
                     ) => {
                         if let Some(&p) = args.first() {
-                            if vals[p.0 as usize].prov == Prov::Foreign {
+                            if vals[p.0 as usize].root == Root::Forged {
                                 self.push(
                                     Lint::ForeignPointer,
                                     Severity::Warning,
@@ -827,7 +624,7 @@ impl<'m> Analyzer<'m> {
     ) {
         let pv = vals[ptr.0 as usize];
         let vv = vals[val.0 as usize];
-        if pv.prov == Prov::Foreign {
+        if pv.root == Root::Forged {
             self.push(
                 Lint::ForeignPointer,
                 Severity::Warning,
@@ -844,8 +641,8 @@ impl<'m> Analyzer<'m> {
         // Reduce isolation: a pointer into the per-worker body copy must
         // not reach shared memory, or `join` semantics are compromised.
         if self.mode == Mode::Reduce
-            && vv.prov == Prov::This
-            && !matches!(pv.prov, Prov::This | Prov::Private)
+            && vv.root == Root::Body
+            && !matches!(pv.root, Root::Body | Root::Private)
         {
             self.push(
                 Lint::AccumulatorEscape,
@@ -861,33 +658,17 @@ impl<'m> Analyzer<'m> {
             return;
         }
         // Private scratch is per-work-item by construction.
-        if pv.prov == Prov::Private {
+        if pv.root == Root::Private {
             return;
         }
         // In reduce mode each worker owns its body copy outright.
-        if self.mode == Mode::Reduce && pv.prov == Prov::This {
+        if self.mode == Mode::Reduce && pv.root == Root::Body {
             return;
         }
         let ty = f.inst(val).ty;
         let width = if ty == Type::Void { 1 } else { ty.size() };
-        match pv.aff {
-            Aff::Affine(s) => {
-                if s.unsigned_abs() < width {
-                    self.push(
-                        Lint::OverlappingStores,
-                        Severity::Error,
-                        format!(
-                            "work-item address stride of {s} byte(s) is smaller than \
-                             the {width}-byte store width: adjacent work items overlap"
-                        ),
-                        func,
-                        f,
-                        b,
-                        v,
-                    );
-                }
-            }
-            Aff::Const(_) | Aff::Uniform | Aff::Bottom => {
+        match pv.lin.id_stride() {
+            Some(0) => {
                 if is_rmw(f, ptr, val) {
                     self.push(
                         Lint::UniformRmw,
@@ -900,7 +681,7 @@ impl<'m> Analyzer<'m> {
                         b,
                         v,
                     );
-                } else if vv.aff.is_uniform() {
+                } else if vv.lin.is_uniform() {
                     self.push(
                         Lint::UniformStore,
                         Severity::Note,
@@ -926,7 +707,22 @@ impl<'m> Analyzer<'m> {
                     );
                 }
             }
-            Aff::Unknown => {
+            Some(s) if s.unsigned_abs() < width => {
+                self.push(
+                    Lint::OverlappingStores,
+                    Severity::Error,
+                    format!(
+                        "work-item address stride of {s} byte(s) is smaller than \
+                         the {width}-byte store width: adjacent work items overlap"
+                    ),
+                    func,
+                    f,
+                    b,
+                    v,
+                );
+            }
+            Some(_) => {}
+            None => {
                 self.push(
                     Lint::UnprovableStoreIndex,
                     Severity::Warning,
@@ -963,7 +759,9 @@ impl<'m> Analyzer<'m> {
                 continue;
             }
             for w in accesses.iter().filter(|a| a.mode >= AccessMode::Accumulate) {
-                if !same_base(r.origin, w.origin) {
+                // Distinct bases are assumed non-aliasing: the summary's
+                // restrict-style operand assumption.
+                if r.base != w.base {
                     continue;
                 }
                 let hazard = match (r.footprint(), w.footprint()) {
@@ -973,7 +771,7 @@ impl<'m> Analyzer<'m> {
                     _ => true,
                 };
                 if hazard {
-                    let base = base_name(r.origin);
+                    let base = r.base;
                     self.push(
                         Lint::CrossItemReadHazard,
                         Severity::Note,
@@ -992,25 +790,38 @@ impl<'m> Analyzer<'m> {
                 }
             }
         }
+        // CA109 claims that no other work item can touch the cell, so it
+        // must hold for every record of the instruction, from every call
+        // context the walk analyzed it in.
+        let private = |a: &RawAccess| a.footprint().filter(RangeFootprint::injective_per_item);
+        let mut judged: HashSet<(FuncId, ValueId)> = HashSet::new();
         for w in accesses.iter().filter(|a| a.mode == AccessMode::Accumulate) {
-            if let Some(fw) = w.footprint() {
-                if fw.injective_per_item() {
-                    self.push(
-                        Lint::RedundantAtomic,
-                        Severity::Warning,
-                        format!(
-                            "atomic read-modify-write of a provably per-item-private address \
-                             (stride {} >= width {}): no other work item can touch it, \
-                             a plain load and store is cheaper",
-                            fw.stride.abs(),
-                            fw.hi - fw.lo
-                        ),
-                        w.func,
-                        module.function(w.func),
-                        w.block,
-                        w.inst,
-                    );
-                }
+            if !judged.insert((w.func, w.inst)) {
+                continue;
+            }
+            let Some(fw) = private(w) else { continue };
+            if accesses
+                .iter()
+                .filter(|a| {
+                    a.mode == AccessMode::Accumulate && (a.func, a.inst) == (w.func, w.inst)
+                })
+                .all(|a| private(a).is_some())
+            {
+                self.push(
+                    Lint::RedundantAtomic,
+                    Severity::Warning,
+                    format!(
+                        "atomic read-modify-write of a provably per-item-private address \
+                         (stride {} >= width {}): no other work item can touch it, \
+                         a plain load and store is cheaper",
+                        fw.stride.unsigned_abs(),
+                        fw.width()
+                    ),
+                    w.func,
+                    module.function(w.func),
+                    w.block,
+                    w.inst,
+                );
             }
         }
         self.accesses = accesses;
@@ -1039,41 +850,9 @@ impl<'m> Analyzer<'m> {
     }
 }
 
-/// Whether two rooted origins name the same access base. Body origins
-/// collapse (offsets ride in the range component); field origins compare
-/// by the field slot. Distinct bases are assumed non-aliasing — the
-/// summary's restrict-style operand assumption.
-fn same_base(a: Origin, b: Origin) -> bool {
-    match (a, b) {
-        (Origin::Body(_), Origin::Body(_)) => true,
-        (Origin::Field { field: x }, Origin::Field { field: y }) => x == y,
-        _ => false,
-    }
-}
-
-fn base_name(o: Origin) -> String {
-    match o {
-        Origin::Body(_) => "body".to_string(),
-        Origin::Field { field } => format!("field+{field}"),
-        Origin::Bottom | Origin::Other => "?".to_string(),
-    }
-}
-
 /// Whether any instruction in `f` consumes `v` as an operand.
 fn value_used(f: &Function, v: ValueId) -> bool {
     f.insts.iter().any(|inst| inst.op.operands().contains(&v))
-}
-
-/// Provenance of a two-operand arithmetic result: pointer pedigree rides
-/// through pointer±integer arithmetic; pointer−pointer is a plain
-/// distance.
-fn bin_prov(a: Prov, b: Prov) -> Prov {
-    match (a.is_pointerlike(), b.is_pointerlike()) {
-        (true, false) => a,
-        (false, true) => b,
-        (true, true) => Prov::NotPtr,
-        (false, false) => Prov::NotPtr,
-    }
 }
 
 /// Blocks whose phi nodes merge work-item-divergent control flow: for
@@ -1090,7 +869,7 @@ fn divergent_joins(
     for b in f.block_ids() {
         let Some(t) = f.terminator(b) else { continue };
         let Op::CondBr(c, s1, s2) = &f.inst(t).op else { continue };
-        if vals[c.0 as usize].aff.is_uniform() {
+        if vals[c.0 as usize].lin.is_uniform() {
             continue;
         }
         match pdt.ipdom(b) {
@@ -1183,55 +962,40 @@ fn same_addr(f: &Function, a: ValueId, b: ValueId, depth: usize) -> bool {
 mod tests {
     use super::*;
 
-    #[test]
-    fn aff_join_lattice() {
-        use Aff::{Affine, Bottom, Const, Uniform, Unknown};
-        assert_eq!(Bottom.join(Affine(4)), Affine(4));
-        assert_eq!(Const(3).join(Const(3)), Const(3));
-        assert_eq!(Const(3).join(Const(4)), Uniform);
-        assert_eq!(Affine(4).join(Affine(4)), Affine(4));
-        assert_eq!(Affine(4).join(Affine(8)), Unknown);
-        assert_eq!(Affine(4).join(Uniform), Unknown);
-        assert_eq!(Unknown.join(Const(1)), Unknown);
+    const fn at(root: Root, lin: Rng) -> AbsVal {
+        AbsVal { root, lin }
     }
 
     #[test]
-    fn aff_arithmetic() {
-        use Aff::{Affine, Const, Uniform, Unknown};
-        assert_eq!(Affine(1).mul(Const(8)), Affine(8));
-        assert_eq!(Const(8).mul(Affine(1)), Affine(8));
-        assert_eq!(Affine(4).add(Uniform), Affine(4));
-        assert_eq!(Affine(4).add(Affine(-4)), Uniform);
-        assert_eq!(Affine(4).sub(Affine(4)), Uniform);
-        assert_eq!(Uniform.sub(Affine(4)), Affine(-4));
-        assert_eq!(Affine(1).shl(Const(3)), Affine(8));
-        assert_eq!(Affine(1).mul(Uniform), Unknown);
-        assert_eq!(Const(2).add(Const(3)), Const(5));
+    fn join_keeps_one_root_and_drops_offsets_across_roots() {
+        let body8 = at(Root::Body, Rng::constant(8));
+        assert_eq!(AbsVal::BOTTOM.join(body8), body8);
+        assert_eq!(body8.join(body8), body8);
+        let hull = body8.join(at(Root::Body, Rng::constant(16)));
+        assert_eq!(hull.lin, Rng::Lin { stride: 0, lo: 8, hi: 16, invariant: true });
+        assert_eq!(hull.base(), None, "a body pointer at a non-constant offset is unrooted");
+        let f0 = at(Root::Field(0), Rng::ZERO);
+        assert_eq!(f0.join(at(Root::Field(8), Rng::ZERO)), at(Root::Shared, Rng::UNIFORM));
+        assert_eq!(f0.join(body8).root, Root::Unknown);
+        assert_eq!(at(Root::Private, Rng::ZERO).join(AbsVal::BOTTOM).root, Root::Private);
     }
 
     #[test]
-    fn origin_join_and_advance() {
-        use Origin::{Body, Bottom, Field, Other};
-        assert_eq!(Bottom.join(Body(8)), Body(8));
-        assert_eq!(Body(8).join(Body(8)), Body(8));
-        assert_eq!(Body(8).join(Body(16)), Other);
-        assert_eq!(Field { field: 0 }.join(Field { field: 0 }), Field { field: 0 });
-        assert_eq!(Field { field: 0 }.join(Field { field: 8 }), Other);
-        assert_eq!(Body(0).advance(Aff::Const(8)), Body(8));
-        assert_eq!(Body(0).advance(Aff::Affine(4)), Other);
-        assert_eq!(Field { field: 0 }.advance(Aff::Affine(4)), Field { field: 0 });
-        assert_eq!(Field { field: 8 }.advance(Aff::Const(12)), Field { field: 8 });
-        assert_eq!(Other.advance(Aff::Const(1)), Other);
+    fn base_projects_the_operand_root() {
+        assert_eq!(at(Root::Body, Rng::constant(8)).base(), Some(AccessBase::Body));
+        assert_eq!(at(Root::Body, Rng::ID).base(), None);
+        assert_eq!(at(Root::Field(8), Rng::Top).base(), Some(AccessBase::Field { offset: 8 }));
+        assert_eq!(at(Root::Shared, Rng::ZERO).base(), None);
+        assert_eq!(Root::Field(8).unrooted(), Root::Shared);
+        assert!(Root::Forged.is_pointer() && !Root::Data.is_pointer());
     }
 
     #[test]
-    fn prov_join_and_pedigree() {
-        assert_eq!(Prov::This.join(Prov::This), Prov::This);
-        assert_eq!(Prov::This.join(Prov::Shared), Prov::Unknown);
-        assert_eq!(Prov::Bottom.join(Prov::Private), Prov::Private);
-        assert!(!Prov::NotPtr.is_pointerlike());
-        assert!(Prov::Foreign.is_pointerlike());
-        assert_eq!(bin_prov(Prov::Shared, Prov::NotPtr), Prov::Shared);
-        assert_eq!(bin_prov(Prov::Shared, Prov::Shared), Prov::NotPtr);
+    fn divergence_keeps_only_constants_invariant() {
+        let k = AbsVal::data(Rng::constant(3));
+        assert_eq!(k.diverged(), k);
+        assert_eq!(AbsVal::data(Rng::ID).diverged().lin.id_stride(), None);
+        assert_eq!(at(Root::Body, Rng::constant(8)).diverged().lin.id_stride(), None);
+        assert_eq!(AbsVal::BOTTOM.diverged(), AbsVal::BOTTOM);
     }
 }

@@ -6,14 +6,17 @@
 //! preserving host-parallel merge actively *masks* such races in
 //! simulation. This crate closes that gap statically, before any device
 //! time is burned: an **index-affinity abstract interpretation** (see
-//! [`affinity`]) classifies every address reaching a `Store` or atomic as
-//! a function of the work-item id, a **symbolic value-range lattice**
-//! (see [`range`]) refines each classification into a per-item byte
-//! interval ([`RangeFootprint`], consumed by the launch graph for
-//! range-granular conflict detection, and by the CA108 cross-item
-//! read-hazard finding, which gates native chunk order), and a small lint
-//! catalog (CA101–CA109, see [`Lint`]) turns the classification into
-//! structured, located [`Diagnostic`]s.
+//! [`affinity`]) gives every value one abstract value — a root (data, the
+//! body object, a body field's pointee, private, shared, forged) and one
+//! **id-linear element** (see [`range`]) saying how it moves with the
+//! work-item id and within which byte interval. Every address reaching a
+//! load, `Store` or atomic is classified by projections of that value:
+//! its stride in the id, and its per-item byte interval
+//! ([`RangeFootprint`], consumed by the launch graph for range-granular
+//! conflict detection, and by the CA108 cross-item read-hazard finding,
+//! which gates native chunk order). A small lint catalog (CA101–CA109,
+//! see [`Lint`]) turns the classification into structured, located
+//! [`Diagnostic`]s.
 //!
 //! The entry point is [`analyze_kernel`]: give it a module (typically the
 //! CPU-optimized one — run CSE first so duplicate address computations
@@ -46,7 +49,7 @@ mod diag;
 pub mod range;
 
 pub use access::{AccessBase, AccessMode, AccessPattern, AccessRecord, AccessSummary};
-pub use affinity::{AbsVal, Aff, Origin, Prov};
+pub use affinity::{AbsVal, Root};
 pub use diag::{Diagnostic, Lint, Report, Severity};
 pub use range::{RangeFootprint, Rng};
 

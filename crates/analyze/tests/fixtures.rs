@@ -243,3 +243,40 @@ fn racy_push_alias_flags_pointer_push() {
         report.to_text()
     );
 }
+
+const REDUNDANT_ATOMIC: &str = include_str!("../fixtures/redundant_atomic.cc");
+const WIDENED_CALLEE_ATOMIC: &str = include_str!("../fixtures/widened_callee_atomic.cc");
+
+#[test]
+fn per_item_atomic_is_redundant() {
+    let (module, op) = compile(REDUNDANT_ATOMIC, "PrivateTally");
+    let report = analyze_kernel(&module, op, Mode::For);
+    assert!(
+        report.diagnostics.iter().any(|d| d.lint == Lint::RedundantAtomic),
+        "expected CA109, got: {}",
+        report.to_text()
+    );
+}
+
+#[test]
+fn widened_callee_atomic_is_not_claimed_private() {
+    // The callee is walked once per argument tuple of the caller's
+    // fixpoint: the narrow early counter ranges give bounded, injective
+    // records, the widened one an unbounded record. CA109 is a "must"
+    // claim, so one unbounded record of the atomic withholds it; and the
+    // infinite bound must not overflow on the way (a debug build panics
+    // on that).
+    let (module, op) = compile(WIDENED_CALLEE_ATOMIC, "Down");
+    let report = analyze_kernel(&module, op, Mode::For);
+    assert!(
+        !report.diagnostics.iter().any(|d| d.lint == Lint::RedundantAtomic),
+        "the widened record is unbounded, so CA109 must not fire: {}",
+        report.to_text()
+    );
+    let a = concord_analyze::AccessBase::Field { offset: 0 };
+    assert!(
+        report.access.records.iter().any(|r| r.base == a && r.footprint.is_none()),
+        "the widened context's record falls back to the whole allocation: {:?}",
+        report.access
+    );
+}

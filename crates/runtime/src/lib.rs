@@ -52,8 +52,8 @@ pub use backend::{
 };
 pub use cache::{source_hash, ArtifactCache, SharedJitSet, SharedNativeModule};
 pub use concord_analyze::{
-    AccessBase, AccessMode, AccessPattern, AccessSummary, Gate as AnalysisGate,
-    Mode as AnalysisMode, Report as AnalysisReport,
+    AccessBase, AccessMode, AccessSummary, Gate as AnalysisGate, Mode as AnalysisMode,
+    Report as AnalysisReport,
 };
 pub use graph::{Conflict, FootRange, Footprint, GraphStats, LaunchId};
 pub use scheduler::{DeviceClass, Plan, ProfileHistory, Target};
