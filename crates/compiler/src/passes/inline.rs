@@ -73,61 +73,55 @@ pub fn run(module: &mut Module, func_id: FuncId, threshold: usize) -> InlineStat
         let cont = BlockId(caller.blocks.len() as u32);
         caller.blocks.push(concord_ir::Block { insts: tail });
 
-        // Clone callee instructions into the caller arena.
-        let mut vmap: HashMap<ValueId, ValueId> = HashMap::new();
+        // Clone callee instructions into the caller arena in two steps:
+        // every clone gets its id first, then each operand is mapped once,
+        // so a value defined later in block order (a loop phi's input)
+        // maps like any other and no caller id is ever mapped again.
         let block_base = caller.blocks.len() as u32;
         let bmap = |b: BlockId| BlockId(b.0 + block_base);
-        // Pre-create callee blocks.
+        let mut vmap: HashMap<ValueId, ValueId> = HashMap::new();
+        let mut clones: Vec<(BlockId, ValueId, ValueId)> = Vec::new();
         for _ in 0..callee.blocks.len() {
             caller.blocks.push(concord_ir::Block::default());
         }
-        // Returns: collect (pred block, value) for the result phi.
-        let mut ret_edges: Vec<(BlockId, Option<ValueId>)> = Vec::new();
         for cb in callee.block_ids() {
             for &ci in &callee.block(cb).insts {
                 let inst = callee.inst(ci);
-                let new_op = match inst.op.clone() {
-                    Op::Param(i) => {
-                        // Parameters map directly to argument values.
-                        vmap.insert(ci, args[i as usize]);
-                        continue;
-                    }
-                    Op::Ret(v) => {
-                        let mapped = v.map(|v| *vmap.get(&v).expect("value defined before use"));
-                        ret_edges.push((bmap(cb), mapped));
-                        Op::Br(cont)
-                    }
-                    mut op => {
-                        op.map_operands(|v| *vmap.get(&v).unwrap_or(&v));
-                        // Branch targets and phi predecessors shift.
-                        match &mut op {
-                            Op::Br(t) => *t = bmap(*t),
-                            Op::CondBr(_, t, e) => {
-                                *t = bmap(*t);
-                                *e = bmap(*e);
-                            }
-                            Op::Phi(incoming) => {
-                                for (pb, _) in incoming.iter_mut() {
-                                    *pb = bmap(*pb);
-                                }
-                            }
-                            _ => {}
-                        }
-                        op
-                    }
-                };
-                let new_id = caller.push_inst(new_op, inst.ty);
+                if let Op::Param(i) = inst.op {
+                    // Parameters map directly to argument values.
+                    vmap.insert(ci, args[i as usize]);
+                    continue;
+                }
+                let new_id = caller.push_inst(inst.op.clone(), inst.ty);
                 vmap.insert(ci, new_id);
+                clones.push((cb, ci, new_id));
                 caller.block_mut(bmap(cb)).insts.push(new_id);
             }
         }
-        // Phi operands may have been cloned after their using phi; remap
-        // once more now that vmap is complete.
-        for cb in callee.block_ids() {
-            let ids = caller.block(bmap(cb)).insts.clone();
-            for id in ids {
-                caller.inst_mut(id).op.map_operands(|v| *vmap.get(&v).unwrap_or(&v));
+        // Returns: collect (pred block, value) for the result phi.
+        let mut ret_edges: Vec<(BlockId, Option<ValueId>)> = Vec::new();
+        for (cb, ci, new_id) in clones {
+            let mut op = callee.inst(ci).op.clone();
+            op.map_operands(|v| vmap[&v]);
+            match &mut op {
+                Op::Ret(v) => {
+                    ret_edges.push((bmap(cb), *v));
+                    op = Op::Br(cont);
+                }
+                // Branch targets and phi predecessors shift.
+                Op::Br(t) => *t = bmap(*t),
+                Op::CondBr(_, t, e) => {
+                    *t = bmap(*t);
+                    *e = bmap(*e);
+                }
+                Op::Phi(incoming) => {
+                    for (pb, _) in incoming.iter_mut() {
+                        *pb = bmap(*pb);
+                    }
+                }
+                _ => {}
             }
+            caller.inst_mut(new_id).op = op;
         }
         // Jump from the prefix into the inlined entry.
         let entry_br = caller.push_inst(Op::Br(bmap(callee.entry())), Type::Void);

@@ -126,8 +126,11 @@ fn promote_one(
             }
         }
     }
-    // Only keep phis in reachable blocks.
-    phi_blocks.retain(|b| dom.rpo_index(*b).is_some());
+    // Only keep phis in reachable blocks, created in block order so the
+    // phis' value ids do not depend on hash order.
+    let mut phi_blocks: Vec<BlockId> =
+        phi_blocks.into_iter().filter(|b| dom.rpo_index(*b).is_some()).collect();
+    phi_blocks.sort_unstable();
     // Create phis (empty incoming, filled during rename).
     let mut phi_of_block: HashMap<BlockId, ValueId> = HashMap::new();
     for &b in &phi_blocks {

@@ -1,5 +1,6 @@
 //! IR verifier: structural invariants every pass must preserve.
 
+use crate::analysis::DomTree;
 use crate::function::{Function, Module};
 use crate::inst::{BlockId, Op};
 use crate::types::Type;
@@ -37,6 +38,9 @@ impl std::error::Error for VerifyError {}
 /// * phi nodes appear only at the head of a block and cover exactly the
 ///   block's predecessors;
 /// * operands refer to instructions that exist;
+/// * in every reachable block, each operand is a placed instruction whose
+///   definition dominates the use; a phi input dominates the end of its
+///   incoming predecessor (unreachable predecessors are exempt);
 /// * stores and loads use pointer operands; `CpuToGpu`/`GpuToCpu` operate on
 ///   pointers of the correct space.
 ///
@@ -148,6 +152,49 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
                     }
                 }
                 _ => {}
+            }
+        }
+    }
+    verify_dominance(f).map_err(|(b, message)| err(Some(b), message))
+}
+
+/// The dominance half of [`verify_function`], on a structurally valid
+/// function.
+fn verify_dominance(f: &Function) -> Result<(), (BlockId, String)> {
+    let dom = DomTree::compute(f);
+    let mut def: Vec<Option<(BlockId, usize)>> = vec![None; f.insts.len()];
+    for b in f.block_ids() {
+        for (pos, &id) in f.block(b).insts.iter().enumerate() {
+            def[id.0 as usize] = Some((b, pos));
+        }
+    }
+    for &b in &dom.rpo {
+        for (pos, &id) in f.block(b).insts.iter().enumerate() {
+            if let Op::Phi(incoming) = &f.inst(id).op {
+                for &(pred, v) in incoming {
+                    let ok = match def[v.0 as usize] {
+                        Some((db, _)) => dom.dominates(db, pred),
+                        None => false,
+                    };
+                    if dom.rpo_index(pred).is_some() && !ok {
+                        return Err((b, format!("phi {id} input {v} does not dominate {pred}")));
+                    }
+                }
+                continue;
+            }
+            let mut early = None;
+            f.inst(id).op.for_each_operand(|v| {
+                let ok = match def[v.0 as usize] {
+                    Some((db, dpos)) if db == b => dpos < pos,
+                    Some((db, _)) => dom.dominates(db, b),
+                    None => false,
+                };
+                if !ok && early.is_none() {
+                    early = Some(v);
+                }
+            });
+            if let Some(v) = early {
+                return Err((b, format!("{id} uses {v} before its definition")));
             }
         }
     }
@@ -273,6 +320,72 @@ mod tests {
         b.emit(crate::inst::Op::Ret(Some(ValueId(99))), Type::Void);
         let e = verify_function(&b.build()).unwrap_err();
         assert!(e.message.contains("out of range"));
+    }
+
+    #[test]
+    fn a_use_before_its_definition_fails() {
+        // `s = a + b` placed ahead of `a` in the same block.
+        let mut b = FunctionBuilder::new("f", vec![Type::I32], Type::I32);
+        let p = b.param(0);
+        let one = b.i32(1);
+        let a = b.bin(crate::inst::BinOp::Add, p, one);
+        let s = b.bin(crate::inst::BinOp::Add, a, a);
+        b.ret(Some(s));
+        let mut f = b.build();
+        let insts = &mut f.blocks[0].insts;
+        let (ia, is) = (insts.iter().position(|&v| v == a), insts.iter().position(|&v| v == s));
+        insts.swap(ia.unwrap(), is.unwrap());
+        let e = verify_function(&f).unwrap_err();
+        assert!(e.message.contains("before its definition"), "{}", e.message);
+    }
+
+    #[test]
+    fn a_use_in_a_block_its_definition_does_not_dominate_fails() {
+        // The definition sits on one arm of a branch, the use after the join.
+        let mut b = FunctionBuilder::new("f", vec![Type::I32], Type::I32);
+        let p = b.param(0);
+        let z = b.i32(0);
+        let c = b.icmp(ICmp::Sgt, p, z);
+        let (t, j) = (b.new_block(), b.new_block());
+        b.cond_br(c, t, j);
+        b.switch_to(t);
+        let x = b.bin(crate::inst::BinOp::Add, p, p);
+        b.br(j);
+        b.switch_to(j);
+        b.ret(Some(x));
+        let e = verify_function(&b.build()).unwrap_err();
+        assert!(e.message.contains("before its definition"), "{}", e.message);
+    }
+
+    #[test]
+    fn a_phi_input_must_dominate_its_predecessor_and_unreachable_blocks_are_exempt() {
+        // A loop: the latch's value feeds the header phi (fine), and an
+        // unreachable block may use anything.
+        let mut b = FunctionBuilder::new("f", vec![Type::I32], Type::I32);
+        let entry = b.current_block();
+        let p = b.param(0);
+        let (head, body, exit, dead) = (b.new_block(), b.new_block(), b.new_block(), b.new_block());
+        b.br(head);
+        b.switch_to(head);
+        let i = b.phi(Type::I32, vec![]);
+        let c = b.icmp(ICmp::Slt, i, p);
+        b.cond_br(c, body, exit);
+        b.switch_to(body);
+        let one = b.i32(1);
+        let next = b.bin(crate::inst::BinOp::Add, i, one);
+        b.br(head);
+        b.switch_to(exit);
+        b.ret(Some(i));
+        b.switch_to(dead);
+        let w = b.bin(crate::inst::BinOp::Add, next, next);
+        b.ret(Some(w));
+        let mut f = b.build();
+        f.inst_mut(i).op = Op::Phi(vec![(entry, p), (body, next)]);
+        assert_eq!(verify_function(&f), Ok(()));
+        // `next` does not dominate the entry edge.
+        f.inst_mut(i).op = Op::Phi(vec![(entry, next), (body, next)]);
+        let e = verify_function(&f).unwrap_err();
+        assert!(e.message.contains("does not dominate"), "{}", e.message);
     }
 
     #[test]
