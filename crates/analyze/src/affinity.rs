@@ -339,7 +339,10 @@ impl<'m> Analyzer<'m> {
                     {
                         AbsVal::data(lin)
                     }
-                    (true, true, _) => AbsVal::data(lin.unbounded()),
+                    // Anything else on two pointers, such as the distance
+                    // between two roots, can carry a pointer from one
+                    // root to the other: it is no plain integer.
+                    (true, true, _) => AbsVal { root: Root::Unknown, lin: lin.unbounded() },
                 }
             }
             Op::Icmp(_, a, b) | Op::Fcmp(_, a, b) => {
@@ -375,7 +378,10 @@ impl<'m> Analyzer<'m> {
                 if vb.root == Root::Bottom || vo.root == Root::Bottom {
                     return AbsVal::BOTTOM;
                 }
-                AbsVal { root: vb.root, lin: vb.lin.add(vo.lin) }
+                // An offset with pointer pedigree may move the base into
+                // another root.
+                let root = if vo.root.is_pointer() { Root::Unknown } else { vb.root };
+                AbsVal { root, lin: vb.lin.add(vo.lin) }
             }
             Op::CpuToGpu(x) | Op::GpuToCpu(x) => get(*x),
             Op::Phi(incoming) => {

@@ -280,3 +280,14 @@ fn widened_callee_atomic_is_not_claimed_private() {
         report.access
     );
 }
+
+const CROSS_ROOT_DIFFERENCE: &str = include_str!("../fixtures/cross_root_difference.cc");
+
+#[test]
+fn a_pointer_rebuilt_from_two_roots_is_opaque() {
+    // `out + ((long)in - (long)out)` lands in `in`'s allocation: a record
+    // on `out`, bounded or not, would hide the write from the scheduler.
+    let (module, op) = compile(CROSS_ROOT_DIFFERENCE, "Relocate");
+    let report = analyze_kernel(&module, op, Mode::For);
+    assert!(report.access.opaque, "summary: {:?}", report.access);
+}
