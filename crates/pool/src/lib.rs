@@ -334,7 +334,9 @@ fn worker_loop(shared: &PoolShared) {
                 state = shared.work.wait(state).unwrap();
             }
         };
-        job();
+        // A panicking job costs that job only: the worker lives on to run
+        // the rest of the queue, as `map` keeps its helpers alive.
+        let _ = catch_unwind(AssertUnwindSafe(job));
     }
 }
 
@@ -457,6 +459,17 @@ mod tests {
         gate_tx.send(()).unwrap();
         pool.close_and_drain();
         assert_eq!(ran.load(Ordering::SeqCst), 8);
+    }
+
+    #[test]
+    fn task_pool_worker_survives_a_panicking_job() {
+        let (tx, rx) = std::sync::mpsc::channel::<u32>();
+        let pool = TaskPool::new(1, 4);
+        pool.try_submit(|| panic!("job panics")).unwrap();
+        pool.try_submit(move || tx.send(7).unwrap()).unwrap();
+        let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(got, Ok(7), "the one worker must run the job after the panic");
+        pool.close_and_drain();
     }
 
     #[test]
