@@ -266,7 +266,7 @@ impl CpuSim {
         n: u32,
     ) -> Result<CpuReport, Trap> {
         let in_order = uses_gated_ops(module, &[func]);
-        let work = Work { func, body, kind: WorkKind::For, in_order };
+        let work = Work { func, body, kind: WorkKind::For, in_order, body_invariant: false };
         let mut program = Program::new();
         program.decode(module, &work);
         self.launch(region, vtables, &program, &work, Span::full(n), &mut Vec::new())
@@ -301,7 +301,7 @@ impl CpuSim {
     ) -> Result<CpuReport, Trap> {
         let in_order = uses_gated_ops(module, &[func, join]);
         let kind = WorkKind::Reduce { join, body_size, slots: scratch };
-        let work = Work { func, body, kind, in_order };
+        let work = Work { func, body, kind, in_order, body_invariant: false };
         let mut program = Program::new();
         program.decode(module, &work);
         let report =
@@ -821,8 +821,13 @@ mod tests {
         let mut sim = CpuSim::new(concord_energy::SystemConfig::ultrabook().cpu);
         sim.host_threads = 2;
 
-        let work =
-            Work { func: bad.operator_fn, body: bad_body, kind: WorkKind::For, in_order: false };
+        let work = Work {
+            func: bad.operator_fn,
+            body: bad_body,
+            kind: WorkKind::For,
+            in_order: false,
+            body_invariant: false,
+        };
         let mut program = Program::new();
         program.decode(&lp.module, &work);
         let pending = sim.execute(&region, &vt, &program, &work, Span::full(16));

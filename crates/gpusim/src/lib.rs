@@ -188,7 +188,7 @@ impl GpuSim {
         n: u32,
     ) -> Result<GpuReport, Trap> {
         let in_order = uses_gated_ops(module, &[func]);
-        let work = Work { func, body, kind: WorkKind::For, in_order };
+        let work = Work { func, body, kind: WorkKind::For, in_order, body_invariant: false };
         let mut program = Program::new();
         program.decode(module, &work);
         self.launch(region, &program, &work, Span::full(n), &mut Vec::new())
@@ -216,7 +216,7 @@ impl GpuSim {
     ) -> Result<GpuReport, Trap> {
         let in_order = uses_gated_ops(module, &[func, join]);
         let kind = WorkKind::Reduce { join, body_size, slots: scratch };
-        let work = Work { func, body, kind, in_order };
+        let work = Work { func, body, kind, in_order, body_invariant: false };
         let mut program = Program::new();
         program.decode(module, &work);
         self.launch(region, &program, &work, Span::full(n), &mut Vec::new())
@@ -1364,7 +1364,7 @@ mod tests {
                     }
                     let kind = WorkKind::Worklist { items: &frontier };
                     let in_order = uses_gated_ops(&module, &[kf]);
-                    let work = Work { func: kf, body, kind, in_order };
+                    let work = Work { func: kf, body, kind, in_order, body_invariant: false };
                     let mut program = Program::new();
                     program.decode(&module, &work);
                     let span = Span::full(frontier.len() as u32);

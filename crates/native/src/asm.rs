@@ -538,12 +538,6 @@ impl Asm {
         self.op_m(&[], true, &[opc], dst.lo(), dst.hi(), &m);
     }
 
-    /// `op qword [m], src` (the `op r/m, reg` opcode sits two below).
-    pub fn alu_mr(&mut self, op: Alu, m: Mem, src: Reg) {
-        let (opc, _) = op.enc();
-        self.op_m(&[], true, &[opc - 2], src.lo(), src.hi(), &m);
-    }
-
     /// `op dst, imm32` (sign-extended).
     pub fn alu_ri(&mut self, op: Alu, dst: Reg, v: i32) {
         let (_, digit) = op.enc();
@@ -687,6 +681,11 @@ impl Asm {
     /// `call qword [m]`.
     pub fn call_m(&mut self, m: Mem) {
         self.op_m(&[], false, &[0xFF], 2, false, &m);
+    }
+
+    /// `jmp qword [m]`.
+    pub fn jmp_m(&mut self, m: Mem) {
+        self.op_m(&[], false, &[0xFF], 4, false, &m);
     }
 
     /// `jmp label` (rel32).
@@ -893,11 +892,6 @@ mod tests {
             enc(|a| a.alu_mi(Alu::Sub, Mem::b(Reg::R15, 40), 7)),
             vec![0x49, 0x81, 0x6F, 0x28, 7, 0, 0, 0]
         );
-        // add qword [r15+0x70], rax => 49 01 47 70
-        assert_eq!(
-            enc(|a| a.alu_mr(Alu::Add, Mem::b(Reg::R15, 0x70), Reg::Rax)),
-            vec![0x49, 0x01, 0x47, 0x70]
-        );
     }
 
     #[test]
@@ -1066,9 +1060,10 @@ mod tests {
         assert_eq!(enc(|a| a.setcc(Cc::E, Reg::Rax)), vec![0x0F, 0x94, 0xC0]);
         // cmovne rax, rcx => 48 0f 45 c1
         assert_eq!(enc(|a| a.cmovcc(Cc::Ne, Reg::Rax, Reg::Rcx)), vec![0x48, 0x0F, 0x45, 0xC1]);
-        // call rax => ff d0 ; call qword [rcx+8] => ff 51 08
+        // call rax => ff d0 ; call qword [rcx+8] => ff 51 08 ; jmp qword [rbp-8] => ff 65 f8
         assert_eq!(enc(|a| a.call_r(Reg::Rax)), vec![0xFF, 0xD0]);
         assert_eq!(enc(|a| a.call_m(Mem::b(Reg::Rcx, 8))), vec![0xFF, 0x51, 0x08]);
+        assert_eq!(enc(|a| a.jmp_m(Mem::b(Reg::Rbp, -8))), vec![0xFF, 0x65, 0xF8]);
         // push r12 / pop r12 => 41 54 / 41 5c
         assert_eq!(enc(|a| a.push(Reg::R12)), vec![0x41, 0x54]);
         assert_eq!(enc(|a| a.pop(Reg::R12)), vec![0x41, 0x5C]);

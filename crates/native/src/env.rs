@@ -7,13 +7,16 @@
 //!
 //! The launch driver describes one chunk here — its first item in
 //! `global_id`, the end in `item_end`, the first kernel argument in `arg0`,
-//! a worklist round's frontier in `items` and the per-item step budget in
-//! `budget` — and makes one call to the kernel's chunk entry. The item
-//! loop in generated code (see `lower.rs`) then advances `global_id`,
-//! refills `steps` from `budget` before each item and adds what each
-//! completed item spent to `insts`. Every other field that loop
-//! touches lies in the first 128 bytes, where an `[r15 + disp8]` operand
-//! reaches it; fields generated code never or rarely reads come last.
+//! a worklist round's frontier in `items`, the per-item step budget in
+//! `budget` and whether the body is invariant over the launch in
+//! `body_invariant` — and makes one call to the kernel's chunk entry. The
+//! item loop in generated code (see `lower.rs`) keeps the step counter,
+//! the item index and the instruction tally in registers: it stores each
+//! item's id to `global_id` as the item starts, and writes `steps` and
+//! `insts` back around calls and when the chunk ends. The fields the
+//! loop reads per item lie in the first 128 bytes, where an
+//! `[r15 + disp8]` operand reaches them; fields generated code never or
+//! rarely reads come last.
 //!
 //! The environment also carries the trap cells: generated code never
 //! unwinds — on a fault it records a trap code plus payload words here and
@@ -78,6 +81,7 @@ pub(crate) const OFF_WL_SINK: i32 = 208;
 pub(crate) const OFF_INSTS: i32 = 216;
 pub(crate) const OFF_GLOBAL_SIZE: i32 = 224;
 pub(crate) const OFF_LOCAL_ID: i32 = 232;
+pub(crate) const OFF_BODY_INVARIANT: i32 = 248;
 
 /// Execution environment handed to generated code (one per chunk).
 #[repr(C)]
@@ -96,7 +100,8 @@ pub struct Env {
     pub priv_sp: u64,
     /// Remaining step budget of the current item; blocks pre-charge and
     /// trap when it would go negative (signed so the over-subtraction is
-    /// visible).
+    /// visible). Generated code keeps it in `r11` and writes it here
+    /// around calls and on return.
     pub steps: i64,
     /// The current work item (`global_id()`, and `group_id()`, which is
     /// the same on the CPU path); the chunk's first item on entry.
@@ -141,6 +146,10 @@ pub struct Env {
     pub local_id: i64,
     /// Shared region capacity in bytes.
     pub region_len: u64,
+    /// Nonzero when no write of the launch can land in the body's block:
+    /// the chunk then loads the kernel's body fields for its first item
+    /// only (read once, at chunk entry).
+    pub body_invariant: u64,
 }
 
 impl Env {
@@ -188,6 +197,7 @@ impl Env {
             global_size: 0,
             local_id: 0,
             region_len: region_len as u64,
+            body_invariant: 0,
         }
     }
 
@@ -341,9 +351,10 @@ mod tests {
         assert_eq!(offset_of!(Env, insts), OFF_INSTS as usize);
         assert_eq!(offset_of!(Env, global_size), OFF_GLOBAL_SIZE as usize);
         assert_eq!(offset_of!(Env, local_id), OFF_LOCAL_ID as usize);
-        // What the item loop touches per item (but `insts`) takes a
-        // one-byte displacement.
-        for off in [OFF_ARG0, OFF_STEPS, OFF_GLOBAL_ID, OFF_ITEM_END, OFF_BUDGET, OFF_ITEMS] {
+        assert_eq!(offset_of!(Env, body_invariant), OFF_BODY_INVARIANT as usize);
+        // What the item loop touches per item takes a one-byte
+        // displacement.
+        for off in [OFF_ARG0, OFF_GLOBAL_ID, OFF_ITEM_END, OFF_BUDGET, OFF_ITEMS] {
             assert!(off < 128, "item-loop field at {off}");
         }
     }

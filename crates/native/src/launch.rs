@@ -255,6 +255,10 @@ impl Executor {
                 env.items = items.as_ptr();
                 env.wl = &mut seg as *mut Vec<i32>;
             }
+            // A reduction's items accumulate into their slot, so only
+            // `for` launches and worklist rounds may load fields once.
+            let reduce = matches!(work.kind, WorkKind::Reduce { .. });
+            env.body_invariant = u64::from(work.body_invariant && !reduce);
             // SAFETY: `entry` is the chunk entry of a function of the
             // module whose `code_ptrs` this env carries; the frontier, the
             // segment and both memories outlive the call.

@@ -160,7 +160,7 @@ mod tests {
         n: u32,
     ) -> Result<LaunchStats, Trap> {
         let in_order = uses_gated_ops(module, &[func]);
-        let work = Work { func, body, kind: WorkKind::For, in_order };
+        let work = Work { func, body, kind: WorkKind::For, in_order, body_invariant: false };
         ex.launch(region, nm, module, &work, Span::full(n), &mut Vec::new())
     }
 
@@ -674,6 +674,7 @@ mod tests {
                 body: body2,
                 kind: WorkKind::Reduce { join, body_size: 16, slots: &scratch2 },
                 in_order: uses_gated_ops(&lp.module, &[k.operator_fn, join]),
+                body_invariant: false,
             };
             ex.launch(&mut r2, &nm, &lp.module, &work, Span::full(n), &mut Vec::new()).unwrap();
             let got_total = r2.read_f32(body2.offset(8)).unwrap();
@@ -1039,6 +1040,7 @@ mod tests {
                 Kind::Worklist => WorkKind::Worklist { items },
             },
             in_order: uses_gated_ops(m, &[f, join]),
+            body_invariant: false,
         };
         let mut sim = CpuSim::new(cfg);
         sim.step_budget_per_item = BUDGET as u64;
@@ -1138,6 +1140,67 @@ mod tests {
             let (trap, insts) = parity(class, kind, &items, [NO; 3]);
             let what = format!("{class} as {kind:?} over {items:?}");
             assert_eq!((trap, insts), (None, want), "{what}");
+        }
+    }
+
+    /// A chunk that loads its body fields once must leave the same bytes,
+    /// pushes, trap and instruction count as one that reloads them per
+    /// item: the parity fixture as a `for` launch and a worklist round,
+    /// and a kernel whose hoisted float field lives across a call.
+    #[test]
+    fn an_invariant_body_changes_no_byte_trap_or_count() {
+        if !supported() {
+            return;
+        }
+        const SCALE: &str = r#"
+            class Scale {
+            public:
+                float* xs; float* out; float k; int m;
+                void operator()(int i) { out[i] = floorf(xs[i] * k) + (float)(i % m); }
+            };
+        "#;
+        let n = 4000u32;
+        let frontier: Vec<i32> = (0..n as i32).map(|i| i - 2000).collect();
+        for (src, class, traps) in [
+            (PARITY, "Probe", [NO; 3]),
+            (PARITY, "Probe", [1500, NO, NO]),
+            (PARITY, "Probe", [NO, 2600, 1700]),
+            (SCALE, "Scale", [NO; 3]),
+        ] {
+            let lp = build(src);
+            let k = lp.kernel(class).unwrap();
+            let (m, f) = (&lp.module, k.operator_fn);
+            let nm = compile(m).unwrap();
+            for (items, ht) in [(None, 1), (None, 8), (Some(&frontier), 1), (Some(&frontier), 8)] {
+                let run = |body_invariant| {
+                    let (mut region, mut heap, _vt) = setup(m, 1 << 20);
+                    let body = heap.malloc(k.body_size).unwrap();
+                    let (a, b) = (heap.malloc(4 * 4096).unwrap(), heap.malloc(4 * 4096).unwrap());
+                    region.write_ptr(body, a).unwrap();
+                    if class == "Scale" {
+                        region.write_ptr(body.offset(8), b).unwrap();
+                        region.write_f32(body.offset(16), 2.75).unwrap();
+                        region.write_i32(body.offset(20), 7).unwrap();
+                        for i in 0..4096 {
+                            region.write_f32(a.offset(4 * i), i as f32 * 0.37).unwrap();
+                        }
+                    } else {
+                        for (j, v) in traps.into_iter().enumerate() {
+                            region.write_i32(body.offset(8 + 4 * j as u64), v).unwrap();
+                        }
+                    }
+                    let kind = items.map_or(WorkKind::For, |items| WorkKind::Worklist { items });
+                    let work = Work { func: f, body, kind, in_order: false, body_invariant };
+                    let mut ex = Executor::new(4, ht);
+                    ex.step_budget = 10_000;
+                    let mut pushes = Vec::new();
+                    let got = ex.launch(&mut region, &nm, m, &work, Span::full(n), &mut pushes);
+                    (got.map(|s| s.insts), region_bytes(&mut region), pushes)
+                };
+                let what =
+                    format!("{class}, traps {traps:?}, frontier {}, ht {ht}", items.is_some());
+                assert!(run(true) == run(false), "{what}");
+            }
         }
     }
 

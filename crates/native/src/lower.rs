@@ -12,8 +12,10 @@
 //!
 //! * `r15` pins the [`Env`] pointer, `r14` pins `CPU_BASE`, `rbp` is the
 //!   frame pointer. `rbx`/`r12`/`r13` and `xmm2`–`xmm15` are the
-//!   register-allocation pools (see [`crate::regalloc`]); the other
-//!   caller-saved registers are scratch.
+//!   register-allocation pools (see [`crate::regalloc`]). `r11` holds the
+//!   step budget left (`Env::steps`, written back around every call and
+//!   on return); in a kernel `rdi` and `rsi` hold its chunk's item index
+//!   and instruction tally. The other caller-saved registers are scratch.
 //! * Each value lives where [`crate::regalloc`] put it for its whole life:
 //!   a register of its class, a frame slot, or nowhere (constants are
 //!   immediates or RIP-relative literals at each use). Phi edges are one
@@ -33,16 +35,24 @@
 //!
 //! * The chunk entry is `xor rsi, rsi` three bytes before the normal entry
 //!   (so it, not the normal entry, is the 16-aligned one): the prologue
-//!   runs once per chunk. A kernel's prologue keeps `rsi` in a frame cell,
-//!   the **return cell**; null sends it to the item loop, anything else is
-//!   a caller's argument pointer.
-//! * The loop head sets the parameters — `arg0`, and the item id or its
-//!   frontier entry — refills `steps` from `budget` and falls into the
-//!   entry block. A kernel's `ret` tests the return cell: non-null returns
-//!   to the caller (a kernel reached by a direct, virtual or recursive
-//!   call), null goes to the **latch**, which adds the item's instructions
-//!   to `insts`, advances `global_id` and loops until `item_end`, then
-//!   leaves through the shared exit.
+//!   runs once per chunk. A null argument pointer means a chunk. A
+//!   kernel's prologue stores where its `ret` goes in a frame cell, the
+//!   **return cell**: the shared exit when it was called (a kernel reached
+//!   by a direct, virtual or recursive call), the **latch** in a chunk.
+//! * The loop head publishes the item index as `global_id`, refills
+//!   `steps` from `budget` and sets the parameters — `arg0`, and the item
+//!   id or its frontier entry. The latch adds the item's instructions to
+//!   the tally and loops until `item_end`, then leaves through the shared
+//!   exit, which writes `steps` and the tally back.
+//! * **Body fields once per chunk.** `field_promote` leaves a kernel's
+//!   never-stored field loads at the head of its entry block (see
+//!   `regalloc::body_field_prefix`); their values keep their homes for the
+//!   whole function. When the launch writes nothing in the body's block
+//!   (`Env::body_invariant`, decided by the runtime from the kernel's
+//!   access summary), the prologue points the chunk's later items past
+//!   those loads: they charge the entry block's full length, as the first
+//!   item did, and resume after the loads. Otherwise every item enters
+//!   the entry block at its top.
 //! * Per-item state needs no reset: an item that returns has restored the
 //!   private stack pointer and the call depth and set no trap, so every
 //!   item gets the same private frame. A trap leaves through the shared
@@ -52,8 +62,8 @@
 //! Interpreter parity is the design center — the differential battery
 //! demands byte-identical region output and identical traps:
 //!
-//! * The step budget is pre-charged per block (`sub [env.steps], len`;
-//!   trap when negative), which traps on exactly the same launches as the
+//! * The step budget is pre-charged per block (`sub r11, len`; trap when
+//!   negative), which traps on exactly the same launches as the
 //!   interpreter's per-instruction check.
 //! * Address-space classification is by range, exactly as the
 //!   interpreter classifies every pointer it dereferences: below
@@ -76,14 +86,14 @@
 use crate::asm::{Alu, Asm, Cc, Label, Mem, Opnd, Reg, Sse, XOpnd, Xmm};
 use crate::env::{
     h_device_malloc, h_exp, h_f2i, h_floor, h_fmax, h_fmin, h_pow, h_wl_push, Env, MAX_DEPTH,
-    OFF_ARG0, OFF_BUDGET, OFF_CLASS_COUNT, OFF_CODE_PTRS, OFF_DEPTH, OFF_GLOBAL_ID,
-    OFF_GLOBAL_SIZE, OFF_GPU_BASE, OFF_INSTS, OFF_ITEMS, OFF_ITEM_END, OFF_LIMIT_CPU,
-    OFF_LIMIT_PRIV, OFF_LOCAL_ID, OFF_NFUNCS, OFF_PRIV_BASE, OFF_PRIV_LEN, OFF_PRIV_SP,
-    OFF_REGION_BASE, OFF_STEPS, OFF_TRAP_A, OFF_TRAP_B, OFF_TRAP_CODE, PRIVATE_BASE,
+    OFF_ARG0, OFF_BODY_INVARIANT, OFF_BUDGET, OFF_CLASS_COUNT, OFF_CODE_PTRS, OFF_DEPTH,
+    OFF_GLOBAL_ID, OFF_GLOBAL_SIZE, OFF_GPU_BASE, OFF_INSTS, OFF_ITEMS, OFF_ITEM_END,
+    OFF_LIMIT_CPU, OFF_LIMIT_PRIV, OFF_LOCAL_ID, OFF_NFUNCS, OFF_PRIV_BASE, OFF_PRIV_LEN,
+    OFF_PRIV_SP, OFF_REGION_BASE, OFF_STEPS, OFF_TRAP_A, OFF_TRAP_B, OFF_TRAP_CODE, PRIVATE_BASE,
     TRAP_BAD_ADDRESS, TRAP_BAD_DISPATCH, TRAP_DIV_ZERO, TRAP_STACK_OVERFLOW, TRAP_STEP_LIMIT,
     TRAP_UNREACHABLE, TRAP_WRONG_SPACE,
 };
-use crate::regalloc::{allocate, is_call, is_float, Loc};
+use crate::regalloc::{allocate, body_field_prefix, is_call, is_float, Loc};
 use crate::CompileError;
 use concord_cpusim::program::frame_layout;
 use concord_ir::inst::{BinOp, CastOp, FCmp, ICmp, Intrinsic, Op};
@@ -188,12 +198,20 @@ struct FnLower<'a> {
     slow: Vec<SlowPath>,
     /// RIP-relative literals: raw bits and their labels, in first-use order.
     lits: Vec<(i64, Label)>,
-    /// A `ForBody` function's frame cell holding the argument pointer it
-    /// was entered with: null means a chunk, so `ret` goes to `latch`.
+    /// A `ForBody` function's frame cell holding where its `ret` goes:
+    /// the shared exit when it was called, the latch in a chunk.
     ret_cell: Option<Mem>,
-    /// The item loop: start the next work item, and finish one.
-    item: Label,
+    /// The item loop's latch: finish one work item, start the next.
     latch: Label,
+    /// Leading entry-block instructions that load body fields (see
+    /// [`body_field_prefix`]); `resume` follows them and `reenter` charges
+    /// the entry block and jumps there.
+    prefix: usize,
+    resume: Label,
+    reenter: Label,
+    /// Frame cell holding where a chunk's later items enter: the entry
+    /// block, or `reenter` when the body is invariant.
+    entry_cell: Mem,
     t_div: Label,
     t_bad: Label,
     t_was: Label,
@@ -208,7 +226,8 @@ impl<'a> FnLower<'a> {
     fn new(a: &'a mut Asm, f: &'a Function) -> Result<Self, CompileError> {
         let alloc = allocate(f);
         let kernel = f.kernel == Some(KernelKind::ForBody);
-        let slots = alloc.slots + u32::from(kernel);
+        let prefix = body_field_prefix(f);
+        let slots = alloc.slots + u32::from(kernel) + u32::from(prefix > 0);
         let (alloca_off, frame_size) = frame_layout(f);
         let nargs = f
             .insts
@@ -243,9 +262,12 @@ impl<'a> FnLower<'a> {
             t_so: a.label(),
             t_steps: a.label(),
             bail: a.label(),
-            item: a.label(),
             latch: a.label(),
             ret_cell: kernel.then(|| slot(alloc.slots)),
+            prefix,
+            resume: a.label(),
+            reenter: a.label(),
+            entry_cell: slot(alloc.slots + 1),
             a,
             f,
             loc: alloc.loc,
@@ -486,11 +508,13 @@ impl<'a> FnLower<'a> {
             // Pre-charge the whole block against the step budget; traps on
             // exactly the launches where the interpreter's per-instruction
             // `budget == 0` check fires.
-            self.a.alu_mi(Alu::Sub, self.env(OFF_STEPS), insts.len() as i32);
-            self.a.jcc(Cc::S, self.t_steps);
-            for &id in insts {
+            self.charge(insts.len());
+            for (j, &id) in insts.iter().enumerate() {
                 self.cur = id;
                 self.emit_inst(b, id)?;
+                if b == f.entry() && j + 1 == self.prefix {
+                    self.a.bind(self.resume);
+                }
             }
         }
         self.stubs();
@@ -506,6 +530,17 @@ impl<'a> FnLower<'a> {
         }
         a.alu_ri(Alu::Sub, Reg::Rsp, self.frame);
         a.mov_rr(Reg::R15, Reg::Rdi);
+        // Load the loop state the shared exit writes back before any trap
+        // can fire: the step budget left and, in a kernel, the instruction
+        // tally (its argument pointer moves to rdx).
+        a.mov_rm(Reg::R11, Mem::b(Reg::R15, OFF_STEPS));
+        let args = if self.ret_cell.is_some() {
+            a.mov_rr(Reg::Rdx, Reg::Rsi);
+            a.mov_rm(Reg::Rsi, Mem::b(Reg::R15, OFF_INSTS));
+            Reg::Rdx
+        } else {
+            Reg::Rsi
+        };
         a.mov_ri(Reg::R14, CPU_BASE as i64);
         // Save the private sp for the unwind path *before* any trap can
         // fire, so `bail` always restores a meaningful value.
@@ -528,18 +563,32 @@ impl<'a> FnLower<'a> {
         a.mov_mr(Mem::b(Reg::R15, OFF_PRIV_SP), Reg::Rax);
         let params = self.f.params.len();
         let Some(cell) = self.ret_cell else {
-            (0..params).for_each(|i| self.load_param(i, Mem::b(Reg::Rsi, 8 * i as i32), Reg::Rax));
+            (0..params).for_each(|i| self.load_param(i, Mem::b(args, 8 * i as i32), Reg::Rax));
             return;
         };
-        // A kernel keeps its argument pointer; null means a chunk.
-        let chunk = a.label();
-        a.mov_mr(cell, Reg::Rsi);
-        a.test_rr(Reg::Rsi, Reg::Rsi);
-        a.jcc(Cc::E, chunk);
-        (0..params).for_each(|i| self.load_param(i, Mem::b(Reg::Rsi, 8 * i as i32), Reg::Rax));
-        self.a.jmp(self.labels[self.f.entry().0 as usize]);
+        // A kernel's argument pointer is null in a chunk. Its `ret` leaves
+        // when it was called and finishes the item in a chunk.
+        let entry = self.labels[self.f.entry().0 as usize];
+        let chunk = self.a.label();
+        self.a.test_rr(args, args);
+        self.a.jcc(Cc::E, chunk);
+        self.a.lea(Reg::Rax, Mem::lit(self.bail));
+        self.a.mov_mr(cell, Reg::Rax);
+        (0..params).for_each(|i| self.load_param(i, Mem::b(args, 8 * i as i32), Reg::Rax));
+        self.a.jmp(entry);
         self.a.bind(chunk);
-        self.a.mov_rm(Reg::Rax, self.env(OFF_GLOBAL_ID));
+        self.a.lea(Reg::Rax, Mem::lit(self.latch));
+        self.a.mov_mr(cell, Reg::Rax);
+        if self.prefix > 0 {
+            // Later items skip the body-field loads when no write of the
+            // launch lands in the body's block.
+            self.a.lea(Reg::Rax, Mem::lit(entry));
+            self.a.lea(Reg::Rcx, Mem::lit(self.reenter));
+            self.a.cmp_mi(self.env(OFF_BODY_INVARIANT), 0);
+            self.a.cmovcc(Cc::Ne, Reg::Rax, Reg::Rcx);
+            self.a.mov_mr(self.entry_cell, Reg::Rax);
+        }
+        self.a.mov_rm(Reg::Rdi, self.env(OFF_GLOBAL_ID));
         self.item_start();
     }
 
@@ -557,27 +606,34 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    /// The head of a chunk's item loop, entered with the item in `rax` and
-    /// falling through into the entry block: refill the step budget, then
-    /// load the parameters — `arg0`, and the item's own id or, in a
-    /// worklist round, its frontier entry sign-extended.
+    /// The head of a chunk's item loop, with the item index in `rdi`:
+    /// publish it as `global_id`, refill the step budget, then load the
+    /// parameters — `arg0`, and the item's own id or, in a worklist
+    /// round, its frontier entry sign-extended.
     fn item_start(&mut self) {
-        let have = self.a.label();
+        let item = (self.f.params.len() > 1).then(|| self.loc(ValueId(1)));
         let a = &mut *self.a;
-        a.bind(self.item);
-        a.mov_rm(Reg::Rcx, Mem::b(Reg::R15, OFF_BUDGET));
-        a.mov_mr(Mem::b(Reg::R15, OFF_STEPS), Reg::Rcx);
-        a.mov_rm(Reg::Rcx, Mem::b(Reg::R15, OFF_ITEMS));
-        a.test_rr(Reg::Rcx, Reg::Rcx);
-        a.jcc(Cc::E, have);
-        a.movsxd_rm(Reg::Rax, Mem::bi4(Reg::Rcx, Reg::Rax));
-        a.bind(have);
+        a.mov_mr(Mem::b(Reg::R15, OFF_GLOBAL_ID), Reg::Rdi);
+        a.mov_rm(Reg::R11, Mem::b(Reg::R15, OFF_BUDGET));
+        if let Some(home) = item.filter(|&l| l != Loc::None) {
+            let have = a.label();
+            a.mov_rm(Reg::Rcx, Mem::b(Reg::R15, OFF_ITEMS));
+            a.mov_rr(Reg::Rax, Reg::Rdi);
+            a.test_rr(Reg::Rcx, Reg::Rcx);
+            a.jcc(Cc::E, have);
+            a.movsxd_rm(Reg::Rax, Mem::bi4(Reg::Rcx, Reg::Rdi));
+            a.bind(have);
+            self.mov(home, Loc::Gpr(Reg::Rax));
+        }
         if !self.f.params.is_empty() {
             self.load_param(0, self.env(OFF_ARG0), Reg::Rcx);
         }
-        if self.f.params.len() > 1 && self.loc(ValueId(1)) != Loc::None {
-            self.mov(self.loc(ValueId(1)), Loc::Gpr(Reg::Rax));
-        }
+    }
+
+    /// Pre-charge a block of `len` instructions against the step budget.
+    fn charge(&mut self, len: usize) {
+        self.a.alu_ri(Alu::Sub, Reg::R11, len as i32);
+        self.a.jcc(Cc::S, self.t_steps);
     }
 
     /// Trap stubs, the shared return path, the slow paths and literals.
@@ -615,21 +671,35 @@ impl<'a> FnLower<'a> {
         a.mov_mi(code_cell, TRAP_BAD_DISPATCH as i32);
         a.jmp(self.bail);
         if self.ret_cell.is_some() {
-            // The item loop's latch: charge the finished item's
+            // The item loop's latch: tally the finished item's
             // instructions, then start the next item or leave the chunk.
-            let env = |off| Mem::b(Reg::R15, off);
             a.bind(self.latch);
-            a.mov_rm(Reg::Rax, env(OFF_BUDGET));
-            a.alu_rm(Alu::Sub, Reg::Rax, env(OFF_STEPS));
-            a.alu_mr(Alu::Add, env(OFF_INSTS), Reg::Rax);
-            a.mov_rm(Reg::Rax, env(OFF_GLOBAL_ID));
-            a.lea(Reg::Rax, Mem::b(Reg::Rax, 1));
-            a.mov_mr(env(OFF_GLOBAL_ID), Reg::Rax);
-            a.alu_rm(Alu::Cmp, Reg::Rax, env(OFF_ITEM_END));
-            a.jcc(Cc::L, self.item);
+            a.alu_rm(Alu::Add, Reg::Rsi, Mem::b(Reg::R15, OFF_BUDGET));
+            a.alu_rr(Alu::Sub, Reg::Rsi, Reg::R11);
+            a.alu_ri(Alu::Add, Reg::Rdi, 1);
+            a.alu_rm(Alu::Cmp, Reg::Rdi, Mem::b(Reg::R15, OFF_ITEM_END));
+            a.jcc(Cc::Ge, self.bail);
+            self.item_start();
+            let entry = self.labels[self.f.entry().0 as usize];
+            if self.prefix > 0 {
+                self.a.jmp_m(self.entry_cell);
+                // A later item of an invariant body: charge the entry
+                // block as the first item did, then skip its field loads.
+                self.a.bind(self.reenter);
+                self.charge(self.f.block(self.f.entry()).insts.len());
+                self.a.jmp(self.resume);
+            } else {
+                self.a.jmp(entry);
+            }
         }
-        // Shared exit: pop the private frame, restore saved registers.
+        // Shared exit: write the loop state back, pop the private frame,
+        // restore saved registers.
+        let a = &mut *self.a;
         a.bind(self.bail);
+        a.mov_mr(Mem::b(Reg::R15, OFF_STEPS), Reg::R11);
+        if self.ret_cell.is_some() {
+            a.mov_mr(Mem::b(Reg::R15, OFF_INSTS), Reg::Rsi);
+        }
         a.mov_rm(Reg::Rcx, Mem::b(Reg::Rbp, -48));
         a.mov_mr(Mem::b(Reg::R15, OFF_PRIV_SP), Reg::Rcx);
         a.lea(Reg::Rsp, Mem::b(Reg::Rbp, -40));
@@ -900,14 +970,11 @@ impl<'a> FnLower<'a> {
                 if let Some(v) = v {
                     self.gpr_into(v, Reg::Rax);
                 }
-                if let Some(cell) = self.ret_cell {
-                    // Entered per chunk: there is no caller, only the next
-                    // item.
-                    self.a.mov_rm(Reg::Rcx, cell);
-                    self.a.test_rr(Reg::Rcx, Reg::Rcx);
-                    self.a.jcc(Cc::E, self.latch);
+                match self.ret_cell {
+                    // Back to the caller, or on to the chunk's next item.
+                    Some(cell) => self.a.jmp_m(cell),
+                    None => self.a.jmp(self.bail),
                 }
-                self.a.jmp(self.bail);
             }
             Op::Unreachable => self.a.jmp(self.t_unreach),
         }
@@ -1087,7 +1154,7 @@ impl<'a> FnLower<'a> {
             }
             CastOp::FpToSi => {
                 self.xmm_into(v, Xmm::X0);
-                self.call_helper(h_f2i as extern "C" fn(f64) -> i64 as usize);
+                self.call_helper(h_f2i as extern "C" fn(f64) -> i64 as usize, None);
                 self.wrap(Reg::Rax, to);
                 self.put(id, Reg::Rax);
             }
@@ -1333,14 +1400,35 @@ impl<'a> FnLower<'a> {
     /// rdi/rsi.
     fn emit_call_common(&mut self, target: Mem) {
         debug_assert!(is_call(&self.f.inst(self.cur).op), "allocator missed call {}", self.cur);
+        self.spill_loop_state();
         let a = &mut *self.a;
         a.mov_rr(Reg::Rdi, Reg::R15);
         a.lea(Reg::Rsi, Mem::b(Reg::Rbp, -self.arg_base));
         a.alu_mi(Alu::Add, Mem::b(Reg::R15, OFF_DEPTH), 1);
         a.call_m(target);
         a.alu_mi(Alu::Sub, Mem::b(Reg::R15, OFF_DEPTH), 1);
-        a.cmp_mi(Mem::b(Reg::R15, OFF_TRAP_CODE), 0);
-        a.jcc(Cc::Ne, self.bail);
+        self.reload_loop_state();
+        self.a.cmp_mi(self.env(OFF_TRAP_CODE), 0);
+        self.a.jcc(Cc::Ne, self.bail);
+    }
+
+    /// Write the loop state (see `regalloc::LOOP_STATE`) back to the
+    /// environment before a call clobbers it: the callee reads and charges
+    /// `steps` there.
+    fn spill_loop_state(&mut self) {
+        self.a.mov_mr(self.env(OFF_STEPS), Reg::R11);
+        if self.ret_cell.is_some() {
+            self.a.mov_mr(self.env(OFF_INSTS), Reg::Rsi);
+        }
+    }
+
+    /// Reload the loop state after a call.
+    fn reload_loop_state(&mut self) {
+        self.a.mov_rm(Reg::R11, self.env(OFF_STEPS));
+        if self.ret_cell.is_some() {
+            self.a.mov_rm(Reg::Rsi, self.env(OFF_INSTS));
+            self.a.mov_rm(Reg::Rdi, self.env(OFF_GLOBAL_ID));
+        }
     }
 
     fn emit_call_virtual(
@@ -1413,11 +1501,19 @@ impl<'a> FnLower<'a> {
     }
 
     /// `movabs rax, helper; call rax` — process-static Rust helpers
-    /// following the C ABI (args already staged in xmm0/xmm1 or rdi/rsi).
-    fn call_helper(&mut self, addr: usize) {
+    /// following the C ABI: float arguments already staged in xmm0/xmm1,
+    /// or `(env, arg)` in rdi/rsi, staged here after the loop state is
+    /// written back.
+    fn call_helper(&mut self, addr: usize, arg: Option<ValueId>) {
         debug_assert!(is_call(&self.f.inst(self.cur).op), "allocator missed call {}", self.cur);
+        self.spill_loop_state();
+        if let Some(v) = arg {
+            self.gpr_into(v, Reg::Rsi);
+            self.a.mov_rr(Reg::Rdi, Reg::R15);
+        }
         self.a.mov_ri(Reg::Rax, addr as i64);
         self.a.call_r(Reg::Rax);
+        self.reload_loop_state();
     }
 
     // ---- intrinsics ----
@@ -1470,7 +1566,7 @@ impl<'a> FnLower<'a> {
             Floor | Exp => {
                 self.xmm_into(arg(0)?, Xmm::X0);
                 let h = if intr == Floor { h_floor } else { h_exp };
-                self.call_helper(h as extern "C" fn(f64) -> f64 as usize);
+                self.call_helper(h as extern "C" fn(f64) -> f64 as usize, None);
                 self.xput(id, Xmm::X0);
             }
             Pow | FMin | FMax => {
@@ -1481,7 +1577,7 @@ impl<'a> FnLower<'a> {
                     FMin => h_fmin,
                     _ => h_fmax,
                 };
-                self.call_helper(h as extern "C" fn(f64, f64) -> f64 as usize);
+                self.call_helper(h as extern "C" fn(f64, f64) -> f64 as usize, None);
                 self.xput(id, Xmm::X0);
             }
             SMin | SMax => {
@@ -1492,15 +1588,12 @@ impl<'a> FnLower<'a> {
                 self.put(id, Reg::Rax);
             }
             DeviceMalloc => {
-                self.gpr_into(arg(0)?, Reg::Rsi);
-                self.a.mov_rr(Reg::Rdi, Reg::R15);
-                self.call_helper(h_device_malloc as extern "C" fn(*mut Env, i64) -> u64 as usize);
+                let h = h_device_malloc as extern "C" fn(*mut Env, i64) -> u64;
+                self.call_helper(h as usize, Some(arg(0)?));
                 self.put(id, Reg::Rax);
             }
             WlPush => {
-                self.gpr_into(arg(0)?, Reg::Rsi);
-                self.a.mov_rr(Reg::Rdi, Reg::R15);
-                self.call_helper(h_wl_push as extern "C" fn(*mut Env, i64) as usize);
+                self.call_helper(h_wl_push as extern "C" fn(*mut Env, i64) as usize, Some(arg(0)?));
                 // A null sink records TRAP_WL_PUSH; bail like a trapped
                 // callee.
                 self.a.cmp_mi(self.env(OFF_TRAP_CODE), 0);

@@ -31,7 +31,7 @@
 use crate::asm::{Reg, Xmm};
 use concord_ir::inst::{CastOp, Intrinsic};
 use concord_ir::types::Type;
-use concord_ir::{BlockId, Function, Op, ValueId};
+use concord_ir::{BlockId, Function, KernelKind, Op, ValueId};
 
 /// General-purpose allocation pool, in preference order. All three are
 /// callee-saved, so their values survive calls.
@@ -59,10 +59,16 @@ pub(crate) const XMMS: [Xmm; 14] = [
 /// and the `Env` pointer.
 pub(crate) const PINNED: [Reg; 4] = [Reg::Rsp, Reg::Rbp, Reg::R14, Reg::R15];
 
-/// Lowering scratch: every caller-saved general register (the rest are
-/// pinned or pooled).
-pub(crate) const SCRATCH: [Reg; 9] =
-    [Reg::Rax, Reg::Rcx, Reg::Rdx, Reg::Rsi, Reg::Rdi, Reg::R8, Reg::R9, Reg::R10, Reg::R11];
+/// Lowering scratch: caller-saved general registers free at every
+/// instruction.
+pub(crate) const SCRATCH: [Reg; 6] = [Reg::Rax, Reg::Rcx, Reg::Rdx, Reg::R8, Reg::R9, Reg::R10];
+
+/// Loop state, caller-saved and written back to the environment around
+/// every call: `r11` holds the step budget left in every function, and a
+/// kernel's chunk keeps its item index in `rdi` and its instruction tally
+/// in `rsi`. A call stages its arguments in `rdi`/`rsi` after the
+/// write-back.
+pub(crate) const LOOP_STATE: [Reg; 3] = [Reg::R11, Reg::Rdi, Reg::Rsi];
 
 /// Float lowering scratch.
 pub(crate) const XSCRATCH: [Xmm; 2] = [Xmm::X0, Xmm::X1];
@@ -104,10 +110,12 @@ const fn xmm_disjoint(a: &[Xmm], b: &[Xmm]) -> bool {
     true
 }
 
-// Pinned and scratch registers never enter a pool; so every pooled
-// general register is callee-saved and its values survive calls.
+// Pinned, scratch and loop-state registers never enter a pool; so every
+// pooled general register is callee-saved and its values survive calls.
 const _: () = assert!(disjoint(&GPRS, &PINNED) && disjoint(&GPRS, &SCRATCH));
-const _: () = assert!(disjoint(&PINNED, &SCRATCH) && xmm_disjoint(&XMMS, &XSCRATCH));
+const _: () = assert!(disjoint(&GPRS, &LOOP_STATE) && disjoint(&SCRATCH, &LOOP_STATE));
+const _: () = assert!(disjoint(&PINNED, &SCRATCH) && disjoint(&PINNED, &LOOP_STATE));
+const _: () = assert!(xmm_disjoint(&XMMS, &XSCRATCH));
 const _: () = assert!(GPRS.len() <= 32 && XMMS.len() <= 32);
 
 /// Where a value lives for its whole life.
@@ -158,11 +166,38 @@ pub(crate) fn is_float(ty: Type) -> bool {
     matches!(ty, Type::F32 | Type::F64)
 }
 
+/// How many leading instructions of a `ForBody` kernel's entry block load
+/// body fields, as `field_promote` leaves them: parameters, constants,
+/// `gep param0, const` and loads through those, up to the last such load
+/// (0 when there is none, or for any other function). A chunk whose body
+/// is invariant runs them for its first item only, so the values they
+/// define keep their homes for the whole function.
+pub(crate) fn body_field_prefix(f: &Function) -> usize {
+    if f.kernel != Some(KernelKind::ForBody) || f.params.is_empty() {
+        return 0;
+    }
+    let body = ValueId(0);
+    let field = |p: ValueId| match f.inst(p).op {
+        Op::Gep { base, offset } => base == body && matches!(f.inst(offset).op, Op::ConstInt(_)),
+        _ => p == body,
+    };
+    let mut len = 0;
+    for (i, &v) in f.block(f.entry()).insts.iter().enumerate() {
+        match f.inst(v).op {
+            Op::Param(_) | Op::ConstInt(_) | Op::ConstFloat(_) | Op::ConstNull => {}
+            Op::Gep { .. } if field(v) => {}
+            Op::Load(p) if field(p) => len = i + 1,
+            _ => break,
+        }
+    }
+    len
+}
+
 /// Whether a value homed at `loc` keeps its contents across a call.
 #[cfg(any(test, debug_assertions))]
 fn survives_calls(loc: Loc) -> bool {
     match loc {
-        Loc::Gpr(r) => !has(&SCRATCH, r),
+        Loc::Gpr(r) => has(&GPRS, r),
         Loc::Xmm(_) => false,
         _ => true,
     }
@@ -441,6 +476,16 @@ pub(crate) fn allocate(f: &Function) -> Allocation {
                     widen(u.0 as usize, at);
                 }
             });
+        }
+    }
+    // A chunk's later items skip the body-field prefix, so what it
+    // defines and later code reads keeps its home for the whole function.
+    let prefix = body_field_prefix(f) as u32;
+    let last = 2 * k.max(1) - 1;
+    for &v in &f.block(f.entry()).insts[..prefix as usize] {
+        let i = v.0 as usize;
+        if homed[i] && end[i] >= 2 * prefix {
+            (start[i], end[i]) = (0, last);
         }
     }
     // The value is live both before and after some call at `2k..2k+1`.

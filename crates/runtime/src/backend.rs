@@ -498,6 +498,12 @@ impl<'a> ScratchGuard<'a> {
         Ok(())
     }
 
+    /// The allocator the slots come from.
+    #[must_use]
+    pub fn heap(&self) -> &SharedAllocator {
+        self.heap
+    }
+
     /// The allocated slots, in allocation order.
     #[must_use]
     pub fn slots(&self) -> &[CpuAddr] {

@@ -418,6 +418,114 @@ impl FactTable {
     fn report(&mut self, func: FuncId, conv: Convention) -> &AnalysisReport {
         self.get(func, conv, true).report.as_ref().expect("walked on request")
     }
+
+    /// Resolve a launch's static access summary against live pointer
+    /// values and the allocator's block table. Records the symbolic
+    /// range pass bounded get **range-granular** spans: the per-item
+    /// footprint `[stride*id + lo, stride*id + hi)` instantiated over
+    /// the launch's `[0, n)` iteration space, anchored at the live base
+    /// pointer and clamped to the backing allocation — so two launches
+    /// over disjoint halves of one block prove `Independent`. Unbounded
+    /// records widen to the whole backing block as before. Anything
+    /// unresolvable (opaque summary, null or dangling field pointer)
+    /// degrades to an opaque footprint.
+    fn footprint(
+        &mut self,
+        heap: &SharedAllocator,
+        region: &SharedRegion,
+        (func, kind): (FuncId, WorkKind<'_>),
+        body: CpuAddr,
+        n: u32,
+    ) -> Footprint {
+        let conv = convention(kind);
+        let summary = &self.report(func, conv).access;
+        if summary.opaque {
+            return Footprint::opaque();
+        }
+        let Some((body_lo, body_hi)) = heap.block_range(body) else {
+            return Footprint::opaque();
+        };
+        let mut ranges = Vec::new();
+        // Every launch reads its body block (the runtime passes it to the
+        // kernel); a reduction also stages copies from it and joins the
+        // partials back into it.
+        ranges.push(FootRange { lo: body_lo, hi: body_hi, mode: AccessMode::Read });
+        if conv.0 == AnalysisMode::Reduce {
+            ranges.push(FootRange { lo: body_lo, hi: body_hi, mode: AccessMode::Write });
+        }
+        for r in &summary.records {
+            let Some((base_ptr, block_lo, block_hi)) =
+                resolve_base(heap, region, r.base, body, (body_lo, body_hi))
+            else {
+                return Footprint::opaque();
+            };
+            // A bounded record's span is the per-item footprint swept
+            // over the launch's [0, n) iteration space, anchored at the
+            // live base pointer. The base may point *into* its backing
+            // block (e.g. two kernels sharing one allocation at disjoint
+            // halves), so the span is clamped to the block; a span the
+            // clamp empties means the static bound disagrees with the
+            // live layout — fall back to the whole block.
+            let (lo, hi) = match r.footprint {
+                Some(f) => {
+                    let (span_lo, span_hi) = f.launch_span(u64::from(n));
+                    let lo = base_ptr.saturating_add_signed(span_lo).clamp(block_lo, block_hi);
+                    let hi = base_ptr.saturating_add_signed(span_hi).clamp(block_lo, block_hi);
+                    if lo < hi {
+                        (lo, hi)
+                    } else {
+                        (block_lo, block_hi)
+                    }
+                }
+                None => (block_lo, block_hi),
+            };
+            ranges.push(FootRange { lo, hi, mode: r.mode });
+        }
+        Footprint { opaque: false, ranges }
+    }
+
+    /// Whether no write of a `for` launch or worklist round of `func` over
+    /// `body` can land in the body's block: the summary is not opaque,
+    /// and every `Write` or `Accumulate` record resolves, as
+    /// [`FactTable::footprint`] resolves it, into another block. (A
+    /// footprint range lies inside its record's block, so it overlaps the
+    /// body's block exactly when that block is the body's.)
+    fn body_invariant(
+        &mut self,
+        heap: &SharedAllocator,
+        region: &SharedRegion,
+        (func, kind): (FuncId, WorkKind<'_>),
+        body: CpuAddr,
+    ) -> bool {
+        let summary = &self.report(func, convention(kind)).access;
+        let Some(block) = heap.block_range(body).filter(|_| !summary.opaque) else {
+            return false;
+        };
+        let mut writes = summary.records.iter().filter(|r| r.mode != AccessMode::Read);
+        writes.all(|r| {
+            resolve_base(heap, region, r.base, body, block).is_some_and(|(_, lo, _)| lo != block.0)
+        })
+    }
+}
+
+/// The live pointer an access record's base names and the allocation
+/// block `[lo, hi)` it points into; `None` for a null, dangling or
+/// unreadable field pointer. `body_block` is the body's own block.
+fn resolve_base(
+    heap: &SharedAllocator,
+    region: &SharedRegion,
+    base: AccessBase,
+    body: CpuAddr,
+    body_block: (u64, u64),
+) -> Option<(u64, u64, u64)> {
+    match base {
+        AccessBase::Body => Some((body.0, body_block.0, body_block.1)),
+        AccessBase::Field { offset } => {
+            let ptr = region.read_ptr(body.offset(offset)).ok()?;
+            let (lo, hi) = heap.block_range(ptr)?;
+            Some((ptr.0, lo, hi))
+        }
+    }
 }
 
 /// What the drain loop decided for the front of the launch queue.
@@ -428,6 +536,15 @@ struct WavePlan {
     stalls: u64,
     /// Members that joined through accumulate-mode overlap.
     coalesced: u64,
+}
+
+/// What [`Pipeline::setup`] decided about a native launch's chunks.
+#[derive(Debug, Clone, Copy)]
+struct Verdicts {
+    /// CA108: run the chunks in order.
+    hazard: bool,
+    /// No write of the launch can land in the body's block.
+    body_invariant: bool,
 }
 
 /// One launch of a wave between setup and finish.
@@ -486,17 +603,18 @@ impl<'a> Pipeline<'a> {
         (backend, &mut self.ctx)
     }
 
-    /// Per-launch setup after planning: the CA108 verdict, the native
-    /// module a native launch needs (the trait's `prepare` cannot fail;
-    /// this can — unsupported host, unlowerable module), and a reduction's
-    /// partial-accumulator slots, allocated in the wave's scratch guard.
-    /// Returns the verdict and each plan part's slot count.
+    /// Per-launch setup after planning: the CA108 verdict, the
+    /// body-invariance verdict, the native module a native launch needs
+    /// (the trait's `prepare` cannot fail; this can — unsupported host,
+    /// unlowerable module), and a reduction's partial-accumulator slots,
+    /// allocated in the wave's scratch guard. Returns the verdicts and each
+    /// plan part's slot count.
     fn setup(
         &mut self,
         scratch: &mut ScratchGuard<'_>,
         l: &graph::Launch<'_>,
         plan: &Plan,
-    ) -> Result<(bool, Vec<usize>), RuntimeError> {
+    ) -> Result<(Verdicts, Vec<usize>), RuntimeError> {
         let native = l.target == Target::Native;
         // A CA108 kernel runs its native chunks in order, pinning its
         // intermediate dynamics to the one-thread schedule. Worklist rounds
@@ -507,13 +625,21 @@ impl<'a> Pipeline<'a> {
             && !l.gated.native
             && !matches!(l.kind, WorkKind::Worklist { .. })
             && self.facts.report(l.func, convention(l.kind)).access.hazard;
+        // A native chunk loads the body's fields once when no write of
+        // the launch can land in the body's block, refused for a gated
+        // kernel. A reduction writes its body (its slots) anyway.
+        let body_invariant = native
+            && !l.gated.native
+            && !matches!(l.kind, WorkKind::Reduce { .. })
+            && self.facts.body_invariant(scratch.heap(), self.ctx.region, (l.func, l.kind), l.body);
+        let verdicts = Verdicts { hazard, body_invariant };
         if native {
             self.native
                 .ensure_prepared(&mut self.ctx, &l.class)
                 .map_err(|e| RuntimeError::NativeUnsupported(e.to_string()))?;
         }
         let WorkKind::Reduce { body_size, .. } = l.kind else {
-            return Ok((hazard, vec![0; plan.parts.len()]));
+            return Ok((verdicts, vec![0; plan.parts.len()]));
         };
         let counts = plan.parts.iter().map(|&(device, span)| {
             let (backend, ctx) = self.on(device_class(l, device));
@@ -521,7 +647,7 @@ impl<'a> Pipeline<'a> {
         });
         let counts: Vec<usize> = counts.collect();
         scratch.alloc(counts.iter().sum::<usize>() as u64, body_size)?;
-        Ok((hazard, counts))
+        Ok((verdicts, counts))
     }
 
     /// Execute a snapshot wave's CPU and GPU part against one snapshot of
@@ -1163,7 +1289,7 @@ impl Concord {
         let footprint = if launch.gated.any() {
             Footprint::opaque()
         } else {
-            self.resolve_footprint(launch.func, launch.kind, body, n)
+            self.facts.footprint(&self.heap, &self.region, (launch.func, launch.kind), body, n)
         };
         let id = self.launch_graph.submit(launch, footprint);
         self.tracer.instant(
@@ -1176,77 +1302,6 @@ impl Concord {
             ],
         );
         Ok(id)
-    }
-
-    /// Resolve a launch's static access summary against live pointer
-    /// values and the allocator's block table. Records the symbolic
-    /// range pass bounded get **range-granular** spans: the per-item
-    /// footprint `[stride*id + lo, stride*id + hi)` instantiated over
-    /// the launch's `[0, n)` iteration space, anchored at the live base
-    /// pointer and clamped to the backing allocation — so two launches
-    /// over disjoint halves of one block prove `Independent`. Unbounded
-    /// records widen to the whole backing block as before. Anything
-    /// unresolvable (opaque summary, null or dangling field pointer)
-    /// degrades to an opaque footprint.
-    fn resolve_footprint(
-        &mut self,
-        func: FuncId,
-        kind: WorkKind<'_>,
-        body: CpuAddr,
-        n: u32,
-    ) -> Footprint {
-        let conv = convention(kind);
-        let summary = &self.facts.report(func, conv).access;
-        if summary.opaque {
-            return Footprint::opaque();
-        }
-        let Some((body_lo, body_hi)) = self.heap.block_range(body) else {
-            return Footprint::opaque();
-        };
-        let mut ranges = Vec::new();
-        // Every launch reads its body block (the runtime passes it to the
-        // kernel); a reduction also stages copies from it and joins the
-        // partials back into it.
-        ranges.push(FootRange { lo: body_lo, hi: body_hi, mode: AccessMode::Read });
-        if conv.0 == AnalysisMode::Reduce {
-            ranges.push(FootRange { lo: body_lo, hi: body_hi, mode: AccessMode::Write });
-        }
-        for r in &summary.records {
-            let (base_ptr, block_lo, block_hi) = match r.base {
-                AccessBase::Body => (body.0, body_lo, body_hi),
-                AccessBase::Field { offset } => {
-                    let Ok(ptr) = self.region.read_ptr(body.offset(offset)) else {
-                        return Footprint::opaque();
-                    };
-                    let Some((lo, hi)) = self.heap.block_range(ptr) else {
-                        return Footprint::opaque();
-                    };
-                    (ptr.0, lo, hi)
-                }
-            };
-            // A bounded record's span is the per-item footprint swept
-            // over the launch's [0, n) iteration space, anchored at the
-            // live base pointer. The base may point *into* its backing
-            // block (e.g. two kernels sharing one allocation at disjoint
-            // halves), so the span is clamped to the block; a span the
-            // clamp empties means the static bound disagrees with the
-            // live layout — fall back to the whole block.
-            let (lo, hi) = match r.footprint {
-                Some(f) => {
-                    let (span_lo, span_hi) = f.launch_span(u64::from(n));
-                    let lo = base_ptr.saturating_add_signed(span_lo).clamp(block_lo, block_hi);
-                    let hi = base_ptr.saturating_add_signed(span_hi).clamp(block_lo, block_hi);
-                    if lo < hi {
-                        (lo, hi)
-                    } else {
-                        (block_lo, block_hi)
-                    }
-                }
-                None => (block_lo, block_hi),
-            };
-            ranges.push(FootRange { lo, hi, mode: r.mode });
-        }
-        Footprint { opaque: false, ranges }
     }
 
     /// Drain the graph until `id`'s launch has executed and return its
@@ -1652,7 +1707,7 @@ impl Concord {
                 wave.iter().zip(&members).map(|(l, m)| p.setup(&mut scratch, l, &m.plan)).collect();
             let (mut free, mut serialized) = (scratch.slots(), 0);
             for ((l, m), setup) in wave.iter().zip(&mut members).zip(setups) {
-                let (hazard, counts) = match setup {
+                let (Verdicts { hazard, body_invariant }, counts) = match setup {
                     Ok(setup) => setup,
                     Err(e) => {
                         m.failed = Some(e);
@@ -1673,7 +1728,7 @@ impl Concord {
                         kind => kind,
                     };
                     let in_order = l.gated.on(device) || hazard;
-                    let work = Work { func: l.func, body: l.body, kind, in_order };
+                    let work = Work { func: l.func, body: l.body, kind, in_order, body_invariant };
                     let stats = LaunchStats::default();
                     m.parts.push(Part { device, work, span, jit: 0.0, stats });
                 }

@@ -98,6 +98,12 @@ pub struct Work<'a> {
     /// runs each warp's lanes one at a time); the native `Executor` runs its
     /// chunks on the calling thread instead of fanning them out.
     pub in_order: bool,
+    /// No write of this launch can land in the body's block, so the body
+    /// is invariant while the launch runs. The runtime decides it for
+    /// native `for` launches and worklist rounds from the kernel's access
+    /// summary; the native `Executor` then loads the body fields once per
+    /// chunk. The simulators ignore it.
+    pub body_invariant: bool,
 }
 
 /// Copy a reduction's body into each of `slots` — the serial staging step
