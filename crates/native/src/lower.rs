@@ -43,7 +43,10 @@
 //!   `steps` from `budget` and sets the parameters — `arg0`, and the item
 //!   id or its frontier entry. The latch adds the item's instructions to
 //!   the tally and loops until `item_end`, then leaves through the shared
-//!   exit, which writes `steps` and the tally back.
+//!   exit, which writes `steps` and the tally back. There are two
+//!   latches, one per item source (the id, or a worklist round's
+//!   frontier), and the prologue points the return cell at one of them
+//!   once per chunk.
 //! * **Body fields once per chunk.** `field_promote` leaves a kernel's
 //!   never-stored field loads at the head of its entry block (see
 //!   `regalloc::body_field_prefix`); their values keep their homes for the
@@ -187,6 +190,8 @@ struct FnLower<'a> {
     alloca_off: Vec<u64>,
     frame_size: u64,
     labels: Vec<Label>,
+    /// Each block's position after its step pre-charge.
+    charged: Vec<Label>,
     /// The block laid out after the one being emitted.
     next: Option<BlockId>,
     /// The instruction being emitted.
@@ -201,8 +206,10 @@ struct FnLower<'a> {
     /// A `ForBody` function's frame cell holding where its `ret` goes:
     /// the shared exit when it was called, the latch in a chunk.
     ret_cell: Option<Mem>,
-    /// The item loop's latch: finish one work item, start the next.
+    /// The item loop's latches: finish one work item, start the next,
+    /// in a `for` launch and in a worklist round.
     latch: Label,
+    latch_wl: Label,
     /// Leading entry-block instructions that load body fields (see
     /// [`body_field_prefix`]); `resume` follows them and `reenter` charges
     /// the entry block and jumps there.
@@ -254,6 +261,7 @@ impl<'a> FnLower<'a> {
         }
         Ok(FnLower {
             labels: f.blocks.iter().map(|_| a.label()).collect(),
+            charged: f.blocks.iter().map(|_| a.label()).collect(),
             t_div: a.label(),
             t_bad: a.label(),
             t_was: a.label(),
@@ -263,6 +271,7 @@ impl<'a> FnLower<'a> {
             t_steps: a.label(),
             bail: a.label(),
             latch: a.label(),
+            latch_wl: a.label(),
             ret_cell: kernel.then(|| slot(alloc.slots)),
             prefix,
             resume: a.label(),
@@ -508,7 +517,9 @@ impl<'a> FnLower<'a> {
             // Pre-charge the whole block against the step budget; traps on
             // exactly the launches where the interpreter's per-instruction
             // `budget == 0` check fires.
-            self.charge(insts.len());
+            let next = self.forward(b).map_or(0, |t| f.block(t).insts.len());
+            self.charge(insts.len() + next);
+            self.a.bind(self.charged[b.0 as usize]);
             for (j, &id) in insts.iter().enumerate() {
                 self.cur = id;
                 self.emit_inst(b, id)?;
@@ -578,6 +589,9 @@ impl<'a> FnLower<'a> {
         self.a.jmp(entry);
         self.a.bind(chunk);
         self.a.lea(Reg::Rax, Mem::lit(self.latch));
+        self.a.lea(Reg::Rcx, Mem::lit(self.latch_wl));
+        self.a.cmp_mi(self.env(OFF_ITEMS), 0);
+        self.a.cmovcc(Cc::Ne, Reg::Rax, Reg::Rcx);
         self.a.mov_mr(cell, Reg::Rax);
         if self.prefix > 0 {
             // Later items skip the body-field loads when no write of the
@@ -589,7 +603,7 @@ impl<'a> FnLower<'a> {
             self.a.mov_mr(self.entry_cell, Reg::Rax);
         }
         self.a.mov_rm(Reg::Rdi, self.env(OFF_GLOBAL_ID));
-        self.item_start();
+        self.item_start(None);
     }
 
     /// Load parameter `i`'s raw bits from `m` into its home; `tmp` carries
@@ -608,26 +622,55 @@ impl<'a> FnLower<'a> {
 
     /// The head of a chunk's item loop, with the item index in `rdi`:
     /// publish it as `global_id`, refill the step budget, then load the
-    /// parameters — `arg0`, and the item's own id or, in a worklist
-    /// round, its frontier entry sign-extended.
-    fn item_start(&mut self) {
+    /// parameters — `arg0`, and the item's own id or, in a worklist round
+    /// (`frontier`; `None` tests `Env::items`), its frontier entry
+    /// sign-extended.
+    fn item_start(&mut self, frontier: Option<bool>) {
         let item = (self.f.params.len() > 1).then(|| self.loc(ValueId(1)));
         let a = &mut *self.a;
         a.mov_mr(Mem::b(Reg::R15, OFF_GLOBAL_ID), Reg::Rdi);
         a.mov_rm(Reg::R11, Mem::b(Reg::R15, OFF_BUDGET));
         if let Some(home) = item.filter(|&l| l != Loc::None) {
-            let have = a.label();
-            a.mov_rm(Reg::Rcx, Mem::b(Reg::R15, OFF_ITEMS));
-            a.mov_rr(Reg::Rax, Reg::Rdi);
-            a.test_rr(Reg::Rcx, Reg::Rcx);
-            a.jcc(Cc::E, have);
-            a.movsxd_rm(Reg::Rax, Mem::bi4(Reg::Rcx, Reg::Rdi));
-            a.bind(have);
-            self.mov(home, Loc::Gpr(Reg::Rax));
+            let items = Mem::b(Reg::R15, OFF_ITEMS);
+            let from = match frontier {
+                Some(false) => Reg::Rdi,
+                Some(true) => {
+                    a.mov_rm(Reg::Rcx, items);
+                    a.movsxd_rm(Reg::Rax, Mem::bi4(Reg::Rcx, Reg::Rdi));
+                    Reg::Rax
+                }
+                None => {
+                    let have = a.label();
+                    a.mov_rr(Reg::Rax, Reg::Rdi);
+                    a.mov_rm(Reg::Rcx, items);
+                    a.test_rr(Reg::Rcx, Reg::Rcx);
+                    a.jcc(Cc::E, have);
+                    a.movsxd_rm(Reg::Rax, Mem::bi4(Reg::Rcx, Reg::Rdi));
+                    a.bind(have);
+                    Reg::Rax
+                }
+            };
+            self.mov(home, Loc::Gpr(from));
         }
         if !self.f.params.is_empty() {
             self.load_param(0, self.env(OFF_ARG0), Reg::Rcx);
         }
+    }
+
+    /// The block `b` branches to when `b` does nothing else, unless that
+    /// block only branches too: `b` then charges both blocks and jumps
+    /// past its successor's charge. The two checks run back to back
+    /// either way, with nothing observable between them, so a trap is
+    /// the same trap.
+    fn forward(&self, b: BlockId) -> Option<BlockId> {
+        let only_br = |b: BlockId| match self.f.block(b).insts.as_slice() {
+            &[t] => match self.f.inst(t).op {
+                Op::Br(to) => Some(to),
+                _ => None,
+            },
+            _ => None,
+        };
+        only_br(b).filter(|&t| t != b && only_br(t).is_none())
     }
 
     /// Pre-charge a block of `len` instructions against the step budget.
@@ -671,25 +714,30 @@ impl<'a> FnLower<'a> {
         a.mov_mi(code_cell, TRAP_BAD_DISPATCH as i32);
         a.jmp(self.bail);
         if self.ret_cell.is_some() {
-            // The item loop's latch: tally the finished item's
+            // The item loop's latches: tally the finished item's
             // instructions, then start the next item or leave the chunk.
-            a.bind(self.latch);
-            a.alu_rm(Alu::Add, Reg::Rsi, Mem::b(Reg::R15, OFF_BUDGET));
-            a.alu_rr(Alu::Sub, Reg::Rsi, Reg::R11);
-            a.alu_ri(Alu::Add, Reg::Rdi, 1);
-            a.alu_rm(Alu::Cmp, Reg::Rdi, Mem::b(Reg::R15, OFF_ITEM_END));
-            a.jcc(Cc::Ge, self.bail);
-            self.item_start();
             let entry = self.labels[self.f.entry().0 as usize];
+            for (latch, frontier) in [(self.latch, false), (self.latch_wl, true)] {
+                let a = &mut *self.a;
+                a.bind(latch);
+                a.alu_rm(Alu::Add, Reg::Rsi, Mem::b(Reg::R15, OFF_BUDGET));
+                a.alu_rr(Alu::Sub, Reg::Rsi, Reg::R11);
+                a.alu_ri(Alu::Add, Reg::Rdi, 1);
+                a.alu_rm(Alu::Cmp, Reg::Rdi, Mem::b(Reg::R15, OFF_ITEM_END));
+                a.jcc(Cc::Ge, self.bail);
+                self.item_start(Some(frontier));
+                if self.prefix > 0 {
+                    self.a.jmp_m(self.entry_cell);
+                } else {
+                    self.a.jmp(entry);
+                }
+            }
             if self.prefix > 0 {
-                self.a.jmp_m(self.entry_cell);
                 // A later item of an invariant body: charge the entry
                 // block as the first item did, then skip its field loads.
                 self.a.bind(self.reenter);
                 self.charge(self.f.block(self.f.entry()).insts.len());
                 self.a.jmp(self.resume);
-            } else {
-                self.a.jmp(entry);
             }
         }
         // Shared exit: write the loop state back, pop the private frame,
@@ -963,7 +1011,11 @@ impl<'a> FnLower<'a> {
             &Op::Br(t) => {
                 let moves = self.edge(b, t);
                 self.emit_moves(moves);
-                self.jump_to(t);
+                if self.forward(b) == Some(t) {
+                    self.a.jmp(self.charged[t.0 as usize]);
+                } else {
+                    self.jump_to(t);
+                }
             }
             &Op::CondBr(c, t, e) => self.emit_condbr(b, c, t, e),
             &Op::Ret(v) => {
