@@ -211,10 +211,8 @@ struct FnLower<'a> {
     latch: Label,
     latch_wl: Label,
     /// Leading entry-block instructions that load body fields (see
-    /// [`body_field_prefix`]); `resume` follows them and `reenter` charges
-    /// the entry block and jumps there.
+    /// [`body_field_prefix`]); `reenter` follows them.
     prefix: usize,
-    resume: Label,
     reenter: Label,
     /// Frame cell holding where a chunk's later items enter: the entry
     /// block, or `reenter` when the body is invariant.
@@ -274,7 +272,6 @@ impl<'a> FnLower<'a> {
             latch_wl: a.label(),
             ret_cell: kernel.then(|| slot(alloc.slots)),
             prefix,
-            resume: a.label(),
             reenter: a.label(),
             entry_cell: slot(alloc.slots + 1),
             a,
@@ -524,7 +521,14 @@ impl<'a> FnLower<'a> {
                 self.cur = id;
                 self.emit_inst(b, id)?;
                 if b == f.entry() && j + 1 == self.prefix {
-                    self.a.bind(self.resume);
+                    // A later item of an invariant body enters here: it
+                    // charges the entry block as the first item did and
+                    // skips the field loads.
+                    let resume = self.a.label();
+                    self.a.jmp(resume);
+                    self.a.bind(self.reenter);
+                    self.charge(insts.len());
+                    self.a.bind(resume);
                 }
             }
         }
@@ -731,13 +735,6 @@ impl<'a> FnLower<'a> {
                 } else {
                     self.a.jmp(entry);
                 }
-            }
-            if self.prefix > 0 {
-                // A later item of an invariant body: charge the entry
-                // block as the first item did, then skip its field loads.
-                self.a.bind(self.reenter);
-                self.charge(self.f.block(self.f.entry()).insts.len());
-                self.a.jmp(self.resume);
             }
         }
         // Shared exit: write the loop state back, pop the private frame,
