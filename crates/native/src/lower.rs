@@ -96,7 +96,7 @@ use crate::env::{
     TRAP_BAD_ADDRESS, TRAP_BAD_DISPATCH, TRAP_DIV_ZERO, TRAP_STACK_OVERFLOW, TRAP_STEP_LIMIT,
     TRAP_UNREACHABLE, TRAP_WRONG_SPACE,
 };
-use crate::regalloc::{allocate, body_field_prefix, is_call, is_float, Loc};
+use crate::regalloc::{allocate, is_call, is_float, Loc};
 use crate::CompileError;
 use concord_cpusim::program::frame_layout;
 use concord_ir::inst::{BinOp, CastOp, FCmp, ICmp, Intrinsic, Op};
@@ -211,7 +211,7 @@ struct FnLower<'a> {
     latch: Label,
     latch_wl: Label,
     /// Leading entry-block instructions that load body fields (see
-    /// [`body_field_prefix`]); `reenter` follows them.
+    /// `regalloc::body_field_prefix`); `reenter` follows them.
     prefix: usize,
     reenter: Label,
     /// Frame cell holding where a chunk's later items enter: the entry
@@ -231,7 +231,7 @@ impl<'a> FnLower<'a> {
     fn new(a: &'a mut Asm, f: &'a Function) -> Result<Self, CompileError> {
         let alloc = allocate(f);
         let kernel = f.kernel == Some(KernelKind::ForBody);
-        let prefix = body_field_prefix(f);
+        let prefix = alloc.prefix;
         let slots = alloc.slots + u32::from(kernel) + u32::from(prefix > 0);
         let (alloca_off, frame_size) = frame_layout(f);
         let nargs = f

@@ -145,6 +145,8 @@ pub(crate) struct Allocation {
     pub order: Vec<BlockId>,
     /// Frame slots used.
     pub slots: u32,
+    /// The entry block's body-field prefix (see [`body_field_prefix`]).
+    pub prefix: usize,
 }
 
 /// Whether lowering `op` calls out of the function, clobbering every
@@ -172,7 +174,7 @@ pub(crate) fn is_float(ty: Type) -> bool {
 /// (0 when there is none, or for any other function). A chunk whose body
 /// is invariant runs them for its first item only, so the values they
 /// define keep their homes for the whole function.
-pub(crate) fn body_field_prefix(f: &Function) -> usize {
+fn body_field_prefix(f: &Function) -> usize {
     if f.kernel != Some(KernelKind::ForBody) || f.params.is_empty() {
         return 0;
     }
@@ -480,11 +482,11 @@ pub(crate) fn allocate(f: &Function) -> Allocation {
     }
     // A chunk's later items skip the body-field prefix, so what it
     // defines and later code reads keeps its home for the whole function.
-    let prefix = body_field_prefix(f) as u32;
+    let prefix = body_field_prefix(f);
     let last = 2 * k.max(1) - 1;
-    for &v in &f.block(f.entry()).insts[..prefix as usize] {
+    for &v in &f.block(f.entry()).insts[..prefix] {
         let i = v.0 as usize;
-        if homed[i] && end[i] >= 2 * prefix {
+        if homed[i] && end[i] >= 2 * prefix as u32 {
             (start[i], end[i]) = (0, last);
         }
     }
@@ -578,7 +580,7 @@ pub(crate) fn allocate(f: &Function) -> Allocation {
             };
         }
     }
-    let alloc = Allocation { loc, order, slots };
+    let alloc = Allocation { loc, order, slots, prefix };
     #[cfg(debug_assertions)]
     check(f, &alloc);
     alloc

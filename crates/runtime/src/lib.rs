@@ -419,75 +419,10 @@ impl FactTable {
         self.get(func, conv, true).report.as_ref().expect("walked on request")
     }
 
-    /// Resolve a launch's static access summary against live pointer
-    /// values and the allocator's block table. Records the symbolic
-    /// range pass bounded get **range-granular** spans: the per-item
-    /// footprint `[stride*id + lo, stride*id + hi)` instantiated over
-    /// the launch's `[0, n)` iteration space, anchored at the live base
-    /// pointer and clamped to the backing allocation — so two launches
-    /// over disjoint halves of one block prove `Independent`. Unbounded
-    /// records widen to the whole backing block as before. Anything
-    /// unresolvable (opaque summary, null or dangling field pointer)
-    /// degrades to an opaque footprint.
-    fn footprint(
-        &mut self,
-        heap: &SharedAllocator,
-        region: &SharedRegion,
-        (func, kind): (FuncId, WorkKind<'_>),
-        body: CpuAddr,
-        n: u32,
-    ) -> Footprint {
-        let conv = convention(kind);
-        let summary = &self.report(func, conv).access;
-        if summary.opaque {
-            return Footprint::opaque();
-        }
-        let Some((body_lo, body_hi)) = heap.block_range(body) else {
-            return Footprint::opaque();
-        };
-        let mut ranges = Vec::new();
-        // Every launch reads its body block (the runtime passes it to the
-        // kernel); a reduction also stages copies from it and joins the
-        // partials back into it.
-        ranges.push(FootRange { lo: body_lo, hi: body_hi, mode: AccessMode::Read });
-        if conv.0 == AnalysisMode::Reduce {
-            ranges.push(FootRange { lo: body_lo, hi: body_hi, mode: AccessMode::Write });
-        }
-        for r in &summary.records {
-            let Some((base_ptr, block_lo, block_hi)) =
-                resolve_base(heap, region, r.base, body, (body_lo, body_hi))
-            else {
-                return Footprint::opaque();
-            };
-            // A bounded record's span is the per-item footprint swept
-            // over the launch's [0, n) iteration space, anchored at the
-            // live base pointer. The base may point *into* its backing
-            // block (e.g. two kernels sharing one allocation at disjoint
-            // halves), so the span is clamped to the block; a span the
-            // clamp empties means the static bound disagrees with the
-            // live layout — fall back to the whole block.
-            let (lo, hi) = match r.footprint {
-                Some(f) => {
-                    let (span_lo, span_hi) = f.launch_span(u64::from(n));
-                    let lo = base_ptr.saturating_add_signed(span_lo).clamp(block_lo, block_hi);
-                    let hi = base_ptr.saturating_add_signed(span_hi).clamp(block_lo, block_hi);
-                    if lo < hi {
-                        (lo, hi)
-                    } else {
-                        (block_lo, block_hi)
-                    }
-                }
-                None => (block_lo, block_hi),
-            };
-            ranges.push(FootRange { lo, hi, mode: r.mode });
-        }
-        Footprint { opaque: false, ranges }
-    }
-
     /// Whether no write of a `for` launch or worklist round of `func` over
     /// `body` can land in the body's block: the summary is not opaque,
     /// and every `Write` or `Accumulate` record resolves, as
-    /// [`FactTable::footprint`] resolves it, into another block. (A
+    /// [`Concord::resolve_footprint`] resolves it, into another block. (A
     /// footprint range lies inside its record's block, so it overlaps the
     /// body's block exactly when that block is the body's.)
     fn body_invariant(
@@ -1289,7 +1224,7 @@ impl Concord {
         let footprint = if launch.gated.any() {
             Footprint::opaque()
         } else {
-            self.facts.footprint(&self.heap, &self.region, (launch.func, launch.kind), body, n)
+            self.resolve_footprint(launch.func, launch.kind, body, n)
         };
         let id = self.launch_graph.submit(launch, footprint);
         self.tracer.instant(
@@ -1302,6 +1237,70 @@ impl Concord {
             ],
         );
         Ok(id)
+    }
+
+    /// Resolve a launch's static access summary against live pointer
+    /// values and the allocator's block table. Records the symbolic
+    /// range pass bounded get **range-granular** spans: the per-item
+    /// footprint `[stride*id + lo, stride*id + hi)` instantiated over
+    /// the launch's `[0, n)` iteration space, anchored at the live base
+    /// pointer and clamped to the backing allocation — so two launches
+    /// over disjoint halves of one block prove `Independent`. Unbounded
+    /// records widen to the whole backing block as before. Anything
+    /// unresolvable (opaque summary, null or dangling field pointer)
+    /// degrades to an opaque footprint.
+    fn resolve_footprint(
+        &mut self,
+        func: FuncId,
+        kind: WorkKind<'_>,
+        body: CpuAddr,
+        n: u32,
+    ) -> Footprint {
+        let conv = convention(kind);
+        let summary = &self.facts.report(func, conv).access;
+        if summary.opaque {
+            return Footprint::opaque();
+        }
+        let Some((body_lo, body_hi)) = self.heap.block_range(body) else {
+            return Footprint::opaque();
+        };
+        let mut ranges = Vec::new();
+        // Every launch reads its body block (the runtime passes it to the
+        // kernel); a reduction also stages copies from it and joins the
+        // partials back into it.
+        ranges.push(FootRange { lo: body_lo, hi: body_hi, mode: AccessMode::Read });
+        if conv.0 == AnalysisMode::Reduce {
+            ranges.push(FootRange { lo: body_lo, hi: body_hi, mode: AccessMode::Write });
+        }
+        for r in &summary.records {
+            let Some((base_ptr, block_lo, block_hi)) =
+                resolve_base(&self.heap, &self.region, r.base, body, (body_lo, body_hi))
+            else {
+                return Footprint::opaque();
+            };
+            // A bounded record's span is the per-item footprint swept
+            // over the launch's [0, n) iteration space, anchored at the
+            // live base pointer. The base may point *into* its backing
+            // block (e.g. two kernels sharing one allocation at disjoint
+            // halves), so the span is clamped to the block; a span the
+            // clamp empties means the static bound disagrees with the
+            // live layout — fall back to the whole block.
+            let (lo, hi) = match r.footprint {
+                Some(f) => {
+                    let (span_lo, span_hi) = f.launch_span(u64::from(n));
+                    let lo = base_ptr.saturating_add_signed(span_lo).clamp(block_lo, block_hi);
+                    let hi = base_ptr.saturating_add_signed(span_hi).clamp(block_lo, block_hi);
+                    if lo < hi {
+                        (lo, hi)
+                    } else {
+                        (block_lo, block_hi)
+                    }
+                }
+                None => (block_lo, block_hi),
+            };
+            ranges.push(FootRange { lo, hi, mode: r.mode });
+        }
+        Footprint { opaque: false, ranges }
     }
 
     /// Drain the graph until `id`'s launch has executed and return its
