@@ -18,8 +18,13 @@ echo "==> cargo test -q --workspace (CONCORD_HOST_THREADS=1 and =8, under timeou
 # once per fan-out; the timeout makes a wedged server fail CI rather than
 # hang it (the suite is built first, so it times the tests and not rustc).
 cargo test -q --workspace --no-run
-# Strip harness wall-clock suffixes and cargo compile-progress lines.
-strip_wallclock() { sed 's/; finished in [0-9.]*s//' | grep -vE '^[[:space:]]*(Compiling|Finished|Downloaded|Downloading) ' || true; }
+# Strip harness wall-clock suffixes, libtest's slow-test notices and cargo
+# compile-progress lines.
+strip_wallclock() {
+    sed 's/; finished in [0-9.]*s//' \
+        | grep -vE '^[[:space:]]*(Compiling|Finished|Downloaded|Downloading) |^test .* has been running for over [0-9]+ seconds$' \
+        || true
+}
 timeout 600 env CONCORD_HOST_THREADS=1 cargo test -q --workspace 2>&1 | strip_wallclock > /tmp/concord_ci_t1.log \
     || { cat /tmp/concord_ci_t1.log; exit 1; }
 timeout 600 env CONCORD_HOST_THREADS=8 cargo test -q --workspace 2>&1 | strip_wallclock > /tmp/concord_ci_t8.log \
@@ -235,6 +240,26 @@ for call in '.fence_in(' '.fence_out(' 'note_fences_elided('; do
         exit 1
     fi
 done
+
+echo "==> structural guard: one reduction protocol"
+# The runtime stages every CPU-side reduction's slots at one site in
+# `Concord::run_wave` and joins every reduction in `Pipeline::finish`; the
+# executors only accumulate into the slots they are given. Native staging
+# or joining its own slots again fails here.
+native_protocol=$(for f in crates/native/src/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | { grep -nE 'stage_reduce|\.join\(' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$native_protocol" ]; then
+    echo "!! non-test crates/native/src stages or joins a reduction itself:" >&2
+    echo "$native_protocol" >&2
+    exit 1
+fi
+stages=$(for f in crates/runtime/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done \
+    | grep -cF 'stage_reduce(' || true)
+if [ "$stages" -ne 1 ]; then
+    echo "!! crates/runtime/src calls stage_reduce( at $stages non-test sites, want 1" >&2
+    exit 1
+fi
 
 echo "==> structural guard: one decoder"
 # Both simulators execute the decoded form of crates/cpusim/src/program.rs,

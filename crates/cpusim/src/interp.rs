@@ -12,7 +12,7 @@ use crate::cache::Cache;
 use crate::predictor::Gshare;
 use crate::program::{Func, Kind, Program, Slot, NO_SRC};
 use concord_energy::CpuConfig;
-use concord_ir::eval::{eval_bin, eval_cast, eval_fcmp, eval_icmp, Trap, Value};
+use concord_ir::eval::{self, eval_bin, eval_cast, eval_fcmp, eval_icmp, Trap, Value};
 use concord_ir::inst::{FuncId, Intrinsic};
 use concord_ir::types::{AddrSpace, Type};
 use concord_svm::{AtomicKind, CpuAddr, RegionMem, VtableArea, SVM_CONST};
@@ -539,7 +539,7 @@ impl<'a, M: RegionMem> Interp<'a, M> {
     }
 
     fn intrinsic(&mut self, intr: Intrinsic, vals: &[Value]) -> Result<Value, Trap> {
-        let f32r = |x: f64| Value::F(x as f32 as f64);
+        let (f, i) = (|k: usize| vals[k].as_f(), |k: usize| vals[k].as_i());
         Ok(match intr {
             Intrinsic::GlobalId => Value::I(self.ids.global),
             Intrinsic::GlobalSize => Value::I(self.ids.size),
@@ -548,39 +548,39 @@ impl<'a, M: RegionMem> Interp<'a, M> {
             Intrinsic::Barrier => Value::I(0), // sequential CPU: no-op
             Intrinsic::Sqrt => {
                 self.core.cycles += 7.0;
-                f32r(vals[0].as_f().sqrt())
+                Value::F(eval::sqrtf(f(0)))
             }
             Intrinsic::FAbs => {
                 self.core.cycles += 1.0 / self.cfg.ipc;
-                f32r(vals[0].as_f().abs())
+                Value::F(eval::fabsf(f(0)))
             }
             Intrinsic::Floor => {
                 self.core.cycles += 1.0 / self.cfg.ipc;
-                f32r(vals[0].as_f().floor())
+                Value::F(eval::floorf(f(0)))
             }
             Intrinsic::Exp => {
                 self.core.cycles += 20.0;
-                f32r(vals[0].as_f().exp())
+                Value::F(eval::expf(f(0)))
             }
             Intrinsic::Pow => {
                 self.core.cycles += 25.0;
-                f32r(vals[0].as_f().powf(vals[1].as_f()))
+                Value::F(eval::powf(f(0), f(1)))
             }
             Intrinsic::FMin => {
                 self.core.cycles += 1.0 / self.cfg.ipc;
-                f32r(vals[0].as_f().min(vals[1].as_f()))
+                Value::F(eval::fminf(f(0), f(1)))
             }
             Intrinsic::FMax => {
                 self.core.cycles += 1.0 / self.cfg.ipc;
-                f32r(vals[0].as_f().max(vals[1].as_f()))
+                Value::F(eval::fmaxf(f(0), f(1)))
             }
             Intrinsic::SMin => {
                 self.core.cycles += 1.0 / self.cfg.ipc;
-                Value::I(vals[0].as_i().min(vals[1].as_i()))
+                Value::I(eval::smin(i(0), i(1)))
             }
             Intrinsic::SMax => {
                 self.core.cycles += 1.0 / self.cfg.ipc;
-                Value::I(vals[0].as_i().max(vals[1].as_i()))
+                Value::I(eval::smax(i(0), i(1)))
             }
             Intrinsic::DeviceMalloc => {
                 self.core.cycles += 10.0;

@@ -276,8 +276,8 @@ impl CpuSim {
     /// chunk into a private copy of the body in its `scratch` slot, then
     /// the copies are joined into the original sequentially on core 0,
     /// exactly as TBB would. A convenience over [`CpuSim::launch`] that
-    /// decodes `module` on the spot; the report covers the accumulation
-    /// phase.
+    /// decodes `module` and stages the first slot per core on the spot;
+    /// the report covers the accumulation phase.
     ///
     /// # Errors
     ///
@@ -285,7 +285,7 @@ impl CpuSim {
     ///
     /// # Panics
     ///
-    /// Panics if `scratch` is empty.
+    /// Panics if `scratch` has fewer slots than the simulator has cores.
     #[allow(clippy::too_many_arguments)]
     pub fn parallel_reduce(
         &mut self,
@@ -299,49 +299,47 @@ impl CpuSim {
         n: u32,
         scratch: &[CpuAddr],
     ) -> Result<CpuReport, Trap> {
+        let slots = &scratch[..self.cfg.cores.max(1) as usize];
         let in_order = uses_gated_ops(module, &[func, join]);
-        let kind = WorkKind::Reduce { join, body_size, slots: scratch };
+        let kind = WorkKind::Reduce { join, body_size, slots };
         let work = Work { func, body, kind, in_order, body_invariant: false };
         let mut program = Program::new();
         program.decode(module, &work);
+        stage_reduce(region, body, body_size, slots)?;
         let report =
             self.launch(region, vtables, &program, &work, Span::full(n), &mut Vec::new())?;
-        for &slot in &scratch[..self.reduce_slots(scratch.len())] {
+        for &slot in slots {
             let args = [Value::Ptr(body.0, AddrSpace::Cpu), Value::Ptr(slot.0, AddrSpace::Cpu)];
             self.call(region, vtables, &program, join, &args)?;
         }
         Ok(report)
     }
 
-    /// Number of scratch slots a reduction will actually use.
-    pub fn reduce_slots(&self, scratch_len: usize) -> usize {
-        (self.cfg.cores.max(1) as usize).min(scratch_len)
-    }
-
     /// The static tiling of `work` over `span`: one `(lo, hi, first kernel
-    /// argument)` per simulated core. A reduction tiles over its used
-    /// slots and hands chunk `k` slot `k` to accumulate into; every slot
-    /// gets a chunk, even an empty one, so the caller joins exactly
-    /// [`CpuSim::reduce_slots`] partials.
+    /// argument)` per simulated core. A reduction tiles over its slots
+    /// and hands chunk `k` slot `k` to accumulate into; every slot gets a
+    /// chunk, even an empty one.
     fn chunks(&self, work: &Work<'_>, span: Span) -> Vec<(u32, u32, CpuAddr)> {
         let cores = self.cfg.cores.max(1) as usize;
         let (count, slots) = match work.kind {
-            WorkKind::Reduce { slots, .. } => (self.reduce_slots(slots.len()), Some(slots)),
+            WorkKind::Reduce { slots, .. } => (slots.len(), Some(slots)),
             WorkKind::Worklist { items } => {
                 assert_eq!(items.len() as u32, span.grid, "one frontier item per work item");
                 (cores, None)
             }
             WorkKind::For => (cores, None),
         };
-        assert!(count >= 1, "need at least one scratch slot");
+        assert!((1..=cores).contains(&count), "one to {cores} scratch slots");
         let spans = span_chunks(span.lo, span.hi, count).into_iter().enumerate();
         spans.map(|(k, (lo, hi))| (lo, hi, slots.map_or(work.body, |s| s[k]))).collect()
     }
 
     /// Run `work` over `span`, statically chunked across all cores, and
     /// append a worklist round's pushes to `pushes` in chunk order. A
-    /// reduction leaves its per-core partials in the slots for the caller
-    /// to join (possibly together with another device's partials).
+    /// reduction accumulates into its slots, which the caller has staged
+    /// with body copies ([`stage_reduce`]), and leaves one partial per
+    /// slot for the caller to join (possibly together with another
+    /// device's partials).
     ///
     /// Gated kernels (order-dependent operations) execute their chunks in
     /// order directly against the live region and LLC; everything else is
@@ -354,9 +352,9 @@ impl CpuSim {
     ///
     /// # Panics
     ///
-    /// Panics on a reduction without scratch slots, a worklist round
-    /// whose frontier is not `span.grid` long, or a `program` not decoded
-    /// for `work` ([`Program::decode`]).
+    /// Panics on a reduction with no slot or more slots than cores, a
+    /// worklist round whose frontier is not `span.grid` long, or a
+    /// `program` not decoded for `work` ([`Program::decode`]).
     pub fn launch(
         &mut self,
         region: &mut SharedRegion,
@@ -366,10 +364,6 @@ impl CpuSim {
         span: Span,
         pushes: &mut Vec<i32>,
     ) -> Result<CpuReport, Trap> {
-        if let WorkKind::Reduce { body_size, slots, .. } = work.kind {
-            let used = self.reduce_slots(slots.len());
-            stage_reduce(region, work.body, body_size, &slots[..used])?;
-        }
         if !work.in_order {
             let pending = self.execute(region, vtables, program, work, span);
             return self.commit(region, pending, pushes);

@@ -31,7 +31,7 @@
 use concord_cpusim::program::{Block, Func, Inst, Kind, Program, Slot, NO_EDGE, NO_SRC};
 use concord_cpusim::{load_value, store_value, WorkIds, PRIVATE_BASE};
 use concord_energy::GpuConfig;
-use concord_ir::eval::{eval_bin, eval_cast, eval_fcmp, eval_icmp, Trap, Value};
+use concord_ir::eval::{self, eval_bin, eval_cast, eval_fcmp, eval_icmp, Trap, Value};
 use concord_ir::inst::{BinOp, BlockId, FuncId, Intrinsic};
 use concord_ir::types::{AddrSpace, Type};
 use concord_svm::{apply_rmw, AtomicKind, RegionMem, CPU_BASE, GPU_BASE, SVM_CONST};
@@ -944,25 +944,24 @@ impl<'a, M: RegionMem> Warp<'a, M> {
                 Ok(())
             }
             _ => {
-                let f32r = |x: f64| Value::F(x as f32 as f64);
                 let ids = &self.st.ids;
                 let value = |regs: &Regs, l: usize| {
-                    let a = |k| arg(regs, k, l);
+                    let (f, i) = (|k| arg(regs, k, l).as_f(), |k| arg(regs, k, l).as_i());
                     match intr {
                         Intrinsic::GlobalId => Value::I(ids[l].global),
                         Intrinsic::GlobalSize => Value::I(ids[l].size),
                         Intrinsic::LocalId => Value::I(ids[l].local),
                         Intrinsic::GroupId => Value::I(ids[l].group),
                         Intrinsic::Barrier => Value::I(0), // warp-synchronous
-                        Intrinsic::Sqrt => f32r(a(0).as_f().sqrt()),
-                        Intrinsic::FAbs => f32r(a(0).as_f().abs()),
-                        Intrinsic::Floor => f32r(a(0).as_f().floor()),
-                        Intrinsic::Exp => f32r(a(0).as_f().exp()),
-                        Intrinsic::Pow => f32r(a(0).as_f().powf(a(1).as_f())),
-                        Intrinsic::FMin => f32r(a(0).as_f().min(a(1).as_f())),
-                        Intrinsic::FMax => f32r(a(0).as_f().max(a(1).as_f())),
-                        Intrinsic::SMin => Value::I(a(0).as_i().min(a(1).as_i())),
-                        Intrinsic::SMax => Value::I(a(0).as_i().max(a(1).as_i())),
+                        Intrinsic::Sqrt => Value::F(eval::sqrtf(f(0))),
+                        Intrinsic::FAbs => Value::F(eval::fabsf(f(0))),
+                        Intrinsic::Floor => Value::F(eval::floorf(f(0))),
+                        Intrinsic::Exp => Value::F(eval::expf(f(0))),
+                        Intrinsic::Pow => Value::F(eval::powf(f(0), f(1))),
+                        Intrinsic::FMin => Value::F(eval::fminf(f(0), f(1))),
+                        Intrinsic::FMax => Value::F(eval::fmaxf(f(0), f(1))),
+                        Intrinsic::SMin => Value::I(eval::smin(i(0), i(1))),
+                        Intrinsic::SMax => Value::I(eval::smax(i(0), i(1))),
                         Intrinsic::AtomicAddI32
                         | Intrinsic::AtomicMinI32
                         | Intrinsic::AtomicCasI32

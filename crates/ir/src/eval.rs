@@ -2,7 +2,8 @@
 //!
 //! Both simulators interpret the same IR; only memory, scheduling, and
 //! timing differ. This module defines the runtime [`Value`] representation
-//! and pure instruction semantics (arithmetic, comparisons, casts).
+//! and pure instruction semantics (arithmetic, comparisons, casts, math
+//! intrinsics).
 
 use crate::inst::{BinOp, CastOp, FCmp, ICmp};
 use crate::types::{AddrSpace, Type};
@@ -342,6 +343,77 @@ pub fn eval_cast(op: CastOp, v: Value, from: Type, to: Type) -> Value {
             Value::Ptr(a, sp)
         }
     }
+}
+
+// ---- math intrinsics ----
+//
+// The one definition of what the math intrinsics compute, called by both
+// simulators and by the native backend's helpers. Operands arrive as the
+// backends hold them (floats as f64, integers as i64); a float result is
+// computed in f64 and rounded through f32, the source language's `float`.
+
+/// `sqrtf`.
+#[inline]
+#[must_use]
+pub fn sqrtf(x: f64) -> f64 {
+    x.sqrt() as f32 as f64
+}
+
+/// `fabsf`.
+#[inline]
+#[must_use]
+pub fn fabsf(x: f64) -> f64 {
+    x.abs() as f32 as f64
+}
+
+/// `floorf`.
+#[inline]
+#[must_use]
+pub fn floorf(x: f64) -> f64 {
+    x.floor() as f32 as f64
+}
+
+/// `expf`.
+#[inline]
+#[must_use]
+pub fn expf(x: f64) -> f64 {
+    x.exp() as f32 as f64
+}
+
+/// `powf`.
+#[inline]
+#[must_use]
+pub fn powf(x: f64, y: f64) -> f64 {
+    x.powf(y) as f32 as f64
+}
+
+/// `fminf`, with Rust's `f64::min` NaN semantics: a NaN operand yields
+/// the other one.
+#[inline]
+#[must_use]
+pub fn fminf(x: f64, y: f64) -> f64 {
+    x.min(y) as f32 as f64
+}
+
+/// `fmaxf`, NaN semantics as [`fminf`].
+#[inline]
+#[must_use]
+pub fn fmaxf(x: f64, y: f64) -> f64 {
+    x.max(y) as f32 as f64
+}
+
+/// Signed integer minimum.
+#[inline]
+#[must_use]
+pub fn smin(a: i64, b: i64) -> i64 {
+    a.min(b)
+}
+
+/// Signed integer maximum.
+#[inline]
+#[must_use]
+pub fn smax(a: i64, b: i64) -> i64 {
+    a.max(b)
 }
 
 #[cfg(test)]

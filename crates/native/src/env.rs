@@ -25,7 +25,7 @@
 //! [`Trap`] value from the cells. A trap ends the chunk, with `global_id`
 //! naming the trapped item.
 
-use concord_ir::eval::Trap;
+use concord_ir::eval::{self, Trap};
 use concord_ir::types::AddrSpace;
 use concord_svm::{CPU_BASE, GPU_BASE};
 
@@ -236,29 +236,29 @@ impl Env {
 // modules are safely shareable through the JIT artifact cache — anything
 // per-context, like the region base, lives in `Env` instead).
 
-/// `floorf` with the interpreter's round-through-f32 discipline.
+/// `floorf`, as the simulators compute it ([`eval::floorf`]).
 pub(crate) extern "C" fn h_floor(x: f64) -> f64 {
-    x.floor() as f32 as f64
+    eval::floorf(x)
 }
 
 /// `expf`.
 pub(crate) extern "C" fn h_exp(x: f64) -> f64 {
-    x.exp() as f32 as f64
+    eval::expf(x)
 }
 
 /// `powf`.
 pub(crate) extern "C" fn h_pow(x: f64, y: f64) -> f64 {
-    x.powf(y) as f32 as f64
+    eval::powf(x, y)
 }
 
-/// `fminf` — Rust `f64::min` NaN semantics, which `minsd` does not match.
+/// `fminf` — [`eval::fminf`]'s NaN semantics, which `minsd` does not match.
 pub(crate) extern "C" fn h_fmin(x: f64, y: f64) -> f64 {
-    x.min(y) as f32 as f64
+    eval::fminf(x, y)
 }
 
 /// `fmaxf`.
 pub(crate) extern "C" fn h_fmax(x: f64, y: f64) -> f64 {
-    x.max(y) as f32 as f64
+    eval::fmaxf(x, y)
 }
 
 /// `FpToSi`: NaN → 0, then Rust's saturating float→int cast.

@@ -53,7 +53,7 @@
 use concord_cpusim::span_chunks;
 use concord_ir::eval::Trap;
 use concord_ir::{FuncId, KernelKind, Module};
-use concord_svm::{stage_reduce, SharedRegion, Span, Work, WorkKind};
+use concord_svm::{CpuAddr, SharedRegion, Span, Work, WorkKind};
 use std::collections::HashMap;
 
 use crate::env::{Env, PRIVATE_BYTES};
@@ -112,9 +112,9 @@ pub struct LaunchStats {
 
 /// Per-core private memories plus launch configuration: the native
 /// equivalent of `CpuSim`'s execution state. Private memories are
-/// allocated by the first launch (a session that never targets native
-/// never pays for them) and persist across launches (uncleared), exactly
-/// as the simulator's do.
+/// allocated by the first launch or join (a session that never targets
+/// native never pays for them) and persist across launches (uncleared),
+/// exactly as the simulator's do.
 pub struct Executor {
     privates: Vec<Vec<u8>>,
     cores: usize,
@@ -143,11 +143,6 @@ impl Executor {
         }
     }
 
-    /// The chunk-lane count this executor was built with.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
     /// Whether a launch of `items` work items of `func` is estimated to
     /// execute at least [`FAN_OUT_MIN_INSTS`] IR instructions. The estimate
     /// is `items` × the kernel's instructions per item in its previous
@@ -163,18 +158,24 @@ impl Executor {
         u64::from(items).saturating_mul(per_item) >= FAN_OUT_MIN_INSTS
     }
 
+    fn privates(&mut self) -> &mut [Vec<u8>] {
+        if self.privates.is_empty() {
+            self.privates = (0..self.cores).map(|_| vec![0u8; PRIVATE_BYTES]).collect();
+        }
+        &mut self.privates
+    }
+
     /// Run `work` over `span` with the CPU simulator's chunking: one call
     /// of the kernel's chunk entry runs chunk `k`'s work items in order,
     /// item `i` as `func(body, i)` — or `func(body, items[i])` in a
     /// worklist round, whose `push`ed items are appended to `pushes` in
     /// fixed (chunk, work-item, program) order; the caller merges segments
     /// into the next frontier by sorting and deduplicating, so frontier contents
-    /// match the simulators' exactly. A reduction folds chunk `k` into a
-    /// body copy in slot `k`, then joins the copies into the body
-    /// sequentially — the same schedule as `CpuSim` followed by the
-    /// runtime's host join, so float accumulation order (and hence the
-    /// bits of the total) is identical; it must cover the full iteration
-    /// space (native plans are never split).
+    /// match the simulators' exactly. A reduction tiles over its slots and
+    /// folds chunk `k` into slot `k`, which the caller has staged with a
+    /// body copy; the caller then joins the slots into the body
+    /// ([`Executor::join`]), the same schedule as `CpuSim`'s, so float
+    /// accumulation order (and hence the bits of the total) is identical.
     ///
     /// [`Work::in_order`] launches and launches too small to pay for a
     /// dispatch run their chunks serially in chunk order on the caller;
@@ -182,15 +183,15 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Any [`Trap`] raised by the kernel or joins; under host parallelism
-    /// the lowest-work-item trap wins, as it would serially, and a trap
+    /// Any [`Trap`] raised by the kernel; under host parallelism the
+    /// lowest-work-item trap wins, as it would serially, and a trap
     /// discards the round's pushes.
     ///
     /// # Panics
     ///
     /// Panics if `work.func` is not a `ForBody` kernel, on a reduction
-    /// without scratch slots, or a worklist round whose frontier is not
-    /// `span.grid` long.
+    /// with no slot or more slots than chunk lanes, or a worklist round
+    /// whose frontier is not `span.grid` long.
     pub fn launch(
         &mut self,
         region: &mut SharedRegion,
@@ -205,26 +206,19 @@ impl Executor {
         assert_eq!(kernel.kernel, Some(KernelKind::ForBody), "launched `{name}` is not a ForBody");
         let entry = chunk_jit(nm.chunk_ptrs[work.func.0 as usize].expect("a ForBody has one"));
         let (lanes, slots) = match work.kind {
-            WorkKind::Reduce { body_size, slots, .. } => {
-                let used = self.cores.min(slots.len());
-                assert!(used >= 1, "need at least one scratch slot");
-                stage_reduce(region, work.body, body_size, &slots[..used])?;
-                (used, Some(slots))
-            }
+            WorkKind::Reduce { slots, .. } => (slots.len(), Some(slots)),
             WorkKind::Worklist { items } => {
                 assert_eq!(items.len() as u32, span.grid, "one frontier item per work-item");
                 (self.cores, None)
             }
             WorkKind::For => (self.cores, None),
         };
+        assert!((1..=self.cores).contains(&lanes), "one to {} slots", self.cores);
         let spans = span_chunks(span.lo, span.hi, lanes);
 
-        if self.privates.is_empty() {
-            self.privates = (0..self.cores).map(|_| vec![0u8; PRIVATE_BYTES]).collect();
-        }
         let (rbase, rlen) = region.raw_parts_mut();
         let privs: Vec<(usize, usize)> =
-            self.privates.iter_mut().map(|p| (p.as_mut_ptr() as usize, p.len())).collect();
+            self.privates().iter_mut().map(|p| (p.as_mut_ptr() as usize, p.len())).collect();
         let region_base = rbase as usize;
         let budget = self.step_budget;
         let run_chunk = |idx: usize| {
@@ -293,35 +287,48 @@ impl Executor {
             seg.append(&mut chunk_seg);
         }
         pushes.append(&mut seg);
-
-        if let (WorkKind::Reduce { join, .. }, Some(slots)) = (work.kind, slots) {
-            // Sequential join on lane 0 through the join's entry:
-            // body.join(acc_k) for each slot, with the simulator's host-call
-            // work-item ids (all zero). A returning join leaves the private
-            // stack, depth and trap cells as it found them.
-            let join_name = &module.function(join).name;
-            let jfn = jit(nm.code_ptrs[join.0 as usize]);
-            let (pbase, plen) = privs[0];
-            let mut env = Env::new(
-                (region_base as *mut u8, rlen),
-                (pbase as *mut u8, plen),
-                nm.class_count,
-                &nm.code_ptrs,
-            );
-            for &slot in &slots[..lanes] {
-                env.steps = budget;
-                let args = [work.body.0, slot.0];
-                // SAFETY: `jfn` is a generated entry of `nm`; env and args
-                // obey the generated calling convention.
-                unsafe { jfn(&mut env, args.as_ptr()) };
-                stats.insts += (budget - env.steps.max(0)) as u64;
-                if let Some(t) = env.take_trap(join_name) {
-                    return Err(t);
-                }
-            }
-        }
         if span.items() > 0 {
             self.insts_per_item.insert(work.func, stats.insts / u64::from(span.items()));
+        }
+        Ok(stats)
+    }
+
+    /// A reduction's final join on `CpuSim`'s schedule: `join(body, slot)`
+    /// for each slot in order on lane 0, with the simulator's host-call
+    /// work-item ids (all zero) and a fresh step budget per call.
+    ///
+    /// # Errors
+    ///
+    /// The first [`Trap`] a join raises; later slots are not joined.
+    pub fn join(
+        &mut self,
+        region: &mut SharedRegion,
+        nm: &NativeModule,
+        module: &Module,
+        join: FuncId,
+        body: CpuAddr,
+        slots: &[CpuAddr],
+    ) -> Result<LaunchStats, Trap> {
+        let jfn = jit(nm.code_ptrs[join.0 as usize]);
+        let private = &mut self.privates()[0];
+        let mut env = Env::new(
+            region.raw_parts_mut(),
+            (private.as_mut_ptr(), private.len()),
+            nm.class_count,
+            &nm.code_ptrs,
+        );
+        let mut stats = LaunchStats::default();
+        for &slot in slots {
+            env.steps = self.step_budget;
+            let args = [body.0, slot.0];
+            // SAFETY: `jfn` is a generated entry of `nm`; env and args
+            // obey the generated calling convention; both memories outlive
+            // the call, which leaves stack, depth and trap cells as it found them.
+            unsafe { jfn(&mut env, args.as_ptr()) };
+            stats.insts += (self.step_budget - env.steps.max(0)) as u64;
+            if let Some(t) = env.take_trap(&module.function(join).name) {
+                return Err(t);
+            }
         }
         Ok(stats)
     }

@@ -144,7 +144,9 @@ mod tests {
     use concord_ir::analysis::uses_gated_ops;
     use concord_ir::eval::Trap;
     use concord_ir::FuncId;
-    use concord_svm::{CpuAddr, SharedAllocator, SharedRegion, Span, VtableArea, Work, WorkKind};
+    use concord_svm::{
+        stage_reduce, CpuAddr, SharedAllocator, SharedRegion, Span, VtableArea, Work, WorkKind,
+    };
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -641,7 +643,7 @@ mod tests {
             let body = heap.malloc(16).unwrap();
             region.write_ptr(body, data).unwrap();
             region.write_f32(body.offset(8), 0.25).unwrap();
-            let scratch: Vec<CpuAddr> = (0..8).map(|_| heap.malloc(16).unwrap()).collect();
+            let scratch: Vec<CpuAddr> = (0..cfg.cores).map(|_| heap.malloc(16).unwrap()).collect();
             (body, scratch)
         };
 
@@ -676,7 +678,9 @@ mod tests {
                 in_order: uses_gated_ops(&lp.module, &[k.operator_fn, join]),
                 body_invariant: false,
             };
+            stage_reduce(&mut r2, body2, 16, &scratch2).unwrap();
             ex.launch(&mut r2, &nm, &lp.module, &work, Span::full(n), &mut Vec::new()).unwrap();
+            ex.join(&mut r2, &nm, &lp.module, join, body2, &scratch2).unwrap();
             let got_total = r2.read_f32(body2.offset(8)).unwrap();
             assert_eq!(got_total.to_bits(), want_total.to_bits(), "join order differs (ht={ht})");
             assert_eq!(region_bytes(&mut r2), want, "region bytes differ (ht={ht})");
@@ -1065,7 +1069,14 @@ mod tests {
             let mut ex = Executor::new(cfg.cores as usize, ht);
             ex.step_budget = BUDGET;
             let mut pushes = Vec::new();
-            let got = ex.launch(&mut r2, &nm, m, &work, Span::full(n), &mut pushes);
+            if let WorkKind::Reduce { body_size, slots, .. } = work.kind {
+                stage_reduce(&mut r2, work.body, body_size, slots).unwrap();
+            }
+            let got = ex.launch(&mut r2, &nm, m, &work, Span::full(n), &mut pushes).and_then(|s| {
+                let WorkKind::Reduce { join, slots, .. } = work.kind else { return Ok(s) };
+                let joined = ex.join(&mut r2, &nm, m, join, work.body, slots)?;
+                Ok(LaunchStats { insts: s.insts + joined.insts })
+            });
             let what = format!("{class} as {kind:?} over {n} items, traps {traps:?}, ht {ht}");
             assert_eq!(got.as_ref().err(), want.as_ref(), "trap differs: {what}");
             if let Ok(stats) = got {

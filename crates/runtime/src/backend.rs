@@ -11,14 +11,16 @@
 //! and `commit` (ordered merge); [`NativeBackend`] runs JIT-compiled
 //! machine code. The runtime drives any of them — or two at once, for a
 //! hybrid split or an overlap pair — through one wave routine, so
-//! fence/JIT/metering logic exists exactly once.
+//! fence/JIT/staging/join/metering logic exists exactly once.
 
+use crate::RuntimeError;
 use concord_cpusim::{CpuPending, CpuReport, CpuSim, Program};
 use concord_energy::SystemConfig;
 use concord_gpusim::{GpuPending, GpuReport, GpuSim};
 use concord_ir::eval::{Trap, Value};
 use concord_ir::types::AddrSpace;
 use concord_ir::{FuncId, Module};
+use concord_native::{Executor, NativeModule};
 use concord_svm::{AllocError, CpuAddr, SharedAllocator, SharedRegion, VtableArea, Work};
 use concord_trace::{Tracer, Track};
 use std::sync::Arc;
@@ -104,12 +106,23 @@ pub trait DeviceBackend {
     /// One-time per-kernel preparation for `work`, run before it launches
     /// or executes; returns the seconds charged. The GPU JIT-compiles the
     /// kernel on its first launch (§3.4) and caches it afterwards; the CPU
-    /// runs pre-compiled code for free.
-    fn prepare(&mut self, ctx: &mut ExecCtx<'_>, class: &str, work: &Work<'_>) -> f64;
+    /// runs pre-compiled code for free. Native generates the session's
+    /// machine code on its first launch, and alone can fail
+    /// ([`RuntimeError::NativeUnsupported`]).
+    fn prepare(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        class: &str,
+        work: &Work<'_>,
+    ) -> Result<f64, RuntimeError>;
 
     /// How many body-sized partial-accumulator slots a reduction over
-    /// `span` needs (per-warp on the GPU, per-core on the CPU).
-    fn reduce_slots(&self, ctx: &ExecCtx<'_>, span: Span) -> u64;
+    /// `span` needs: one per warp on the GPU, else one per simulated core
+    /// (native chunks as `CpuSim` does, so float accumulation order is
+    /// the same). The runtime allocates and stages them.
+    fn reduce_slots(&self, ctx: &ExecCtx<'_>, _span: Span) -> u64 {
+        u64::from(ctx.system.cpu.cores.max(1))
+    }
 
     /// Run `work` over `span`, appending a worklist round's `push`ed items
     /// to `pushes` in the backend's fixed commit order (the runtime merges
@@ -121,8 +134,7 @@ pub trait DeviceBackend {
     /// per slot (the GPU tree-reduces through local memory per warp,
     /// §3.3); the runtime joins the partials into the body afterwards —
     /// which is what lets a hybrid split join partials from both devices
-    /// with the same kernel `join`. The exception is [`NativeBackend`],
-    /// which performs that final join itself.
+    /// with the same kernel `join`.
     ///
     /// # Errors
     ///
@@ -206,21 +218,15 @@ impl CpuBackend {
     }
 
     /// Sequentially join `slots` into `body` on core 0 with the
-    /// CPU-compiled `join` — the host-side final join of a reduction.
-    /// Returns the host seconds spent.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] raised by `join`.
-    pub fn join_partials(
+    /// CPU-compiled `join` — the final join of a simulated reduction.
+    /// Only `seconds` (simulated) is reported: `insts` counts launches.
+    pub(crate) fn join_partials(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         join: FuncId,
         body: CpuAddr,
         slots: &[CpuAddr],
-    ) -> Result<f64, Trap> {
-        let mut sp = ctx.tracer.span(Track::Runtime, "reduce_join");
-        sp.arg("partials", slots.len() as i64);
+    ) -> Result<LaunchStats, Trap> {
         // A GPU-only construct reaches the CPU `join` without a CPU launch.
         self.program.decode_from(ctx.cpu_module, join);
         let before = self.sim.core0_cycles();
@@ -234,8 +240,7 @@ impl CpuBackend {
             )?;
         }
         let seconds = (self.sim.core0_cycles() - before) / (ctx.system.cpu.freq_ghz * 1e9);
-        sp.arg("seconds", seconds);
-        Ok(seconds)
+        Ok(LaunchStats { seconds, ..LaunchStats::default() })
     }
 }
 
@@ -245,13 +250,14 @@ impl DeviceBackend for CpuBackend {
     fn fence_out(&mut self, _ctx: &mut ExecCtx<'_>) {}
 
     /// Decodes the kernel; the CPU runs pre-compiled code, so it is free.
-    fn prepare(&mut self, ctx: &mut ExecCtx<'_>, _class: &str, work: &Work<'_>) -> f64 {
+    fn prepare(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        _class: &str,
+        work: &Work<'_>,
+    ) -> Result<f64, RuntimeError> {
         self.program.decode(ctx.cpu_module, work);
-        0.0
-    }
-
-    fn reduce_slots(&self, ctx: &ExecCtx<'_>, _span: Span) -> u64 {
-        u64::from(ctx.system.cpu.cores.max(1))
+        Ok(0.0)
     }
 
     fn launch(
@@ -324,16 +330,21 @@ impl DeviceBackend for GpuBackend {
         ctx.region.fence_to_cpu();
     }
 
-    fn prepare(&mut self, ctx: &mut ExecCtx<'_>, class: &str, work: &Work<'_>) -> f64 {
+    fn prepare(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        class: &str,
+        work: &Work<'_>,
+    ) -> Result<f64, RuntimeError> {
         self.program.decode(ctx.gpu_module, work);
         if !self.jitted.lock().unwrap().insert(work.func) {
-            return 0.0;
+            return Ok(0.0);
         }
         let jit_seconds = ctx.system.gpu.jit_ms * 1e-3;
         let mut j = ctx.tracer.span(Track::Runtime, "jit");
         j.arg("kernel", class);
         j.arg("seconds", jit_seconds);
-        jit_seconds
+        Ok(jit_seconds)
     }
 
     fn reduce_slots(&self, ctx: &ExecCtx<'_>, span: Span) -> u64 {
@@ -363,62 +374,41 @@ impl DeviceBackend for GpuBackend {
 /// a [`crate::SharedNativeModule`] slot so sessions built through
 /// [`crate::ArtifactCache`] compile the machine code once process-wide.
 pub struct NativeBackend {
-    exec: concord_native::Executor,
+    exec: Executor,
     shared: crate::SharedNativeModule,
-    module: Option<Arc<concord_native::NativeModule>>,
-    /// Wall-clock seconds the last [`NativeBackend::ensure_prepared`]
-    /// spent compiling, handed to the next `prepare` call (zero on reuse).
-    pending_jit: f64,
+    /// The shared slot's module once `prepare` found or made it, so a
+    /// launch does not lock the slot.
+    module: Option<Arc<NativeModule>>,
 }
 
 impl NativeBackend {
     pub(crate) fn new(cores: u32, host_threads: usize, shared: crate::SharedNativeModule) -> Self {
-        NativeBackend {
-            exec: concord_native::Executor::new(cores as usize, host_threads),
-            shared,
-            module: None,
-            pending_jit: 0.0,
-        }
+        NativeBackend { exec: Executor::new(cores as usize, host_threads), shared, module: None }
     }
 
-    /// Compile the session's CPU module to machine code. Runs the codegen
-    /// at most once per shared slot — later calls, and other sessions that
-    /// hit the same artifact-cache entry, reuse the executable buffer —
-    /// and stashes the wall-clock compile seconds for the next
-    /// [`DeviceBackend::prepare`] call.
-    ///
-    /// # Errors
-    ///
-    /// [`concord_native::CompileError`] when the host is not x86-64 Linux
-    /// or the module cannot be lowered.
-    pub(crate) fn ensure_prepared(
+    /// Run `run` on the executor and the prepared module, on the wall
+    /// clock: native `seconds` are host time.
+    fn timed(
+        &mut self,
+        run: impl FnOnce(&mut Executor, &NativeModule) -> Result<concord_native::LaunchStats, Trap>,
+    ) -> Result<LaunchStats, Trap> {
+        let nm = self.module.as_ref().expect("prepare runs before native launches");
+        let start = std::time::Instant::now();
+        let insts = run(&mut self.exec, nm)?.insts;
+        let seconds = start.elapsed().as_secs_f64();
+        Ok(LaunchStats { seconds, busy_fraction: 1.0, insts, ..LaunchStats::default() })
+    }
+
+    /// [`CpuBackend::join_partials`] in generated code: the final join of
+    /// a native reduction, on the same schedule.
+    pub(crate) fn join(
         &mut self,
         ctx: &mut ExecCtx<'_>,
-        class: &str,
-    ) -> Result<(), concord_native::CompileError> {
-        if self.module.is_some() {
-            return Ok(());
-        }
-        let mut slot = self.shared.lock().unwrap();
-        if let Some(m) = slot.as_ref() {
-            self.module = Some(Arc::clone(m));
-            return Ok(());
-        }
-        let start = std::time::Instant::now();
-        let mut sp = ctx.tracer.span(Track::Native, "codegen");
-        sp.arg("kernel", class);
-        let compiled = Arc::new(concord_native::compile(ctx.cpu_module)?);
-        let seconds = start.elapsed().as_secs_f64();
-        sp.arg("code_bytes", compiled.code_len() as i64);
-        sp.arg("seconds", seconds);
-        *slot = Some(Arc::clone(&compiled));
-        self.module = Some(compiled);
-        self.pending_jit = seconds;
-        Ok(())
-    }
-
-    fn module(&self) -> Arc<concord_native::NativeModule> {
-        Arc::clone(self.module.as_ref().expect("ensure_prepared runs before native launches"))
+        join: FuncId,
+        body: CpuAddr,
+        slots: &[CpuAddr],
+    ) -> Result<LaunchStats, Trap> {
+        self.timed(|exec, nm| exec.join(ctx.region, nm, ctx.cpu_module, join, body, slots))
     }
 }
 
@@ -427,21 +417,39 @@ impl DeviceBackend for NativeBackend {
 
     fn fence_out(&mut self, _ctx: &mut ExecCtx<'_>) {}
 
-    fn prepare(&mut self, _ctx: &mut ExecCtx<'_>, _class: &str, _work: &Work<'_>) -> f64 {
-        std::mem::take(&mut self.pending_jit)
+    /// Compiles the session's CPU module to machine code once per shared
+    /// slot — later launches, and other sessions on the same artifact-cache
+    /// entry, reuse it — and charges the wall-clock compile seconds to the
+    /// launch that compiled.
+    fn prepare(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        class: &str,
+        _work: &Work<'_>,
+    ) -> Result<f64, RuntimeError> {
+        if self.module.is_some() {
+            return Ok(0.0);
+        }
+        let mut slot = self.shared.lock().unwrap();
+        if let Some(m) = slot.as_ref() {
+            self.module = Some(Arc::clone(m));
+            return Ok(0.0);
+        }
+        let start = std::time::Instant::now();
+        let mut sp = ctx.tracer.span(Track::Native, "codegen");
+        sp.arg("kernel", class);
+        let compiled = concord_native::compile(ctx.cpu_module)
+            .map_err(|e| RuntimeError::NativeUnsupported(e.to_string()))?;
+        let compiled = Arc::new(compiled);
+        let seconds = start.elapsed().as_secs_f64();
+        sp.arg("code_bytes", compiled.code_len() as i64);
+        sp.arg("seconds", seconds);
+        *slot = Some(Arc::clone(&compiled));
+        self.module = Some(compiled);
+        Ok(seconds)
     }
 
-    fn reduce_slots(&self, _ctx: &ExecCtx<'_>, _span: Span) -> u64 {
-        // One chunk lane per simulated core, matching CpuBackend, so the
-        // reduction schedule (and hence float accumulation order) is the
-        // same.
-        self.exec.cores() as u64
-    }
-
-    /// Native plans are never split, so a reduction's span is the full
-    /// range — and unlike the simulator backends, the executor performs
-    /// the final sequential join into the body itself (same schedule the
-    /// runtime would use); the caller must skip its interpreter join.
+    /// Native plans are never split, so a span is the full range.
     fn launch(
         &mut self,
         ctx: &mut ExecCtx<'_>,
@@ -450,17 +458,8 @@ impl DeviceBackend for NativeBackend {
         pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
         debug_assert_eq!(span.lo, 0, "native plans are single full spans");
-        let nm = self.module();
-        let (exec, region) = (&mut self.exec, &mut *ctx.region);
         traced(ctx.tracer, Track::Native, "native_launch", span, || {
-            let start = std::time::Instant::now();
-            let r = exec.launch(region, &nm, ctx.cpu_module, work, span, pushes)?;
-            Ok(LaunchStats {
-                seconds: start.elapsed().as_secs_f64(),
-                busy_fraction: 1.0,
-                insts: r.insts,
-                ..Default::default()
-            })
+            self.timed(|exec, nm| exec.launch(ctx.region, nm, ctx.cpu_module, work, span, pushes))
         })
     }
 }
@@ -518,6 +517,77 @@ impl Drop for ScratchGuard<'_> {
             // else, so a free can only fail on allocator corruption — not
             // something to surface from a destructor.
             let _ = self.heap.free(slot);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Concord, Options, RuntimeError, Target};
+    use concord_energy::SystemConfig;
+    use concord_ir::eval::Trap;
+
+    /// Instructions of four `Total::join` calls (one slot per desktop core).
+    const JOIN_INSTS: u64 = 40;
+
+    /// A native reduction's report counts its join's instructions, as it
+    /// counts every native instruction; a simulated one's does not
+    /// (`cpusim.insts` counts launches). Over no items, the join is all a
+    /// reduction runs.
+    #[test]
+    fn only_a_native_reduction_counts_its_join() {
+        if !concord_native::supported() {
+            return;
+        }
+        let src = "class Total { public: int acc; void operator()(int i) { acc = acc + i; } \
+                   void join(Total* o) { acc = acc + o->acc; } };";
+        let mut cc = Concord::new(SystemConfig::desktop(), src, Options::default()).unwrap();
+        let body = cc.malloc(8).unwrap();
+        let mut insts = |target| cc.parallel_reduce_hetero("Total", body, 0, target).unwrap().insts;
+        assert_eq!((insts(Target::Cpu), insts(Target::Native)), (0, JOIN_INSTS));
+    }
+
+    /// A join that never returns traps at the runtime's one join site, and
+    /// the trap names the join — whether the join loops itself or in a
+    /// callee too large to inline — alike on the simulated CPU and
+    /// natively, at any host fan-out.
+    #[test]
+    fn a_runaway_join_traps_alike_on_cpu_and_native() {
+        if !concord_native::supported() {
+            return;
+        }
+        let churn = "x = x * 7 + 1; x = x ^ (x >> 3); ".repeat(40);
+        let src = format!(
+            r#"
+            void churn(int* p) {{ int x = *p; while (true) {{ {churn} *p = x; }} }}
+            class Spin {{
+            public:
+                int acc;
+                void operator()(int i) {{ acc = acc + i; }}
+                void join(Spin* o) {{ while (true) {{ acc = acc + o->acc; }} }}
+            }};
+            class Deep {{
+            public:
+                int acc;
+                void operator()(int i) {{ acc = acc + i; }}
+                void join(Deep* o) {{ churn(&acc); acc = acc + o->acc; }}
+            }};
+            "#
+        );
+        for class in ["Spin", "Deep"] {
+            let want = Trap::StepLimitExceeded { kernel: format!("{class}::join"), global_id: 0 };
+            for ht in [1, 8] {
+                for target in [Target::Cpu, Target::Native] {
+                    let opts = Options { host_threads: Some(ht), ..Options::default() };
+                    let mut cc = Concord::new(SystemConfig::ultrabook(), &src, opts).unwrap();
+                    cc.cpu.sim.step_budget_per_item = 10_000;
+                    cc.native.exec.step_budget = 10_000;
+                    let body = cc.malloc(8).unwrap();
+                    let got = cc.parallel_reduce_hetero(class, body, 100, target);
+                    let what = format!("{class} on {target} at host threads {ht}");
+                    assert_eq!(got.unwrap_err(), RuntimeError::Trap(want.clone()), "{what}");
+                }
+            }
         }
     }
 }

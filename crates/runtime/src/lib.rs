@@ -342,17 +342,14 @@ fn convention(kind: WorkKind<'_>) -> Convention {
 }
 
 /// Order-dependence verdicts (`uses_gated_ops`: `device_malloc`,
-/// compare-and-swap) for one (kernel, construct), one per backend — each
-/// over the module and the functions that backend itself executes.
-/// Decided once at plan time and carried to the executors in
-/// [`Work::in_order`].
+/// compare-and-swap) for one (kernel, construct), one per module — each
+/// over the functions that module's executors run in parallel. Decided
+/// once at plan time and carried to the executors in [`Work::in_order`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Gated {
-    /// CPU module, `operator()` only: `CpuBackend` leaves a reduction's
-    /// joins to the host.
+    /// CPU module, `operator()` only: `CpuBackend` and `NativeBackend`
+    /// leave a reduction's joins to the runtime's serial final join.
     cpu: bool,
-    /// CPU module, `operator()` plus a reduction's `join`.
-    native: bool,
     /// GPU module, `operator()` plus a reduction's `join` (the per-warp
     /// tree reduce runs it on the device).
     gpu: bool,
@@ -362,14 +359,13 @@ impl Gated {
     /// Gated on some device: the launch's parts run one after another,
     /// and it never joins a wave.
     fn any(self) -> bool {
-        self.native || self.gpu
+        self.cpu || self.gpu
     }
 
     fn on(self, device: DeviceClass) -> bool {
         match device {
-            DeviceClass::Cpu => self.cpu,
+            DeviceClass::Cpu | DeviceClass::Native => self.cpu,
             DeviceClass::Gpu => self.gpu,
-            DeviceClass::Native => self.native,
         }
     }
 }
@@ -401,11 +397,8 @@ impl FactTable {
         let (cpu, gpu) = (&self.program.module, &self.gpu_artifact.module);
         let facts = self.entries.entry((func, mode)).or_insert_with(|| {
             let roots: Vec<FuncId> = std::iter::once(func).chain(join).collect();
-            let gated = Gated {
-                cpu: uses_gated_ops(cpu, &[func]),
-                native: uses_gated_ops(cpu, &roots),
-                gpu: uses_gated_ops(gpu, &roots),
-            };
+            let gated =
+                Gated { cpu: uses_gated_ops(cpu, &[func]), gpu: uses_gated_ops(gpu, &roots) };
             KernelFacts { gated, report: None }
         });
         if walk && facts.report.is_none() {
@@ -485,6 +478,8 @@ struct Verdicts {
 /// One launch of a wave between setup and finish.
 struct Member<'a> {
     plan: Plan,
+    /// Setup's CA108 verdict: the native chunks run in order.
+    hazard: bool,
     /// One part per plan part, once setup succeeded.
     parts: Vec<Part<'a>>,
     /// Every part's reduction slots together, for the final join.
@@ -539,11 +534,9 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Per-launch setup after planning: the CA108 verdict, the
-    /// body-invariance verdict, the native module a native launch needs
-    /// (the trait's `prepare` cannot fail; this can — unsupported host,
-    /// unlowerable module), and a reduction's partial-accumulator slots,
-    /// allocated in the wave's scratch guard. Returns the verdicts and each
-    /// plan part's slot count.
+    /// body-invariance verdict, and a reduction's partial-accumulator
+    /// slots, allocated in the wave's scratch guard. Returns the verdicts
+    /// and each plan part's slot count.
     fn setup(
         &mut self,
         scratch: &mut ScratchGuard<'_>,
@@ -557,22 +550,17 @@ impl<'a> Pipeline<'a> {
         // commit and guarded-monotone updates keep every drain
         // deterministic (DESIGN.md). Gated kernels run in order anyway.
         let hazard = native
-            && !l.gated.native
+            && !l.gated.cpu
             && !matches!(l.kind, WorkKind::Worklist { .. })
             && self.facts.report(l.func, convention(l.kind)).access.hazard;
         // A native chunk loads the body's fields once when no write of
         // the launch can land in the body's block, refused for a gated
         // kernel. A reduction writes its body (its slots) anyway.
         let body_invariant = native
-            && !l.gated.native
+            && !l.gated.cpu
             && !matches!(l.kind, WorkKind::Reduce { .. })
             && self.facts.body_invariant(scratch.heap(), self.ctx.region, (l.func, l.kind), l.body);
         let verdicts = Verdicts { hazard, body_invariant };
-        if native {
-            self.native
-                .ensure_prepared(&mut self.ctx, &l.class)
-                .map_err(|e| RuntimeError::NativeUnsupported(e.to_string()))?;
-        }
         let WorkKind::Reduce { body_size, .. } = l.kind else {
             return Ok((verdicts, vec![0; plan.parts.len()]));
         };
@@ -608,25 +596,32 @@ impl<'a> Pipeline<'a> {
         (halves.pop().and_then(|half| half.0), gpu_half)
     }
 
-    /// Per-launch finish: the host-side final join of a reduction's
-    /// partials (sequential, on core 0, using the CPU-compiled join) —
-    /// what lets one construct combine per-warp GPU partials with per-core
-    /// CPU ones — then every part metered and profiled, then the merged
-    /// report. The native executor already joined its partials into the
-    /// body inside `launch` (same sequential schedule); joining again here
-    /// would double-count them. This is the single place a part is
-    /// metered, profiled, and turned into an [`OffloadReport`]. Native
-    /// parts meter as the energy model's CPU but are not profiled: their
-    /// wall-clock rates must not contaminate the simulated-CPU history
-    /// `Target::Auto` splits by.
+    /// Per-launch finish: the final join of a reduction's partials, then
+    /// every part metered and profiled, then the merged report — the
+    /// single place a reduction is joined and a part is metered, profiled
+    /// and turned into an [`OffloadReport`]. The join runs serially on the
+    /// CPU-side backend the launch ran on, for every target, which is what
+    /// lets one construct combine per-warp GPU partials with per-core CPU
+    /// ones; a step-limit trap in it names `join`. Native parts meter as
+    /// the energy model's CPU but are not profiled: their wall-clock rates
+    /// must not contaminate the simulated-CPU history `Target::Auto`
+    /// splits by.
     fn finish(
         &mut self,
         l: &graph::Launch<'_>,
         m: &Member<'_>,
     ) -> Result<OffloadReport, RuntimeError> {
-        let mut join_seconds = 0.0;
-        if let (WorkKind::Reduce { join, .. }, false) = (l.kind, l.target == Target::Native) {
-            join_seconds = self.cpu.join_partials(&mut self.ctx, join, l.body, m.slots)?;
+        let mut joined = LaunchStats::default();
+        if let WorkKind::Reduce { join, .. } = l.kind {
+            let mut sp = self.ctx.tracer.span(Track::Runtime, "reduce_join");
+            sp.arg("partials", m.slots.len() as i64);
+            let ctx = &mut self.ctx;
+            joined = match device_class(l, Device::Cpu) {
+                DeviceClass::Native => self.native.join(ctx, join, l.body, m.slots),
+                _ => self.cpu.join_partials(ctx, join, l.body, m.slots),
+            }
+            .map_err(|t| t.with_kernel(&ctx.cpu_module.function(join).name))?;
+            sp.arg("seconds", joined.seconds);
         }
         let mut reports = Vec::with_capacity(m.parts.len());
         for q in &m.parts {
@@ -663,12 +658,13 @@ impl<'a> Pipeline<'a> {
             // concurrent parts finish.
             let before = self.meter.joules();
             let host_phase = PhaseReport {
-                seconds: join_seconds,
+                seconds: joined.seconds,
                 busy_fraction: 1.0 / f64::from(self.ctx.system.cpu.cores),
             };
             self.meter.record(self.ctx.system, Device::Cpu, host_phase);
             report.joules += self.meter.joules() - before;
-            report.exec_seconds += join_seconds;
+            report.exec_seconds += joined.seconds;
+            report.insts += joined.insts;
         }
         report.fell_back = m.plan.fell_back;
         Ok(report)
@@ -1628,18 +1624,19 @@ impl Concord {
     /// batch — returning one result per launch, in wave order.
     ///
     /// * Per launch, setup: plan the device split, then
-    ///   [`Pipeline::setup`] (CA108 verdict, native module, a reduction's
-    ///   partial slots in the wave's one [`ScratchGuard`]).
-    /// * Per wave: fence each device in once, prepare every part, execute
-    ///   the parts, fence each device out once.
-    /// * Per launch, finish: [`Pipeline::finish`].
+    ///   [`Pipeline::setup`] (CA108 verdict, body invariance, a
+    ///   reduction's partial slots in the wave's one [`ScratchGuard`]).
+    /// * Per wave: fence each device in once, prepare every part, stage
+    ///   reduction slots, execute the parts, fence each device out once.
+    /// * Per launch, finish: [`Pipeline::finish`] (final join, report).
     ///
-    /// Three rules live here and nowhere else. *Fences:* a wave takes one
+    /// Four rules live here and nowhere else. *Fences:* a wave takes one
     /// fence pair per device, and every GPU-touching launch after the
-    /// first counts one elided pair. *Snapshot:* the parts execute
-    /// against one snapshot of the region and commit in list order
-    /// exactly when they span two devices and no member is gated or a
-    /// worklist round; otherwise they run one after another. *Traps:* a
+    /// first counts one elided pair. *Staging:* every CPU-side reduction
+    /// slot gets its body copy before any part executes. *Snapshot:* the
+    /// parts execute against one snapshot of the region and commit in list
+    /// order exactly when they span two devices and no member is gated or
+    /// a worklist round; otherwise they run one after another. *Traps:* a
     /// trapped part stops the later parts of its own launch only — a
     /// serial caller continues past a failed construct too. A worklist
     /// round's pushes land in `pushes`, every part's segment in list
@@ -1656,7 +1653,7 @@ impl Concord {
                 .iter()
                 .map(|l| {
                     let plan = scheduler::plan(l.target, l.n, l.gpu_allowed, p.profile, &l.class);
-                    Member { plan, parts: Vec::new(), slots: &[], failed: None }
+                    Member { plan, hazard: false, parts: Vec::new(), slots: &[], failed: None }
                 })
                 .collect();
             let tracer = p.ctx.tracer;
@@ -1704,7 +1701,7 @@ impl Concord {
             let mut scratch = ScratchGuard::new(heap);
             let setups: Vec<_> =
                 wave.iter().zip(&members).map(|(l, m)| p.setup(&mut scratch, l, &m.plan)).collect();
-            let (mut free, mut serialized) = (scratch.slots(), 0);
+            let mut free = scratch.slots();
             for ((l, m), setup) in wave.iter().zip(&mut members).zip(setups) {
                 let (Verdicts { hazard, body_invariant }, counts) = match setup {
                     Ok(setup) => setup,
@@ -1713,7 +1710,7 @@ impl Concord {
                         continue;
                     }
                 };
-                serialized += u64::from(hazard);
+                m.hazard = hazard;
                 (m.slots, free) = free.split_at(counts.iter().sum());
                 let mut own = m.slots;
                 for (&(device, span), count) in m.plan.parts.iter().zip(counts) {
@@ -1741,33 +1738,33 @@ impl Concord {
                 backend.fence_in(ctx);
             }
             for (l, m) in wave.iter().zip(&mut members) {
-                for q in &mut m.parts {
+                let prepared = m.parts.iter_mut().try_for_each(|q| {
                     let (backend, ctx) = p.on(q.device);
-                    q.jit = backend.prepare(ctx, &l.class, &q.work);
+                    q.jit = backend.prepare(ctx, &l.class, &q.work)?;
+                    Ok(())
+                });
+                m.failed = m.failed.take().or(prepared.err());
+            }
+            // A reduction is a solo wave, so every slot copies the body as
+            // it was before the launch.
+            for m in members.iter_mut().filter(|m| m.failed.is_none()) {
+                for q in m.parts.iter().filter(|q| q.device != DeviceClass::Gpu) {
+                    if let WorkKind::Reduce { body_size, slots, .. } = q.work.kind {
+                        if let Err(trap) = stage_reduce(p.ctx.region, q.work.body, body_size, slots)
+                        {
+                            m.failed = Some(trap.into());
+                        }
+                    }
                 }
             }
+            let ran = members.iter().filter(|m| m.failed.is_none());
+            let serialized = ran.filter(|m| m.hazard).count() as u64;
             let snapshot = devices.iter().flatten().count() == 2
                 && wave
                     .iter()
                     .all(|l| !l.gated.any() && !matches!(l.kind, WorkKind::Worklist { .. }));
             let (mut cpu_pending, mut gpu_pending) = (None, None);
             if snapshot {
-                // The CPU accumulates into pre-staged body copies; stage
-                // them serially before the concurrent phase reads the
-                // region.
-                for m in &mut members {
-                    for q in &m.parts {
-                        if let (DeviceClass::Cpu, WorkKind::Reduce { body_size, slots, .. }) =
-                            (q.device, q.work.kind)
-                        {
-                            if let Err(trap) =
-                                stage_reduce(p.ctx.region, q.work.body, body_size, slots)
-                            {
-                                m.failed = Some(trap.into());
-                            }
-                        }
-                    }
-                }
                 let live = members.iter().filter(|m| m.failed.is_none());
                 let live: Vec<&Part<'_>> = live.flat_map(|m| &m.parts).collect();
                 (cpu_pending, gpu_pending) = p.execute(&live);

@@ -105,6 +105,10 @@ pub mod codes {
     /// queue share). Distinct from `overloaded`: the queue had room, but
     /// this tenant is not allowed to take more of it.
     pub const QUOTA_EXCEEDED: &str = "quota_exceeded";
+    /// The server failed while handling the request (a handler panicked).
+    /// The request's effects are unknown; a session it held locked is
+    /// closed.
+    pub const INTERNAL_ERROR: &str = "internal_error";
 }
 
 /// Why a frame could not be read.

@@ -75,7 +75,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -355,6 +355,47 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(
+        addr: SocketAddr,
+        config: &ServeConfig,
+        waker: Waker,
+        poller_backend: &'static str,
+        cache: ArtifactCache,
+    ) -> Shared {
+        Shared {
+            addr,
+            shutdown: AtomicBool::new(false),
+            drain_done: AtomicBool::new(false),
+            pool: Mutex::new(Some(TaskPool::new(config.workers, config.queue_depth))),
+            sessions: Mutex::new(HashMap::new()),
+            session_owners: Mutex::new(HashMap::new()),
+            live_conns: Mutex::new(HashSet::new()),
+            tenants: Mutex::new(BTreeMap::new()),
+            limits: TenantLimits {
+                max_inflight: config.tenant_max_inflight as u64,
+                queue_share: config.tenant_queue_share,
+                queue_depth: config.queue_depth,
+            },
+            completions: Mutex::new(Vec::new()),
+            poller_backend,
+            waker,
+            next_session: AtomicU64::new(1),
+            cache,
+            tracer: Tracer::new(config.trace),
+            admitted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            quota_rejected: AtomicU64::new(0),
+            deadline_missed: AtomicU64::new(0),
+            connections: AtomicU64::new(0),
+            connections_open: AtomicU64::new(0),
+            inflight: AtomicU64::new(0),
+            overlapped: AtomicU64::new(0),
+            conflict_stalls: AtomicU64::new(0),
+            hazard_serialized: AtomicU64::new(0),
+        }
+    }
+
     fn stats(&self) -> ServerStats {
         ServerStats {
             sessions: self.sessions.lock().unwrap().len(),
@@ -388,9 +429,11 @@ impl Shared {
         }
     }
 
-    /// Hand a rendered response frame to the loop for delivery.
+    /// Hand a rendered response frame to the loop for delivery. Runs in
+    /// [`Completion`]'s `Drop`, so it must not panic: a poisoned lock
+    /// guards a list that every push leaves whole.
     fn push_completion(&self, conn: u64, bytes: Vec<u8>) {
-        self.completions.lock().unwrap().push((conn, bytes));
+        self.completions.lock().unwrap_or_else(PoisonError::into_inner).push((conn, bytes));
         self.waker.wake();
     }
 
@@ -422,9 +465,11 @@ impl Shared {
         }
     }
 
-    /// Count one completion against `tenant`.
+    /// Count one completion against `tenant`. Runs in [`Completion`]'s
+    /// `Drop`, so it must not panic: every update of the counters leaves
+    /// them whole, so a poisoned lock's data is still good.
     fn tenant_complete(&self, tenant: &str) {
-        let mut tenants = self.tenants.lock().unwrap();
+        let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(c) = tenants.get_mut(tenant) {
             c.pending = c.pending.saturating_sub(1);
             c.completed += 1;
@@ -475,38 +520,7 @@ impl Server {
             Some(dir) => ArtifactCache::with_disk(dir)?,
             None => ArtifactCache::new(),
         };
-        let shared = Arc::new(Shared {
-            addr,
-            shutdown: AtomicBool::new(false),
-            drain_done: AtomicBool::new(false),
-            pool: Mutex::new(Some(TaskPool::new(config.workers, config.queue_depth))),
-            sessions: Mutex::new(HashMap::new()),
-            session_owners: Mutex::new(HashMap::new()),
-            live_conns: Mutex::new(HashSet::new()),
-            tenants: Mutex::new(BTreeMap::new()),
-            limits: TenantLimits {
-                max_inflight: config.tenant_max_inflight as u64,
-                queue_share: config.tenant_queue_share,
-                queue_depth: config.queue_depth,
-            },
-            completions: Mutex::new(Vec::new()),
-            poller_backend: poller.backend_name(),
-            waker,
-            next_session: AtomicU64::new(1),
-            cache,
-            tracer: Tracer::new(config.trace),
-            admitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            quota_rejected: AtomicU64::new(0),
-            deadline_missed: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            connections_open: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
-            overlapped: AtomicU64::new(0),
-            conflict_stalls: AtomicU64::new(0),
-            hazard_serialized: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(addr, config, waker, poller.backend_name(), cache));
         poller.register(fd_of(&listener), LISTENER_TOKEN, Interest::READ)?;
         poller.register(shared.waker.fd(), WAKER_TOKEN, Interest::READ)?;
         let event_loop = {
@@ -1097,36 +1111,13 @@ fn admit(request: Request, conn: &mut Conn, shared: &Arc<Shared>) {
         ));
         return;
     }
-    let admitted_at = Instant::now();
+    let deadline = Deadline { ms: deadline_ms, admitted_at: Instant::now() };
     let reject_id = id.cloned();
     let token = conn.token;
     let job = {
         let shared = Arc::clone(shared);
         let tenant = tenant.clone();
-        move || {
-            let id = request.body.get("id");
-            let frame = if deadline_ms
-                .is_some_and(|ms| admitted_at.elapsed() >= Duration::from_millis(ms))
-            {
-                shared.deadline_missed.fetch_add(1, Ordering::Relaxed);
-                shared.tracer.instant(
-                    Track::Server,
-                    "deadline_exceeded",
-                    vec![("request", ArgValue::Str(request.ty.clone()))],
-                );
-                frame_bytes(&deadline_response("in the admission queue", admitted_at, id))
-            } else {
-                let deadline = Deadline { ms: deadline_ms, admitted_at };
-                match execute(&request, token, &tenant, &shared, deadline) {
-                    Ok(Reply::Json(resp)) => frame_bytes(&with_id(resp, id)),
-                    Ok(Reply::Framed(frame)) => frame,
-                    Err(e) => frame_bytes(&e.into_response(id)),
-                }
-            };
-            shared.push_completion(token, frame);
-            shared.tenant_complete(&tenant);
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-        }
+        move || run_admitted(&request, token, &tenant, &shared, deadline, execute)
     };
     let submitted = shared
         .pool
@@ -1163,6 +1154,103 @@ fn admit(request: Request, conn: &mut Conn, shared: &Arc<Shared>) {
     }
 }
 
+/// An admitted request's obligations, taken on when its pool job starts:
+/// one reply, the tenant's pending slot, one completion. Dropping it —
+/// after [`Completion::reply`], or while a panic unwinds out of the
+/// handler — releases the slot and counts the completion, and without a
+/// reply first sends an `internal_error` one, so the client is answered
+/// and its connection's outstanding count drops.
+struct Completion<'a> {
+    shared: &'a Shared,
+    conn: u64,
+    tenant: &'a str,
+    id: Option<&'a Json>,
+    replied: bool,
+}
+
+impl Completion<'_> {
+    fn reply(mut self, frame: Vec<u8>) {
+        self.shared.push_completion(self.conn, frame);
+        self.replied = true;
+    }
+}
+
+impl Drop for Completion<'_> {
+    fn drop(&mut self) {
+        if !self.replied {
+            let message = "the server failed while handling the request";
+            let resp = error_response(codes::INTERNAL_ERROR, message, self.id);
+            self.shared.push_completion(self.conn, frame_bytes(&resp));
+        }
+        self.shared.tenant_complete(self.tenant);
+        self.shared.completed.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The pool job of one admitted request: refuse it if it waited out its
+/// deadline in the admission queue, otherwise run `handler` on it
+/// ([`execute`]), and reply.
+fn run_admitted(
+    request: &Request,
+    conn: u64,
+    tenant: &str,
+    shared: &Arc<Shared>,
+    deadline: Deadline,
+    handler: impl FnOnce(&Request, u64, &str, &Arc<Shared>, Deadline) -> Result<Reply, SrvError>,
+) {
+    let id = request.body.get("id");
+    let done = Completion { shared, conn, tenant, id, replied: false };
+    let frame = if deadline.exceeded() {
+        shared.deadline_missed.fetch_add(1, Ordering::Relaxed);
+        shared.tracer.instant(
+            Track::Server,
+            "deadline_exceeded",
+            vec![("request", ArgValue::Str(request.ty.clone()))],
+        );
+        frame_bytes(&deadline_response("in the admission queue", deadline.admitted_at, id))
+    } else {
+        match handler(request, conn, tenant, shared, deadline) {
+            Ok(Reply::Json(resp)) => frame_bytes(&with_id(resp, id)),
+            Ok(Reply::Framed(frame)) => frame,
+            Err(e) => frame_bytes(&e.into_response(id)),
+        }
+    };
+    done.reply(frame);
+}
+
+/// Lock open session `sid`. A lock that a panicking request poisoned
+/// closes the session instead: its `Concord` may have stopped half-way
+/// through an operation, so this request and every later one on the
+/// session get `no_such_session`.
+fn lock_session<'s>(
+    shared: &Shared,
+    sid: u64,
+    session: &'s Mutex<Session>,
+) -> Result<MutexGuard<'s, Session>, SrvError> {
+    match session.lock() {
+        Ok(guard) => Ok(guard),
+        Err(poisoned) => {
+            drop(poisoned);
+            close_session(shared, sid);
+            Err((codes::NO_SUCH_SESSION, format!("no session {sid}")).into())
+        }
+    }
+}
+
+/// Remove session `sid` from the server; `false` when it was not open.
+fn close_session(shared: &Shared, sid: u64) -> bool {
+    let removed = shared.sessions.lock().unwrap().remove(&sid);
+    shared.session_owners.lock().unwrap().remove(&sid);
+    if removed.is_some() {
+        shared.tracer.instant(
+            Track::Server,
+            "session_close",
+            vec![("session", ArgValue::UInt(sid))],
+        );
+    }
+    removed.is_some()
+}
+
 /// Execute one admitted request on a worker thread.
 fn execute(
     request: &Request,
@@ -1190,35 +1278,33 @@ fn execute(
             // as the pre-launch deadline re-check.
             let locked = match req.get("session").and_then(Json::as_u64) {
                 None => None,
-                Some(sid) => Some(session_of(sid)?),
+                Some(sid) => Some((sid, session_of(sid)?)),
             };
-            let _guard = locked.as_ref().map(|s| s.lock().unwrap());
+            let _guard = match &locked {
+                None => None,
+                Some((sid, session)) => Some(lock_session(shared, *sid, session)?),
+            };
             thread::sleep(Duration::from_millis(ms));
             Json::obj(vec![("type", Json::str("ok"))])
         }
         "open_session" => open_session(req, conn_id, tenant, shared)?,
         "close" => {
             let sid = field_u64(req, "session")?;
-            let removed = shared.sessions.lock().unwrap().remove(&sid);
-            shared.session_owners.lock().unwrap().remove(&sid);
-            if removed.is_none() {
+            if !close_session(shared, sid) {
                 return Err((codes::NO_SUCH_SESSION, format!("no session {sid}")).into());
             }
-            shared.tracer.instant(
-                Track::Server,
-                "session_close",
-                vec![("session", ArgValue::UInt(sid))],
-            );
             Json::obj(vec![("type", Json::str("closed"))])
         }
         "read" => {
-            let session = session_of(field_u64(req, "session")?)?;
-            let session = session.lock().unwrap();
+            let sid = field_u64(req, "session")?;
+            let session = session_of(sid)?;
+            let session = lock_session(shared, sid, &session)?;
             return read_region(req, &session.cc, req.get("id"));
         }
         _ => {
-            let session = session_of(field_u64(req, "session")?)?;
-            let mut session = session.lock().unwrap();
+            let sid = field_u64(req, "session")?;
+            let session = session_of(sid)?;
+            let mut session = lock_session(shared, sid, &session)?;
             session_op(request, &mut session, shared, deadline)?
         }
     };
@@ -1738,4 +1824,92 @@ fn runtime_error(e: RuntimeError) -> SrvError {
         }
     };
     SrvError { code, message: e.to_string(), diagnostics }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::read_frame;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const CONN: u64 = 3;
+
+    fn shared() -> Arc<Shared> {
+        let addr = "127.0.0.1:0".parse().unwrap();
+        let config = ServeConfig::default();
+        Arc::new(Shared::new(addr, &config, Waker::new().unwrap(), "none", ArtifactCache::new()))
+    }
+
+    fn request(text: &str) -> Request {
+        let body = parse(text).unwrap();
+        let ty = body.get("type").and_then(Json::as_str).unwrap().to_string();
+        Request { body, tail: None, ty }
+    }
+
+    /// Admit `request` for tenant `t` and run its job body with `handler`;
+    /// whether the job panicked.
+    fn run(
+        shared: &Arc<Shared>,
+        request: &Request,
+        handler: impl FnOnce(&Request, u64, &str, &Arc<Shared>, Deadline) -> Result<Reply, SrvError>,
+    ) -> bool {
+        shared.tenant_try_admit("t").unwrap();
+        let deadline = Deadline { ms: None, admitted_at: Instant::now() };
+        let job = || run_admitted(request, CONN, "t", shared, deadline, handler);
+        catch_unwind(AssertUnwindSafe(job)).is_err()
+    }
+
+    /// The `(code, id)` of every reply queued so far, all for [`CONN`].
+    fn replies(shared: &Shared) -> Vec<(String, u64)> {
+        let completions = shared.completions.lock().unwrap();
+        let reply = |(conn, frame): &(u64, Vec<u8>)| {
+            assert_eq!(*conn, CONN);
+            let resp = parse(&read_frame(&mut frame.as_slice()).unwrap().unwrap()).unwrap();
+            let code = resp.get("code").and_then(Json::as_str).unwrap_or("ok").to_string();
+            (code, resp.get("id").and_then(Json::as_u64).unwrap())
+        };
+        completions.iter().map(reply).collect()
+    }
+
+    /// `(pending, completed)` of tenant `t`, and the server's completions.
+    fn counts(shared: &Shared) -> (u64, u64, u64) {
+        let c = shared.tenants.lock().unwrap()["t"];
+        (c.pending, c.completed, shared.completed.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn a_panicking_handler_still_replies_and_releases_its_slot() {
+        let shared = shared();
+        let req = request(r#"{"type":"malloc","session":1,"bytes":8,"id":7}"#);
+        assert!(run(&shared, &req, |_, _, _, _, _| panic!("injected handler panic")));
+        assert_eq!(replies(&shared), [(codes::INTERNAL_ERROR.to_string(), 7)]);
+        assert_eq!(counts(&shared), (0, 1, 1));
+    }
+
+    #[test]
+    fn a_session_poisoned_by_a_panic_is_closed() {
+        let shared = shared();
+        let src = "class K { public: int* out; void operator()(int i) { out[i] = i; } };";
+        let cc = Concord::new(SystemConfig::ultrabook(), src, Options::default()).unwrap();
+        let session = Session { cc, default_target: Target::Cpu };
+        shared.sessions.lock().unwrap().insert(1, Arc::new(Mutex::new(session)));
+        let owner = SessionOwner { conn: CONN, tenant: "t".to_string() };
+        shared.session_owners.lock().unwrap().insert(1, owner);
+        let poison = |_: &Request, _, _: &str, shared: &Arc<Shared>, _| {
+            let session = Arc::clone(&shared.sessions.lock().unwrap()[&1]);
+            let _held = session.lock().unwrap();
+            panic!("injected handler panic under the session lock")
+        };
+        let req =
+            |id: u64| request(&format!(r#"{{"type":"malloc","session":1,"bytes":8,"id":{id}}}"#));
+        assert!(run(&shared, &req(1), poison));
+        assert!(!run(&shared, &req(2), execute));
+        assert!(!run(&shared, &req(3), execute));
+        let want =
+            [(codes::INTERNAL_ERROR, 1), (codes::NO_SUCH_SESSION, 2), (codes::NO_SUCH_SESSION, 3)];
+        assert_eq!(replies(&shared), want.map(|(code, id)| (code.to_string(), id)));
+        assert!(shared.sessions.lock().unwrap().is_empty());
+        assert!(shared.session_owners.lock().unwrap().is_empty());
+        assert_eq!(counts(&shared), (0, 3, 3));
+    }
 }

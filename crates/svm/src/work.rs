@@ -45,9 +45,10 @@ pub enum WorkKind<'a> {
     For,
     /// `parallel_reduce_hetero`: item `i` runs `func(copy, i)` on a
     /// per-worker copy of the `body_size`-byte body, leaving one partial
-    /// per used slot of `slots` for the caller to `join` (per core on the
-    /// CPU, per warp — tree-reduced through local memory, §3.3 — on the
-    /// GPU).
+    /// per slot of `slots` for the caller to `join` (per core on the CPU,
+    /// per warp — tree-reduced through local memory, §3.3 — on the GPU).
+    /// On the CPU side the copies are the slots themselves, which the
+    /// caller stages ([`stage_reduce`]) before the launch.
     Reduce {
         /// The class's `join` method.
         join: FuncId,
