@@ -34,7 +34,9 @@ impl std::error::Error for VerifyError {}
 /// Checks:
 /// * every block ends in exactly one terminator, which is its last instruction;
 /// * no instruction appears in more than one block;
-/// * branch targets are valid block ids;
+/// * branch targets are valid block ids, and none is the entry block: the
+///   entry has no predecessors, which every pass may assume (register
+///   promotion renames from it; CFG simplification never merges it away);
 /// * phi nodes appear only at the head of a block and cover exactly the
 ///   block's predecessors;
 /// * operands refer to instructions that exist;
@@ -78,6 +80,9 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
             for target in inst.op.successors() {
                 if target.0 as usize >= f.blocks.len() {
                     return Err(err(Some(b), format!("branch to missing block {target}")));
+                }
+                if target == f.entry() {
+                    return Err(err(Some(b), format!("branch to the entry block {target}")));
                 }
             }
             for opnd in inst.op.operands() {
@@ -312,6 +317,23 @@ mod tests {
         b.br(crate::inst::BlockId(7));
         let e = verify_function(&b.build()).unwrap_err();
         assert!(e.message.contains("missing block"));
+    }
+
+    #[test]
+    fn a_branch_to_the_entry_block_fails() {
+        // bb0: condbr %c, bb1, bb2; bb1: br bb0; bb2: ret
+        let mut b = FunctionBuilder::new("f", vec![Type::I1], Type::Void);
+        let c = b.param(0);
+        let back = b.new_block();
+        let exit = b.new_block();
+        b.cond_br(c, back, exit);
+        b.switch_to(back);
+        b.br(BlockId(0));
+        b.switch_to(exit);
+        b.ret(None);
+        let e = verify_function(&b.build()).unwrap_err();
+        assert_eq!(e.block, Some(back));
+        assert!(e.message.contains("entry block"), "{e}");
     }
 
     #[test]
