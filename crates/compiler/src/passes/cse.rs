@@ -72,14 +72,9 @@ pub fn run(f: &mut Function) -> usize {
     if replace.is_empty() {
         return 0;
     }
-    // Final rewrite of every instruction (including phis in other blocks).
-    for inst in f.insts.iter_mut() {
-        inst.op.map_operands(|v| *replace.get(&v).unwrap_or(&v));
-    }
-    // Remove replaced instructions from their blocks.
-    for bi in 0..f.blocks.len() {
-        f.blocks[bi].insts.retain(|i| !replace.contains_key(i));
-    }
+    // Final rewrite of every instruction (including phis in other blocks),
+    // and the replaced instructions leave their blocks.
+    f.replace_all_uses(&replace, &[]);
     replace.len()
 }
 

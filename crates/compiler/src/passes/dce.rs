@@ -7,48 +7,56 @@
 //! arithmetic) that no dereference ever consumed.
 
 use concord_ir::function::Function;
-use concord_ir::Op;
-use std::collections::HashSet;
+use concord_ir::{Op, ValueId};
 
 /// Run DCE on one function. Returns the number of instructions removed.
+///
+/// Use counts over the placed instructions, and a worklist of removable
+/// instructions whose count is zero: removing one decrements its operands,
+/// which may join the worklist. The removed set is the fixpoint of
+/// "drop every unused removable instruction", reached in one sweep; a dead
+/// cycle (a phi feeding itself) keeps its uses and stays, as it always
+/// did.
 pub fn run(f: &mut Function) -> usize {
-    let mut removed_total = 0;
-    loop {
-        // Collect all used value ids.
-        let mut used: HashSet<u32> = HashSet::new();
-        for b in f.block_ids() {
-            for &i in &f.block(b).insts {
-                for op in f.inst(i).op.operands() {
-                    used.insert(op.0);
-                }
-            }
-        }
-        // Drop unused, side-effect-free instructions.
-        let mut removed = 0;
-        for bi in 0..f.blocks.len() {
-            let block = &f.blocks[bi];
-            let keep: Vec<_> = block
-                .insts
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    let inst = &f.insts[i.0 as usize];
-                    // Params stay: their ids are the function's ABI.
-                    let removable = !inst.op.has_side_effects() && !matches!(inst.op, Op::Param(_));
-                    let dead = !used.contains(&i.0) && removable;
-                    if dead {
-                        removed += 1;
-                    }
-                    !dead
-                })
-                .collect();
-            f.blocks[bi].insts = keep;
-        }
-        removed_total += removed;
-        if removed == 0 {
-            return removed_total;
+    let n = f.insts.len();
+    let mut uses = vec![0u32; n];
+    let mut placed = vec![false; n];
+    for block in &f.blocks {
+        for &i in &block.insts {
+            placed[i.0 as usize] = true;
+            f.insts[i.0 as usize].op.for_each_operand(|v| uses[v.0 as usize] += 1);
         }
     }
+    // Params stay: their ids are the function's ABI.
+    let removable = |v: ValueId| {
+        let op = &f.insts[v.0 as usize].op;
+        !op.has_side_effects() && !matches!(op, Op::Param(_))
+    };
+    let mut work: Vec<ValueId> = f
+        .blocks
+        .iter()
+        .flat_map(|b| b.insts.iter().copied())
+        .filter(|&i| uses[i.0 as usize] == 0 && removable(i))
+        .collect();
+    let mut dead = vec![false; n];
+    let mut removed = 0;
+    while let Some(i) = work.pop() {
+        dead[i.0 as usize] = true;
+        removed += 1;
+        f.insts[i.0 as usize].op.for_each_operand(|v| {
+            let u = &mut uses[v.0 as usize];
+            *u -= 1;
+            if *u == 0 && placed[v.0 as usize] && removable(v) {
+                work.push(v);
+            }
+        });
+    }
+    if removed > 0 {
+        for block in &mut f.blocks {
+            block.insts.retain(|i| !dead[i.0 as usize]);
+        }
+    }
+    removed
 }
 
 #[cfg(test)]

@@ -91,12 +91,7 @@ pub fn run(f: &mut Function) -> FieldPromoteStats {
             }
         }
     }
-    for inst in f.insts.iter_mut() {
-        inst.op.map_operands(|v| *replace.get(&v).unwrap_or(&v));
-    }
-    for bi in 0..f.blocks.len() {
-        f.blocks[bi].insts.retain(|i| !replace.contains_key(i));
-    }
+    f.replace_all_uses(&replace, &[]);
     stats
 }
 

@@ -11,9 +11,16 @@ use concord_ir::analysis::DomTree;
 use concord_ir::function::Function;
 use concord_ir::inst::{BlockId, Op, ValueId};
 use concord_ir::types::Type;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Run register promotion. Returns the number of allocas promoted.
+///
+/// Every candidate is renamed in one walk over the dominator tree, with
+/// one current value per candidate (Cytron et al.), so the cost is linear
+/// in the function plus the phis placed. Phis and zero constants enter the
+/// arena per candidate in candidate order (phis by block id, then the
+/// zero), and each phi goes to its block's head, so value ids do not depend
+/// on how the walk is organised.
 pub fn run(f: &mut Function) -> usize {
     let candidates = promotable_allocas(f);
     if candidates.is_empty() {
@@ -21,226 +28,239 @@ pub fn run(f: &mut Function) -> usize {
     }
     let dom = DomTree::compute(f);
     let frontiers = dom.dominance_frontiers(f);
-    let preds = f.predecessors();
-
-    let mut promoted = 0;
-    for (alloca, ty) in candidates {
-        promote_one(f, alloca, ty, &dom, &frontiers, &preds);
-        promoted += 1;
+    let entry = f.entry();
+    let nblocks = f.blocks.len();
+    // Candidate index of each promoted alloca, by value id.
+    let mut slot: Vec<Option<usize>> = vec![None; f.insts.len()];
+    for (k, &(alloca, _)) in candidates.iter().enumerate() {
+        slot[alloca.0 as usize] = Some(k);
     }
-    promoted
-}
-
-/// Find allocas where every use is a direct same-type scalar load/store.
-fn promotable_allocas(f: &Function) -> Vec<(ValueId, Type)> {
-    let mut uses: HashMap<ValueId, Vec<(ValueId, bool)>> = HashMap::new(); // alloca -> (user, is_safe)
-    let mut allocas: Vec<ValueId> = Vec::new();
-    for b in f.block_ids() {
-        for &id in &f.block(b).insts {
-            if matches!(f.inst(id).op, Op::Alloca { .. }) {
-                allocas.push(id);
-            }
-        }
-    }
-    let alloca_set: HashSet<ValueId> = allocas.iter().copied().collect();
-    for b in f.block_ids() {
-        for &id in &f.block(b).insts {
-            let inst = f.inst(id);
-            for opnd in inst.op.operands() {
-                if !alloca_set.contains(&opnd) {
-                    continue;
-                }
-                let safe = match &inst.op {
-                    Op::Load(p) => *p == opnd,
-                    // A store *through* the alloca is fine; storing the
-                    // alloca's address itself is an escape.
-                    Op::Store { ptr, val } => *ptr == opnd && *val != opnd,
-                    _ => false,
-                };
-                uses.entry(opnd).or_default().push((id, safe));
-            }
-        }
-    }
-    allocas
-        .into_iter()
-        .filter_map(|a| {
-            let Some(us) = uses.get(&a) else {
-                // Dead alloca: promotable trivially (type irrelevant).
-                return Some((a, Type::I64));
-            };
-            if us.iter().any(|(_, safe)| !safe) {
-                return None;
-            }
-            // Consistent access type.
-            let mut ty: Option<Type> = None;
-            for (user, _) in us {
-                let t = match &f.inst(*user).op {
-                    Op::Load(_) => f.inst(*user).ty,
-                    Op::Store { val, .. } => f.inst(*val).ty,
-                    _ => unreachable!("filtered above"),
-                };
-                match ty {
-                    None => ty = Some(t),
-                    Some(prev) if prev == t => {}
-                    Some(_) => return None,
-                }
-            }
-            let t = ty.unwrap_or(Type::I64);
-            // Only promote scalars that fit the slot.
-            if let Op::Alloca { size, .. } = f.inst(a).op {
-                if size < t.size() {
-                    return None;
-                }
-            }
-            Some((a, t))
-        })
-        .collect()
-}
-
-fn promote_one(
-    f: &mut Function,
-    alloca: ValueId,
-    ty: Type,
-    dom: &DomTree,
-    frontiers: &HashMap<BlockId, Vec<BlockId>>,
-    preds: &HashMap<BlockId, Vec<BlockId>>,
-) {
-    // Blocks containing stores (defs).
-    let mut def_blocks: Vec<BlockId> = Vec::new();
+    // Blocks holding stores (defs) of each candidate.
+    let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); candidates.len()];
     for b in f.block_ids() {
         for &id in &f.block(b).insts {
             if let Op::Store { ptr, .. } = f.inst(id).op {
-                if ptr == alloca {
-                    def_blocks.push(b);
+                if let Some(k) = slot[ptr.0 as usize] {
+                    def_blocks[k].push(b);
                 }
             }
         }
     }
-    // Phi placement: iterated dominance frontier.
-    let mut phi_blocks: HashSet<BlockId> = HashSet::new();
-    let mut work = def_blocks.clone();
-    while let Some(b) = work.pop() {
-        for &df in frontiers.get(&b).map(|v| v.as_slice()).unwrap_or(&[]) {
-            if phi_blocks.insert(df) {
-                work.push(df);
-            }
-        }
+    // Incoming-edge slots: `edge_slot[b][j]` is the position of `b` among
+    // the predecessors of its `j`-th successor, in `Function::predecessors`
+    // order, which is the order of every phi's incoming list.
+    let succs: Vec<Vec<BlockId>> = f.block_ids().map(|b| f.successors(b)).collect();
+    let mut npreds = vec![0usize; nblocks];
+    let mut preds_in_order: Vec<Vec<BlockId>> = vec![Vec::new(); nblocks];
+    let mut edge_slot: Vec<Vec<usize>> = Vec::with_capacity(nblocks);
+    for (b, ss) in succs.iter().enumerate() {
+        edge_slot.push(
+            ss.iter()
+                .map(|s| {
+                    preds_in_order[s.0 as usize].push(BlockId(b as u32));
+                    npreds[s.0 as usize] += 1;
+                    npreds[s.0 as usize] - 1
+                })
+                .collect(),
+        );
     }
-    // Only keep phis in reachable blocks, created in block order so the
-    // phis' value ids do not depend on hash order.
-    let mut phi_blocks: Vec<BlockId> =
-        phi_blocks.into_iter().filter(|b| dom.rpo_index(*b).is_some()).collect();
-    phi_blocks.sort_unstable();
-    // Create phis (empty incoming, filled during rename).
-    let mut phi_of_block: HashMap<BlockId, ValueId> = HashMap::new();
-    for &b in &phi_blocks {
-        let phi = f.push_inst(Op::Phi(Vec::new()), ty);
-        f.block_mut(b).insts.insert(0, phi);
-        phi_of_block.insert(b, phi);
-    }
-    // Rename: DFS over the dominator tree (approximated by RPO walk with a
-    // per-block incoming value computed from the idom chain).
-    // We do a standard recursive rename over the dom tree.
-    let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-    for &b in &dom.rpo {
-        if b != f.entry() {
-            if let Some(id) = dom.idom(b) {
-                children.entry(id).or_default().push(b);
-            }
-        }
-    }
-    // Replacements for loads; removals for loads/stores.
-    let mut replace: HashMap<ValueId, ValueId> = HashMap::new();
-    let mut remove: HashSet<ValueId> = HashSet::new();
-    remove.insert(alloca);
 
-    // Undef value: materialize a zero constant in the entry block right
-    // after the alloca (used on paths with no prior store).
-    let zero = f.push_inst(
-        match ty {
+    // Phi placement on each candidate's iterated dominance frontier, then
+    // the candidate's zero (the value on paths with no prior store).
+    let mut phis_at: Vec<Vec<(usize, ValueId)>> = vec![Vec::new(); nblocks];
+    let mut zeros: Vec<ValueId> = Vec::with_capacity(candidates.len());
+    let mut in_idf = vec![usize::MAX; nblocks];
+    for (k, &(_, ty)) in candidates.iter().enumerate() {
+        let mut phi_blocks: Vec<BlockId> = Vec::new();
+        let mut work = def_blocks[k].clone();
+        while let Some(b) = work.pop() {
+            for &df in frontiers.get(&b).map(|v| v.as_slice()).unwrap_or(&[]) {
+                if in_idf[df.0 as usize] != k {
+                    in_idf[df.0 as usize] = k;
+                    phi_blocks.push(df);
+                    work.push(df);
+                }
+            }
+        }
+        phi_blocks.retain(|b| dom.rpo_index(*b).is_some());
+        phi_blocks.sort_unstable();
+        for b in phi_blocks {
+            phis_at[b.0 as usize].push((k, f.push_inst(Op::Phi(Vec::new()), ty)));
+        }
+        let zero = match ty {
             Type::F32 | Type::F64 => Op::ConstFloat(0.0),
             Type::Ptr(_) => Op::ConstNull,
             _ => Op::ConstInt(0),
-        },
-        ty,
-    );
-    let pos =
-        f.block(f.entry()).insts.iter().position(|&i| i == alloca).map(|p| p + 1).unwrap_or(0);
-    f.block_mut(f.entry()).insts.insert(pos, zero);
-
-    struct Frame {
-        block: BlockId,
-        incoming: ValueId,
+        };
+        zeros.push(f.push_inst(zero, ty));
     }
-    let mut stack = vec![Frame { block: f.entry(), incoming: zero }];
-    // Record phi incoming additions: (phi, pred, value).
-    let mut phi_edges: Vec<(ValueId, BlockId, ValueId)> = Vec::new();
-    let mut visited: HashSet<BlockId> = HashSet::new();
-    while let Some(Frame { block, incoming }) = stack.pop() {
-        if !visited.insert(block) {
-            continue;
+    // Each phi at its block's head: a later candidate's phi goes in front
+    // of an earlier one's.
+    for (b, phis) in phis_at.iter().enumerate() {
+        if !phis.is_empty() {
+            let block = &mut f.blocks[b].insts;
+            let rest = std::mem::take(block);
+            block.extend(phis.iter().rev().map(|&(_, phi)| phi));
+            block.extend(rest);
         }
-        let mut current = incoming;
-        if let Some(&phi) = phi_of_block.get(&block) {
-            current = phi;
+    }
+    // Each zero right after its alloca in the entry block, or at the very
+    // front (later candidates first) when the alloca lives elsewhere.
+    let mut front: Vec<ValueId> = Vec::new();
+    let mut after: Vec<Option<ValueId>> = vec![None; candidates.len()];
+    for (k, &(alloca, _)) in candidates.iter().enumerate() {
+        if f.block(entry).insts.contains(&alloca) {
+            after[k] = Some(zeros[k]);
+        } else {
+            front.push(zeros[k]);
         }
-        let insts = f.block(block).insts.clone();
-        for id in insts {
-            match f.inst(id).op.clone() {
-                Op::Load(p) if p == alloca => {
-                    replace.insert(id, current);
-                    remove.insert(id);
+    }
+    let old_entry = std::mem::take(&mut f.block_mut(entry).insts);
+    let mut new_entry: Vec<ValueId> = front.into_iter().rev().collect();
+    for id in old_entry {
+        new_entry.push(id);
+        if let Some(zero) = slot.get(id.0 as usize).copied().flatten().and_then(|k| after[k]) {
+            new_entry.push(zero);
+        }
+    }
+    f.block_mut(entry).insts = new_entry;
+
+    // Rename: walk the dominator tree, with the current value of every
+    // candidate and an undo log restored when a subtree is done.
+    let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); nblocks];
+    for &b in &dom.rpo {
+        if b != entry {
+            if let Some(id) = dom.idom(b) {
+                children[id.0 as usize].push(b);
+            }
+        }
+    }
+    let mut incoming: Vec<Vec<(BlockId, ValueId)>> = Vec::new();
+    let mut phi_index: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
+    for (b, phis) in phis_at.iter().enumerate() {
+        for &(k, _) in phis {
+            phi_index[b].push(incoming.len());
+            incoming.push(preds_in_order[b].iter().map(|&p| (p, zeros[k])).collect());
+        }
+    }
+    enum Step {
+        Enter(BlockId),
+        Leave(usize),
+    }
+    let mut current = zeros.clone();
+    let mut undo: Vec<(usize, ValueId)> = Vec::new();
+    let mut replace: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut dead: Vec<ValueId> = candidates.iter().map(|&(a, _)| a).collect();
+    let mut stack = vec![Step::Enter(entry)];
+    while let Some(step) = stack.pop() {
+        let block = match step {
+            Step::Leave(mark) => {
+                for (k, v) in undo.drain(mark..).rev() {
+                    current[k] = v;
                 }
-                Op::Store { ptr, val } if ptr == alloca => {
-                    current = val;
-                    remove.insert(id);
+                continue;
+            }
+            Step::Enter(b) => b,
+        };
+        let b = block.0 as usize;
+        stack.push(Step::Leave(undo.len()));
+        for &(k, phi) in &phis_at[b] {
+            undo.push((k, current[k]));
+            current[k] = phi;
+        }
+        for &id in &f.blocks[b].insts {
+            match f.insts[id.0 as usize].op {
+                Op::Load(p) => {
+                    if let Some(k) = slot[p.0 as usize] {
+                        replace.insert(id, current[k]);
+                    }
+                }
+                Op::Store { ptr, val } => {
+                    if let Some(k) = slot[ptr.0 as usize] {
+                        undo.push((k, current[k]));
+                        current[k] = val;
+                        dead.push(id);
+                    }
                 }
                 _ => {}
             }
         }
-        // Successor phi edges.
-        for s in f.successors(block) {
-            if let Some(&phi) = phi_of_block.get(&s) {
-                phi_edges.push((phi, block, current));
+        for (j, s) in succs[b].iter().enumerate() {
+            let s = s.0 as usize;
+            for (i, &(k, _)) in phis_at[s].iter().enumerate() {
+                incoming[phi_index[s][i]][edge_slot[b][j]].1 = current[k];
             }
         }
-        for &c in children.get(&block).map(|v| v.as_slice()).unwrap_or(&[]) {
-            stack.push(Frame { block: c, incoming: current });
+        stack.extend(children[b].iter().map(|&c| Step::Enter(c)));
+    }
+    for (b, phis) in phis_at.iter().enumerate() {
+        for (i, &(_, phi)) in phis.iter().enumerate() {
+            f.inst_mut(phi).op = Op::Phi(std::mem::take(&mut incoming[phi_index[b][i]]));
         }
     }
-    // Install phi incoming edges (cover every predecessor; unreachable-from-
-    // rename preds get the zero value).
-    for (&b, &phi) in &phi_of_block {
-        let mut incoming: Vec<(BlockId, ValueId)> = Vec::new();
-        for &p in &preds[&b] {
-            let val = phi_edges
-                .iter()
-                .find(|(ph, pb, _)| *ph == phi && *pb == p)
-                .map(|(_, _, v)| *v)
-                .unwrap_or(zero);
-            incoming.push((p, val));
+    f.replace_all_uses(&replace, &dead);
+    candidates.len()
+}
+
+/// Find allocas where every use is a direct same-type scalar load/store,
+/// in block order. A dead alloca is promotable whatever its size.
+fn promotable_allocas(f: &Function) -> Vec<(ValueId, Type)> {
+    /// What the uses seen so far say about one alloca.
+    #[derive(Clone, Copy)]
+    enum Uses {
+        NotAlloca,
+        None,
+        Typed(Type),
+        Escapes,
+    }
+    let mut uses = vec![Uses::NotAlloca; f.insts.len()];
+    let mut allocas: Vec<ValueId> = Vec::new();
+    for block in &f.blocks {
+        for &id in &block.insts {
+            if matches!(f.inst(id).op, Op::Alloca { .. }) {
+                allocas.push(id);
+                uses[id.0 as usize] = Uses::None;
+            }
         }
-        f.inst_mut(phi).op = Op::Phi(incoming);
     }
-    // Apply replacements transitively (a load may map to another removed
-    // load... no: loads map to stored values or phis, never to removed
-    // loads' ids, because `current` is always a live value). Still, chase
-    // one level to be safe.
-    let resolve = |mut v: ValueId| {
-        let mut guard = 0;
-        while let Some(&n) = replace.get(&v) {
-            v = n;
-            guard += 1;
-            assert!(guard < 1_000_000, "replacement cycle");
+    for block in &f.blocks {
+        for &id in &block.insts {
+            let inst = f.inst(id);
+            inst.op.for_each_operand(|opnd| {
+                let u = &mut uses[opnd.0 as usize];
+                if matches!(u, Uses::NotAlloca | Uses::Escapes) {
+                    return;
+                }
+                let ty = match inst.op {
+                    Op::Load(p) if p == opnd => inst.ty,
+                    // A store *through* the alloca is fine; storing the
+                    // alloca's address itself is an escape.
+                    Op::Store { ptr, val } if ptr == opnd && val != opnd => f.inst(val).ty,
+                    _ => {
+                        *u = Uses::Escapes;
+                        return;
+                    }
+                };
+                *u = match *u {
+                    Uses::None => Uses::Typed(ty),
+                    Uses::Typed(t) if t == ty => Uses::Typed(t),
+                    _ => Uses::Escapes,
+                };
+            });
         }
-        v
-    };
-    for inst in f.insts.iter_mut() {
-        inst.op.map_operands(resolve);
     }
-    for bi in 0..f.blocks.len() {
-        f.blocks[bi].insts.retain(|i| !remove.contains(i));
-    }
+    allocas
+        .into_iter()
+        .filter_map(|a| match uses[a.0 as usize] {
+            Uses::None => Some((a, Type::I64)),
+            // Only promote scalars that fit the slot.
+            Uses::Typed(t) => match f.inst(a).op {
+                Op::Alloca { size, .. } if size < t.size() => None,
+                _ => Some((a, t)),
+            },
+            Uses::NotAlloca | Uses::Escapes => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]

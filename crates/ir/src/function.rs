@@ -136,6 +136,53 @@ impl Function {
         preds
     }
 
+    /// Replace every use of each key of `replace` with its value, following
+    /// chains (`a → b` and `b → c` send the uses of `a` to `c`), in every
+    /// instruction of the arena, placed or not. Then drop the replaced ids,
+    /// and the ids in `dead`, from their blocks. Chains are resolved once,
+    /// so the cost is linear in the arena plus the map.
+    ///
+    /// # Panics
+    ///
+    /// If `replace` has a cycle.
+    pub fn replace_all_uses(&mut self, replace: &HashMap<ValueId, ValueId>, dead: &[ValueId]) {
+        if replace.is_empty() && dead.is_empty() {
+            return;
+        }
+        let n = self.insts.len();
+        let mut to: Vec<u32> = (0..n as u32).collect();
+        let mut drop = vec![false; n];
+        for (&from, &v) in replace {
+            to[from.0 as usize] = v.0;
+            drop[from.0 as usize] = true;
+        }
+        for &d in dead {
+            drop[d.0 as usize] = true;
+        }
+        for &from in replace.keys() {
+            let mut root = from.0;
+            let mut steps = 0;
+            while to[root as usize] != root {
+                root = to[root as usize];
+                steps += 1;
+                assert!(steps <= replace.len(), "replacement cycle through {from}");
+            }
+            // Path compression: later chains through this one stop at once.
+            let mut v = from.0;
+            while to[v as usize] != root {
+                let next = to[v as usize];
+                to[v as usize] = root;
+                v = next;
+            }
+        }
+        for inst in &mut self.insts {
+            inst.op.map_operands(|v| ValueId(to[v.0 as usize]));
+        }
+        for block in &mut self.blocks {
+            block.insts.retain(|i| !drop[i.0 as usize]);
+        }
+    }
+
     /// Total number of instructions placed in blocks.
     pub fn placed_inst_count(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
@@ -286,6 +333,36 @@ mod tests {
         assert!(f.terminator(BlockId(0)).is_some());
         let empty = Function::new("g", vec![], Type::Void);
         assert!(empty.terminator(BlockId(0)).is_none());
+    }
+
+    #[test]
+    fn replace_all_uses_follows_chains_everywhere_and_drops_the_replaced() {
+        // bb0: %0 = param; %1 = add %0, %0; %2 = add %1, %1; %3 = add %2, %2; ret %3
+        let mut f = Function::new("f", vec![Type::I32], Type::I32);
+        let p = ValueId(0);
+        let a = f.push_inst(Op::Bin(BinOp::Add, p, p), Type::I32);
+        let b = f.push_inst(Op::Bin(BinOp::Add, a, a), Type::I32);
+        let c = f.push_inst(Op::Bin(BinOp::Add, b, b), Type::I32);
+        let ret = f.push_inst(Op::Ret(Some(c)), Type::Void);
+        f.blocks[0].insts.extend([a, b, c, ret]);
+        // Detached: in the arena, in no block.
+        let detached = f.push_inst(Op::Bin(BinOp::Add, c, b), Type::I32);
+        let replace: HashMap<ValueId, ValueId> = [(c, b), (b, a)].into_iter().collect();
+        f.replace_all_uses(&replace, &[]);
+        assert_eq!(f.blocks[0].insts, vec![p, a, ret]);
+        assert_eq!(f.inst(ret).op, Op::Ret(Some(a)));
+        assert_eq!(f.inst(detached).op, Op::Bin(BinOp::Add, a, a));
+        f.replace_all_uses(&HashMap::new(), &[a]);
+        assert_eq!(f.blocks[0].insts, vec![p, ret]);
+    }
+
+    #[test]
+    #[should_panic(expected = "replacement cycle")]
+    fn replace_all_uses_rejects_a_cycle() {
+        let mut f = two_block_function();
+        let replace: HashMap<ValueId, ValueId> =
+            [(ValueId(2), ValueId(3)), (ValueId(3), ValueId(2))].into_iter().collect();
+        f.replace_all_uses(&replace, &[]);
     }
 
     #[test]
