@@ -46,28 +46,30 @@ pub fn run(f: &mut Function) -> usize {
             }
         }
     }
-    // Incoming-edge slots: `edge_slot[b][j]` is the position of `b` among
-    // the predecessors of its `j`-th successor, in `Function::predecessors`
-    // order, which is the order of every phi's incoming list.
+    // Predecessors in `Function::predecessors` order, which is the order
+    // of every phi's incoming list; `edge_slot[b][j]` is the position of
+    // `b` among the predecessors of its `j`-th successor.
     let succs: Vec<Vec<BlockId>> = f.block_ids().map(|b| f.successors(b)).collect();
-    let mut npreds = vec![0usize; nblocks];
-    let mut preds_in_order: Vec<Vec<BlockId>> = vec![Vec::new(); nblocks];
-    let mut edge_slot: Vec<Vec<usize>> = Vec::with_capacity(nblocks);
+    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); nblocks];
+    let mut edge_slot: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
     for (b, ss) in succs.iter().enumerate() {
-        edge_slot.push(
-            ss.iter()
-                .map(|s| {
-                    preds_in_order[s.0 as usize].push(BlockId(b as u32));
-                    npreds[s.0 as usize] += 1;
-                    npreds[s.0 as usize] - 1
-                })
-                .collect(),
-        );
+        for s in ss {
+            let p = &mut preds[s.0 as usize];
+            edge_slot[b].push(p.len());
+            p.push(BlockId(b as u32));
+        }
     }
 
     // Phi placement on each candidate's iterated dominance frontier, then
     // the candidate's zero (the value on paths with no prior store).
-    let mut phis_at: Vec<Vec<(usize, ValueId)>> = vec![Vec::new(); nblocks];
+    struct Phi {
+        candidate: usize,
+        id: ValueId,
+        /// Per predecessor slot; a predecessor the walk never reaches
+        /// (unreachable) keeps `None` and gets the zero.
+        incoming: Vec<Option<ValueId>>,
+    }
+    let mut phis_at: Vec<Vec<Phi>> = (0..nblocks).map(|_| Vec::new()).collect();
     let mut zeros: Vec<ValueId> = Vec::with_capacity(candidates.len());
     let mut in_idf = vec![usize::MAX; nblocks];
     for (k, &(_, ty)) in candidates.iter().enumerate() {
@@ -85,7 +87,9 @@ pub fn run(f: &mut Function) -> usize {
         phi_blocks.retain(|b| dom.rpo_index(*b).is_some());
         phi_blocks.sort_unstable();
         for b in phi_blocks {
-            phis_at[b.0 as usize].push((k, f.push_inst(Op::Phi(Vec::new()), ty)));
+            let id = f.push_inst(Op::Phi(Vec::new()), ty);
+            let incoming = vec![None; preds[b.0 as usize].len()];
+            phis_at[b.0 as usize].push(Phi { candidate: k, id, incoming });
         }
         let zero = match ty {
             Type::F32 | Type::F64 => Op::ConstFloat(0.0),
@@ -98,29 +102,24 @@ pub fn run(f: &mut Function) -> usize {
     // of an earlier one's.
     for (b, phis) in phis_at.iter().enumerate() {
         if !phis.is_empty() {
-            let block = &mut f.blocks[b].insts;
-            let rest = std::mem::take(block);
-            block.extend(phis.iter().rev().map(|&(_, phi)| phi));
-            block.extend(rest);
+            let rest = std::mem::take(&mut f.blocks[b].insts);
+            f.blocks[b].insts = phis.iter().rev().map(|phi| phi.id).chain(rest).collect();
         }
     }
     // Each zero right after its alloca in the entry block, or at the very
     // front (later candidates first) when the alloca lives elsewhere.
-    let mut front: Vec<ValueId> = Vec::new();
-    let mut after: Vec<Option<ValueId>> = vec![None; candidates.len()];
-    for (k, &(alloca, _)) in candidates.iter().enumerate() {
-        if f.block(entry).insts.contains(&alloca) {
-            after[k] = Some(zeros[k]);
-        } else {
-            front.push(zeros[k]);
+    let mut in_entry = vec![false; candidates.len()];
+    for id in &f.block(entry).insts {
+        if let Some(&Some(k)) = slot.get(id.0 as usize) {
+            in_entry[k] = true;
         }
     }
-    let old_entry = std::mem::take(&mut f.block_mut(entry).insts);
-    let mut new_entry: Vec<ValueId> = front.into_iter().rev().collect();
-    for id in old_entry {
+    let mut new_entry: Vec<ValueId> =
+        (0..candidates.len()).rev().filter(|&k| !in_entry[k]).map(|k| zeros[k]).collect();
+    for id in std::mem::take(&mut f.block_mut(entry).insts) {
         new_entry.push(id);
-        if let Some(zero) = slot.get(id.0 as usize).copied().flatten().and_then(|k| after[k]) {
-            new_entry.push(zero);
+        if let Some(&Some(k)) = slot.get(id.0 as usize) {
+            new_entry.push(zeros[k]);
         }
     }
     f.block_mut(entry).insts = new_entry;
@@ -135,14 +134,6 @@ pub fn run(f: &mut Function) -> usize {
             }
         }
     }
-    let mut incoming: Vec<Vec<(BlockId, ValueId)>> = Vec::new();
-    let mut phi_index: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-    for (b, phis) in phis_at.iter().enumerate() {
-        for &(k, _) in phis {
-            phi_index[b].push(incoming.len());
-            incoming.push(preds_in_order[b].iter().map(|&p| (p, zeros[k])).collect());
-        }
-    }
     enum Step {
         Enter(BlockId),
         Leave(usize),
@@ -153,20 +144,19 @@ pub fn run(f: &mut Function) -> usize {
     let mut dead: Vec<ValueId> = candidates.iter().map(|&(a, _)| a).collect();
     let mut stack = vec![Step::Enter(entry)];
     while let Some(step) = stack.pop() {
-        let block = match step {
+        let b = match step {
             Step::Leave(mark) => {
                 for (k, v) in undo.drain(mark..).rev() {
                     current[k] = v;
                 }
                 continue;
             }
-            Step::Enter(b) => b,
+            Step::Enter(b) => b.0 as usize,
         };
-        let b = block.0 as usize;
         stack.push(Step::Leave(undo.len()));
-        for &(k, phi) in &phis_at[b] {
-            undo.push((k, current[k]));
-            current[k] = phi;
+        for phi in &phis_at[b] {
+            undo.push((phi.candidate, current[phi.candidate]));
+            current[phi.candidate] = phi.id;
         }
         for &id in &f.blocks[b].insts {
             match f.insts[id.0 as usize].op {
@@ -185,17 +175,19 @@ pub fn run(f: &mut Function) -> usize {
                 _ => {}
             }
         }
-        for (j, s) in succs[b].iter().enumerate() {
-            let s = s.0 as usize;
-            for (i, &(k, _)) in phis_at[s].iter().enumerate() {
-                incoming[phi_index[s][i]][edge_slot[b][j]].1 = current[k];
+        for (s, &edge) in succs[b].iter().zip(&edge_slot[b]) {
+            for phi in &mut phis_at[s.0 as usize] {
+                phi.incoming[edge] = Some(current[phi.candidate]);
             }
         }
         stack.extend(children[b].iter().map(|&c| Step::Enter(c)));
     }
-    for (b, phis) in phis_at.iter().enumerate() {
-        for (i, &(_, phi)) in phis.iter().enumerate() {
-            f.inst_mut(phi).op = Op::Phi(std::mem::take(&mut incoming[phi_index[b][i]]));
+    for (b, phis) in phis_at.into_iter().enumerate() {
+        for phi in phis {
+            let zero = zeros[phi.candidate];
+            let incoming = preds[b].iter().zip(phi.incoming);
+            f.inst_mut(phi.id).op =
+                Op::Phi(incoming.map(|(&p, v)| (p, v.unwrap_or(zero))).collect());
         }
     }
     f.replace_all_uses(&replace, &dead);

@@ -149,7 +149,7 @@ fn collapse_trivial_phis(f: &Function, replace: &mut HashMap<ValueId, ValueId>) 
         .blocks
         .iter()
         .flat_map(|b| b.insts.iter().copied())
-        .filter(|&id| matches!(f.inst(id).op, Op::Phi(_)) && !replace.contains_key(&id))
+        .filter(|&id| matches!(f.inst(id).op, Op::Phi(_)))
         .collect();
     loop {
         let before = phis.len();
