@@ -1,14 +1,16 @@
-//! Property tests for the CFG analyses: [`DomTree`] is checked against a
-//! naive reference implementation on randomly generated control-flow
-//! graphs (including unreachable blocks, self-loops, back edges into the
-//! entry, and duplicate-edge conditional branches).
+//! Property tests for the CFG analyses: [`DomTree`] and [`PostDomTree`]
+//! are checked against naive reference implementations on randomly
+//! generated control-flow graphs (including unreachable blocks, infinite
+//! loops, self-loops, back edges into the entry, and duplicate-edge
+//! conditional branches).
 //!
-//! The reference uses the definition, not an algorithm: `a` dominates `b`
-//! iff removing `a` makes `b` unreachable from the entry. The shipped
-//! analysis is an iterative fixpoint — agreeing with the definitional
-//! version on arbitrary graphs is the property.
+//! The references use the definition, not an algorithm: `a` dominates `b`
+//! iff removing `a` makes `b` unreachable from the entry, and `d`
+//! postdominates `b` iff removing `d` cuts every path from `b` to an exit.
+//! The shipped analyses are iterative fixpoints — agreeing with the
+//! definitional versions on arbitrary graphs is the property.
 
-use concord_ir::analysis::DomTree;
+use concord_ir::analysis::{DomTree, PostDomTree};
 use concord_ir::{BinOp, Block, BlockId, Function, Op, Type, ValueId};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -100,6 +102,27 @@ fn reachable_avoiding(f: &Function, avoid: Option<BlockId>) -> HashSet<BlockId> 
     seen
 }
 
+/// Whether some path from `from` reaches an exit block (one with no
+/// successors: `ret` or `unreachable`) without passing through `avoid`.
+fn reaches_exit_avoiding(f: &Function, from: BlockId, avoid: Option<BlockId>) -> bool {
+    if Some(from) == avoid {
+        return false;
+    }
+    let mut seen = HashSet::from([from]);
+    let mut stack = vec![from];
+    while let Some(b) = stack.pop() {
+        if f.successors(b).is_empty() {
+            return true;
+        }
+        for s in f.successors(b) {
+            if Some(s) != avoid && seen.insert(s) {
+                stack.push(s);
+            }
+        }
+    }
+    false
+}
+
 proptest! {
     /// `DomTree::dominates` agrees with the path definition: `a` dominates
     /// `b` iff `b` is reachable and deleting `a` cuts every entry path to
@@ -153,6 +176,51 @@ proptest! {
                         dom(s, d),
                         "strict dominator {:?} of {:?} does not dominate idom {:?}", s, b, d
                     );
+                }
+            }
+        }
+    }
+
+    /// `PostDomTree::ipdom` agrees with the path definition of
+    /// postdominance: a block that reaches no exit has none (`None`); the
+    /// virtual exit (`Some(None)`) is the answer when no real block
+    /// postdominates `b`; otherwise `Some(Some(d))` names the closest strict
+    /// postdominator — deleting `d` cuts every path from `b` to an exit, and
+    /// every other such block postdominates `d` too.
+    #[test]
+    fn ipdom_is_the_closest_strict_postdominator(
+        shape in collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..10)
+    ) {
+        let f = build_cfg(&shape);
+        let pdt = PostDomTree::compute(&f);
+        let postdominates = |d: BlockId, b: BlockId| {
+            d == b || (reaches_exit_avoiding(&f, b, None) && !reaches_exit_avoiding(&f, b, Some(d)))
+        };
+        for b in f.block_ids() {
+            if !reaches_exit_avoiding(&f, b, None) {
+                prop_assert_eq!(pdt.ipdom(b), None, "{:?} reaches no exit on {:?}", b, shape);
+                continue;
+            }
+            let strict: Vec<BlockId> =
+                f.block_ids().filter(|&d| d != b && postdominates(d, b)).collect();
+            match pdt.ipdom(b) {
+                None => prop_assert!(false, "{:?} reaches an exit but has no ipdom on {:?}", b, shape),
+                Some(None) => prop_assert!(
+                    strict.is_empty(),
+                    "ipdom({:?}) is the virtual exit, but {:?} postdominate it on {:?}", b, strict, shape
+                ),
+                Some(Some(d)) => {
+                    prop_assert!(
+                        strict.contains(&d),
+                        "ipdom({:?}) = {:?} is not a strict postdominator on {:?}", b, d, shape
+                    );
+                    for &s in &strict {
+                        prop_assert!(
+                            postdominates(s, d),
+                            "strict postdominator {:?} of {:?} does not postdominate ipdom {:?} on {:?}",
+                            s, b, d, shape
+                        );
+                    }
                 }
             }
         }
