@@ -282,6 +282,31 @@ if [ "$layouts" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> structural guard: one CFG analysis"
+# Every block order and dominator table comes from crates/ir/src/analysis.rs:
+# one reverse-postorder DFS (its `post.reverse()`) and one Cooper-Harvey-
+# Kennedy fixpoint (its two-finger intersect, two `rpo_index[..] >` lines),
+# which DomTree runs forward and PostDomTree over the reversed CFG. A pass,
+# simulator or backend with its own copy fails here, and so does a tree
+# keyed by a hash map instead of by block.
+cfg_copies=$(for f in $(find crates/*/src -name '*.rs' | sort); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" \
+        | { grep -nE 'post\.reverse\(\)|rpo_index\[&?[a-z_]+\] > rpo_index\[' || true; } | sed "s|^|$f:|"
+done)
+if [ "$(grep -c 'post\.reverse()' <<<"$cfg_copies")" -ne 1 ] \
+    || [ "$(grep -c 'rpo_index\[' <<<"$cfg_copies")" -ne 2 ] \
+    || grep -v '^crates/ir/src/analysis.rs:' <<<"$cfg_copies" >&2; then
+    echo "!! non-test crates/*/src must hold one reverse-postorder DFS and one dominator" >&2
+    echo "!! fixpoint, both in crates/ir/src/analysis.rs; found:" >&2
+    echo "$cfg_copies" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/ir/src/analysis.rs \
+    | sed -n '/^pub struct DomTree/,/^pub struct Loop/p' | grep -n 'HashMap' >&2; then
+    echo "!! DomTree or PostDomTree (crates/ir/src/analysis.rs) names a HashMap" >&2
+    exit 1
+fi
+
 echo "==> structural guard: no hashing on the simulated access path"
 # The shadow overlay, the L3 contention history and the set-associative
 # cache model are reached on every simulated access. They index pages and

@@ -869,7 +869,7 @@ fn divergent_joins(
     f: &Function,
     vals: &[AbsVal],
     pdt: &PostDomTree,
-    preds: &HashMap<BlockId, Vec<BlockId>>,
+    preds: &[Vec<BlockId>],
 ) -> HashSet<BlockId> {
     let mut tainted = HashSet::new();
     for b in f.block_ids() {
@@ -887,7 +887,7 @@ fn divergent_joins(
                     if x == j || !seen.insert(x) {
                         continue;
                     }
-                    if preds.get(&x).is_some_and(|p| p.len() >= 2) {
+                    if preds[x.0 as usize].len() >= 2 {
                         tainted.insert(x);
                     }
                     for s in f.successors(x) {

@@ -9,10 +9,11 @@
 
 use concord_ir::analysis::DomTree;
 use concord_ir::function::Function;
-use concord_ir::inst::{Op, ValueId};
+use concord_ir::inst::{BlockId, Op, ValueId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Key {
     Bin(u8, ValueId, ValueId),
     Icmp(u8, ValueId, ValueId),
@@ -42,31 +43,46 @@ fn key_of(f: &Function, v: ValueId) -> Option<Key> {
 }
 
 /// Run dominator-based CSE. Returns the number of instructions replaced.
+///
+/// One walk over the dominator tree, with one table of the expressions
+/// available in the current block (its dominators' and its own so far) and
+/// a log of the keys each block added, removed when its subtree is done.
 pub fn run(f: &mut Function) -> usize {
     // Division can trap; folding two identical divisions is still fine
     // (same operands → same trap), so Bin covers it safely.
     let dom = DomTree::compute(f);
-    let mut avail: HashMap<Key, Vec<(concord_ir::BlockId, ValueId)>> = HashMap::new();
+    let mut avail: HashMap<Key, ValueId> = HashMap::new();
+    let mut added: Vec<Key> = Vec::new();
+    // The blocks on the tree path to the current one, each with the length
+    // `added` had when it was entered.
+    let mut scopes: Vec<(BlockId, usize)> = Vec::new();
     let mut replace: HashMap<ValueId, ValueId> = HashMap::new();
-    // Walk blocks in reverse postorder: dominators before dominated.
-    for &b in dom.rpo.clone().iter() {
-        let insts = f.block(b).insts.clone();
-        for id in insts {
+    for &b in dom.preorder() {
+        while let Some(&(top, mark)) = scopes.last() {
+            if dom.dominates(top, b) {
+                break;
+            }
+            for key in added.drain(mark..) {
+                avail.remove(&key);
+            }
+            scopes.pop();
+        }
+        scopes.push((b, added.len()));
+        for i in 0..f.block(b).insts.len() {
+            let id = f.block(b).insts[i];
             // Rewrite operands through pending replacements first so chains
             // of CSE'd values canonicalize.
-            let mut op = f.inst(id).op.clone();
-            op.map_operands(|v| *replace.get(&v).unwrap_or(&v));
-            f.inst_mut(id).op = op;
+            f.inst_mut(id).op.map_operands(|v| *replace.get(&v).unwrap_or(&v));
             let Some(key) = key_of(f, id) else { continue };
-            if let Some(cands) = avail.get(&key) {
-                if let Some(&(_, existing)) = cands.iter().find(|(cb, _)| dom.dominates(*cb, b)) {
-                    if existing != id {
-                        replace.insert(id, existing);
-                        continue;
-                    }
+            match avail.entry(key) {
+                Entry::Occupied(existing) => {
+                    replace.insert(id, *existing.get());
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(id);
+                    added.push(key);
                 }
             }
-            avail.entry(key).or_default().push((b, id));
         }
     }
     if replace.is_empty() {

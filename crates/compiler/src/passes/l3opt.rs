@@ -117,9 +117,7 @@ fn recognize(f: &Function, l: &concord_ir::analysis::Loop) -> Option<CountedLoop
 /// `gpu_cores` is W in Figure 5 (the number of GPU cores / EUs).
 pub fn run(f: &mut Function, gpu_cores: u32) -> L3OptStats {
     let mut stats = L3OptStats::default();
-    let loops = find_loops(f);
-    let dom = DomTree::compute(f);
-    let _ = &dom;
+    let loops = find_loops(f, &DomTree::compute(f));
     let innermost: Vec<_> = loops.iter().filter(|l| l.is_innermost(&loops)).collect();
     // Collect rewrites first (recognition borrows f immutably).
     let recognized: Vec<CountedLoop> = innermost.iter().filter_map(|l| recognize(f, l)).collect();

@@ -27,7 +27,7 @@ pub fn run(f: &mut Function) -> usize {
         return 0;
     }
     let dom = DomTree::compute(f);
-    let frontiers = dom.dominance_frontiers(f);
+    let frontiers = dom.dominance_frontiers();
     let entry = f.entry();
     let nblocks = f.blocks.len();
     // Candidate index of each promoted alloca, by value id.
@@ -46,20 +46,6 @@ pub fn run(f: &mut Function) -> usize {
             }
         }
     }
-    // Predecessors in `Function::predecessors` order, which is the order
-    // of every phi's incoming list; `edge_slot[b][j]` is the position of
-    // `b` among the predecessors of its `j`-th successor.
-    let succs: Vec<Vec<BlockId>> = f.block_ids().map(|b| f.successors(b)).collect();
-    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); nblocks];
-    let mut edge_slot: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-    for (b, ss) in succs.iter().enumerate() {
-        for s in ss {
-            let p = &mut preds[s.0 as usize];
-            edge_slot[b].push(p.len());
-            p.push(BlockId(b as u32));
-        }
-    }
-
     // Phi placement on each candidate's iterated dominance frontier, then
     // the candidate's zero (the value on paths with no prior store).
     struct Phi {
@@ -76,7 +62,7 @@ pub fn run(f: &mut Function) -> usize {
         let mut phi_blocks: Vec<BlockId> = Vec::new();
         let mut work = def_blocks[k].clone();
         while let Some(b) = work.pop() {
-            for &df in frontiers.get(&b).map(|v| v.as_slice()).unwrap_or(&[]) {
+            for &df in &frontiers[b.0 as usize] {
                 if in_idf[df.0 as usize] != k {
                     in_idf[df.0 as usize] = k;
                     phi_blocks.push(df);
@@ -88,7 +74,7 @@ pub fn run(f: &mut Function) -> usize {
         phi_blocks.sort_unstable();
         for b in phi_blocks {
             let id = f.push_inst(Op::Phi(Vec::new()), ty);
-            let incoming = vec![None; preds[b.0 as usize].len()];
+            let incoming = vec![None; dom.preds(b).len()];
             phis_at[b.0 as usize].push(Phi { candidate: k, id, incoming });
         }
         let zero = match ty {
@@ -125,35 +111,25 @@ pub fn run(f: &mut Function) -> usize {
     f.block_mut(entry).insts = new_entry;
 
     // Rename: walk the dominator tree, with the current value of every
-    // candidate and an undo log restored when a subtree is done.
-    let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); nblocks];
-    for &b in &dom.rpo {
-        if b != entry {
-            if let Some(id) = dom.idom(b) {
-                children[id.0 as usize].push(b);
-            }
-        }
-    }
-    enum Step {
-        Enter(BlockId),
-        Leave(usize),
-    }
+    // candidate and an undo log restored when a subtree is done. `scopes`
+    // holds the blocks on the tree path, each with the log's length on entry.
     let mut current = zeros.clone();
     let mut undo: Vec<(usize, ValueId)> = Vec::new();
+    let mut scopes: Vec<(BlockId, usize)> = Vec::new();
     let mut replace: HashMap<ValueId, ValueId> = HashMap::new();
     let mut dead: Vec<ValueId> = candidates.iter().map(|&(a, _)| a).collect();
-    let mut stack = vec![Step::Enter(entry)];
-    while let Some(step) = stack.pop() {
-        let b = match step {
-            Step::Leave(mark) => {
-                for (k, v) in undo.drain(mark..).rev() {
-                    current[k] = v;
-                }
-                continue;
+    for &block in dom.preorder() {
+        while let Some(&(top, mark)) = scopes.last() {
+            if dom.dominates(top, block) {
+                break;
             }
-            Step::Enter(b) => b.0 as usize,
-        };
-        stack.push(Step::Leave(undo.len()));
+            for (k, v) in undo.drain(mark..).rev() {
+                current[k] = v;
+            }
+            scopes.pop();
+        }
+        scopes.push((block, undo.len()));
+        let b = block.0 as usize;
         for phi in &phis_at[b] {
             undo.push((phi.candidate, current[phi.candidate]));
             current[phi.candidate] = phi.id;
@@ -175,17 +151,21 @@ pub fn run(f: &mut Function) -> usize {
                 _ => {}
             }
         }
-        for (s, &edge) in succs[b].iter().zip(&edge_slot[b]) {
+        for s in f.successors(block) {
+            // `block`'s slots among `s`'s predecessors, which are in block
+            // order (a doubled edge has two slots, both get the same value).
+            let preds = dom.preds(s);
+            let at = preds.partition_point(|&p| p < block);
+            let slots = at..at + preds[at..].iter().take_while(|&&p| p == block).count();
             for phi in &mut phis_at[s.0 as usize] {
-                phi.incoming[edge] = Some(current[phi.candidate]);
+                phi.incoming[slots.clone()].fill(Some(current[phi.candidate]));
             }
         }
-        stack.extend(children[b].iter().map(|&c| Step::Enter(c)));
     }
     for (b, phis) in phis_at.into_iter().enumerate() {
         for phi in phis {
             let zero = zeros[phi.candidate];
-            let incoming = preds[b].iter().zip(phi.incoming);
+            let incoming = dom.preds(BlockId(b as u32)).iter().zip(phi.incoming);
             f.inst_mut(phi.id).op =
                 Op::Phi(incoming.map(|(&p, v)| (p, v.unwrap_or(zero))).collect());
         }

@@ -347,7 +347,7 @@ impl Func {
 fn block_priorities(f: &Function) -> Vec<u32> {
     let n = f.blocks.len();
     let dom = DomTree::compute(f);
-    let loops = find_loops(f);
+    let loops = find_loops(f, &dom);
     let depth_of =
         |b: BlockId| -> u32 { loops.iter().filter(|l| l.blocks.contains(&b)).count() as u32 };
     let rpo_index = |b: BlockId| dom.rpo_index(b).unwrap_or(usize::MAX);

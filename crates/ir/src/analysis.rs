@@ -3,272 +3,253 @@
 //! the executors gate on ([`uses_gated_ops`]).
 //!
 //! These feed the optimization passes (register promotion needs dominance
-//! frontiers, CSE needs dominators, the L3 contention transform needs loop
-//! structure), the simulators' decoded block priorities (dominators and
-//! loop depth order SIMT reconvergence), and the analyzer's divergence
-//! tainting (postdominators). The native register allocator computes its
-//! own liveness.
+//! frontiers, CSE walks the dominator tree, the L3 contention transform
+//! needs loop structure), the simulators' decoded block priorities
+//! (dominators and loop depth order SIMT reconvergence), the native
+//! register allocator's block layout (reverse postorder), and the
+//! analyzer's divergence tainting (postdominators).
+//!
+//! There is one depth-first search ([`reverse_postorder`]'s) and one
+//! dominator fixpoint (Cooper–Harvey–Kennedy): [`DomTree`] runs them
+//! forward from the entry, [`PostDomTree`] over the reversed CFG from a
+//! virtual exit. Every table is a `Vec` indexed by block id.
 
 use crate::function::Function;
-use crate::inst::{BlockId, Op};
-use std::collections::{HashMap, HashSet};
+use crate::inst::{BlockId, Op, Successors};
+use std::collections::HashSet;
+use std::ops::Deref;
 
-/// Blocks reachable from the entry, in reverse postorder.
+/// "No block" in the block-indexed tables: the block is unreachable.
+const NONE: usize = usize::MAX;
+
+/// Blocks reachable from the entry, in reverse postorder (successors
+/// visited in terminator order).
 pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
-    let mut visited = HashSet::new();
-    let mut post = Vec::new();
-    // Iterative DFS with an explicit stack of (block, next-successor-index).
-    let mut stack = vec![(f.entry(), 0usize)];
-    visited.insert(f.entry());
+    depth_first_rpo(f.blocks.len(), f.entry(), |b| f.successors(b))
+}
+
+/// Reverse postorder of the nodes of an `n`-node graph reachable from
+/// `root`, visiting each node's successors in the order `succs` lists them.
+fn depth_first_rpo<S: Deref<Target = [BlockId]>>(
+    n: usize,
+    root: BlockId,
+    succs: impl Fn(BlockId) -> S,
+) -> Vec<BlockId> {
+    let mut seen = vec![false; n];
+    let mut post = Vec::with_capacity(n);
+    // Iterative DFS with an explicit stack of (node, next-successor-index).
+    let mut stack = vec![(root, 0usize)];
+    seen[root.0 as usize] = true;
     while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        let succs = f.successors(b);
-        if *i < succs.len() {
-            let s = succs[*i];
-            *i += 1;
-            if visited.insert(s) {
-                stack.push((s, 0));
+        match succs(b).get(*i) {
+            Some(&s) => {
+                *i += 1;
+                if !seen[s.0 as usize] {
+                    seen[s.0 as usize] = true;
+                    stack.push((s, 0));
+                }
             }
-        } else {
-            post.push(b);
-            stack.pop();
+            None => {
+                post.push(b);
+                stack.pop();
+            }
         }
     }
     post.reverse();
     post
 }
 
-/// Dominator tree: for each reachable block, its immediate dominator
-/// (the entry maps to itself).
+/// Immediate dominators of an `n`-node graph by the Cooper–Harvey–Kennedy
+/// fixpoint, given the graph's reverse postorder from its root and each
+/// node's predecessors. Returns every node's reverse-postorder index and
+/// its immediate dominator (the root's is itself), both [`NONE`] for a
+/// node the order does not reach.
+fn dominator_fixpoint<S: Deref<Target = [BlockId]>>(
+    n: usize,
+    rpo: &[BlockId],
+    preds: impl Fn(BlockId) -> S,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut rpo_index = vec![NONE; n];
+    for (i, &b) in rpo.iter().enumerate() {
+        rpo_index[b.0 as usize] = i;
+    }
+    let mut idom = vec![NONE; n];
+    idom[rpo[0].0 as usize] = rpo[0].0 as usize;
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in &rpo[1..] {
+            let mut new_idom = NONE;
+            for p in preds(b).iter().map(|p| p.0 as usize) {
+                if idom[p] == NONE {
+                    continue; // unreachable or not yet processed
+                }
+                if new_idom == NONE {
+                    new_idom = p;
+                    continue;
+                }
+                // Intersect: walk both fingers up to their common dominator.
+                let mut a = p;
+                while a != new_idom {
+                    while rpo_index[a] > rpo_index[new_idom] {
+                        a = idom[a];
+                    }
+                    while rpo_index[new_idom] > rpo_index[a] {
+                        new_idom = idom[new_idom];
+                    }
+                }
+            }
+            let b = b.0 as usize;
+            if new_idom != NONE && idom[b] != new_idom {
+                idom[b] = new_idom;
+                changed = true;
+            }
+        }
+    }
+    (rpo_index, idom)
+}
+
+/// Dominator tree of the blocks reachable from the entry, with every
+/// table indexed by block id.
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    idom: HashMap<BlockId, BlockId>,
-    rpo_index: HashMap<BlockId, usize>,
     /// Reverse postorder used to compute the tree.
     pub rpo: Vec<BlockId>,
+    rpo_index: Vec<usize>,
+    /// Immediate dominator (the entry's is itself).
+    idom: Vec<usize>,
+    /// [`Function::predecessors`] of the function the tree was built from.
+    preds: Vec<Vec<BlockId>>,
+    /// Reachable blocks in dominator-tree preorder.
+    preorder: Vec<BlockId>,
+    /// Preorder number of each block and the last preorder number in its
+    /// subtree; `(NONE, 0)` when unreachable.
+    span: Vec<(usize, usize)>,
 }
 
 impl DomTree {
     /// Compute dominators with the Cooper–Harvey–Kennedy iterative algorithm.
     pub fn compute(f: &Function) -> Self {
+        let n = f.blocks.len();
         let rpo = reverse_postorder(f);
-        let rpo_index: HashMap<BlockId, usize> =
-            rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
         let preds = f.predecessors();
-        let mut idom: HashMap<BlockId, BlockId> = HashMap::new();
-        idom.insert(f.entry(), f.entry());
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[&b] {
-                    if !idom.contains_key(&p) {
-                        continue; // unreachable or not yet processed
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_index, p, cur),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom.get(&b) != Some(&ni) {
-                        idom.insert(b, ni);
-                        changed = true;
-                    }
-                }
-            }
+        let (rpo_index, idom) = dominator_fixpoint(n, &rpo, |b| preds[b.0 as usize].as_slice());
+        // Dominator-tree children in reverse postorder, then the preorder.
+        let mut children = vec![Vec::new(); n];
+        for &b in &rpo[1..] {
+            children[idom[b.0 as usize]].push(b);
         }
-        DomTree { idom, rpo_index, rpo }
+        let mut preorder = Vec::with_capacity(rpo.len());
+        let mut span = vec![(NONE, 0); n];
+        let mut stack = vec![(f.entry(), false)];
+        while let Some((b, done)) = stack.pop() {
+            if done {
+                span[b.0 as usize].1 = preorder.len() - 1;
+                continue;
+            }
+            span[b.0 as usize].0 = preorder.len();
+            preorder.push(b);
+            stack.push((b, true));
+            stack.extend(children[b.0 as usize].iter().rev().map(|&c| (c, false)));
+        }
+        DomTree { rpo, rpo_index, idom, preds, preorder, span }
     }
 
     /// Immediate dominator of `b` (entry's idom is itself).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        self.idom.get(&b).copied()
+        let d = self.idom[b.0 as usize];
+        (d != NONE).then_some(BlockId(d as u32))
     }
 
-    /// Whether `a` dominates `b` (reflexive).
+    /// Whether `a` dominates `b` (reflexive). O(1): `b`'s preorder number
+    /// falls in `a`'s subtree.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom(cur) {
-                Some(d) if d != cur => cur = d,
-                _ => return false,
-            }
-        }
+        let ((a_in, a_last), (b_in, _)) = (self.span[a.0 as usize], self.span[b.0 as usize]);
+        a == b || (a_in <= b_in && b_in <= a_last)
     }
 
-    /// Dominance frontier of every reachable block (Cytron et al.), used for
-    /// phi placement in register promotion.
-    pub fn dominance_frontiers(&self, f: &Function) -> HashMap<BlockId, Vec<BlockId>> {
-        let preds = f.predecessors();
-        let mut df: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
-        for &b in &self.rpo {
-            let bp = &preds[&b];
-            if bp.len() < 2 {
+    /// Reachable blocks in dominator-tree preorder: every block after its
+    /// dominators, and each subtree contiguous.
+    pub fn preorder(&self) -> &[BlockId] {
+        &self.preorder
+    }
+
+    /// Predecessors of `b`, in [`Function::predecessors`] order.
+    pub fn preds(&self, b: BlockId) -> &[BlockId] {
+        &self.preds[b.0 as usize]
+    }
+
+    /// Dominance frontier of every block (Cytron et al.), indexed by block
+    /// id and sorted, used for phi placement in register promotion.
+    pub fn dominance_frontiers(&self) -> Vec<Vec<BlockId>> {
+        let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); self.idom.len()];
+        for (b, bp) in self.preds.iter().enumerate() {
+            let b_idom = self.idom[b];
+            if bp.len() < 2 || b_idom == NONE {
                 continue;
             }
-            let Some(b_idom) = self.idom(b) else { continue };
             for &p in bp {
-                if !self.idom.contains_key(&p) {
+                let mut runner = p.0 as usize;
+                if self.idom[runner] == NONE {
                     continue;
                 }
-                let mut runner = p;
                 while runner != b_idom {
-                    df.entry(runner).or_default().insert(b);
-                    match self.idom(runner) {
-                        Some(d) if d != runner => runner = d,
-                        _ => break,
+                    // Joins are visited in id order, so a repeat is the last entry.
+                    if df[runner].last() != Some(&BlockId(b as u32)) {
+                        df[runner].push(BlockId(b as u32));
                     }
+                    runner = self.idom[runner];
                 }
             }
         }
-        let mut out: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for (b, set) in df {
-            let mut v: Vec<BlockId> = set.into_iter().collect();
-            v.sort();
-            out.insert(b, v);
-        }
-        for &b in &self.rpo {
-            out.entry(b).or_default();
-        }
-        out
+        df
     }
 
     /// Reverse-postorder index of `b`, if reachable.
     pub fn rpo_index(&self, b: BlockId) -> Option<usize> {
-        self.rpo_index.get(&b).copied()
+        let i = self.rpo_index[b.0 as usize];
+        (i != NONE).then_some(i)
     }
 }
 
-fn intersect(
-    idom: &HashMap<BlockId, BlockId>,
-    rpo_index: &HashMap<BlockId, usize>,
-    mut a: BlockId,
-    mut b: BlockId,
-) -> BlockId {
-    while a != b {
-        while rpo_index[&a] > rpo_index[&b] {
-            a = idom[&a];
-        }
-        while rpo_index[&b] > rpo_index[&a] {
-            b = idom[&b];
-        }
-    }
-    a
-}
-
-/// Immediate postdominators, computed over the reversed CFG with a virtual
-/// exit that joins every `ret`/`unreachable` block.
+/// Immediate postdominators: the dominator fixpoint over the reversed CFG,
+/// rooted at a virtual exit that joins every `ret`/`unreachable` block.
 ///
-/// The GPU simulator uses this for SIMT reconvergence: when a warp diverges
-/// at a conditional branch, lanes reconverge at the branch block's immediate
-/// postdominator.
+/// The analyzer's divergence tainting reads it: the phis of a divergent
+/// branch's immediate postdominator merge lanes that took different paths.
 #[derive(Debug, Clone)]
 pub struct PostDomTree {
-    /// Immediate postdominator per block; `None` for the virtual exit's
-    /// direct children when the closest common postdominator is the exit.
-    ipdom: HashMap<BlockId, Option<BlockId>>,
+    /// Immediate postdominator per block; the virtual exit is block id
+    /// `ipdom.len()`, and [`NONE`] marks a block that reaches no exit.
+    ipdom: Vec<usize>,
 }
 
 impl PostDomTree {
     /// Compute immediate postdominators.
     pub fn compute(f: &Function) -> Self {
-        // Build reversed CFG with virtual exit node (id = blocks.len()).
         let n = f.blocks.len();
-        let exit = n;
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n + 1]; // reversed edges
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-        for b in f.block_ids() {
-            let bi = b.0 as usize;
-            let ss = f.successors(b);
-            if ss.is_empty() {
-                // terminator is ret/unreachable (or block incomplete): edge to exit
-                preds[bi].push(exit);
-                succs[exit].push(bi);
-            }
-            for s in ss {
-                let si = s.0 as usize;
-                preds[bi].push(si);
-                succs[si].push(bi);
-            }
-        }
-        // RPO on reversed graph starting from exit.
-        let mut visited = vec![false; n + 1];
-        let mut post: Vec<usize> = Vec::new();
-        let mut stack = vec![(exit, 0usize)];
-        visited[exit] = true;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < succs[b].len() {
-                let s = succs[b][*i];
-                *i += 1;
-                if !visited[s] {
-                    visited[s] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(b);
-                stack.pop();
-            }
-        }
-        post.reverse();
-        let rpo_index: HashMap<usize, usize> =
-            post.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-        let mut idom: HashMap<usize, usize> = HashMap::new();
-        idom.insert(exit, exit);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in post.iter().skip(1) {
-                let mut new_idom: Option<usize> = None;
-                for &p in &preds[b] {
-                    if !idom.contains_key(&p) || !rpo_index.contains_key(&p) {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => {
-                            let (mut a, mut c) = (p, cur);
-                            while a != c {
-                                while rpo_index[&a] > rpo_index[&c] {
-                                    a = idom[&a];
-                                }
-                                while rpo_index[&c] > rpo_index[&a] {
-                                    c = idom[&c];
-                                }
-                            }
-                            a
-                        }
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom.get(&b) != Some(&ni) {
-                        idom.insert(b, ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        let mut ipdom = HashMap::new();
-        for b in 0..n {
-            match idom.get(&b) {
-                Some(&d) if d != exit => {
-                    ipdom.insert(BlockId(b as u32), Some(BlockId(d as u32)));
-                }
-                Some(_) => {
-                    ipdom.insert(BlockId(b as u32), None);
-                }
-                None => {} // unreachable block
-            }
-        }
+        let exit = BlockId(n as u32);
+        // Reversed edges: a block's successors are its predecessors, and the
+        // exit's are the blocks without a successor.
+        let mut rev_succs = f.predecessors();
+        rev_succs.push(f.block_ids().filter(|&b| f.successors(b).is_empty()).collect());
+        let rpo = depth_first_rpo(n + 1, exit, |b| rev_succs[b.0 as usize].as_slice());
+        let (_, mut ipdom) = dominator_fixpoint(n + 1, &rpo, |b| match b {
+            b if b == exit => Successors::NONE,
+            b if f.successors(b).is_empty() => Successors::one(exit),
+            b => f.successors(b),
+        });
+        ipdom.truncate(n);
         PostDomTree { ipdom }
     }
 
     /// Immediate postdominator of `b`. `Some(None)` means the virtual exit.
     pub fn ipdom(&self, b: BlockId) -> Option<Option<BlockId>> {
-        self.ipdom.get(&b).copied()
+        match self.ipdom[b.0 as usize] {
+            NONE => None,
+            d if d == self.ipdom.len() => Some(None),
+            d => Some(Some(BlockId(d as u32))),
+        }
     }
 }
 
@@ -292,17 +273,16 @@ impl Loop {
     }
 }
 
-/// Find all natural loops via back edges (`latch → header` where the header
-/// dominates the latch).
-pub fn find_loops(f: &Function) -> Vec<Loop> {
-    let dom = DomTree::compute(f);
-    let preds = f.predecessors();
-    let mut loops: HashMap<BlockId, Loop> = HashMap::new();
+/// Find all natural loops of `f` via back edges (`latch → header` where
+/// the header dominates the latch), in header order. `dom` is `f`'s
+/// dominator tree.
+pub fn find_loops(f: &Function, dom: &DomTree) -> Vec<Loop> {
+    let mut loops: Vec<Option<Loop>> = vec![None; f.blocks.len()];
     for &b in &dom.rpo {
         for s in f.successors(b) {
             if dom.dominates(s, b) {
                 // back edge b -> s
-                let l = loops.entry(s).or_insert_with(|| Loop {
+                let l = loops[s.0 as usize].get_or_insert_with(|| Loop {
                     header: s,
                     blocks: HashSet::from([s]),
                     latches: Vec::new(),
@@ -313,16 +293,13 @@ pub fn find_loops(f: &Function) -> Vec<Loop> {
                 let mut work = vec![b];
                 while let Some(x) = work.pop() {
                     if l.blocks.insert(x) {
-                        for &p in &preds[&x] {
-                            work.push(p);
-                        }
+                        work.extend_from_slice(dom.preds(x));
                     }
                 }
             }
         }
     }
-    let mut result: Vec<Loop> = loops.into_values().collect();
-    result.sort_by_key(|l| l.header);
+    let mut result: Vec<Loop> = loops.into_iter().flatten().collect();
     // Depth: number of loops containing this loop's header.
     let depths: Vec<u32> = result
         .iter()
@@ -465,10 +442,10 @@ mod tests {
     fn dominance_frontier_of_diamond() {
         let f = diamond();
         let dom = DomTree::compute(&f);
-        let df = dom.dominance_frontiers(&f);
-        assert_eq!(df[&BlockId(1)], vec![BlockId(3)]);
-        assert_eq!(df[&BlockId(2)], vec![BlockId(3)]);
-        assert!(df[&BlockId(0)].is_empty());
+        let df = dom.dominance_frontiers();
+        assert_eq!(df[1], vec![BlockId(3)]);
+        assert_eq!(df[2], vec![BlockId(3)]);
+        assert!(df[0].is_empty());
     }
 
     #[test]
@@ -485,7 +462,7 @@ mod tests {
     #[test]
     fn loop_detection() {
         let (f, header, body, _exit) = simple_loop();
-        let loops = find_loops(&f);
+        let loops = find_loops(&f, &DomTree::compute(&f));
         assert_eq!(loops.len(), 1);
         let l = &loops[0];
         assert_eq!(l.header, header);
@@ -498,6 +475,6 @@ mod tests {
     #[test]
     fn diamond_has_no_loops() {
         let f = diamond();
-        assert!(find_loops(&f).is_empty());
+        assert!(find_loops(&f, &DomTree::compute(&f)).is_empty());
     }
 }

@@ -254,9 +254,9 @@ mod tests {
         b.ret(Some(x));
         let f = b.build();
         assert_eq!(f.blocks.len(), 4);
-        assert_eq!(f.successors(BlockId(0)), vec![then_bb, else_bb]);
+        assert_eq!(*f.successors(BlockId(0)), [then_bb, else_bb]);
         let preds = f.predecessors();
-        assert_eq!(preds[&join].len(), 2);
+        assert_eq!(preds[join.0 as usize].len(), 2);
     }
 
     #[test]

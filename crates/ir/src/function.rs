@@ -1,6 +1,6 @@
 //! Functions, basic blocks, and modules.
 
-use crate::inst::{BlockId, FuncId, Op, ValueId};
+use crate::inst::{BlockId, FuncId, Op, Successors, ValueId};
 use crate::types::{ClassId, StructDef, StructId, Type};
 use std::collections::HashMap;
 
@@ -114,23 +114,26 @@ impl Function {
         self.inst(last).op.is_terminator().then_some(last)
     }
 
-    /// Successor blocks of `b`.
-    pub fn successors(&self, b: BlockId) -> Vec<BlockId> {
+    /// Successor blocks of `b`, in terminator order.
+    pub fn successors(&self, b: BlockId) -> Successors {
         match self.terminator(b) {
             Some(t) => self.inst(t).op.successors(),
-            None => Vec::new(),
+            None => Successors::NONE,
         }
     }
 
-    /// Map from block to its predecessors, in deterministic order.
-    pub fn predecessors(&self) -> HashMap<BlockId, Vec<BlockId>> {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for b in self.block_ids() {
-            preds.entry(b).or_default();
-        }
+    /// The predecessors of every block, indexed by block id. Each list is
+    /// in ascending block order, and a block that branches to the same
+    /// target twice appears there twice, back to back: the order of every
+    /// phi's incoming list. A branch to a missing block (which the verifier
+    /// reports) is left out.
+    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
+        let mut preds = vec![Vec::new(); self.blocks.len()];
         for b in self.block_ids() {
             for s in self.successors(b) {
-                preds.entry(s).or_default().push(b);
+                if let Some(p) = preds.get_mut(s.0 as usize) {
+                    p.push(b);
+                }
             }
         }
         preds
@@ -320,11 +323,11 @@ mod tests {
     #[test]
     fn successors_and_predecessors() {
         let f = two_block_function();
-        assert_eq!(f.successors(BlockId(0)), vec![BlockId(1)]);
+        assert_eq!(*f.successors(BlockId(0)), [BlockId(1)]);
         assert!(f.successors(BlockId(1)).is_empty());
         let preds = f.predecessors();
-        assert_eq!(preds[&BlockId(1)], vec![BlockId(0)]);
-        assert!(preds[&BlockId(0)].is_empty());
+        assert_eq!(preds[1], vec![BlockId(0)]);
+        assert!(preds[0].is_empty());
     }
 
     #[test]

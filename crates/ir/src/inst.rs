@@ -514,12 +514,45 @@ impl Op {
     }
 
     /// Successor blocks if this is a terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Op::Br(b) => vec![*b],
-            Op::CondBr(_, t, e) => vec![*t, *e],
-            _ => Vec::new(),
+    pub fn successors(&self) -> Successors {
+        match *self {
+            Op::Br(b) => Successors::one(b),
+            Op::CondBr(_, t, e) => Successors { blocks: [t, e], len: 2 },
+            _ => Successors::NONE,
         }
+    }
+}
+
+/// The successor blocks of a terminator, in terminator order: at most two,
+/// held inline. Derefs to `&[BlockId]` and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Successors {
+    blocks: [BlockId; 2],
+    len: u8,
+}
+
+impl Successors {
+    /// No successors (`ret`, `unreachable`, an unterminated block).
+    pub const NONE: Successors = Successors { blocks: [BlockId(0); 2], len: 0 };
+
+    /// The single successor `b`.
+    pub fn one(b: BlockId) -> Successors {
+        Successors { blocks: [b, b], len: 1 }
+    }
+}
+
+impl std::ops::Deref for Successors {
+    type Target = [BlockId];
+    fn deref(&self) -> &[BlockId] {
+        &self.blocks[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.into_iter().take(usize::from(self.len))
     }
 }
 
@@ -567,10 +600,10 @@ mod tests {
 
     #[test]
     fn successors_of_terminators() {
-        assert_eq!(Op::Br(BlockId(3)).successors(), vec![BlockId(3)]);
+        assert_eq!(*Op::Br(BlockId(3)).successors(), [BlockId(3)]);
         assert_eq!(
-            Op::CondBr(ValueId(0), BlockId(1), BlockId(2)).successors(),
-            vec![BlockId(1), BlockId(2)]
+            *Op::CondBr(ValueId(0), BlockId(1), BlockId(2)).successors(),
+            [BlockId(1), BlockId(2)]
         );
         assert!(Op::Ret(None).successors().is_empty());
     }

@@ -105,14 +105,14 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
                                 format!("phi {id} has duplicate predecessor {pred}"),
                             ));
                         }
-                        if !preds[&b].contains(&pred) {
+                        if !preds[b.0 as usize].contains(&pred) {
                             return Err(err(
                                 Some(b),
                                 format!("phi {id} names non-predecessor {pred}"),
                             ));
                         }
                     }
-                    let expected: HashSet<BlockId> = preds[&b].iter().copied().collect();
+                    let expected: HashSet<BlockId> = preds[b.0 as usize].iter().copied().collect();
                     if seen != expected {
                         return Err(err(
                             Some(b),

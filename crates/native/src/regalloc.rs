@@ -29,6 +29,7 @@
 //! assignment; debug builds run it after every allocation.
 
 use crate::asm::{Reg, Xmm};
+use concord_ir::analysis::reverse_postorder;
 use concord_ir::inst::{CastOp, Intrinsic};
 use concord_ir::types::Type;
 use concord_ir::{BlockId, Function, KernelKind, Op, ValueId};
@@ -205,42 +206,6 @@ fn survives_calls(loc: Loc) -> bool {
     }
 }
 
-/// The successors of `b`, in terminator order.
-pub(crate) fn successors(f: &Function, b: BlockId) -> impl Iterator<Item = BlockId> {
-    let (s, n) = match f.block(b).insts.last().map(|&t| &f.inst(t).op) {
-        Some(Op::Br(t)) => ([*t, *t], 1),
-        Some(Op::CondBr(_, t, e)) => ([*t, *e], 2),
-        _ => ([BlockId(0); 2], 0),
-    };
-    s.into_iter().take(n)
-}
-
-/// Blocks reachable from the entry, in reverse postorder (successors
-/// visited in terminator order).
-fn layout(f: &Function) -> Vec<BlockId> {
-    let mut seen = vec![false; f.blocks.len()];
-    let mut post = Vec::with_capacity(f.blocks.len());
-    let mut stack = vec![(f.entry(), 0usize)];
-    seen[0] = true;
-    while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        match successors(f, b).nth(*i) {
-            Some(s) => {
-                *i += 1;
-                if !seen[s.0 as usize] {
-                    seen[s.0 as usize] = true;
-                    stack.push((s, 0));
-                }
-            }
-            None => {
-                post.push(b);
-                stack.pop();
-            }
-        }
-    }
-    post.reverse();
-    post
-}
-
 /// A constant's raw bits, as the lowering materializes them.
 fn const_bits(op: &Op, ty: Type) -> Option<i64> {
     match *op {
@@ -291,7 +256,7 @@ fn each_bit(set: &[u64], mut f: impl FnMut(usize)) {
 
 /// Allocate registers for `f`.
 pub(crate) fn allocate(f: &Function) -> Allocation {
-    let order = layout(f);
+    let order = reverse_postorder(f);
     let nv = f.insts.len();
     let v_of = |i: usize| ValueId(i as u32);
 
@@ -422,7 +387,7 @@ pub(crate) fn allocate(f: &Function) -> Allocation {
         changed = false;
         for &b in order.iter().rev() {
             out.copy_from_slice(phi_out.of(b));
-            for s in successors(f, b) {
+            for s in f.successors(b) {
                 for (o, &i) in out.iter_mut().zip(live_in.of(s)) {
                     *o |= i;
                 }
@@ -691,7 +656,7 @@ pub(crate) fn check(f: &Function, alloc: &Allocation) {
         changed = false;
         for &b in alloc.order.iter().rev() {
             let mut out = BTreeSet::new();
-            for s in successors(f, b) {
+            for s in f.successors(b) {
                 out.extend(live_in[s.0 as usize].iter().copied());
                 for &p in &f.block(s).insts {
                     let Op::Phi(incoming) = &f.inst(p).op else { break };
