@@ -533,10 +533,10 @@ pub struct Successors {
 
 impl Successors {
     /// No successors (`ret`, `unreachable`, an unterminated block).
-    pub const NONE: Successors = Successors { blocks: [BlockId(0); 2], len: 0 };
+    pub(crate) const NONE: Successors = Successors { blocks: [BlockId(0); 2], len: 0 };
 
     /// The single successor `b`.
-    pub fn one(b: BlockId) -> Successors {
+    pub(crate) fn one(b: BlockId) -> Successors {
         Successors { blocks: [b, b], len: 1 }
     }
 }
