@@ -1889,6 +1889,33 @@ mod tests {
         assert!(lp.warnings[0].message.contains("recursion"));
     }
 
+    /// The cycle closes only through the class hierarchy: `Chain::depth`
+    /// calls `depth()` on a `Node*`, whose possible targets include itself.
+    #[test]
+    fn recursion_through_a_virtual_override_triggers_warning() {
+        let lp = lower_src(
+            r#"
+            class Node {
+            public:
+                Node* next;
+                virtual int depth() { return 0; }
+            };
+            class Chain : public Node {
+            public:
+                int depth() { return 1 + next->depth(); }
+            };
+            class K {
+            public:
+                Node* n; int out;
+                void operator()(int i) { out = n->depth(); }
+            };
+            "#,
+        );
+        assert_eq!(lp.warnings.len(), 1, "{:?}", lp.warnings);
+        assert_eq!(lp.warnings[0].function, "Chain::depth");
+        assert_eq!(lp.warnings[0].message, "recursion is not supported on the GPU");
+    }
+
     #[test]
     fn tail_recursion_becomes_loop() {
         let lp = lower_src(
