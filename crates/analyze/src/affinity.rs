@@ -403,15 +403,12 @@ impl<'m> Analyzer<'m> {
                 // override of the slot among subclasses of the static type.
                 let mut vs = vec![get(*obj)];
                 vs.extend(call_args.iter().map(|&a| get(a)));
+                let targets = self.module.virtual_targets(*static_class, *slot);
                 let mut out = AbsVal::BOTTOM;
-                let mut any = false;
-                for c in self.module.subclasses_of(*static_class) {
-                    if let Some(&target) = self.module.class(c).vtable.get(*slot as usize) {
-                        out = out.join(self.call(target, vs.clone()));
-                        any = true;
-                    }
+                for &(_, target) in &targets {
+                    out = out.join(self.call(target, vs.clone()));
                 }
-                if any {
+                if !targets.is_empty() {
                     out
                 } else {
                     // No reachable override: the dynamic target's

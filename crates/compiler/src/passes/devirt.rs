@@ -60,12 +60,7 @@ pub fn run(module: &mut Module, func_id: concord_ir::FuncId) -> DevirtStats {
         let ret_ty = module.function(func_id).inst(call_id).ty;
 
         // Class-hierarchy analysis: candidate (class, target) pairs.
-        let mut targets: Vec<(concord_ir::ClassId, concord_ir::FuncId)> = Vec::new();
-        for c in module.subclasses_of(static_class) {
-            if let Some(&t) = module.class(c).vtable.get(slot as usize) {
-                targets.push((c, t));
-            }
-        }
+        let targets = module.virtual_targets(static_class, slot);
         assert!(!targets.is_empty(), "virtual call with no targets");
         // Classes sharing an implementation can share a test.
         let mut by_target: Vec<(concord_ir::FuncId, Vec<concord_ir::ClassId>)> = Vec::new();

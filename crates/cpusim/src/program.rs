@@ -52,28 +52,16 @@ impl Program {
         }
     }
 
-    /// Decode `root` and every function it can call.
+    /// Decode every function a launch of `root` can execute
+    /// ([`Module::execution_closure`]). Decoding a function decodes its
+    /// whole closure, so a decoded `root` has nothing left to decode.
     pub fn decode_from(&mut self, module: &Module, root: FuncId) {
-        let mut todo = vec![root];
-        while let Some(fid) = todo.pop() {
-            let i = fid.0 as usize;
-            if self.funcs.len() <= i {
-                self.funcs.resize_with(i + 1, || None);
+        self.funcs.resize_with(self.funcs.len().max(module.functions.len()), || None);
+        if self.funcs[root.0 as usize].is_none() {
+            for fid in module.execution_closure(&[root]) {
+                self.funcs[fid.0 as usize]
+                    .get_or_insert_with(|| Func::decode(module.function(fid)));
             }
-            if self.funcs[i].is_some() {
-                continue;
-            }
-            let func = Func::decode(module.function(fid));
-            for inst in &func.ops {
-                match inst.kind {
-                    Kind::Call { callee, .. } => todo.push(callee),
-                    Kind::CallVirtual { .. } => {
-                        todo.extend((0..module.functions.len() as u32).map(FuncId));
-                    }
-                    _ => {}
-                }
-            }
-            self.funcs[i] = Some(func);
         }
     }
 

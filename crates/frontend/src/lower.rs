@@ -392,9 +392,7 @@ fn check_restrictions(
 ) -> Vec<RestrictionWarning> {
     let mut warnings = Vec::new();
     for k in kernels {
-        let mut roots = vec![k.operator_fn];
-        roots.extend(k.join_fn);
-        for root in roots {
+        for root in std::iter::once(k.operator_fn).chain(k.join_fn) {
             if let Some(cycle_fn) = find_recursion(module, root) {
                 warnings.push(RestrictionWarning {
                     function: sigs[cycle_fn.0 as usize].name.clone(),
@@ -413,26 +411,6 @@ fn find_recursion(module: &Module, root: FuncId) -> Option<FuncId> {
         Active,
         Done,
     }
-    fn callees(module: &Module, f: FuncId) -> Vec<FuncId> {
-        let func = module.function(f);
-        let mut out = Vec::new();
-        for b in func.block_ids() {
-            for &i in &func.block(b).insts {
-                match &func.inst(i).op {
-                    Op::Call { callee, .. } => out.push(*callee),
-                    Op::CallVirtual { static_class, slot, .. } => {
-                        for c in module.subclasses_of(*static_class) {
-                            if let Some(&t) = module.class(c).vtable.get(*slot as usize) {
-                                out.push(t);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        out
-    }
     fn dfs(module: &Module, f: FuncId, state: &mut Vec<St>) -> Option<FuncId> {
         match state[f.0 as usize] {
             St::Active => return Some(f),
@@ -440,7 +418,7 @@ fn find_recursion(module: &Module, root: FuncId) -> Option<FuncId> {
             St::Unseen => {}
         }
         state[f.0 as usize] = St::Active;
-        for c in callees(module, f) {
+        for c in module.callees(f) {
             if let Some(hit) = dfs(module, c, state) {
                 return Some(hit);
             }

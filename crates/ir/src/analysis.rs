@@ -14,8 +14,8 @@
 //! forward from the entry, [`PostDomTree`] over the reversed CFG from a
 //! virtual exit. Every table is a `Vec` indexed by block id.
 
-use crate::function::Function;
-use crate::inst::{BlockId, Op, Successors};
+use crate::function::{Function, Module};
+use crate::inst::{BlockId, FuncId, Intrinsic, Op, Successors};
 use std::collections::HashSet;
 use std::ops::Deref;
 
@@ -311,51 +311,26 @@ pub fn find_loops(f: &Function, dom: &DomTree) -> Vec<Loop> {
     result
 }
 
-/// Whether any function reachable from `roots` uses an operation whose
-/// result depends on cross-work-item execution *order*: `device_malloc`
-/// (a shared bump cursor) or `atomic_cas` (order-visible old values used
-/// for locking idioms).
+/// Whether any function a launch of `roots` can execute
+/// ([`Module::execution_closure`]) uses an operation whose result depends
+/// on the order in which work items run: `device_malloc` (which item gets
+/// which address from the shared bump cursor) or `atomic_cas` (which old
+/// value each item sees, as in locking idioms).
 ///
-/// The host-parallel execution engine runs kernels against region
-/// snapshots with an ordered commit, which preserves plain stores and
-/// commutative atomics but not these; kernels flagged here run on the
-/// serial direct path instead. Calls are followed transitively; a virtual
-/// call widens the scan to every function in the module (the CGA-precise
-/// answer is unnecessary — gating is a performance choice, not a
-/// correctness one, so over-approximating is safe).
-pub fn uses_gated_ops(module: &crate::function::Module, roots: &[crate::inst::FuncId]) -> bool {
-    use crate::inst::Intrinsic;
-    let gated = |f: &Function| {
-        f.insts.iter().any(|inst| {
+/// The host-parallel engine runs items against region snapshots with an
+/// ordered commit, which reproduces plain stores and commutative atomics
+/// but not these. The runtime runs a kernel flagged here in order
+/// (`concord_svm::Work::in_order`) on every target, so its output bytes
+/// are the same at every host-thread count.
+pub fn uses_gated_ops(module: &Module, roots: &[FuncId]) -> bool {
+    module.execution_closure(roots).into_iter().any(|f| {
+        module.function(f).insts.iter().any(|inst| {
             matches!(
                 inst.op,
-                Op::IntrinsicCall(Intrinsic::DeviceMalloc, _)
-                    | Op::IntrinsicCall(Intrinsic::AtomicCasI32, _)
+                Op::IntrinsicCall(Intrinsic::DeviceMalloc | Intrinsic::AtomicCasI32, _)
             )
         })
-    };
-    let mut work: Vec<crate::inst::FuncId> = roots.to_vec();
-    let mut seen: HashSet<crate::inst::FuncId> = work.iter().copied().collect();
-    while let Some(fid) = work.pop() {
-        let Some(f) = module.functions.get(fid.0 as usize) else { continue };
-        if gated(f) {
-            return true;
-        }
-        for inst in &f.insts {
-            match &inst.op {
-                Op::Call { callee, .. } if seen.insert(*callee) => {
-                    work.push(*callee);
-                }
-                // Conservative: any reachable virtual call could target any
-                // method, so scan the whole module.
-                Op::CallVirtual { .. } => {
-                    return module.functions.iter().any(gated);
-                }
-                _ => {}
-            }
-        }
-    }
-    false
+    })
 }
 
 #[cfg(test)]

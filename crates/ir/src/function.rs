@@ -267,29 +267,6 @@ impl Module {
     pub fn class(&self, c: ClassId) -> &ClassInfo {
         &self.classes[c.0 as usize]
     }
-
-    /// All classes equal to or (transitively) derived from `base`.
-    ///
-    /// This is the class-hierarchy analysis used by devirtualization (§3.2):
-    /// the possible dynamic types of a receiver of static class `base`.
-    pub fn subclasses_of(&self, base: ClassId) -> Vec<ClassId> {
-        let mut result = Vec::new();
-        for (i, _) in self.classes.iter().enumerate() {
-            let c = ClassId(i as u32);
-            if self.derives_from(c, base) {
-                result.push(c);
-            }
-        }
-        result
-    }
-
-    /// Whether `c` is `base` or transitively derives from it.
-    pub fn derives_from(&self, c: ClassId, base: ClassId) -> bool {
-        if c == base {
-            return true;
-        }
-        self.class(c).bases.iter().any(|&b| self.derives_from(b, base))
-    }
 }
 
 #[cfg(test)]

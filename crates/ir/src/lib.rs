@@ -38,6 +38,7 @@
 
 pub mod analysis;
 pub mod builder;
+pub mod callgraph;
 pub mod codec;
 pub mod eval;
 pub mod function;

@@ -6,7 +6,6 @@
 
 use crate::function::{Function, Module};
 use crate::inst::{FuncId, Op};
-use std::collections::HashSet;
 
 /// Static operation counts for one function or kernel closure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,33 +88,9 @@ pub fn function_stats(f: &Function) -> OpStats {
 /// Statistics over a kernel and everything it can transitively call,
 /// including all possible virtual-call targets (class-hierarchy analysis).
 pub fn kernel_closure_stats(m: &Module, entry: FuncId) -> OpStats {
-    let mut visited: HashSet<FuncId> = HashSet::new();
-    let mut work = vec![entry];
-    let mut total = OpStats::default();
-    while let Some(fid) = work.pop() {
-        if !visited.insert(fid) {
-            continue;
-        }
-        let f = m.function(fid);
-        total = total + function_stats(f);
-        for b in f.block_ids() {
-            for &i in &f.block(b).insts {
-                match &f.inst(i).op {
-                    Op::Call { callee, .. } => work.push(*callee),
-                    Op::CallVirtual { static_class, slot, .. } => {
-                        for c in m.subclasses_of(*static_class) {
-                            let vt = &m.class(c).vtable;
-                            if let Some(&target) = vt.get(*slot as usize) {
-                                work.push(target);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    total
+    m.reachable_functions(&[entry])
+        .into_iter()
+        .fold(OpStats::default(), |total, f| total + function_stats(m.function(f)))
 }
 
 #[cfg(test)]
