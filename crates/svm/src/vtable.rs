@@ -32,6 +32,8 @@ pub const VTABLE_MAGIC: i64 = 0x7654_3210_c0c0;
 #[derive(Debug, Clone, Default)]
 pub struct VtableArea {
     class_count: u32,
+    /// Function ids at or past this one name no function of the module.
+    func_count: u32,
 }
 
 impl VtableArea {
@@ -66,7 +68,8 @@ impl VtableArea {
                 region.write_i64(base.offset(16 + 8 * slot as u64), func.0 as i64)?;
             }
         }
-        Ok(VtableArea { class_count: module.classes.len() as u32 })
+        let (class_count, func_count) = (module.classes.len(), module.functions.len());
+        Ok(VtableArea { class_count: class_count as u32, func_count: func_count as u32 })
     }
 
     /// CPU address of class `c`'s vtable. Deterministic; usable as a
@@ -89,27 +92,25 @@ impl VtableArea {
     }
 
     /// Read a vtable slot (function id) through memory, validating the
-    /// magic word — this is how the CPU side dispatches.
+    /// magic word and the id — this is how the CPU side dispatches.
     ///
     /// # Errors
     ///
     /// [`Trap::BadVirtualDispatch`] if `vptr` does not point at an installed
-    /// vtable.
+    /// vtable, or if the slot holds no function id of the installed module
+    /// (a kernel stored over it).
     pub fn dispatch(
         &self,
         region: &SharedRegion,
         vptr: CpuAddr,
         slot: u32,
     ) -> Result<concord_ir::FuncId, Trap> {
-        if self.class_of(vptr).is_none() {
-            return Err(Trap::BadVirtualDispatch { vptr: vptr.0 });
-        }
-        let magic = region.read_i64(vptr).map_err(|_| Trap::BadVirtualDispatch { vptr: vptr.0 })?;
-        if magic != VTABLE_MAGIC {
-            return Err(Trap::BadVirtualDispatch { vptr: vptr.0 });
+        let bad = Trap::BadVirtualDispatch { vptr: vptr.0 };
+        if self.class_of(vptr).is_none() || region.read_i64(vptr) != Ok(VTABLE_MAGIC) {
+            return Err(bad);
         }
         let func = region.read_i64(vptr.offset(16 + 8 * slot as u64))?;
-        Ok(concord_ir::FuncId(func as u32))
+        u32::try_from(func).ok().filter(|&f| f < self.func_count).map(concord_ir::FuncId).ok_or(bad)
     }
 
     /// Number of installed class vtables.
@@ -178,6 +179,21 @@ mod tests {
             area.dispatch(&region, VtableArea::addr_of(ClassId(9)), 0),
             Err(Trap::BadVirtualDispatch { .. })
         ));
+    }
+
+    #[test]
+    fn dispatch_of_a_scribbled_slot_fails() {
+        let m = module_with_classes();
+        let mut region = SharedRegion::new(65536, VtableArea::reserve_for(m.classes.len()));
+        let area = VtableArea::install(&mut region, &m).unwrap();
+        let circle_vt = VtableArea::addr_of(ClassId(1));
+        for bogus in [m.functions.len() as i64, -1, i64::MAX] {
+            region.write_i64(circle_vt.offset(16), bogus).unwrap();
+            assert_eq!(
+                area.dispatch(&region, circle_vt, 0),
+                Err(Trap::BadVirtualDispatch { vptr: circle_vt.0 })
+            );
+        }
     }
 
     #[test]
