@@ -25,8 +25,8 @@ use crate::types::{AddrSpace, ClassId, Field, StructDef, StructId, Type};
 use std::fmt;
 
 /// FNV-1a 64-bit hash over raw bytes. Used by the on-disk artifact store to
-/// checksum entries; kept here so every crate in the persistence path agrees
-/// on one implementation.
+/// checksum entries and by the compile cache to key source text; kept here
+/// so every crate in the persistence path agrees on one implementation.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

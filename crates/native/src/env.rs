@@ -27,7 +27,7 @@
 
 use concord_ir::eval::{self, Trap};
 use concord_ir::types::AddrSpace;
-use concord_svm::{CPU_BASE, GPU_BASE};
+use concord_svm::{device_heap_bump, CPU_BASE, DEVICE_HEAP_DESC_BYTES, GPU_BASE};
 
 /// Private memory bytes per core — matches the CPU simulator's
 /// `PrivateMem::new(1 << 20)`.
@@ -267,37 +267,27 @@ pub(crate) extern "C" fn h_f2i(x: f64) -> i64 {
     clamped as i64
 }
 
-/// `device_malloc`, replicating `SharedRegion::device_malloc` against the
-/// raw region bytes: the cursor/limit descriptor lives in the last 16
-/// bytes and holds absolute CPU-space addresses. Only ever executed on
-/// the serial path (the op is gated), so plain reads/writes suffice.
+/// `device_malloc`: `SharedRegion::device_malloc` against the raw region
+/// bytes, with the same bump rule (`device_heap_bump`). The cursor/limit
+/// descriptor lives in the region's last `DEVICE_HEAP_DESC_BYTES` and
+/// holds absolute CPU-space addresses. Only ever executed on the serial
+/// path (the op is gated), so plain reads/writes suffice.
 pub(crate) extern "C" fn h_device_malloc(env: *mut Env, size: i64) -> u64 {
     // SAFETY: generated code passes the env it was launched with; the
     // region pointer outlives the launch (the driver borrows the region).
     let env = unsafe { &mut *env };
-    let cell = env.region_len as usize - 16;
-    // SAFETY: `Env::new` guarantees region_len >= 16.
-    let (cursor, limit) = unsafe {
-        let p = env.region_base.add(cell).cast::<u8>();
-        let mut c = [0u8; 8];
-        let mut l = [0u8; 8];
-        std::ptr::copy_nonoverlapping(p, c.as_mut_ptr(), 8);
-        std::ptr::copy_nonoverlapping(p.add(8), l.as_mut_ptr(), 8);
-        (u64::from_le_bytes(c), u64::from_le_bytes(l))
+    let cell = (env.region_len - DEVICE_HEAP_DESC_BYTES) as usize;
+    // SAFETY: `Env::new` guarantees region_len >= 16 = DEVICE_HEAP_DESC_BYTES,
+    // so both descriptor words lie in the region; the reads allow any alignment.
+    let (desc, [cursor, limit]) = unsafe {
+        let desc = env.region_base.add(cell).cast::<u64>();
+        (desc, [desc.read_unaligned(), desc.add(1).read_unaligned()].map(u64::from_le))
     };
-    if cursor == 0 {
-        return 0; // heap not enabled
-    }
-    let base = cursor.div_ceil(16) * 16;
-    let size = (size.max(0) as u64).max(1);
-    if base + size > limit {
+    let Some((base, next)) = device_heap_bump(cursor, limit, size.max(0) as u64) else {
         return 0;
-    }
+    };
     // SAFETY: same in-bounds descriptor cell as above.
-    unsafe {
-        let p = env.region_base.add(cell);
-        std::ptr::copy_nonoverlapping((base + size).to_le_bytes().as_ptr(), p, 8);
-    }
+    unsafe { desc.write_unaligned(next.to_le()) };
     base
 }
 

@@ -50,12 +50,7 @@ pub type SharedNativeModule = Arc<Mutex<Option<Arc<concord_native::NativeModule>
 /// loggable and comparable.
 #[must_use]
 pub fn source_hash(src: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in src.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    concord_ir::codec::fnv1a_64(src.as_bytes())
 }
 
 /// One cached compilation: everything [`crate::Concord`] derives from

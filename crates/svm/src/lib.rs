@@ -42,8 +42,8 @@ pub mod work;
 
 pub use alloc::{AllocError, SharedAllocator};
 pub use region::{
-    Consistency, CpuAddr, GpuAddr, SharedRegion, CPU_BASE, DEVICE_HEAP_DESC_BYTES, GPU_BASE,
-    SVM_CONST,
+    device_heap_bump, Consistency, CpuAddr, GpuAddr, SharedRegion, CPU_BASE,
+    DEVICE_HEAP_DESC_BYTES, GPU_BASE, SVM_CONST,
 };
 pub use shadow::{apply_log, apply_rmw, AtomicKind, MemOp, RegionMem, ShadowRegion};
 pub use vtable::{VtableArea, MAX_VTABLE_SLOTS, VTABLE_MAGIC, VTABLE_STRIDE};

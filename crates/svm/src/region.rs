@@ -29,6 +29,18 @@ pub const SVM_CONST: u64 = GPU_BASE.wrapping_sub(CPU_BASE);
 /// descriptor: `[cursor: u64][limit: u64]` (see `device_malloc`).
 pub const DEVICE_HEAP_DESC_BYTES: u64 = 16;
 
+/// The device-heap bump rule over the descriptor `[cursor, limit]`: the
+/// 16-byte-aligned address serving `size` bytes (at least one) and the next
+/// cursor, or `None` (null) with no heap (a zero cursor) or past `limit`.
+pub fn device_heap_bump(cursor: u64, limit: u64, size: u64) -> Option<(u64, u64)> {
+    if cursor == 0 {
+        return None;
+    }
+    let base = cursor.checked_next_multiple_of(16)?;
+    let next = base.checked_add(size.max(1)).filter(|&next| next <= limit)?;
+    Some((base, next))
+}
+
 /// A CPU-space address into the shared region.
 ///
 /// Newtype so host code cannot confuse the two pointer representations.
@@ -182,15 +194,10 @@ impl SharedRegion {
         let cell = self.device_heap_cursor();
         let cursor = self.read_i64(cell)? as u64;
         let limit = self.read_i64(cell.offset(8))? as u64;
-        if cursor == 0 {
-            return Ok(CpuAddr::NULL); // heap not enabled
-        }
-        let base = cursor.div_ceil(16) * 16;
-        let size = size.max(1);
-        if base + size > limit {
+        let Some((base, next)) = device_heap_bump(cursor, limit, size) else {
             return Ok(CpuAddr::NULL);
-        }
-        self.write_i64(cell, (base + size) as i64)?;
+        };
+        self.write_i64(cell, next as i64)?;
         Ok(CpuAddr(base))
     }
 
@@ -493,6 +500,17 @@ mod tests {
         let c = CpuAddr(CPU_BASE + 0x1234);
         assert_eq!(c.to_gpu().to_cpu(), c);
         assert_eq!(c.to_gpu().0, GPU_BASE + 0x1234);
+    }
+
+    #[test]
+    fn device_heap_bump_aligns_and_refuses_what_does_not_fit() {
+        assert_eq!(device_heap_bump(0, 4096, 8), None, "no heap");
+        assert_eq!(device_heap_bump(1000, 1200, 100), Some((1008, 1108)));
+        assert_eq!(device_heap_bump(1008, 1200, 0), Some((1008, 1009)), "at least one byte");
+        assert_eq!(device_heap_bump(1008, 1100, 100), None, "exhausted");
+        // A descriptor a kernel overwrote must not wrap into a small address.
+        assert_eq!(device_heap_bump(u64::MAX - 3, u64::MAX, 1), None);
+        assert_eq!(device_heap_bump(u64::MAX - 15, u64::MAX, 32), None);
     }
 
     #[test]
