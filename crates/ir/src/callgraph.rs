@@ -104,3 +104,65 @@ impl Module {
 fn placed_ops(f: &Function) -> impl Iterator<Item = &Op> {
     f.block_ids().flat_map(move |b| f.block(b).insts.iter().map(move |&i| &f.inst(i).op))
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::builder::FunctionBuilder;
+    use crate::function::{ClassInfo, Module};
+    use crate::inst::{FuncId, Op};
+    use crate::types::{AddrSpace, ClassId, StructDef, Type};
+
+    /// `Base` (slot 0: `f0`), `Mid: Base` (inherits `f0`) and `Leaf: Mid`
+    /// (overrides it with `f1`). `caller` calls `f1`, then slot 0 on a
+    /// `Base*`; nothing calls `lone`.
+    fn module() -> (Module, FuncId) {
+        let mut m = Module::new();
+        let def =
+            StructDef { name: "Base".into(), fields: vec![], size: 8, align: 8, class_id: None };
+        let layout = m.add_struct(def);
+        let mut leaf = |name: &str| {
+            let mut b = FunctionBuilder::new(name, vec![Type::Ptr(AddrSpace::Cpu)], Type::Void);
+            b.ret(None);
+            m.add_function(b.build())
+        };
+        let (f0, f1, _lone) = (leaf("f0"), leaf("f1"), leaf("lone"));
+        let class = |name: &str, bases: Vec<ClassId>, f: FuncId| ClassInfo {
+            name: name.into(),
+            layout,
+            bases,
+            vtable: vec![f],
+        };
+        let base = m.add_class(class("Base", vec![], f0));
+        let mid = m.add_class(class("Mid", vec![base], f0));
+        m.add_class(class("Leaf", vec![mid], f1));
+        let mut b = FunctionBuilder::new("caller", vec![Type::Ptr(AddrSpace::Cpu)], Type::Void);
+        let obj = b.param(0);
+        b.call(f1, vec![obj], Type::Void);
+        b.call_virtual(base, 0, obj, vec![], Type::Void);
+        b.ret(None);
+        let caller = m.add_function(b.build());
+        (m, caller)
+    }
+
+    #[test]
+    fn targets_in_class_order_and_callees_at_first_occurrence() {
+        let (m, caller) = module();
+        let pairs = [(0, 0), (1, 0), (2, 1)].map(|(c, f)| (ClassId(c), FuncId(f)));
+        assert_eq!(m.virtual_targets(ClassId(0), 0), pairs);
+        assert_eq!(m.virtual_targets(ClassId(1), 0), pairs[1..]);
+        assert!(m.virtual_targets(ClassId(0), 1).is_empty());
+        assert_eq!(m.callees(caller), [FuncId(1), FuncId(0)]);
+        assert_eq!(m.reachable_functions(&[caller]), [caller, FuncId(1), FuncId(0)]);
+    }
+
+    #[test]
+    fn execution_closure_widens_only_at_a_placed_virtual_call() {
+        let (mut m, caller) = module();
+        assert_eq!(m.execution_closure(&[caller]), (0..4).map(FuncId).collect::<Vec<_>>());
+        // Devirtualization leaves a rewritten site's old op in the arena,
+        // out of every block: it can no longer execute.
+        let f = m.function_mut(caller);
+        f.blocks[0].insts.retain(|&i| !matches!(f.insts[i.0 as usize].op, Op::CallVirtual { .. }));
+        assert_eq!(m.execution_closure(&[caller]), [caller, FuncId(1)]);
+    }
+}
