@@ -307,6 +307,20 @@ if sed '/^#\[cfg(test)\]/,$d' crates/ir/src/analysis.rs \
     exit 1
 fi
 
+echo "==> structural guard: one call graph"
+# Every class-hierarchy lookup (the subclasses of a static class, then each
+# one's vtable slot) is `Module::virtual_targets` in crates/ir/src/callgraph.rs.
+# A consumer that walks the hierarchy itself fails here.
+cha_copies=$(for f in $(find crates src examples -name '*.rs' -not -path '*/tests/*' \
+    -not -path 'crates/ir/src/*' | sort); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | { grep -nE 'subclasses_of\(|\.vtable\.get\(' || true; } | sed "s|^|$f:|"
+done)
+if [ -n "$cha_copies" ]; then
+    echo "!! non-test Rust outside crates/ir/src walks the class hierarchy itself:" >&2
+    echo "$cha_copies" >&2
+    exit 1
+fi
+
 echo "==> structural guard: no hashing on the simulated access path"
 # The shadow overlay, the L3 contention history and the set-associative
 # cache model are reached on every simulated access. They index pages and
