@@ -86,7 +86,7 @@ impl Module {
     /// of the module it names, so what must hold for every function a
     /// launch runs (the order-dependence verdict, the simulators' decoded
     /// functions) covers every function as soon as a virtual call can
-    /// execute. A devirtualized call site is a chain of direct calls.
+    /// execute. A devirtualized call site, a chain of direct calls, does not.
     pub fn execution_closure(&self, roots: &[FuncId]) -> Vec<FuncId> {
         let reached = self.reachable_functions(roots);
         let dispatches = |&f: &FuncId| {
