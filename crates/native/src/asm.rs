@@ -2,9 +2,9 @@
 //!
 //! Emits exactly the subset of the ISA the lowering in [`crate::lower`]
 //! needs: 64-bit ALU forms, sign/zero-extending loads, truncating stores,
-//! SSE2 scalar float ops over all sixteen xmm registers, `lock`-prefixed
-//! read-modify-writes, rel32 branches with label fixups, and RIP-relative
-//! literals. Everything uses explicit ModRM/SIB/REX encoding; there is no
+//! scalar SSE float ops in both precisions over all sixteen xmm registers,
+//! `lock`-prefixed read-modify-writes, rel32 branches with label fixups,
+//! and RIP-relative literals. Everything uses explicit ModRM/SIB/REX encoding; there is no
 //! instruction database — each method writes its own bytes, and the unit
 //! tests pin the encodings against independently assembled reference
 //! sequences (`objdump -D -b binary -m i386:x86-64`).
@@ -142,7 +142,8 @@ impl Alu {
     }
 }
 
-/// Scalar SSE2 operations in the `op xmm, xmm/m` form.
+/// Scalar SSE/SSE2 operations in the `op xmm, xmm/m` form: `sd` on
+/// binary64, `ss` on binary32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Sse {
@@ -150,8 +151,13 @@ pub enum Sse {
     SubSd,
     MulSd,
     DivSd,
-    SqrtSd,
     UcomiSd,
+    AddSs,
+    SubSs,
+    MulSs,
+    DivSs,
+    SqrtSs,
+    UcomiSs,
     /// `cvtsd2ss` (double → single).
     Sd2Ss,
     /// `cvtss2sd` (single → double).
@@ -165,20 +171,26 @@ pub enum Sse {
 }
 
 impl Sse {
-    /// Mandatory prefix and the opcode byte after `0F`.
-    fn enc(self) -> (u8, u8) {
+    /// Mandatory prefix (none for `ucomiss`) and the opcode byte after
+    /// `0F`.
+    fn enc(self) -> (&'static [u8], u8) {
         match self {
-            Sse::AddSd => (0xF2, 0x58),
-            Sse::SubSd => (0xF2, 0x5C),
-            Sse::MulSd => (0xF2, 0x59),
-            Sse::DivSd => (0xF2, 0x5E),
-            Sse::SqrtSd => (0xF2, 0x51),
-            Sse::UcomiSd => (0x66, 0x2E),
-            Sse::Sd2Ss => (0xF2, 0x5A),
-            Sse::Ss2Sd => (0xF3, 0x5A),
-            Sse::MovSd => (0xF2, 0x10),
-            Sse::MovSs => (0xF3, 0x10),
-            Sse::MovApd => (0x66, 0x28),
+            Sse::AddSd => (&[0xF2], 0x58),
+            Sse::SubSd => (&[0xF2], 0x5C),
+            Sse::MulSd => (&[0xF2], 0x59),
+            Sse::DivSd => (&[0xF2], 0x5E),
+            Sse::UcomiSd => (&[0x66], 0x2E),
+            Sse::AddSs => (&[0xF3], 0x58),
+            Sse::SubSs => (&[0xF3], 0x5C),
+            Sse::MulSs => (&[0xF3], 0x59),
+            Sse::DivSs => (&[0xF3], 0x5E),
+            Sse::SqrtSs => (&[0xF3], 0x51),
+            Sse::UcomiSs => (&[], 0x2E),
+            Sse::Sd2Ss => (&[0xF2], 0x5A),
+            Sse::Ss2Sd => (&[0xF3], 0x5A),
+            Sse::MovSd => (&[0xF2], 0x10),
+            Sse::MovSs => (&[0xF3], 0x10),
+            Sse::MovApd => (&[0x66], 0x28),
         }
     }
 }
@@ -672,12 +684,6 @@ impl Asm {
         self.byte(0xC3);
     }
 
-    /// `call reg`.
-    pub fn call_r(&mut self, r: Reg) {
-        self.rex(false, false, false, r.hi(), false);
-        self.bytes(&[0xFF, 0xD0 + r.lo()]);
-    }
-
     /// `call qword [m]`.
     pub fn call_m(&mut self, m: Mem) {
         self.op_m(&[], false, &[0xFF], 2, false, &m);
@@ -721,12 +727,12 @@ impl Asm {
         let (pfx, opc) = op.enc();
         match src {
             XOpnd::X(s) => {
-                self.byte(pfx);
+                self.bytes(pfx);
                 self.rex(false, dst.hi(), false, s.hi(), false);
                 self.bytes(&[0x0F, opc]);
                 self.byte(0xC0 | (dst.lo() << 3) | s.lo());
             }
-            XOpnd::M(m) => self.op_m(&[pfx], false, &[0x0F, opc], dst.lo(), dst.hi(), &m),
+            XOpnd::M(m) => self.op_m(pfx, false, &[0x0F, opc], dst.lo(), dst.hi(), &m),
         }
     }
 
@@ -985,11 +991,6 @@ mod tests {
         );
         // divsd xmm9, xmm0 => f2 44 0f 5e c8
         assert_eq!(enc(|a| a.sse(Sse::DivSd, Xmm::X9, x(Xmm::X0))), [0xF2, 0x44, 0x0F, 0x5E, 0xC8]);
-        // sqrtsd xmm10, xmm11 => f2 45 0f 51 d3
-        assert_eq!(
-            enc(|a| a.sse(Sse::SqrtSd, Xmm::X10, x(Xmm::X11))),
-            [0xF2, 0x45, 0x0F, 0x51, 0xD3]
-        );
         // ucomisd xmm14, xmm1 => 66 44 0f 2e f1
         assert_eq!(
             enc(|a| a.sse(Sse::UcomiSd, Xmm::X14, x(Xmm::X1))),
@@ -1054,15 +1055,60 @@ mod tests {
         assert_eq!(enc(|a| a.cvtsi2sd(Xmm::X8, Reg::R12)), [0xF2, 0x4D, 0x0F, 0x2A, 0xC4]);
     }
 
+    /// The single-precision forms: `F3` where the double form has `F2`,
+    /// and `ucomiss` without the `66` prefix of `ucomisd`.
+    #[test]
+    fn single_precision_forms() {
+        let x = |s| XOpnd::X(s);
+        // addss xmm0, xmm1 => f3 0f 58 c1 ; subss xmm3, xmm15 => f3 41 0f 5c df
+        assert_eq!(enc(|a| a.sse(Sse::AddSs, Xmm::X0, x(Xmm::X1))), [0xF3, 0x0F, 0x58, 0xC1]);
+        assert_eq!(
+            enc(|a| a.sse(Sse::SubSs, Xmm::X3, x(Xmm::X15))),
+            [0xF3, 0x41, 0x0F, 0x5C, 0xDF]
+        );
+        // mulss xmm12, xmm13 => f3 45 0f 59 e5 ; divss xmm9, xmm0 => f3 44 0f 5e c8
+        assert_eq!(
+            enc(|a| a.sse(Sse::MulSs, Xmm::X12, x(Xmm::X13))),
+            [0xF3, 0x45, 0x0F, 0x59, 0xE5]
+        );
+        assert_eq!(enc(|a| a.sse(Sse::DivSs, Xmm::X9, x(Xmm::X0))), [0xF3, 0x44, 0x0F, 0x5E, 0xC8]);
+        // sqrtss xmm10, xmm11 => f3 45 0f 51 d3
+        assert_eq!(
+            enc(|a| a.sse(Sse::SqrtSs, Xmm::X10, x(Xmm::X11))),
+            [0xF3, 0x45, 0x0F, 0x51, 0xD3]
+        );
+        // ucomiss xmm0, xmm1 => 0f 2e c1 ; ucomiss xmm14, xmm1 => 44 0f 2e f1
+        assert_eq!(enc(|a| a.sse(Sse::UcomiSs, Xmm::X0, x(Xmm::X1))), [0x0F, 0x2E, 0xC1]);
+        assert_eq!(enc(|a| a.sse(Sse::UcomiSs, Xmm::X14, x(Xmm::X1))), [0x44, 0x0F, 0x2E, 0xF1]);
+        // ucomiss xmm2, [rbp-80] => 0f 2e 55 b0 ; addss xmm15, [rbp-96] => f3 44 0f 58 7d a0
+        assert_eq!(
+            enc(|a| a.sse(Sse::UcomiSs, Xmm::X2, XOpnd::M(Mem::b(Reg::Rbp, -80)))),
+            [0x0F, 0x2E, 0x55, 0xB0]
+        );
+        assert_eq!(
+            enc(|a| a.sse(Sse::AddSs, Xmm::X15, XOpnd::M(Mem::b(Reg::Rbp, -96)))),
+            [0xF3, 0x44, 0x0F, 0x58, 0x7D, 0xA0]
+        );
+        // cvtss2sd xmm0, dword [rdx+rcx] => f3 0f 5a 04 0a
+        assert_eq!(
+            enc(|a| a.sse(Sse::Ss2Sd, Xmm::X0, XOpnd::M(Mem::bi(Reg::Rdx, Reg::Rcx)))),
+            [0xF3, 0x0F, 0x5A, 0x04, 0x0A]
+        );
+    }
+
     #[test]
     fn setcc_cmov_call() {
         // sete al => 0f 94 c0
         assert_eq!(enc(|a| a.setcc(Cc::E, Reg::Rax)), vec![0x0F, 0x94, 0xC0]);
         // cmovne rax, rcx => 48 0f 45 c1
         assert_eq!(enc(|a| a.cmovcc(Cc::Ne, Reg::Rax, Reg::Rcx)), vec![0x48, 0x0F, 0x45, 0xC1]);
-        // call rax => ff d0 ; call qword [rcx+8] => ff 51 08 ; jmp qword [rbp-8] => ff 65 f8
-        assert_eq!(enc(|a| a.call_r(Reg::Rax)), vec![0xFF, 0xD0]);
+        // call qword [rcx+8] => ff 51 08 ; call qword [r15+0x100] => 41 ff 97 00 01 00 00 ;
+        // jmp qword [rbp-8] => ff 65 f8
         assert_eq!(enc(|a| a.call_m(Mem::b(Reg::Rcx, 8))), vec![0xFF, 0x51, 0x08]);
+        assert_eq!(
+            enc(|a| a.call_m(Mem::b(Reg::R15, 0x100))),
+            vec![0x41, 0xFF, 0x97, 0x00, 0x01, 0x00, 0x00]
+        );
         assert_eq!(enc(|a| a.jmp_m(Mem::b(Reg::Rbp, -8))), vec![0xFF, 0x65, 0xF8]);
         // push r12 / pop r12 => 41 54 / 41 5c
         assert_eq!(enc(|a| a.push(Reg::R12)), vec![0x41, 0x54]);

@@ -16,7 +16,8 @@
 //! `insts` back around calls and when the chunk ends. The fields the
 //! loop reads per item lie in the first 128 bytes, where an
 //! `[r15 + disp8]` operand reaches them; fields generated code never or
-//! rarely reads come last.
+//! rarely reads come last, ending with the addresses of the Rust helpers
+//! it calls (`Helper`).
 //!
 //! The environment also carries the trap cells: generated code never
 //! unwinds — on a fault it records a trap code plus payload words here and
@@ -82,6 +83,50 @@ pub(crate) const OFF_INSTS: i32 = 216;
 pub(crate) const OFF_GLOBAL_SIZE: i32 = 224;
 pub(crate) const OFF_LOCAL_ID: i32 = 232;
 pub(crate) const OFF_BODY_INVARIANT: i32 = 248;
+pub(crate) const OFF_HELPERS: i32 = 256;
+
+/// The Rust helpers generated code calls. Each call goes through the
+/// helper's entry in [`Env::helpers`] (`call [r15 + off]`), so the code
+/// embeds no absolute address and its bytes depend on the module alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Helper {
+    Floor,
+    Exp,
+    Pow,
+    FMin,
+    FMax,
+    F2i,
+    DeviceMalloc,
+    WlPush,
+}
+
+/// Entries of [`Env::helpers`].
+const HELPERS: usize = 8;
+
+impl Helper {
+    /// The offset of this helper's entry address in the [`Env`].
+    pub(crate) fn off(self) -> i32 {
+        OFF_HELPERS + 8 * self as i32
+    }
+}
+
+/// The entry address of every [`Helper`], indexed by it.
+fn helper_table() -> [u64; HELPERS] {
+    let mut t = [0; HELPERS];
+    for (h, addr) in [
+        (Helper::Floor, h_floor as extern "C" fn(f64) -> f64 as usize),
+        (Helper::Exp, h_exp as extern "C" fn(f64) -> f64 as usize),
+        (Helper::Pow, h_pow as extern "C" fn(f64, f64) -> f64 as usize),
+        (Helper::FMin, h_fmin as extern "C" fn(f64, f64) -> f64 as usize),
+        (Helper::FMax, h_fmax as extern "C" fn(f64, f64) -> f64 as usize),
+        (Helper::F2i, h_f2i as extern "C" fn(f64) -> i64 as usize),
+        (Helper::DeviceMalloc, h_device_malloc as extern "C" fn(*mut Env, i64) -> u64 as usize),
+        (Helper::WlPush, h_wl_push as extern "C" fn(*mut Env, i64) as usize),
+    ] {
+        t[h as usize] = addr as u64;
+    }
+    t
+}
 
 /// Execution environment handed to generated code (one per chunk).
 #[repr(C)]
@@ -150,6 +195,8 @@ pub struct Env {
     /// the chunk then loads the kernel's body fields for its first item
     /// only (read once, at chunk entry).
     pub body_invariant: u64,
+    /// Entry addresses of the Rust helpers, indexed by `Helper`.
+    pub helpers: [u64; HELPERS],
 }
 
 impl Env {
@@ -198,6 +245,7 @@ impl Env {
             local_id: 0,
             region_len: region_len as u64,
             body_invariant: 0,
+            helpers: helper_table(),
         }
     }
 
@@ -231,10 +279,9 @@ impl Env {
 
 // ---- helper functions called from generated code ----
 //
-// All of these follow the System V C ABI; their addresses are embedded in
-// the generated code as 64-bit immediates (process-static, so compiled
-// modules are safely shareable through the JIT artifact cache — anything
-// per-context, like the region base, lives in `Env` instead).
+// All of these follow the System V C ABI. Generated code calls them
+// through `Env::helpers`, so compiled modules hold no process address and
+// are safely shareable through the JIT artifact cache.
 
 /// `floorf`, as the simulators compute it ([`eval::floorf`]).
 pub(crate) extern "C" fn h_floor(x: f64) -> f64 {
@@ -342,6 +389,8 @@ mod tests {
         assert_eq!(offset_of!(Env, global_size), OFF_GLOBAL_SIZE as usize);
         assert_eq!(offset_of!(Env, local_id), OFF_LOCAL_ID as usize);
         assert_eq!(offset_of!(Env, body_invariant), OFF_BODY_INVARIANT as usize);
+        assert_eq!(offset_of!(Env, helpers), OFF_HELPERS as usize);
+        assert_eq!(Helper::WlPush.off(), OFF_HELPERS + 8 * (HELPERS as i32 - 1));
         // What the item loop touches per item takes a one-byte
         // displacement.
         for off in [OFF_ARG0, OFF_GLOBAL_ID, OFF_ITEM_END, OFF_BUDGET, OFF_ITEMS] {

@@ -88,9 +88,8 @@
 
 use crate::asm::{Alu, Asm, Cc, Label, Mem, Opnd, Reg, Sse, XOpnd, Xmm};
 use crate::env::{
-    h_device_malloc, h_exp, h_f2i, h_floor, h_fmax, h_fmin, h_pow, h_wl_push, Env, MAX_DEPTH,
-    OFF_ARG0, OFF_BODY_INVARIANT, OFF_BUDGET, OFF_CLASS_COUNT, OFF_CODE_PTRS, OFF_DEPTH,
-    OFF_GLOBAL_ID, OFF_GLOBAL_SIZE, OFF_GPU_BASE, OFF_INSTS, OFF_ITEMS, OFF_ITEM_END,
+    Helper, MAX_DEPTH, OFF_ARG0, OFF_BODY_INVARIANT, OFF_BUDGET, OFF_CLASS_COUNT, OFF_CODE_PTRS,
+    OFF_DEPTH, OFF_GLOBAL_ID, OFF_GLOBAL_SIZE, OFF_GPU_BASE, OFF_INSTS, OFF_ITEMS, OFF_ITEM_END,
     OFF_LIMIT_CPU, OFF_LIMIT_PRIV, OFF_LOCAL_ID, OFF_NFUNCS, OFF_PRIV_BASE, OFF_PRIV_LEN,
     OFF_PRIV_SP, OFF_REGION_BASE, OFF_STEPS, OFF_TRAP_A, OFF_TRAP_B, OFF_TRAP_CODE, PRIVATE_BASE,
     TRAP_BAD_ADDRESS, TRAP_BAD_DISPATCH, TRAP_DIV_ZERO, TRAP_STACK_OVERFLOW, TRAP_STEP_LIMIT,
@@ -480,11 +479,23 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    /// Round-through-`f32` when the result type demands it.
-    fn round_f32(&mut self, ty: Type, x: Xmm) {
+    /// Float `v` as a binary64 in `dst`, the interpreter's representation
+    /// of every float: an `f32` is widened (exactly; a signalling NaN
+    /// comes out quiet, as from the interpreter's widening load).
+    fn f64_into(&mut self, v: ValueId, dst: Xmm) {
+        if self.f.inst(v).ty == Type::F32 {
+            let s = self.xopnd(v);
+            self.a.sse(Sse::Ss2Sd, dst, s);
+        } else {
+            self.xmm_into(v, dst);
+        }
+    }
+
+    /// The binary64 in `x` as a value of type `ty`: narrowed to binary32
+    /// for an `f32`, rounding once as the interpreter's `as f32` does.
+    fn narrow(&mut self, ty: Type, x: Xmm) {
         if ty == Type::F32 {
             self.a.sse(Sse::Sd2Ss, x, XOpnd::X(x));
-            self.a.sse(Sse::Ss2Sd, x, XOpnd::X(x));
         }
     }
 
@@ -892,7 +903,7 @@ impl<'a> FnLower<'a> {
                 })
             }
             Op::Fcmp(p, l, r) => {
-                // `ucomisd a, b` sets ZF/PF/CF (all three on unordered);
+                // `ucomis[sd] a, b` sets ZF/PF/CF (all three on unordered);
                 // swapping the operands turns Olt/Ole into the
                 // unordered-false `a`/`ae` conditions, exactly as
                 // `eval_fcmp` defines them.
@@ -904,9 +915,11 @@ impl<'a> FnLower<'a> {
                     FCmp::Ogt => (l, r, Jcc::If(Cc::A)),
                     FCmp::Oge => (l, r, Jcc::If(Cc::Ae)),
                 };
+                let ty = self.f.inst(l).ty;
+                debug_assert_eq!(ty, self.f.inst(r).ty, "{c} compares two float types");
                 let x = self.xmm(first, Xmm::X0);
                 let s = self.xopnd(second);
-                self.a.sse(Sse::UcomiSd, x, s);
+                self.a.sse(if ty == Type::F32 { Sse::UcomiSs } else { Sse::UcomiSd }, x, s);
                 j
             }
             _ => unreachable!("{c} is not a compare"),
@@ -1056,11 +1069,19 @@ impl<'a> FnLower<'a> {
         use BinOp::*;
         match op {
             FAdd | FSub | FMul | FDiv => {
-                let sse = match op {
-                    FAdd => Sse::AddSd,
-                    FSub => Sse::SubSd,
-                    FMul => Sse::MulSd,
-                    _ => Sse::DivSd,
+                debug_assert!(
+                    self.f.inst(l).ty == ty && self.f.inst(r).ty == ty,
+                    "{id} mixes float types"
+                );
+                let sse = match (op, ty == Type::F32) {
+                    (FAdd, false) => Sse::AddSd,
+                    (FSub, false) => Sse::SubSd,
+                    (FMul, false) => Sse::MulSd,
+                    (_, false) => Sse::DivSd,
+                    (FAdd, true) => Sse::AddSs,
+                    (FSub, true) => Sse::SubSs,
+                    (FMul, true) => Sse::MulSs,
+                    (_, true) => Sse::DivSs,
                 };
                 // `l` is always the destination operand (NaN payloads
                 // follow it), so an `r` that dies into the result's
@@ -1073,7 +1094,6 @@ impl<'a> FnLower<'a> {
                 self.xmm_into(l, d);
                 let s = self.xopnd(r);
                 self.a.sse(sse, d, s);
-                self.round_f32(ty, d);
                 self.xput(id, d);
             }
             Add | Sub | Mul | And | Or | Xor => {
@@ -1202,22 +1222,25 @@ impl<'a> FnLower<'a> {
                 self.put(id, d);
             }
             CastOp::FpToSi => {
-                self.xmm_into(v, Xmm::X0);
-                self.call_helper(h_f2i as extern "C" fn(f64) -> i64 as usize, None);
+                self.f64_into(v, Xmm::X0);
+                self.call_helper(Helper::F2i, None);
                 self.wrap(Reg::Rax, to);
                 self.put(id, Reg::Rax);
             }
             CastOp::SiToFp => {
                 let r = self.gpr(v, Reg::Rax);
                 let d = self.xdst(id, Xmm::X0);
+                // Through binary64 to an `f32`, as `eval` does (`v as f64 as
+                // f32`): two roundings that can differ from one for an
+                // `i64` wider than 53 bits.
                 self.a.cvtsi2sd(d, r);
-                self.round_f32(to, d);
+                self.narrow(to, d);
                 self.xput(id, d);
             }
             CastOp::FpCast => {
                 let d = self.xdst(id, Xmm::X0);
-                self.xmm_into(v, d);
-                self.round_f32(to, d);
+                self.f64_into(v, d);
+                self.narrow(to, d);
                 self.xput(id, d);
             }
         }
@@ -1296,19 +1319,15 @@ impl<'a> FnLower<'a> {
     }
 
     /// Load `ty` through `p` into `id`'s home: ints sign-extended like
-    /// `mem_read`, floats widened to f64.
+    /// `mem_read`, floats as their bits.
     fn emit_load(&mut self, id: ValueId, p: ValueId, ty: Type) {
         let addr = self.gpr(p, Reg::Rax);
         self.classify(addr, log2_size(ty));
         let m = Mem::bi(Reg::Rdx, Reg::Rcx);
         if is_float(ty) {
             let d = self.xdst(id, Xmm::X0);
-            if ty == Type::F32 {
-                self.a.sse(Sse::MovSs, d, XOpnd::M(m));
-                self.a.sse(Sse::Ss2Sd, d, XOpnd::X(d));
-            } else {
-                self.a.sse(Sse::MovSd, d, XOpnd::M(m));
-            }
+            let mov = if ty == Type::F32 { Sse::MovSs } else { Sse::MovSd };
+            self.a.sse(mov, d, XOpnd::M(m));
             self.xput(id, d);
         } else {
             let d = self.dst(id, Reg::Rax);
@@ -1330,13 +1349,13 @@ impl<'a> FnLower<'a> {
         }
         let size = vty.size();
         let v = match (self.loc(val), vty) {
-            (Loc::Const(c), Type::F32) => {
-                Val::I(i64::from((f64::from_bits(c as u64) as f32).to_bits()))
-            }
             (Loc::Const(c), _) if size < 8 || i32::try_from(c).is_ok() => Val::I(c),
             (_, Type::F32) => {
-                let x = self.xmm(val, Xmm::X0);
-                self.a.sse(Sse::Sd2Ss, Xmm::X0, XOpnd::X(x));
+                // The interpreter stores `v as f32` of a value it widened
+                // at its load: a signalling NaN that was loaded and carried
+                // here bare is stored quiet, as there.
+                self.f64_into(val, Xmm::X0);
+                self.narrow(Type::F32, Xmm::X0);
                 Val::X(Xmm::X0)
             }
             (_, Type::F64) => Val::X(self.xmm(val, Xmm::X0)),
@@ -1549,19 +1568,18 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    /// `movabs rax, helper; call rax` — process-static Rust helpers
-    /// following the C ABI: float arguments already staged in xmm0/xmm1,
-    /// or `(env, arg)` in rdi/rsi, staged here after the loop state is
-    /// written back.
-    fn call_helper(&mut self, addr: usize, arg: Option<ValueId>) {
+    /// `call [r15 + off]` — a Rust helper through the environment's
+    /// table, following the C ABI: float arguments already staged as
+    /// binary64 in xmm0/xmm1, or `(env, arg)` in rdi/rsi, staged here
+    /// after the loop state is written back.
+    fn call_helper(&mut self, h: Helper, arg: Option<ValueId>) {
         debug_assert!(is_call(&self.f.inst(self.cur).op), "allocator missed call {}", self.cur);
         self.spill_loop_state();
         if let Some(v) = arg {
             self.gpr_into(v, Reg::Rsi);
             self.a.mov_rr(Reg::Rdi, Reg::R15);
         }
-        self.a.mov_ri(Reg::Rax, addr as i64);
-        self.a.call_r(Reg::Rax);
+        self.a.call_m(self.env(h.off()));
         self.reload_loop_state();
     }
 
@@ -1597,36 +1615,41 @@ impl<'a> FnLower<'a> {
                 }
             }
             Sqrt => {
-                let s = self.xopnd(arg(0)?);
+                // One binary32 rounding of the exact root, the same bits as
+                // `eval::sqrtf`'s root in binary64 rounded to binary32.
+                let x = arg(0)?;
+                debug_assert!(self.f.inst(x).ty == Type::F32 && ty == Type::F32, "{id} is sqrtf");
+                let s = self.xopnd(x);
                 let d = self.xdst(id, Xmm::X0);
-                self.a.sse(Sse::SqrtSd, d, s);
-                self.round_f32(Type::F32, d);
+                self.a.sse(Sse::SqrtSs, d, s);
                 self.xput(id, d);
             }
             FAbs => {
-                self.gpr_into(arg(0)?, Reg::Rax);
-                self.a.mov_ri(Reg::Rcx, i64::MAX);
-                self.a.alu_rr(Alu::And, Reg::Rax, Reg::Rcx);
-                let d = self.xdst(id, Xmm::X0);
-                self.a.movq_xr(d, Reg::Rax);
-                self.round_f32(Type::F32, d);
-                self.xput(id, d);
+                // Quiet a signalling NaN as the interpreter's widening
+                // load did, then clear the sign bit.
+                debug_assert_eq!(ty, Type::F32, "{id} is fabsf");
+                self.f64_into(arg(0)?, Xmm::X0);
+                self.narrow(Type::F32, Xmm::X0);
+                self.a.movq_rx(Reg::Rax, Xmm::X0);
+                self.a.alu_ri(Alu::And, Reg::Rax, 0x7FFF_FFFF);
+                self.put(id, Reg::Rax);
             }
-            Floor | Exp => {
-                self.xmm_into(arg(0)?, Xmm::X0);
-                let h = if intr == Floor { h_floor } else { h_exp };
-                self.call_helper(h as extern "C" fn(f64) -> f64 as usize, None);
-                self.xput(id, Xmm::X0);
-            }
-            Pow | FMin | FMax => {
-                self.xmm_into(arg(0)?, Xmm::X0);
-                self.xmm_into(arg(1)?, Xmm::X1);
+            Floor | Exp | Pow | FMin | FMax => {
+                // The helper computes in binary64 and rounds through f32,
+                // so narrowing its result is exact.
+                self.f64_into(arg(0)?, Xmm::X0);
+                if matches!(intr, Pow | FMin | FMax) {
+                    self.f64_into(arg(1)?, Xmm::X1);
+                }
                 let h = match intr {
-                    Pow => h_pow,
-                    FMin => h_fmin,
-                    _ => h_fmax,
+                    Floor => Helper::Floor,
+                    Exp => Helper::Exp,
+                    Pow => Helper::Pow,
+                    FMin => Helper::FMin,
+                    _ => Helper::FMax,
                 };
-                self.call_helper(h as extern "C" fn(f64, f64) -> f64 as usize, None);
+                self.call_helper(h, None);
+                self.narrow(ty, Xmm::X0);
                 self.xput(id, Xmm::X0);
             }
             SMin | SMax => {
@@ -1637,12 +1660,11 @@ impl<'a> FnLower<'a> {
                 self.put(id, Reg::Rax);
             }
             DeviceMalloc => {
-                let h = h_device_malloc as extern "C" fn(*mut Env, i64) -> u64;
-                self.call_helper(h as usize, Some(arg(0)?));
+                self.call_helper(Helper::DeviceMalloc, Some(arg(0)?));
                 self.put(id, Reg::Rax);
             }
             WlPush => {
-                self.call_helper(h_wl_push as extern "C" fn(*mut Env, i64) as usize, Some(arg(0)?));
+                self.call_helper(Helper::WlPush, Some(arg(0)?));
                 // A null sink records TRAP_WL_PUSH; bail like a trapped
                 // callee.
                 self.a.cmp_mi(self.env(OFF_TRAP_CODE), 0);

@@ -126,8 +126,8 @@ pub(crate) enum Loc {
     None,
     /// A compare its block's `condbr` consumes as flags.
     Fused,
-    /// A constant's raw bits (`f32` already rounded), materialized at
-    /// each use.
+    /// A constant's raw bits (see [`const_bits`]), materialized at each
+    /// use.
     Const(i64),
     /// A general register from [`GPRS`].
     Gpr(Reg),
@@ -206,15 +206,15 @@ fn survives_calls(loc: Loc) -> bool {
     }
 }
 
-/// A constant's raw bits, as the lowering materializes them.
+/// A constant's raw bits, as the lowering materializes them: an `f32`'s
+/// binary32 bits (rounded as the interpreter's `as f32`), an `f64`'s
+/// binary64 bits.
 fn const_bits(op: &Op, ty: Type) -> Option<i64> {
     match *op {
         Op::ConstInt(v) => Some(v),
         Op::ConstNull => Some(0),
-        Op::ConstFloat(v) => {
-            let v = if ty == Type::F32 { v as f32 as f64 } else { v };
-            Some(v.to_bits() as i64)
-        }
+        Op::ConstFloat(v) if ty == Type::F32 => Some(i64::from((v as f32).to_bits())),
+        Op::ConstFloat(v) => Some(v.to_bits() as i64),
         _ => None,
     }
 }
