@@ -23,6 +23,8 @@ pub const VTABLE_STRIDE: u64 = 128;
 /// Maximum vtable slots per class under the fixed stride.
 pub const MAX_VTABLE_SLOTS: usize = 14;
 
+const _: () = assert!(16 + 8 * MAX_VTABLE_SLOTS as u64 == VTABLE_STRIDE);
+
 /// Magic word at slot 0 of every installed vtable. Public so execution
 /// engines that compile dispatch inline (the native JIT backend) can embed
 /// the same validation the interpreter performs in [`VtableArea::dispatch`].
@@ -44,7 +46,9 @@ impl VtableArea {
     }
 
     /// Write every class's vtable into the reserved area. Called once at
-    /// program startup, before any kernel runs.
+    /// program startup, before any kernel runs. Slots past a class's own
+    /// hold -1, which names no function: a call through a slot the
+    /// object's class does not have traps as a scribbled slot does.
     ///
     /// # Errors
     ///
@@ -64,8 +68,11 @@ impl VtableArea {
             let base = Self::addr_of(ClassId(i as u32));
             region.write_i64(base, VTABLE_MAGIC)?;
             region.write_i64(base.offset(8), i as i64)?;
-            for (slot, func) in class.vtable.iter().enumerate() {
-                region.write_i64(base.offset(16 + 8 * slot as u64), func.0 as i64)?;
+            let funcs = class.vtable.iter().map(|f| i64::from(f.0));
+            for (slot, func) in
+                funcs.chain(std::iter::repeat(-1)).take(MAX_VTABLE_SLOTS).enumerate()
+            {
+                region.write_i64(base.offset(16 + 8 * slot as u64), func)?;
             }
         }
         let (class_count, func_count) = (module.classes.len(), module.functions.len());
@@ -191,6 +198,20 @@ mod tests {
             region.write_i64(circle_vt.offset(16), bogus).unwrap();
             assert_eq!(
                 area.dispatch(&region, circle_vt, 0),
+                Err(Trap::BadVirtualDispatch { vptr: circle_vt.0 })
+            );
+        }
+    }
+
+    #[test]
+    fn dispatch_past_the_class_slots_fails() {
+        let m = module_with_classes();
+        let mut region = SharedRegion::new(65536, VtableArea::reserve_for(m.classes.len()));
+        let area = VtableArea::install(&mut region, &m).unwrap();
+        let circle_vt = VtableArea::addr_of(ClassId(1));
+        for slot in 1..MAX_VTABLE_SLOTS as u32 {
+            assert_eq!(
+                area.dispatch(&region, circle_vt, slot),
                 Err(Trap::BadVirtualDispatch { vptr: circle_vt.0 })
             );
         }
