@@ -149,7 +149,7 @@ mod tests {
     };
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     /// `parallel_for` over `[0, n)` through [`Executor::launch`].
     fn native_for(
@@ -1325,22 +1325,17 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
         fn generated_kernels_match_interpreter(seed in any::<u64>()) {
-            use testgen::{FLOATS, INTS, STRIDE};
+            use concord_ir::types::AddrSpace;
+            use testgen::STRIDE;
             let n = 12u32;
             diff_module(&testgen::module(seed), FuncId(0), n, |region, heap| {
-                let ints = [0, 1, -1, 5, i64::MAX, i64::MIN, 1 << 33, -7777];
-                let floats = [0.0, -0.0, 1.0, -3.5, 1e10, f64::INFINITY, f64::NEG_INFINITY, 0.1];
                 let mut rng = StdRng::seed_from_u64(seed);
                 let records = heap.malloc(u64::from(n) * STRIDE).unwrap();
                 for i in 0..u64::from(n) {
-                    let cell = |j: usize| CpuAddr(records.0 + i * STRIDE + 8 * j as u64);
-                    for j in (0..INTS).chain(INTS + FLOATS..INTS + FLOATS + 2) {
-                        region.write_i64(cell(j), ints[rng.gen_range(0..ints.len())]).unwrap();
-                    }
-                    for j in INTS..INTS + FLOATS {
-                        let v: f64 = floats[rng.gen_range(0..floats.len())];
-                        region.write_i64(cell(j), v.to_bits() as i64).unwrap();
-                    }
+                    let at = records.0 + i * STRIDE;
+                    testgen::fill_record(&mut rng, |off, bytes| {
+                        region.write_bytes(at + off, AddrSpace::Cpu, bytes).unwrap();
+                    });
                 }
                 records
             });
