@@ -321,6 +321,48 @@ if [ -n "$cha_copies" ]; then
     exit 1
 fi
 
+echo "==> structural guard: one float representation in native code"
+# An f32 value's home holds its binary32 bits and an f64's its binary64
+# bits (crates/native/src/lower.rs, module doc). The lowering converts
+# between them in two places, `f64_into` and `narrow`, and calls those only
+# where the interpreter changes type: casts, float stores, intrinsics and
+# their helpers (`emit_cast`, `emit_store_plain`, `emit_intrinsic`). An
+# f64-plus-round path (`round_f32`, a conversion after an arithmetic op)
+# fails here. Rust helpers are called through the `Env` table, so no
+# helper's address is cast outside `helper_table` in env.rs.
+native_src() {
+    for f in crates/native/src/*.rs; do
+        sed '/^#\[cfg(test)\]/,$d' "$f" | sed "s|^|$f:|"
+    done
+}
+if native_src | grep -E 'fn round_f32' >&2; then
+    echo "!! non-test crates/native/src defines round_f32 again" >&2
+    exit 1
+fi
+converts=$(native_src | grep -E 'sse\(Sse::(Sd2Ss|Ss2Sd)' || true)
+in_helpers=$(sed '/^#\[cfg(test)\]/,$d' crates/native/src/lower.rs \
+    | sed -n '/ fn f64_into(/,/^    }$/p; / fn narrow(/,/^    }$/p' | grep -cE 'sse\(Sse::(Sd2Ss|Ss2Sd)' || true)
+if [ "$(grep -c . <<<"$converts")" -ne 2 ] || [ "$in_helpers" -ne 2 ]; then
+    echo "!! non-test crates/native/src must emit cvtsd2ss/cvtss2sd only in lower.rs's" >&2
+    echo "!! f64_into and narrow; emissions:" >&2
+    echo "$converts" >&2
+    exit 1
+fi
+callers=$(sed '/^#\[cfg(test)\]/,$d' crates/native/src/lower.rs | awk '
+    match($0, /^ *(pub(\(crate\))? )?fn [a-z_0-9]+/) { fn = $0; sub(/.*fn /, "", fn); sub(/[^a-z_0-9].*/, "", fn) }
+    /self\.(f64_into|narrow)\(/ { print fn }' | sort -u)
+if grep -vxE 'emit_cast|emit_store_plain|emit_intrinsic' <<<"$callers" >&2; then
+    echo "!! lower.rs converts between float representations outside casts, stores and intrinsics" >&2
+    exit 1
+fi
+casts=$(native_src | grep -E '\bh_[a-z0-9_]+ as ' || true)
+in_table=$(sed -n '/^fn helper_table(/,/^}$/p' crates/native/src/env.rs | grep -cE '\bh_[a-z0-9_]+ as ' || true)
+if [ "$(grep -c . <<<"$casts")" -ne "$in_table" ] || [ "$in_table" -eq 0 ]; then
+    echo "!! a helper address is cast outside env.rs's helper_table:" >&2
+    echo "$casts" >&2
+    exit 1
+fi
+
 echo "==> structural guard: no hashing on the simulated access path"
 # The shadow overlay, the L3 contention history and the set-associative
 # cache model are reached on every simulated access. They index pages and
