@@ -7,15 +7,16 @@
 //! ```
 //!
 //! `args` points at the raw 64-bit bit patterns of the parameters (pointers
-//! are raw addresses, floats are `f64` bits); the return value is likewise
-//! the raw bits of the result. Inside a function:
+//! are raw addresses, floats are their bits as below); the return value is
+//! likewise the raw bits of the result. Inside a function:
 //!
-//! * `r15` pins the [`Env`] pointer, `r14` pins `CPU_BASE`, `rbp` is the
-//!   frame pointer. `rbx`/`r12`/`r13` and `xmm2`–`xmm15` are the
-//!   register-allocation pools (see [`crate::regalloc`]). `r11` holds the
-//!   step budget left (`Env::steps`, written back around every call and
-//!   on return); in a kernel `rdi` and `rsi` hold its chunk's item index
-//!   and instruction tally. The other caller-saved registers are scratch.
+//! * `r15` pins the [`Env`](crate::env::Env) pointer, `r14` pins
+//!   `CPU_BASE`, `rbp` is the frame pointer. `rbx`/`r12`/`r13` and
+//!   `xmm2`–`xmm15` are the register-allocation pools (see
+//!   [`crate::regalloc`]). `r11` holds the step budget left
+//!   (`Env::steps`, written back around every call and on return); in a
+//!   kernel `rdi` and `rsi` hold its chunk's item index and instruction
+//!   tally. The other caller-saved registers are scratch.
 //! * Each value lives where [`crate::regalloc`] put it for its whole life:
 //!   a register of its class, a frame slot, or nowhere (constants are
 //!   immediates or RIP-relative literals at each use). Phi edges are one
@@ -31,7 +32,7 @@
 //! A `ForBody` kernel has a second entry, the **chunk entry**, which the
 //! launch driver calls once per chunk with no arguments: the function's
 //! body is emitted once, and the chunk entry runs it for every work item
-//! of the chunk described in the [`Env`].
+//! of the chunk described in the [`Env`](crate::env::Env).
 //!
 //! * The chunk entry is `xor rsi, rsi` three bytes before the normal entry
 //!   (so it, not the normal entry, is the 16-aligned one): the prologue
@@ -79,12 +80,33 @@
 //! * Pointer-typed stores to shared memory replicate `write_val`'s
 //!   encode-before-resolve order: the stored value's space is checked
 //!   before the target address's bounds.
-//! * Division, shifts, narrow-int wrapping, float-through-`f32` rounding
-//!   and NaN-sensitive intrinsics all mirror `concord_ir::eval` — the
-//!   NaN-asymmetric `FMin`/`FMax` and the saturating `FpToSi` go through
-//!   tiny Rust helpers so the semantics are identical by construction.
-//!   Float ops keep the interpreter's operand order, so a NaN result
-//!   carries the same payload.
+//! * **One float representation.** An `f32` value's home (register,
+//!   frame slot, argument slot or RIP literal) holds its binary32 bits in
+//!   the low 32 bits, an `f64`'s its binary64 bits. `f32` arithmetic,
+//!   `sqrtf` and compares are the `ss` forms. The interpreter computes an
+//!   `f32` op in binary64 and rounds the result to binary32; for `+ − × ÷`
+//!   and `√` that is the binary32 result itself, because binary64 carries
+//!   53 ≥ 2·24 + 2 significand bits (Figueroa, "When is double rounding
+//!   innocuous?", SIGNUM Newsletter 30(3), 1995), and a compare is exact
+//!   because widening is. The two formats meet only where the interpreter
+//!   changes type ([`FnLower::f64_into`], [`FnLower::narrow`]): `FpCast`,
+//!   `SiToFp` (through binary64, as `v as f64 as f32` double-rounds a wide
+//!   `i64`), and the Rust helpers, which take binary64. The frontend gives
+//!   a float op operands of its result type and the float intrinsics `f32`
+//!   operands and results; debug builds assert both.
+//! * **Signalling NaNs.** The interpreter widens every `f32` it loads,
+//!   which quiets a signalling NaN. Native code loads the bare bits and
+//!   every op it computes quiets a NaN as binary64 does, so only a loaded
+//!   value carried by moves (phis, selects, calls) can still signal. An
+//!   `f32` store quiets it (widen, then narrow) and so does `fabsf` before
+//!   it clears the sign, so every stored or computed `f32` has the
+//!   interpreter's bits.
+//! * Division, shifts, narrow-int wrapping and NaN-sensitive intrinsics
+//!   all mirror `concord_ir::eval` — the NaN-asymmetric `FMin`/`FMax` and
+//!   the saturating `FpToSi` go through tiny Rust helpers, called through
+//!   the [`Env`](crate::env::Env) helper table, so the semantics are
+//!   identical by construction. Float ops keep the interpreter's operand
+//!   order, so a NaN result carries the same payload.
 
 use crate::asm::{Alu, Asm, Cc, Label, Mem, Opnd, Reg, Sse, XOpnd, Xmm};
 use crate::env::{
@@ -103,7 +125,7 @@ use concord_ir::types::{AddrSpace, Type};
 use concord_ir::{BlockId, Function, KernelKind, Module, ValueId};
 use concord_svm::{CPU_BASE, SVM_CONST, VTABLE_MAGIC};
 
-/// Space payload codes shared with [`Env::take_trap`].
+/// Space payload codes shared with [`Env::take_trap`](crate::env::Env::take_trap).
 const SPACE_CPU: i64 = 0;
 const SPACE_GPU: i64 = 1;
 const SPACE_PRIVATE: i64 = 2;
