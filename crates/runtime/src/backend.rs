@@ -150,16 +150,21 @@ pub trait DeviceBackend {
 }
 
 /// Trace one launch (or the commit half of one) as a `name` span on
-/// `track` that closes with the launch's span bounds and counters.
+/// `track` that closes with the verdicts the runtime ran it under (see
+/// [`Work`]), the launch's span bounds and its counters.
 fn traced<R: Into<LaunchStats>>(
     tracer: &Tracer,
     track: Track,
     name: &'static str,
     span: Span,
+    verdicts: &[(&'static str, bool)],
     run: impl FnOnce() -> Result<R, Trap>,
 ) -> Result<LaunchStats, Trap> {
     let mut sp = tracer.span(track, name);
     let s: LaunchStats = run()?.into();
+    for &(key, verdict) in verdicts {
+        sp.arg(key, verdict);
+    }
     sp.arg("lo", i64::from(span.lo));
     sp.arg("hi", i64::from(span.hi));
     sp.arg("seconds", s.seconds);
@@ -198,8 +203,8 @@ impl CpuBackend {
         self.sim.execute(ctx.region, ctx.vtables, &self.program, work, span)
     }
 
-    /// The commit half: merge a pending launch into the live region in
-    /// plan order and build its stats.
+    /// The commit half: merge a pending launch of `work` into the live
+    /// region in plan order and build its stats.
     ///
     /// # Errors
     ///
@@ -207,12 +212,14 @@ impl CpuBackend {
     pub(crate) fn commit(
         &mut self,
         ctx: &mut ExecCtx<'_>,
+        work: &Work<'_>,
         span: Span,
         pending: CpuPending,
         pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
         let (sim, region) = (&mut self.sim, &mut *ctx.region);
-        traced(ctx.tracer, Track::Runtime, "cpu_launch", span, || {
+        let verdicts = [("in_order", work.in_order)];
+        traced(ctx.tracer, Track::Runtime, "cpu_launch", span, &verdicts, || {
             sim.commit(region, pending, pushes)
         })
     }
@@ -268,7 +275,8 @@ impl DeviceBackend for CpuBackend {
         pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
         let (sim, region) = (&mut self.sim, &mut *ctx.region);
-        traced(ctx.tracer, Track::Runtime, "cpu_launch", span, || {
+        let verdicts = [("in_order", work.in_order)];
+        traced(ctx.tracer, Track::Runtime, "cpu_launch", span, &verdicts, || {
             sim.launch(region, ctx.vtables, &self.program, work, span, pushes)
         })
     }
@@ -308,12 +316,14 @@ impl GpuBackend {
     pub(crate) fn commit(
         &mut self,
         ctx: &mut ExecCtx<'_>,
+        work: &Work<'_>,
         span: Span,
         pending: GpuPending,
         pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
         let (sim, region) = (&mut self.sim, &mut *ctx.region);
-        traced(ctx.tracer, Track::Runtime, "gpu_launch", span, || {
+        let verdicts = [("in_order", work.in_order)];
+        traced(ctx.tracer, Track::Runtime, "gpu_launch", span, &verdicts, || {
             sim.commit(region, pending, pushes)
         })
     }
@@ -359,7 +369,8 @@ impl DeviceBackend for GpuBackend {
         pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
         let (sim, region) = (&mut self.sim, &mut *ctx.region);
-        traced(ctx.tracer, Track::Runtime, "gpu_launch", span, || {
+        let verdicts = [("in_order", work.in_order)];
+        traced(ctx.tracer, Track::Runtime, "gpu_launch", span, &verdicts, || {
             sim.launch(region, &self.program, work, span, pushes)
         })
     }
@@ -458,7 +469,8 @@ impl DeviceBackend for NativeBackend {
         pushes: &mut Vec<i32>,
     ) -> Result<LaunchStats, Trap> {
         debug_assert_eq!(span.lo, 0, "native plans are single full spans");
-        traced(ctx.tracer, Track::Native, "native_launch", span, || {
+        let verdicts = [("in_order", work.in_order), ("body_invariant", work.body_invariant)];
+        traced(ctx.tracer, Track::Native, "native_launch", span, &verdicts, || {
             self.timed(|exec, nm| exec.launch(ctx.region, nm, ctx.cpu_module, work, span, pushes))
         })
     }

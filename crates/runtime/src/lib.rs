@@ -1780,11 +1780,11 @@ impl Concord {
                     let r = match (snapshot, q.device) {
                         (true, DeviceClass::Gpu) => {
                             let pending = gpu_pending.take().expect("one GPU part");
-                            p.gpu.commit(&mut p.ctx, q.span, pending, pushes)
+                            p.gpu.commit(&mut p.ctx, &q.work, q.span, pending, pushes)
                         }
                         (true, _) => {
                             let pending = cpu_pending.take().expect("one CPU part");
-                            p.cpu.commit(&mut p.ctx, q.span, pending, pushes)
+                            p.cpu.commit(&mut p.ctx, &q.work, q.span, pending, pushes)
                         }
                         (false, device) => {
                             let (backend, ctx) = p.on(device);
