@@ -105,6 +105,14 @@ impl Footprint {
         self.opaque || self.ranges.iter().any(|r| r.lo < hi && lo < r.hi)
     }
 
+    /// Does this footprint write (or accumulate into) any byte of
+    /// `[lo, hi)`? An opaque footprint may write anywhere.
+    #[must_use]
+    pub fn writes(&self, lo: u64, hi: u64) -> bool {
+        let write = |r: &&FootRange| r.mode != AccessMode::Read;
+        self.opaque || self.ranges.iter().filter(write).any(|r| r.lo < hi && lo < r.hi)
+    }
+
     /// The conflict between this launch and a later one.
     #[must_use]
     pub fn conflict(&self, other: &Footprint) -> Conflict {
@@ -154,8 +162,9 @@ pub struct GraphStats {
 }
 
 /// One admitted construct invocation: everything the offload pipeline
-/// needs to run it. `kind` is a template — a reduction's scratch slots are
-/// filled in per device part when the launch executes.
+/// needs to run it, every fact decided once, at admission. `kind` is a
+/// template — a reduction's scratch slots are filled in per device part
+/// when the launch executes.
 pub(crate) struct Launch<'a> {
     pub class: String,
     pub func: FuncId,
@@ -167,14 +176,19 @@ pub(crate) struct Launch<'a> {
     /// Order-dependence verdicts; a launch gated on any device never
     /// waves with anything.
     pub gated: Gated,
+    /// What the drain loop orders the launch by; opaque when gated.
+    pub footprint: Footprint,
+    /// CA108: the native chunks run in order.
+    pub hazard: bool,
+    /// No write of the launch can land in the body's block: native chunks
+    /// load the body's fields once.
+    pub body_invariant: bool,
 }
 
-/// A submitted-but-not-yet-executed launch, with the footprint the drain
-/// loop orders it by.
+/// A submitted-but-not-yet-executed launch.
 pub(crate) struct PendingLaunch {
     pub id: u64,
     pub launch: Launch<'static>,
-    pub footprint: Footprint,
 }
 
 /// The submission-ordered queue of pending launches plus its counters.
@@ -186,11 +200,11 @@ pub(crate) struct LaunchGraph {
 }
 
 impl LaunchGraph {
-    pub(crate) fn submit(&mut self, launch: Launch<'static>, footprint: Footprint) -> LaunchId {
+    pub(crate) fn submit(&mut self, launch: Launch<'static>) -> LaunchId {
         let id = self.next_id;
         self.next_id += 1;
         self.stats.submitted += 1;
-        self.pending.push_back(PendingLaunch { id, launch, footprint });
+        self.pending.push_back(PendingLaunch { id, launch });
         LaunchId(id)
     }
 
@@ -219,7 +233,7 @@ impl LaunchGraph {
     /// one does, the queue must keep draining before a host write to that
     /// range.
     pub(crate) fn touches(&self, lo: u64, hi: u64) -> bool {
-        self.pending.iter().any(|p| p.footprint.touches(lo, hi))
+        self.pending.iter().any(|p| p.launch.footprint.touches(lo, hi))
     }
 
     pub(crate) fn stats(&self) -> GraphStats {
@@ -291,6 +305,15 @@ mod tests {
         assert!(a.touches(127, 200));
         assert!(!a.touches(0, 64));
         assert!(!a.touches(128, 256));
+    }
+
+    #[test]
+    fn writes_is_write_or_accumulate_overlap() {
+        let a = fp(&[(0, 64, AccessMode::Read), (64, 128, AccessMode::Accumulate)]);
+        assert!(!a.writes(0, 64), "a read is not a write");
+        assert!(a.writes(100, 101));
+        assert!(!a.writes(128, 256));
+        assert!(Footprint::opaque().writes(0, 1), "an opaque footprint may write anywhere");
     }
 
     #[test]

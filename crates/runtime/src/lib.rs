@@ -330,6 +330,14 @@ impl WorklistReport {
     }
 }
 
+/// The construct a launch is admitted for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Construct {
+    For,
+    Reduce,
+    Worklist,
+}
+
 /// The analyzer launch convention a construct runs under, and a
 /// reduction's `join`.
 type Convention = (AnalysisMode, Option<FuncId>);
@@ -411,29 +419,6 @@ impl FactTable {
     fn report(&mut self, func: FuncId, conv: Convention) -> &AnalysisReport {
         self.get(func, conv, true).report.as_ref().expect("walked on request")
     }
-
-    /// Whether no write of a `for` launch or worklist round of `func` over
-    /// `body` can land in the body's block: the summary is not opaque,
-    /// and every `Write` or `Accumulate` record resolves, as
-    /// [`Concord::resolve_footprint`] resolves it, into another block. (A
-    /// footprint range lies inside its record's block, so it overlaps the
-    /// body's block exactly when that block is the body's.)
-    fn body_invariant(
-        &mut self,
-        heap: &SharedAllocator,
-        region: &SharedRegion,
-        (func, kind): (FuncId, WorkKind<'_>),
-        body: CpuAddr,
-    ) -> bool {
-        let summary = &self.report(func, convention(kind)).access;
-        let Some(block) = heap.block_range(body).filter(|_| !summary.opaque) else {
-            return false;
-        };
-        let mut writes = summary.records.iter().filter(|r| r.mode != AccessMode::Read);
-        writes.all(|r| {
-            resolve_base(heap, region, r.base, body, block).is_some_and(|(_, lo, _)| lo != block.0)
-        })
-    }
 }
 
 /// The live pointer an access record's base names and the allocation
@@ -466,20 +451,9 @@ struct WavePlan {
     coalesced: u64,
 }
 
-/// What [`Pipeline::setup`] decided about a native launch's chunks.
-#[derive(Debug, Clone, Copy)]
-struct Verdicts {
-    /// CA108: run the chunks in order.
-    hazard: bool,
-    /// No write of the launch can land in the body's block.
-    body_invariant: bool,
-}
-
 /// One launch of a wave between setup and finish.
 struct Member<'a> {
     plan: Plan,
-    /// Setup's CA108 verdict: the native chunks run in order.
-    hazard: bool,
     /// One part per plan part, once setup succeeded.
     parts: Vec<Part<'a>>,
     /// Every part's reduction slots together, for the final join.
@@ -509,8 +483,8 @@ fn device_class(l: &graph::Launch<'_>, device: Device) -> DeviceClass {
 }
 
 /// The launch-path state of a [`Concord`], split-borrowed once per wave:
-/// the execution context, the backends, the meters every part reports
-/// into, and the kernel facts setup reads.
+/// the execution context, the backends, and the meters every part
+/// reports into.
 struct Pipeline<'a> {
     ctx: ExecCtx<'a>,
     cpu: &'a mut CpuBackend,
@@ -518,7 +492,6 @@ struct Pipeline<'a> {
     native: &'a mut NativeBackend,
     meter: &'a mut EnergyMeter,
     profile: &'a mut ProfileHistory,
-    facts: &'a mut FactTable,
 }
 
 impl<'a> Pipeline<'a> {
@@ -533,36 +506,17 @@ impl<'a> Pipeline<'a> {
         (backend, &mut self.ctx)
     }
 
-    /// Per-launch setup after planning: the CA108 verdict, the
-    /// body-invariance verdict, and a reduction's partial-accumulator
-    /// slots, allocated in the wave's scratch guard. Returns the verdicts
-    /// and each plan part's slot count.
+    /// Per-launch setup after planning: a reduction's partial-accumulator
+    /// slots, allocated in the wave's scratch guard. Returns each plan
+    /// part's slot count.
     fn setup(
         &mut self,
         scratch: &mut ScratchGuard<'_>,
         l: &graph::Launch<'_>,
         plan: &Plan,
-    ) -> Result<(Verdicts, Vec<usize>), RuntimeError> {
-        let native = l.target == Target::Native;
-        // A CA108 kernel runs its native chunks in order, pinning its
-        // intermediate dynamics to the one-thread schedule. Worklist rounds
-        // are exempt: per-chunk push segments merge through a sort+dedup
-        // commit and guarded-monotone updates keep every drain
-        // deterministic (DESIGN.md). Gated kernels run in order anyway.
-        let hazard = native
-            && !l.gated.cpu
-            && !matches!(l.kind, WorkKind::Worklist { .. })
-            && self.facts.report(l.func, convention(l.kind)).access.hazard;
-        // A native chunk loads the body's fields once when no write of
-        // the launch can land in the body's block, refused for a gated
-        // kernel. A reduction writes its body (its slots) anyway.
-        let body_invariant = native
-            && !l.gated.cpu
-            && !matches!(l.kind, WorkKind::Reduce { .. })
-            && self.facts.body_invariant(scratch.heap(), self.ctx.region, (l.func, l.kind), l.body);
-        let verdicts = Verdicts { hazard, body_invariant };
+    ) -> Result<Vec<usize>, RuntimeError> {
         let WorkKind::Reduce { body_size, .. } = l.kind else {
-            return Ok((verdicts, vec![0; plan.parts.len()]));
+            return Ok(vec![0; plan.parts.len()]);
         };
         let counts = plan.parts.iter().map(|&(device, span)| {
             let (backend, ctx) = self.on(device_class(l, device));
@@ -570,7 +524,7 @@ impl<'a> Pipeline<'a> {
         });
         let counts: Vec<usize> = counts.collect();
         scratch.alloc(counts.iter().sum::<usize>() as u64, body_size)?;
-        Ok((verdicts, counts))
+        Ok(counts)
     }
 
     /// Execute a snapshot wave's CPU and GPU part against one snapshot of
@@ -892,12 +846,16 @@ impl Concord {
         Ok(addr)
     }
 
-    /// Free a shared allocation.
+    /// Free a shared allocation, after every pending launch that touches
+    /// its block has run.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Alloc`] on invalid frees.
     pub fn free(&mut self, addr: CpuAddr) -> Result<(), RuntimeError> {
+        if let Some((lo, hi)) = self.heap.block_range(addr) {
+            self.complete_touching(lo, hi - lo);
+        }
         self.heap.free(addr)?;
         self.record_op(|| SessionOp::Free { addr });
         Ok(())
@@ -1021,60 +979,80 @@ impl Concord {
 
     /// Turn one construct invocation into a [`graph::Launch`] — the one
     /// place every entry point resolves the kernel, requires a
-    /// reduction's `join`, takes the pre-launch gate, and decides GPU
-    /// eligibility and the order-dependence verdicts.
+    /// reduction's `join`, takes the pre-launch gate, and decides every
+    /// fact the launch runs under: GPU eligibility, the order-dependence
+    /// verdicts, the footprint, the CA108 verdict and body invariance.
     fn admit(
         &mut self,
         class: &str,
         body: CpuAddr,
         n: u32,
         target: Target,
-        reduce: bool,
+        construct: Construct,
     ) -> Result<graph::Launch<'static>, RuntimeError> {
         let k = self.kernel(class)?;
+        let func = k.operator_fn;
         let mut gpu_allowed = !self.cpu_only.contains(class);
-        let kind = if reduce {
-            let join = k.join_fn.ok_or_else(|| RuntimeError::NoJoin(class.to_string()))?;
-            // Local memory must fit one body copy per lane; otherwise the
-            // runtime performs the reduction on the CPU (§3.3: "if local
-            // memory is insufficient").
-            gpu_allowed &=
-                k.body_size * u64::from(self.system.gpu.simd_width) <= self.system.gpu.local_bytes;
-            WorkKind::Reduce { join, body_size: k.body_size, slots: &[] }
-        } else {
-            WorkKind::For
+        let kind = match construct {
+            Construct::For => WorkKind::For,
+            Construct::Worklist => WorkKind::Worklist { items: &[] },
+            Construct::Reduce => {
+                let join = k.join_fn.ok_or_else(|| RuntimeError::NoJoin(class.to_string()))?;
+                // Local memory must fit one body copy per lane; otherwise
+                // the runtime performs the reduction on the CPU (§3.3: "if
+                // local memory is insufficient").
+                gpu_allowed &= k.body_size * u64::from(self.system.gpu.simd_width)
+                    <= self.system.gpu.local_bytes;
+                WorkKind::Reduce { join, body_size: k.body_size, slots: &[] }
+            }
         };
         let conv = convention(kind);
-        self.gate_launch(class, k.operator_fn, conv)?;
-        let gated = self.facts.get(k.operator_fn, conv, false).gated;
-        let class = class.to_string();
-        Ok(graph::Launch { class, func: k.operator_fn, kind, body, n, target, gpu_allowed, gated })
-    }
-
-    /// The blocking path is submit, then complete: drain everything
-    /// already pending (submission order is commit order), then run the
-    /// launch as a solo wave — which needs no footprint, having nothing
-    /// to wave with.
-    fn blocking(
-        &mut self,
-        class: &str,
-        body: CpuAddr,
-        n: u32,
-        target: Target,
-        reduce: bool,
-    ) -> Result<OffloadReport, RuntimeError> {
-        let launch = self.admit(class, body, n, target, reduce)?;
-        self.complete_all();
-        self.record_op(|| SessionOp::Launch { class: class.to_string(), body, n, target, reduce });
-        self.run_wave(&[&launch], 0, &mut Vec::new()).pop().expect("one launch, one result")
+        self.gate_launch(class, func, conv)?;
+        let gated = self.facts.get(func, conv, false).gated;
+        let footprint = if gated.any() {
+            Footprint::opaque()
+        } else {
+            self.resolve_footprint(func, kind, body, n)
+        };
+        let native = target == Target::Native;
+        // A CA108 kernel runs its native chunks in order, pinning its
+        // intermediate dynamics to the one-thread schedule. Worklist rounds
+        // are exempt: per-chunk push segments merge through a sort+dedup
+        // commit and guarded-monotone updates keep every drain
+        // deterministic (DESIGN.md). Gated kernels run in order anyway.
+        let hazard = native
+            && !gated.cpu
+            && construct != Construct::Worklist
+            && self.facts.report(func, conv).access.hazard;
+        // A native chunk loads the body's fields once when no write of the
+        // launch can land in the body's block. The footprint is opaque for
+        // a gated kernel, and a reduction writes its body (its slots).
+        let body_invariant =
+            native && self.heap.block_range(body).is_some_and(|(lo, hi)| !footprint.writes(lo, hi));
+        Ok(graph::Launch {
+            class: class.to_string(),
+            func,
+            kind,
+            body,
+            n,
+            target,
+            gpu_allowed,
+            gated,
+            footprint,
+            hazard,
+            body_invariant,
+        })
     }
 
     /// `parallel_for_hetero(n, body, device)`: run the `operator()` of
-    /// `class` over `[0, n)`.
+    /// `class` over `[0, n)`. The blocking construct is
+    /// [`Concord::submit_for`], then [`Concord::complete`]: the launch
+    /// runs after everything already pending, and may share their last
+    /// wave.
     ///
     /// # Errors
     ///
-    /// Unknown kernel class, or a runtime trap.
+    /// Unknown kernel class, a gate refusal, or a runtime trap.
     pub fn parallel_for_hetero(
         &mut self,
         class: &str,
@@ -1082,18 +1060,21 @@ impl Concord {
         n: u32,
         target: Target,
     ) -> Result<OffloadReport, RuntimeError> {
-        self.blocking(class, body, n, target, false)
+        let id = self.submit(class, body, n, target, false)?;
+        self.complete(id)
     }
 
     /// `parallel_reduce_hetero(n, body, device)`: run `operator()` over
     /// `[0, n)` accumulating into per-worker copies, then combine with
     /// `join` (hierarchically through GPU local memory when on the GPU,
     /// §3.3). Hybrid targets join the partials of both devices with the
-    /// same `join`.
+    /// same `join`. Like [`Concord::parallel_for_hetero`], this is
+    /// [`Concord::submit_reduce`], then [`Concord::complete`].
     ///
     /// # Errors
     ///
-    /// Unknown kernel class, missing `join`, or a runtime trap.
+    /// Unknown kernel class, missing `join`, a gate refusal, or a runtime
+    /// trap.
     pub fn parallel_reduce_hetero(
         &mut self,
         class: &str,
@@ -1101,7 +1082,8 @@ impl Concord {
         n: u32,
         target: Target,
     ) -> Result<OffloadReport, RuntimeError> {
-        self.blocking(class, body, n, target, true)
+        let id = self.submit(class, body, n, target, true)?;
+        self.complete(id)
     }
 
     /// `parallel_worklist_hetero(body, seed, device)`: drain a frontier
@@ -1130,7 +1112,7 @@ impl Concord {
         seed: &[i32],
         target: Target,
     ) -> Result<WorklistReport, RuntimeError> {
-        let launch = self.admit(class, body, 0, target, false)?;
+        let launch = self.admit(class, body, 0, target, Construct::Worklist)?;
         // Rounds are serially dependent (each consumes the previous
         // round's pushes), so they drain as solo waves; order them after
         // any launches already submitted to the graph.
@@ -1156,6 +1138,7 @@ impl Concord {
             let mut pushes: Vec<i32> = Vec::new();
             let round = graph::Launch {
                 class: launch.class.clone(),
+                footprint: launch.footprint.clone(),
                 kind: WorkKind::Worklist { items: &frontier },
                 n: frontier.len() as u32,
                 ..launch
@@ -1208,6 +1191,8 @@ impl Concord {
         self.submit(class, body, n, target, true)
     }
 
+    /// The one door every `for` and reduce launch enters by: admit it,
+    /// journal it, queue it.
     fn submit(
         &mut self,
         class: &str,
@@ -1216,13 +1201,10 @@ impl Concord {
         target: Target,
         reduce: bool,
     ) -> Result<LaunchId, RuntimeError> {
-        let launch = self.admit(class, body, n, target, reduce)?;
-        let footprint = if launch.gated.any() {
-            Footprint::opaque()
-        } else {
-            self.resolve_footprint(launch.func, launch.kind, body, n)
-        };
-        let id = self.launch_graph.submit(launch, footprint);
+        let construct = if reduce { Construct::Reduce } else { Construct::For };
+        let launch = self.admit(class, body, n, target, construct)?;
+        self.record_op(|| SessionOp::Launch { class: class.to_string(), body, n, target, reduce });
+        let id = self.launch_graph.submit(launch);
         self.tracer.instant(
             Track::Sched,
             "submit",
@@ -1369,9 +1351,9 @@ impl Concord {
         self.session_log.take().unwrap_or_default()
     }
 
-    /// Replay a recorded op stream through the blocking serial entry
-    /// points — the reference execution the graph path must match byte
-    /// for byte. Returns one result per recorded launch, in order
+    /// Replay a recorded op stream, completing each launch as it is
+    /// submitted — the reference execution the graph replay must match
+    /// byte for byte. Returns one result per recorded launch, in order
     /// (launch traps are per-launch results, not replay failures, because
     /// the recording caller continued past them too).
     ///
@@ -1384,40 +1366,15 @@ impl Concord {
         &mut self,
         ops: &[SessionOp],
     ) -> Result<Vec<Result<OffloadReport, RuntimeError>>, RuntimeError> {
-        let mut out = Vec::new();
-        for op in ops {
-            match op {
-                SessionOp::Malloc { bytes, addr } => self.replay_malloc(*bytes, *addr)?,
-                SessionOp::Free { addr } => self.free(*addr)?,
-                SessionOp::Write { addr, bytes } => {
-                    self.region
-                        .write_bytes(*addr, concord_ir::types::AddrSpace::Cpu, bytes)
-                        .map_err(RuntimeError::Trap)?;
-                }
-                SessionOp::Launch { class, body, n, target, reduce } => {
-                    out.push(if *reduce {
-                        self.parallel_reduce_hetero(class, *body, *n, *target)
-                    } else {
-                        self.parallel_for_hetero(class, *body, *n, *target)
-                    });
-                }
-                SessionOp::Worklist { class, body, seed, target } => {
-                    out.push(
-                        self.parallel_worklist_hetero(class, *body, seed, *target)
-                            .map(|w| w.offload),
-                    );
-                }
-            }
-        }
-        Ok(out)
+        self.replay(ops, false)
     }
 
     /// Replay a recorded op stream through the launch graph: launches
-    /// are submitted and left pending so independent ones can wave
-    /// together; a host write or free first drains every pending launch
-    /// touching the affected bytes (the recorded happens-before edge);
-    /// everything left drains at the end. Returns one result per
-    /// recorded launch, in submission order — byte-comparable against
+    /// are left pending so independent ones can wave together; a host
+    /// write or free first drains every pending launch touching the
+    /// affected bytes (the recorded happens-before edge); everything left
+    /// drains at the end. Returns one result per recorded launch, in
+    /// submission order — byte-comparable against
     /// [`Concord::replay_serial`] on a fresh context.
     ///
     /// # Errors
@@ -1427,23 +1384,29 @@ impl Concord {
         &mut self,
         ops: &[SessionOp],
     ) -> Result<Vec<Result<OffloadReport, RuntimeError>>, RuntimeError> {
+        self.replay(ops, true)
+    }
+
+    /// The one session walker: every launch is submitted, and completed
+    /// at once unless `defer` leaves it to the host ops that touch it and
+    /// the final drain.
+    fn replay(
+        &mut self,
+        ops: &[SessionOp],
+        defer: bool,
+    ) -> Result<Vec<Result<OffloadReport, RuntimeError>>, RuntimeError> {
         // A worklist construct is internally iterative and blocking, so
-        // its result is ready at submission time; `Pending` slots resolve
-        // after the final drain.
+        // its result is ready at once; `Pending` slots resolve after the
+        // final drain.
         enum Slot {
-            Pending(Result<LaunchId, RuntimeError>),
+            Pending(LaunchId),
             Done(Result<OffloadReport, RuntimeError>),
         }
-        let mut submitted: Vec<Slot> = Vec::new();
+        let mut slots: Vec<Slot> = Vec::new();
         for op in ops {
             match op {
                 SessionOp::Malloc { bytes, addr } => self.replay_malloc(*bytes, *addr)?,
-                SessionOp::Free { addr } => {
-                    if let Some((lo, hi)) = self.heap.block_range(*addr) {
-                        self.complete_touching(lo, hi - lo);
-                    }
-                    self.free(*addr)?;
-                }
+                SessionOp::Free { addr } => self.free(*addr)?,
                 SessionOp::Write { addr, bytes } => {
                     self.complete_touching(*addr, bytes.len() as u64);
                     self.region
@@ -1451,16 +1414,15 @@ impl Concord {
                         .map_err(RuntimeError::Trap)?;
                 }
                 SessionOp::Launch { class, body, n, target, reduce } => {
-                    submitted.push(Slot::Pending(if *reduce {
-                        self.submit_reduce(class, *body, *n, *target)
-                    } else {
-                        self.submit_for(class, *body, *n, *target)
-                    }));
+                    slots.push(match self.submit(class, *body, *n, *target, *reduce) {
+                        Ok(id) if defer => Slot::Pending(id),
+                        submitted => Slot::Done(submitted.and_then(|id| self.complete(id))),
+                    });
                 }
                 SessionOp::Worklist { class, body, seed, target } => {
                     // Drains every pending launch first (rounds are
                     // serially dependent), preserving recorded order.
-                    submitted.push(Slot::Done(
+                    slots.push(Slot::Done(
                         self.parallel_worklist_hetero(class, *body, seed, *target)
                             .map(|w| w.offload),
                     ));
@@ -1468,15 +1430,11 @@ impl Concord {
             }
         }
         self.complete_all();
-        let mut out = Vec::new();
-        for s in submitted {
-            out.push(match s {
-                Slot::Pending(Ok(id)) => self.complete(id),
-                Slot::Pending(Err(e)) => Err(e),
-                Slot::Done(r) => r,
-            });
-        }
-        Ok(out)
+        let results = slots.into_iter().map(|slot| match slot {
+            Slot::Pending(id) => self.complete(id),
+            Slot::Done(r) => r,
+        });
+        Ok(results.collect())
     }
 
     fn replay_malloc(&mut self, bytes: u64, recorded: CpuAddr) -> Result<(), RuntimeError> {
@@ -1534,7 +1492,7 @@ impl Concord {
         // computed in submission order (solo waves).
         if let Some(p1) = q.get(1) {
             if pair_ok(p0, p1) {
-                match p0.footprint.conflict(&p1.footprint) {
+                match p0.launch.footprint.conflict(&p1.launch.footprint) {
                     Conflict::Independent => {
                         wave.len = 2;
                         return wave;
@@ -1555,7 +1513,7 @@ impl Concord {
                 }
                 let mut saw_coalesce = false;
                 for member in q.iter().take(wave.len) {
-                    match member.footprint.conflict(&pk.footprint) {
+                    match member.launch.footprint.conflict(&pk.launch.footprint) {
                         Conflict::Order => {
                             wave.stalls += 1;
                             break 'grow;
@@ -1603,7 +1561,6 @@ impl Concord {
             meter,
             profile,
             tracer,
-            facts,
             ..
         } = self;
         let ctx = ExecCtx {
@@ -1614,7 +1571,7 @@ impl Concord {
             system,
             tracer,
         };
-        let r = f(&mut Pipeline { ctx, cpu, gpu, native, meter, profile, facts }, heap);
+        let r = f(&mut Pipeline { ctx, cpu, gpu, native, meter, profile }, heap);
         self.region.restore_journal(saved);
         r
     }
@@ -1624,8 +1581,9 @@ impl Concord {
     /// batch — returning one result per launch, in wave order.
     ///
     /// * Per launch, setup: plan the device split, then
-    ///   [`Pipeline::setup`] (CA108 verdict, body invariance, a
-    ///   reduction's partial slots in the wave's one [`ScratchGuard`]).
+    ///   [`Pipeline::setup`] (a reduction's partial slots in the wave's
+    ///   one [`ScratchGuard`]). Every other fact a part runs under was
+    ///   decided at admission and is read off the [`graph::Launch`].
     /// * Per wave: fence each device in once, prepare every part, stage
     ///   reduction slots, execute the parts, fence each device out once.
     /// * Per launch, finish: [`Pipeline::finish`] (final join, report).
@@ -1653,7 +1611,7 @@ impl Concord {
                 .iter()
                 .map(|l| {
                     let plan = scheduler::plan(l.target, l.n, l.gpu_allowed, p.profile, &l.class);
-                    Member { plan, hazard: false, parts: Vec::new(), slots: &[], failed: None }
+                    Member { plan, parts: Vec::new(), slots: &[], failed: None }
                 })
                 .collect();
             let tracer = p.ctx.tracer;
@@ -1703,14 +1661,13 @@ impl Concord {
                 wave.iter().zip(&members).map(|(l, m)| p.setup(&mut scratch, l, &m.plan)).collect();
             let mut free = scratch.slots();
             for ((l, m), setup) in wave.iter().zip(&mut members).zip(setups) {
-                let (Verdicts { hazard, body_invariant }, counts) = match setup {
-                    Ok(setup) => setup,
+                let counts = match setup {
+                    Ok(counts) => counts,
                     Err(e) => {
                         m.failed = Some(e);
                         continue;
                     }
                 };
-                m.hazard = hazard;
                 (m.slots, free) = free.split_at(counts.iter().sum());
                 let mut own = m.slots;
                 for (&(device, span), count) in m.plan.parts.iter().zip(counts) {
@@ -1723,7 +1680,8 @@ impl Concord {
                         }
                         kind => kind,
                     };
-                    let in_order = l.gated.on(device) || hazard;
+                    let in_order = l.gated.on(device) || l.hazard;
+                    let body_invariant = l.body_invariant;
                     let work = Work { func: l.func, body: l.body, kind, in_order, body_invariant };
                     let stats = LaunchStats::default();
                     m.parts.push(Part { device, work, span, jit: 0.0, stats });
@@ -1757,8 +1715,8 @@ impl Concord {
                     }
                 }
             }
-            let ran = members.iter().filter(|m| m.failed.is_none());
-            let serialized = ran.filter(|m| m.hazard).count() as u64;
+            let ran = wave.iter().zip(&members).filter(|(l, m)| l.hazard && m.failed.is_none());
+            let serialized = ran.count() as u64;
             let snapshot = devices.iter().flatten().count() == 2
                 && wave
                     .iter()
@@ -2791,6 +2749,40 @@ mod tests {
             }
             assert_eq!(cc.graph_stats().overlapped, 1, "disjoint replayed launches overlap");
         }
+    }
+
+    fn whole_region(cc: &Concord) -> Vec<u8> {
+        let cap = cc.region().capacity();
+        let bytes =
+            cc.region().read_bytes(concord_svm::CPU_BASE, concord_ir::types::AddrSpace::Cpu, cap);
+        bytes.unwrap().to_vec()
+    }
+
+    #[test]
+    fn a_recorded_session_replays_its_submitted_launches() {
+        let (mut cc, a, ab, ..) = fig1_context(1);
+        cc.record_session(true);
+        let id = cc.submit_for("LoopBody", ab, 100, Target::Cpu).unwrap();
+        cc.complete_all();
+        cc.complete(id).unwrap();
+        cc.region_mut().write_i64(a.offset(8), 7).unwrap();
+        let ops = cc.take_session();
+        let (mut replayed, ..) = fig1_context(1);
+        replayed.replay_serial(&ops).unwrap();
+        assert!(whole_region(&replayed) == whole_region(&cc), "the submitted launch was lost");
+    }
+
+    #[test]
+    fn free_orders_after_pending_launches_that_touch_the_block() {
+        let (mut cc, a, ab, ..) = fig1_context(1);
+        cc.submit_for("LoopBody", ab, 100, Target::Cpu).unwrap();
+        cc.free(a).unwrap();
+        let again = cc.malloc(101 * 8).unwrap();
+        assert_eq!(again, a, "the allocator reuses the freed block");
+        let host = vec![0xab; 101 * 8];
+        cc.region_mut().write_bytes(again.0, concord_ir::types::AddrSpace::Cpu, &host).unwrap();
+        cc.complete_all();
+        assert_eq!(nodes_bytes(&cc, again), host, "the pending launch wrote over the host data");
     }
 
     #[test]

@@ -1,21 +1,23 @@
 //! Session journaling: record a session's host-visible operations so the
-//! same workload can be replayed through either launch path.
+//! same workload can be replayed with launches completed at once or left
+//! to wave together.
 //!
 //! [`Concord::record_session`](crate::Concord::record_session) turns on a
 //! journal of everything a driver does to the runtime — allocations,
 //! frees, host writes into the shared region (captured by the region's
-//! own write journal), and construct launches. The recorded op stream
-//! replays two ways:
+//! own write journal), and construct launches. A launch is journaled
+//! where it enters the runtime, at submission, so `submit_for` /
+//! `submit_reduce` launches are recorded exactly as blocking
+//! `parallel_*_hetero` calls are (those are submissions too). One walker
+//! replays the recorded op stream two ways:
 //!
-//! * [`Concord::replay_serial`](crate::Concord::replay_serial) re-issues
-//!   every op through the blocking `parallel_*_hetero` entry points —
-//!   the reference execution.
-//! * [`Concord::replay_graph`](crate::Concord::replay_graph) routes
-//!   launches through [`Concord::submit_for`](crate::Concord::submit_for)
-//!   / `submit_reduce`, deferring completion so independent launches can
-//!   wave together; host writes and frees first drain every pending
-//!   launch whose footprint touches the affected bytes, preserving the
-//!   recorded happens-before edges.
+//! * [`Concord::replay_serial`](crate::Concord::replay_serial) completes
+//!   every launch as it is submitted — the reference execution.
+//! * [`Concord::replay_graph`](crate::Concord::replay_graph) defers
+//!   completion so independent launches can wave together; host writes
+//!   and frees first drain every pending launch whose footprint touches
+//!   the affected bytes, preserving the recorded happens-before edges,
+//!   and the rest drains at the end.
 //!
 //! Replay preserves the *exact* recorded global order of host ops (the
 //! journal stores absolute addresses, so the allocator must reproduce
@@ -62,7 +64,8 @@ pub enum SessionOp {
         /// Requested target.
         target: Target,
     },
-    /// A `parallel_for_hetero` / `parallel_reduce_hetero` call.
+    /// A `parallel_for_hetero` / `parallel_reduce_hetero` call, or a
+    /// `submit_for` / `submit_reduce`.
     Launch {
         /// Kernel class name.
         class: String,
