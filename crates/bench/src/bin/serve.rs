@@ -3,14 +3,15 @@
 //!
 //! ```text
 //! serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache-dir DIR]
-//!       [--tenant-max-inflight N] [--tenant-queue-share PCT] [--trace]
+//!       [--tenant-max-inflight N] [--trace]
 //! ```
 //!
 //! `--cache-dir` makes the JIT artifact cache persistent: compiled
 //! entries are spilled to `DIR` (checksummed) and a restarted daemon over
-//! the same directory serves them without recompiling. The tenant flags
-//! turn on per-tenant admission quotas (`quota_exceeded` refusals once a
-//! tenant's pending requests hit the cap).
+//! the same directory serves them without recompiling.
+//! `--tenant-max-inflight` turns on a per-tenant admission quota
+//! (`quota_exceeded` refusals once a tenant's pending requests hit the
+//! cap); a share of the queue is `--queue` × percent / 100.
 //!
 //! Runs until SIGINT/SIGTERM (or a client's `shutdown` request), then
 //! drains every queued request before exiting. With `--trace`, the
@@ -35,7 +36,7 @@ fn main() {
     if flag_present(&args, "--help") || flag_present(&args, "-h") {
         println!(
             "usage: serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache-dir DIR] \
-             [--tenant-max-inflight N] [--tenant-queue-share PCT] [--trace]"
+             [--tenant-max-inflight N] [--trace]"
         );
         return;
     }
@@ -54,9 +55,6 @@ fn main() {
     }
     if let Some(cap) = usage_value::<usize>(&args, "--tenant-max-inflight") {
         config.tenant_max_inflight = cap;
-    }
-    if let Some(share) = usage_value::<u8>(&args, "--tenant-queue-share") {
-        config.tenant_queue_share = share.min(100);
     }
     let tracing = flag_present(&args, "--trace");
     if tracing {

@@ -36,10 +36,9 @@
 //!
 //! Admission is non-blocking: when the queue is at capacity the loop
 //! answers `{"type":"overloaded"}` immediately instead of stalling the
-//! connection. Per-tenant quotas ([`ServeConfig::tenant_max_inflight`],
-//! [`ServeConfig::tenant_queue_share`]) bound how much of the queue one
-//! session token can take; over-quota requests get `quota_exceeded` while
-//! other tenants keep being admitted. A request may carry `deadline_ms`,
+//! connection. A per-tenant quota ([`ServeConfig::tenant_max_inflight`])
+//! bounds how much of the queue one session token can take; over-quota
+//! requests get `quota_exceeded` while other tenants keep being admitted. A request may carry `deadline_ms`,
 //! measured from admission; a worker that dequeues it too late answers
 //! `deadline_exceeded` without executing it.
 //!
@@ -130,12 +129,9 @@ pub struct ServeConfig {
     pub cache_dir: Option<String>,
     /// Per-tenant cap on requests admitted but not yet completed
     /// (0 = unlimited). Over the cap a tenant's requests get
-    /// `quota_exceeded` while other tenants keep being admitted.
+    /// `quota_exceeded` while other tenants keep being admitted. A share
+    /// of the queue is `queue_depth * percent / 100`.
     pub tenant_max_inflight: usize,
-    /// Per-tenant admission cap as a percentage of `queue_depth`
-    /// (0 = unlimited, rounded up to at least one slot). Bounds how much
-    /// of the shared queue one tenant can occupy.
-    pub tenant_queue_share: u8,
     /// Server-track tracing (`Track::Server` events, logical clock).
     pub trace: TraceConfig,
 }
@@ -148,7 +144,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             cache_dir: None,
             tenant_max_inflight: 0,
-            tenant_queue_share: 0,
             trace: TraceConfig::default(),
         }
     }
@@ -292,32 +287,6 @@ impl SrvError {
     }
 }
 
-/// Per-tenant admission limits, resolved from [`ServeConfig`] at bind.
-#[derive(Clone, Copy)]
-struct TenantLimits {
-    max_inflight: u64,
-    queue_share: u8,
-    queue_depth: usize,
-}
-
-impl TenantLimits {
-    /// The effective pending-request cap, `None` when quotas are off.
-    fn cap(&self) -> Option<u64> {
-        let share = if self.queue_share == 0 {
-            0
-        } else {
-            let slots = (self.queue_depth * usize::from(self.queue_share)) / 100;
-            slots.max(1) as u64
-        };
-        match (self.max_inflight, share) {
-            (0, 0) => None,
-            (0, s) => Some(s),
-            (i, 0) => Some(i),
-            (i, s) => Some(i.min(s)),
-        }
-    }
-}
-
 struct Shared {
     addr: SocketAddr,
     shutdown: AtomicBool,
@@ -333,7 +302,9 @@ struct Shared {
     /// where a session finishes compiling after its connection died.
     live_conns: Mutex<HashSet<u64>>,
     tenants: Mutex<BTreeMap<String, TenantCounters>>,
-    limits: TenantLimits,
+    /// Per-tenant pending-request cap ([`ServeConfig::tenant_max_inflight`]),
+    /// `None` when quotas are off.
+    tenant_cap: Option<u64>,
     /// Worker-to-loop handoff: rendered response frames by connection id.
     completions: Mutex<Vec<(u64, Vec<u8>)>>,
     waker: Waker,
@@ -371,11 +342,8 @@ impl Shared {
             session_owners: Mutex::new(HashMap::new()),
             live_conns: Mutex::new(HashSet::new()),
             tenants: Mutex::new(BTreeMap::new()),
-            limits: TenantLimits {
-                max_inflight: config.tenant_max_inflight as u64,
-                queue_share: config.tenant_queue_share,
-                queue_depth: config.queue_depth,
-            },
+            tenant_cap: (config.tenant_max_inflight > 0)
+                .then_some(config.tenant_max_inflight as u64),
             completions: Mutex::new(Vec::new()),
             poller_backend,
             waker,
@@ -442,7 +410,7 @@ impl Shared {
     fn tenant_try_admit(&self, tenant: &str) -> Result<(), (u64, u64)> {
         let mut tenants = self.tenants.lock().unwrap();
         let c = tenants.entry(tenant.to_string()).or_default();
-        if let Some(cap) = self.limits.cap() {
+        if let Some(cap) = self.tenant_cap {
             if c.pending >= cap {
                 c.rejected += 1;
                 return Err((c.pending, cap));
