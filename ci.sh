@@ -261,6 +261,30 @@ if [ "$stages" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> structural guard: one launch path"
+# A blocking construct is a launch-graph submission the caller completes
+# (`Concord::submit`, then `complete`), and `Concord::admit` decides every
+# fact a launch runs under, resolving the access summary against live
+# pointers once. Waves run from the graph's drain loop and from the
+# worklist round loop only. A second launch path, a wave run from anywhere
+# else, or a second resolution of the summary fails here.
+runtime_src=$(for f in crates/runtime/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done)
+if grep -nE 'fn blocking\b' <<<"$runtime_src" >&2; then
+    echo "!! non-test crates/runtime/src has a blocking launch path beside the graph again" >&2
+    exit 1
+fi
+wave_callers=$(awk '/^    (pub )?fn [a-z_]+/ { name = $0; sub(/^ *(pub )?fn /, "", name); sub(/[(<].*/, "", name) }
+    /run_wave\(/ && !/fn run_wave\(/ { print name }' <<<"$runtime_src" | sort | tr '\n' ' ')
+if [ "$wave_callers" != "drain_one_wave parallel_worklist_hetero " ]; then
+    echo "!! run_wave( is called from [$wave_callers], want [drain_one_wave parallel_worklist_hetero ]" >&2
+    exit 1
+fi
+resolutions=$(grep -E 'resolve_base\(' <<<"$runtime_src" | grep -cvE 'fn resolve_base\(' || true)
+if [ "$resolutions" -ne 1 ]; then
+    echo "!! crates/runtime/src calls resolve_base( at $resolutions non-test sites, want 1" >&2
+    exit 1
+fi
+
 echo "==> structural guard: one decoder"
 # Both simulators execute the decoded form of crates/cpusim/src/program.rs,
 # and only that file reads IR opcodes. An interpreter that walks `Op`s again,
