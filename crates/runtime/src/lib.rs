@@ -1205,15 +1205,14 @@ impl Concord {
         let launch = self.admit(class, body, n, target, construct)?;
         self.record_op(|| SessionOp::Launch { class: class.to_string(), body, n, target, reduce });
         let id = self.launch_graph.submit(launch);
-        self.tracer.instant(
-            Track::Sched,
-            "submit",
-            vec![
+        if self.tracer.enabled() {
+            let args = vec![
                 ("launch", (id.0 as i64).into()),
                 ("kernel", class.into()),
                 ("n", i64::from(n).into()),
-            ],
-        );
+            ];
+            self.tracer.instant(Track::Sched, "submit", args);
+        }
         Ok(id)
     }
 
@@ -1242,7 +1241,7 @@ impl Concord {
         let Some((body_lo, body_hi)) = self.heap.block_range(body) else {
             return Footprint::opaque();
         };
-        let mut ranges = Vec::new();
+        let mut ranges = Vec::with_capacity(summary.records.len() + 2);
         // Every launch reads its body block (the runtime passes it to the
         // kernel); a reduction also stages copies from it and joins the
         // partials back into it.
@@ -1290,13 +1289,15 @@ impl Concord {
     /// [`RuntimeError::UnknownLaunch`] for an id never submitted (or
     /// already taken); otherwise the launch's own result.
     pub fn complete(&mut self, id: LaunchId) -> Result<OffloadReport, RuntimeError> {
-        while !self.finished.contains_key(&id.0) {
+        loop {
+            if let Some(result) = self.finished.remove(&id.0) {
+                return result;
+            }
             if !self.launch_graph.has(id.0) {
                 return Err(RuntimeError::UnknownLaunch(id));
             }
             self.drain_one_wave();
         }
-        self.finished.remove(&id.0).expect("checked above")
     }
 
     /// Drain every pending launch. Per-launch results stay retrievable
@@ -2485,6 +2486,22 @@ mod tests {
                 .to_vec()
         };
         assert_eq!(run(true), run(false), "blocking Walk ran ahead of the pending Link");
+    }
+
+    #[test]
+    fn a_blocking_launch_may_join_the_last_pending_wave() {
+        let (mut serial, sa, sab, sb, sbb) = fig1_context(1);
+        serial.parallel_for_hetero("LoopBody", sab, 100, Target::Gpu).unwrap();
+        let want = serial.parallel_for_hetero("LoopBody", sbb, 100, Target::Gpu).unwrap();
+
+        let (mut cc, a, ab, b, bb) = fig1_context(1);
+        let pending = cc.submit_for("LoopBody", ab, 100, Target::Gpu).unwrap();
+        let got = cc.parallel_for_hetero("LoopBody", bb, 100, Target::Gpu).unwrap();
+        assert_reports_eq(&got, &want, "blocking launch behind a pending one");
+        assert!(cc.complete(pending).is_ok());
+        assert_eq!(nodes_bytes(&cc, a), nodes_bytes(&serial, sa));
+        assert_eq!(nodes_bytes(&cc, b), nodes_bytes(&serial, sb));
+        assert_eq!(cc.graph_stats().fences_elided, 1, "the two launches share one fence pair");
     }
 
     #[test]
