@@ -40,6 +40,14 @@ fn main() {
         );
         return;
     }
+    // A flag this daemon does not know (a deleted one included) is an
+    // error, not a silently different configuration.
+    let known =
+        ["--addr", "--workers", "--queue", "--cache-dir", "--tenant-max-inflight", "--trace"];
+    let unknown = |a: &&String| a.starts_with("--") && !known.contains(&a.as_str());
+    if let Some(flag) = args.iter().skip(1).find(unknown) {
+        or_usage(Err::<(), _>(ArgError(format!("unknown flag `{flag}`"))));
+    }
     let mut config = ServeConfig::default();
     if let Some(addr) = or_usage(value_of(&args, "--addr")) {
         config.addr = addr.to_string();
