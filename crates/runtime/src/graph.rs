@@ -1,10 +1,11 @@
 //! The dependency-aware launch graph behind [`Concord::submit_for`] /
-//! [`Concord::complete`](crate::Concord::complete).
+//! [`Concord::complete`](crate::Concord::complete), which every `for` and
+//! reduce launch enters, the blocking constructs included.
 //!
-//! The serial offload path brackets every construct with its own fence
-//! pair and runs constructs strictly one after another. This module holds
-//! the bookkeeping that lets the runtime do better *without changing a
-//! single output byte*: every submitted launch carries a [`Footprint`] —
+//! Run serially, every construct takes its own fence pair and runs
+//! strictly after the one before. This module holds the bookkeeping that
+//! lets the runtime do better *without changing a single output byte*:
+//! every submitted launch carries a [`Footprint`] —
 //! the set of shared-region byte ranges it may touch, each tagged with
 //! the strongest [`AccessMode`] the static summary inferred — and a
 //! pairwise [`Conflict`] test decides what the drain loop may do:
