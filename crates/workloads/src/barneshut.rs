@@ -405,8 +405,7 @@ mod tests {
     #[test]
     fn node_layout_matches_struct() {
         let lp = concord_frontend::compile(SOURCE).unwrap();
-        let idx = lp.env.lookup("OTNode").unwrap();
-        let info = lp.env.info(idx);
+        let info = lp.module.structs.iter().find(|s| s.name == "OTNode").unwrap();
         assert_eq!(info.field("cx").unwrap().offset, 64);
         assert_eq!(info.field("mass").unwrap().offset, 76);
         assert_eq!(info.field("size").unwrap().offset, 80);

@@ -229,9 +229,8 @@ mod tests {
     fn node_size_matches_struct_layout() {
         // Guard against layout drift between the builder and the kernel.
         let lp = concord_frontend::compile(SOURCE).unwrap();
-        let idx = lp.env.lookup("BTNode").unwrap();
-        assert_eq!(lp.env.info(idx).size, NODE_SIZE);
-        let info = lp.env.info(idx);
+        let info = lp.module.structs.iter().find(|s| s.name == "BTNode").unwrap();
+        assert_eq!(info.size, NODE_SIZE);
         assert_eq!(info.field("keys").unwrap().offset, 64);
         assert_eq!(info.field("vals").unwrap().offset, 92);
         assert_eq!(info.field("nkeys").unwrap().offset, 120);

@@ -380,10 +380,11 @@ mod tests {
     #[test]
     fn layouts_match_structs() {
         let lp = concord_frontend::compile(SOURCE).unwrap();
-        let st = lp.env.info(lp.env.lookup("Stage").unwrap());
+        let layout = |name: &str| lp.module.structs.iter().find(|s| s.name == name).unwrap();
+        let st = layout("Stage");
         assert_eq!(st.size, 16);
         assert_eq!(st.field("first").unwrap().offset, 4);
-        let ft = lp.env.info(lp.env.lookup("Feature").unwrap());
+        let ft = layout("Feature");
         assert_eq!(ft.size, 32);
         assert_eq!(ft.field("w").unwrap().offset, 16);
         assert_eq!(ft.field("fail").unwrap().offset, 28);

@@ -365,10 +365,10 @@ mod tests {
         assert_eq!(lp.module.classes[0].name, "Shape");
         assert_eq!(lp.module.classes[1].name, "Sphere");
         assert_eq!(lp.module.classes[2].name, "Plane");
-        let idx = lp.env.lookup("Shape").unwrap();
-        assert_eq!(lp.env.info(idx).size, SHAPE_SIZE.div_ceil(8) * 8);
-        assert_eq!(lp.env.info(idx).field("cx").unwrap().offset, 8);
-        assert_eq!(lp.env.info(idx).field("p0").unwrap().offset, 20);
+        let info = lp.module.structs.iter().find(|s| s.name == "Shape").unwrap();
+        assert_eq!(info.size, SHAPE_SIZE.div_ceil(8) * 8);
+        assert_eq!(info.field("cx").unwrap().offset, 8);
+        assert_eq!(info.field("p0").unwrap().offset, 20);
     }
 
     #[test]

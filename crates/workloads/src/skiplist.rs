@@ -176,9 +176,9 @@ mod tests {
     #[test]
     fn node_layout_matches_struct() {
         let lp = concord_frontend::compile(SOURCE).unwrap();
-        let idx = lp.env.lookup("SLNode").unwrap();
-        assert_eq!(lp.env.info(idx).size, NODE_SIZE.div_ceil(8) * 8);
-        assert_eq!(lp.env.info(idx).field("key").unwrap().offset, 64);
-        assert_eq!(lp.env.info(idx).field("val").unwrap().offset, 68);
+        let info = lp.module.structs.iter().find(|s| s.name == "SLNode").unwrap();
+        assert_eq!(info.size, NODE_SIZE.div_ceil(8) * 8);
+        assert_eq!(info.field("key").unwrap().offset, 64);
+        assert_eq!(info.field("val").unwrap().offset, 68);
     }
 }
