@@ -2,175 +2,20 @@
 //!
 //! Builds on the primitive layer in [`concord_ir::codec`]; see that module
 //! for the format conventions (little-endian scalars, `u32` length
-//! prefixes, one tag byte per enum variant, total decoding). This module
-//! lives in the frontend because [`TypeEnv`]'s name index is private: the
-//! decoder rebuilds it from the struct names rather than persisting it.
+//! prefixes, one tag byte per enum variant, total decoding). A lowered
+//! program persists as its IR module (the one struct layout it carries),
+//! its kernel entry points, its restriction warnings and its source
+//! statistics. The impls live here because the types do: the orphan rule
+//! puts an impl of [`Codec`] beside the type it encodes.
 
 use crate::diag::RestrictionWarning;
-use crate::lower::{FnSig, KernelInfo, LoweredProgram, SourceInfo};
-use crate::types::{MethodSig, STy, SemaField, StructInfo, TypeEnv};
+use crate::lower::{KernelInfo, LoweredProgram, SourceInfo};
 use concord_ir::codec::{ByteReader, ByteWriter, Codec, DecodeError};
-use concord_ir::{FuncId, Module, StructId};
-
-impl Codec for STy {
-    fn encode(&self, w: &mut ByteWriter) {
-        match self {
-            STy::Void => w.u8(0),
-            STy::Bool => w.u8(1),
-            STy::Int => w.u8(2),
-            STy::UInt => w.u8(3),
-            STy::Long => w.u8(4),
-            STy::Float => w.u8(5),
-            STy::Double => w.u8(6),
-            STy::Struct(i) => {
-                w.u8(7);
-                w.u64(*i as u64);
-            }
-            STy::Ptr(inner) => {
-                w.u8(8);
-                inner.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => STy::Void,
-            1 => STy::Bool,
-            2 => STy::Int,
-            3 => STy::UInt,
-            4 => STy::Long,
-            5 => STy::Float,
-            6 => STy::Double,
-            7 => STy::Struct(r.u64()? as usize),
-            8 => STy::Ptr(Box::new(STy::decode(r)?)),
-            t => return Err(r.err(format!("invalid STy tag {t}"))),
-        })
-    }
-}
-
-impl Codec for MethodSig {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.name.encode(w);
-        self.func.encode(w);
-        self.params.encode(w);
-        self.ret.encode(w);
-        w.bool(self.is_virtual);
-        self.slot.encode(w);
-        w.u64(self.owner as u64);
-        w.u64(self.this_offset);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(MethodSig {
-            name: String::decode(r)?,
-            func: FuncId::decode(r)?,
-            params: Vec::decode(r)?,
-            ret: STy::decode(r)?,
-            is_virtual: r.bool()?,
-            slot: Option::decode(r)?,
-            owner: r.u64()? as usize,
-            this_offset: r.u64()?,
-        })
-    }
-}
-
-impl Codec for SemaField {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.name.encode(w);
-        self.ty.encode(w);
-        w.u64(self.count);
-        w.u64(self.offset);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(SemaField {
-            name: String::decode(r)?,
-            ty: STy::decode(r)?,
-            count: r.u64()?,
-            offset: r.u64()?,
-        })
-    }
-}
-
-impl Codec for StructInfo {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.name.encode(w);
-        self.sid.encode(w);
-        w.u64(self.size);
-        w.u32(self.bases.len() as u32);
-        for (idx, off) in &self.bases {
-            w.u64(*idx as u64);
-            w.u64(*off);
-        }
-        self.sema_fields.encode(w);
-        self.methods.encode(w);
-        self.class_id.encode(w);
-        self.vtable.encode(w);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let name = String::decode(r)?;
-        let sid = StructId::decode(r)?;
-        let size = r.u64()?;
-        let n_bases = r.len()?;
-        let mut bases = Vec::with_capacity(n_bases);
-        for _ in 0..n_bases {
-            let idx = r.u64()? as usize;
-            let off = r.u64()?;
-            bases.push((idx, off));
-        }
-        Ok(StructInfo {
-            name,
-            sid,
-            size,
-            bases,
-            sema_fields: Vec::decode(r)?,
-            methods: Vec::decode(r)?,
-            class_id: Option::decode(r)?,
-            vtable: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Codec for TypeEnv {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.structs.encode(w);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(TypeEnv::from_structs(Vec::decode(r)?))
-    }
-}
-
-impl Codec for FnSig {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.name.encode(w);
-        self.params.encode(w);
-        self.ret.encode(w);
-        w.bool(self.has_sret);
-        w.u8(match self.method_of {
-            None => 0,
-            Some(_) => 1,
-        });
-        if let Some(i) = self.method_of {
-            w.u64(i as u64);
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(FnSig {
-            name: String::decode(r)?,
-            params: Vec::decode(r)?,
-            ret: STy::decode(r)?,
-            has_sret: r.bool()?,
-            method_of: match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()? as usize),
-                t => return Err(r.err(format!("invalid method_of tag {t}"))),
-            },
-        })
-    }
-}
+use concord_ir::{FuncId, Module};
 
 impl Codec for KernelInfo {
     fn encode(&self, w: &mut ByteWriter) {
         self.class_name.encode(w);
-        w.u64(self.struct_idx as u64);
         self.operator_fn.encode(w);
         self.join_fn.encode(w);
         w.u64(self.body_size);
@@ -178,7 +23,6 @@ impl Codec for KernelInfo {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         Ok(KernelInfo {
             class_name: String::decode(r)?,
-            struct_idx: r.u64()? as usize,
             operator_fn: FuncId::decode(r)?,
             join_fn: Option::decode(r)?,
             body_size: r.u64()?,
@@ -209,8 +53,6 @@ impl Codec for RestrictionWarning {
 impl Codec for LoweredProgram {
     fn encode(&self, w: &mut ByteWriter) {
         self.module.encode(w);
-        self.env.encode(w);
-        self.sigs.encode(w);
         self.kernels.encode(w);
         self.warnings.encode(w);
         self.source_info.encode(w);
@@ -218,8 +60,6 @@ impl Codec for LoweredProgram {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         Ok(LoweredProgram {
             module: Module::decode(r)?,
-            env: TypeEnv::decode(r)?,
-            sigs: Vec::decode(r)?,
             kernels: Vec::decode(r)?,
             warnings: Vec::decode(r)?,
             source_info: SourceInfo::decode(r)?,
@@ -250,8 +90,16 @@ mod tests {
         let bytes = encode_to_vec(&prog);
         let back: LoweredProgram = decode_exact(&bytes).expect("decodes");
 
-        // The IR module is structurally identical.
+        // The IR module, the one struct layout the artifact carries, is
+        // structurally identical.
         assert_eq!(back.module.structs, prog.module.structs);
+        assert_eq!(back.module.classes.len(), prog.module.classes.len());
+        for (a, b) in prog.module.classes.iter().zip(back.module.classes.iter()) {
+            assert_eq!(
+                (&a.name, a.layout, &a.bases, &a.vtable),
+                (&b.name, b.layout, &b.bases, &b.vtable)
+            );
+        }
         assert_eq!(back.module.functions.len(), prog.module.functions.len());
         for (a, b) in prog.module.functions.iter().zip(back.module.functions.iter()) {
             assert_eq!(a.name, b.name);
@@ -259,17 +107,6 @@ mod tests {
             assert_eq!(a.blocks, b.blocks);
             assert_eq!(a.kernel, b.kernel);
         }
-
-        // The type environment's name index was rebuilt, not persisted.
-        for (i, info) in prog.env.structs.iter().enumerate() {
-            assert_eq!(back.env.lookup(&info.name), Some(i));
-        }
-        assert_eq!(back.env.structs.len(), prog.env.structs.len());
-        let a = &prog.env.structs[prog.kernels[0].struct_idx];
-        let b = &back.env.structs[back.kernels[0].struct_idx];
-        assert_eq!(a.vtable, b.vtable);
-        assert_eq!(a.methods.len(), b.methods.len());
-        assert_eq!(a.sema_fields.len(), b.sema_fields.len());
 
         // Kernel metadata survives.
         assert_eq!(back.kernels.len(), prog.kernels.len());
@@ -279,7 +116,6 @@ mod tests {
         assert_eq!(back.kernels[0].body_size, prog.kernels[0].body_size);
         assert_eq!(back.source_info.total_lines, prog.source_info.total_lines);
         assert_eq!(back.source_info.device_lines, prog.source_info.device_lines);
-        assert_eq!(back.sigs.len(), prog.sigs.len());
         assert_eq!(back.warnings.len(), prog.warnings.len());
     }
 
@@ -290,22 +126,5 @@ mod tests {
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_exact::<LoweredProgram>(&bytes[..cut]).is_err());
         }
-    }
-
-    #[test]
-    fn sty_roundtrip_covers_nesting() {
-        let tys = vec![
-            STy::Void,
-            STy::Bool,
-            STy::Int,
-            STy::UInt,
-            STy::Long,
-            STy::Float,
-            STy::Double,
-            STy::Struct(3),
-            STy::Ptr(Box::new(STy::Ptr(Box::new(STy::Struct(1))))),
-        ];
-        let bytes = encode_to_vec(&tys);
-        assert_eq!(decode_exact::<Vec<STy>>(&bytes).unwrap(), tys);
     }
 }

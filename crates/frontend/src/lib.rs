@@ -35,11 +35,10 @@ pub mod diag;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
-pub mod types;
+mod types;
 
 pub use diag::{CompileError, RestrictionWarning};
-pub use lower::{FnSig, KernelInfo, LoweredProgram, SourceInfo};
-pub use types::{STy, TypeEnv};
+pub use lower::{KernelInfo, LoweredProgram, SourceInfo};
 
 /// Compile kernel-language source to a lowered, verified IR module.
 ///

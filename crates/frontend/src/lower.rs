@@ -22,8 +22,6 @@ use std::collections::HashMap;
 pub struct KernelInfo {
     /// Name of the body class.
     pub class_name: String,
-    /// Struct index of the body class.
-    pub struct_idx: usize,
     /// The `operator()(int)` function.
     pub operator_fn: FuncId,
     /// The `join` function, when the class supports reduction.
@@ -32,19 +30,17 @@ pub struct KernelInfo {
     pub body_size: u64,
 }
 
-/// Signature of a lowered function (host-side call info).
+/// Signature of a lowered function, indexed by [`FuncId`] while lowering.
 #[derive(Debug, Clone)]
-pub struct FnSig {
+pub(crate) struct FnSig {
     /// Display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Semantic parameter types (excluding `this`/sret).
-    pub params: Vec<STy>,
+    pub(crate) params: Vec<STy>,
     /// Semantic return type.
-    pub ret: STy,
+    pub(crate) ret: STy,
     /// Whether the IR function takes an sret pointer as its first param.
-    pub has_sret: bool,
-    /// Owner struct index for methods.
-    pub method_of: Option<usize>,
+    pub(crate) has_sret: bool,
 }
 
 /// Source-size statistics (the Table 1 analogue).
@@ -56,15 +52,13 @@ pub struct SourceInfo {
     pub device_lines: u32,
 }
 
-/// Result of lowering a translation unit.
+/// Result of lowering a translation unit. The IR module's struct table is
+/// the one layout description it carries: the type environment and the
+/// signature table are locals of [`lower`].
 #[derive(Debug, Clone)]
 pub struct LoweredProgram {
     /// The IR module.
     pub module: Module,
-    /// The resolved type environment.
-    pub env: TypeEnv,
-    /// Function signatures, indexed by [`FuncId`].
-    pub sigs: Vec<FnSig>,
     /// Kernel entry points.
     pub kernels: Vec<KernelInfo>,
     /// GPU-restriction warnings (§2.1): affected kernels fall back to CPU.
@@ -241,7 +235,6 @@ pub fn lower(program: &Program, src: &str) -> Result<LoweredProgram, CompileErro
         }
         kernels.push(KernelInfo {
             class_name: s.name.clone(),
-            struct_idx: idx,
             operator_fn: op.func,
             join_fn: join,
             body_size: info.size,
@@ -257,7 +250,7 @@ pub fn lower(program: &Program, src: &str) -> Result<LoweredProgram, CompileErro
     let warnings = check_restrictions(&module, &kernels, &sigs);
 
     let source_info = SourceInfo { total_lines: src.lines().count() as u32, device_lines };
-    Ok(LoweredProgram { module, env, sigs, kernels, warnings, source_info })
+    Ok(LoweredProgram { module, kernels, warnings, source_info })
 }
 
 fn adjust_inherited(env: &TypeEnv, base: usize, off: u64) -> Vec<MethodSig> {
@@ -378,7 +371,7 @@ fn declare_function(
     placeholder.blocks[0].insts.push(term);
     placeholder.owner_class = method_of.and_then(|i| env.info(i).class_id);
     let fid = module.add_function(placeholder);
-    sigs.push(FnSig { name: display_name, params, ret, has_sret, method_of });
+    sigs.push(FnSig { name: display_name, params, ret, has_sret });
     Ok(fid)
 }
 

@@ -175,13 +175,6 @@ impl TypeEnv {
         Self::default()
     }
 
-    /// Rebuild an environment from decoded struct infos, reconstructing the
-    /// name index (used when deserializing a cached artifact).
-    pub(crate) fn from_structs(structs: Vec<StructInfo>) -> Self {
-        let by_name = structs.iter().enumerate().map(|(i, s)| (s.name.clone(), i)).collect();
-        TypeEnv { structs, by_name }
-    }
-
     /// Look up a struct by name.
     pub fn lookup(&self, name: &str) -> Option<usize> {
         self.by_name.get(name).copied()
@@ -262,22 +255,6 @@ impl TypeEnv {
         });
         self.by_name.insert(name.to_string(), idx);
         idx
-    }
-
-    /// Convenience for tests and single-pass callers: declare + fill.
-    ///
-    /// # Errors
-    ///
-    /// See [`TypeEnv::fill_struct`].
-    pub fn register_struct(
-        &mut self,
-        decl: &StructDecl,
-        module: &mut concord_ir::Module,
-        will_be_polymorphic: bool,
-    ) -> Result<usize, CompileError> {
-        let idx = self.declare_struct(&decl.name, module);
-        self.fill_struct(idx, decl, module, will_be_polymorphic)?;
-        Ok(idx)
     }
 
     /// Compute a pre-declared struct's layout, flattening bases and
@@ -471,13 +448,25 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
+    /// Declare and fill one struct, as `lower` does in two passes.
+    fn register(
+        env: &mut TypeEnv,
+        decl: &StructDecl,
+        module: &mut concord_ir::Module,
+        poly: bool,
+    ) -> Result<usize, CompileError> {
+        let idx = env.declare_struct(&decl.name, module);
+        env.fill_struct(idx, decl, module, poly)?;
+        Ok(idx)
+    }
+
     fn env_for(src: &str) -> (TypeEnv, concord_ir::Module) {
         let prog = parse(src).unwrap();
         let mut env = TypeEnv::new();
         let mut module = concord_ir::Module::new();
         for s in prog.structs() {
             let poly = s.methods.iter().any(|m| m.is_virtual);
-            env.register_struct(s, &mut module, poly).unwrap();
+            register(&mut env, s, &mut module, poly).unwrap();
         }
         (env, module)
     }
@@ -544,9 +533,9 @@ mod tests {
         let mut env = TypeEnv::new();
         let mut module = concord_ir::Module::new();
         let decls: Vec<_> = prog.structs().collect();
-        env.register_struct(decls[0], &mut module, false).unwrap();
-        env.register_struct(decls[1], &mut module, true).unwrap();
-        let err = env.register_struct(decls[2], &mut module, false).unwrap_err();
+        register(&mut env, decls[0], &mut module, false).unwrap();
+        register(&mut env, decls[1], &mut module, true).unwrap();
+        let err = register(&mut env, decls[2], &mut module, false).unwrap_err();
         assert!(err.message.contains("non-primary polymorphic"));
     }
 

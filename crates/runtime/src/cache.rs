@@ -1,7 +1,9 @@
 //! Process-wide compile/JIT-artifact sharing across [`Concord`] sessions.
 //!
-//! A [`Concord`] built with [`Concord::new`] compiles its source privately
-//! and JIT-caches GPU binaries per instance (§3.4). A multi-session host —
+//! Every [`Concord`] gets its compiled artifact through an [`ArtifactCache`].
+//! One built with [`Concord::new`] gets a fresh in-memory cache of its own,
+//! so it compiles its source privately and JIT-caches GPU binaries per
+//! instance (§3.4). A multi-session host —
 //! `concord-serve` multiplexing independent clients, or any embedder that
 //! spins up many contexts over the same kernels — would repeat that work
 //! once per session. [`ArtifactCache`] hoists it to the process: entries
@@ -31,7 +33,10 @@ const DISK_MAGIC: &[u8; 8] = b"CONCACHE";
 
 /// On-disk format version. Bumped whenever any codec layout changes; files
 /// carrying another version are evicted and recompiled, never misread.
-const DISK_FORMAT_VERSION: u32 = 1;
+/// Format 2 dropped the frontend's type environment and signature table
+/// from the payload: a lowered program is its IR module, kernels, warnings
+/// and source statistics.
+const DISK_FORMAT_VERSION: u32 = 2;
 
 /// The per-kernel "already JIT-compiled" set shared by every session that
 /// hit the same cache entry. The GPU backend charges `jit_ms` only on the

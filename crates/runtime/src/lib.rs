@@ -672,14 +672,14 @@ impl std::fmt::Debug for Concord {
 }
 
 impl Concord {
-    /// Compile `source` and set up the shared region, vtables, and both
-    /// device backends for `system`.
+    /// Compile `source` through a fresh in-memory [`ArtifactCache`] and set
+    /// up the shared region, vtables, and both device backends for `system`.
     ///
     /// # Errors
     ///
     /// Compilation errors and vtable installation faults.
     pub fn new(system: SystemConfig, source: &str, opts: Options) -> Result<Self, RuntimeError> {
-        Self::build(system, source, opts, None)
+        Self::build(system, source, opts, &ArtifactCache::new())
     }
 
     /// Like [`Concord::new`], but sharing compile and JIT artifacts through
@@ -699,14 +699,17 @@ impl Concord {
         opts: Options,
         cache: &ArtifactCache,
     ) -> Result<Self, RuntimeError> {
-        Self::build(system, source, opts, Some(cache))
+        Self::build(system, source, opts, cache)
     }
 
+    /// The one way a session gets its compiled artifact: through `cache`,
+    /// which compiles on a miss. [`Concord::new`] passes a fresh in-memory
+    /// cache, so its session owns its modules, JIT set and native slot.
     fn build(
         system: SystemConfig,
         source: &str,
         opts: Options,
-        cache: Option<&ArtifactCache>,
+        cache: &ArtifactCache,
     ) -> Result<Self, RuntimeError> {
         let tracer = Tracer::new(opts.trace);
         let gpu_cfg = opts.gpu_config.unwrap_or(GpuConfig::all(system.gpu.eus));
@@ -728,31 +731,14 @@ impl Concord {
             }
             Ok((program, gpu_artifact))
         };
-        let (program, gpu_artifact, jitted, native_slot) = match cache {
-            Some(cache) => {
-                let (entry, hit) = cache.lookup_or_compile(source, gpu_cfg, compile)?;
-                tracer.instant(
-                    Track::Runtime,
-                    "artifact_cache",
-                    vec![("hit", hit.into()), ("source_hash", cache::source_hash(source).into())],
-                );
-                (
-                    Arc::clone(&entry.program),
-                    Arc::clone(&entry.gpu_artifact),
-                    Arc::clone(&entry.jitted),
-                    Arc::clone(&entry.native),
-                )
-            }
-            None => {
-                let (program, gpu_artifact) = compile()?;
-                (
-                    Arc::new(program),
-                    Arc::new(gpu_artifact),
-                    Arc::new(Mutex::new(HashSet::new())),
-                    Arc::new(Mutex::new(None)),
-                )
-            }
-        };
+        let (entry, hit) = cache.lookup_or_compile(source, gpu_cfg, compile)?;
+        if tracer.enabled() {
+            let args =
+                vec![("hit", hit.into()), ("source_hash", cache::source_hash(source).into())];
+            tracer.instant(Track::Runtime, "artifact_cache", args);
+        }
+        let program = Arc::clone(&entry.program);
+        let gpu_artifact = Arc::clone(&entry.gpu_artifact);
         let reserved = VtableArea::reserve_for(program.module.classes.len());
         let mut region = SharedRegion::new(opts.region_bytes, reserved);
         region.set_tracer(tracer.clone());
@@ -782,8 +768,8 @@ impl Concord {
         };
         Ok(Concord {
             cpu: CpuBackend::new(cpu),
-            gpu: GpuBackend::new(gpu, jitted),
-            native: NativeBackend::new(system.cpu.cores, host_threads, native_slot),
+            gpu: GpuBackend::new(gpu, Arc::clone(&entry.jitted)),
+            native: NativeBackend::new(system.cpu.cores, host_threads, Arc::clone(&entry.native)),
             system,
             program,
             gpu_artifact,

@@ -1,6 +1,6 @@
 //! On-disk [`ArtifactCache`] persistence: restart reuse, corruption
-//! eviction (truncated / bit-flipped / wrong-version files), and sibling
-//! caches racing on one spill directory.
+//! eviction (truncated / bit-flipped / wrong-version / format-1 files), and
+//! sibling caches racing on one spill directory.
 
 use concord_energy::SystemConfig;
 use concord_runtime::{ArtifactCache, Concord, Options, Target};
@@ -149,6 +149,30 @@ fn wrong_version_entry_is_evicted() {
     run_one(&cache, SRC_A, "Scale2");
     assert_eq!(cache.corrupt_evicted(), 1, "future-version file must not be misread");
     assert_eq!(cache.compiles(), 1);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn format_1_entry_is_evicted_not_misread() {
+    let dir = scratch_dir("format1");
+    let cache = ArtifactCache::with_disk(&dir).unwrap();
+    run_one(&cache, SRC_A, "Scale2");
+    drop(cache);
+
+    // Format 1 carried the frontend's type environment and signature table
+    // after the IR module; its payload cannot decode as today's. Stamp a
+    // fresh entry with version 1: the version word alone must reject it.
+    let path = entry_file(&dir);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let cache = ArtifactCache::with_disk(&dir).unwrap();
+    run_one(&cache, SRC_A, "Scale2");
+    assert_eq!(cache.corrupt_evicted(), 1, "a format-1 file must be evicted, not decoded");
+    assert_eq!(cache.compiles(), 1, "and recompiled");
+    assert_eq!(cache.disk_hits(), 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
