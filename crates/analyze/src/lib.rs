@@ -78,12 +78,11 @@ impl Mode {
     }
 }
 
-/// What the pre-launch gate does with analysis findings.
+/// What the pre-launch gate does with analysis findings. Two levels: the
+/// runtime walks every ungated kernel for its scheduler's facts whatever
+/// the level, so the gate only decides what the findings do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Gate {
-    /// Neither gate launches on findings nor trace them. (The runtime
-    /// still computes the access facts its scheduler needs on first need.)
-    Off,
     /// Analyze and surface findings (trace + report), always launch.
     #[default]
     Warn,
@@ -96,17 +95,15 @@ impl Gate {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Gate::Off => "off",
             Gate::Warn => "warn",
             Gate::Deny => "deny",
         }
     }
 
-    /// Parse an options string (`"off"` / `"warn"` / `"deny"`).
+    /// Parse an options string (`"warn"` / `"deny"`).
     #[must_use]
     pub fn parse(s: &str) -> Option<Gate> {
         match s {
-            "off" => Some(Gate::Off),
             "warn" => Some(Gate::Warn),
             "deny" => Some(Gate::Deny),
             _ => None,

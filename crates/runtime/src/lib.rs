@@ -188,13 +188,12 @@ pub struct Options {
     /// value — execution uses snapshot-and-log isolation with a fixed
     /// chunk-order merge.
     pub host_threads: Option<usize>,
-    /// Pre-launch static analysis gate (see `concord-analyze`): `Warn`
-    /// (the default) traces findings but always launches, `Deny` refuses
-    /// kernels with error-severity findings with
-    /// [`RuntimeError::AnalysisDenied`], `Off` neither gates nor traces
-    /// findings. At every level the scheduler's facts (access summary,
-    /// CA108 verdict) are still computed on first need: by a submit's
-    /// footprint or a native launch.
+    /// Pre-launch static analysis gate (see `concord-analyze`), one of two
+    /// levels: `Warn` (the default) traces findings but always launches,
+    /// `Deny` refuses kernels with error-severity findings with
+    /// [`RuntimeError::AnalysisDenied`]. At both levels the scheduler's
+    /// facts (access summary, CA108 verdict) are computed on first need:
+    /// by a submit's footprint or a native launch.
     pub analysis: AnalysisGate,
 }
 
@@ -938,17 +937,14 @@ impl Concord {
         report
     }
 
-    /// The pre-launch gate: no-op at `Off`, analyze-and-trace at `Warn`,
-    /// refuse error-severity kernels at `Deny`.
+    /// The pre-launch gate: analyze-and-trace at `Warn`, and also refuse
+    /// error-severity kernels at `Deny`.
     fn gate_launch(
         &mut self,
         class: &str,
         func: FuncId,
         conv: Convention,
     ) -> Result<(), RuntimeError> {
-        if self.analysis == AnalysisGate::Off {
-            return Ok(());
-        }
         let deny = self.analysis == AnalysisGate::Deny;
         let report = self.traced_report(class, func, conv);
         if deny && report.has_errors() {
@@ -2341,12 +2337,10 @@ mod tests {
     }
 
     #[test]
-    fn warn_and_off_gates_still_launch_racy_kernel() {
-        for gate in [AnalysisGate::Warn, AnalysisGate::Off] {
-            let (mut cc, body) = racy_context(gate);
-            cc.parallel_for_hetero("RacyHistogram", body, 16, Target::Cpu)
-                .unwrap_or_else(|e| panic!("{gate:?} gate must not block: {e}"));
-        }
+    fn warn_gate_still_launches_racy_kernel() {
+        let (mut cc, body) = racy_context(AnalysisGate::Warn);
+        cc.parallel_for_hetero("RacyHistogram", body, 16, Target::Cpu)
+            .unwrap_or_else(|e| panic!("Warn gate must not block: {e}"));
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn native_hazard_serialized_counts_ca108_launches_at_every_gate() {
     if !concord_native::supported() {
         return;
     }
-    for gate in [AnalysisGate::Off, AnalysisGate::Warn, AnalysisGate::Deny] {
+    for gate in [AnalysisGate::Warn, AnalysisGate::Deny] {
         for host_threads in [1, 8] {
             assert_eq!(
                 counts(gate, host_threads),

@@ -79,11 +79,11 @@ pub struct SessionOptions {
     pub gpu_config: Option<String>,
     /// Shared-region capacity in bytes (server default when `None`).
     pub region_bytes: Option<u64>,
-    /// Static-analysis gate: `"off"`, `"warn"` (server default), or
-    /// `"deny"`. Under `"deny"` the server refuses to open a session whose
-    /// source contains a kernel with analysis errors (and refuses launches
-    /// that race a clean-under-reduce kernel), answering
-    /// `analysis_denied` with a structured `diagnostics` payload.
+    /// Static-analysis gate: `"warn"` (server default) or `"deny"`. Under
+    /// `"deny"` the server refuses to open a session whose source contains
+    /// a kernel with analysis errors (and refuses launches that race a
+    /// clean-under-reduce kernel), answering `analysis_denied` with a
+    /// structured `diagnostics` payload.
     pub analysis: Option<String>,
     /// Session-default launch target: `"cpu"`, `"gpu"`, `"auto"` (server
     /// default), `"native"`, or `"hybrid[:f]"`. A launch's own

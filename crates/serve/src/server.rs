@@ -1358,7 +1358,7 @@ fn open_session(
         None => Options::default().analysis,
         Some(s) => AnalysisGate::parse(s).ok_or((
             codes::BAD_REQUEST,
-            format!("unknown analysis gate `{s}` (expected off|warn|deny)"),
+            format!("unknown analysis gate `{s}` (expected warn|deny)"),
         ))?,
     };
     // Session-wide default launch target; a launch's own `target` field

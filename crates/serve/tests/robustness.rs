@@ -158,6 +158,22 @@ fn region_faults_and_bad_payloads_are_rejected() {
 }
 
 #[test]
+fn an_off_analysis_gate_is_refused_at_open() {
+    // The gate has two levels; `off` was one until it stopped skipping any
+    // walk the scheduler needs.
+    let server = start_server(1, 8);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let opts = SessionOptions { analysis: Some("off".to_string()), ..SessionOptions::default() };
+    let err = client.open_session(DOUBLE, &opts).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "server error bad_request: unknown analysis gate `off` (expected warn|deny)"
+    );
+    assert!(client.ping().is_ok());
+    server.join();
+}
+
+#[test]
 fn kernel_trap_is_reported_not_fatal() {
     let server = start_server(1, 8);
     let mut s = SessionHandle::connect(server.addr(), DOUBLE, &SessionOptions::default()).unwrap();
