@@ -423,6 +423,37 @@ if [ "$(wc -l <<<"$env_reads")" -ne 1 ] \
     exit 1
 fi
 
+echo "==> structural guard: one layout description in the compiled artifact"
+# A lowered program is its IR module, kernels, restriction warnings and
+# source statistics; the module's struct table is the one struct layout the
+# artifact carries, in memory and on disk. The frontend's type environment
+# and signature table are locals of `lower()`, and `Concord::build` gets
+# every session's artifact from `ArtifactCache::lookup_or_compile` (a
+# `Concord::new` session through a fresh cache). A codec for a frontend
+# symbol table, a field that keeps one, or a second compile path fails here.
+sema_codecs=$(for f in crates/frontend/src/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" \
+        | { grep -nE 'impl Codec for (STy|MethodSig|SemaField|StructInfo|TypeEnv|FnSig)\b' || true; } \
+        | sed "s|^|$f:|"
+done)
+if [ -n "$sema_codecs" ]; then
+    echo "!! non-test crates/frontend/src persists a frontend symbol table again:" >&2
+    echo "$sema_codecs" >&2
+    exit 1
+fi
+program_fields=$(sed -n '/^pub struct LoweredProgram {/,/^}/p' crates/frontend/src/lower.rs)
+if [ -z "$program_fields" ] || grep -nE '^ *pub (env|sigs):' <<<"$program_fields" >&2; then
+    echo "!! LoweredProgram (crates/frontend/src/lower.rs) is missing or keeps an env or sigs field" >&2
+    exit 1
+fi
+runtime_src=$(for f in crates/runtime/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done)
+compiles=$(grep -F 'lookup_or_compile(' <<<"$runtime_src" | grep -cvF 'fn lookup_or_compile' || true)
+if [ "$compiles" -ne 1 ] || grep -nF 'cache: Option<&ArtifactCache>' <<<"$runtime_src" >&2; then
+    echo "!! crates/runtime/src calls lookup_or_compile( at $compiles non-test sites (want 1)" >&2
+    echo "!! or takes an optional cache beside it" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
