@@ -32,15 +32,15 @@ pub struct KernelInfo {
 
 /// Signature of a lowered function, indexed by [`FuncId`] while lowering.
 #[derive(Debug, Clone)]
-pub(crate) struct FnSig {
+struct FnSig {
     /// Display name.
-    pub(crate) name: String,
+    name: String,
     /// Semantic parameter types (excluding `this`/sret).
-    pub(crate) params: Vec<STy>,
+    params: Vec<STy>,
     /// Semantic return type.
-    pub(crate) ret: STy,
+    ret: STy,
     /// Whether the IR function takes an sret pointer as its first param.
-    pub(crate) has_sret: bool,
+    has_sret: bool,
 }
 
 /// Source-size statistics (the Table 1 analogue).
