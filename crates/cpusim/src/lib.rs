@@ -1212,6 +1212,159 @@ mod tests {
         assert_eq!(serial, want);
     }
 
+    /// The step budget runs out on every instruction of a work item's
+    /// tail: mid-block, inside a loop head's phi group, inside a direct
+    /// callee, and on a block's last instruction. Even items run the loop
+    /// twice and odd items three times, so the odd items' third iteration
+    /// (a phi group, a store, then a recursive call) lies between the two
+    /// item lengths, and a budget between them lets item 0 finish and
+    /// traps item 1. Both launch paths, at one and at eight host threads,
+    /// must raise the same trap and leave the same bytes: every item
+    /// before the trapped one, and the trapped item's stores up to the
+    /// budget.
+    #[test]
+    fn step_budget_boundary_is_exact() {
+        const SRC: &str = r#"
+            int bump(int x, int d) {
+                if (d > 0) { return bump(x, d - 1) + 1; }
+                return x * 3 + 1;
+            }
+            class Budget {
+            public:
+                int* out;
+                void operator()(int i) {
+                    int a = i + 5; int b = 1;
+                    for (int j = 0; j < 2 + i % 2; j++) {
+                        out[i * 4 + j] = a;
+                        int t = bump(a, 1);
+                        a = b; b = t;
+                    }
+                    out[i * 4 + 3] = a + b;
+                }
+            };
+        "#;
+        // Instructions of an even and of an odd item, and the step (the
+        // count of instructions run, phi copies included) at which each
+        // of an item's four stores runs; an even item makes no third.
+        const EVEN: u64 = 107;
+        const ODD: u64 = 146;
+        const EVEN_STORES: [u64; 4] = [26, 65, u64::MAX, 106];
+        const ODD_STORES: [u64; 4] = [26, 65, 104, 145];
+        const N: u32 = 6;
+
+        let mut lp = compile(SRC).unwrap();
+        concord_compiler::optimize_for_cpu(&mut lp.module);
+        let k = lp.kernel("Budget").unwrap().operator_fn;
+        let ops: Vec<_> = lp.module.function(k).insts.iter().map(|i| &i.op).collect();
+        assert!(ops.iter().any(|o| matches!(o, concord_ir::inst::Op::Call { .. })), "a call");
+        assert!(ops.iter().any(|o| matches!(o, concord_ir::inst::Op::Phi(_))), "phis");
+        let kernel = lp.module.function(k).name.clone();
+        let (mut region, mut heap, vt) = setup(&lp, 1 << 16);
+        let out = heap.malloc(u64::from(N) * 16).unwrap();
+        let body = heap.malloc(8).unwrap();
+        region.write_ptr(body, out).unwrap();
+
+        // What a whole item writes, and what its first `steps` steps do.
+        let item = |i: i32, steps: u64| {
+            let (mut a, mut b, mut w) = (i + 5, 1, [0; 4]);
+            let stores = if i % 2 == 0 { EVEN_STORES } else { ODD_STORES };
+            for j in 0..2 + i % 2 {
+                if stores[j as usize] <= steps {
+                    w[j as usize] = a;
+                }
+                (a, b) = (b, a * 3 + 2);
+            }
+            if stores[3] <= steps {
+                w[3] = a + b;
+            }
+            w
+        };
+
+        // As in `cpusim_reports_are_pinned`: the skewed system's odd
+        // latencies make every charge's position show in the bits.
+        let skewed = CpuConfig {
+            ipc: 3.7,
+            branch_miss_penalty: 13.3,
+            l1_hit_cycles: 1.3,
+            llc_hit_cycles: 10.7,
+            mem_cycles: 70.9,
+            ..concord_energy::SystemConfig::desktop().cpu
+        };
+        let systems =
+            [("ultrabook", concord_energy::SystemConfig::ultrabook().cpu), ("skewed", skewed)];
+        let paths = [(true, 1), (true, 8), (false, 1), (false, 8)];
+        let mut got_lines = Vec::new();
+        for ((system, cfg), (in_order, ht)) in systems.iter().flat_map(|s| paths.map(|p| (s, p))) {
+            // The trapped core's cycles, every trapping budget folded in,
+            // and the one report of every budget that does not trap.
+            let path = if in_order { "in-order" } else { "fan-out" };
+            let mut folded = 0u64;
+            let mut reports = Vec::new();
+            for budget in EVEN - 3..=ODD + 3 {
+                let (trapped, want) = if budget < EVEN {
+                    (Some(0), item(0, budget).to_vec())
+                } else if budget < ODD {
+                    (Some(1), [item(0, u64::MAX), item(1, budget)].concat())
+                } else {
+                    (None, (0..N as i32).flat_map(|i| item(i, u64::MAX)).collect())
+                };
+                for i in 0..u64::from(N) * 4 {
+                    region.write_i32(CpuAddr(out.0 + i * 4), 0).unwrap();
+                }
+                let mut sim = CpuSim::new(*cfg);
+                sim.host_threads = ht;
+                sim.step_budget_per_item = budget;
+                let work =
+                    Work { func: k, body, kind: WorkKind::For, in_order, body_invariant: false };
+                let mut program = Program::new();
+                program.decode(&lp.module, &work);
+                let span = Span::full(N);
+                let r = sim.launch(&mut region, &vt, &program, &work, span, &mut Vec::new());
+                let at = format!("{system}, budget {budget}, in_order {in_order}, ht {ht}");
+                match (r, trapped) {
+                    (Err(t), Some(global_id)) => {
+                        let kernel = kernel.clone();
+                        assert_eq!(t, Trap::StepLimitExceeded { kernel, global_id }, "{at}");
+                        folded = folded.rotate_left(7) ^ sim.core0_cycles().to_bits();
+                    }
+                    (Ok(r), None) => reports.push(pin(&format!("{system} {path}"), &r)),
+                    (r, _) => panic!("{at}: {r:?}"),
+                }
+                let got: Vec<i32> = (0..u64::from(N) * 4)
+                    .map(|i| region.read_i32(CpuAddr(out.0 + i * 4)).unwrap())
+                    .collect();
+                let want = [want.clone(), vec![0; got.len() - want.len()]].concat();
+                assert_eq!(got, want, "{at}");
+            }
+            assert!(reports.iter().all(|r| *r == reports[0]), "{reports:?}");
+            got_lines.push([
+                format!("{system} {path} trapped: folded cycles={folded:#x}"),
+                reports.swap_remove(0),
+            ]);
+        }
+        // Host threads never move a bit. The paths differ only where the
+        // fan-out path charges an LLC access at commit: in the skewed
+        // system's rounding.
+        let got: Vec<String> = got_lines
+            .chunks(2)
+            .flat_map(|ht| {
+                assert_eq!(ht[0], ht[1], "host threads 1 and 8");
+                ht[0].clone()
+            })
+            .collect();
+        let want = [
+            "ultrabook in-order trapped: folded cycles=0x3ecc379e9f064d6e",
+            "ultrabook in-order: cycles=0x40839a0000000000 insts=759 loads=6 stores=21 branches=51 calls=30 translations=0 miss=0x3fe2323232323232 l1=0x3feb425ed097b426",
+            "ultrabook fan-out trapped: folded cycles=0x3ecc379e9f064d6e",
+            "ultrabook fan-out: cycles=0x40839a0000000000 insts=759 loads=6 stores=21 branches=51 calls=30 translations=0 miss=0x3fe2323232323232 l1=0x3feb425ed097b426",
+            "skewed in-order trapped: folded cycles=0x338e0686d4e65917",
+            "skewed in-order: cycles=0x407aba135f7b280c insts=759 loads=6 stores=21 branches=51 calls=30 translations=0 miss=0x3fe2d2d2d2d2d2d3 l1=0x3fea12f684bda12f",
+            "skewed fan-out trapped: folded cycles=0x9fb4f860b1ec4b17",
+            "skewed fan-out: cycles=0x407aba135f7b2816 insts=759 loads=6 stores=21 branches=51 calls=30 translations=0 miss=0x3fe2d2d2d2d2d2d3 l1=0x3fea12f684bda12f",
+        ];
+        assert_eq!(got, want);
+    }
+
     mod span_chunk_properties {
         use super::super::span_chunks;
         use proptest::prelude::*;
