@@ -6,7 +6,10 @@
 //! according to the CPU timing model: superscalar issue, a gshare branch
 //! predictor, and an L1 + shared LLC cache hierarchy. Each instruction's
 //! charges sit in its match arm, in the order they are made: `cycles` is
-//! an `f64` sum, so moving a charge changes its bits.
+//! an `f64` sum, so moving a charge changes its bits. A frame's loop keeps
+//! the cycles, the instruction count and the step budget in a [`Tally`]
+//! of locals, and writes it back to the core before every call and on
+//! every exit.
 
 use crate::cache::Cache;
 use crate::predictor::Gshare;
@@ -231,9 +234,58 @@ pub(crate) struct Interp<'a, M: RegionMem> {
 /// See [`Interp::bufs`].
 #[derive(Debug, Default)]
 pub(crate) struct Buffers {
-    regs: Vec<Vec<Option<Value>>>,
+    regs: Vec<Vec<Reg>>,
     args: Vec<Vec<Value>>,
     staged: Vec<Value>,
+    /// The number of the last frame entered.
+    frames: u64,
+}
+
+/// One register slot: a value and the number of the frame that wrote it.
+/// A recycled register file keeps its old slots; they read as undefined
+/// because they carry an earlier frame's number, so entering a frame
+/// writes nothing but its arguments.
+#[derive(Debug, Clone, Copy)]
+struct Reg {
+    frame: u64,
+    value: Value,
+}
+
+/// The register file of the executing frame.
+struct Regs<'r> {
+    slots: &'r mut [Reg],
+    frame: u64,
+}
+
+impl Regs<'_> {
+    /// The value in slot `s`; reading a slot no executed instruction of
+    /// this frame defined traps.
+    #[inline(always)]
+    fn get(&self, s: Slot) -> Result<Value, Trap> {
+        let reg = self.slots[s as usize];
+        if reg.frame == self.frame {
+            Ok(reg.value)
+        } else {
+            Err(Trap::Unreachable)
+        }
+    }
+
+    #[inline(always)]
+    fn set(&mut self, s: Slot, value: Value) {
+        self.slots[s as usize] = Reg { frame: self.frame, value };
+    }
+}
+
+/// The per-instruction accounting of a running frame, held in locals:
+/// the core's cycles and instruction count and the item's remaining step
+/// budget. [`Interp::run`] loads it from the core, makes every addition
+/// in the order the charges sit in the code, and writes it back before
+/// every call and on every exit, trap or return.
+#[derive(Debug, Clone, Copy)]
+struct Tally {
+    cycles: f64,
+    insts: u64,
+    budget: u64,
 }
 
 /// Deepest simulated call.
@@ -246,28 +298,25 @@ fn recycled<T>(pool: &mut Vec<Vec<T>>) -> Vec<T> {
     buf
 }
 
-/// The value in slot `s`; reading a slot no executed instruction defined
-/// traps.
-fn get(regs: &[Option<Value>], s: Slot) -> Result<Value, Trap> {
-    regs[s as usize].ok_or(Trap::Unreachable)
-}
-
 impl<'a, M: RegionMem> Interp<'a, M> {
-    fn charge_mem(&mut self, addr: u64, space: AddrSpace) {
+    /// Charge one access to `cycles` (a live LLC's latency now, a logged
+    /// one at commit); every access is charged before it is made.
+    #[inline(always)]
+    fn charge_mem(&mut self, cycles: &mut f64, addr: u64, space: AddrSpace) {
         match space {
             AddrSpace::Private | AddrSpace::Local => {
-                self.core.cycles += self.cfg.l1_hit_cycles;
+                *cycles += self.cfg.l1_hit_cycles;
             }
             AddrSpace::Cpu | AddrSpace::Gpu => {
                 if self.core.l1.access(addr) {
-                    self.core.cycles += self.cfg.l1_hit_cycles;
+                    *cycles += self.cfg.l1_hit_cycles;
                 } else {
                     match &mut self.llc {
                         LlcSink::Live(llc) => {
                             if llc.access(addr) {
-                                self.core.cycles += self.cfg.llc_hit_cycles;
+                                *cycles += self.cfg.llc_hit_cycles;
                             } else {
-                                self.core.cycles += self.cfg.mem_cycles;
+                                *cycles += self.cfg.mem_cycles;
                             }
                         }
                         LlcSink::Log(log) => log.push(addr),
@@ -278,7 +327,6 @@ impl<'a, M: RegionMem> Interp<'a, M> {
     }
 
     fn mem_read(&mut self, addr: u64, space: AddrSpace, ty: Type) -> Result<Value, Trap> {
-        self.charge_mem(addr, space);
         match space {
             AddrSpace::Private => self.private.read(addr, ty),
             AddrSpace::Local => {
@@ -299,7 +347,6 @@ impl<'a, M: RegionMem> Interp<'a, M> {
     }
 
     fn mem_write(&mut self, addr: u64, space: AddrSpace, v: Value, ty: Type) -> Result<(), Trap> {
-        self.charge_mem(addr, space);
         match space {
             AddrSpace::Private => self.private.write(addr, v, ty),
             AddrSpace::Local => {
@@ -337,14 +384,18 @@ impl<'a, M: RegionMem> Interp<'a, M> {
         let func = program.func(fid);
         let old_sp = self.private.push_frame(func.frame_size)?;
         let frame_base = PRIVATE_BASE + (old_sp.div_ceil(16) * 16);
-        let mut regs = recycled(&mut self.bufs.regs);
-        regs.resize(func.slots, None);
-        for (r, &a) in regs.iter_mut().zip(args).take(func.params) {
-            *r = Some(a);
+        let mut slots = self.bufs.regs.pop().unwrap_or_default();
+        if slots.len() < func.slots {
+            slots.resize(func.slots, Reg { frame: 0, value: Value::I(0) });
+        }
+        self.bufs.frames += 1;
+        let mut regs = Regs { slots: &mut slots[..func.slots], frame: self.bufs.frames };
+        for (s, &a) in (0..func.params.min(func.slots)).zip(args) {
+            regs.set(s as Slot, a);
         }
         let result = self.run(fid, func, &mut regs, args, frame_base, depth);
         self.private.pop_frame(old_sp);
-        self.bufs.regs.push(regs);
+        self.bufs.regs.push(slots);
         result
     }
 
@@ -352,160 +403,227 @@ impl<'a, M: RegionMem> Interp<'a, M> {
         Trap::StepLimitExceeded { kernel: func.name.clone(), global_id: self.ids.global }
     }
 
-    /// Run `func`'s blocks from its entry until it returns.
+    /// Run `func`'s blocks from its entry until it returns, with the
+    /// frame's accounting in a [`Tally`] that every exit writes back.
     fn run(
         &mut self,
         fid: FuncId,
         func: &Func,
-        regs: &mut [Option<Value>],
+        regs: &mut Regs<'_>,
         args: &[Value],
         frame_base: u64,
         depth: u32,
     ) -> Result<Option<Value>, Trap> {
+        let mut t = self.tally();
+        let result = self.blocks(&mut t, fid, func, regs, args, frame_base, depth);
+        self.settle(t);
+        result
+    }
+
+    /// The core's and the item's accounting as it stands.
+    #[inline(always)]
+    fn tally(&self) -> Tally {
+        Tally {
+            cycles: self.core.cycles,
+            insts: self.core.counters.insts,
+            budget: self.step_budget,
+        }
+    }
+
+    /// Write `t` back to the core and the item's budget.
+    #[inline(always)]
+    fn settle(&mut self, t: Tally) {
+        self.core.cycles = t.cycles;
+        self.core.counters.insts = t.insts;
+        self.step_budget = t.budget;
+    }
+
+    /// Execute a simulated call with the caller's tally written back
+    /// around it, so the callee charges the core where the caller left it.
+    #[inline(always)]
+    fn call_with(
+        &mut self,
+        t: &mut Tally,
+        callee: FuncId,
+        args: &[Value],
+        depth: u32,
+    ) -> Result<Option<Value>, Trap> {
+        self.settle(*t);
+        let r = self.call_depth(callee, args, depth);
+        *t = self.tally();
+        r
+    }
+
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn blocks(
+        &mut self,
+        t: &mut Tally,
+        fid: FuncId,
+        func: &Func,
+        regs: &mut Regs<'_>,
+        args: &[Value],
+        frame_base: u64,
+        depth: u32,
+    ) -> Result<Option<Value>, Trap> {
+        // One issue slot: the same quotient every charge below used to
+        // compute on the spot.
+        let issue = 1.0 / self.cfg.ipc;
         let (mut b, mut edge) = (func.entry, func.entry_edge);
         'blocks: loop {
             let block = &func.blocks[b as usize];
             if block.phis > 0 {
-                self.phis(func, regs, edge)?;
+                self.phis(t, func, regs, edge)?;
             }
             for inst in &func.ops[block.ops.0 as usize..block.ops.1 as usize] {
-                if self.step_budget == 0 {
+                if t.budget == 0 {
                     return Err(self.step_limit(func));
                 }
-                self.step_budget -= 1;
-                self.core.counters.insts += 1;
-                let d = inst.dst as usize;
+                t.budget -= 1;
+                t.insts += 1;
+                let d = inst.dst;
                 match inst.kind {
-                    Kind::Param(i) => regs[d] = Some(args[i as usize]),
-                    Kind::Const(v) => regs[d] = Some(v),
+                    Kind::Param(i) => regs.set(d, args[i as usize]),
+                    Kind::Const(v) => regs.set(d, v),
                     Kind::Bin(op, ty, a, b) => {
-                        self.core.cycles += bin_cost(op, self.cfg);
-                        regs[d] = Some(eval_bin(op, get(regs, a)?, get(regs, b)?, ty)?);
+                        t.cycles += bin_cost(op, issue);
+                        regs.set(d, eval_bin(op, regs.get(a)?, regs.get(b)?, ty)?);
                     }
                     Kind::Icmp(p, a, b) => {
-                        self.core.cycles += 1.0 / self.cfg.ipc;
-                        regs[d] = Some(eval_icmp(p, get(regs, a)?, get(regs, b)?));
+                        t.cycles += issue;
+                        regs.set(d, eval_icmp(p, regs.get(a)?, regs.get(b)?));
                     }
                     Kind::Fcmp(p, a, b) => {
-                        self.core.cycles += 1.0 / self.cfg.ipc;
-                        regs[d] = Some(eval_fcmp(p, get(regs, a)?, get(regs, b)?));
+                        t.cycles += issue;
+                        regs.set(d, eval_fcmp(p, regs.get(a)?, regs.get(b)?));
                     }
                     Kind::Cast(op, from, to, a) => {
-                        self.core.cycles += 1.0 / self.cfg.ipc;
-                        regs[d] = Some(eval_cast(op, get(regs, a)?, from, to));
+                        t.cycles += issue;
+                        regs.set(d, eval_cast(op, regs.get(a)?, from, to));
                     }
                     Kind::Select(c, a, b) => {
-                        self.core.cycles += 1.0 / self.cfg.ipc;
-                        let pick = if get(regs, c)?.as_bool() { a } else { b };
-                        regs[d] = Some(get(regs, pick)?);
+                        t.cycles += issue;
+                        let pick = if regs.get(c)?.as_bool() { a } else { b };
+                        regs.set(d, regs.get(pick)?);
                     }
                     Kind::Alloca(off) => {
-                        self.core.cycles += 1.0 / self.cfg.ipc;
-                        regs[d] = Some(Value::Ptr(frame_base + off, AddrSpace::Private));
+                        t.cycles += issue;
+                        regs.set(d, Value::Ptr(frame_base + off, AddrSpace::Private));
                     }
                     Kind::Load(ty, p) => {
                         self.core.counters.loads += 1;
-                        let (addr, sp) = get(regs, p)?.as_ptr();
-                        regs[d] = Some(self.mem_read(addr, reclassify(addr, sp), ty)?);
+                        let (addr, sp) = regs.get(p)?.as_ptr();
+                        let sp = reclassify(addr, sp);
+                        self.charge_mem(&mut t.cycles, addr, sp);
+                        regs.set(d, self.mem_read(addr, sp, ty)?);
                     }
                     Kind::Store(ty, p, v) => {
                         self.core.counters.stores += 1;
-                        let (addr, sp) = get(regs, p)?.as_ptr();
-                        let v = get(regs, v)?;
-                        self.mem_write(addr, reclassify(addr, sp), v, ty)?;
+                        let (addr, sp) = regs.get(p)?.as_ptr();
+                        let v = regs.get(v)?;
+                        let sp = reclassify(addr, sp);
+                        self.charge_mem(&mut t.cycles, addr, sp);
+                        self.mem_write(addr, sp, v, ty)?;
                     }
                     Kind::Gep(base, off) => {
-                        self.core.cycles += 1.0 / self.cfg.ipc;
-                        let (addr, sp) = get(regs, base)?.as_ptr();
-                        let off = get(regs, off)?.as_i();
-                        regs[d] = Some(Value::Ptr(addr.wrapping_add(off as u64), sp));
+                        t.cycles += issue;
+                        let (addr, sp) = regs.get(base)?.as_ptr();
+                        let off = regs.get(off)?.as_i();
+                        regs.set(d, Value::Ptr(addr.wrapping_add(off as u64), sp));
                     }
                     Kind::CpuToGpu(p) => {
-                        self.core.cycles += 1.0 / self.cfg.ipc;
+                        t.cycles += issue;
                         self.core.counters.translations += 1;
-                        regs[d] = Some(match get(regs, p)?.as_ptr() {
-                            (addr, AddrSpace::Cpu) if addr != 0 => {
-                                Value::Ptr(addr.wrapping_add(SVM_CONST), AddrSpace::Gpu)
-                            }
-                            // Generic-pointer pass-through (private/local/null).
-                            (addr, sp) => Value::Ptr(addr, sp),
-                        });
+                        regs.set(
+                            d,
+                            match regs.get(p)?.as_ptr() {
+                                (addr, AddrSpace::Cpu) if addr != 0 => {
+                                    Value::Ptr(addr.wrapping_add(SVM_CONST), AddrSpace::Gpu)
+                                }
+                                // Generic-pointer pass-through (private/local/null).
+                                (addr, sp) => Value::Ptr(addr, sp),
+                            },
+                        );
                     }
                     Kind::GpuToCpu(p) => {
-                        self.core.cycles += 1.0 / self.cfg.ipc;
+                        t.cycles += issue;
                         self.core.counters.translations += 1;
-                        regs[d] = Some(match get(regs, p)?.as_ptr() {
-                            (addr, AddrSpace::Gpu) if addr != 0 => {
-                                Value::Ptr(addr.wrapping_sub(SVM_CONST), AddrSpace::Cpu)
-                            }
-                            (addr, sp) => Value::Ptr(addr, sp),
-                        });
+                        regs.set(
+                            d,
+                            match regs.get(p)?.as_ptr() {
+                                (addr, AddrSpace::Gpu) if addr != 0 => {
+                                    Value::Ptr(addr.wrapping_sub(SVM_CONST), AddrSpace::Cpu)
+                                }
+                                (addr, sp) => Value::Ptr(addr, sp),
+                            },
+                        );
                     }
                     Kind::Call { callee, args: range, returns } => {
                         self.core.counters.calls += 1;
-                        self.core.cycles += 2.0;
+                        t.cycles += 2.0;
                         let mut vals = recycled(&mut self.bufs.args);
                         for &a in &func.operands[range.0 as usize..range.1 as usize] {
-                            vals.push(get(regs, a)?);
+                            vals.push(regs.get(a)?);
                         }
-                        let r = self.call_depth(callee, &vals, depth + 1)?;
+                        let r = self.call_with(t, callee, &vals, depth + 1)?;
                         self.bufs.args.push(vals);
                         if returns {
-                            regs[d] = Some(r.ok_or(Trap::Unreachable)?);
+                            regs.set(d, r.ok_or(Trap::Unreachable)?);
                         }
                     }
                     Kind::CallVirtual { obj, slot, args: range, returns } => {
                         self.core.counters.calls += 1;
                         // vtable load + indirect call overhead.
-                        let (obj_addr, obj_sp) = get(regs, obj)?.as_ptr();
+                        let (obj_addr, obj_sp) = regs.get(obj)?.as_ptr();
                         let obj_sp = reclassify(obj_addr, obj_sp);
+                        self.charge_mem(&mut t.cycles, obj_addr, obj_sp);
                         let vptr = self.mem_read(obj_addr, obj_sp, Type::Ptr(AddrSpace::Cpu))?;
                         let (vaddr, _) = vptr.as_ptr();
                         let target =
                             self.vtables.dispatch(self.region.snapshot(), CpuAddr(vaddr), slot)?;
-                        self.core.cycles += 3.0;
+                        t.cycles += 3.0;
                         let mut vals = recycled(&mut self.bufs.args);
-                        vals.push(get(regs, obj)?);
+                        vals.push(regs.get(obj)?);
                         for &a in &func.operands[range.0 as usize..range.1 as usize] {
-                            vals.push(get(regs, a)?);
+                            vals.push(regs.get(a)?);
                         }
-                        let r = self.call_depth(target, &vals, depth + 1)?;
+                        let r = self.call_with(t, target, &vals, depth + 1)?;
                         self.bufs.args.push(vals);
                         if returns {
-                            regs[d] = Some(r.ok_or(Trap::Unreachable)?);
+                            regs.set(d, r.ok_or(Trap::Unreachable)?);
                         }
                     }
                     Kind::Intrinsic(intr, range, ty) => {
                         let mut vals = recycled(&mut self.bufs.args);
                         for &a in &func.operands[range.0 as usize..range.1 as usize] {
-                            vals.push(get(regs, a)?);
+                            vals.push(regs.get(a)?);
                         }
-                        let v = self.intrinsic(intr, &vals)?;
+                        let v = self.intrinsic(&mut t.cycles, intr, &vals)?;
                         self.bufs.args.push(vals);
                         if ty != Type::Void {
-                            regs[d] = Some(v);
+                            regs.set(d, v);
                         }
                     }
-                    Kind::Br(t, e) => {
-                        self.core.cycles += 1.0 / self.cfg.ipc;
-                        (b, edge) = (t, e);
+                    Kind::Br(target, e) => {
+                        t.cycles += issue;
+                        (b, edge) = (target, e);
                         continue 'blocks;
                     }
                     Kind::CondBr { cond, then, els } => {
                         self.core.counters.branches += 1;
-                        let taken = get(regs, cond)?.as_bool();
+                        let taken = regs.get(cond)?.as_bool();
                         let key = u64::from(inst.dst) ^ (u64::from(fid.0) << 32);
                         let correct = self.core.predictor.predict_and_update(key, taken);
-                        self.core.cycles += 1.0 / self.cfg.ipc;
+                        t.cycles += issue;
                         if !correct {
-                            self.core.cycles += self.cfg.branch_miss_penalty;
+                            t.cycles += self.cfg.branch_miss_penalty;
                         }
                         (b, edge) = if taken { then } else { els };
                         continue 'blocks;
                     }
                     Kind::Ret(v) => {
-                        self.core.cycles += 1.0 / self.cfg.ipc;
-                        return v.map(|v| get(regs, v)).transpose();
+                        t.cycles += issue;
+                        return v.map(|v| regs.get(v)).transpose();
                     }
                     Kind::Unreachable => return Err(Trap::Unreachable),
                     Kind::StrayPhi => unreachable!("phi group handled at block entry"),
@@ -518,27 +636,42 @@ impl<'a, M: RegionMem> Interp<'a, M> {
 
     /// Enter a block over phi `edge`: read every source of its phi group,
     /// then write every destination, each a counted instruction.
-    fn phis(&mut self, func: &Func, regs: &mut [Option<Value>], edge: u32) -> Result<(), Trap> {
+    #[inline(always)]
+    fn phis(
+        &mut self,
+        t: &mut Tally,
+        func: &Func,
+        regs: &mut Regs<'_>,
+        edge: u32,
+    ) -> Result<(), Trap> {
         let (start, end) = func.edges[edge as usize];
         let copies = &func.copies[start as usize..end as usize];
         self.bufs.staged.clear();
         for &(_, src) in copies {
             assert!(src != NO_SRC, "phi covers predecessor (verified IR)");
-            self.bufs.staged.push(get(regs, src)?);
+            self.bufs.staged.push(regs.get(src)?);
         }
+        let issue = 1.0 / self.cfg.ipc;
         for (&(dst, _), &v) in copies.iter().zip(&self.bufs.staged) {
-            regs[dst as usize] = Some(v);
-            self.core.counters.insts += 1;
-            self.core.cycles += 1.0 / self.cfg.ipc;
-            if self.step_budget == 0 {
+            regs.set(dst, v);
+            t.insts += 1;
+            t.cycles += issue;
+            if t.budget == 0 {
                 return Err(self.step_limit(func));
             }
-            self.step_budget -= 1;
+            t.budget -= 1;
         }
         Ok(())
     }
 
-    fn intrinsic(&mut self, intr: Intrinsic, vals: &[Value]) -> Result<Value, Trap> {
+    /// Execute an intrinsic, charging `cycles`.
+    #[inline(always)]
+    fn intrinsic(
+        &mut self,
+        cycles: &mut f64,
+        intr: Intrinsic,
+        vals: &[Value],
+    ) -> Result<Value, Trap> {
         let (f, i) = (|k: usize| vals[k].as_f(), |k: usize| vals[k].as_i());
         Ok(match intr {
             Intrinsic::GlobalId => Value::I(self.ids.global),
@@ -547,49 +680,49 @@ impl<'a, M: RegionMem> Interp<'a, M> {
             Intrinsic::GroupId => Value::I(self.ids.group),
             Intrinsic::Barrier => Value::I(0), // sequential CPU: no-op
             Intrinsic::Sqrt => {
-                self.core.cycles += 7.0;
+                *cycles += 7.0;
                 Value::F(eval::sqrtf(f(0)))
             }
             Intrinsic::FAbs => {
-                self.core.cycles += 1.0 / self.cfg.ipc;
+                *cycles += 1.0 / self.cfg.ipc;
                 Value::F(eval::fabsf(f(0)))
             }
             Intrinsic::Floor => {
-                self.core.cycles += 1.0 / self.cfg.ipc;
+                *cycles += 1.0 / self.cfg.ipc;
                 Value::F(eval::floorf(f(0)))
             }
             Intrinsic::Exp => {
-                self.core.cycles += 20.0;
+                *cycles += 20.0;
                 Value::F(eval::expf(f(0)))
             }
             Intrinsic::Pow => {
-                self.core.cycles += 25.0;
+                *cycles += 25.0;
                 Value::F(eval::powf(f(0), f(1)))
             }
             Intrinsic::FMin => {
-                self.core.cycles += 1.0 / self.cfg.ipc;
+                *cycles += 1.0 / self.cfg.ipc;
                 Value::F(eval::fminf(f(0), f(1)))
             }
             Intrinsic::FMax => {
-                self.core.cycles += 1.0 / self.cfg.ipc;
+                *cycles += 1.0 / self.cfg.ipc;
                 Value::F(eval::fmaxf(f(0), f(1)))
             }
             Intrinsic::SMin => {
-                self.core.cycles += 1.0 / self.cfg.ipc;
+                *cycles += 1.0 / self.cfg.ipc;
                 Value::I(eval::smin(i(0), i(1)))
             }
             Intrinsic::SMax => {
-                self.core.cycles += 1.0 / self.cfg.ipc;
+                *cycles += 1.0 / self.cfg.ipc;
                 Value::I(eval::smax(i(0), i(1)))
             }
             Intrinsic::DeviceMalloc => {
-                self.core.cycles += 10.0;
+                *cycles += 10.0;
                 let size = vals[0].as_i().max(0) as u64;
                 let addr = self.region.device_alloc(size)?;
                 Value::Ptr(addr.0, AddrSpace::Cpu)
             }
             Intrinsic::WlPush => {
-                self.core.cycles += 4.0;
+                *cycles += 4.0;
                 let item = vals[0].as_i() as i32;
                 match &mut self.wl {
                     Some(seg) => {
@@ -604,7 +737,7 @@ impl<'a, M: RegionMem> Interp<'a, M> {
             Intrinsic::AtomicAddI32 | Intrinsic::AtomicMinI32 | Intrinsic::AtomicCasI32 => {
                 let (addr, sp) = vals[0].as_ptr();
                 let sp = reclassify(addr, sp);
-                self.core.cycles += 10.0;
+                *cycles += 10.0;
                 let kind = match intr {
                     Intrinsic::AtomicAddI32 => AtomicKind::Add,
                     Intrinsic::AtomicMinI32 => AtomicKind::Min,
@@ -617,8 +750,10 @@ impl<'a, M: RegionMem> Interp<'a, M> {
                     // Private (and Local, which faults in mem_read exactly
                     // as a plain load would) stay on the scalar path.
                     AddrSpace::Private | AddrSpace::Local => {
+                        self.charge_mem(cycles, addr, sp);
                         let old = self.mem_read(addr, sp, Type::I32)?.as_i();
                         let new = concord_svm::apply_rmw(kind, old, a1, a2);
+                        self.charge_mem(cycles, addr, sp);
                         self.mem_write(addr, sp, Value::I(new), Type::I32)?;
                         Value::I(old)
                     }
@@ -626,8 +761,8 @@ impl<'a, M: RegionMem> Interp<'a, M> {
                     // execution logs the *operation* and replays it against
                     // the committed state (global min/add stay correct).
                     sp => {
-                        self.charge_mem(addr, sp);
-                        self.charge_mem(addr, sp);
+                        self.charge_mem(cycles, addr, sp);
+                        self.charge_mem(cycles, addr, sp);
                         let old = self.region.atomic_i32(addr, sp, kind, a1, a2)?;
                         Value::I(old)
                     }
@@ -646,11 +781,13 @@ fn reclassify(addr: u64, tagged: AddrSpace) -> AddrSpace {
     }
 }
 
-fn bin_cost(op: concord_ir::BinOp, cfg: &CpuConfig) -> f64 {
+/// The cycles of a binary operation; `issue` is one issue slot.
+#[inline(always)]
+fn bin_cost(op: concord_ir::BinOp, issue: f64) -> f64 {
     use concord_ir::BinOp::*;
     match op {
         SDiv | UDiv | SRem | URem => 12.0,
         FDiv => 8.0,
-        _ => 1.0 / cfg.ipc,
+        _ => issue,
     }
 }

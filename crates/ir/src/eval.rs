@@ -4,6 +4,12 @@
 //! timing differ. This module defines the runtime [`Value`] representation
 //! and pure instruction semantics (arithmetic, comparisons, casts, math
 //! intrinsics).
+//!
+//! `eval_bin`, `eval_icmp`, `eval_fcmp` and `eval_cast` are
+//! `#[inline(always)]`: each simulator calls them once per simulated
+//! instruction from its interpreter loop in another crate, where a call
+//! out of line costs more than the evaluation (`ci.sh` keeps the
+//! attribute).
 
 use crate::inst::{BinOp, CastOp, FCmp, ICmp};
 use crate::types::{AddrSpace, Type};
@@ -201,7 +207,7 @@ fn round_float(v: f64, ty: Type) -> f64 {
 ///
 /// Returns [`Trap::DivideByZero`] for zero divisors in integer
 /// division/remainder.
-#[inline]
+#[inline(always)]
 pub fn eval_bin(op: BinOp, lhs: Value, rhs: Value, ty: Type) -> Result<Value, Trap> {
     if op.is_float() {
         let (a, b) = (lhs.as_f(), rhs.as_f());
@@ -270,7 +276,7 @@ pub fn eval_bin(op: BinOp, lhs: Value, rhs: Value, ty: Type) -> Result<Value, Tr
 
 /// Evaluate an integer comparison (also works for pointers of the same
 /// space, comparing addresses).
-#[inline]
+#[inline(always)]
 pub fn eval_icmp(pred: ICmp, lhs: Value, rhs: Value) -> Value {
     let (a, b) = match (lhs, rhs) {
         (Value::Ptr(a, _), Value::Ptr(b, _)) => (a as i64, b as i64),
@@ -294,7 +300,7 @@ pub fn eval_icmp(pred: ICmp, lhs: Value, rhs: Value) -> Value {
 }
 
 /// Evaluate a floating comparison with ordered semantics.
-#[inline]
+#[inline(always)]
 pub fn eval_fcmp(pred: FCmp, lhs: Value, rhs: Value) -> Value {
     let (a, b) = (lhs.as_f(), rhs.as_f());
     let r = match pred {
@@ -309,7 +315,7 @@ pub fn eval_fcmp(pred: FCmp, lhs: Value, rhs: Value) -> Value {
 }
 
 /// Evaluate a cast from a value of type `from` to type `to`.
-#[inline]
+#[inline(always)]
 pub fn eval_cast(op: CastOp, v: Value, from: Type, to: Type) -> Value {
     match op {
         CastOp::Zext => {
