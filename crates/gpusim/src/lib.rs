@@ -101,6 +101,11 @@ pub struct GpuSim {
     /// Warp states no warp is running on, recycled across warps and
     /// launches (as many as warps ever ran at once).
     idle: Mutex<Vec<WarpState>>,
+    /// Deferred-L3 logs (`WarpOut::log` and `lines`) that a commit has
+    /// replayed, emptied for the next warps to fill. A warp's log lives
+    /// until its launch commits, so a launch holds one per warp; without
+    /// the pool each warp grew its own from empty by doubling.
+    spare_logs: Mutex<Vec<(Vec<LogItem>, Vec<u64>)>>,
 }
 
 impl GpuSim {
@@ -114,6 +119,7 @@ impl GpuSim {
             tracer: Tracer::disabled(),
             device_clock: 0,
             idle: Mutex::new(Vec::new()),
+            spare_logs: Mutex::new(Vec::new()),
         }
     }
 
@@ -353,6 +359,12 @@ impl GpuSim {
             WorkKind::Worklist { items } => Some(items),
             _ => None,
         };
+        let (log, lines) = self
+            .spare_logs
+            .lock()
+            .expect("nothing panics while holding the log pool")
+            .pop()
+            .unwrap_or_default();
         let mut warp = Warp {
             program,
             region,
@@ -361,8 +373,8 @@ impl GpuSim {
             step_budget: self.step_budget_per_warp,
             hiding,
             trace_enabled: self.tracer.enabled(),
-            log: Vec::new(),
-            lines: Vec::new(),
+            log,
+            lines,
             divergences: 0,
             reconvergences: 0,
             wl: items.map(|_| Vec::new()),
@@ -415,7 +427,7 @@ impl GpuSim {
     /// independent of how the warps were executed.
     fn replay_warp_log(
         &mut self,
-        log: Vec<LogItem>,
+        log: &mut Vec<LogItem>,
         lines: &[u64],
         timing: &mut WarpTiming,
         eu: u32,
@@ -429,7 +441,7 @@ impl GpuSim {
         let clock_base = self.device_clock;
         let trace_on = self.tracer.enabled();
         let mut lines = lines.iter().copied();
-        for item in log {
+        for item in log.drain(..) {
             match item {
                 LogItem::Access { lines: n_lines, shared_lanes, ts_snap } => {
                     let (n_lines, shared_lanes) = (n_lines as usize, shared_lanes as usize);
@@ -550,7 +562,13 @@ impl Merge {
         let (eu, wave) = ((w % eus) as u32, (w / eus) as u32);
         apply_log(region, &out.mem_log);
         let mut timing = out.timing;
-        sim.replay_warp_log(out.log, &out.lines, &mut timing, eu, wave, self.hiding);
+        let (mut log, mut lines) = (out.log, out.lines);
+        sim.replay_warp_log(&mut log, &lines, &mut timing, eu, wave, self.hiding);
+        lines.clear();
+        sim.spare_logs
+            .get_mut()
+            .expect("nothing panics while holding the log pool")
+            .push((log, lines));
         if let Some(t) = out.trap {
             return Err(t);
         }
