@@ -38,8 +38,9 @@ impl Cache {
         addr >> self.line_shift
     }
 
-    /// Access `addr`; returns true on hit. Misses fill the line.
-    #[inline]
+    /// Access `addr`; returns true on hit. Misses fill the line. Inlined
+    /// into every simulated access, as the load path's other steps are.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = self.line_of(addr);
         let set = line as usize & (self.sets - 1);

@@ -326,6 +326,10 @@ impl<'a, M: RegionMem> Interp<'a, M> {
         }
     }
 
+    /// Read a `ty` at `addr`, already charged. Inlined, with the svm
+    /// steps under it (`read_merged`, `decode_value`) and `Cache::access`:
+    /// the load path is a third of the loop's time.
+    #[inline(always)]
     fn mem_read(&mut self, addr: u64, space: AddrSpace, ty: Type) -> Result<Value, Trap> {
         match space {
             AddrSpace::Private => self.private.read(addr, ty),

@@ -452,7 +452,8 @@ impl SharedRegion {
 
 /// Decode `ty.size()` little-endian bytes into a [`Value`]. Pointer loads
 /// yield CPU-space pointers (the SVM invariant — see
-/// [`SharedRegion::read_value`]).
+/// [`SharedRegion::read_value`]). Inlined into both simulators' loads.
+#[inline(always)]
 pub(crate) fn decode_value(bytes: &[u8], ty: Type) -> Value {
     match ty {
         Type::I1 | Type::I8 => Value::I(bytes[0] as i8 as i64),

@@ -250,6 +250,8 @@ impl<'r> ShadowRegion<'r> {
     }
 
     /// Read `len` (≤ 8) bytes at resolved offset `off`, overlay over base.
+    /// Inlined into both simulators' loads.
+    #[inline(always)]
     fn read_merged(&self, off: u64, len: u64) -> [u8; 8] {
         let mut buf = [0u8; 8];
         buf[..len as usize].copy_from_slice(self.base.raw(off, len));
