@@ -69,8 +69,9 @@ echo "==> paper vs paper-expected.json (every simulated table of §5)"
 # §5.4 SVM-overhead study, one row per line. Every number is simulated, so
 # it repeats byte for byte and a diff names the row that moved. The ten
 # exact quantities above are Scale::Tiny; this holds the simulators at the
-# paper's scale. About 15 s on two host threads (nproc 2: Ultrabook 7 s,
-# desktop 7 s, §5.4 0.9 s, Table 1 and Figure 6 under 0.1 s).
+# paper's scale. About 10-13 s on two host threads (nproc 2, median of six
+# runs 11.6 s; one run split as Ultrabook 4.7 s, desktop 4.8 s, §5.4
+# 0.7 s, Table 1 and Figure 6 under 0.1 s).
 cargo run --release --quiet -p concord-bench --bin paper -- /tmp/concord_ci_paper.json > /dev/null
 diff paper-expected.json /tmp/concord_ci_paper.json || {
     echo "!! paper output differs from paper-expected.json. A change that moves a" >&2
@@ -407,6 +408,18 @@ if [ -z "$access" ] || grep -F '%' <<<"$access" >&2; then
     echo "!! Cache::access (crates/cpusim/src/cache.rs) is missing or divides to find its set" >&2
     exit 1
 fi
+
+echo "==> structural guard: inlined evaluators"
+# Both simulators call the shared evaluators once per simulated instruction,
+# from interpreter loops in other crates. Out of line, that call cost cpusim
+# more than the evaluation (EXPERIMENTS.md, "cpusim's loop"), so each
+# evaluator in crates/ir/src/eval.rs sits right under `#[inline(always)]`.
+for f in eval_bin eval_cast eval_icmp eval_fcmp; do
+    if ! grep -B1 -E "^pub fn $f\(" crates/ir/src/eval.rs | head -1 | grep -qxF '#[inline(always)]'; then
+        echo "!! crates/ir/src/eval.rs: pub fn $f( is missing or not right under #[inline(always)]" >&2
+        exit 1
+    fi
+done
 
 echo "==> structural guard: one environment variable"
 # Outside tests the crates read exactly one environment variable: the pool's
