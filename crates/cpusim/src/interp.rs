@@ -458,6 +458,8 @@ impl<'a, M: RegionMem> Interp<'a, M> {
         r
     }
 
+    /// [`Interp::run`]'s loop, charging `t`; inlined into `run`, so the
+    /// tally stays in registers.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn blocks(
