@@ -472,8 +472,8 @@ impl<'a, M: RegionMem> Interp<'a, M> {
         frame_base: u64,
         depth: u32,
     ) -> Result<Option<Value>, Trap> {
-        // One issue slot: the same quotient every charge below used to
-        // compute on the spot.
+        // One issue slot, divided once per frame: every charge of it adds
+        // this one quotient, so the sums are those of `1.0 / ipc`.
         let issue = 1.0 / self.cfg.ipc;
         let (mut b, mut edge) = (func.entry, func.entry_edge);
         'blocks: loop {
